@@ -46,6 +46,26 @@ class ProblemInstance:
     def config_key(self) -> tuple:
         return (self.case, self.topology, self.N, self.n_g, self.K, self.seed)
 
+    def content_digest(self) -> str:
+        """Digest of the data that fixes the optimum: every ``A_i``, ``b_i``,
+        partition, delta and beta, and the edges."""
+        h = hashlib.sha256()
+
+        def add(values) -> None:
+            arr = np.ascontiguousarray(values)
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr.tobytes())
+
+        add(np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2))
+        for p in self.nodes:
+            layout = p.reg.partition.layout
+            add(p.loss.A)
+            add(p.loss.b)
+            add(np.array([p.loss.delta, p.reg.beta1, p.reg.beta2]))
+            add(layout.perm.astype(np.int64))
+            add(layout.sizes.astype(np.int64))
+        return h.hexdigest()
+
 
 def generator_vector(n: int, n_g: int) -> np.ndarray:
     """Alternating-sign decay ``x_j = (-1)^j exp(-(j-1)/n_g)`` (1-based j)."""
@@ -78,6 +98,9 @@ def generate_instance(
     """
     if case not in (1, 2):
         raise ValueError("case must be 1 or 2")
+    graph = build_topology(topology, N, path=edge_file)
+    if graph.num_nodes != N:
+        raise ValueError(f"the edge file has {graph.num_nodes} nodes, not N={N}")
     n = K * n_g
     if n % (2 * N) != 0:
         raise ValueError(
@@ -85,7 +108,6 @@ def generate_instance(
             "choose K, n_g, N with 2N dividing K*n_g"
         )
     m = n // (2 * N)
-    graph = build_topology(topology, N, path=edge_file)
 
     data_rng = np.random.default_rng([seed, 0])
     part_rng = np.random.default_rng([seed, 1])
@@ -151,7 +173,7 @@ def reference_solve(
     """
     if tolerance < 1e-9:
         raise ValueError("tolerance below 1e-9 is not supported")
-    key = instance.config_key() if cache else None
+    key = (instance.case, tolerance, instance.content_digest()) if cache else None
     if key is not None and key in _REFERENCE_CACHE:
         return _REFERENCE_CACHE[key]
 
@@ -172,20 +194,18 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
         beta2=N * instance.beta2,
         partition=nodes[0].reg.partition,
     )
+    # the N losses share delta, so their sum is one Huber loss on the
+    # stacked rows; the step keeps the summed per-node constants
+    stacked = HuberLoss(
+        A=np.vstack([p.loss.A for p in nodes]),
+        b=np.concatenate([p.loss.b for p in nodes]),
+        delta=instance.delta,
+    )
     lip = sum(p.loss.lipschitz for p in nodes)
 
-    def smooth_value(x: np.ndarray) -> float:
-        return sum(p.loss.value(x) for p in nodes)
-
-    def smooth_grad(x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(x)
-        for p in nodes:
-            g += p.loss.grad(x)
-        return g
-
     res = apg(
-        smooth_value=smooth_value,
-        smooth_grad=smooth_grad,
+        smooth_value=stacked.value,
+        smooth_grad=stacked.grad,
         prox=lambda v, tau: combined.prox(v, tau),
         rho_value=lambda x: combined.value(x),
         residual=lambda g, x: combined.subgrad_residual(1.0, g, x),
@@ -195,7 +215,7 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
         max_iter=500_000,
     )
     x_ref = res.y
-    f_star = smooth_value(x_ref) + combined.value(x_ref)
+    f_star = stacked.value(x_ref) + combined.value(x_ref)
     return Reference(f_star, x_ref, "apg", res.stop_reason == "residual")
 
 

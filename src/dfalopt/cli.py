@@ -13,6 +13,7 @@ import numpy as np
 from . import bench as bench_mod
 from .baselines import admm_solve, sadmm_solve
 from .dfal import async_dfal_solve, default_params, dfal_solve
+from .graph import load_edge_file
 from .solvers import apg
 from .trace import RunTrace, TraceRow
 
@@ -22,16 +23,24 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edge-file", default=None,
                    help="edge list file (required with --topology file)")
     p.add_argument("--case", type=int, choices=[1, 2], default=1)
-    p.add_argument("--nodes", type=int, default=5, help="number of nodes N")
+    p.add_argument("--nodes", type=int, default=None,
+                   help="number of nodes N (default 5, or the edge file's count)")
     p.add_argument("--ng", type=int, default=10, help="group size n_g")
     p.add_argument("--groups", type=int, default=10, help="number of groups K")
     p.add_argument("--seed", type=int, default=1)
 
 
 def _instance(args: argparse.Namespace) -> "bench_mod.ProblemInstance":
+    topology, num_nodes = args.topology, args.nodes
+    if topology == "file":
+        if args.edge_file is None:
+            raise SystemExit("--topology file needs --edge-file")
+        topology = "edge-file"
+        if num_nodes is None:
+            num_nodes = load_edge_file(args.edge_file).num_nodes
     return bench_mod.generate_instance(
-        args.case, args.topology, args.nodes, args.ng, args.groups, args.seed,
-        edge_file=args.edge_file,
+        args.case, topology, 5 if num_nodes is None else num_nodes,
+        args.ng, args.groups, args.seed, edge_file=args.edge_file,
     )
 
 

@@ -16,8 +16,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcs import NodeProblem
-from .graph import Graph, laplacian_quadratic, spectral_bounds
+from .funcs import NodeProblem, NodeStack
+from .graph import Graph, laplacian_apply, laplacian_quadratic, spectral_bounds
 from .netsim import AsyncNetwork, SyncNetwork
 from .solvers import BlockObjective, arbcd_chain, fista_momentum, rbcd_run
 from .trace import RunTrace, TraceRow
@@ -219,6 +219,7 @@ def dfal_solve(
     psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
     loss_lip = np.array([p.loss.lipschitz for p in nodes])
     degrees = graph.degrees
+    stack = NodeStack(nodes)
 
     x = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
     state = DfalState(x=x, xbar=np.zeros((N, n)), lam=params.lam1, k=0)
@@ -259,17 +260,13 @@ def dfal_solve(
                 )
             if gradient_check is not None:
                 gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
-            res = max(
-                nodes[i].reg.subgrad_residual(lam, q[i], ybar[i]) for i in range(N)
-            )
-            if res <= target:
+            if stack.residuals(lam, q, ybar).max() <= target:
                 x_new = ybar.copy()
                 stop_reason = "residual"
                 break
-            y = np.empty((N, n))
-            for i in range(N):
-                y[i] = nodes[i].reg.prox(ybar[i] - q[i] / block_L[i], lam / block_L[i])
-                net.ledger.charge_prox(i + 1)
+            y = stack.prox(ybar - q / block_L[:, None], lam / block_L)
+            for i in range(1, N + 1):
+                net.ledger.charge_prox(i)
             if ell == cap:
                 x_new = y
                 stop_reason = "cap"
@@ -328,10 +325,17 @@ def _subproblem_objective(
     lam: float,
     xbar: np.ndarray,
     block_L: np.ndarray,
-    net: AsyncNetwork | None = None,
+    stack: NodeStack | None = None,
 ) -> BlockObjective:
-    """Penalized subproblem as a block objective over stacked iterates."""
-    N = graph.num_nodes
+    """Penalized subproblem as a block objective over stacked iterates.
+
+    One event's block gradient is assembled from neighbor data by
+    :func:`local_gradient`; the full gradient and the residuals of the
+    every-``N``-events stopping test come from ``stack`` (built from
+    ``nodes`` when not given) for all blocks at once.
+    """
+    if stack is None:
+        stack = NodeStack(nodes)
     degrees = graph.degrees
 
     def smooth_value(Y: np.ndarray) -> float:
@@ -339,10 +343,7 @@ def _subproblem_objective(
         return total + 0.5 * laplacian_quadratic(graph, Y + xbar)
 
     def smooth_grad(Y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(Y)
-        for i in range(N):
-            out[i] = smooth_grad_block(i, Y)
-        return out
+        return lam * stack.loss_grad(Y) + laplacian_apply(graph, Y + xbar)
 
     def smooth_grad_block(i: int, Y: np.ndarray) -> np.ndarray:
         node_id = i + 1
@@ -358,11 +359,11 @@ def _subproblem_objective(
     def rho_value(i: int, y: np.ndarray) -> float:
         return lam * nodes[i].reg.value(y)
 
-    def residual(i: int, g: np.ndarray, y: np.ndarray) -> float:
-        return nodes[i].reg.subgrad_residual(lam, g, y)
+    def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return stack.residuals(lam, G, Y)
 
     return BlockObjective(
-        num_blocks=N,
+        num_blocks=graph.num_nodes,
         block_len=nodes[0].n,
         L=block_L,
         smooth_value=smooth_value,
@@ -370,7 +371,7 @@ def _subproblem_objective(
         smooth_grad_block=smooth_grad_block,
         prox=prox,
         rho_value=rho_value,
-        residual=residual,
+        residuals=residuals,
     )
 
 
@@ -442,6 +443,7 @@ def async_dfal_solve(
     psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
     loss_lip = np.array([pb.loss.lipschitz for pb in nodes])
     degrees = graph.degrees.astype(float)
+    stack = NodeStack(nodes)
 
     x = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
     state = DfalState(x=x, xbar=np.zeros((N, n)), lam=params.lam1, k=0)
@@ -461,7 +463,7 @@ def async_dfal_solve(
         else:
             # separable-overapproximation constants for the accelerated oracle
             block_L = lam * loss_lip + degrees
-        obj = _subproblem_objective(nodes, graph, lam, state.xbar, block_L)
+        obj = _subproblem_objective(nodes, graph, lam, state.xbar, block_L, stack)
         if budget is None:
             const = (
                 rbcd_budget_constant(obj, state.x, np.random.default_rng(seed + 1))

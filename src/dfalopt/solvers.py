@@ -34,9 +34,10 @@ class BlockObjective:
         ``(i, v, tau) -> argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2``.
     rho_value : callable
         ``(i, y_i) -> rho_i(y_i)``.
-    residual : callable
-        ``(i, grad_i, y_i) -> `` norm of the minimum-norm element of
-        ``d(rho_i)(y_i) + grad_i``; the per-block stopping test.
+    residuals : callable
+        ``(G, Y) ->`` the ``N`` norms (array or sequence), entry ``i`` that
+        of the minimum-norm element of ``d(rho_i)(Y_i) + G_i``; the
+        per-block stopping test, for all blocks in one call.
     """
 
     num_blocks: int
@@ -47,7 +48,7 @@ class BlockObjective:
     smooth_grad_block: Callable[[int, np.ndarray], np.ndarray]
     prox: Callable[[int, np.ndarray, float], np.ndarray]
     rho_value: Callable[[int, np.ndarray], float]
-    residual: Callable[[int, np.ndarray, np.ndarray], float]
+    residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_evals: int = field(default=0, repr=False)
     prox_evals: int = field(default=0, repr=False)
 
@@ -63,9 +64,7 @@ class BlockObjective:
         return total
 
     def max_residual(self, G: np.ndarray, Y: np.ndarray) -> float:
-        return max(
-            self.residual(i, G[i], Y[i]) for i in range(self.num_blocks)
-        )
+        return float(max(self.residuals(G, Y)))
 
 
 @dataclass
@@ -156,7 +155,7 @@ def apg(
         smooth_grad_block=lambda i, Y: smooth_grad(Y[0]),
         prox=lambda i, v, tau: prox(v, tau),
         rho_value=lambda i, y: rho_value(y),
-        residual=lambda i, g, y: residual(g, y),
+        residuals=lambda G, Y: (residual(G[0], Y[0]),),
     )
     res = ms_apg(
         obj,

@@ -163,6 +163,16 @@ class TestReferenceSolve:
         b = reference_solve(small_instance(seed=11))
         assert a is b
 
+    def test_cache_keys_on_content_not_on_names(self):
+        # same (case, topology, N, n_g, K, seed), different Huber delta
+        wide = reference_solve(small_instance(seed=3))
+        narrow = reference_solve(small_instance(seed=3, delta=0.05))
+        fresh = reference_solve(small_instance(seed=3, delta=0.05), cache=False)
+        assert narrow is not wide
+        assert narrow.f_star == pytest.approx(fresh.f_star, rel=1e-12)
+        assert narrow.f_star < 0.5 < wide.f_star
+        assert reference_solve(small_instance(seed=3, delta=0.05)) is narrow
+
 
 class TestEvaluate:
     @staticmethod
@@ -293,6 +303,24 @@ class TestCli:
         assert header.startswith("k,lambda,F_sum")
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
         assert summary["converged"]
+
+    def test_edge_file_topology(self, tmp_path, capsys):
+        edges = tmp_path / "path4.txt"
+        edges.write_text("4\n1 2\n2 3\n3 4\n")
+        args = ["--topology", "file", "--edge-file", str(edges),
+                "--ng", "2", "--groups", "4", "--seed", "3"]
+        inst_path = tmp_path / "inst.json"
+        assert cli_main(["gen", *args, "--out", str(inst_path)]) == 0
+        back = instance_from_json(str(inst_path))
+        assert back.N == 4
+        assert back.graph.edges == ((1, 2), (2, 3), (3, 4))
+        out = tmp_path / "run.csv"
+        assert cli_main(["solve", "--alg", "dfal", *args, "--out", str(out)]) == 0
+        assert "converged=True" in capsys.readouterr().out
+
+    def test_edge_file_topology_needs_the_file(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli_main(["gen", "--topology", "file", "--out", str(tmp_path / "x.json")])
 
     def test_apg_rejects_case2(self, tmp_path):
         with pytest.raises(SystemExit, match="case 1"):

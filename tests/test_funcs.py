@@ -7,7 +7,7 @@ import pytest
 
 from dfalopt import GroupPartition, HuberLoss, NodeProblem, SparseGroupReg
 from dfalopt.funcs import composite_value, huber_scalar
-from conftest import random_reg
+from conftest import random_partition, random_reg
 
 
 class TestGroupPartition:
@@ -242,3 +242,164 @@ def test_huber_scalar_piecewise():
     r = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     expect = np.array([1.5, 0.125, 0.0, 0.125, 1.5])
     assert np.allclose(huber_scalar(r, 1.0), expect)
+
+
+def _loop_value(reg, x):
+    """Per-group loop form of the regularizer value."""
+    groups = sum(float(np.linalg.norm(x[g])) for g in reg.partition.groups)
+    return reg.beta1 * float(np.abs(x).sum()) + reg.beta2 * groups
+
+
+def _loop_prox(reg, xbar, t):
+    """Per-group loop form of the closed-form prox."""
+    eta = np.sign(xbar) * np.maximum(np.abs(xbar) - t * reg.beta1, 0.0)
+    out = np.zeros_like(eta)
+    for g in reg.partition.groups:
+        norm = np.linalg.norm(eta[g])
+        if norm > 0.0:
+            out[g] = eta[g] * max(1.0 - t * reg.beta2 / norm, 0.0)
+    return out
+
+
+def _loop_min_norm(reg, lam, grad_f, x):
+    """Per-group loop form of the minimum-norm composite subgradient."""
+    lb1, lb2 = lam * reg.beta1, lam * reg.beta2
+    eta = -np.sign(grad_f) * np.minimum(np.abs(grad_f), lb1)
+    out = np.empty_like(grad_f)
+    for g in reg.partition.groups:
+        xg = x[g]
+        if np.any(xg != 0.0):
+            pi = lb1 * np.sign(xg) + (1.0 - np.sign(np.abs(xg))) * eta[g]
+            out[g] = pi + lb2 * xg / np.linalg.norm(xg) + grad_f[g]
+        else:
+            v = eta[g] + grad_f[g]
+            vnorm = np.linalg.norm(v)
+            out[g] = v - v * min(1.0, lb2 / vnorm) if vnorm > 0.0 else v
+    return out
+
+
+def _prox_kkt_violation(reg, xbar, t, y, steps=200):
+    """Largest violation of the optimality system of
+    ``t * value(y) + 0.5 * ||y - xbar||^2`` at the point ``y``.
+
+    Per group g, with a = t*b1 and c = t*b2: a coordinate with y_j != 0
+    needs ``(1 + mu) y_j + a sgn(y_j) = xbar_j`` and one with y_j = 0 needs
+    ``|xbar_j| <= a``, where the group multiplier mu >= 0 satisfies
+    ``mu ||y_g|| = c``.  Eliminating y_g gives ``mu e / (1 + mu) = c`` with
+    ``e`` the norm of what the l1 box cannot absorb; mu comes from bisection
+    on that scalar equation.  When ``e <= c`` the group must be zero.
+    """
+    a, c = t * reg.beta1, t * reg.beta2
+    worst = 0.0
+    for g in reg.partition.groups:
+        xg, yg = xbar[g], y[g]
+        e = float(np.linalg.norm(np.maximum(np.abs(xg) - a, 0.0)))
+        if e <= c:
+            worst = max(worst, float(np.abs(yg).max()))
+            continue
+        lo, hi = 0.0, 1.0
+        while hi * e / (1.0 + hi) < c:
+            hi *= 2.0
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mid * e / (1.0 + mid) < c else (lo, mid)
+        mu = 0.5 * (lo + hi)
+        nz = yg != 0.0
+        stationarity = (1.0 + mu) * yg[nz] + a * np.sign(yg[nz]) - xg[nz]
+        worst = max(
+            worst,
+            float(np.abs(stationarity).max(initial=0.0)),
+            float((np.abs(xg[~nz]) - a).max(initial=0.0)),
+            abs(mu * float(np.linalg.norm(yg)) - c),
+        )
+    return worst
+
+
+def _edge_case_reg(rng, n):
+    """Random partition (singletons included) and weights, either may be 0."""
+    part = random_partition(rng, n, int(rng.integers(1, n + 1)))
+    b1 = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 2.0))
+    b2 = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.05, 2.0))
+    return SparseGroupReg(b1, b2, part)
+
+
+def _edge_case_point(rng, reg, scale=3.0):
+    """Random point with exact zeros and whole zero groups."""
+    x = rng.standard_normal(reg.n) * scale
+    x[rng.random(reg.n) < 0.3] = 0.0
+    for g in reg.partition.groups:
+        if rng.random() < 0.3:
+            x[g] = 0.0
+    return x
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestVectorizedKernels:
+    """Segment kernels against per-group loops and an independent KKT check."""
+
+    def test_edge_case_generators_cover_the_cases(self):
+        rng = np.random.default_rng(90)
+        regs = [_edge_case_reg(rng, int(rng.integers(1, 9))) for _ in range(100)]
+        assert any(r.beta1 == 0.0 for r in regs) and any(r.beta2 == 0.0 for r in regs)
+        assert any(len(g) == 1 for r in regs for g in r.partition.groups)
+        assert any(r.partition.num_groups == r.n > 1 for r in regs)
+
+    def test_prox_satisfies_kkt_by_bisection(self):
+        rng = np.random.default_rng(91)
+        worst = 0.0
+        for _ in range(400):
+            reg = _edge_case_reg(rng, int(rng.integers(1, 10)))
+            xbar = _edge_case_point(rng, reg)
+            t = float(rng.uniform(0.1, 2.0))
+            worst = max(worst, _prox_kkt_violation(reg, xbar, t, reg.prox(xbar, t)))
+        assert worst <= 1e-9
+
+    def test_kkt_check_rejects_a_wrong_point(self):
+        reg = SparseGroupReg(0.5, 0.5, GroupPartition.single_group(3))
+        xbar = np.array([3.0, -2.0, 0.1])
+        y = reg.prox(xbar, 1.0)
+        assert _prox_kkt_violation(reg, xbar, 1.0, y) <= 1e-12
+        assert _prox_kkt_violation(reg, xbar, 1.0, y * 1.01) > 1e-3
+        assert _prox_kkt_violation(reg, xbar, 1.0, y + [0.0, 0.0, 1e-3]) > 1e-4
+
+    def test_prox_matches_group_loop(self):
+        rng = np.random.default_rng(92)
+        for _ in range(400):
+            reg = _edge_case_reg(rng, int(rng.integers(1, 13)))
+            xbar = _edge_case_point(rng, reg)
+            t = float(rng.uniform(0.05, 3.0))
+            np.testing.assert_allclose(
+                reg.prox(xbar, t), _loop_prox(reg, xbar, t), rtol=0, atol=1e-12
+            )
+
+    def test_min_norm_matches_group_loop(self):
+        rng = np.random.default_rng(93)
+        for _ in range(400):
+            reg = _edge_case_reg(rng, int(rng.integers(1, 13)))
+            x = _edge_case_point(rng, reg)
+            if rng.random() < 0.5:
+                x = reg.prox(x, float(rng.uniform(0.1, 2.0)))
+            g = _edge_case_point(rng, reg, scale=float(rng.uniform(0.1, 4.0)))
+            lam = float(rng.uniform(0.1, 2.0))
+            np.testing.assert_allclose(
+                reg.min_norm_subgradient(lam, g, x), _loop_min_norm(reg, lam, g, x),
+                rtol=0, atol=1e-12,
+            )
+
+    def test_value_matches_group_loop(self):
+        rng = np.random.default_rng(94)
+        for _ in range(400):
+            reg = _edge_case_reg(rng, int(rng.integers(1, 13)))
+            x = _edge_case_point(rng, reg)
+            assert reg.value(x) == pytest.approx(_loop_value(reg, x), rel=1e-12, abs=1e-12)
+
+    def test_segment_layout_makes_groups_contiguous(self):
+        part = GroupPartition(5, (np.array([3, 0]), np.array([4]), np.array([1, 2])))
+        lay = part.layout
+        assert lay.perm.tolist() == [0, 3, 4, 1, 2]
+        assert lay.starts.tolist() == [0, 2, 3] and lay.sizes.tolist() == [2, 1, 2]
+        x = np.arange(5.0)
+        assert np.array_equal(lay.scatter(lay.gather(x)), x)
+        np.testing.assert_allclose(lay.norms(lay.gather(x)), [3.0, 4.0, np.sqrt(5.0)])
+        with pytest.raises(ValueError):
+            lay.gather(np.zeros(4))

@@ -30,7 +30,7 @@ def quadratic_objective(c, L=None):
         smooth_grad_block=lambda i, Y: Y[i] - c[i],
         prox=lambda i, v, tau: v,
         rho_value=lambda i, y: 0.0,
-        residual=lambda i, g, y: float(np.linalg.norm(g)),
+        residuals=lambda G, Y: np.linalg.norm(G, axis=1),
     )
 
 
@@ -61,7 +61,9 @@ def sparse_group_objective(rng, N=3, n=5):
         smooth_grad_block=smooth_grad_block,
         prox=lambda i, v, tau: regs[i].prox(v, tau),
         rho_value=lambda i, y: regs[i].value(y),
-        residual=lambda i, g, y: regs[i].subgrad_residual(1.0, g, y),
+        residuals=lambda G, Y: np.array(
+            [regs[i].subgrad_residual(1.0, G[i], Y[i]) for i in range(N)]
+        ),
     )
 
 
@@ -119,7 +121,7 @@ class TestMsApg:
             smooth_grad_block=lambda i, Y: 2.0 * (Y[0] - target),
             prox=lambda i, v, tau: reg.prox(v, tau),
             rho_value=lambda i, y: reg.value(y),
-            residual=lambda i, g, y: reg.subgrad_residual(1.0, g, y),
+            residuals=lambda G, Y: [reg.subgrad_residual(1.0, G[0], Y[0])],
         )
         res_ms = ms_apg(obj, np.zeros((1, 5)), residual_target=None, max_iter=60)
         res_apg = apg(
@@ -156,7 +158,7 @@ class TestMsApg:
                 smooth_grad_block=lambda i, Y: Ld[i] * (Y[i] - c[i]),
                 prox=lambda i, v, tau: v,
                 rho_value=lambda i, y: 0.0,
-                residual=lambda i, g, y: float(np.linalg.norm(g)),
+                residuals=lambda G, Y: np.linalg.norm(G, axis=1),
             )
 
         def first_below(L_steps, tol=1e-6):
@@ -165,7 +167,7 @@ class TestMsApg:
                 num_blocks=2, block_len=1, L=np.asarray(L_steps, dtype=float),
                 smooth_value=base.smooth_value, smooth_grad=base.smooth_grad,
                 smooth_grad_block=base.smooth_grad_block, prox=base.prox,
-                rho_value=base.rho_value, residual=base.residual,
+                rho_value=base.rho_value, residuals=base.residuals,
             )
             for iters in range(1, 400):
                 res = ms_apg(obj, np.zeros((2, 1)), max_iter=iters)
@@ -180,8 +182,8 @@ class TestMsApg:
         res = ms_apg(obj, np.zeros((3, 5)), residual_target=1e-6, max_iter=5000)
         assert res.stop_reason == "residual"
         grad = obj.smooth_grad(res.y)
-        for i in range(obj.num_blocks):
-            assert obj.residual(i, grad[i], res.y[i]) <= 1e-6
+        for block_residual in obj.residuals(grad, res.y):
+            assert block_residual <= 1e-6
 
     def test_nonfinite_gradient_aborts(self):
         obj = BlockObjective(
@@ -191,7 +193,7 @@ class TestMsApg:
             smooth_grad_block=lambda i, Y: np.array([np.nan]),
             prox=lambda i, v, tau: v,
             rho_value=lambda i, y: 0.0,
-            residual=lambda i, g, y: 0.0,
+            residuals=lambda G, Y: np.zeros(1),
         )
         with pytest.raises(FloatingPointError):
             ms_apg(obj, np.zeros((1, 1)), max_iter=5)
