@@ -10,6 +10,7 @@ from .graph import (
     Graph,
     GraphError,
     build_topology,
+    consensus_violation,
     laplacian_apply,
     laplacian_dense,
     laplacian_quadratic,
@@ -32,14 +33,19 @@ from .solvers import (
     ms_apg,
     rbcd_run,
 )
-from .netsim import AsyncNetwork, CommLedger, SyncNetwork, async_schedule
-from .trace import RunTrace, TraceRow, TRACE_COLUMNS
+from .netsim import (
+    ActivationSchedule,
+    AsyncNetwork,
+    CommLedger,
+    SyncNetwork,
+    async_schedule,
+)
+from .trace import RunTrace, TraceRow, TRACE_COLUMNS, rel_subopt
 from .dfal import (
     DfalParams,
     DfalState,
     ProtocolError,
     async_dfal_solve,
-    consensus_violation,
     coupling_constants,
     default_bx,
     default_params,

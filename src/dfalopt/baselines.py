@@ -13,14 +13,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .funcs import NodeProblem
-from .graph import Graph, laplacian_apply
-from .solvers import apg
-from .trace import RunTrace, TraceRow
+from .graph import Graph, consensus_violation, laplacian_apply
 from .netsim import CommLedger
+from .solvers import apg
+from .trace import RunTrace, rel_subopt
 
 NESTED_TOL = 1e-9
 NESTED_CAP = 200_000
@@ -55,51 +56,55 @@ def neighborhood_average(graph: Graph, x: np.ndarray) -> np.ndarray:
     return laplacian_apply(graph, x) / (graph.degrees[:, None] + 1.0)
 
 
-def _huber_prox(node: NodeProblem, center: np.ndarray, t: float) -> tuple[np.ndarray, int]:
-    """``argmin_u t * loss(u) + 0.5 ||u - center||^2`` by an accelerated run."""
+def _anchored_prox(
+    node: NodeProblem,
+    center: np.ndarray,
+    t: float,
+    prox: Callable[[np.ndarray, float], np.ndarray],
+    rho_value: Callable[[np.ndarray], float],
+    residual: Callable[[np.ndarray, np.ndarray], float],
+) -> tuple[np.ndarray, int]:
+    """``argmin_u t * loss(u) + rho(u) + 0.5 ||u - center||^2`` by an
+    accelerated run in which the quadratic anchor joins the smooth part."""
     res = apg(
         smooth_value=lambda u: t * node.loss.value(u)
         + 0.5 * float(np.sum((u - center) ** 2)),
         smooth_grad=lambda u: t * node.loss.grad(u) + (u - center),
-        prox=lambda v, tau: v,
-        rho_value=lambda u: 0.0,
-        residual=lambda g, u: float(np.linalg.norm(g)),
+        prox=prox,
+        rho_value=rho_value,
+        residual=residual,
         lipschitz=t * node.loss.lipschitz + 1.0,
         x0=center,
         residual_target=NESTED_TOL,
         max_iter=NESTED_CAP,
     )
     if res.stop_reason != "residual":
-        raise NestedSolveError(
-            f"smooth prox stalled at gradient norm above {NESTED_TOL}"
-        )
+        raise NestedSolveError(f"nested prox stalled above residual {NESTED_TOL}")
     return res.y, res.iterations
+
+
+def _huber_prox(node: NodeProblem, center: np.ndarray, t: float) -> tuple[np.ndarray, int]:
+    """``argmin_u t * loss(u) + 0.5 ||u - center||^2``, to a small gradient."""
+    return _anchored_prox(
+        node, center, t,
+        prox=lambda v, tau: v,
+        rho_value=lambda u: 0.0,
+        residual=lambda g, u: float(np.linalg.norm(g)),
+    )
 
 
 def _composite_prox(node: NodeProblem, center: np.ndarray, t: float) -> tuple[np.ndarray, int]:
     """``argmin_u t * F(u) + 0.5 ||u - center||^2`` for the full composite.
 
-    The quadratic anchor joins the smooth part; the regularizer keeps its
-    closed-form prox, and the stopping test is the minimum-norm subgradient
-    of the whole shifted objective.
+    The regularizer keeps its closed-form prox, and the stopping test is the
+    minimum-norm subgradient of the whole shifted objective.
     """
-    res = apg(
-        smooth_value=lambda u: t * node.loss.value(u)
-        + 0.5 * float(np.sum((u - center) ** 2)),
-        smooth_grad=lambda u: t * node.loss.grad(u) + (u - center),
+    return _anchored_prox(
+        node, center, t,
         prox=lambda v, tau: node.reg.prox(v, tau * t),
         rho_value=lambda u: t * node.reg.value(u),
         residual=lambda g, u: node.reg.subgrad_residual(t, g, u),
-        lipschitz=t * node.loss.lipschitz + 1.0,
-        x0=center,
-        residual_target=NESTED_TOL,
-        max_iter=NESTED_CAP,
     )
-    if res.stop_reason != "residual":
-        raise NestedSolveError(
-            f"composite prox stalled above residual {NESTED_TOL}"
-        )
-    return res.y, res.iterations
 
 
 def sadmm_midpoint_objective(nodes, x: np.ndarray, y: np.ndarray) -> float:
@@ -109,17 +114,46 @@ def sadmm_midpoint_objective(nodes, x: np.ndarray, y: np.ndarray) -> float:
 
 def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     """Consensus violation including the split gap, normalized by sqrt(n)."""
-    edge_cv = max(
-        float(np.linalg.norm(x[i - 1] - x[j - 1])) for i, j in graph.edges
-    ) if graph.edges else 0.0
+    edge_cv = consensus_violation(graph, x, normalize=False)
     split_cv = float(np.max(np.linalg.norm(x - y, axis=1)))
     return max(edge_cv, split_cv) / math.sqrt(x.shape[1])
 
 
-def _rel(f_sum: float, reference: float | None) -> float:
-    if reference is None:
-        return math.nan
-    return abs(f_sum - reference) / abs(reference) if reference else abs(f_sum)
+def _admm_loop(
+    trace: RunTrace,
+    ledger: CommLedger,
+    step: Callable[[], tuple[float, float, float, int]],
+    c_admm: float,
+    iters: int,
+    reference: float | None,
+    eps_opt: float,
+    eps_feas: float,
+    budget_secs: float | None,
+) -> None:
+    """Run ``step() -> (F_sum, CV, dual_norm, nested iterations)`` once per
+    iteration, recording each, until converged, out of time or out of
+    iterations."""
+    for k in range(1, iters + 1):
+        f_sum, cv, dual_norm, nested = step()
+        rel = rel_subopt(f_sum, reference)
+        converged = rel <= eps_opt and cv <= eps_feas
+        timed_out = (
+            budget_secs is not None and time.monotonic() - trace.started > budget_secs
+        )
+        trace.record(
+            k=k, lam=c_admm, F_sum=f_sum, reference=reference, CV=cv,
+            ledger=ledger, dual_norm=dual_norm, inner_iters=nested,
+            stop_reason=(
+                "converged" if converged
+                else "timeout" if timed_out
+                else "iters" if k == iters
+                else "running"
+            ),
+        )
+        if converged or timed_out:
+            trace.converged = converged
+            break
+    trace.config["ledger"] = ledger.snapshot()
 
 
 def sadmm_solve(
@@ -140,6 +174,7 @@ def sadmm_solve(
     neighborhood averages and running sums.  The reported objective takes
     both primal copies at their midpoint.
     """
+    trace = RunTrace("sadmm", config={"c_admm": c_admm})
     N, n = graph.num_nodes, nodes[0].n
     degrees = graph.degrees.astype(float)
     coef = degrees**2 + degrees + 1.0
@@ -153,9 +188,9 @@ def sadmm_solve(
     s = neighborhood_average(graph, state.x)
     s_tilde = neighborhood_average(graph, state.y)
     ledger = CommLedger(N)
-    trace = RunTrace("sadmm", config={"c_admm": c_admm})
-    started = time.monotonic()
-    for k in range(1, iters + 1):
+
+    def sadmm_step() -> tuple[float, float, float, int]:
+        nonlocal s, s_tilde
         half_gap = 0.5 * (state.x - state.y)
         agg_x = laplacian_apply(graph, s + state.p)
         agg_y = laplacian_apply(graph, s_tilde + state.p_tilde)
@@ -177,36 +212,16 @@ def sadmm_solve(
         s_tilde = neighborhood_average(graph, state.y)
         state.p_tilde += s_tilde
         state.r += 0.5 * (state.x - state.y)
+        return (
+            sadmm_midpoint_objective(nodes, state.x, state.y),
+            sadmm_cv(graph, state.x, state.y),
+            float(c_admm * np.linalg.norm(state.p)),
+            nested,
+        )
 
-        f_sum = sadmm_midpoint_objective(nodes, state.x, state.y)
-        cv = sadmm_cv(graph, state.x, state.y)
-        rel = _rel(f_sum, reference)
-        timed_out = budget_secs is not None and time.monotonic() - started > budget_secs
-        converged = reference is not None and rel <= eps_opt and cv <= eps_feas
-        stop_reason = (
-            "converged" if converged
-            else "timeout" if timed_out
-            else "iters" if k == iters
-            else "running"
-        )
-        trace.append(
-            TraceRow(
-                k=k, lam=c_admm, F_sum=f_sum, rel_subopt=rel, CV=cv,
-                comm_per_node_max=int(ledger.vectors_sent.max()),
-                prox_count=int(ledger.prox_evals.sum()),
-                grad_count=int(ledger.grad_evals.sum()),
-                dual_norm=float(c_admm * np.linalg.norm(state.p)),
-                inner_iters=nested,
-                stop_reason=stop_reason,
-            )
-        )
-        if converged:
-            trace.converged = True
-            break
-        if timed_out:
-            break
+    _admm_loop(trace, ledger, sadmm_step, c_admm, iters, reference, eps_opt,
+               eps_feas, budget_secs)
     trace.config["final_state"] = state
-    trace.config["ledger"] = ledger.snapshot()
     return trace
 
 
@@ -228,6 +243,7 @@ def admm_solve(
     is the point of the comparison.  Traffic is charged at 3 vector units per
     node per iteration.
     """
+    trace = RunTrace("admm", config={"c_admm": c_admm})
     N, n = graph.num_nodes, nodes[0].n
     degrees = graph.degrees.astype(float)
     # isolated nodes decouple entirely; unit coefficient keeps the prox defined
@@ -238,9 +254,9 @@ def admm_solve(
     p = np.zeros((N, n))
     s = neighborhood_average(graph, x)
     ledger = CommLedger(N)
-    trace = RunTrace("admm", config={"c_admm": c_admm})
-    started = time.monotonic()
-    for k in range(1, iters + 1):
+
+    def admm_step() -> tuple[float, float, float, int]:
+        nonlocal s, p
         agg = laplacian_apply(graph, s + p)
         center = x - agg / coef[:, None]
         nested = 0
@@ -252,39 +268,14 @@ def admm_solve(
             ledger.charge_send(i + 1, 3)
         s = neighborhood_average(graph, x)
         p += s
+        return (
+            sum(pb.value(x[i]) for i, pb in enumerate(nodes)),
+            consensus_violation(graph, x),
+            float(c_admm * np.linalg.norm(p)),
+            nested,
+        )
 
-        f_sum = sum(pb.value(x[i]) for i, pb in enumerate(nodes))
-        cv = (
-            max(float(np.linalg.norm(x[i - 1] - x[j - 1])) for i, j in graph.edges)
-            / math.sqrt(n)
-            if graph.edges
-            else 0.0
-        )
-        rel = _rel(f_sum, reference)
-        timed_out = budget_secs is not None and time.monotonic() - started > budget_secs
-        converged = reference is not None and rel <= eps_opt and cv <= eps_feas
-        stop_reason = (
-            "converged" if converged
-            else "timeout" if timed_out
-            else "iters" if k == iters
-            else "running"
-        )
-        trace.append(
-            TraceRow(
-                k=k, lam=c_admm, F_sum=f_sum, rel_subopt=rel, CV=cv,
-                comm_per_node_max=int(ledger.vectors_sent.max()),
-                prox_count=int(ledger.prox_evals.sum()),
-                grad_count=int(ledger.grad_evals.sum()),
-                dual_norm=float(c_admm * np.linalg.norm(p)),
-                inner_iters=nested,
-                stop_reason=stop_reason,
-            )
-        )
-        if converged:
-            trace.converged = True
-            break
-        if timed_out:
-            break
+    _admm_loop(trace, ledger, admm_step, c_admm, iters, reference, eps_opt,
+               eps_feas, budget_secs)
     trace.config["final_x"] = x
-    trace.config["ledger"] = ledger.snapshot()
     return trace

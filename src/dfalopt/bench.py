@@ -21,7 +21,7 @@ from .dfal import async_dfal_solve, default_params, dfal_solve
 from .funcs import GroupPartition, HuberLoss, NodeProblem, SparseGroupReg
 from .graph import Graph, build_topology
 from .solvers import apg
-from .trace import RunTrace
+from .trace import RunTrace, rel_subopt
 
 
 @dataclass
@@ -250,10 +250,7 @@ def evaluate(trace: RunTrace, f_star: float) -> tuple[np.ndarray, np.ndarray]:
     When the reference objective is zero the first series is the absolute
     gap (flagged by the caller via ``f_star``).
     """
-    if f_star != 0.0:
-        rel = np.array([abs(r.F_sum - f_star) / abs(f_star) for r in trace.rows])
-    else:
-        rel = np.array([abs(r.F_sum) for r in trace.rows])
+    rel = np.array([rel_subopt(r.F_sum, f_star) for r in trace.rows])
     cv = np.array([r.CV for r in trace.rows])
     return rel, cv
 

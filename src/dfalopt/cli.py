@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -14,8 +13,8 @@ from . import bench as bench_mod
 from .baselines import admm_solve, sadmm_solve
 from .dfal import async_dfal_solve, default_params, dfal_solve
 from .graph import load_edge_file
-from .solvers import apg
-from .trace import RunTrace, TraceRow
+from .netsim import CommLedger
+from .trace import RunTrace
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -76,12 +75,14 @@ def _apg_trace(instance, ref) -> RunTrace:
     # centralized run; sensible only for case 1 (shared partition)
     if instance.case != 1:
         raise SystemExit("apg requires --case 1 (shared partition)")
-    result = bench_mod._reference_case1(instance, 1e-9)
     trace = RunTrace("apg", config={})
-    f = result.f_star
-    rel = abs(f - ref.f_star) / abs(ref.f_star) if ref.f_star else abs(f)
-    trace.append(TraceRow(1, 0.0, f, rel, 0.0, 0, 0, 0, 0.0, 0, "residual"))
-    trace.converged = rel <= 1e-3
+    result = bench_mod._reference_case1(instance, 1e-9)
+    row = trace.record(
+        k=1, lam=0.0, F_sum=result.f_star, reference=ref.f_star, CV=0.0,
+        ledger=CommLedger(1), dual_norm=0.0, inner_iters=0,
+        stop_reason="residual",
+    )
+    trace.converged = row.rel_subopt <= 1e-3
     return trace
 
 
@@ -89,7 +90,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _instance(args)
     ref = bench_mod.reference_solve(instance)
     nodes, graph = instance.nodes, instance.graph
-    start = time.monotonic()
     if args.alg == "dfal":
         params = default_params(
             nodes, graph, c=args.c, eps_opt=args.eps_opt,
@@ -127,7 +127,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         trace = _apg_trace(instance, ref)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown algorithm {args.alg}")
-    trace.wall_time = time.monotonic() - start
 
     trace.write_csv(args.out)
     trace.write_summary(args.out + ".summary.json")

@@ -1,26 +1,45 @@
 """Distributed first-order augmented Lagrangian solver.
 
 The outer loop shrinks a penalty schedule geometrically and solves each
-penalized subproblem inexactly: synchronously with the multi-step accelerated
-proximal gradient oracle running over neighbor-exchange rounds, or
-asynchronously with randomized block coordinate oracles driven by a seeded
-activation schedule.  Dual variables are never materialized; their norms come
-from Laplacian quadratic forms of the running penalty-weighted accumulator.
+penalized subproblem inexactly with an inner oracle from :mod:`solvers`.
+Synchronously, :func:`solvers.ms_apg` runs over neighbor-exchange rounds of
+:class:`netsim.SyncNetwork`: each gradient broadcasts the extrapolated point
+and every node assembles its block from its mailbox.  Asynchronously,
+:func:`solvers.rbcd_run` or :func:`solvers.arbcd_run` consumes seeded
+activation schedules, and :class:`netsim.AsyncNetwork` charges the
+activations they report.  Dual variables are never materialized; their norms
+come from Laplacian quadratic forms of the running penalty-weighted
+accumulator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .funcs import NodeProblem, NodeStack
-from .graph import Graph, laplacian_apply, laplacian_quadratic, spectral_bounds
-from .netsim import AsyncNetwork, SyncNetwork
-from .solvers import BlockObjective, arbcd_chain, fista_momentum, rbcd_run
-from .trace import RunTrace, TraceRow
+from .graph import (
+    Graph,
+    consensus_violation,
+    laplacian_apply,
+    laplacian_quadratic,
+    spectral_bounds,
+)
+from .netsim import ActivationSchedule, AsyncNetwork, SyncNetwork
+from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd_chain)
+    BlockObjective,
+    SolveResult,
+    arbcd_chain,
+    arbcd_chain_events,
+    arbcd_run,
+    estimate_restart_constant,
+    ms_apg,
+    rbcd_run,
+)
+from .trace import RunTrace
 
 
 class ProtocolError(RuntimeError):
@@ -155,15 +174,6 @@ def local_gradient(
     return q
 
 
-def consensus_violation(graph: Graph, x: np.ndarray, normalize: bool = True) -> float:
-    cv = max(
-        float(np.linalg.norm(x[i - 1] - x[j - 1])) for i, j in graph.edges
-    )
-    if normalize:
-        cv /= math.sqrt(x.shape[1])
-    return cv
-
-
 def objective_sum(nodes: Sequence[NodeProblem], x: np.ndarray) -> float:
     return sum(p.value(x[i]) for i, p in enumerate(nodes))
 
@@ -180,16 +190,58 @@ def _dual_norm(graph: Graph, xbar: np.ndarray, lam: float) -> float:
     return math.sqrt(max(laplacian_quadratic(graph, xbar), 0.0)) / lam
 
 
-def _rel_subopt(f_sum: float, reference: float | None) -> float:
-    if reference is None:
-        return math.nan
-    if reference == 0.0:
-        return abs(f_sum)
-    return abs(f_sum - reference) / abs(reference)
-
-
 def inner_cap(params: DfalParams, block_L: np.ndarray, alpha: float) -> int:
     return max(1, math.ceil(params.bx * math.sqrt(2.0 * float(block_L.sum()) / alpha)))
+
+
+def _outer_loop(
+    trace: RunTrace,
+    nodes: Sequence[NodeProblem],
+    graph: Graph,
+    params: DfalParams,
+    state: DfalState,
+    num_outer: int,
+    solve_subproblem: Callable[[int, float, float, float], SolveResult],
+    net: SyncNetwork | AsyncNetwork,
+    reference: float | None,
+    lam_min: float = 0.0,
+) -> RunTrace:
+    """The outer iterations shared by both solves.
+
+    ``solve_subproblem(k, lam, alpha, xi)`` solves subproblem ``k`` from
+    ``state`` and charges its work to ``net``; its solution becomes
+    ``x^(k)``, the accumulator rolls, and the row is recorded.  Stops when
+    both accuracy targets are met, when the penalty drops below ``lam_min``
+    (without a reference), or after ``num_outer`` iterations.
+    """
+    for k in range(1, num_outer + 1):
+        # closed-form schedule values, so traces match the geometric law exactly
+        lam, alpha, xi = params.schedule(k)
+        result = solve_subproblem(k, lam, alpha, xi)
+        lam_next = params.schedule(k + 1)[0]
+        state.x, state.k, state.lam = result.y, k, lam
+        state.xbar = (lam_next / lam) * (state.xbar + state.x)
+        state.theta_norm = _dual_norm(graph, state.xbar, lam_next)
+        row = trace.record(
+            k=k,
+            lam=lam,
+            F_sum=objective_sum(nodes, state.x),
+            reference=reference,
+            CV=consensus_violation(graph, state.x),
+            ledger=net.ledger,
+            dual_norm=state.theta_norm,
+            inner_iters=result.iterations,
+            stop_reason=result.stop_reason,
+        )
+        # without a reference the gap is NaN and never meets its target
+        reached = row.rel_subopt <= params.eps_opt and row.CV <= params.eps_feas
+        floor = reference is None and 0.0 < lam_min and lam_next <= lam_min
+        if reached or floor:
+            trace.converged = True
+            break
+    trace.config["final_state"] = state
+    trace.config["ledger"] = net.ledger_snapshot()
+    return trace
 
 
 def dfal_solve(
@@ -212,111 +264,74 @@ def dfal_solve(
     N = graph.num_nodes
     if len(nodes) != N:
         raise ValueError("need one node problem per graph node")
-    n = nodes[0].n
     _, tau_bar = coupling_constants(nodes)
     if params.xi1 / params.lam1 >= tau_bar:
         raise ValueError("xi1 / lam1 must stay below the coercivity constant")
+    trace = RunTrace("dfal", config={"lam1": params.lam1, "c": params.c})
     psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
     loss_lip = np.array([p.loss.lipschitz for p in nodes])
-    degrees = graph.degrees
     stack = NodeStack(nodes)
-
-    x = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
-    state = DfalState(x=x, xbar=np.zeros((N, n)), lam=params.lam1, k=0)
-    net = SyncNetwork(graph, x)
+    x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
+    state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
+    net = SyncNetwork(graph, state.x)
     # Per-node view of neighbors' accumulators, rebuilt from received iterates.
     nbr_xbar = {
-        i: {j: np.zeros(n) for j in graph.neighbors(i)} for i in range(1, N + 1)
+        i: {j: np.zeros(stack.shape[1]) for j in graph.neighbors(i)}
+        for i in range(1, N + 1)
     }
 
-    trace = RunTrace("dfal", config={"lam1": params.lam1, "c": params.c})
-    for k in range(1, params.outer_cap + 1):
-        # closed-form schedule values, so traces match the geometric law exactly
-        lam, alpha, xi = params.schedule(k)
+    def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
         block_L = lam * loss_lip + psi_max
-        cap = inner_cap(params, block_L, alpha)
-        target = xi / math.sqrt(N)
+        # the warm start already sits in every mailbox, so its delivery is free
+        warm_start = True
 
-        y_prev = state.x.copy()
-        net.broadcast_state(state.x, charge=False)  # ybar^(1); already known
-        t = 1.0
-        inner = 0
-        stop_reason = "cap"
-        x_new = state.x.copy()
-        for ell in range(1, cap + 1):
-            inner = ell
-            ybar = net.blocks
-            q = np.empty((N, n))
+        def smooth_grad(Y: np.ndarray) -> np.ndarray:
+            nonlocal warm_start
+            net.broadcast_state(Y, charge=not warm_start)
+            warm_start = False
+            q = np.empty_like(Y)
             for i in range(1, N + 1):
                 own, mailbox = net.node_inputs(i)
                 q[i - 1] = local_gradient(
-                    nodes[i - 1], lam, degrees[i - 1], own, mailbox,
+                    nodes[i - 1], lam, graph.degrees[i - 1], own, mailbox,
                     state.xbar[i - 1], nbr_xbar[i],
                 )
                 net.ledger.charge_grad(i)
-            if not np.all(np.isfinite(q)):
-                raise FloatingPointError(
-                    f"non-finite gradient at outer {k}, inner {ell}"
-                )
-            if gradient_check is not None:
-                gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
-            if stack.residuals(lam, q, ybar).max() <= target:
-                x_new = ybar.copy()
-                stop_reason = "residual"
-                break
-            y = stack.prox(ybar - q / block_L[:, None], lam / block_L)
+            return q
+
+        def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
             for i in range(1, N + 1):
                 net.ledger.charge_prox(i)
-            if ell == cap:
-                x_new = y
-                stop_reason = "cap"
-                break
-            t_next = fista_momentum(t)
-            ybar_next = y + ((t - 1.0) / t_next) * (y - y_prev)
-            y_prev, t = y, t_next
-            net.broadcast_state(ybar_next)
+            return stack.prox(V, tau * lam)
 
-        # outer update: share the adopted iterate, roll the accumulator
-        state.x = x_new
-        state.k = k
-        state.lam = lam
-        net.broadcast_state(state.x)
-        lam_next = params.schedule(k + 1)[0]
-        state.xbar = (lam_next / lam) * (state.xbar + state.x)
+        def check(ell: int, ybar: np.ndarray, q: np.ndarray) -> None:
+            gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
+
+        obj = replace(
+            _subproblem_objective(nodes, graph, lam, state.xbar, block_L, stack),
+            smooth_grad=smooth_grad,
+            prox_all=prox_all,
+        )
+        result = ms_apg(
+            obj,
+            state.x,
+            residual_target=xi / math.sqrt(N),
+            max_iter=inner_cap(params, block_L, alpha),
+            callback=None if gradient_check is None else check,
+        )
+        # share the adopted iterate; each node rolls its neighbors' accumulators
+        net.broadcast_state(result.y)
+        ratio = params.schedule(k + 1)[0] / lam
         for i in range(1, N + 1):
             _, mailbox = net.node_inputs(i)
             for j in graph.neighbors(i):
-                nbr_xbar[i][j] = (lam_next / lam) * (nbr_xbar[i][j] + mailbox[j])
-        state.theta_norm = _dual_norm(graph, state.xbar, lam_next)
+                nbr_xbar[i][j] = ratio * (nbr_xbar[i][j] + mailbox[j])
+        return result
 
-        f_sum = objective_sum(nodes, state.x)
-        cv = consensus_violation(graph, state.x)
-        rel = _rel_subopt(f_sum, reference)
-        ledger = net.ledger
-        trace.append(
-            TraceRow(
-                k=k,
-                lam=lam,
-                F_sum=f_sum,
-                rel_subopt=rel,
-                CV=cv,
-                comm_per_node_max=int(ledger.vectors_sent.max()),
-                prox_count=int(ledger.prox_evals.sum()),
-                grad_count=int(ledger.grad_evals.sum()),
-                dual_norm=state.theta_norm,
-                inner_iters=inner,
-                stop_reason=stop_reason,
-            )
-        )
-        if reference is not None and rel <= params.eps_opt and cv <= params.eps_feas:
-            trace.converged = True
-            break
-        if reference is None and lam_min > 0 and lam_next <= lam_min:
-            trace.converged = True
-            break
-    trace.config["final_state"] = state
-    trace.config["ledger"] = net.ledger_snapshot()
-    return trace
+    return _outer_loop(
+        trace, nodes, graph, params, state, params.outer_cap, solve_subproblem,
+        net, reference, lam_min,
+    )
 
 
 def _subproblem_objective(
@@ -330,13 +345,12 @@ def _subproblem_objective(
     """Penalized subproblem as a block objective over stacked iterates.
 
     One event's block gradient is assembled from neighbor data by
-    :func:`local_gradient`; the full gradient and the residuals of the
-    every-``N``-events stopping test come from ``stack`` (built from
-    ``nodes`` when not given) for all blocks at once.
+    :func:`local_gradient`; the full gradient, the prox of all blocks and the
+    residuals of the stopping test come from ``stack`` (built from ``nodes``
+    when not given) for all blocks at once.
     """
     if stack is None:
         stack = NodeStack(nodes)
-    degrees = graph.degrees
 
     def smooth_value(Y: np.ndarray) -> float:
         total = lam * sum(p.loss.value(Y[i]) for i, p in enumerate(nodes))
@@ -350,11 +364,14 @@ def _subproblem_objective(
         neighbor_y = {j: Y[j - 1] for j in graph.neighbors(node_id)}
         neighbor_xbar = {j: xbar[j - 1] for j in graph.neighbors(node_id)}
         return local_gradient(
-            nodes[i], lam, degrees[i], Y[i], neighbor_y, xbar[i], neighbor_xbar
+            nodes[i], lam, graph.degrees[i], Y[i], neighbor_y, xbar[i], neighbor_xbar
         )
 
     def prox(i: int, v: np.ndarray, tau: float) -> np.ndarray:
         return nodes[i].reg.prox(v, tau * lam)
+
+    def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        return stack.prox(V, tau * lam)
 
     def rho_value(i: int, y: np.ndarray) -> float:
         return lam * nodes[i].reg.value(y)
@@ -372,6 +389,7 @@ def _subproblem_objective(
         prox=prox,
         rho_value=rho_value,
         residuals=residuals,
+        prox_all=prox_all,
     )
 
 
@@ -396,12 +414,14 @@ def rbcd_budget_constant(
 
 @dataclass
 class AsyncBudget:
-    """Oracle budgets per subproblem, frozen so they grow geometrically."""
+    """Oracle budgets per subproblem, frozen so they grow geometrically.
+
+    ``events`` is the budget of one ``rbcd`` run or of one ``arbcd`` chain.
+    """
 
     oracle: str
     constant: float
     p_sub: float
-    restarts: int = 1
 
     def events(self, alpha: float, num_blocks: int) -> int:
         if self.oracle == "rbcd":
@@ -409,7 +429,7 @@ class AsyncBudget:
                 2.0 * num_blocks * self.constant / alpha
                 * (1.0 + math.log(1.0 / self.p_sub))
             )
-        return math.ceil(2.0 * num_blocks * math.sqrt(2.0 * self.constant / alpha))
+        return arbcd_chain_events(num_blocks, self.constant, alpha)
 
 
 def async_dfal_solve(
@@ -428,177 +448,64 @@ def async_dfal_solve(
     Runs ``outer_iters`` outer iterations (defaults to the outer cap); each
     subproblem gets its theory-prescribed event budget at per-subproblem
     confidence ``(1 - p) ** (1 / outer_iters)``, with the per-block residual
-    test still allowed to stop it early.  Events follow the simulator's
-    seeded uniform activation schedule.
+    test still allowed to stop it early.  Every ``rbcd`` run and every
+    ``arbcd`` chain follows its own activation schedule seeded from ``seed``.
     """
     if oracle not in ("rbcd", "arbcd"):
         raise ValueError(f"unknown oracle {oracle!r}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     N = graph.num_nodes
-    n = nodes[0].n
     K_outer = outer_iters if outer_iters is not None else params.outer_cap
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
-
-    psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
-    loss_lip = np.array([pb.loss.lipschitz for pb in nodes])
-    degrees = graph.degrees.astype(float)
-    stack = NodeStack(nodes)
-
-    x = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
-    state = DfalState(x=x, xbar=np.zeros((N, n)), lam=params.lam1, k=0)
-    net = AsyncNetwork(graph, x)
-    rng = np.random.default_rng(seed)
-
     trace = RunTrace(
         "afal-" + oracle,
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
                 "budgets": [], "budget_constant": None},
     )
+    psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
+    loss_lip = np.array([p.loss.lipschitz for p in nodes])
+    stack = NodeStack(nodes)
+    x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
+    state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
+    net = AsyncNetwork(graph)
+    rng = np.random.default_rng(seed)
     budget: AsyncBudget | None = None
-    for k in range(1, K_outer + 1):
-        lam, alpha, xi = params.schedule(k)
+
+    def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
+        nonlocal budget
         if oracle == "rbcd":
             block_L = lam * loss_lip + psi_max
         else:
             # separable-overapproximation constants for the accelerated oracle
-            block_L = lam * loss_lip + degrees
+            block_L = lam * loss_lip + graph.degrees
         obj = _subproblem_objective(nodes, graph, lam, state.xbar, block_L, stack)
         if budget is None:
-            const = (
-                rbcd_budget_constant(obj, state.x, np.random.default_rng(seed + 1))
-                if oracle == "rbcd"
-                else _arbcd_constant(obj, state.x, np.random.default_rng(seed + 1))
+            estimate = (
+                rbcd_budget_constant if oracle == "rbcd" else estimate_restart_constant
             )
-            restarts = 1 if oracle == "rbcd" else max(
-                1, math.ceil(math.log2(1.0 / p_sub))
-            )
-            budget = AsyncBudget(oracle, const, p_sub, restarts)
+            const = estimate(obj, state.x, np.random.default_rng(seed + 1))
+            budget = AsyncBudget(oracle, const, p_sub)
             trace.config["budget_constant"] = const
         events = budget.events(alpha, N)
         trace.config["budgets"].append(events)
         target = xi / math.sqrt(N)
 
-        def on_event(ell: int, i0: int) -> None:
-            # one activation: broadcast to neighbors, one grad and one prox
-            nid = i0 + 1
-            deg = len(graph.neighbors(nid))
-            net.ledger.charge_send(nid, deg)
-            for j in graph.neighbors(nid):
-                net.ledger.charge_receive(j)
-            net.ledger.charge_grad(nid)
-            net.ledger.charge_prox(nid)
-
         if oracle == "rbcd":
-            result = rbcd_run(
-                obj,
-                state.x,
-                events,
-                _ScheduleSampler(int(rng.integers(2**31)), N),
-                residual_target=target,
-                event_callback=on_event,
-            )
-            used = result.iterations
+            schedule = ActivationSchedule(int(rng.integers(2**31)), N)
+            result = rbcd_run(obj, state.x, events, schedule, residual_target=target)
         else:
-            result, used = _arbcd_restarts(
-                obj, state.x, budget.restarts, events, target, rng, N, on_event
+            result = arbcd_run(
+                obj, state.x, alpha, p_sub, rng,
+                c_estimate=budget.constant, residual_target=target,
             )
+        net.activate(result.activations)
         if result.stop_reason == "residual":
             for i in range(1, N + 1):
                 net.terminate_notice(i)
+        return result
 
-        state.x = result.y
-        net.blocks = state.x.copy()
-        state.k = k
-        state.lam = lam
-        lam_next = params.schedule(k + 1)[0]
-        state.xbar = (lam_next / lam) * (state.xbar + state.x)
-        state.theta_norm = _dual_norm(graph, state.xbar, lam_next)
-
-        f_sum = objective_sum(nodes, state.x)
-        cv = consensus_violation(graph, state.x)
-        rel = _rel_subopt(f_sum, reference)
-        trace.append(
-            TraceRow(
-                k=k,
-                lam=lam,
-                F_sum=f_sum,
-                rel_subopt=rel,
-                CV=cv,
-                comm_per_node_max=int(net.ledger.vectors_sent.max()),
-                prox_count=int(net.ledger.prox_evals.sum()),
-                grad_count=int(net.ledger.grad_evals.sum()),
-                dual_norm=state.theta_norm,
-                inner_iters=used,
-                stop_reason=result.stop_reason,
-            )
-        )
-        if reference is not None and rel <= params.eps_opt and cv <= params.eps_feas:
-            trace.converged = True
-            break
-    trace.config["final_state"] = state
-    trace.config["ledger"] = net.ledger_snapshot()
-    return trace
-
-
-class _ScheduleSampler:
-    """Lazy uniform activation schedule, drawn in chunks.
-
-    Presents the ``integers`` interface the randomized solvers expect while
-    matching the simulator's seeded uniform activation model; chunking keeps
-    memory flat even when the nominal event budget is astronomically large.
-    """
-
-    def __init__(self, seed: int, num_nodes: int, chunk: int = 1 << 16):
-        self._rng = np.random.default_rng(seed)
-        self._num_nodes = num_nodes
-        self._chunk = chunk
-        self._buf = np.empty(0, dtype=np.int64)
-        self._pos = 0
-
-    def integers(self, *args, **kwargs) -> int:
-        if self._pos >= self._buf.size:
-            self._buf = self._rng.integers(
-                0, self._num_nodes, size=self._chunk
-            )
-            self._pos = 0
-        i = int(self._buf[self._pos])
-        self._pos += 1
-        return i
-
-
-def _arbcd_constant(
-    obj: BlockObjective, z0: np.ndarray, rng: np.random.Generator
-) -> float:
-    from .solvers import estimate_restart_constant
-
-    return estimate_restart_constant(obj, z0, rng)
-
-
-def _arbcd_restarts(obj, z0, restarts, chain_events, target, rng, num_nodes,
-                    event_callback):
-    """Independent accelerated chains, each on a fresh activation schedule."""
-    from .solvers import SolveResult
-
-    best_y = np.array(z0, dtype=float)
-    best_phi = obj.value(best_y)
-    total = 0
-    stop_reason = "cap"
-    for _ in range(restarts):
-        res = arbcd_chain(
-            obj,
-            z0,
-            chain_events,
-            _ScheduleSampler(int(rng.integers(2**31)), num_nodes),
-            residual_target=target,
-            event_callback=event_callback,
-        )
-        total += res.iterations
-        phi = obj.value(res.y)
-        if phi < best_phi:
-            best_phi, best_y = phi, res.y
-        if res.stop_reason == "residual":
-            stop_reason = "residual"
-            best_y = res.y
-            break
-    return SolveResult(best_y, total, stop_reason), total
+    return _outer_loop(
+        trace, nodes, graph, params, state, K_outer, solve_subproblem, net,
+        reference,
+    )

@@ -216,13 +216,6 @@ class SparseGroupReg:
         """Lower-bound slope tau with ``value(x) >= tau * ||x||_2``."""
         return self.beta1 + self.beta2
 
-    @property
-    def subgrad_bound(self) -> float:
-        """Uniform bound on subgradient norms (conservative closed form)."""
-        return self.beta1 * np.sqrt(self.n) + self.beta2 * np.sqrt(
-            self.partition.num_groups
-        )
-
     def value(self, x: np.ndarray) -> float:
         lay = self.partition.layout
         return sparse_group_value(lay, lay.gather(x), self.beta1, self.beta2)

@@ -1,9 +1,12 @@
 """Deterministic message-passing simulator.
 
 Synchronous rounds deliver every node's freshly computed block to all of its
-neighbors; asynchronous execution replays a seeded uniform activation
-schedule.  A ledger counts vector transmissions and per-node proximal and
-gradient evaluations, since communication totals are the quantity the solver
+neighbors.  Asynchronous execution draws node activations from one seeded
+uniform stream (:class:`ActivationSchedule`); the randomized solvers consume
+it directly and report how often each node fired, which
+:meth:`AsyncNetwork.activate` charges for a whole subproblem at once.  A
+ledger counts vector transmissions and per-node proximal and gradient
+evaluations, since communication totals are the quantity the solver
 comparisons are about.  One unit of communication is one block-length vector
 over one directed edge.
 """
@@ -105,14 +108,16 @@ class SyncNetwork:
         self.blocks = new_blocks
         self._deliver_all()
 
-    def _deliver_all(self) -> None:
+    def _deliver_all(self, charge: bool = True) -> None:
         g = self.graph
         for i in range(1, g.num_nodes + 1):
             nbrs = g.neighbors(i)
-            self.ledger.charge_send(i, len(nbrs))
+            if charge:
+                self.ledger.charge_send(i, len(nbrs))
             for j in nbrs:
                 self.mailboxes[j][i] = self.blocks[i - 1].copy()
-                self.ledger.charge_receive(j)
+                if charge:
+                    self.ledger.charge_receive(j)
 
     def broadcast_state(self, blocks: np.ndarray, charge: bool = True) -> None:
         """Overwrite all blocks and deliver them to neighbors.
@@ -124,46 +129,71 @@ class SyncNetwork:
         if blocks.shape != self.blocks.shape:
             raise ValueError("block shape mismatch")
         self.blocks = blocks.copy()
-        if charge:
-            self._deliver_all()
-        else:
-            for i in range(1, self.graph.num_nodes + 1):
-                for j in self.graph.neighbors(i):
-                    self.mailboxes[j][i] = self.blocks[i - 1].copy()
+        self._deliver_all(charge)
 
     def ledger_snapshot(self) -> CommLedger:
         return self.ledger.snapshot()
 
 
+class ActivationSchedule:
+    """Seeded i.i.d. uniform node activations, drawn lazily in chunks.
+
+    ``integers()`` returns the next 0-based node index, the one method of a
+    numpy generator the randomized solvers call; chunking keeps memory flat
+    even when the nominal event budget is astronomically large.
+    """
+
+    CHUNK = 1 << 16
+
+    def __init__(self, seed: int, num_nodes: int):
+        if num_nodes < 1:
+            raise ValueError("need at least one node")
+        self._rng = np.random.default_rng(seed)
+        self._num_nodes = num_nodes
+        self._buf = iter(())
+
+    def integers(self, *args, **kwargs) -> int:
+        i = next(self._buf, None)
+        if i is None:
+            draws = self._rng.integers(0, self._num_nodes, size=self.CHUNK)
+            # a memoryview iterates as Python ints, with no per-chunk copy
+            self._buf = iter(memoryview(draws))
+            i = next(self._buf)
+        return i
+
+
 def async_schedule(seed: int, num_events: int, num_nodes: int) -> np.ndarray:
-    """Seeded i.i.d. uniform node-activation sequence (1-based ids)."""
-    if num_nodes < 1:
-        raise ValueError("need at least one node")
-    rng = np.random.default_rng(seed)
-    return rng.integers(1, num_nodes + 1, size=num_events)
+    """The first ``num_events`` activations of ``ActivationSchedule(seed,
+    num_nodes)`` as 1-based node ids."""
+    sched = ActivationSchedule(seed, num_nodes)
+    ids = (sched.integers() for _ in range(num_events))
+    return np.fromiter(ids, dtype=np.int64, count=num_events) + 1
 
 
 class AsyncNetwork:
     """Asynchronous activation bookkeeping over a fixed graph.
 
     Event order is virtual time from a seeded schedule, not wall time.  On
-    activation a node updates its own block and pushes it to its neighbors
-    (``d_i`` vector units); termination notices are zero-length control
-    messages counted separately.
+    activation a node updates its own block with one gradient and one prox
+    and pushes it to its neighbors (``d_i`` vector units); termination
+    notices are zero-length control messages counted separately.
     """
 
-    def __init__(self, graph: Graph, init_blocks: np.ndarray):
-        init_blocks = np.asarray(init_blocks, dtype=float)
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.blocks = init_blocks.copy()
         self.ledger = CommLedger(graph.num_nodes)
 
-    def activate(self, i: int, new_block: np.ndarray) -> None:
-        self.blocks[i - 1] = np.asarray(new_block, dtype=float)
-        nbrs = self.graph.neighbors(i)
-        self.ledger.charge_send(i, len(nbrs))
-        for j in nbrs:
-            self.ledger.charge_receive(j)
+    def activate(self, counts: np.ndarray) -> None:
+        """Charge node ``i`` for ``counts[i - 1]`` activations: it sends
+        ``d_i`` vectors and each neighbor receives one per activation."""
+        counts = np.asarray(counts, dtype=np.int64)
+        ledger = self.ledger
+        ledger.vectors_sent += self.graph.degrees * counts
+        for i, j in self.graph.edges:
+            ledger.vectors_received[j - 1] += counts[i - 1]
+            ledger.vectors_received[i - 1] += counts[j - 1]
+        ledger.grad_evals += counts
+        ledger.prox_evals += counts
 
     def terminate_notice(self, i: int) -> None:
         self.ledger.charge_control(i, self.graph.degree(i))

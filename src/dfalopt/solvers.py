@@ -2,17 +2,21 @@
 
 All solvers operate on stacked iterates of shape ``(N, n)`` (``N`` blocks of
 length ``n``) described by a :class:`BlockObjective`.  The accelerated
-multi-step solver uses a separate step size ``1/L_i`` per block; the
-randomized solvers update one uniformly drawn block per event and are
-deterministic given a seeded generator.
+multi-step solver uses a separate step size ``1/L_i`` per block and proxes
+all blocks in one call; the randomized solvers update one uniformly drawn
+block per event, are deterministic given a seeded generator, and report how
+often each block was drawn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .netsim import ActivationSchedule
 
 
 @dataclass
@@ -38,6 +42,9 @@ class BlockObjective:
         ``(G, Y) ->`` the ``N`` norms (array or sequence), entry ``i`` that
         of the minimum-norm element of ``d(rho_i)(Y_i) + G_i``; the
         per-block stopping test, for all blocks in one call.
+    prox_all : callable, optional
+        ``(V, tau) ->`` the stacked ``prox(i, V[i], tau[i])`` of every block
+        in one call; defaults to looping ``prox`` over the blocks.
     """
 
     num_blocks: int
@@ -49,6 +56,7 @@ class BlockObjective:
     prox: Callable[[int, np.ndarray, float], np.ndarray]
     rho_value: Callable[[int, np.ndarray], float]
     residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    prox_all: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     grad_evals: int = field(default=0, repr=False)
     prox_evals: int = field(default=0, repr=False)
 
@@ -56,6 +64,14 @@ class BlockObjective:
         self.L = np.asarray(self.L, dtype=float)
         if self.L.shape != (self.num_blocks,) or np.any(self.L <= 0):
             raise ValueError("need one positive curvature constant per block")
+        if self.prox_all is None:
+            self.prox_all = self._prox_each
+
+    def _prox_each(self, V: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        Y = np.empty_like(V)
+        for i in range(self.num_blocks):
+            Y[i] = self.prox(i, V[i], tau[i])
+        return Y
 
     def value(self, Y: np.ndarray) -> float:
         total = self.smooth_value(Y)
@@ -66,6 +82,12 @@ class BlockObjective:
     def max_residual(self, G: np.ndarray, Y: np.ndarray) -> float:
         return float(max(self.residuals(G, Y)))
 
+    def residual_reached(self, Y: np.ndarray, target: float) -> bool:
+        """The per-block stopping test at ``Y`` from a full gradient."""
+        grad = self.smooth_grad(Y)
+        self.grad_evals += self.num_blocks
+        return self.max_residual(grad, Y) <= target
+
 
 @dataclass
 class SolveResult:
@@ -74,6 +96,8 @@ class SolveResult:
     stop_reason: str
     values: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
+    # randomized solvers: how many events drew each block
+    activations: np.ndarray | None = None
 
 
 def fista_momentum(t: float) -> float:
@@ -99,6 +123,8 @@ def ms_apg(
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
     t = 1.0
+    step = 1.0 / obj.L
+    L_col = obj.L[:, None]
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
@@ -114,9 +140,7 @@ def ms_apg(
             if res <= residual_target:
                 result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
                 return result
-        y = np.empty_like(ybar)
-        for i in range(obj.num_blocks):
-            y[i] = obj.prox(i, ybar[i] - grad[i] / obj.L[i], 1.0 / obj.L[i])
+        y = obj.prox_all(ybar - grad / L_col, step)
         obj.prox_evals += obj.num_blocks
         if record_values:
             result.values.append(obj.value(y))
@@ -156,6 +180,7 @@ def apg(
         prox=lambda i, v, tau: prox(v, tau),
         rho_value=lambda i, y: rho_value(y),
         residuals=lambda G, Y: (residual(G[0], Y[0]),),
+        prox_all=lambda V, tau: prox(V[0], tau[0])[None, :],
     )
     res = ms_apg(
         obj,
@@ -172,41 +197,37 @@ def rbcd_run(
     obj: BlockObjective,
     y0: np.ndarray,
     iters: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | ActivationSchedule,
     record_values: bool = False,
     residual_target: float | None = None,
     check_every: int | None = None,
-    event_callback: Callable[[int, int], None] | None = None,
 ) -> SolveResult:
     """Randomized block coordinate descent: one uniform block per event.
 
     The optional residual test (checked every ``check_every`` events, default
     once per ``N`` events) evaluates the full gradient and may stop early.
-    ``event_callback(ell, i)`` fires after each event with the drawn block.
+    ``activations`` of the result counts the events that drew each block.
     """
     y = np.array(y0, dtype=float)
     N = obj.num_blocks
     if check_every is None:
         check_every = N
-    result = SolveResult(y, 0, "cap")
+    drawn = [0] * N
+    result = SolveResult(y, iters, "cap")
     for ell in range(1, iters + 1):
         i = int(rng.integers(N))
+        drawn[i] += 1
         g = obj.smooth_grad_block(i, y)
         obj.grad_evals += 1
         y[i] = obj.prox(i, y[i] - g / obj.L[i], 1.0 / obj.L[i])
         obj.prox_evals += 1
-        if event_callback is not None:
-            event_callback(ell, i)
         if record_values:
             result.values.append(obj.value(y))
         if residual_target is not None and ell % check_every == 0:
-            grad = obj.smooth_grad(y)
-            obj.grad_evals += N
-            res = obj.max_residual(grad, y)
-            if res <= residual_target:
-                result.y, result.iterations, result.stop_reason = y, ell, "residual"
-                return result
-    result.y, result.iterations, result.stop_reason = y, iters, "cap"
+            if obj.residual_reached(y, residual_target):
+                result.iterations, result.stop_reason = ell, "residual"
+                break
+    result.activations = np.array(drawn, dtype=np.int64)
     return result
 
 
@@ -223,10 +244,9 @@ def arbcd_chain(
     obj: BlockObjective,
     z0: np.ndarray,
     iters: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | ActivationSchedule,
     residual_target: float | None = None,
     check_every: int | None = None,
-    event_callback: Callable[[int, int], None] | None = None,
 ) -> SolveResult:
     """One accelerated randomized block coordinate descent chain.
 
@@ -235,6 +255,7 @@ def arbcd_chain(
     residual test runs on the proximal sequence ``z`` (whose blocks carry the
     exact sparsity pattern the per-block test needs) and returns ``z`` when it
     fires; otherwise the final candidate is returned at the cap.
+    ``activations`` of the result counts the events that drew each block.
     """
     z = np.array(z0, dtype=float)
     u = np.zeros_like(z)
@@ -242,10 +263,11 @@ def arbcd_chain(
     N = obj.num_blocks
     if check_every is None:
         check_every = N
-    result = SolveResult(z.copy(), 0, "cap")
-    candidate = z.copy()
+    drawn = [0] * N
+    result = SolveResult(z.copy(), iters, "cap")
     for ell in range(1, iters + 1):
         i = int(rng.integers(N))
+        drawn[i] += 1
         w = arbcd_candidate(z, u, t, N)
         g = obj.smooth_grad_block(i, w)
         obj.grad_evals += 1
@@ -253,22 +275,14 @@ def arbcd_chain(
         obj.prox_evals += 1
         u[i] = u[i] + N * N * t * (1.0 - t) * (z_new_i - z[i])
         z[i] = z_new_i
-        candidate = arbcd_candidate(z, u, t, N)
+        result.y = arbcd_candidate(z, u, t, N)
         t = arbcd_momentum(t, N)
-        if event_callback is not None:
-            event_callback(ell, i)
         if residual_target is not None and ell % check_every == 0:
-            grad = obj.smooth_grad(z)
-            obj.grad_evals += N
-            res = obj.max_residual(grad, z)
-            if res <= residual_target:
-                result.y, result.iterations, result.stop_reason = (
-                    z.copy(),
-                    ell,
-                    "residual",
-                )
-                return result
-    result.y, result.iterations, result.stop_reason = candidate, iters, "cap"
+            if obj.residual_reached(z, residual_target):
+                result.iterations, result.stop_reason = ell, "residual"
+                result.y = z.copy()
+                break
+    result.activations = np.array(drawn, dtype=np.int64)
     return result
 
 
@@ -296,6 +310,11 @@ def estimate_restart_constant(
     return 2.0 * max(gap + dist, 1e-12)
 
 
+def arbcd_chain_events(num_blocks: int, c_estimate: float, alpha: float) -> int:
+    """Events of one accelerated chain: ``ceil(2N sqrt(2C/alpha))``."""
+    return math.ceil(2.0 * num_blocks * math.sqrt(2.0 * c_estimate / alpha))
+
+
 def arbcd_run(
     obj: BlockObjective,
     z0: np.ndarray,
@@ -304,13 +323,14 @@ def arbcd_run(
     rng: np.random.Generator,
     c_estimate: float | None = None,
     residual_target: float | None = None,
-    event_callback: Callable[[int, int], None] | None = None,
 ) -> SolveResult:
     """Restarted accelerated randomized block descent.
 
-    Runs ``ceil(log2(1/p))`` independent chains of ``ceil(2N sqrt(2C/alpha))``
-    events each and returns the candidate (including the start point) with the
-    smallest objective.
+    Runs ``ceil(log2(1/p))`` (at least one) independent chains of
+    :func:`arbcd_chain_events` events, each on a fresh activation schedule
+    seeded from ``rng``, and returns the candidate (including the start
+    point) with the smallest objective; a chain whose residual test fires is
+    returned at once.  ``activations`` sums the chains' block counts.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -319,27 +339,22 @@ def arbcd_run(
     N = obj.num_blocks
     if c_estimate is None:
         c_estimate = estimate_restart_constant(obj, z0, rng)
-    restarts = int(np.ceil(np.log2(1.0 / p)))
-    chain_iters = int(np.ceil(2.0 * N * np.sqrt(2.0 * c_estimate / alpha)))
+    chain_iters = arbcd_chain_events(N, c_estimate, alpha)
     best_y = np.array(z0, dtype=float)
     best_phi = obj.value(best_y)
-    total_iters = 0
-    stop_reason = "cap"
-    for _ in range(max(restarts, 1)):
+    result = SolveResult(best_y, 0, "cap", activations=np.zeros(N, dtype=np.int64))
+    for _ in range(max(1, math.ceil(math.log2(1.0 / p)))):
+        schedule = ActivationSchedule(int(rng.integers(2**31)), N)
         res = arbcd_chain(
-            obj,
-            z0,
-            chain_iters,
-            rng,
-            residual_target=residual_target,
-            event_callback=event_callback,
+            obj, z0, chain_iters, schedule, residual_target=residual_target
         )
-        total_iters += res.iterations
+        result.iterations += res.iterations
+        result.activations += res.activations
         phi = obj.value(res.y)
         if phi < best_phi:
-            best_phi, best_y = phi, res.y
+            best_phi, result.y = phi, res.y
         if res.stop_reason == "residual":
-            stop_reason = "residual"
-            best_y = res.y
+            result.y, result.stop_reason = res.y, "residual"
             break
-    return SolveResult(best_y, total_iters, stop_reason, values=[best_phi])
+    result.values = [best_phi]
+    return result

@@ -4,23 +4,26 @@ and a JSON summary carrying the final metrics plus the configuration echo."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-TRACE_COLUMNS = [
-    "k",
-    "lambda",
-    "F_sum",
-    "rel_subopt",
-    "CV",
-    "comm_per_node_max",
-    "prox_count",
-    "grad_count",
-    "dual_norm",
-    "inner_iters",
-    "stop_reason",
-]
+import numpy as np
+
+if TYPE_CHECKING:
+    from .netsim import CommLedger
+
+
+def rel_subopt(f_sum: float, reference: float | None) -> float:
+    """``|F - F*| / |F*|``; the absolute gap when ``F* = 0``, NaN without one."""
+    if reference is None:
+        return math.nan
+    if reference == 0.0:
+        return abs(f_sum)
+    return abs(f_sum - reference) / abs(reference)
 
 
 @dataclass
@@ -39,32 +42,66 @@ class TraceRow:
 
     def as_list(self) -> list:
         return [
-            self.k,
-            repr(self.lam),
-            repr(self.F_sum),
-            repr(self.rel_subopt),
-            repr(self.CV),
-            self.comm_per_node_max,
-            self.prox_count,
-            self.grad_count,
-            repr(self.dual_norm),
-            self.inner_iters,
-            self.stop_reason,
+            repr(v) if isinstance(v, float) else v
+            for v in (getattr(self, f.name) for f in dataclasses.fields(self))
         ]
+
+
+# CSV header: the row's fields in order, ``lam`` spelled out
+TRACE_COLUMNS = [
+    "lambda" if f.name == "lam" else f.name for f in dataclasses.fields(TraceRow)
+]
 
 
 @dataclass
 class RunTrace:
-    """Per-outer-iteration metrics for one solver run."""
+    """Per-outer-iteration metrics for one solver run.
+
+    ``wall_time`` is the time from the trace's creation to its latest row.
+    """
 
     algorithm: str
     config: dict[str, Any] = field(default_factory=dict)
     rows: list[TraceRow] = field(default_factory=list)
     converged: bool = False
     wall_time: float = 0.0
+    started: float = field(
+        default_factory=time.monotonic, init=False, repr=False, compare=False
+    )
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
+
+    def record(
+        self,
+        k: int,
+        lam: float,
+        F_sum: float,
+        reference: float | None,
+        CV: float,
+        ledger: "CommLedger",
+        dual_norm: float,
+        inner_iters: int,
+        stop_reason: str,
+    ) -> TraceRow:
+        """Append the row of outer iteration ``k``, with the relative gap to
+        ``reference`` and the work counters read from ``ledger``."""
+        row = TraceRow(
+            k=k,
+            lam=lam,
+            F_sum=F_sum,
+            rel_subopt=rel_subopt(F_sum, reference),
+            CV=CV,
+            comm_per_node_max=int(ledger.vectors_sent.max()),
+            prox_count=int(ledger.prox_evals.sum()),
+            grad_count=int(ledger.grad_evals.sum()),
+            dual_norm=dual_norm,
+            inner_iters=inner_iters,
+            stop_reason=stop_reason,
+        )
+        self.rows.append(row)
+        self.wall_time = time.monotonic() - self.started
+        return row
 
     @property
     def final(self) -> TraceRow:
@@ -88,7 +125,8 @@ class RunTrace:
             "converged": self.converged,
             "outer_iterations": last.k,
             "F_sum": last.F_sum,
-            "rel_subopt": last.rel_subopt,
+            # NaN (no reference) is not JSON
+            "rel_subopt": None if math.isnan(last.rel_subopt) else last.rel_subopt,
             "CV": last.CV,
             "comm_per_node_max": last.comm_per_node_max,
             "dual_norm": last.dual_norm,
@@ -97,4 +135,13 @@ class RunTrace:
 
     def write_summary(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, default=str)
+            json.dump(self.summary(), fh, indent=2, default=_jsonable)
+
+
+def _jsonable(obj: Any) -> Any:
+    """Arrays as (nested) lists and dataclasses as dicts, exactly."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -503,3 +503,35 @@ def test_async_counters_match_the_per_node_implementation(case, oracle):
     assert ledger.control_msgs.tolist() == [16, 8, 8]
     assert [r.inner_iters for r in trace.rows] == expect["inner"]
     assert all(r.stop_reason == "residual" for r in trace.rows)
+
+
+# Ledger counters and inner iterations of dfal_solve with
+# default_params(outer_cap=8) on generate_instance(case, topology, 3, 4, 3,
+# seed=5), recorded from the implementation with its own inline inner loop.
+SYNC_COUNTERS = {
+    (1, "star"): dict(
+        sent=[186, 93, 93], recv=[186, 93, 93], prox=[85, 85, 85],
+        grad=[93, 93, 93], inner=[12, 13, 15, 5, 11, 4, 13, 20]),
+    (2, "star"): dict(
+        sent=[236, 118, 118], recv=[236, 118, 118], prox=[110, 110, 110],
+        grad=[118, 118, 118], inner=[12, 12, 13, 7, 12, 17, 20, 25]),
+    (2, "clique"): dict(
+        sent=[208, 208, 208], recv=[208, 208, 208], prox=[96, 96, 96],
+        grad=[104, 104, 104], inner=[18, 6, 6, 6, 9, 14, 20, 25]),
+}
+
+
+@pytest.mark.parametrize("case, topology", sorted(SYNC_COUNTERS))
+def test_sync_counters_match_the_inline_implementation(case, topology):
+    inst = generate_instance(case, topology, 3, 4, 3, seed=5)
+    params = default_params(inst.nodes, inst.graph, outer_cap=8)
+    trace = dfal_solve(inst.nodes, inst.graph, params)
+    ledger = trace.config["ledger"]
+    expect = SYNC_COUNTERS[case, topology]
+    assert ledger.vectors_sent.tolist() == expect["sent"]
+    assert ledger.vectors_received.tolist() == expect["recv"]
+    assert ledger.prox_evals.tolist() == expect["prox"]
+    assert ledger.grad_evals.tolist() == expect["grad"]
+    assert ledger.control_msgs.tolist() == [0, 0, 0]
+    assert [r.inner_iters for r in trace.rows] == expect["inner"]
+    assert all(r.stop_reason == "residual" for r in trace.rows)

@@ -1,5 +1,7 @@
 """Graph construction, Laplacian products, and spectral bounds."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dfalopt import (
     Graph,
     GraphError,
     build_topology,
+    consensus_violation,
     laplacian_apply,
     laplacian_dense,
     laplacian_quadratic,
@@ -143,6 +146,37 @@ class TestSpectralBounds:
             g = random_connected_graph(rng, int(rng.integers(2, 9)))
             assert spectral_bounds(g)[0] >= g.degrees.max() + 1 - 1e-9
 
+    def test_path_past_the_old_dense_cutoff(self):
+        # Laplacian eigenvalues of a path on N nodes: 2 - 2 cos(pi k / N)
+        N = 600
+        psi_max, psi_second = spectral_bounds(path_graph(N))
+        assert psi_max == pytest.approx(2 - 2 * np.cos(np.pi * (N - 1) / N), abs=1e-9)
+        assert psi_second == pytest.approx(2 - 2 * np.cos(np.pi / N), abs=1e-9)
+
+    def test_large_graph_gets_the_edge_degree_bound(self):
+        started = time.monotonic()
+        psi_max, psi_second = spectral_bounds(path_graph(3000))
+        assert time.monotonic() - started < 5.0
+        assert psi_max == 4.0
+        assert np.isnan(psi_second)
+
+
+def path_graph(num_nodes):
+    return Graph(num_nodes, tuple((i, i + 1) for i in range(1, num_nodes)))
+
+
+class TestDegrees:
+    def test_degrees_are_computed_once_and_read_only(self):
+        g = build_topology("star", 5)
+        assert g.degrees is g.degrees
+        assert not g.degrees.flags.writeable
+        with pytest.raises(ValueError):
+            g.degrees[0] = 0
+
+    def test_graphs_still_compare_by_edges(self):
+        assert build_topology("star", 4) == build_topology("star", 4)
+        assert build_topology("star", 4) != build_topology("clique", 4)
+
 
 class TestEdgeFile:
     def test_round_trip(self, tmp_path):
@@ -169,3 +203,16 @@ class TestEdgeFile:
         path.write_text("2\n1 2\n")
         g = build_topology("edge-file", 0, path=str(path))
         assert g.edges == ((1, 2),)
+
+
+class TestConsensusViolation:
+    def test_largest_edge_disagreement(self):
+        g = build_topology("star", 3)
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        assert consensus_violation(g, x, normalize=False) == 5.0
+        assert consensus_violation(g, x) == 5.0 / np.sqrt(2.0)
+
+    def test_zero_at_consensus(self, rng):
+        g = random_connected_graph(rng, 6)
+        x = np.tile(rng.standard_normal(3), (6, 1))
+        assert consensus_violation(g, x) == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dfalopt import (
+    ActivationSchedule,
     AsyncNetwork,
     CommLedger,
     Graph,
@@ -124,6 +125,12 @@ class TestAsyncSchedule:
         with pytest.raises(ValueError):
             async_schedule(0, 10, 0)
 
+    def test_is_the_stream_the_solvers_draw(self):
+        # past the first chunk of draws, too
+        sched = ActivationSchedule(42, 5)
+        drawn = [sched.integers(5) + 1 for _ in range(70_000)]
+        assert async_schedule(42, 70_000, 5).tolist() == drawn
+
 
 class TestLedger:
     def test_starts_at_zero(self):
@@ -165,26 +172,50 @@ class TestLedger:
 class TestAsyncNetwork:
     def test_activation_charges_degree(self):
         g = build_topology("star", 4)
-        net = AsyncNetwork(g, np.zeros((4, 2)))
-        net.activate(1, np.ones(2))
+        net = AsyncNetwork(g)
+        net.activate(np.array([1, 0, 0, 0]))
         assert net.ledger.vectors_sent.tolist() == [3, 0, 0, 0]
         assert net.ledger.vectors_received.tolist() == [0, 1, 1, 1]
 
     def test_schedule_replay_conserves_traffic(self, rng):
         g = random_connected_graph(rng, 5)
-        net = AsyncNetwork(g, np.zeros((5, 1)))
+        net = AsyncNetwork(g)
         sched = async_schedule(3, 200, 5)
         for i in sched:
-            net.activate(int(i), np.zeros(1))
+            net.activate(np.eye(5, dtype=np.int64)[int(i) - 1])
         counts = np.bincount(sched, minlength=6)[1:]
         assert np.array_equal(net.ledger.vectors_sent, counts * g.degrees)
         assert int(net.ledger.vectors_sent.sum()) == int(
             net.ledger.vectors_received.sum()
         )
 
+    def test_activation_counts_charge_one_gradient_and_one_prox_each(self):
+        g = build_topology("star", 4)
+        net = AsyncNetwork(g)
+        counts = np.array([2, 0, 1, 3])
+        net.activate(counts)
+        net.activate(counts)
+        assert net.ledger.vectors_sent.tolist() == [12, 0, 2, 6]
+        assert net.ledger.vectors_received.tolist() == [8, 4, 4, 4]
+        assert net.ledger.grad_evals.tolist() == [4, 0, 2, 6]
+        assert net.ledger.prox_evals.tolist() == [4, 0, 2, 6]
+        assert int(net.ledger.control_msgs.sum()) == 0
+
+    def test_one_call_equals_a_replay_of_single_activations(self, rng):
+        g = random_connected_graph(rng, 6)
+        sched = async_schedule(11, 300, 6)
+        replay, once = AsyncNetwork(g), AsyncNetwork(g)
+        for i in sched:
+            replay.activate(np.eye(6, dtype=np.int64)[int(i) - 1])
+        once.activate(np.bincount(sched, minlength=7)[1:])
+        for name in ("vectors_sent", "vectors_received", "grad_evals", "prox_evals"):
+            assert np.array_equal(
+                getattr(replay.ledger, name), getattr(once.ledger, name)
+            )
+
     def test_terminate_notice_counts_control_only(self):
         g = build_topology("star", 4)
-        net = AsyncNetwork(g, np.zeros((4, 1)))
+        net = AsyncNetwork(g)
         net.terminate_notice(1)
         assert net.ledger.control_msgs.tolist() == [3, 0, 0, 0]
         assert int(net.ledger.vectors_sent.sum()) == 0

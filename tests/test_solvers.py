@@ -4,7 +4,16 @@ accelerated randomized chain with restarts."""
 import numpy as np
 import pytest
 
-from dfalopt import BlockObjective, GroupPartition, SparseGroupReg, apg, ms_apg, rbcd_run
+from dfalopt import (
+    ActivationSchedule,
+    BlockObjective,
+    GroupPartition,
+    SparseGroupReg,
+    apg,
+    async_schedule,
+    ms_apg,
+    rbcd_run,
+)
 from dfalopt.solvers import (
     arbcd_candidate,
     arbcd_chain,
@@ -243,12 +252,10 @@ class TestRbcd:
 
     def test_uniform_block_frequencies(self):
         N = 5
-        counts = np.zeros(N)
         obj = quadratic_objective(np.zeros((N, 1)))
-        rbcd_run(
+        counts = rbcd_run(
             obj, np.zeros((N, 1)), 10_000, np.random.default_rng(11),
-            event_callback=lambda ell, i: counts.__setitem__(i, counts[i] + 1),
-        )
+        ).activations
         freqs = counts / 10_000
         assert np.all(np.abs(freqs - 1 / N) <= 0.02)
 
@@ -301,11 +308,37 @@ class TestArbcd:
         z0 = np.zeros((2, 3))
         C = estimate_restart_constant(obj, z0, np.random.default_rng(1))
         assert C > 0
-        events = []
         res = arbcd_run(
             obj, z0, alpha=0.5, p=0.25, rng=np.random.default_rng(2),
-            c_estimate=C, event_callback=lambda ell, i: events.append(i),
+            c_estimate=C,
         )
         restarts = int(np.ceil(np.log2(1 / 0.25)))
         chain = int(np.ceil(2 * 2 * np.sqrt(2 * C / 0.5)))
         assert res.iterations <= restarts * chain
+
+
+class TestActivations:
+    def test_counts_cover_every_event(self, rng):
+        obj = sparse_group_objective(rng, N=3, n=4)
+        y0 = np.zeros((3, 4))
+        runs = [
+            rbcd_run(obj, y0, 50, np.random.default_rng(1)),
+            arbcd_chain(obj, y0, 50, np.random.default_rng(2)),
+            arbcd_run(obj, y0, alpha=0.5, p=0.25, rng=np.random.default_rng(3)),
+        ]
+        for res in runs:
+            assert res.activations.shape == (3,)
+            assert int(res.activations.sum()) == res.iterations
+
+    def test_counts_follow_the_drawn_schedule(self):
+        obj = quadratic_objective(np.zeros((4, 1)))
+        res = rbcd_run(obj, np.zeros((4, 1)), 200, ActivationSchedule(8, 4))
+        drawn = async_schedule(8, 200, 4)
+        assert res.activations.tolist() == np.bincount(drawn, minlength=5)[1:].tolist()
+
+    def test_stacked_prox_defaults_to_the_block_loop(self, rng):
+        obj = sparse_group_objective(rng, N=3, n=5)
+        V = rng.standard_normal((3, 5))
+        tau = np.array([0.3, 1.0, 2.0])
+        expect = np.stack([obj.prox(i, V[i], tau[i]) for i in range(3)])
+        assert np.array_equal(obj.prox_all(V, tau), expect)

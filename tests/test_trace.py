@@ -1,0 +1,83 @@
+"""Run traces: `RunTrace.record`, the relative gap, wall time, and the
+JSON summary."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from dfalopt import (
+    CommLedger,
+    RunTrace,
+    default_params,
+    dfal_solve,
+    generate_instance,
+    rel_subopt,
+    sadmm_solve,
+)
+
+
+class TestRelSubopt:
+    def test_relative_gap(self):
+        assert rel_subopt(3.0, 2.0) == 0.5
+        assert rel_subopt(1.0, -2.0) == 1.5
+
+    def test_absolute_gap_at_zero_reference(self):
+        assert rel_subopt(-0.25, 0.0) == 0.25
+
+    def test_nan_without_reference(self):
+        assert math.isnan(rel_subopt(1.0, None))
+
+
+class TestRecord:
+    def test_row_reads_the_ledger(self):
+        ledger = CommLedger(3)
+        ledger.vectors_sent[:] = [4, 9, 1]
+        ledger.prox_evals[:] = [1, 2, 3]
+        ledger.grad_evals[:] = [5, 5, 5]
+        trace = RunTrace("x")
+        row = trace.record(
+            k=1, lam=0.5, F_sum=2.0, reference=1.0, CV=0.1, ledger=ledger,
+            dual_norm=0.3, inner_iters=7, stop_reason="cap",
+        )
+        assert trace.rows == [row]
+        assert (row.comm_per_node_max, row.prox_count, row.grad_count) == (9, 6, 15)
+        assert row.rel_subopt == 1.0
+        assert trace.wall_time > 0.0
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.fixture(scope="module")
+def case2():
+    return generate_instance(2, "star", 3, 4, 3, seed=5)
+
+
+def test_library_solves_report_wall_time(case2):
+    params = default_params(case2.nodes, case2.graph, outer_cap=3)
+    dfal = dfal_solve(case2.nodes, case2.graph, params)
+    sadmm = sadmm_solve(case2.nodes, case2.graph, iters=3)
+    assert dfal.wall_time > 0.0
+    assert sadmm.wall_time > 0.0
+
+
+@pytest.mark.parametrize("alg", ["dfal", "sadmm"])
+def test_summary_is_lossless_json(case2, alg, tmp_path):
+    if alg == "dfal":
+        params = default_params(case2.nodes, case2.graph, outer_cap=3)
+        trace = dfal_solve(case2.nodes, case2.graph, params)
+    else:
+        trace = sadmm_solve(case2.nodes, case2.graph, iters=3)
+    path = tmp_path / "run.summary.json"
+    trace.write_summary(str(path))
+    summary = json.loads(path.read_text(), parse_constant=_not_json)
+    ledger = trace.config["ledger"]
+    state = trace.config["final_state"]
+    assert summary["config"]["ledger"]["vectors_sent"] == ledger.vectors_sent.tolist()
+    x = np.array(summary["config"]["final_state"]["x"])
+    assert x.dtype == np.float64 and np.array_equal(x, state.x)
+    assert summary["F_sum"] == trace.final.F_sum
+    assert summary["rel_subopt"] is None  # no reference
