@@ -4,12 +4,15 @@ The outer loop shrinks a penalty schedule geometrically and solves each
 penalized subproblem inexactly with an inner oracle from :mod:`solvers`.
 Synchronously, :func:`solvers.ms_apg` runs over neighbor-exchange rounds of
 :class:`netsim.SyncNetwork`: each gradient broadcasts the extrapolated point
-and every node assembles its block from its mailbox.  Asynchronously,
-:func:`solvers.rbcd_run` or :func:`solvers.arbcd_run` consumes seeded
-activation schedules, and :class:`netsim.AsyncNetwork` charges the
-activations they report.  Dual variables are never materialized; their norms
-come from Laplacian quadratic forms of the running penalty-weighted
-accumulator.
+and evaluates the stacked subproblem gradient on the delivered snapshot, so
+node ``i``'s block reads only its own data and its neighbours' delivered
+blocks.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
+consumes seeded activation schedules, each event assembling one block from
+the node's neighbour index row, and :class:`netsim.AsyncNetwork` charges the
+activations they report.  :func:`local_gradient` is the per-node reference
+for both gradients.  Dual variables are never materialized; their norms come
+from Laplacian quadratic forms of the running penalty-weighted accumulator,
+which every node can roll from the same delivered iterates.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ class DfalParams:
             raise ValueError("shrink factor must lie in (0, 1)")
         if self.bx <= 0:
             raise ValueError("iterate bound must be positive")
+        if self.outer_cap < 1:
+            raise ValueError(f"outer_cap must be at least 1, got {self.outer_cap}")
 
     def schedule(self, k: int) -> tuple[float, float, float]:
         """Values ``(lam, alpha, xi)`` at outer iteration ``k`` (1-based)."""
@@ -274,58 +279,38 @@ def dfal_solve(
     x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
     state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
     net = SyncNetwork(graph, state.x)
-    # Per-node view of neighbors' accumulators, rebuilt from received iterates.
-    nbr_xbar = {
-        i: {j: np.zeros(stack.shape[1]) for j in graph.neighbors(i)}
-        for i in range(1, N + 1)
-    }
 
     def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
         block_L = lam * loss_lip + psi_max
-        # the warm start already sits in every mailbox, so its delivery is free
+        subproblem = _subproblem_objective(
+            nodes, graph, lam, state.xbar, block_L, stack
+        )
+        # the warm start is already delivered, so its broadcast is free
         warm_start = True
 
         def smooth_grad(Y: np.ndarray) -> np.ndarray:
             nonlocal warm_start
             net.broadcast_state(Y, charge=not warm_start)
             warm_start = False
-            q = np.empty_like(Y)
-            for i in range(1, N + 1):
-                own, mailbox = net.node_inputs(i)
-                q[i - 1] = local_gradient(
-                    nodes[i - 1], lam, graph.degrees[i - 1], own, mailbox,
-                    state.xbar[i - 1], nbr_xbar[i],
-                )
-                net.ledger.charge_grad(i)
-            return q
+            net.ledger.grad_evals += 1
+            return subproblem.smooth_grad(net.delivered)
 
         def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
-            for i in range(1, N + 1):
-                net.ledger.charge_prox(i)
-            return stack.prox(V, tau * lam)
+            net.ledger.prox_evals += 1
+            return subproblem.prox_all(V, tau)
 
         def check(ell: int, ybar: np.ndarray, q: np.ndarray) -> None:
             gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
 
-        obj = replace(
-            _subproblem_objective(nodes, graph, lam, state.xbar, block_L, stack),
-            smooth_grad=smooth_grad,
-            prox_all=prox_all,
-        )
         result = ms_apg(
-            obj,
+            replace(subproblem, smooth_grad=smooth_grad, prox_all=prox_all),
             state.x,
             residual_target=xi / math.sqrt(N),
             max_iter=inner_cap(params, block_L, alpha),
             callback=None if gradient_check is None else check,
         )
-        # share the adopted iterate; each node rolls its neighbors' accumulators
+        # share the adopted iterate; every node rolls the accumulator from it
         net.broadcast_state(result.y)
-        ratio = params.schedule(k + 1)[0] / lam
-        for i in range(1, N + 1):
-            _, mailbox = net.node_inputs(i)
-            for j in graph.neighbors(i):
-                nbr_xbar[i][j] = ratio * (nbr_xbar[i][j] + mailbox[j])
         return result
 
     return _outer_loop(
@@ -344,13 +329,18 @@ def _subproblem_objective(
 ) -> BlockObjective:
     """Penalized subproblem as a block objective over stacked iterates.
 
-    One event's block gradient is assembled from neighbor data by
-    :func:`local_gradient`; the full gradient, the prox of all blocks and the
-    residuals of the stopping test come from ``stack`` (built from ``nodes``
-    when not given) for all blocks at once.
+    One event's block gradient is assembled from the node's neighbour index
+    row; the full gradient, the prox of all blocks and the residuals of the
+    stopping test come from ``stack`` (built from ``nodes`` when not given)
+    for all blocks at once.
     """
     if stack is None:
         stack = NodeStack(nodes)
+    # per-event lookups, taken once per subproblem
+    ptr = graph.nbr_ptr
+    rows = [graph.nbr_idx[ptr[i]:ptr[i + 1]] for i in range(graph.num_nodes)]
+    xbar_rows = [xbar[r] for r in rows]
+    degrees = graph.degrees.tolist()
 
     def smooth_value(Y: np.ndarray) -> float:
         total = lam * sum(p.loss.value(Y[i]) for i, p in enumerate(nodes))
@@ -360,12 +350,8 @@ def _subproblem_objective(
         return lam * stack.loss_grad(Y) + laplacian_apply(graph, Y + xbar)
 
     def smooth_grad_block(i: int, Y: np.ndarray) -> np.ndarray:
-        node_id = i + 1
-        neighbor_y = {j: Y[j - 1] for j in graph.neighbors(node_id)}
-        neighbor_xbar = {j: xbar[j - 1] for j in graph.neighbors(node_id)}
-        return local_gradient(
-            nodes[i], lam, graph.degrees[i], Y[i], neighbor_y, xbar[i], neighbor_xbar
-        )
+        q = lam * nodes[i].loss.grad(Y[i]) + degrees[i] * (Y[i] + xbar[i])
+        return q - np.add.reduce(Y[rows[i]] + xbar_rows[i])
 
     def prox(i: int, v: np.ndarray, tau: float) -> np.ndarray:
         return nodes[i].reg.prox(v, tau * lam)
@@ -457,6 +443,8 @@ def async_dfal_solve(
         raise ValueError("p must lie in (0, 1)")
     N = graph.num_nodes
     K_outer = outer_iters if outer_iters is not None else params.outer_cap
+    if K_outer < 1:
+        raise ValueError(f"outer_iters must be at least 1, got {K_outer}")
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
     trace = RunTrace(
         "afal-" + oracle,
@@ -501,8 +489,8 @@ def async_dfal_solve(
             )
         net.activate(result.activations)
         if result.stop_reason == "residual":
-            for i in range(1, N + 1):
-                net.terminate_notice(i)
+            # every node sends a termination notice to each neighbour
+            net.ledger.control_msgs += graph.degrees
         return result
 
     return _outer_loop(

@@ -4,7 +4,9 @@ The consensus constraint matrix of the decentralized problem is never
 materialized: every quantity the solvers need is expressed through the graph
 Laplacian ``Omega`` (degree matrix minus adjacency) applied block-wise to
 stacked vectors.  Nodes are 1-based; edges are stored as ``(i, j)`` with
-``i < j``.
+``i < j``.  Each graph also holds 0-based neighbour index arrays, built once,
+so Laplacian products, quadratic forms and edge disagreements are array
+expressions over all edges.
 """
 
 from __future__ import annotations
@@ -31,19 +33,25 @@ class Graph:
         Unordered edges, each stored with the smaller node id first.
     degrees : ndarray
         Read-only degree of each node, index 0 holding node 1.
+    nbr_ptr, nbr_idx : ndarray
+        Read-only CSR neighbour lists: the 0-based neighbours of the node at
+        index ``i`` are ``nbr_idx[nbr_ptr[i]:nbr_ptr[i + 1]]``, sorted.
+    edge_idx : ndarray
+        Read-only ``(E, 2)`` array of ``edges`` made 0-based.
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
-    _adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    nbr_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    nbr_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.num_nodes
         if n < 2:
             raise GraphError(f"need at least 2 nodes, got {n}")
         seen = set()
-        adj: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
         for e in self.edges:
             i, j = e
             if not (1 <= i <= n and 1 <= j <= n):
@@ -55,38 +63,43 @@ class Graph:
             if e in seen:
                 raise GraphError(f"duplicate edge {e}")
             seen.add(e)
-            adj[i].append(j)
-            adj[j].append(i)
-        for i, nbrs in adj.items():
-            if not nbrs:
-                raise GraphError(f"node {i} is isolated")
-        object.__setattr__(
-            self, "_adjacency", {i: tuple(sorted(v)) for i, v in adj.items()}
-        )
-        degrees = np.array([len(adj[i]) for i in range(1, n + 1)])
-        degrees.flags.writeable = False
-        object.__setattr__(self, "degrees", degrees)
-        comp = self._reachable_from(1)
-        if len(comp) != n:
-            missing = sorted(set(range(1, n + 1)) - comp)
-            raise GraphError(f"graph is disconnected; unreachable nodes {missing}")
-
-    def _reachable_from(self, root: int) -> set[int]:
-        comp = {root}
-        stack = [root]
+        edge_idx = np.array(self.edges, dtype=np.int64).reshape(-1, 2) - 1
+        src = np.concatenate([edge_idx[:, 0], edge_idx[:, 1]])
+        dst = np.concatenate([edge_idx[:, 1], edge_idx[:, 0]])
+        degrees = np.bincount(src, minlength=n)
+        if not degrees.all():
+            raise GraphError(f"node {int(np.argmin(degrees)) + 1} is isolated")
+        nbr_ptr = np.concatenate([[0], np.cumsum(degrees)])
+        nbr_idx = dst[np.lexsort((dst, src))]
+        for name, arr in (("degrees", degrees), ("nbr_ptr", nbr_ptr),
+                          ("nbr_idx", nbr_idx), ("edge_idx", edge_idx)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        # depth-first search from node 1, linear in the edge count
+        ptr, idx = nbr_ptr.tolist(), nbr_idx.tolist()
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        stack = [0]
         while stack:
             u = stack.pop()
-            for v in self._adjacency[u]:
-                if v not in comp:
-                    comp.add(v)
+            for v in idx[ptr[u]:ptr[u + 1]]:
+                if not reached[v]:
+                    reached[v] = True
                     stack.append(v)
-        return comp
+        if not reached.all():
+            missing = (np.flatnonzero(~reached) + 1).tolist()
+            raise GraphError(f"graph is disconnected; unreachable nodes {missing}")
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adjacency[i]
+        return tuple((self.nbr_idx[self.nbr_ptr[i - 1]:self.nbr_ptr[i]] + 1).tolist())
 
     def degree(self, i: int) -> int:
-        return len(self._adjacency[i])
+        return int(self.degrees[i - 1])
+
+    def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
+        """Row ``i`` sums the rows of ``x`` at the neighbours of the node at
+        index ``i``."""
+        return np.add.reduceat(x.take(self.nbr_idx, axis=0), self.nbr_ptr[:-1], axis=0)
 
     @property
     def num_edges(self) -> int:
@@ -140,10 +153,10 @@ def load_edge_file(path: str) -> Graph:
         raise GraphError(f"{path}: first line must be the node count") from exc
     edges = []
     for text in lines[1:]:
-        parts = text.split()
-        if len(parts) != 2:
-            raise GraphError(f"{path}: malformed edge line {text!r}")
-        i, j = int(parts[0]), int(parts[1])
+        try:
+            i, j = map(int, text.split())  # a wrong token count fails the unpacking
+        except ValueError as exc:
+            raise GraphError(f"{path}: malformed edge line {text!r}") from exc
         edges.append((i, j))
     return Graph(n, tuple(edges))
 
@@ -164,20 +177,15 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     """
     x = _check_stacked(g, x)
     out = g.degrees[:, None] * x
-    for i, j in g.edges:
-        out[i - 1] -= x[j - 1]
-        out[j - 1] -= x[i - 1]
+    out -= g.neighbor_sum(x)
     return out
 
 
 def laplacian_quadratic(g: Graph, x: np.ndarray) -> float:
     """Sum of squared disagreements ``sum_{(i,j) in E} ||x_i - x_j||^2``."""
     x = _check_stacked(g, x)
-    total = 0.0
-    for i, j in g.edges:
-        d = x[i - 1] - x[j - 1]
-        total += float(d @ d)
-    return total
+    d = x[g.edge_idx[:, 0]] - x[g.edge_idx[:, 1]]
+    return float(np.sum(d * d))
 
 
 def laplacian_dense(g: Graph) -> np.ndarray:
@@ -185,9 +193,8 @@ def laplacian_dense(g: Graph) -> np.ndarray:
     n = g.num_nodes
     omega = np.zeros((n, n))
     np.fill_diagonal(omega, g.degrees)
-    for i, j in g.edges:
-        omega[i - 1, j - 1] = -1.0
-        omega[j - 1, i - 1] = -1.0
+    i, j = g.edge_idx.T
+    omega[i, j] = omega[j, i] = -1.0
     return omega
 
 
@@ -208,14 +215,14 @@ def spectral_bounds(g: Graph) -> tuple[float, float]:
     if g.num_nodes <= _DENSE_EIG_LIMIT:
         eigs = np.linalg.eigvalsh(laplacian_dense(g))
         return float(eigs[-1]), float(eigs[1])
-    ends = np.asarray(g.edges) - 1
-    return float(np.max(g.degrees[ends].sum(axis=1))), math.nan
+    return float(np.max(g.degrees[g.edge_idx].sum(axis=1))), math.nan
 
 
 def consensus_violation(g: Graph, x: np.ndarray, normalize: bool = True) -> float:
     """Largest disagreement ``max over edges (i, j) of ||x_i - x_j||``,
     divided by ``sqrt(n)`` when ``normalize``."""
-    cv = max(float(np.linalg.norm(x[i - 1] - x[j - 1])) for i, j in g.edges)
+    d = x[g.edge_idx[:, 0]] - x[g.edge_idx[:, 1]]
+    cv = float(np.max(np.linalg.norm(d, axis=1)))
     if normalize:
         cv /= math.sqrt(x.shape[1])
     return cv

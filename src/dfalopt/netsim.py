@@ -1,14 +1,17 @@
 """Deterministic message-passing simulator.
 
 Synchronous rounds deliver every node's freshly computed block to all of its
-neighbors.  Asynchronous execution draws node activations from one seeded
-uniform stream (:class:`ActivationSchedule`); the randomized solvers consume
-it directly and report how often each node fired, which
-:meth:`AsyncNetwork.activate` charges for a whole subproblem at once.  A
+neighbors: delivery copies the blocks into one ``(N, n)`` snapshot,
+:attr:`SyncNetwork.delivered`, and a node may read only its own block and its
+neighbours' rows of that snapshot.  Asynchronous execution draws node
+activations from one seeded uniform stream (:class:`ActivationSchedule`); the
+randomized solvers consume it directly and report how often each node fired,
+which :meth:`AsyncNetwork.activate` charges for a whole subproblem at once.  A
 ledger counts vector transmissions and per-node proximal and gradient
 evaluations, since communication totals are the quantity the solver
 comparisons are about.  One unit of communication is one block-length vector
-over one directed edge.
+over one directed edge; :func:`charge_exchange` charges it from the degree
+vector for both kinds of network.
 """
 
 from __future__ import annotations
@@ -59,6 +62,14 @@ class CommLedger:
         return copy.deepcopy(self)
 
 
+def charge_exchange(ledger: CommLedger, graph: Graph, counts: np.ndarray | int) -> None:
+    """Charge ``counts[i - 1]`` pushes of node ``i``'s block to its neighbours:
+    node ``i`` sends ``d_i * c_i`` vectors and each neighbour receives ``c_i``."""
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), graph.degrees.shape)
+    ledger.vectors_sent += graph.degrees * counts
+    ledger.vectors_received += graph.neighbor_sum(counts)
+
+
 # Per-node update rule: (node_id, own_block, {neighbor_id: block}) -> new block.
 Producer = Callable[[int, np.ndarray, Mapping[int, np.ndarray]], np.ndarray]
 
@@ -66,10 +77,11 @@ Producer = Callable[[int, np.ndarray, Mapping[int, np.ndarray]], np.ndarray]
 class SyncNetwork:
     """Synchronous neighbor-exchange rounds over a fixed graph.
 
-    Every node computes its next block from the round-start mailbox contents
-    only; afterwards each node sends the new block to all neighbors.  The
-    round result is independent of the evaluation order because all reads see
-    the pre-round snapshot.
+    Every node computes its next block from its own block and the round-start
+    snapshot ``delivered``; afterwards the new blocks are delivered, which
+    replaces the snapshot with a copy of them.  The round result is
+    independent of the evaluation order because all reads see the pre-round
+    snapshot.
     """
 
     def __init__(self, graph: Graph, init_blocks: np.ndarray):
@@ -81,14 +93,13 @@ class SyncNetwork:
         self.blocks = init_blocks.copy()
         self.ledger = CommLedger(graph.num_nodes)
         # Initial blocks count as local state, not traffic.
-        self.mailboxes: dict[int, dict[int, np.ndarray]] = {
-            i: {j: init_blocks[j - 1].copy() for j in graph.neighbors(i)}
-            for i in range(1, graph.num_nodes + 1)
-        }
+        self.delivered = init_blocks.copy()
 
     def node_inputs(self, i: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Everything node ``i`` is allowed to read: its block and mailbox."""
-        return self.blocks[i - 1], self.mailboxes[i]
+        """Everything node ``i`` is allowed to read: its block and its
+        neighbours' delivered blocks."""
+        nbrs = self.graph.neighbors(i)
+        return self.blocks[i - 1], {j: self.delivered[j - 1] for j in nbrs}
 
     def sync_round(self, producer: Producer, order: list[int] | None = None) -> None:
         g = self.graph
@@ -105,19 +116,7 @@ class SyncNetwork:
                     f"expected ({self.block_len},)"
                 )
             new_blocks[i - 1] = out
-        self.blocks = new_blocks
-        self._deliver_all()
-
-    def _deliver_all(self, charge: bool = True) -> None:
-        g = self.graph
-        for i in range(1, g.num_nodes + 1):
-            nbrs = g.neighbors(i)
-            if charge:
-                self.ledger.charge_send(i, len(nbrs))
-            for j in nbrs:
-                self.mailboxes[j][i] = self.blocks[i - 1].copy()
-                if charge:
-                    self.ledger.charge_receive(j)
+        self.broadcast_state(new_blocks)
 
     def broadcast_state(self, blocks: np.ndarray, charge: bool = True) -> None:
         """Overwrite all blocks and deliver them to neighbors.
@@ -129,7 +128,9 @@ class SyncNetwork:
         if blocks.shape != self.blocks.shape:
             raise ValueError("block shape mismatch")
         self.blocks = blocks.copy()
-        self._deliver_all(charge)
+        self.delivered = blocks.copy()
+        if charge:
+            charge_exchange(self.ledger, self.graph, 1)
 
     def ledger_snapshot(self) -> CommLedger:
         return self.ledger.snapshot()
@@ -187,13 +188,9 @@ class AsyncNetwork:
         """Charge node ``i`` for ``counts[i - 1]`` activations: it sends
         ``d_i`` vectors and each neighbor receives one per activation."""
         counts = np.asarray(counts, dtype=np.int64)
-        ledger = self.ledger
-        ledger.vectors_sent += self.graph.degrees * counts
-        for i, j in self.graph.edges:
-            ledger.vectors_received[j - 1] += counts[i - 1]
-            ledger.vectors_received[i - 1] += counts[j - 1]
-        ledger.grad_evals += counts
-        ledger.prox_evals += counts
+        charge_exchange(self.ledger, self.graph, counts)
+        self.ledger.grad_evals += counts
+        self.ledger.prox_evals += counts
 
     def terminate_notice(self, i: int) -> None:
         self.ledger.charge_control(i, self.graph.degree(i))

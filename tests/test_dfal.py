@@ -119,6 +119,12 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             DfalParams(lam1=1.0, alpha1=1.0, xi1=1.0, c=1.0)
 
+    def test_outer_cap_must_allow_one_iteration(self):
+        # an empty outer loop would leave a trace whose summary cannot be taken
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="outer_cap"):
+                DfalParams(lam1=1.0, alpha1=1.0, xi1=1.0, outer_cap=cap)
+
     def test_schedule_closed_form(self):
         params = DfalParams(lam1=0.8, alpha1=0.3, xi1=0.4, c=0.7)
         for k in range(1, 30):
@@ -329,6 +335,13 @@ class TestAsyncSolve:
         with pytest.raises(ValueError, match="p must"):
             async_dfal_solve(nodes, graph, params, p=1.5)
 
+    def test_zero_outer_iterations_rejected(self, rng):
+        graph = build_topology("star", 2)
+        nodes = make_nodes(rng, 2, 4)
+        params = default_params(nodes, graph)
+        with pytest.raises(ValueError, match="outer_iters"):
+            async_dfal_solve(nodes, graph, params, p=0.1, outer_iters=0)
+
     def test_rbcd_budgets_follow_schedule(self, rng):
         graph = build_topology("star", 3)
         nodes = make_nodes(rng, 3, 4)
@@ -465,6 +478,20 @@ class TestNodeStack:
                     obj.residuals(G, Y), per_node, rtol=0, atol=1e-12
                 )
                 assert obj.max_residual(G, Y) == max(obj.residuals(G, Y))
+
+    def test_event_block_gradient_matches_per_node(self, rng):
+        for nodes, graph in self._problems(rng):
+            N, n = graph.num_nodes, nodes[0].n
+            for _ in range(10):
+                lam = float(rng.uniform(0.1, 2.0))
+                xbar = rng.standard_normal((N, n))
+                Y = rng.standard_normal((N, n))
+                obj = _subproblem_objective(nodes, graph, lam, xbar, np.ones(N))
+                expect = _per_node_gradient(nodes, graph, lam, Y, xbar)
+                for i in range(N):
+                    np.testing.assert_allclose(
+                        obj.smooth_grad_block(i, Y), expect[i], rtol=0, atol=1e-12
+                    )
 
 
 # Ledger counters and inner iterations of async_dfal_solve(p=0.1, seed=7,

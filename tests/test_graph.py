@@ -178,6 +178,71 @@ class TestDegrees:
         assert build_topology("star", 4) != build_topology("clique", 4)
 
 
+def edge_loop_oracle(g, x):
+    """Laplacian apply, quadratic form, disagreement and dense Laplacian,
+    each accumulated edge by edge."""
+    apply = g.degrees[:, None] * x
+    quad, cv = 0.0, 0.0
+    dense = np.diag(g.degrees.astype(float))
+    for i, j in g.edges:
+        d = x[i - 1] - x[j - 1]
+        apply[i - 1] -= x[j - 1]
+        apply[j - 1] -= x[i - 1]
+        quad += float(d @ d)
+        cv = max(cv, float(np.linalg.norm(d)))
+        dense[i - 1, j - 1] = dense[j - 1, i - 1] = -1.0
+    return apply, quad, cv, dense
+
+
+class TestNeighbourArrays:
+    @staticmethod
+    def _graphs(rng):
+        for k in range(50):
+            g = random_connected_graph(rng, int(rng.integers(2, 12)) if k else 8)
+            if k == 0:
+                # an edge file may list its edges in any order
+                shuffled = tuple(g.edges[t] for t in rng.permutation(g.num_edges))
+                g = Graph(g.num_nodes, shuffled)
+                assert g.edges != tuple(sorted(g.edges))
+            yield g
+
+    def test_array_products_match_the_edge_loop_and_dense(self, rng):
+        for g in self._graphs(rng):
+            N, n = g.num_nodes, int(rng.integers(1, 5))
+            x = rng.standard_normal((N, n))
+            apply, quad, cv, dense = edge_loop_oracle(g, x)
+            np.testing.assert_array_equal(laplacian_dense(g), dense)
+            by_dense = (np.kron(dense, np.eye(n)) @ x.ravel()).reshape(N, n)
+            for expect in (apply, by_dense):
+                np.testing.assert_allclose(
+                    laplacian_apply(g, x), expect, rtol=0, atol=1e-12
+                )
+            for expect in (quad, x.ravel() @ by_dense.ravel()):
+                assert abs(laplacian_quadratic(g, x) - expect) <= 1e-12
+            assert abs(consensus_violation(g, x, normalize=False) - cv) <= 1e-12
+
+    def test_csr_rows_are_the_sorted_neighbours(self, rng):
+        for g in self._graphs(rng):
+            adjacency = {i: set() for i in range(1, g.num_nodes + 1)}
+            for i, j in g.edges:
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+            assert g.nbr_ptr.tolist() == [0, *np.cumsum(g.degrees).tolist()]
+            for i in range(1, g.num_nodes + 1):
+                row = g.nbr_idx[g.nbr_ptr[i - 1]:g.nbr_ptr[i]]
+                assert row.tolist() == sorted(j - 1 for j in adjacency[i])
+                assert g.neighbors(i) == tuple(sorted(adjacency[i]))
+                assert g.degree(i) == len(adjacency[i])
+            assert g.edge_idx.tolist() == [[i - 1, j - 1] for i, j in g.edges]
+
+    def test_arrays_are_read_only(self):
+        g = build_topology("star", 4)
+        for arr in (g.nbr_ptr, g.nbr_idx, g.edge_idx):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
 class TestEdgeFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -190,6 +255,12 @@ class TestEdgeFile:
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 2 3\n")
         with pytest.raises(GraphError, match="malformed"):
+            load_edge_file(str(path))
+
+    def test_non_integer_token_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3\n1 2\n2 x\n")
+        with pytest.raises(GraphError, match=r"bad\.txt: malformed edge line '2 x'"):
             load_edge_file(str(path))
 
     def test_disconnected_file(self, tmp_path):

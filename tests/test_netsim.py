@@ -1,4 +1,5 @@
-"""Message-passing simulator: rounds, mailboxes, schedules, and ledgers."""
+"""Message-passing simulator: rounds, the delivered snapshot, schedules, and
+ledgers."""
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ class TestBroadcastState:
         _, mailbox = net.node_inputs(1)
         assert mailbox[2] == pytest.approx([7.0])
         assert net.ledger.vectors_sent.tolist() == [1, 1]
+
+    def test_delivered_snapshot_and_degree_law(self, rng):
+        g = random_connected_graph(rng, 7)
+        net = SyncNetwork(g, np.zeros((7, 3)))
+        blocks = rng.standard_normal((7, 3))
+        net.broadcast_state(blocks)
+        net.broadcast_state(blocks)
+        np.testing.assert_array_equal(net.delivered, blocks)
+        assert net.delivered is not net.blocks
+        assert np.array_equal(net.ledger.vectors_sent, 2 * g.degrees)
+        assert np.array_equal(net.ledger.vectors_received, 2 * g.degrees)
+        _, mailbox = net.node_inputs(1)
+        assert sorted(mailbox) == list(g.neighbors(1))
 
     def test_free_delivery_skips_ledger(self):
         net = SyncNetwork(Graph(2, ((1, 2),)), np.zeros((2, 1)))
