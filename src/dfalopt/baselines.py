@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcs import NodeProblem
+from .funcs import NodeProblem, objective_sum
 from .graph import Graph, consensus_violation, laplacian_apply
 from .netsim import CommLedger
 from .solvers import apg
@@ -108,8 +108,7 @@ def _composite_prox(node: NodeProblem, center: np.ndarray, t: float) -> tuple[np
 
 
 def sadmm_midpoint_objective(nodes, x: np.ndarray, y: np.ndarray) -> float:
-    mid = 0.5 * (x + y)
-    return sum(p.value(mid[i]) for i, p in enumerate(nodes))
+    return objective_sum(nodes, 0.5 * (x + y))
 
 
 def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
@@ -117,6 +116,13 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     edge_cv = consensus_violation(graph, x, normalize=False)
     split_cv = float(np.max(np.linalg.norm(x - y, axis=1)))
     return max(edge_cv, split_cv) / math.sqrt(x.shape[1])
+
+
+def _check_admm_args(c_admm: float, iters: int) -> None:
+    if not c_admm > 0:
+        raise ValueError(f"c_admm must be positive, got {c_admm}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
 
 
 def _admm_loop(
@@ -174,6 +180,7 @@ def sadmm_solve(
     neighborhood averages and running sums.  The reported objective takes
     both primal copies at their midpoint.
     """
+    _check_admm_args(c_admm, iters)
     trace = RunTrace("sadmm", config={"c_admm": c_admm})
     N, n = graph.num_nodes, nodes[0].n
     degrees = graph.degrees.astype(float)
@@ -243,6 +250,7 @@ def admm_solve(
     is the point of the comparison.  Traffic is charged at 3 vector units per
     node per iteration.
     """
+    _check_admm_args(c_admm, iters)
     trace = RunTrace("admm", config={"c_admm": c_admm})
     N, n = graph.num_nodes, nodes[0].n
     degrees = graph.degrees.astype(float)
@@ -269,7 +277,7 @@ def admm_solve(
         s = neighborhood_average(graph, x)
         p += s
         return (
-            sum(pb.value(x[i]) for i, pb in enumerate(nodes)),
+            objective_sum(nodes, x),
             consensus_violation(graph, x),
             float(c_admm * np.linalg.norm(p)),
             nested,

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcs import NodeProblem, NodeStack
+from .funcs import NodeProblem, NodeStack, objective_sum
 from .graph import (
     Graph,
     consensus_violation,
@@ -40,6 +40,7 @@ from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd
     arbcd_run,
     estimate_restart_constant,
     ms_apg,
+    rbcd_events,
     rbcd_run,
 )
 from .trace import RunTrace
@@ -179,10 +180,6 @@ def local_gradient(
     return q
 
 
-def objective_sum(nodes: Sequence[NodeProblem], x: np.ndarray) -> float:
-    return sum(p.value(x[i]) for i, p in enumerate(nodes))
-
-
 def feasibility_diagnostics(
     graph: Graph, state: DfalState
 ) -> tuple[float, float]:
@@ -197,6 +194,33 @@ def _dual_norm(graph: Graph, xbar: np.ndarray, lam: float) -> float:
 
 def inner_cap(params: DfalParams, block_L: np.ndarray, alpha: float) -> int:
     return max(1, math.ceil(params.bx * math.sqrt(2.0 * float(block_L.sum()) / alpha)))
+
+
+def _setup(
+    nodes: Sequence[NodeProblem],
+    graph: Graph,
+    params: DfalParams,
+    x0: np.ndarray | None,
+) -> tuple[float, np.ndarray, NodeStack, DfalState]:
+    """Input checks and starting point shared by both solves.
+
+    Returns ``psi_max`` (from ``params`` when set, else the graph's spectral
+    bound), the loss Lipschitz constants, the node stack and the starting
+    state at ``x0`` (zeros by default).
+    """
+    if len(nodes) != graph.num_nodes:
+        raise ValueError("need one node problem per graph node")
+    _, tau_bar = coupling_constants(nodes)
+    if params.xi1 / params.lam1 >= tau_bar:
+        raise ValueError("xi1 / lam1 must stay below the coercivity constant")
+    stack = NodeStack(nodes)
+    x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != stack.shape:
+        raise ValueError(f"x0 must have shape {stack.shape}, got {x.shape}")
+    psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
+    loss_lip = np.array([p.loss.lipschitz for p in nodes])
+    state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
+    return psi_max, loss_lip, stack, state
 
 
 def _outer_loop(
@@ -245,7 +269,7 @@ def _outer_loop(
             trace.converged = True
             break
     trace.config["final_state"] = state
-    trace.config["ledger"] = net.ledger_snapshot()
+    trace.config["ledger"] = net.ledger.snapshot()
     return trace
 
 
@@ -267,17 +291,8 @@ def dfal_solve(
     fires at every inner iteration with the assembled gradient blocks.
     """
     N = graph.num_nodes
-    if len(nodes) != N:
-        raise ValueError("need one node problem per graph node")
-    _, tau_bar = coupling_constants(nodes)
-    if params.xi1 / params.lam1 >= tau_bar:
-        raise ValueError("xi1 / lam1 must stay below the coercivity constant")
+    psi_max, loss_lip, stack, state = _setup(nodes, graph, params, x0)
     trace = RunTrace("dfal", config={"lam1": params.lam1, "c": params.c})
-    psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
-    loss_lip = np.array([p.loss.lipschitz for p in nodes])
-    stack = NodeStack(nodes)
-    x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
-    state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
     net = SyncNetwork(graph, state.x)
 
     def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
@@ -367,7 +382,6 @@ def _subproblem_objective(
 
     return BlockObjective(
         num_blocks=graph.num_nodes,
-        block_len=nodes[0].n,
         L=block_L,
         smooth_value=smooth_value,
         smooth_grad=smooth_grad,
@@ -398,26 +412,6 @@ def rbcd_budget_constant(
     return 2.0 * max(gap, dist, 1e-12)
 
 
-@dataclass
-class AsyncBudget:
-    """Oracle budgets per subproblem, frozen so they grow geometrically.
-
-    ``events`` is the budget of one ``rbcd`` run or of one ``arbcd`` chain.
-    """
-
-    oracle: str
-    constant: float
-    p_sub: float
-
-    def events(self, alpha: float, num_blocks: int) -> int:
-        if self.oracle == "rbcd":
-            return math.ceil(
-                2.0 * num_blocks * self.constant / alpha
-                * (1.0 + math.log(1.0 / self.p_sub))
-            )
-        return arbcd_chain_events(num_blocks, self.constant, alpha)
-
-
 def async_dfal_solve(
     nodes: Sequence[NodeProblem],
     graph: Graph,
@@ -446,47 +440,44 @@ def async_dfal_solve(
     if K_outer < 1:
         raise ValueError(f"outer_iters must be at least 1, got {K_outer}")
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
+    psi_max, loss_lip, stack, state = _setup(nodes, graph, params, x0)
     trace = RunTrace(
         "afal-" + oracle,
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
                 "budgets": [], "budget_constant": None},
     )
-    psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
-    loss_lip = np.array([p.loss.lipschitz for p in nodes])
-    stack = NodeStack(nodes)
-    x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
-    state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
     net = AsyncNetwork(graph)
     rng = np.random.default_rng(seed)
-    budget: AsyncBudget | None = None
 
     def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
-        nonlocal budget
         if oracle == "rbcd":
             block_L = lam * loss_lip + psi_max
         else:
             # separable-overapproximation constants for the accelerated oracle
             block_L = lam * loss_lip + graph.degrees
         obj = _subproblem_objective(nodes, graph, lam, state.xbar, block_L, stack)
-        if budget is None:
+        # the budget constant is estimated once, so the budgets grow geometrically
+        const = trace.config["budget_constant"]
+        if const is None:
             estimate = (
                 rbcd_budget_constant if oracle == "rbcd" else estimate_restart_constant
             )
             const = estimate(obj, state.x, np.random.default_rng(seed + 1))
-            budget = AsyncBudget(oracle, const, p_sub)
             trace.config["budget_constant"] = const
-        events = budget.events(alpha, N)
-        trace.config["budgets"].append(events)
         target = xi / math.sqrt(N)
 
         if oracle == "rbcd":
+            events = rbcd_events(N, const, alpha, p_sub)
             schedule = ActivationSchedule(int(rng.integers(2**31)), N)
             result = rbcd_run(obj, state.x, events, schedule, residual_target=target)
         else:
+            # the budget of each restarted chain
+            events = arbcd_chain_events(N, const, alpha)
             result = arbcd_run(
                 obj, state.x, alpha, p_sub, rng,
-                c_estimate=budget.constant, residual_target=target,
+                c_estimate=const, residual_target=target,
             )
+        trace.config["budgets"].append(events)
         net.activate(result.activations)
         if result.stop_reason == "residual":
             # every node sends a termination notice to each neighbour

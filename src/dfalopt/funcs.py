@@ -365,8 +365,9 @@ class NodeProblem:
         return self.reg.value(x) + self.loss.value(x)
 
 
-def composite_value(problem: NodeProblem, x: np.ndarray) -> float:
-    return problem.value(x)
+def objective_sum(nodes: Sequence[NodeProblem], x: np.ndarray) -> float:
+    """``sum_i F_i(x_i)`` over the rows of the stacked ``x``, node by node."""
+    return sum(p.value(x[i]) for i, p in enumerate(nodes))
 
 
 class NodeStack:

@@ -1,9 +1,9 @@
 """Deterministic message-passing simulator.
 
-Synchronous rounds deliver every node's freshly computed block to all of its
-neighbors: delivery copies the blocks into one ``(N, n)`` snapshot,
-:attr:`SyncNetwork.delivered`, and a node may read only its own block and its
-neighbours' rows of that snapshot.  Asynchronous execution draws node
+A synchronous exchange (:meth:`SyncNetwork.broadcast_state`) delivers every
+node's freshly computed block to all of its neighbors: delivery copies the
+blocks into one ``(N, n)`` snapshot, :attr:`SyncNetwork.delivered`, and a node
+may read only its own row and its neighbours' rows of that snapshot.  Asynchronous execution draws node
 activations from one seeded uniform stream (:class:`ActivationSchedule`); the
 randomized solvers consume it directly and report how often each node fired,
 which :meth:`AsyncNetwork.activate` charges for a whole subproblem at once.  A
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -70,18 +69,13 @@ def charge_exchange(ledger: CommLedger, graph: Graph, counts: np.ndarray | int) 
     ledger.vectors_received += graph.neighbor_sum(counts)
 
 
-# Per-node update rule: (node_id, own_block, {neighbor_id: block}) -> new block.
-Producer = Callable[[int, np.ndarray, Mapping[int, np.ndarray]], np.ndarray]
-
-
 class SyncNetwork:
-    """Synchronous neighbor-exchange rounds over a fixed graph.
+    """Synchronous neighbor exchange over a fixed graph.
 
-    Every node computes its next block from its own block and the round-start
-    snapshot ``delivered``; afterwards the new blocks are delivered, which
-    replaces the snapshot with a copy of them.  The round result is
-    independent of the evaluation order because all reads see the pre-round
-    snapshot.
+    :meth:`broadcast_state` delivers every node's fresh block to its
+    neighbours by replacing the ``(N, n)`` snapshot ``delivered`` with a copy
+    of the blocks; node ``i`` may read only row ``i`` and its neighbours'
+    rows of that snapshot (:meth:`node_inputs`).
     """
 
     def __init__(self, graph: Graph, init_blocks: np.ndarray):
@@ -89,8 +83,6 @@ class SyncNetwork:
         if init_blocks.shape[0] != graph.num_nodes:
             raise ValueError("need one initial block per node")
         self.graph = graph
-        self.block_len = init_blocks.shape[1]
-        self.blocks = init_blocks.copy()
         self.ledger = CommLedger(graph.num_nodes)
         # Initial blocks count as local state, not traffic.
         self.delivered = init_blocks.copy()
@@ -99,49 +91,28 @@ class SyncNetwork:
         """Everything node ``i`` is allowed to read: its block and its
         neighbours' delivered blocks."""
         nbrs = self.graph.neighbors(i)
-        return self.blocks[i - 1], {j: self.delivered[j - 1] for j in nbrs}
-
-    def sync_round(self, producer: Producer, order: list[int] | None = None) -> None:
-        g = self.graph
-        nodes = order if order is not None else list(range(1, g.num_nodes + 1))
-        if sorted(nodes) != list(range(1, g.num_nodes + 1)):
-            raise ValueError("order must be a permutation of all node ids")
-        new_blocks = np.empty_like(self.blocks)
-        for i in nodes:
-            own, mailbox = self.node_inputs(i)
-            out = np.asarray(producer(i, own, mailbox), dtype=float)
-            if out.shape != (self.block_len,):
-                raise ValueError(
-                    f"node {i} produced a block of shape {out.shape}, "
-                    f"expected ({self.block_len},)"
-                )
-            new_blocks[i - 1] = out
-        self.broadcast_state(new_blocks)
+        return self.delivered[i - 1], {j: self.delivered[j - 1] for j in nbrs}
 
     def broadcast_state(self, blocks: np.ndarray, charge: bool = True) -> None:
-        """Overwrite all blocks and deliver them to neighbors.
-
-        Used at synchronization points where every node shares a fresh block
-        (for example, the iterate adopted at the end of an outer iteration).
-        """
+        """Overwrite all blocks and deliver them to neighbors, charging one
+        vector per directed edge unless ``charge`` is false."""
         blocks = np.asarray(blocks, dtype=float)
-        if blocks.shape != self.blocks.shape:
-            raise ValueError("block shape mismatch")
-        self.blocks = blocks.copy()
+        if blocks.shape != self.delivered.shape:
+            raise ValueError(
+                f"block shape {blocks.shape} does not match {self.delivered.shape}"
+            )
         self.delivered = blocks.copy()
         if charge:
             charge_exchange(self.ledger, self.graph, 1)
-
-    def ledger_snapshot(self) -> CommLedger:
-        return self.ledger.snapshot()
 
 
 class ActivationSchedule:
     """Seeded i.i.d. uniform node activations, drawn lazily in chunks.
 
-    ``integers()`` returns the next 0-based node index, the one method of a
-    numpy generator the randomized solvers call; chunking keeps memory flat
-    even when the nominal event budget is astronomically large.
+    ``integers(num_nodes)`` returns the next 0-based node index: the one call
+    of a numpy generator the randomized solvers make, with the one bound this
+    schedule draws under.  Chunking keeps memory flat even when the nominal
+    event budget is astronomically large.
     """
 
     CHUNK = 1 << 16
@@ -153,7 +124,11 @@ class ActivationSchedule:
         self._num_nodes = num_nodes
         self._buf = iter(())
 
-    def integers(self, *args, **kwargs) -> int:
+    def integers(self, high: int) -> int:
+        if high != self._num_nodes:
+            raise ValueError(
+                f"schedule draws among {self._num_nodes} nodes, asked for {high}"
+            )
         i = next(self._buf, None)
         if i is None:
             draws = self._rng.integers(0, self._num_nodes, size=self.CHUNK)
@@ -167,7 +142,7 @@ def async_schedule(seed: int, num_events: int, num_nodes: int) -> np.ndarray:
     """The first ``num_events`` activations of ``ActivationSchedule(seed,
     num_nodes)`` as 1-based node ids."""
     sched = ActivationSchedule(seed, num_nodes)
-    ids = (sched.integers() for _ in range(num_events))
+    ids = (sched.integers(num_nodes) for _ in range(num_events))
     return np.fromiter(ids, dtype=np.int64, count=num_events) + 1
 
 
@@ -176,8 +151,7 @@ class AsyncNetwork:
 
     Event order is virtual time from a seeded schedule, not wall time.  On
     activation a node updates its own block with one gradient and one prox
-    and pushes it to its neighbors (``d_i`` vector units); termination
-    notices are zero-length control messages counted separately.
+    and pushes it to its neighbors (``d_i`` vector units).
     """
 
     def __init__(self, graph: Graph):
@@ -191,9 +165,3 @@ class AsyncNetwork:
         charge_exchange(self.ledger, self.graph, counts)
         self.ledger.grad_evals += counts
         self.ledger.prox_evals += counts
-
-    def terminate_notice(self, i: int) -> None:
-        self.ledger.charge_control(i, self.graph.degree(i))
-
-    def ledger_snapshot(self) -> CommLedger:
-        return self.ledger.snapshot()

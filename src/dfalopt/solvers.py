@@ -25,8 +25,8 @@ class BlockObjective:
 
     Parameters
     ----------
-    num_blocks, block_len : int
-        Shape of the stacked iterate.
+    num_blocks : int
+        Number of blocks ``N`` of the stacked iterate.
     L : ndarray
         Per-block curvature constants ``L_i > 0`` for the smooth part.
     smooth_value, smooth_grad : callables
@@ -48,7 +48,6 @@ class BlockObjective:
     """
 
     num_blocks: int
-    block_len: int
     L: np.ndarray
     smooth_value: Callable[[np.ndarray], float]
     smooth_grad: Callable[[np.ndarray], np.ndarray]
@@ -57,8 +56,6 @@ class BlockObjective:
     rho_value: Callable[[int, np.ndarray], float]
     residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
     prox_all: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    grad_evals: int = field(default=0, repr=False)
-    prox_evals: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self.L = np.asarray(self.L, dtype=float)
@@ -84,9 +81,7 @@ class BlockObjective:
 
     def residual_reached(self, Y: np.ndarray, target: float) -> bool:
         """The per-block stopping test at ``Y`` from a full gradient."""
-        grad = self.smooth_grad(Y)
-        self.grad_evals += self.num_blocks
-        return self.max_residual(grad, Y) <= target
+        return self.max_residual(self.smooth_grad(Y), Y) <= target
 
 
 @dataclass
@@ -95,7 +90,6 @@ class SolveResult:
     iterations: int
     stop_reason: str
     values: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
     # randomized solvers: how many events drew each block
     activations: np.ndarray | None = None
 
@@ -128,20 +122,15 @@ def ms_apg(
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
-        obj.grad_evals += obj.num_blocks
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"non-finite gradient at inner iteration {ell}")
         if callback is not None:
             callback(ell, ybar, grad)
         if residual_target is not None:
-            res = obj.max_residual(grad, ybar)
-            if record_values:
-                result.residuals.append(res)
-            if res <= residual_target:
+            if obj.max_residual(grad, ybar) <= residual_target:
                 result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
                 return result
         y = obj.prox_all(ybar - grad / L_col, step)
-        obj.prox_evals += obj.num_blocks
         if record_values:
             result.values.append(obj.value(y))
         if ell == max_iter:
@@ -172,7 +161,6 @@ def apg(
     """
     obj = BlockObjective(
         num_blocks=1,
-        block_len=int(np.asarray(x0).size),
         L=np.array([lipschitz]),
         smooth_value=lambda Y: smooth_value(Y[0]),
         smooth_grad=lambda Y: smooth_grad(Y[0])[None, :],
@@ -200,30 +188,25 @@ def rbcd_run(
     rng: np.random.Generator | ActivationSchedule,
     record_values: bool = False,
     residual_target: float | None = None,
-    check_every: int | None = None,
 ) -> SolveResult:
     """Randomized block coordinate descent: one uniform block per event.
 
-    The optional residual test (checked every ``check_every`` events, default
-    once per ``N`` events) evaluates the full gradient and may stop early.
+    The optional residual test (checked once per ``N`` events) evaluates the
+    full gradient and may stop early.
     ``activations`` of the result counts the events that drew each block.
     """
     y = np.array(y0, dtype=float)
     N = obj.num_blocks
-    if check_every is None:
-        check_every = N
     drawn = [0] * N
     result = SolveResult(y, iters, "cap")
     for ell in range(1, iters + 1):
         i = int(rng.integers(N))
         drawn[i] += 1
         g = obj.smooth_grad_block(i, y)
-        obj.grad_evals += 1
         y[i] = obj.prox(i, y[i] - g / obj.L[i], 1.0 / obj.L[i])
-        obj.prox_evals += 1
         if record_values:
             result.values.append(obj.value(y))
-        if residual_target is not None and ell % check_every == 0:
+        if residual_target is not None and ell % N == 0:
             if obj.residual_reached(y, residual_target):
                 result.iterations, result.stop_reason = ell, "residual"
                 break
@@ -246,7 +229,6 @@ def arbcd_chain(
     iters: int,
     rng: np.random.Generator | ActivationSchedule,
     residual_target: float | None = None,
-    check_every: int | None = None,
 ) -> SolveResult:
     """One accelerated randomized block coordinate descent chain.
 
@@ -261,8 +243,6 @@ def arbcd_chain(
     u = np.zeros_like(z)
     t = 1.0
     N = obj.num_blocks
-    if check_every is None:
-        check_every = N
     drawn = [0] * N
     result = SolveResult(z.copy(), iters, "cap")
     for ell in range(1, iters + 1):
@@ -270,14 +250,12 @@ def arbcd_chain(
         drawn[i] += 1
         w = arbcd_candidate(z, u, t, N)
         g = obj.smooth_grad_block(i, w)
-        obj.grad_evals += 1
         z_new_i = obj.prox(i, z[i] - (t / obj.L[i]) * g, t / obj.L[i])
-        obj.prox_evals += 1
         u[i] = u[i] + N * N * t * (1.0 - t) * (z_new_i - z[i])
         z[i] = z_new_i
         result.y = arbcd_candidate(z, u, t, N)
         t = arbcd_momentum(t, N)
-        if residual_target is not None and ell % check_every == 0:
+        if residual_target is not None and ell % N == 0:
             if obj.residual_reached(z, residual_target):
                 result.iterations, result.stop_reason = ell, "residual"
                 result.y = z.copy()
@@ -290,24 +268,27 @@ def estimate_restart_constant(
     obj: BlockObjective,
     z0: np.ndarray,
     rng: np.random.Generator,
-    pilot_iters: int | None = None,
 ) -> float:
     """Upper-bound estimate of the restart constant for the accelerated chain.
 
-    The exact constant needs the unknown optimum; a short pilot chain supplies
-    a stand-in best point, and a safety factor of 2 keeps the estimate on the
-    safe (over-budgeted) side.
+    The exact constant needs the unknown optimum; a pilot chain of ``4N``
+    events supplies a stand-in best point, and a safety factor of 2 keeps the
+    estimate on the safe (over-budgeted) side.
     """
     N = obj.num_blocks
-    if pilot_iters is None:
-        pilot_iters = 4 * N
     phi0 = obj.value(z0)
-    pilot = arbcd_chain(obj, z0, pilot_iters, rng)
+    pilot = arbcd_chain(obj, z0, 4 * N, rng)
     phi_best = min(phi0, obj.value(pilot.y))
     z_best = pilot.y if phi_best < phi0 else z0
     gap = (1.0 - 1.0 / N) * (phi0 - phi_best)
     dist = 0.5 * float(np.sum(obj.L * np.sum((z0 - z_best) ** 2, axis=1)))
     return 2.0 * max(gap + dist, 1e-12)
+
+
+def rbcd_events(num_blocks: int, c_estimate: float, alpha: float, p: float) -> int:
+    """Events of one randomized descent run at confidence ``1 - p``:
+    ``ceil(2N C / alpha * (1 + log(1/p)))``."""
+    return math.ceil(2.0 * num_blocks * c_estimate / alpha * (1.0 + math.log(1.0 / p)))
 
 
 def arbcd_chain_events(num_blocks: int, c_estimate: float, alpha: float) -> int:
@@ -356,5 +337,4 @@ def arbcd_run(
         if res.stop_reason == "residual":
             result.y, result.stop_reason = res.y, "residual"
             break
-    result.values = [best_phi]
     return result

@@ -51,6 +51,22 @@ class TestState:
             SadmmState(x=z, y=z, p=z, p_tilde=z, r=z, c_admm=0.0)
 
 
+class TestArguments:
+    """Both baselines reject bad settings before any arithmetic."""
+
+    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_at_least_one_iteration(self, rng, solver, iters):
+        with pytest.raises(ValueError, match="iters must be at least 1"):
+            solver(make_pair(rng), build_topology("star", 2), iters=iters)
+
+    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
+    @pytest.mark.parametrize("c_admm", [0.0, -1.0, float("nan")])
+    def test_positive_penalty(self, rng, solver, c_admm):
+        with pytest.raises(ValueError, match="c_admm must be positive"):
+            solver(make_pair(rng), build_topology("star", 2), c_admm=c_admm, iters=1)
+
+
 class TestNeighborhoodAverage:
     def test_two_node_path(self):
         g = Graph(2, ((1, 2),))

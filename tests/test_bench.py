@@ -322,6 +322,27 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(["gen", "--topology", "file", "--out", str(tmp_path / "x.json")])
 
+    def test_apg_row_reuses_the_reference(self, tmp_path, monkeypatch):
+        import dfalopt.bench as bench
+
+        calls = []
+
+        def counted(instance, tolerance):
+            calls.append(tolerance)
+            return _reference_case1(instance, tolerance)
+
+        monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(bench, "_reference_case1", counted)
+        out = tmp_path / "apg.csv"
+        assert cli_main(["solve", "--alg", "apg", *self.ARGS, "--out", str(out)]) == 0
+        assert calls == [1e-9]
+        summary = json.loads((tmp_path / "apg.csv.summary.json").read_text())
+        assert summary["converged"]
+        header, row = out.read_text().splitlines()
+        line = dict(zip(header.split(","), row.split(",")))
+        assert float(line["rel_subopt"]) == 0.0
+        assert line["stop_reason"] == "residual"
+
     def test_apg_rejects_case2(self, tmp_path):
         with pytest.raises(SystemExit, match="case 1"):
             cli_main([

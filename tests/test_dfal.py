@@ -2,6 +2,7 @@
 accumulator bookkeeping, and the asynchronous variants."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -412,6 +413,47 @@ class TestAsyncSolve:
             a.config["final_state"].x, b.config["final_state"].x
         )
         assert [r.as_list() for r in a.rows] == [r.as_list() for r in b.rows]
+
+
+class TestSharedSetup:
+    """Both solves run the same input checks before any work."""
+
+    @staticmethod
+    def _star5():
+        inst = generate_instance(1, "star", 5, 5, 2, seed=1)
+        return inst.nodes, inst.graph, default_params(inst.nodes, inst.graph)
+
+    @staticmethod
+    def _solves(nodes, graph, params, **kwargs):
+        """The synchronous solve and both asynchronous oracles, not yet run."""
+        return [partial(dfal_solve, nodes, graph, params, **kwargs)] + [
+            partial(async_dfal_solve, nodes, graph, params, p=0.1, oracle=oracle,
+                    outer_iters=2, **kwargs)
+            for oracle in ("rbcd", "arbcd")
+        ]
+
+    def test_one_node_problem_per_graph_node(self):
+        nodes, graph, params = self._star5()
+        for solve in self._solves(nodes[:3], graph, params):
+            with pytest.raises(ValueError, match="one node problem per graph node"):
+                solve()
+
+    def test_inexactness_ratio_guard(self):
+        nodes, graph, params = self._star5()
+        bad = DfalParams(
+            lam1=params.lam1, alpha1=params.alpha1, xi1=10.0 * params.lam1,
+            bx=params.bx,
+        )
+        for solve in self._solves(nodes, graph, bad):
+            with pytest.raises(ValueError, match="coercivity"):
+                solve()
+
+    def test_start_point_shape(self):
+        nodes, graph, params = self._star5()
+        for x0 in (np.zeros((5, 3)), np.zeros((4, 10)), np.zeros(50)):
+            for solve in self._solves(nodes, graph, params, x0=x0):
+                with pytest.raises(ValueError, match=r"x0 must have shape \(5, 10\)"):
+                    solve()
 
 
 def _per_node_gradient(nodes, graph, lam, Y, xbar):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dfalopt import GroupPartition, HuberLoss, NodeProblem, SparseGroupReg
-from dfalopt.funcs import composite_value, huber_scalar
+from dfalopt.funcs import huber_scalar
 from conftest import random_partition, random_reg
 
 
@@ -233,7 +233,7 @@ class TestValues:
             loss=HuberLoss(A=A, b=rng.standard_normal(3)),
         )
         x = rng.standard_normal(4)
-        assert composite_value(node, x) == pytest.approx(
+        assert node.value(x) == pytest.approx(
             node.reg.value(x) + node.loss.value(x)
         )
 

@@ -1,5 +1,5 @@
-"""Message-passing simulator: rounds, the delivered snapshot, schedules, and
-ledgers."""
+"""Message-passing simulator: synchronous delivery and the delivered
+snapshot, schedules, and ledgers."""
 
 import numpy as np
 import pytest
@@ -16,60 +16,24 @@ from dfalopt import (
 from conftest import random_connected_graph
 
 
-def averaging_producer(i, own, mailbox):
-    """Replace the block with the mean over the closed neighborhood."""
-    stack = [own] + [v for _, v in sorted(mailbox.items())]
-    return np.mean(stack, axis=0)
-
-
 class TestSyncRounds:
     def test_two_node_round_traffic(self):
         net = SyncNetwork(Graph(2, ((1, 2),)), np.zeros((2, 3)))
-        net.sync_round(averaging_producer)
+        net.broadcast_state(np.ones((2, 3)))
         ledger = net.ledger
         assert ledger.vectors_sent.tolist() == [1, 1]
         assert ledger.vectors_received.tolist() == [1, 1]
 
     def test_star_five_round_traffic(self):
         net = SyncNetwork(build_topology("star", 5), np.zeros((5, 2)))
-        net.sync_round(averaging_producer)
+        net.broadcast_state(np.ones((5, 2)))
         assert int(net.ledger.vectors_sent.sum()) == 8
         assert net.ledger.vectors_sent.tolist() == [4, 1, 1, 1, 1]
-
-    def test_round_reads_pre_round_snapshot(self):
-        # on a path of length 1 both nodes must average the same two blocks
-        net = SyncNetwork(Graph(2, ((1, 2),)), np.array([[2.0], [0.0]]))
-        net.sync_round(averaging_producer)
-        assert np.allclose(net.blocks, [[1.0], [1.0]])
-
-    def test_order_permutation_is_bitwise_invariant(self, rng):
-        g = random_connected_graph(rng, 6)
-        x0 = rng.standard_normal((6, 4))
-
-        def noisy_producer(i, own, mailbox):
-            total = own * (1.3 + i)
-            for j, v in mailbox.items():
-                total = total + np.sin(v) / j
-            return total
-
-        nets = []
-        for order in (None, [6, 1, 4, 2, 5, 3], [3, 5, 2, 4, 1, 6]):
-            net = SyncNetwork(g, x0)
-            for _ in range(4):
-                net.sync_round(noisy_producer, order=order)
-            nets.append(net.blocks.copy())
-        assert np.array_equal(nets[0], nets[1])
-        assert np.array_equal(nets[0], nets[2])
-
-    def test_bad_order_rejected(self):
-        net = SyncNetwork(Graph(2, ((1, 2),)), np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="permutation"):
-            net.sync_round(averaging_producer, order=[1, 1])
 
     def test_wrong_block_shape_rejected(self):
         net = SyncNetwork(Graph(2, ((1, 2),)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="shape"):
-            net.sync_round(lambda i, own, mailbox: np.zeros(3))
+            net.broadcast_state(np.zeros((2, 3)))
 
     def test_mailboxes_expose_only_neighbors(self):
         # a non-neighbor's poisoned block must never reach node 2's inputs
@@ -77,18 +41,11 @@ class TestSyncRounds:
         x0 = np.zeros((3, 1))
         x0[2] = 1e6  # poison node 3
         net = SyncNetwork(g, x0)
-        seen = {}
-
-        def spy(i, own, mailbox):
-            seen[i] = set(mailbox)
-            return own
-
-        for _ in range(3):
-            net.sync_round(spy)
-        assert seen[2] == {1}
-        assert seen[3] == {1}
-        _, mailbox = net.node_inputs(2)
-        assert 3 not in mailbox
+        net.broadcast_state(x0)
+        for i in (2, 3):
+            own, mailbox = net.node_inputs(i)
+            assert set(mailbox) == {1}
+            assert own == pytest.approx(x0[i - 1])
 
 
 class TestBroadcastState:
@@ -106,7 +63,7 @@ class TestBroadcastState:
         net.broadcast_state(blocks)
         net.broadcast_state(blocks)
         np.testing.assert_array_equal(net.delivered, blocks)
-        assert net.delivered is not net.blocks
+        assert net.delivered is not blocks
         assert np.array_equal(net.ledger.vectors_sent, 2 * g.degrees)
         assert np.array_equal(net.ledger.vectors_received, 2 * g.degrees)
         _, mailbox = net.node_inputs(1)
@@ -145,6 +102,13 @@ class TestAsyncSchedule:
         drawn = [sched.integers(5) + 1 for _ in range(70_000)]
         assert async_schedule(42, 70_000, 5).tolist() == drawn
 
+    def test_draws_only_under_its_own_bound(self):
+        sched = ActivationSchedule(3, 3)
+        for high in (2, 5):
+            with pytest.raises(ValueError, match=f"3 nodes, asked for {high}"):
+                sched.integers(high)
+        assert 0 <= sched.integers(3) < 3
+
 
 class TestLedger:
     def test_starts_at_zero(self):
@@ -161,7 +125,7 @@ class TestLedger:
             net = SyncNetwork(g, rng.standard_normal((N, 2)))
             R = int(rng.integers(1, 6))
             for _ in range(R):
-                net.sync_round(averaging_producer)
+                net.broadcast_state(np.ones((N, 2)))
             assert np.array_equal(net.ledger.vectors_sent, g.degrees * R)
             assert np.array_equal(net.ledger.vectors_received, g.degrees * R)
 
@@ -169,16 +133,16 @@ class TestLedger:
         g = random_connected_graph(rng, 7)
         net = SyncNetwork(g, rng.standard_normal((7, 3)))
         for _ in range(5):
-            net.sync_round(averaging_producer)
+            net.broadcast_state(np.ones((7, 3)))
         assert int(net.ledger.vectors_sent.sum()) == int(
             net.ledger.vectors_received.sum()
         )
 
     def test_snapshot_is_decoupled(self):
         net = SyncNetwork(Graph(2, ((1, 2),)), np.zeros((2, 1)))
-        net.sync_round(averaging_producer)
-        snap = net.ledger_snapshot()
-        net.sync_round(averaging_producer)
+        net.broadcast_state(np.ones((2, 1)))
+        snap = net.ledger.snapshot()
+        net.broadcast_state(np.ones((2, 1)))
         assert snap.vectors_sent.tolist() == [1, 1]
         assert net.ledger.vectors_sent.tolist() == [2, 2]
 
@@ -226,10 +190,3 @@ class TestAsyncNetwork:
             assert np.array_equal(
                 getattr(replay.ledger, name), getattr(once.ledger, name)
             )
-
-    def test_terminate_notice_counts_control_only(self):
-        g = build_topology("star", 4)
-        net = AsyncNetwork(g)
-        net.terminate_notice(1)
-        assert net.ledger.control_msgs.tolist() == [3, 0, 0, 0]
-        assert int(net.ledger.vectors_sent.sum()) == 0

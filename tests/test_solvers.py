@@ -32,7 +32,6 @@ def quadratic_objective(c, L=None):
     L = np.ones(N) if L is None else np.asarray(L, dtype=float)
     return BlockObjective(
         num_blocks=N,
-        block_len=c.shape[1],
         L=L,
         smooth_value=lambda Y: 0.5 * float(np.sum((Y - c) ** 2)),
         smooth_grad=lambda Y: Y - c,
@@ -63,7 +62,6 @@ def sparse_group_objective(rng, N=3, n=5):
 
     return BlockObjective(
         num_blocks=N,
-        block_len=n,
         L=L,
         smooth_value=smooth_value,
         smooth_grad=smooth_grad,
@@ -123,7 +121,6 @@ class TestMsApg:
 
         obj = BlockObjective(
             num_blocks=1,
-            block_len=5,
             L=np.array([2.0]),
             smooth_value=lambda Y: float(np.sum((Y[0] - target) ** 2)),
             smooth_grad=lambda Y: 2.0 * (Y - target),
@@ -160,7 +157,6 @@ class TestMsApg:
             Ld = np.asarray(Lvec, dtype=float)
             return BlockObjective(
                 num_blocks=2,
-                block_len=1,
                 L=Ld,
                 smooth_value=lambda Y: 0.5 * float(np.sum(Ld[:, None] * (Y - c) ** 2)),
                 smooth_grad=lambda Y: Ld[:, None] * (Y - c),
@@ -173,7 +169,7 @@ class TestMsApg:
         def first_below(L_steps, tol=1e-6):
             base = curved(L)
             obj = BlockObjective(
-                num_blocks=2, block_len=1, L=np.asarray(L_steps, dtype=float),
+                num_blocks=2, L=np.asarray(L_steps, dtype=float),
                 smooth_value=base.smooth_value, smooth_grad=base.smooth_grad,
                 smooth_grad_block=base.smooth_grad_block, prox=base.prox,
                 rho_value=base.rho_value, residuals=base.residuals,
@@ -196,7 +192,7 @@ class TestMsApg:
 
     def test_nonfinite_gradient_aborts(self):
         obj = BlockObjective(
-            num_blocks=1, block_len=1, L=np.array([1.0]),
+            num_blocks=1, L=np.array([1.0]),
             smooth_value=lambda Y: float("nan"),
             smooth_grad=lambda Y: np.full_like(Y, np.nan),
             smooth_grad_block=lambda i, Y: np.array([np.nan]),
@@ -335,6 +331,12 @@ class TestActivations:
         res = rbcd_run(obj, np.zeros((4, 1)), 200, ActivationSchedule(8, 4))
         drawn = async_schedule(8, 200, 4)
         assert res.activations.tolist() == np.bincount(drawn, minlength=5)[1:].tolist()
+
+    def test_schedule_for_fewer_nodes_than_blocks_rejected(self):
+        # a 3-node schedule would never draw blocks 4 and 5 of a 5-block run
+        obj = quadratic_objective(np.zeros((5, 1)))
+        with pytest.raises(ValueError, match="3 nodes, asked for 5"):
+            rbcd_run(obj, np.zeros((5, 1)), 500, ActivationSchedule(3, 3))
 
     def test_stacked_prox_defaults_to_the_block_loop(self, rng):
         obj = sparse_group_objective(rng, N=3, n=5)
