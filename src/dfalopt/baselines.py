@@ -61,17 +61,14 @@ def _anchored_prox(
     center: np.ndarray,
     t: float,
     prox: Callable[[np.ndarray, float], np.ndarray],
-    rho_value: Callable[[np.ndarray], float],
     residual: Callable[[np.ndarray, np.ndarray], float],
 ) -> tuple[np.ndarray, int]:
     """``argmin_u t * loss(u) + rho(u) + 0.5 ||u - center||^2`` by an
-    accelerated run in which the quadratic anchor joins the smooth part."""
+    accelerated run in which the quadratic anchor joins the smooth part;
+    ``prox`` is that of ``rho`` and ``residual`` its stopping test."""
     res = apg(
-        smooth_value=lambda u: t * node.loss.value(u)
-        + 0.5 * float(np.sum((u - center) ** 2)),
         smooth_grad=lambda u: t * node.loss.grad(u) + (u - center),
         prox=prox,
-        rho_value=rho_value,
         residual=residual,
         lipschitz=t * node.loss.lipschitz + 1.0,
         x0=center,
@@ -88,7 +85,6 @@ def _huber_prox(node: NodeProblem, center: np.ndarray, t: float) -> tuple[np.nda
     return _anchored_prox(
         node, center, t,
         prox=lambda v, tau: v,
-        rho_value=lambda u: 0.0,
         residual=lambda g, u: float(np.linalg.norm(g)),
     )
 
@@ -102,7 +98,6 @@ def _composite_prox(node: NodeProblem, center: np.ndarray, t: float) -> tuple[np
     return _anchored_prox(
         node, center, t,
         prox=lambda v, tau: node.reg.prox(v, tau * t),
-        rho_value=lambda u: t * node.reg.value(u),
         residual=lambda g, u: node.reg.subgrad_residual(t, g, u),
     )
 
@@ -118,11 +113,20 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     return max(edge_cv, split_cv) / math.sqrt(x.shape[1])
 
 
-def _check_admm_args(c_admm: float, iters: int) -> None:
+def _check_admm_args(nodes, graph: Graph, x0, c_admm: float, iters: int) -> np.ndarray:
+    """Reject bad arguments of both baselines; returns the start point,
+    ``x0`` or zeros of shape ``(N, n)``."""
+    if len(nodes) != graph.num_nodes:
+        raise ValueError("need one node problem per graph node")
     if not c_admm > 0:
         raise ValueError(f"c_admm must be positive, got {c_admm}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
+    shape = (graph.num_nodes, nodes[0].n)
+    x = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"x0 must have shape {shape}, got {x.shape}")
+    return x
 
 
 def _admm_loop(
@@ -180,17 +184,16 @@ def sadmm_solve(
     neighborhood averages and running sums.  The reported objective takes
     both primal copies at their midpoint.
     """
-    _check_admm_args(c_admm, iters)
+    x = _check_admm_args(nodes, graph, x0, c_admm, iters)
     trace = RunTrace("sadmm", config={"c_admm": c_admm})
-    N, n = graph.num_nodes, nodes[0].n
+    N = graph.num_nodes
     degrees = graph.degrees.astype(float)
     coef = degrees**2 + degrees + 1.0
     step = 1.0 / (c_admm * coef)
 
-    x = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
     state = SadmmState(
-        x=x, y=x.copy(), p=np.zeros((N, n)), p_tilde=np.zeros((N, n)),
-        r=np.zeros((N, n)), c_admm=c_admm,
+        x=x, y=x.copy(), p=np.zeros_like(x), p_tilde=np.zeros_like(x),
+        r=np.zeros_like(x), c_admm=c_admm,
     )
     s = neighborhood_average(graph, state.x)
     s_tilde = neighborhood_average(graph, state.y)
@@ -250,16 +253,15 @@ def admm_solve(
     is the point of the comparison.  Traffic is charged at 3 vector units per
     node per iteration.
     """
-    _check_admm_args(c_admm, iters)
+    x = _check_admm_args(nodes, graph, x0, c_admm, iters)
     trace = RunTrace("admm", config={"c_admm": c_admm})
-    N, n = graph.num_nodes, nodes[0].n
+    N = graph.num_nodes
     degrees = graph.degrees.astype(float)
     # isolated nodes decouple entirely; unit coefficient keeps the prox defined
     coef = np.maximum(degrees**2 + degrees, 1.0)
     step = 1.0 / (c_admm * coef)
 
-    x = np.zeros((N, n)) if x0 is None else np.array(x0, dtype=float)
-    p = np.zeros((N, n))
+    p = np.zeros_like(x)
     s = neighborhood_average(graph, x)
     ledger = CommLedger(N)
 

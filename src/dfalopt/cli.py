@@ -74,12 +74,17 @@ def _apg_trace(instance, ref) -> RunTrace:
     if instance.case != 1:
         raise SystemExit("apg requires --case 1 (shared partition)")
     trace = RunTrace("apg", config={})
+    # a gradient per iteration; the one whose residual test stops it has no prox
+    ledger = CommLedger(1)
+    ledger.charge_grad(1, ref.iterations)
+    ledger.charge_prox(1, ref.iterations - ref.converged)
     row = trace.record(
         k=1, lam=0.0, F_sum=ref.f_star, reference=ref.f_star, CV=0.0,
-        ledger=CommLedger(1), dual_norm=0.0, inner_iters=0,
+        ledger=ledger, dual_norm=0.0, inner_iters=ref.iterations,
         stop_reason="residual" if ref.converged else "cap",
     )
     trace.converged = row.rel_subopt <= 1e-3
+    trace.wall_time = ref.seconds
     return trace
 
 

@@ -40,6 +40,7 @@ from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd
     arbcd_run,
     estimate_restart_constant,
     ms_apg,
+    rbcd_budget_constant,
     rbcd_events,
     rbcd_run,
 )
@@ -196,16 +197,20 @@ def inner_cap(params: DfalParams, block_L: np.ndarray, alpha: float) -> int:
     return max(1, math.ceil(params.bx * math.sqrt(2.0 * float(block_L.sum()) / alpha)))
 
 
+def _psi_max(params: DfalParams, graph: Graph) -> float:
+    """``params.psi_max`` when set, else the graph's spectral bound."""
+    return params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
+
+
 def _setup(
     nodes: Sequence[NodeProblem],
     graph: Graph,
     params: DfalParams,
     x0: np.ndarray | None,
-) -> tuple[float, np.ndarray, NodeStack, DfalState]:
+) -> tuple[np.ndarray, NodeStack, DfalState]:
     """Input checks and starting point shared by both solves.
 
-    Returns ``psi_max`` (from ``params`` when set, else the graph's spectral
-    bound), the loss Lipschitz constants, the node stack and the starting
+    Returns the loss Lipschitz constants, the node stack and the starting
     state at ``x0`` (zeros by default).
     """
     if len(nodes) != graph.num_nodes:
@@ -217,10 +222,9 @@ def _setup(
     x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
     if x.shape != stack.shape:
         raise ValueError(f"x0 must have shape {stack.shape}, got {x.shape}")
-    psi_max = params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
     loss_lip = np.array([p.loss.lipschitz for p in nodes])
     state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
-    return psi_max, loss_lip, stack, state
+    return loss_lip, stack, state
 
 
 def _outer_loop(
@@ -291,7 +295,8 @@ def dfal_solve(
     fires at every inner iteration with the assembled gradient blocks.
     """
     N = graph.num_nodes
-    psi_max, loss_lip, stack, state = _setup(nodes, graph, params, x0)
+    loss_lip, stack, state = _setup(nodes, graph, params, x0)
+    psi_max = _psi_max(params, graph)
     trace = RunTrace("dfal", config={"lam1": params.lam1, "c": params.c})
     net = SyncNetwork(graph, state.x)
 
@@ -357,9 +362,8 @@ def _subproblem_objective(
     xbar_rows = [xbar[r] for r in rows]
     degrees = graph.degrees.tolist()
 
-    def smooth_value(Y: np.ndarray) -> float:
-        total = lam * sum(p.loss.value(Y[i]) for i, p in enumerate(nodes))
-        return total + 0.5 * laplacian_quadratic(graph, Y + xbar)
+    def value(Y: np.ndarray) -> float:
+        return lam * objective_sum(nodes, Y) + 0.5 * laplacian_quadratic(graph, Y + xbar)
 
     def smooth_grad(Y: np.ndarray) -> np.ndarray:
         return lam * stack.loss_grad(Y) + laplacian_apply(graph, Y + xbar)
@@ -374,42 +378,18 @@ def _subproblem_objective(
     def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
         return stack.prox(V, tau * lam)
 
-    def rho_value(i: int, y: np.ndarray) -> float:
-        return lam * nodes[i].reg.value(y)
-
     def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return stack.residuals(lam, G, Y)
 
     return BlockObjective(
-        num_blocks=graph.num_nodes,
         L=block_L,
-        smooth_value=smooth_value,
         smooth_grad=smooth_grad,
         smooth_grad_block=smooth_grad_block,
         prox=prox,
-        rho_value=rho_value,
-        residuals=residuals,
         prox_all=prox_all,
+        residuals=residuals,
+        value=value,
     )
-
-
-def rbcd_budget_constant(
-    obj: BlockObjective, y0: np.ndarray, rng: np.random.Generator
-) -> float:
-    """Safe over-estimate of the randomized-descent complexity constant.
-
-    The exact constant involves the unknown optimal level set; a pilot chain
-    supplies a stand-in best point and a factor-2 margin keeps the estimate an
-    upper bound in practice.
-    """
-    N = obj.num_blocks
-    phi0 = obj.value(y0)
-    pilot = rbcd_run(obj, y0, 4 * N, rng)
-    phi_best = min(phi0, obj.value(pilot.y))
-    z_best = pilot.y if phi_best < phi0 else y0
-    gap = phi0 - phi_best
-    dist = float(np.sum(obj.L * np.sum((y0 - z_best) ** 2, axis=1)))
-    return 2.0 * max(gap, dist, 1e-12)
 
 
 def async_dfal_solve(
@@ -440,7 +420,10 @@ def async_dfal_solve(
     if K_outer < 1:
         raise ValueError(f"outer_iters must be at least 1, got {K_outer}")
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
-    psi_max, loss_lip, stack, state = _setup(nodes, graph, params, x0)
+    loss_lip, stack, state = _setup(nodes, graph, params, x0)
+    # rbcd's block constants couple through psi_max, and arbcd's
+    # separable-overapproximation constants through the degrees
+    coupling = _psi_max(params, graph) if oracle == "rbcd" else graph.degrees
     trace = RunTrace(
         "afal-" + oracle,
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
@@ -450,11 +433,7 @@ def async_dfal_solve(
     rng = np.random.default_rng(seed)
 
     def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
-        if oracle == "rbcd":
-            block_L = lam * loss_lip + psi_max
-        else:
-            # separable-overapproximation constants for the accelerated oracle
-            block_L = lam * loss_lip + graph.degrees
+        block_L = lam * loss_lip + coupling
         obj = _subproblem_objective(nodes, graph, lam, state.xbar, block_L, stack)
         # the budget constant is estimated once, so the budgets grow geometrically
         const = trace.config["budget_constant"]

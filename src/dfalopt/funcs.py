@@ -328,10 +328,11 @@ def _sigma_max_power(A: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -
     n = A.shape[1]
     if A.size == 0:
         return 0.0
+    # a seeded random start is almost surely not orthogonal to the top
+    # singular vector, and repeats exactly
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    # warm start from the dominant row scale to avoid unlucky orthogonality
     lam = 0.0
     for _ in range(max_iter):
         w = A.T @ (A @ v)

@@ -25,56 +25,45 @@ class BlockObjective:
 
     Parameters
     ----------
-    num_blocks : int
-        Number of blocks ``N`` of the stacked iterate.
     L : ndarray
-        Per-block curvature constants ``L_i > 0`` for the smooth part.
-    smooth_value, smooth_grad : callables
-        Value and full gradient (shape ``(N, n)``) of ``f``.
+        Per-block curvature constants ``L_i > 0`` for the smooth part, one
+        per block, so ``len(L)`` is the number of blocks ``N``.
+    smooth_grad : callable
+        ``Y ->`` the full gradient (shape ``(N, n)``) of ``f``.
     smooth_grad_block : callable
         ``(i, Y) -> grad`` of ``f`` in block ``i`` (0-based), used by the
         randomized solvers.
     prox : callable
         ``(i, v, tau) -> argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2``.
-    rho_value : callable
-        ``(i, y_i) -> rho_i(y_i)``.
+    prox_all : callable
+        ``(V, tau) ->`` the stacked ``prox(i, V[i], tau[i])`` of every block
+        in one call.
     residuals : callable
         ``(G, Y) ->`` the ``N`` norms (array or sequence), entry ``i`` that
         of the minimum-norm element of ``d(rho_i)(Y_i) + G_i``; the
         per-block stopping test, for all blocks in one call.
-    prox_all : callable, optional
-        ``(V, tau) ->`` the stacked ``prox(i, V[i], tau[i])`` of every block
-        in one call; defaults to looping ``prox`` over the blocks.
+    value : callable, optional
+        ``Y -> Phi(Y)``.  Read by ``ms_apg(record_values=True)``,
+        :func:`arbcd_run` and the budget-constant pilots, which reject an
+        objective without one.
     """
 
-    num_blocks: int
     L: np.ndarray
-    smooth_value: Callable[[np.ndarray], float]
     smooth_grad: Callable[[np.ndarray], np.ndarray]
     smooth_grad_block: Callable[[int, np.ndarray], np.ndarray]
     prox: Callable[[int, np.ndarray, float], np.ndarray]
-    rho_value: Callable[[int, np.ndarray], float]
+    prox_all: Callable[[np.ndarray, np.ndarray], np.ndarray]
     residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    prox_all: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    value: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self) -> None:
         self.L = np.asarray(self.L, dtype=float)
-        if self.L.shape != (self.num_blocks,) or np.any(self.L <= 0):
-            raise ValueError("need one positive curvature constant per block")
-        if self.prox_all is None:
-            self.prox_all = self._prox_each
+        if self.L.ndim != 1 or self.L.size == 0 or not np.all(self.L > 0):
+            raise ValueError("need a 1-D array of positive curvature constants")
 
-    def _prox_each(self, V: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        Y = np.empty_like(V)
-        for i in range(self.num_blocks):
-            Y[i] = self.prox(i, V[i], tau[i])
-        return Y
-
-    def value(self, Y: np.ndarray) -> float:
-        total = self.smooth_value(Y)
-        for i in range(self.num_blocks):
-            total += self.rho_value(i, Y[i])
-        return total
+    @property
+    def num_blocks(self) -> int:
+        return self.L.size
 
     def max_residual(self, G: np.ndarray, Y: np.ndarray) -> float:
         return float(max(self.residuals(G, Y)))
@@ -82,6 +71,12 @@ class BlockObjective:
     def residual_reached(self, Y: np.ndarray, target: float) -> bool:
         """The per-block stopping test at ``Y`` from a full gradient."""
         return self.max_residual(self.smooth_grad(Y), Y) <= target
+
+
+def _value_of(obj: BlockObjective, caller: str) -> Callable[[np.ndarray], float]:
+    if obj.value is None:
+        raise ValueError(f"{caller} evaluates the objective, which has no value")
+    return obj.value
 
 
 @dataclass
@@ -112,8 +107,10 @@ def ms_apg(
     point drops to ``residual_target`` (the returned iterate is then the
     extrapolated point) or when ``max_iter`` is reached (the returned iterate
     is the proximal step).  ``callback(ell, ybar, grad)`` fires once per
-    iteration before the prox step.
+    iteration before the prox step.  ``record_values`` keeps ``obj.value``
+    of every proximal step in ``values``.
     """
+    value = _value_of(obj, "record_values") if record_values else None
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
     t = 1.0
@@ -131,8 +128,8 @@ def ms_apg(
                 result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
                 return result
         y = obj.prox_all(ybar - grad / L_col, step)
-        if record_values:
-            result.values.append(obj.value(y))
+        if value is not None:
+            result.values.append(value(y))
         if ell == max_iter:
             result.y, result.iterations, result.stop_reason = y, ell, "cap"
             return result
@@ -143,39 +140,33 @@ def ms_apg(
 
 
 def apg(
-    smooth_value: Callable[[np.ndarray], float],
     smooth_grad: Callable[[np.ndarray], np.ndarray],
     prox: Callable[[np.ndarray, float], np.ndarray],
-    rho_value: Callable[[np.ndarray], float],
     residual: Callable[[np.ndarray, np.ndarray], float],
     lipschitz: float,
     x0: np.ndarray,
     residual_target: float | None = None,
     max_iter: int = 1000,
-    record_values: bool = False,
 ) -> SolveResult:
     """Centralized accelerated proximal gradient with one combined prox.
 
     Thin single-block wrapper over :func:`ms_apg`, so the two share one
-    arithmetic path exactly.
+    arithmetic path exactly.  ``residual(g, x)`` is the stopping test's norm
+    at ``x`` with smooth gradient ``g``.
     """
     obj = BlockObjective(
-        num_blocks=1,
         L=np.array([lipschitz]),
-        smooth_value=lambda Y: smooth_value(Y[0]),
         smooth_grad=lambda Y: smooth_grad(Y[0])[None, :],
         smooth_grad_block=lambda i, Y: smooth_grad(Y[0]),
         prox=lambda i, v, tau: prox(v, tau),
-        rho_value=lambda i, y: rho_value(y),
-        residuals=lambda G, Y: (residual(G[0], Y[0]),),
         prox_all=lambda V, tau: prox(V[0], tau[0])[None, :],
+        residuals=lambda G, Y: (residual(G[0], Y[0]),),
     )
     res = ms_apg(
         obj,
         np.asarray(x0, dtype=float)[None, :],
         residual_target=residual_target,
         max_iter=max_iter,
-        record_values=record_values,
     )
     res.y = res.y[0]
     return res
@@ -186,7 +177,6 @@ def rbcd_run(
     y0: np.ndarray,
     iters: int,
     rng: np.random.Generator | ActivationSchedule,
-    record_values: bool = False,
     residual_target: float | None = None,
 ) -> SolveResult:
     """Randomized block coordinate descent: one uniform block per event.
@@ -204,8 +194,6 @@ def rbcd_run(
         drawn[i] += 1
         g = obj.smooth_grad_block(i, y)
         y[i] = obj.prox(i, y[i] - g / obj.L[i], 1.0 / obj.L[i])
-        if record_values:
-            result.values.append(obj.value(y))
         if residual_target is not None and ell % N == 0:
             if obj.residual_reached(y, residual_target):
                 result.iterations, result.stop_reason = ell, "residual"
@@ -264,25 +252,41 @@ def arbcd_chain(
     return result
 
 
-def estimate_restart_constant(
+def _pilot(
     obj: BlockObjective,
-    z0: np.ndarray,
+    y0: np.ndarray,
+    run: Callable[..., SolveResult],
     rng: np.random.Generator,
-) -> float:
-    """Upper-bound estimate of the restart constant for the accelerated chain.
+) -> tuple[float, float]:
+    """Objective gap and ``L``-weighted squared distance from ``y0`` to the
+    better of ``y0`` and the end of a ``4N``-event pilot ``run``, which stands
+    in for the unknown optimum of the randomized solvers' constants."""
+    value = _value_of(obj, "the budget pilot")
+    phi0 = value(y0)
+    pilot = run(obj, y0, 4 * obj.num_blocks, rng)
+    phi_best = min(phi0, value(pilot.y))
+    y_best = pilot.y if phi_best < phi0 else y0
+    return phi0 - phi_best, float(np.sum(obj.L * np.sum((y0 - y_best) ** 2, axis=1)))
 
-    The exact constant needs the unknown optimum; a pilot chain of ``4N``
-    events supplies a stand-in best point, and a safety factor of 2 keeps the
-    estimate on the safe (over-budgeted) side.
-    """
-    N = obj.num_blocks
-    phi0 = obj.value(z0)
-    pilot = arbcd_chain(obj, z0, 4 * N, rng)
-    phi_best = min(phi0, obj.value(pilot.y))
-    z_best = pilot.y if phi_best < phi0 else z0
-    gap = (1.0 - 1.0 / N) * (phi0 - phi_best)
-    dist = 0.5 * float(np.sum(obj.L * np.sum((z0 - z_best) ** 2, axis=1)))
-    return 2.0 * max(gap + dist, 1e-12)
+
+def estimate_restart_constant(
+    obj: BlockObjective, z0: np.ndarray, rng: np.random.Generator
+) -> float:
+    """Upper-bound estimate of the restart constant for the accelerated chain,
+    ``(1 - 1/N) gap + dist / 2`` from an :func:`arbcd_chain` pilot, with a
+    safety factor of 2 that keeps it on the safe (over-budgeted) side."""
+    gap, dist = _pilot(obj, z0, arbcd_chain, rng)
+    return 2.0 * max((1.0 - 1.0 / obj.num_blocks) * gap + 0.5 * dist, 1e-12)
+
+
+def rbcd_budget_constant(
+    obj: BlockObjective, y0: np.ndarray, rng: np.random.Generator
+) -> float:
+    """Safe over-estimate of the randomized-descent complexity constant,
+    ``max(gap, dist)`` from an :func:`rbcd_run` pilot, with a factor-2
+    margin that keeps it an upper bound in practice."""
+    gap, dist = _pilot(obj, y0, rbcd_run, rng)
+    return 2.0 * max(gap, dist, 1e-12)
 
 
 def rbcd_events(num_blocks: int, c_estimate: float, alpha: float, p: float) -> int:
@@ -318,11 +322,12 @@ def arbcd_run(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     N = obj.num_blocks
+    value = _value_of(obj, "arbcd_run")
     if c_estimate is None:
         c_estimate = estimate_restart_constant(obj, z0, rng)
     chain_iters = arbcd_chain_events(N, c_estimate, alpha)
     best_y = np.array(z0, dtype=float)
-    best_phi = obj.value(best_y)
+    best_phi = value(best_y)
     result = SolveResult(best_y, 0, "cap", activations=np.zeros(N, dtype=np.int64))
     for _ in range(max(1, math.ceil(math.log2(1.0 / p)))):
         schedule = ActivationSchedule(int(rng.integers(2**31)), N)
@@ -331,7 +336,7 @@ def arbcd_run(
         )
         result.iterations += res.iterations
         result.activations += res.activations
-        phi = obj.value(res.y)
+        phi = value(res.y)
         if phi < best_phi:
             best_phi, result.y = phi, res.y
         if res.stop_reason == "residual":

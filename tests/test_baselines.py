@@ -66,6 +66,20 @@ class TestArguments:
         with pytest.raises(ValueError, match="c_admm must be positive"):
             solver(make_pair(rng), build_topology("star", 2), c_admm=c_admm, iters=1)
 
+    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
+    def test_one_node_problem_per_graph_node(self, rng, solver):
+        # two problems on a three-node star once died with an IndexError
+        with pytest.raises(ValueError, match="one node problem per graph node"):
+            solver(make_pair(rng), build_topology("star", 3), iters=1)
+
+    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (8,)])
+    def test_start_point_shape(self, rng, solver, shape):
+        # a wrong width once died in a numpy broadcast
+        with pytest.raises(ValueError, match=r"x0 must have shape \(2, 4\)"):
+            solver(make_pair(rng), build_topology("star", 2), iters=1,
+                   x0=np.zeros(shape))
+
 
 class TestNeighborhoodAverage:
     def test_two_node_path(self):
@@ -168,10 +182,8 @@ class TestSadmmSolve:
         shared = small_node(rng, n=4, m=3)
         nodes = [shared] * 2
         central = apg(
-            smooth_value=shared.loss.value,
             smooth_grad=shared.loss.grad,
-            prox=lambda v, tau: shared.reg.prox(v, tau),
-            rho_value=lambda x: shared.reg.value(x),
+            prox=shared.reg.prox,
             residual=lambda gr, x: shared.reg.subgrad_residual(1.0, gr, x),
             lipschitz=shared.loss.lipschitz,
             x0=np.zeros(4),
@@ -231,11 +243,8 @@ class TestNestedProx:
         t = 1.3
         out, _ = _composite_prox(node, center, t)
         ref = apg(
-            smooth_value=lambda u: t * node.loss.value(u)
-            + 0.5 * float(np.sum((u - center) ** 2)),
             smooth_grad=lambda u: t * node.loss.grad(u) + (u - center),
             prox=lambda v, tau: node.reg.prox(v, tau * t),
-            rho_value=lambda u: t * node.reg.value(u),
             residual=lambda g, u: node.reg.subgrad_residual(t, g, u),
             lipschitz=t * node.loss.lipschitz + 1.0,
             x0=np.zeros(4),
@@ -278,10 +287,8 @@ class TestAdmmSolve:
         g = Graph(2, ((1, 2),))
         shared = small_node(rng, n=4, m=3)
         central = apg(
-            smooth_value=shared.loss.value,
             smooth_grad=shared.loss.grad,
-            prox=lambda v, tau: shared.reg.prox(v, tau),
-            rho_value=lambda x: shared.reg.value(x),
+            prox=shared.reg.prox,
             residual=lambda gr, x: shared.reg.subgrad_residual(1.0, gr, x),
             lipschitz=shared.loss.lipschitz,
             x0=np.zeros(4),

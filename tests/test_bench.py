@@ -325,11 +325,12 @@ class TestCli:
     def test_apg_row_reuses_the_reference(self, tmp_path, monkeypatch):
         import dfalopt.bench as bench
 
-        calls = []
+        calls, refs = [], []
 
         def counted(instance, tolerance):
             calls.append(tolerance)
-            return _reference_case1(instance, tolerance)
+            refs.append(_reference_case1(instance, tolerance))
+            return refs[-1]
 
         monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
         monkeypatch.setattr(bench, "_reference_case1", counted)
@@ -342,6 +343,12 @@ class TestCli:
         line = dict(zip(header.split(","), row.split(",")))
         assert float(line["rel_subopt"]) == 0.0
         assert line["stop_reason"] == "residual"
+        # the row reports the reference's own APG run
+        iters = int(line["inner_iters"])
+        assert iters == refs[0].iterations > 0
+        assert int(line["grad_count"]) == iters
+        assert int(line["prox_count"]) == iters - 1
+        assert summary["wall_time"] == refs[0].seconds > 0.0
 
     def test_apg_rejects_case2(self, tmp_path):
         with pytest.raises(SystemExit, match="case 1"):

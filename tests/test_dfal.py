@@ -2,6 +2,7 @@
 accumulator bookkeeping, and the asynchronous variants."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -27,6 +28,7 @@ from dfalopt import (
     local_gradient,
     objective_sum,
 )
+import dfalopt.dfal as dfal
 from dfalopt.dfal import _subproblem_objective
 from dfalopt.funcs import NodeStack
 from conftest import random_connected_graph, small_node
@@ -218,10 +220,8 @@ class TestDfalSolve:
         ]
         reg_sum = SparseGroupReg(0.02, 0.0, part)
         central = apg(
-            smooth_value=lambda x: sum(p.loss.value(x) for p in nodes),
             smooth_grad=lambda x: sum(p.loss.grad(x) for p in nodes),
-            prox=lambda v, tau: reg_sum.prox(v, tau),
-            rho_value=lambda x: reg_sum.value(x),
+            prox=reg_sum.prox,
             residual=lambda g, x: reg_sum.subgrad_residual(1.0, g, x),
             lipschitz=2.0,
             x0=np.zeros(n),
@@ -384,10 +384,8 @@ class TestAsyncSolve:
         shared = small_node(rng, n=4, m=3)
         nodes = [shared] * 2
         central = apg(
-            smooth_value=shared.loss.value,
             smooth_grad=shared.loss.grad,
-            prox=lambda v, tau: shared.reg.prox(v, tau),
-            rho_value=lambda x: shared.reg.value(x),
+            prox=shared.reg.prox,
             residual=lambda g, x: shared.reg.subgrad_residual(1.0, g, x),
             lipschitz=shared.loss.lipschitz,
             x0=np.zeros(4),
@@ -454,6 +452,19 @@ class TestSharedSetup:
             for solve in self._solves(nodes, graph, params, x0=x0):
                 with pytest.raises(ValueError, match=r"x0 must have shape \(5, 10\)"):
                     solve()
+
+    def test_eigensolve_only_where_a_block_constant_reads_it(self, monkeypatch):
+        # arbcd's block constants use the degrees, so it never needs psi_max
+        def refuse(graph):
+            raise RuntimeError("spectral_bounds called")
+
+        nodes, graph, params = self._star5()
+        monkeypatch.setattr(dfal, "spectral_bounds", refuse)
+        sync, rbcd, arbcd = self._solves(nodes, graph, replace(params, psi_max=0.0))
+        for solve in (sync, rbcd):
+            with pytest.raises(RuntimeError, match="spectral_bounds called"):
+                solve()
+        assert len(arbcd().rows) == 2
 
 
 def _per_node_gradient(nodes, graph, lam, Y, xbar):

@@ -1,6 +1,9 @@
 """Block solvers: accelerated proximal gradient, randomized descent, and the
 accelerated randomized chain with restarts."""
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from dfalopt.solvers import (
     arbcd_run,
     estimate_restart_constant,
     fista_momentum,
+    rbcd_budget_constant,
 )
 from conftest import random_reg
 
@@ -31,14 +35,13 @@ def quadratic_objective(c, L=None):
     N = c.shape[0]
     L = np.ones(N) if L is None else np.asarray(L, dtype=float)
     return BlockObjective(
-        num_blocks=N,
         L=L,
-        smooth_value=lambda Y: 0.5 * float(np.sum((Y - c) ** 2)),
         smooth_grad=lambda Y: Y - c,
         smooth_grad_block=lambda i, Y: Y[i] - c[i],
         prox=lambda i, v, tau: v,
-        rho_value=lambda i, y: 0.0,
+        prox_all=lambda V, tau: V,
         residuals=lambda G, Y: np.linalg.norm(G, axis=1),
+        value=lambda Y: 0.5 * float(np.sum((Y - c) ** 2)),
     )
 
 
@@ -49,10 +52,9 @@ def sparse_group_objective(rng, N=3, n=5):
     Q = [rng.uniform(0.5, 2.0, size=n) for _ in range(N)]
     L = np.array([q.max() for q in Q])
 
-    def smooth_value(Y):
-        return 0.5 * sum(
-            float(Q[i] @ (Y[i] - targets[i]) ** 2) for i in range(N)
-        )
+    def value(Y):
+        smooth = 0.5 * sum(float(Q[i] @ (Y[i] - targets[i]) ** 2) for i in range(N))
+        return sum((regs[i].value(Y[i]) for i in range(N)), smooth)
 
     def smooth_grad_block(i, Y):
         return Q[i] * (Y[i] - targets[i])
@@ -61,26 +63,71 @@ def sparse_group_objective(rng, N=3, n=5):
         return np.stack([smooth_grad_block(i, Y) for i in range(N)])
 
     return BlockObjective(
-        num_blocks=N,
         L=L,
-        smooth_value=smooth_value,
         smooth_grad=smooth_grad,
         smooth_grad_block=smooth_grad_block,
         prox=lambda i, v, tau: regs[i].prox(v, tau),
-        rho_value=lambda i, y: regs[i].value(y),
+        prox_all=lambda V, tau: np.stack(
+            [regs[i].prox(V[i], tau[i]) for i in range(N)]
+        ),
         residuals=lambda G, Y: np.array(
             [regs[i].subgrad_residual(1.0, G[i], Y[i]) for i in range(N)]
         ),
+        value=value,
     )
+
+
+class TestBlockObjective:
+    @pytest.mark.parametrize(
+        "L", [[[1.0], [2.0]], 1.0, [], [1.0, 0.0], [1.0, -2.0], [1.0, np.nan]]
+    )
+    def test_curvature_constants_one_dimensional_and_positive(self, L):
+        with pytest.raises(ValueError, match="1-D array of positive curvature"):
+            replace(quadratic_objective(np.zeros((2, 1))), L=np.asarray(L))
+
+    def test_block_count_is_the_length_of_L(self):
+        assert quadratic_objective(np.zeros((4, 2))).num_blocks == 4
+
+    def test_value_required_only_where_evaluated(self, rng):
+        obj = replace(sparse_group_objective(rng), value=None)
+        y0 = np.zeros((3, 5))
+        assert ms_apg(obj, y0, max_iter=3).iterations == 3
+        assert rbcd_run(obj, y0, 6, np.random.default_rng(0)).iterations == 6
+        for evaluate in (
+            partial(ms_apg, obj, y0, max_iter=3, record_values=True),
+            partial(arbcd_run, obj, y0, 0.5, 0.25, np.random.default_rng(0)),
+            partial(estimate_restart_constant, obj, y0, np.random.default_rng(0)),
+            partial(rbcd_budget_constant, obj, y0, np.random.default_rng(0)),
+        ):
+            with pytest.raises(ValueError, match="which has no value"):
+                evaluate()
+
+
+class TestBudgetConstants:
+    @pytest.mark.parametrize("which", ["rbcd", "arbcd"])
+    def test_pilot_gap_and_distance(self, rng, which):
+        # a 4N-event pilot from y0 supplies the gap and the L-weighted distance
+        obj = sparse_group_objective(rng, N=2, n=3)
+        y0 = np.zeros((2, 3))
+        run, estimate = {
+            "rbcd": (rbcd_run, rbcd_budget_constant),
+            "arbcd": (arbcd_chain, estimate_restart_constant),
+        }[which]
+        end = run(obj, y0, 8, np.random.default_rng(4)).y
+        phi0, phi_end = obj.value(y0), obj.value(end)
+        best = end if phi_end < phi0 else y0
+        gap = phi0 - min(phi0, phi_end)
+        dist = float(np.sum(obj.L * np.sum((y0 - best) ** 2, axis=1)))
+        expect = max(gap, dist) if which == "rbcd" else 0.5 * gap + 0.5 * dist
+        assert gap > 0
+        assert estimate(obj, y0, np.random.default_rng(4)) == 2.0 * expect
 
 
 class TestApg:
     def test_exact_step_on_quadratic(self):
         res = apg(
-            smooth_value=lambda x: 0.5 * float((x[0] - 3.0) ** 2),
             smooth_grad=lambda x: x - 3.0,
             prox=lambda v, tau: v,
-            rho_value=lambda x: 0.0,
             residual=lambda g, x: float(np.linalg.norm(g)),
             lipschitz=1.0,
             x0=np.zeros(1),
@@ -95,10 +142,8 @@ class TestApg:
         reg = SparseGroupReg(0.5, 0.0, GroupPartition.single_group(2))
         b = np.array([1.0, 0.0])
         res = apg(
-            smooth_value=lambda x: 0.5 * float(np.sum((x - b) ** 2)),
             smooth_grad=lambda x: x - b,
-            prox=lambda v, tau: reg.prox(v, tau),
-            rho_value=lambda x: reg.value(x),
+            prox=reg.prox,
             residual=lambda g, x: reg.subgrad_residual(1.0, g, x),
             lipschitz=1.0,
             x0=np.zeros(2),
@@ -120,21 +165,17 @@ class TestMsApg:
         target = rng.standard_normal(5)
 
         obj = BlockObjective(
-            num_blocks=1,
             L=np.array([2.0]),
-            smooth_value=lambda Y: float(np.sum((Y[0] - target) ** 2)),
             smooth_grad=lambda Y: 2.0 * (Y - target),
             smooth_grad_block=lambda i, Y: 2.0 * (Y[0] - target),
             prox=lambda i, v, tau: reg.prox(v, tau),
-            rho_value=lambda i, y: reg.value(y),
+            prox_all=lambda V, tau: reg.prox(V[0], tau[0])[None, :],
             residuals=lambda G, Y: [reg.subgrad_residual(1.0, G[0], Y[0])],
         )
         res_ms = ms_apg(obj, np.zeros((1, 5)), residual_target=None, max_iter=60)
         res_apg = apg(
-            smooth_value=lambda x: float(np.sum((x - target) ** 2)),
             smooth_grad=lambda x: 2.0 * (x - target),
-            prox=lambda v, tau: reg.prox(v, tau),
-            rho_value=lambda x: reg.value(x),
+            prox=reg.prox,
             residual=lambda g, x: reg.subgrad_residual(1.0, g, x),
             lipschitz=2.0,
             x0=np.zeros(5),
@@ -156,24 +197,18 @@ class TestMsApg:
         def curved(Lvec):
             Ld = np.asarray(Lvec, dtype=float)
             return BlockObjective(
-                num_blocks=2,
                 L=Ld,
-                smooth_value=lambda Y: 0.5 * float(np.sum(Ld[:, None] * (Y - c) ** 2)),
                 smooth_grad=lambda Y: Ld[:, None] * (Y - c),
                 smooth_grad_block=lambda i, Y: Ld[i] * (Y[i] - c[i]),
                 prox=lambda i, v, tau: v,
-                rho_value=lambda i, y: 0.0,
+                prox_all=lambda V, tau: V,
                 residuals=lambda G, Y: np.linalg.norm(G, axis=1),
+                value=lambda Y: 0.5 * float(np.sum(Ld[:, None] * (Y - c) ** 2)),
             )
 
         def first_below(L_steps, tol=1e-6):
             base = curved(L)
-            obj = BlockObjective(
-                num_blocks=2, L=np.asarray(L_steps, dtype=float),
-                smooth_value=base.smooth_value, smooth_grad=base.smooth_grad,
-                smooth_grad_block=base.smooth_grad_block, prox=base.prox,
-                rho_value=base.rho_value, residuals=base.residuals,
-            )
+            obj = replace(base, L=np.asarray(L_steps, dtype=float))
             for iters in range(1, 400):
                 res = ms_apg(obj, np.zeros((2, 1)), max_iter=iters)
                 if base.value(res.y) <= tol:
@@ -192,12 +227,11 @@ class TestMsApg:
 
     def test_nonfinite_gradient_aborts(self):
         obj = BlockObjective(
-            num_blocks=1, L=np.array([1.0]),
-            smooth_value=lambda Y: float("nan"),
+            L=np.array([1.0]),
             smooth_grad=lambda Y: np.full_like(Y, np.nan),
             smooth_grad_block=lambda i, Y: np.array([np.nan]),
             prox=lambda i, v, tau: v,
-            rho_value=lambda i, y: 0.0,
+            prox_all=lambda V, tau: V,
             residuals=lambda G, Y: np.zeros(1),
         )
         with pytest.raises(FloatingPointError):
@@ -232,18 +266,19 @@ class TestRbcd:
         obj = sparse_group_objective(rng, N=1, n=4)
         y = np.zeros((1, 4))
         manual = y.copy()
-        res = rbcd_run(obj, y, 30, np.random.default_rng(0), record_values=True)
+        res = rbcd_run(obj, y, 30, np.random.default_rng(0))
         for _ in range(30):
             g = obj.smooth_grad_block(0, manual)
             manual[0] = obj.prox(0, manual[0] - g / obj.L[0], 1.0 / obj.L[0])
         assert np.array_equal(res.y, manual)
 
     def test_monotone_objective(self, rng):
+        # a seeded run of k events is the first k events of a longer one
         obj = sparse_group_objective(rng)
-        res = rbcd_run(
-            obj, np.zeros((3, 5)), 200, np.random.default_rng(5), record_values=True
-        )
-        values = np.array(res.values)
+        values = np.array([
+            obj.value(rbcd_run(obj, np.zeros((3, 5)), k, np.random.default_rng(5)).y)
+            for k in range(1, 201)
+        ])
         assert np.all(np.diff(values) <= 1e-12)
 
     def test_uniform_block_frequencies(self):
@@ -337,10 +372,3 @@ class TestActivations:
         obj = quadratic_objective(np.zeros((5, 1)))
         with pytest.raises(ValueError, match="3 nodes, asked for 5"):
             rbcd_run(obj, np.zeros((5, 1)), 500, ActivationSchedule(3, 3))
-
-    def test_stacked_prox_defaults_to_the_block_loop(self, rng):
-        obj = sparse_group_objective(rng, N=3, n=5)
-        V = rng.standard_normal((3, 5))
-        tau = np.array([0.3, 1.0, 2.0])
-        expect = np.stack([obj.prox(i, V[i], tau[i]) for i in range(3)])
-        assert np.array_equal(obj.prox_all(V, tau), expect)
