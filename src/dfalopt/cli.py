@@ -103,7 +103,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             params.lam1 = args.lambda1
             params.alpha1 *= ratio**2
             params.xi1 *= ratio
-        trace = dfal_solve(nodes, graph, params, reference=ref.f_star)
+        trace = dfal_solve(
+            nodes, graph, params, reference=ref.f_star,
+            budget_secs=args.budget_secs,
+        )
     elif args.alg == "afal":
         params = default_params(
             nodes, graph, c=args.c, outer_cap=40, eps_opt=args.eps_opt,
@@ -111,7 +114,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         trace = async_dfal_solve(
             nodes, graph, params, p=0.1, oracle=args.oracle,
-            seed=args.seed, reference=ref.f_star,
+            seed=args.seed, reference=ref.f_star, budget_secs=args.budget_secs,
         )
     elif args.alg == "sadmm":
         trace = sadmm_solve(
@@ -189,7 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--eps-opt", type=float, default=1e-3)
     p_solve.add_argument("--eps-feas", type=float, default=1e-4)
     p_solve.add_argument("--iters", type=int, default=200)
-    p_solve.add_argument("--budget-secs", type=float, default=None)
+    p_solve.add_argument(
+        "--budget-secs", type=float, default=None,
+        help="wall-time bound, checked once per (outer) iteration",
+    )
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=_cmd_solve)
 

@@ -44,7 +44,7 @@ from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd
     rbcd_events,
     rbcd_run,
 )
-from .trace import RunTrace
+from .trace import RunTrace, check_budget_secs
 
 
 class ProtocolError(RuntimeError):
@@ -238,6 +238,7 @@ def _outer_loop(
     net: SyncNetwork | AsyncNetwork,
     reference: float | None,
     lam_min: float = 0.0,
+    budget_secs: float | None = None,
 ) -> RunTrace:
     """The outer iterations shared by both solves.
 
@@ -245,8 +246,11 @@ def _outer_loop(
     ``state`` and charges its work to ``net``; its solution becomes
     ``x^(k)``, the accumulator rolls, and the row is recorded.  Stops when
     both accuracy targets are met, when the penalty drops below ``lam_min``
-    (without a reference), or after ``num_outer`` iterations.
+    (without a reference), once more than ``budget_secs`` seconds have
+    passed since the trace began (the row's stop reason is then
+    ``"timeout"``), or after ``num_outer`` iterations.
     """
+    check_budget_secs(budget_secs)
     for k in range(1, num_outer + 1):
         # closed-form schedule values, so traces match the geometric law exactly
         lam, alpha, xi = params.schedule(k)
@@ -272,6 +276,9 @@ def _outer_loop(
         if reached or floor:
             trace.converged = True
             break
+        if trace.past_budget(budget_secs):
+            row.stop_reason = "timeout"
+            break
     trace.config["final_state"] = state
     trace.config["ledger"] = net.ledger.snapshot()
     return trace
@@ -286,13 +293,16 @@ def dfal_solve(
     lam_min: float = 0.0,
     gradient_check: Callable[[int, int, np.ndarray, np.ndarray, np.ndarray], None]
     | None = None,
+    budget_secs: float | None = None,
 ) -> RunTrace:
     """Synchronous penalized consensus solve over the message simulator.
 
     Terminates when relative suboptimality (against ``reference``, if given)
     and consensus violation reach their targets, when the penalty drops below
-    ``lam_min``, or at the outer cap.  ``gradient_check(k, ell, ybar, xbar, q)``
-    fires at every inner iteration with the assembled gradient blocks.
+    ``lam_min``, after the outer iteration that ends past ``budget_secs``
+    seconds (stop reason ``"timeout"``), or at the outer cap.
+    ``gradient_check(k, ell, ybar, xbar, q)`` fires at every inner iteration
+    with the assembled gradient blocks.
     """
     N = graph.num_nodes
     loss_lip, stack, state = _setup(nodes, graph, params, x0)
@@ -335,7 +345,7 @@ def dfal_solve(
 
     return _outer_loop(
         trace, nodes, graph, params, state, params.outer_cap, solve_subproblem,
-        net, reference, lam_min,
+        net, reference, lam_min, budget_secs,
     )
 
 
@@ -402,13 +412,16 @@ def async_dfal_solve(
     outer_iters: int | None = None,
     x0: np.ndarray | None = None,
     reference: float | None = None,
+    budget_secs: float | None = None,
 ) -> RunTrace:
     """Asynchronous variant: subproblems solved by randomized block oracles.
 
-    Runs ``outer_iters`` outer iterations (defaults to the outer cap); each
-    subproblem gets its theory-prescribed event budget at per-subproblem
-    confidence ``(1 - p) ** (1 / outer_iters)``, with the per-block residual
-    test still allowed to stop it early.  Every ``rbcd`` run and every
+    Runs ``outer_iters`` outer iterations (defaults to the outer cap), fewer
+    when the targets are met or an outer iteration ends past ``budget_secs``
+    seconds (stop reason ``"timeout"``); each subproblem gets its
+    theory-prescribed event budget at per-subproblem confidence
+    ``(1 - p) ** (1 / outer_iters)``, with the per-block residual test still
+    allowed to stop it early.  Every ``rbcd`` run and every
     ``arbcd`` chain follows its own activation schedule seeded from ``seed``.
     """
     if oracle not in ("rbcd", "arbcd"):
@@ -465,5 +478,5 @@ def async_dfal_solve(
 
     return _outer_loop(
         trace, nodes, graph, params, state, K_outer, solve_subproblem, net,
-        reference,
+        reference, budget_secs=budget_secs,
     )

@@ -100,6 +100,7 @@ def ms_apg(
     max_iter: int = 1000,
     record_values: bool = False,
     callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    strong_convexity: float = 0.0,
 ) -> SolveResult:
     """Accelerated proximal gradient with per-block step sizes.
 
@@ -109,13 +110,26 @@ def ms_apg(
     is the proximal step).  ``callback(ell, ybar, grad)`` fires once per
     iteration before the prox step.  ``record_values`` keeps ``obj.value``
     of every proximal step in ``values``.
+
+    With ``strong_convexity = mu > 0`` (the smooth part's modulus, at most
+    every ``L_i``) the momentum is the constant
+    ``(sqrt(L_i / mu) - 1) / (sqrt(L_i / mu) + 1)`` of each block (Nesterov
+    2004, section 2.2) in place of FISTA's.
     """
+    if not 0.0 <= strong_convexity <= obj.L.min():
+        raise ValueError(
+            f"strong_convexity must lie in [0, min(L)] = [0, {obj.L.min()}], "
+            f"got {strong_convexity}"
+        )
     value = _value_of(obj, "record_values") if record_values else None
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
     t = 1.0
     step = 1.0 / obj.L
     L_col = obj.L[:, None]
+    if strong_convexity > 0.0:
+        q = np.sqrt(L_col / strong_convexity)
+        beta = (q - 1.0) / (q + 1.0)
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
@@ -133,9 +147,13 @@ def ms_apg(
         if ell == max_iter:
             result.y, result.iterations, result.stop_reason = y, ell, "cap"
             return result
-        t_next = fista_momentum(t)
-        ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
-        y_prev, t = y, t_next
+        if strong_convexity > 0.0:
+            ybar = y + beta * (y - y_prev)
+        else:
+            t_next = fista_momentum(t)
+            ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
+            t = t_next
+        y_prev = y
     return result
 
 
@@ -147,12 +165,13 @@ def apg(
     x0: np.ndarray,
     residual_target: float | None = None,
     max_iter: int = 1000,
+    strong_convexity: float = 0.0,
 ) -> SolveResult:
     """Centralized accelerated proximal gradient with one combined prox.
 
     Thin single-block wrapper over :func:`ms_apg`, so the two share one
     arithmetic path exactly.  ``residual(g, x)`` is the stopping test's norm
-    at ``x`` with smooth gradient ``g``.
+    at ``x`` with smooth gradient ``g``; ``strong_convexity`` is passed on.
     """
     obj = BlockObjective(
         L=np.array([lipschitz]),
@@ -167,6 +186,7 @@ def apg(
         np.asarray(x0, dtype=float)[None, :],
         residual_target=residual_target,
         max_iter=max_iter,
+        strong_convexity=strong_convexity,
     )
     res.y = res.y[0]
     return res

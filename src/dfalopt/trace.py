@@ -26,6 +26,14 @@ def rel_subopt(f_sum: float, reference: float | None) -> float:
     return abs(f_sum - reference) / abs(reference)
 
 
+def check_budget_secs(budget_secs: float | None) -> None:
+    """Reject a wall-time budget that is set but not positive (NaN included);
+    every solve that takes ``budget_secs`` calls this before its first
+    iteration."""
+    if budget_secs is not None and not budget_secs > 0:
+        raise ValueError(f"budget_secs must be positive, got {budget_secs}")
+
+
 @dataclass
 class TraceRow:
     k: int
@@ -102,6 +110,11 @@ class RunTrace:
         self.rows.append(row)
         self.wall_time = time.monotonic() - self.started
         return row
+
+    def past_budget(self, budget_secs: float | None) -> bool:
+        """Whether more than ``budget_secs`` seconds (if set) have passed
+        since the trace began."""
+        return budget_secs is not None and time.monotonic() - self.started > budget_secs
 
     @property
     def final(self) -> TraceRow:

@@ -18,6 +18,7 @@ from dfalopt import (
     sadmm_solve,
 )
 from dfalopt.baselines import (
+    NestedSolveError,
     _composite_prox,
     _huber_prox,
     neighborhood_average,
@@ -65,6 +66,14 @@ class TestArguments:
     def test_positive_penalty(self, rng, solver, c_admm):
         with pytest.raises(ValueError, match="c_admm must be positive"):
             solver(make_pair(rng), build_topology("star", 2), c_admm=c_admm, iters=1)
+
+    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_positive_time_budget(self, rng, solver, budget):
+        # 0 and -1 once stopped after one row with "timeout", NaN never did
+        with pytest.raises(ValueError, match="budget_secs must be positive"):
+            solver(make_pair(rng), build_topology("star", 2), iters=5,
+                   budget_secs=budget)
 
     @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
     def test_one_node_problem_per_graph_node(self, rng, solver):
@@ -175,6 +184,27 @@ class TestSadmmSolve:
         ledger = trace.config["ledger"]
         assert ledger.vectors_sent.tolist() == [24, 24]
 
+    def test_ledger_charges_one_prox_and_the_newton_passes(self, rng, monkeypatch):
+        # per node-step: the closed-form regularizer prox, and one gradient
+        # per Newton pass of the Huber prox
+        passes = np.zeros(3, dtype=int)
+
+        def counting(node, center, t, start):
+            out, it = huber_prox(node, center, t, start)
+            passes[[n is node for n in nodes].index(True)] += it
+            return out, it
+
+        huber_prox = baselines._huber_prox
+        monkeypatch.setattr(baselines, "_huber_prox", counting)
+        g = build_topology("star", 3)
+        nodes = [small_node(rng, n=4, m=3) for _ in range(3)]
+        trace = sadmm_solve(nodes, g, iters=7)
+        ledger = trace.config["ledger"]
+        assert ledger.prox_evals.tolist() == [7, 7, 7]
+        assert ledger.grad_evals.tolist() == passes.tolist()
+        assert sum(r.inner_iters for r in trace.rows) == passes.sum()
+        assert (passes >= 7).all()
+
     def test_converges_on_small_symmetric_instance(self, rng):
         # both nodes share the data, so the reference is the doubled
         # single-node optimum
@@ -215,14 +245,83 @@ class _SpyReg:
         return getattr(self._reg, name)
 
 
+def huber_node(rng, delta, n=6, m=4, scale=1.0):
+    A = rng.standard_normal((m, n))
+    return NodeProblem(
+        reg=SparseGroupReg(0.5, 0.5, GroupPartition.single_group(n)),
+        loss=HuberLoss(A=A, b=scale * rng.standard_normal(m), delta=delta),
+    )
+
+
+def long_apg_huber_prox(node, center, t):
+    """The Huber prox by plain accelerated gradient, run far past the
+    Newton solve's tolerance."""
+    return apg(
+        smooth_grad=lambda u: t * node.loss.grad(u) + (u - center),
+        prox=lambda v, tau: v,
+        residual=lambda g, u: float(np.linalg.norm(g)),
+        lipschitz=t * node.loss.lipschitz + 1.0,
+        x0=np.zeros(node.n),
+        residual_target=1e-12,
+        max_iter=200_000,
+    ).y
+
+
 class TestNestedProx:
     def test_huber_prox_gradient_residual(self, rng):
         node = small_node(rng, n=5, m=4)
         center = rng.standard_normal(5)
         t = 0.7
-        out, _ = _huber_prox(node, center, t)
+        out, _ = _huber_prox(node, center, t, center)
         grad = t * node.loss.grad(out) + (out - center)
         assert np.linalg.norm(grad) <= 1e-9
+
+    @pytest.mark.parametrize("regime", ["mixed", "all-linear", "all-quadratic"])
+    def test_huber_prox_matches_long_apg(self, rng, regime):
+        delta, scale = {"mixed": (1.0, 3.0), "all-linear": (1e-3, 50.0),
+                        "all-quadratic": (1e4, 1.0)}[regime]
+        for _ in range(8):
+            node = huber_node(rng, delta, scale=scale)
+            center = rng.standard_normal(node.n) * rng.choice([0.1, 1.0, 10.0])
+            t = float(rng.choice([0.05, 0.5, 5.0]))
+            out, passes = _huber_prox(node, center, t, center)
+            assert np.max(np.abs(out - long_apg_huber_prox(node, center, t))) <= 1e-8
+            inside = np.abs(node.loss.A @ out - node.loss.b) < delta
+            if regime == "all-linear":
+                assert not inside.any()
+            if regime == "all-quadratic":
+                # one Newton step solves the quadratic exactly
+                assert inside.all() and passes <= 2
+
+    def test_huber_prox_warm_start_gives_the_same_point(self, rng):
+        node = huber_node(rng, 1.0, scale=3.0)
+        center = rng.standard_normal(node.n)
+        cold, cold_passes = _huber_prox(node, center, 0.5, center)
+        near = cold + 1e-3 * rng.standard_normal(node.n)
+        warm, warm_passes = _huber_prox(node, center, 0.5, near)
+        assert np.max(np.abs(warm - cold)) <= 1e-9
+        again, again_passes = _huber_prox(node, center, 0.5, cold)
+        assert np.array_equal(again, cold) and again_passes == 1
+        assert warm_passes <= cold_passes
+
+    def test_huber_prox_pass_cap_raises(self, rng, monkeypatch):
+        node = huber_node(rng, 1.0, scale=3.0)
+        center = 10.0 * rng.standard_normal(node.n)
+        monkeypatch.setattr(baselines, "NEWTON_CAP", 1)
+        with pytest.raises(NestedSolveError, match="1 Newton passes"):
+            _huber_prox(node, center, 5.0, center)
+
+    def test_huber_prox_nonfinite_center_raises(self, rng):
+        node = huber_node(rng, 1.0)
+        with pytest.raises(FloatingPointError):
+            _huber_prox(node, np.full(node.n, np.nan), 0.5, np.zeros(node.n))
+
+    def test_composite_prox_warm_start_gives_the_same_point(self, rng):
+        node = small_node(rng, n=4, m=3)
+        center = 2.0 * rng.standard_normal(4)
+        cold, _ = _composite_prox(node, center, 0.8, center)
+        warm, _ = _composite_prox(node, center, 0.8, cold + 1e-3)
+        assert np.max(np.abs(warm - cold)) <= 1e-8
 
     def test_composite_prox_passes_min_norm_test(self, rng):
         # the nested solve must satisfy the composite optimality condition
@@ -231,7 +330,7 @@ class TestNestedProx:
             node = small_node(rng, n=4, m=3)
             center = rng.standard_normal(4) * 2
             t = float(rng.uniform(0.2, 2.0))
-            out, _ = _composite_prox(node, center, t)
+            out, _ = _composite_prox(node, center, t, center)
             grad = t * node.loss.grad(out) + (out - center)
             assert node.reg.subgrad_residual(t, grad, out) <= 1e-8
 
@@ -241,7 +340,7 @@ class TestNestedProx:
         node = small_node(rng, n=4, m=3)
         center = rng.standard_normal(4)
         t = 1.3
-        out, _ = _composite_prox(node, center, t)
+        out, _ = _composite_prox(node, center, t, center)
         ref = apg(
             smooth_grad=lambda u: t * node.loss.grad(u) + (u - center),
             prox=lambda v, tau: node.reg.prox(v, tau * t),

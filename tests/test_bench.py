@@ -304,6 +304,15 @@ class TestCli:
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
         assert summary["converged"]
 
+    @pytest.mark.parametrize("alg", ["dfal", "afal"])
+    def test_solve_honours_the_time_budget(self, tmp_path, alg):
+        out = tmp_path / "run.csv"
+        assert cli_main(["solve", "--alg", alg, *self.ARGS, "--budget-secs", "1e-9",
+                         "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert len(rows) == 1
+        assert dict(zip(header.split(","), rows[0].split(",")))["stop_reason"] == "timeout"
+
     def test_edge_file_topology(self, tmp_path, capsys):
         edges = tmp_path / "path4.txt"
         edges.write_text("4\n1 2\n2 3\n3 4\n")

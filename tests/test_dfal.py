@@ -467,6 +467,38 @@ class TestSharedSetup:
         assert len(arbcd().rows) == 2
 
 
+class TestTimeBudget:
+    """``budget_secs`` bounds both solves, checked once per outer iteration."""
+
+    _star5 = staticmethod(TestSharedSetup._star5)
+    _solves = staticmethod(TestSharedSetup._solves)
+
+    def test_spent_budget_stops_after_one_outer_iteration(self):
+        # no reference and no penalty floor: before the budget only the outer
+        # cap (100 here) bounded the synchronous solve
+        nodes, graph, params = self._star5()
+        for solve in self._solves(nodes, graph, params, budget_secs=1e-9):
+            trace = solve()
+            assert len(trace.rows) == 1
+            assert trace.rows[-1].stop_reason == "timeout"
+            assert not trace.converged
+
+    def test_ample_budget_changes_nothing(self):
+        nodes, graph, params = self._star5()
+        params = replace(params, outer_cap=3)
+        for bounded, free in zip(self._solves(nodes, graph, params, budget_secs=1e6),
+                                 self._solves(nodes, graph, params)):
+            a, b = bounded(), free()
+            assert [r.as_list() for r in a.rows] == [r.as_list() for r in b.rows]
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_nonpositive_budget_rejected(self, budget):
+        nodes, graph, params = self._star5()
+        for solve in self._solves(nodes, graph, params, budget_secs=budget):
+            with pytest.raises(ValueError, match="budget_secs must be positive"):
+                solve()
+
+
 def _per_node_gradient(nodes, graph, lam, Y, xbar):
     return np.stack([
         local_gradient(

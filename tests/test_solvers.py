@@ -238,6 +238,38 @@ class TestMsApg:
             ms_apg(obj, np.zeros((1, 1)), max_iter=5)
 
 
+class TestStrongConvexity:
+    """``strong_convexity`` swaps FISTA's momentum for the constant one."""
+
+    @pytest.mark.parametrize("mu", [-1e-3, 2.5, float("nan")])
+    def test_modulus_outside_zero_to_min_L_rejected(self, mu):
+        obj = quadratic_objective(np.ones((2, 2)), L=[2.0, 3.0])
+        with pytest.raises(ValueError, match="strong_convexity must lie in"):
+            ms_apg(obj, np.zeros((2, 2)), strong_convexity=mu)
+        with pytest.raises(ValueError, match="strong_convexity must lie in"):
+            apg(smooth_grad=lambda x: x, prox=lambda v, tau: v,
+                residual=lambda g, x: 0.0, lipschitz=2.0, x0=np.zeros(2),
+                strong_convexity=mu)
+
+    def test_zero_modulus_is_bitwise_fista(self, rng):
+        obj = sparse_group_objective(rng)
+        y0 = rng.standard_normal((3, 5))
+        default = ms_apg(obj, y0, max_iter=40, record_values=True)
+        zero = ms_apg(obj, y0, max_iter=40, record_values=True, strong_convexity=0.0)
+        assert np.array_equal(default.y, zero.y)
+        assert default.values == zero.values
+
+    def test_reaches_the_fista_minimizer(self, rng):
+        # every curvature in sparse_group_objective is at least 0.5
+        obj = sparse_group_objective(rng)
+        y0 = np.zeros((3, 5))
+        fista = ms_apg(obj, y0, residual_target=1e-12, max_iter=20_000)
+        strong = ms_apg(obj, y0, residual_target=1e-12, max_iter=20_000,
+                        strong_convexity=0.5)
+        assert fista.stop_reason == strong.stop_reason == "residual"
+        assert np.max(np.abs(strong.y - fista.y)) <= 1e-8
+
+
 class TestMomentum:
     def test_fista_start(self):
         assert fista_momentum(1.0) == pytest.approx((1 + np.sqrt(5)) / 2)
