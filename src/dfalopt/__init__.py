@@ -23,7 +23,7 @@ from .funcs import (
     NodeProblem,
     SparseGroupReg,
     huber_scalar,
-    sgn,
+    objective_sum,
 )
 from .solvers import (
     BlockObjective,
@@ -50,17 +50,14 @@ from .dfal import (
     default_bx,
     default_params,
     dfal_solve,
-    feasibility_diagnostics,
     inner_cap,
     local_gradient,
-    objective_sum,
 )
 from .baselines import SadmmState, admm_solve, sadmm_solve
 from .bench import (
     BenchReport,
     ProblemInstance,
     Reference,
-    evaluate,
     generate_instance,
     reference_solve,
     run_benchmark,

@@ -48,11 +48,6 @@ class SadmmState:
     p: np.ndarray
     p_tilde: np.ndarray
     r: np.ndarray
-    c_admm: float
-
-    def __post_init__(self) -> None:
-        if self.c_admm <= 0:
-            raise ValueError("penalty parameter must be positive")
 
 
 def neighborhood_average(graph: Graph, x: np.ndarray) -> np.ndarray:
@@ -146,10 +141,10 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _check_admm_args(
-    nodes, graph: Graph, x0, c_admm: float, iters: int, budget_secs: float | None
+    nodes, graph: Graph, c_admm: float, iters: int, budget_secs: float | None
 ) -> np.ndarray:
-    """Reject bad arguments of both baselines; returns the start point,
-    ``x0`` or zeros of shape ``(N, n)``."""
+    """Reject bad arguments of both baselines; returns the start point, zeros
+    of shape ``(N, n)``."""
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
     if not c_admm > 0:
@@ -157,11 +152,7 @@ def _check_admm_args(
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
     check_budget_secs(budget_secs)
-    shape = (graph.num_nodes, nodes[0].n)
-    x = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != shape:
-        raise ValueError(f"x0 must have shape {shape}, got {x.shape}")
-    return x
+    return np.zeros((graph.num_nodes, nodes[0].n))
 
 
 def _admm_loop(
@@ -204,7 +195,6 @@ def sadmm_solve(
     graph: Graph,
     c_admm: float = 1.0,
     iters: int = 1000,
-    x0: np.ndarray | None = None,
     reference: float | None = None,
     eps_opt: float = 1e-3,
     eps_feas: float = 1e-4,
@@ -218,7 +208,7 @@ def sadmm_solve(
     neighborhood averages and running sums.  The reported objective takes
     both primal copies at their midpoint.
     """
-    x = _check_admm_args(nodes, graph, x0, c_admm, iters, budget_secs)
+    x = _check_admm_args(nodes, graph, c_admm, iters, budget_secs)
     trace = RunTrace("sadmm", config={"c_admm": c_admm})
     N = graph.num_nodes
     degrees = graph.degrees.astype(float)
@@ -227,7 +217,7 @@ def sadmm_solve(
 
     state = SadmmState(
         x=x, y=x.copy(), p=np.zeros_like(x), p_tilde=np.zeros_like(x),
-        r=np.zeros_like(x), c_admm=c_admm,
+        r=np.zeros_like(x),
     )
     s = neighborhood_average(graph, state.x)
     s_tilde = neighborhood_average(graph, state.y)
@@ -274,7 +264,6 @@ def admm_solve(
     graph: Graph,
     c_admm: float = 1.0,
     iters: int = 1000,
-    x0: np.ndarray | None = None,
     reference: float | None = None,
     eps_opt: float = 1e-3,
     eps_feas: float = 1e-4,
@@ -288,7 +277,7 @@ def admm_solve(
     the comparison.  Traffic is charged at 3 vector units per node per
     iteration.
     """
-    x = _check_admm_args(nodes, graph, x0, c_admm, iters, budget_secs)
+    x = _check_admm_args(nodes, graph, c_admm, iters, budget_secs)
     trace = RunTrace("admm", config={"c_admm": c_admm})
     N = graph.num_nodes
     degrees = graph.degrees.astype(float)

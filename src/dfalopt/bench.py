@@ -16,12 +16,12 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import sadmm_solve
+from .baselines import admm_solve, sadmm_solve
 from .dfal import async_dfal_solve, default_params, dfal_solve
 from .funcs import GroupPartition, HuberLoss, NodeProblem, SparseGroupReg, objective_sum
 from .graph import Graph, build_topology
 from .solvers import apg
-from .trace import RunTrace, rel_subopt
+from .trace import RunTrace
 
 
 @dataclass
@@ -42,9 +42,6 @@ class ProblemInstance:
     delta: float
     seed: int
     x_gen: np.ndarray
-
-    def config_key(self) -> tuple:
-        return (self.case, self.topology, self.N, self.n_g, self.K, self.seed)
 
     def content_digest(self) -> str:
         """Digest of the data that fixes the optimum: every ``A_i``, ``b_i``,
@@ -171,11 +168,14 @@ def reference_solve(
 ) -> Reference:
     """Case 1: centralized accelerated solve with the combined closed-form
     prox (all partitions coincide, so the summed regularizer is again a
-    sparse-group term with scaled weights).  Case 2: best consensus point
-    from a long-horizon distributed run and a tightly solved split baseline.
+    sparse-group term with scaled weights), run until its residual is at
+    most ``tolerance``.  Case 2: best consensus point from a long-horizon
+    distributed run and a tightly solved split baseline; it ignores
+    ``tolerance``.
     """
-    if tolerance < 1e-9:
-        raise ValueError("tolerance below 1e-9 is not supported")
+    # "not >=" also rejects NaN, which would run APG to its iteration cap
+    if not tolerance >= 1e-9:
+        raise ValueError(f"tolerance must be at least 1e-9, got {tolerance}")
     key = (instance.case, tolerance, instance.content_digest()) if cache else None
     if key is not None and key in _REFERENCE_CACHE:
         return _REFERENCE_CACHE[key]
@@ -249,17 +249,6 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
     return Reference(best.f_star, best.x_ref, best.method, best.converged)
 
 
-def evaluate(trace: RunTrace, f_star: float) -> tuple[np.ndarray, np.ndarray]:
-    """Relative-suboptimality and consensus-violation series from a trace.
-
-    When the reference objective is zero the first series is the absolute
-    gap (flagged by the caller via ``f_star``).
-    """
-    rel = np.array([rel_subopt(r.F_sum, f_star) for r in trace.rows])
-    cv = np.array([r.CV for r in trace.rows])
-    return rel, cv
-
-
 @dataclass
 class BenchReport:
     """Benchmark matrix results: one row per (algorithm, topology, case, seed)
@@ -314,42 +303,44 @@ DEFAULT_BENCH_CONFIG: dict[str, Any] = {
 }
 
 
-def _run_one(
+def run_solver(
     alg: str,
     instance: ProblemInstance,
     ref: Reference,
     cfg: dict[str, Any],
 ) -> RunTrace:
+    """One solver run against ``ref``, the dispatch of the matrix and of
+    ``dfalopt solve``.
+
+    ``alg`` is ``dfal``, ``afal-rbcd``, ``afal-arbcd``, ``sadmm`` or ``admm``;
+    the settings come from ``cfg`` (the keys of ``DEFAULT_BENCH_CONFIG``),
+    and ``cfg["budget_secs"]`` bounds every solver.  ``dfal`` runs at the
+    outer cap of :func:`default_params`.
+    """
     nodes, graph = instance.nodes, instance.graph
+    budget_secs = cfg["budget_secs"]
     if alg == "dfal":
         params = default_params(
-            nodes, graph, c=cfg["c"], outer_cap=60,
-            eps_opt=cfg["eps_opt"], eps_feas=cfg["eps_feas"],
+            nodes, graph, c=cfg["c"], eps_opt=cfg["eps_opt"], eps_feas=cfg["eps_feas"],
         )
-        return dfal_solve(nodes, graph, params, reference=ref.f_star)
-    if alg in ("afal", "afal-rbcd", "afal-arbcd"):
-        oracle = "arbcd" if alg.endswith("arbcd") else "rbcd"
+        return dfal_solve(
+            nodes, graph, params, reference=ref.f_star, budget_secs=budget_secs
+        )
+    if alg in ("afal-rbcd", "afal-arbcd"):
         params = default_params(
             nodes, graph, c=cfg["c"], outer_cap=cfg["async_outer"],
             eps_opt=cfg["eps_opt"], eps_feas=cfg["eps_feas"],
         )
         return async_dfal_solve(
-            nodes, graph, params, p=cfg["async_p"], oracle=oracle,
-            seed=instance.seed, reference=ref.f_star,
+            nodes, graph, params, p=cfg["async_p"], oracle=alg[len("afal-"):],
+            seed=instance.seed, reference=ref.f_star, budget_secs=budget_secs,
         )
-    if alg == "sadmm":
-        return sadmm_solve(
+    if alg in ("sadmm", "admm"):
+        solve = sadmm_solve if alg == "sadmm" else admm_solve
+        return solve(
             nodes, graph, c_admm=cfg["c_admm"], iters=cfg["admm_iters"],
             reference=ref.f_star, eps_opt=cfg["eps_opt"],
-            eps_feas=cfg["eps_feas"], budget_secs=cfg["budget_secs"],
-        )
-    if alg == "admm":
-        from .baselines import admm_solve
-
-        return admm_solve(
-            nodes, graph, c_admm=cfg["c_admm"], iters=cfg["admm_iters"],
-            reference=ref.f_star, eps_opt=cfg["eps_opt"],
-            eps_feas=cfg["eps_feas"], budget_secs=cfg["budget_secs"],
+            eps_feas=cfg["eps_feas"], budget_secs=budget_secs,
         )
     raise ValueError(f"unknown algorithm {alg!r}")
 
@@ -384,7 +375,7 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
                         )
                         ref = reference_solve(instance)
                         start = time.monotonic()
-                        trace = _run_one(alg, instance, ref, cfg)
+                        trace = run_solver(alg, instance, ref, cfg)
                         elapsed = time.monotonic() - start
                         last = trace.final
                         row.update(

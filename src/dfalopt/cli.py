@@ -8,8 +8,6 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .baselines import admm_solve, sadmm_solve
-from .dfal import async_dfal_solve, default_params, dfal_solve
 from .graph import load_edge_file
 from .netsim import CommLedger
 from .trace import RunTrace
@@ -91,47 +89,16 @@ def _apg_trace(instance, ref) -> RunTrace:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _instance(args)
     ref = bench_mod.reference_solve(instance)
-    nodes, graph = instance.nodes, instance.graph
-    if args.alg == "dfal":
-        params = default_params(
-            nodes, graph, c=args.c, eps_opt=args.eps_opt,
-            eps_feas=args.eps_feas, bx=args.bx,
-        )
-        if args.lambda1 is not None:
-            # rescale the accuracy sequences with the overridden start penalty
-            ratio = args.lambda1 / params.lam1
-            params.lam1 = args.lambda1
-            params.alpha1 *= ratio**2
-            params.xi1 *= ratio
-        trace = dfal_solve(
-            nodes, graph, params, reference=ref.f_star,
+    if args.alg == "apg":
+        trace = _apg_trace(instance, ref)
+    else:
+        cfg = dict(
+            bench_mod.DEFAULT_BENCH_CONFIG, c=args.c, c_admm=args.c_admm,
+            eps_opt=args.eps_opt, eps_feas=args.eps_feas, admm_iters=args.iters,
             budget_secs=args.budget_secs,
         )
-    elif args.alg == "afal":
-        params = default_params(
-            nodes, graph, c=args.c, outer_cap=40, eps_opt=args.eps_opt,
-            eps_feas=args.eps_feas, bx=args.bx,
-        )
-        trace = async_dfal_solve(
-            nodes, graph, params, p=0.1, oracle=args.oracle,
-            seed=args.seed, reference=ref.f_star, budget_secs=args.budget_secs,
-        )
-    elif args.alg == "sadmm":
-        trace = sadmm_solve(
-            nodes, graph, c_admm=args.c_admm, iters=args.iters,
-            reference=ref.f_star, eps_opt=args.eps_opt,
-            eps_feas=args.eps_feas, budget_secs=args.budget_secs,
-        )
-    elif args.alg == "admm":
-        trace = admm_solve(
-            nodes, graph, c_admm=args.c_admm, iters=args.iters,
-            reference=ref.f_star, eps_opt=args.eps_opt,
-            eps_feas=args.eps_feas, budget_secs=args.budget_secs,
-        )
-    elif args.alg == "apg":
-        trace = _apg_trace(instance, ref)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown algorithm {args.alg}")
+        alg = f"afal-{args.oracle}" if args.alg == "afal" else args.alg
+        trace = bench_mod.run_solver(alg, instance, ref, cfg)
 
     trace.write_csv(args.out)
     trace.write_summary(args.out + ".summary.json")
@@ -187,8 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument("--oracle", choices=["rbcd", "arbcd"], default="rbcd")
     p_solve.add_argument("--c", type=float, default=0.7)
     p_solve.add_argument("--c-admm", type=float, default=1.0)
-    p_solve.add_argument("--lambda1", type=float, default=None)
-    p_solve.add_argument("--bx", type=float, default=None)
     p_solve.add_argument("--eps-opt", type=float, default=1e-3)
     p_solve.add_argument("--eps-feas", type=float, default=1e-4)
     p_solve.add_argument("--iters", type=int, default=200)

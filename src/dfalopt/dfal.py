@@ -71,11 +71,12 @@ class DfalParams:
     eps_feas: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.lam1 <= 0 or self.alpha1 <= 0 or self.xi1 <= 0:
+        # "not > 0" also rejects NaN
+        if not (self.lam1 > 0 and self.alpha1 > 0 and self.xi1 > 0):
             raise ValueError("schedule starting values must be positive")
         if not 0.0 < self.c < 1.0:
             raise ValueError("shrink factor must lie in (0, 1)")
-        if self.bx <= 0:
+        if not self.bx > 0:
             raise ValueError("iterate bound must be positive")
         if self.outer_cap < 1:
             raise ValueError(f"outer_cap must be at least 1, got {self.outer_cap}")
@@ -88,17 +89,11 @@ class DfalParams:
 
 @dataclass
 class DfalState:
-    """Mutable outer-loop state: iterate, accumulator, and diagnostics."""
+    """Mutable outer-loop state: iterate, accumulator and outer index."""
 
     x: np.ndarray
     xbar: np.ndarray
-    lam: float
     k: int
-    theta_norm: float = 0.0
-
-    def copy(self) -> "DfalState":
-        return DfalState(self.x.copy(), self.xbar.copy(), self.lam, self.k,
-                         self.theta_norm)
 
 
 def coupling_constants(nodes: Sequence[NodeProblem]) -> tuple[float, float]:
@@ -108,13 +103,12 @@ def coupling_constants(nodes: Sequence[NodeProblem]) -> tuple[float, float]:
     return l_bar, tau_bar
 
 
-def default_bx(nodes: Sequence[NodeProblem], x0: np.ndarray | None = None) -> float:
-    scale = 0.0 if x0 is None else float(np.linalg.norm(x0))
+def default_bx(nodes: Sequence[NodeProblem]) -> float:
     data = sum(
         float(np.linalg.norm(p.loss.b)) / math.sqrt(max(p.loss.num_rows, 1))
         for p in nodes
     )
-    return 10.0 * (1.0 + scale + data)
+    return 10.0 * (1.0 + data)
 
 
 def default_params(
@@ -124,7 +118,6 @@ def default_params(
     outer_cap: int = 100,
     eps_opt: float = 1e-3,
     eps_feas: float = 1e-4,
-    bx: float | None = None,
 ) -> DfalParams:
     """Schedule start derived from the problem constants.
 
@@ -148,7 +141,7 @@ def default_params(
         alpha1=alpha1,
         xi1=xi1,
         c=c,
-        bx=bx if bx is not None else default_bx(nodes),
+        bx=default_bx(nodes),
         psi_max=psi_max,
         outer_cap=outer_cap,
         eps_opt=eps_opt,
@@ -181,18 +174,6 @@ def local_gradient(
     return q
 
 
-def feasibility_diagnostics(
-    graph: Graph, state: DfalState
-) -> tuple[float, float]:
-    """Constraint-violation norm and dual norm, via quadratic forms only."""
-    ax_norm = math.sqrt(max(laplacian_quadratic(graph, state.x), 0.0))
-    return ax_norm, state.theta_norm
-
-
-def _dual_norm(graph: Graph, xbar: np.ndarray, lam: float) -> float:
-    return math.sqrt(max(laplacian_quadratic(graph, xbar), 0.0)) / lam
-
-
 def inner_cap(params: DfalParams, block_L: np.ndarray, alpha: float) -> int:
     return max(1, math.ceil(params.bx * math.sqrt(2.0 * float(block_L.sum()) / alpha)))
 
@@ -206,12 +187,11 @@ def _setup(
     nodes: Sequence[NodeProblem],
     graph: Graph,
     params: DfalParams,
-    x0: np.ndarray | None,
 ) -> tuple[np.ndarray, NodeStack, DfalState]:
     """Input checks and starting point shared by both solves.
 
     Returns the loss Lipschitz constants, the node stack and the starting
-    state at ``x0`` (zeros by default).
+    state at zero.
     """
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
@@ -219,11 +199,8 @@ def _setup(
     if params.xi1 / params.lam1 >= tau_bar:
         raise ValueError("xi1 / lam1 must stay below the coercivity constant")
     stack = NodeStack(nodes)
-    x = np.zeros(stack.shape) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != stack.shape:
-        raise ValueError(f"x0 must have shape {stack.shape}, got {x.shape}")
     loss_lip = np.array([p.loss.lipschitz for p in nodes])
-    state = DfalState(x=x, xbar=np.zeros(stack.shape), lam=params.lam1, k=0)
+    state = DfalState(x=np.zeros(stack.shape), xbar=np.zeros(stack.shape), k=0)
     return loss_lip, stack, state
 
 
@@ -256,9 +233,10 @@ def _outer_loop(
         lam, alpha, xi = params.schedule(k)
         result = solve_subproblem(k, lam, alpha, xi)
         lam_next = params.schedule(k + 1)[0]
-        state.x, state.k, state.lam = result.y, k, lam
+        state.x, state.k = result.y, k
         state.xbar = (lam_next / lam) * (state.xbar + state.x)
-        state.theta_norm = _dual_norm(graph, state.xbar, lam_next)
+        dual_norm = math.sqrt(max(laplacian_quadratic(graph, state.xbar), 0.0))
+        dual_norm /= lam_next
         row = trace.record(
             k=k,
             lam=lam,
@@ -266,7 +244,7 @@ def _outer_loop(
             reference=reference,
             CV=consensus_violation(graph, state.x),
             ledger=net.ledger,
-            dual_norm=state.theta_norm,
+            dual_norm=dual_norm,
             inner_iters=result.iterations,
             stop_reason=result.stop_reason,
         )
@@ -288,7 +266,6 @@ def dfal_solve(
     nodes: Sequence[NodeProblem],
     graph: Graph,
     params: DfalParams,
-    x0: np.ndarray | None = None,
     reference: float | None = None,
     lam_min: float = 0.0,
     gradient_check: Callable[[int, int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -305,7 +282,7 @@ def dfal_solve(
     with the assembled gradient blocks.
     """
     N = graph.num_nodes
-    loss_lip, stack, state = _setup(nodes, graph, params, x0)
+    loss_lip, stack, state = _setup(nodes, graph, params)
     psi_max = _psi_max(params, graph)
     trace = RunTrace("dfal", config={"lam1": params.lam1, "c": params.c})
     net = SyncNetwork(graph, state.x)
@@ -410,7 +387,6 @@ def async_dfal_solve(
     oracle: str = "rbcd",
     seed: int = 0,
     outer_iters: int | None = None,
-    x0: np.ndarray | None = None,
     reference: float | None = None,
     budget_secs: float | None = None,
 ) -> RunTrace:
@@ -433,7 +409,7 @@ def async_dfal_solve(
     if K_outer < 1:
         raise ValueError(f"outer_iters must be at least 1, got {K_outer}")
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
-    loss_lip, stack, state = _setup(nodes, graph, params, x0)
+    loss_lip, stack, state = _setup(nodes, graph, params)
     # rbcd's block constants couple through psi_max, and arbcd's
     # separable-overapproximation constants through the degrees
     coupling = _psi_max(params, graph) if oracle == "rbcd" else graph.degrees

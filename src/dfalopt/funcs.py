@@ -15,16 +15,10 @@ per-node weights), so nodes may each have their own partition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-
-def sgn(x: np.ndarray) -> np.ndarray:
-    """Componentwise sign with ``sgn(0) = 0`` exactly."""
-    return np.sign(x)
 
 
 class SegmentLayout:
@@ -119,14 +113,14 @@ def sparse_group_min_norm(
 ) -> np.ndarray:
     """Minimum-norm element of ``d(lb1 ||.||_1 + sum_s lb2_s ||._s||)(x) + g``.
 
-    The l1 part is ``lb1 sgn(x_j)`` on a nonzero coordinate and the clipped
+    The l1 part is ``lb1 sign(x_j)`` on a nonzero coordinate and the clipped
     ``-g_j`` on a zero one, which leaves ``v``.  A segment holding a nonzero
     coordinate adds ``lb2 x_s / ||x_s||`` to ``v``; on an all-zero segment
     the group part is the point of the ``lb2``-ball nearest to ``-v``, which
     leaves ``v`` shrunk by ``lb2``.  Zero tests are exact.
     """
     zero = xp == 0.0
-    v = gp + lb1 * sgn(xp) - zero * _clip(gp, lb1)
+    v = gp + lb1 * np.sign(xp) - zero * _clip(gp, lb1)
     nonzero = np.logical_or.reduceat(~zero, lay.starts)
     x_norms = np.where(nonzero, lay.norms(xp), 1.0)
     v_scale = np.where(nonzero, 1.0, _group_shrink(lay.norms(v), lb2))
@@ -137,9 +131,8 @@ def sparse_group_min_norm(
 class GroupPartition:
     """Disjoint cover of the coordinate indices ``[0, n)`` into K groups.
 
-    Groups are stored as sorted 0-based index arrays; the file format is
-    1-based (JSON array of arrays).  ``layout`` lists the groups in order as
-    contiguous segments.
+    Groups are stored as sorted 0-based index arrays.  ``layout`` lists the
+    groups in order as contiguous segments.
     """
 
     n: int
@@ -176,18 +169,6 @@ class GroupPartition:
         if n % group_size != 0:
             raise ValueError("group size must divide n")
         return cls(n, tuple(np.arange(n).reshape(-1, group_size)))
-
-    @classmethod
-    def from_json(cls, path: str) -> "GroupPartition":
-        with open(path) as fh:
-            raw = json.load(fh)
-        groups = tuple(np.asarray(g, dtype=int) - 1 for g in raw)
-        n = 1 + max(int(g.max()) for g in groups)
-        return cls(n, groups)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump([(g + 1).tolist() for g in self.groups], fh)
 
 
 @dataclass(frozen=True)
@@ -266,8 +247,7 @@ def huber_scalar(r: np.ndarray, delta: float) -> np.ndarray:
 class HuberLoss:
     """Robust data-fit term ``sum_j huber(a_j @ x - b_j)``.
 
-    The gradient is Lipschitz with constant ``sigma_max(A)^2`` and uniformly
-    bounded by ``delta * sigma_max(A) * sqrt(m)``.
+    The gradient is Lipschitz with constant ``sigma_max(A)^2``.
     """
 
     A: np.ndarray
@@ -316,11 +296,6 @@ class HuberLoss:
     def lipschitz(self) -> float:
         """Gradient Lipschitz constant ``sigma_max(A)^2``."""
         return self._sigma_max ** 2
-
-    @property
-    def grad_bound(self) -> float:
-        """Uniform bound on ``||grad||_2`` over all of R^n."""
-        return self.delta * self._sigma_max * np.sqrt(self.num_rows)
 
 
 def _sigma_max_power(A: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -> float:

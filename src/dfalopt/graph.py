@@ -116,8 +116,11 @@ def build_topology(kind: str, num_nodes: int, path: str | None = None) -> Graph:
     num_nodes : int
         Ignored for ``'edge-file'`` (the file carries its own node count).
     path : str, optional
-        Edge file path, required for ``'edge-file'``.
+        Edge file path, required for ``'edge-file'`` and rejected for the
+        other kinds.
     """
+    if path is not None and kind != "edge-file":
+        raise GraphError(f"an edge file goes with kind 'edge-file', not {kind!r}")
     if kind == "star":
         return Graph(num_nodes, tuple((1, j) for j in range(2, num_nodes + 1)))
     if kind == "clique":

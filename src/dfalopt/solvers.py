@@ -326,16 +326,17 @@ def arbcd_run(
     alpha: float,
     p: float,
     rng: np.random.Generator,
-    c_estimate: float | None = None,
+    c_estimate: float,
     residual_target: float | None = None,
 ) -> SolveResult:
     """Restarted accelerated randomized block descent.
 
     Runs ``ceil(log2(1/p))`` (at least one) independent chains of
-    :func:`arbcd_chain_events` events, each on a fresh activation schedule
-    seeded from ``rng``, and returns the candidate (including the start
-    point) with the smallest objective; a chain whose residual test fires is
-    returned at once.  ``activations`` sums the chains' block counts.
+    :func:`arbcd_chain_events` events at restart constant ``c_estimate``
+    (see :func:`estimate_restart_constant`), each on a fresh activation
+    schedule seeded from ``rng``, and returns the candidate (including the
+    start point) with the smallest objective; a chain whose residual test
+    fires is returned at once.  ``activations`` sums the chains' block counts.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -343,8 +344,6 @@ def arbcd_run(
         raise ValueError("p must lie in (0, 1)")
     N = obj.num_blocks
     value = _value_of(obj, "arbcd_run")
-    if c_estimate is None:
-        c_estimate = estimate_restart_constant(obj, z0, rng)
     chain_iters = arbcd_chain_events(N, c_estimate, alpha)
     best_y = np.array(z0, dtype=float)
     best_phi = value(best_y)

@@ -77,9 +77,6 @@ class RunTrace:
         default_factory=time.monotonic, init=False, repr=False, compare=False
     )
 
-    def append(self, row: TraceRow) -> None:
-        self.rows.append(row)
-
     def record(
         self,
         k: int,

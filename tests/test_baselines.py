@@ -10,7 +10,6 @@ from dfalopt import (
     GroupPartition,
     HuberLoss,
     NodeProblem,
-    SadmmState,
     SparseGroupReg,
     admm_solve,
     apg,
@@ -45,13 +44,6 @@ def run_with_history(solver, nodes, graph, monkeypatch, **kwargs):
     return trace, calls
 
 
-class TestState:
-    def test_nonpositive_penalty_rejected(self):
-        z = np.zeros((2, 1))
-        with pytest.raises(ValueError, match="penalty"):
-            SadmmState(x=z, y=z, p=z, p_tilde=z, r=z, c_admm=0.0)
-
-
 class TestArguments:
     """Both baselines reject bad settings before any arithmetic."""
 
@@ -80,14 +72,6 @@ class TestArguments:
         # two problems on a three-node star once died with an IndexError
         with pytest.raises(ValueError, match="one node problem per graph node"):
             solver(make_pair(rng), build_topology("star", 3), iters=1)
-
-    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (8,)])
-    def test_start_point_shape(self, rng, solver, shape):
-        # a wrong width once died in a numpy broadcast
-        with pytest.raises(ValueError, match=r"x0 must have shape \(2, 4\)"):
-            solver(make_pair(rng), build_topology("star", 2), iters=1,
-                   x0=np.zeros(shape))
 
 
 class TestNeighborhoodAverage:

@@ -7,25 +7,29 @@ import numpy as np
 import pytest
 
 from dfalopt import (
+    CommLedger,
     HuberLoss,
     NodeProblem,
     SparseGroupReg,
-    evaluate,
+    build_topology,
+    consensus_violation,
     generate_instance,
     reference_solve,
     run_benchmark,
     sadmm_solve,
 )
 from dfalopt.bench import (
+    DEFAULT_BENCH_CONFIG,
     _reference_case1,
     config_digest,
     generator_vector,
     instance_from_json,
     instance_to_json,
+    run_solver,
 )
 from dfalopt.baselines import sadmm_cv
 from dfalopt.cli import main as cli_main
-from dfalopt.trace import RunTrace, TraceRow
+from dfalopt.trace import RunTrace
 
 SMALL = dict(topology="star", N=2, n_g=2, K=2, seed=3)
 
@@ -104,6 +108,11 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="tolerance"):
             reference_solve(small_instance(), tolerance=1e-12)
 
+    def test_nan_tolerance_rejected(self):
+        # NaN once ran 500000 APG iterations and returned an uncertified point
+        with pytest.raises(ValueError, match="tolerance must be at least 1e-9"):
+            reference_solve(small_instance(), tolerance=float("nan"), cache=False)
+
     def test_case1_residual_certificate(self):
         inst = small_instance()
         ref = reference_solve(inst, cache=False)
@@ -175,29 +184,33 @@ class TestReferenceSolve:
 
 
 class TestEvaluate:
+    """Trace rows measured against a reference, as ``RunTrace.record``
+    writes them."""
+
     @staticmethod
-    def _trace(rows):
+    def _series(rows, f_star):
         trace = RunTrace("dfal", config={})
         for k, f, cv in rows:
-            trace.append(TraceRow(k, 1.0, f, 0.0, cv, 0, 0, 0, 0.0, 0, "cap"))
-        return trace
+            trace.record(k=k, lam=1.0, F_sum=f, reference=f_star, CV=cv,
+                         ledger=CommLedger(1), dual_norm=0.0, inner_iters=0,
+                         stop_reason="cap")
+        return [r.rel_subopt for r in trace.rows], [r.CV for r in trace.rows]
 
     def test_exact_reference_gives_zeros(self):
-        trace = self._trace([(1, 2.5, 0.0), (2, 2.5, 0.0)])
-        rel, cv = evaluate(trace, 2.5)
+        rel, cv = self._series([(1, 2.5, 0.0), (2, 2.5, 0.0)], 2.5)
         assert np.allclose(rel, 0.0)
         assert np.allclose(cv, 0.0)
 
     def test_two_node_violation_unit(self):
         # 2-node iterate x = (1, 0) with n = 1 has CV |1-0|/sqrt(1) = 1
-        trace = self._trace([(1, 3.0, 1.0)])
-        rel, cv = evaluate(trace, 2.0)
-        assert cv[0] == pytest.approx(1.0)
+        x = np.array([[1.0], [0.0]])
+        cv = consensus_violation(build_topology("star", 2), x)
+        rel, cvs = self._series([(1, 3.0, cv)], 2.0)
+        assert cvs[0] == pytest.approx(1.0)
         assert rel[0] == pytest.approx(0.5)
 
     def test_zero_reference_reports_absolute_gap(self):
-        trace = self._trace([(1, 0.25, 0.0)])
-        rel, _ = evaluate(trace, 0.0)
+        rel, _ = self._series([(1, 0.25, 0.0)], 0.0)
         assert rel[0] == pytest.approx(0.25)
 
     def test_sadmm_rows_match_split_formula(self):
@@ -242,6 +255,18 @@ class TestRunBenchmark:
 
         assert strip(a.rows) == strip(b.rows)
 
+    def test_time_budget_reaches_dfal(self):
+        # the matrix once passed budget_secs to the baselines only
+        report = run_benchmark(dict(self.SMALL_CFG, budget_secs=1e-9))
+        row = report.rows[0]
+        assert row["budget_exhausted"], row
+        assert row["iterations"] == 1
+
+    def test_unknown_algorithm_recorded(self):
+        # "afal" is not a name of the dispatch; the oracle is part of it
+        report = run_benchmark(dict(self.SMALL_CFG, algorithms=["afal"]))
+        assert report.rows[0]["error"] == "ValueError: unknown algorithm 'afal'"
+
     def test_failures_recorded_per_row(self):
         cfg = dict(self.SMALL_CFG, N=3)  # 2N does not divide n = 4
         report = run_benchmark(cfg)
@@ -260,7 +285,8 @@ class TestInstanceJson:
         path = tmp_path / "inst.json"
         instance_to_json(inst, str(path))
         back = instance_from_json(str(path))
-        assert back.config_key() == inst.config_key()
+        for name in ("case", "topology", "N", "n_g", "K", "seed"):
+            assert getattr(back, name) == getattr(inst, name)
         assert back.graph.edges == inst.graph.edges
         for pa, pb in zip(inst.nodes, back.nodes):
             assert np.array_equal(pa.loss.A, pb.loss.A)
@@ -326,6 +352,18 @@ class TestCli:
         out = tmp_path / "run.csv"
         assert cli_main(["solve", "--alg", "dfal", *args, "--out", str(out)]) == 0
         assert "converged=True" in capsys.readouterr().out
+
+    def test_async_solve_is_the_matrix_run(self, tmp_path):
+        # dfalopt solve and the matrix share one dispatch
+        out = tmp_path / "run.csv"
+        assert cli_main(["solve", "--alg", "afal", "--oracle", "arbcd", *self.ARGS,
+                         "--out", str(out)]) == 0
+        inst = small_instance()
+        trace = run_solver("afal-arbcd", inst, reference_solve(inst),
+                           dict(DEFAULT_BENCH_CONFIG))
+        direct = tmp_path / "direct.csv"
+        trace.write_csv(str(direct))
+        assert out.read_text() == direct.read_text()
 
     def test_edge_file_topology_needs_the_file(self, tmp_path):
         with pytest.raises(SystemExit):

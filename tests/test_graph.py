@@ -275,6 +275,14 @@ class TestEdgeFile:
         g = build_topology("edge-file", 0, path=str(path))
         assert g.edges == ((1, 2),)
 
+    @pytest.mark.parametrize("kind", ["star", "clique"])
+    def test_file_with_a_named_kind_rejected(self, tmp_path, kind):
+        # the file was once dropped in silence and a star built instead
+        path = tmp_path / "g.txt"
+        path.write_text("2\n1 2\n")
+        with pytest.raises(GraphError, match=f"not '{kind}'"):
+            build_topology(kind, 2, path=str(path))
+
 
 class TestConsensusViolation:
     def test_largest_edge_disagreement(self):

@@ -1,20 +1,44 @@
-"""The README's library example runs as written against the public API."""
+"""The README's library example and command lines run as written."""
 
 import math
 import re
+import shlex
 from pathlib import Path
+
+from dfalopt.cli import main as cli_main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title: str) -> str:
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_example() -> str:
-    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    blocks = re.findall(r"```python\n(.*?)```", _section("Library"), flags=re.DOTALL)
     assert len(blocks) == 1, "the Library section should hold one python block"
     return blocks[0]
+
+
+def _command_lines() -> list[list[str]]:
+    """Every ``dfalopt`` line of the Command line section's shell blocks, with
+    continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", _section("Command line"), flags=re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("dfalopt ")]
 
 
 def test_library_example_runs(capsys):
     exec(compile(_library_example(), str(README), "exec"), {})
     printed = [float(v) for v in capsys.readouterr().out.split()]
     assert printed and all(math.isfinite(v) for v in printed)
+
+
+def test_command_lines_run(tmp_path, monkeypatch):
+    # in order, so ``ref`` finds the instance ``gen`` wrote; the default
+    # ``bench`` matrix is criterion 7 of the acceptance suite
+    monkeypatch.chdir(tmp_path)
+    commands = [argv for argv in _command_lines() if argv[1] != "bench"]
+    assert [argv[1] for argv in commands][:3] == ["gen", "ref", "solve"]
+    for argv in commands:
+        assert cli_main(argv[1:]) == 0, argv

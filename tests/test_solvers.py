@@ -95,7 +95,7 @@ class TestBlockObjective:
         assert rbcd_run(obj, y0, 6, np.random.default_rng(0)).iterations == 6
         for evaluate in (
             partial(ms_apg, obj, y0, max_iter=3, record_values=True),
-            partial(arbcd_run, obj, y0, 0.5, 0.25, np.random.default_rng(0)),
+            partial(arbcd_run, obj, y0, 0.5, 0.25, np.random.default_rng(0), 1.0),
             partial(estimate_restart_constant, obj, y0, np.random.default_rng(0)),
             partial(rbcd_budget_constant, obj, y0, np.random.default_rng(0)),
         ):
@@ -361,7 +361,9 @@ class TestArbcd:
         alpha, p = 0.05, 0.25
         wins = 0
         for seed in range(20):
-            res = arbcd_run(obj, z0, alpha, p, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            C = estimate_restart_constant(obj, z0, rng)
+            res = arbcd_run(obj, z0, alpha, p, rng, c_estimate=C)
             if obj.value(res.y) - phi_star <= alpha:
                 wins += 1
         assert wins >= int((1 - p) * 20) - 2
@@ -387,7 +389,8 @@ class TestActivations:
         runs = [
             rbcd_run(obj, y0, 50, np.random.default_rng(1)),
             arbcd_chain(obj, y0, 50, np.random.default_rng(2)),
-            arbcd_run(obj, y0, alpha=0.5, p=0.25, rng=np.random.default_rng(3)),
+            arbcd_run(obj, y0, alpha=0.5, p=0.25, rng=np.random.default_rng(3),
+                      c_estimate=1.0),
         ]
         for res in runs:
             assert res.activations.shape == (3,)
