@@ -35,10 +35,10 @@ from .solvers import (
 )
 from .netsim import (
     ActivationSchedule,
-    AsyncNetwork,
     CommLedger,
     SyncNetwork,
     async_schedule,
+    charge_activations,
 )
 from .trace import RunTrace, TraceRow, TRACE_COLUMNS, rel_subopt
 from .dfal import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .funcs import NodeProblem, _clip, objective_sum
 from .graph import Graph, consensus_violation, laplacian_apply
 from .netsim import CommLedger
 from .solvers import apg
-from .trace import RunTrace, check_budget_secs, rel_subopt
+from .trace import RunTrace, TraceRow
 
 NESTED_TOL = 1e-9
 # iteration caps of the nested composite-prox APG and the Huber-prox Newton
@@ -140,9 +139,7 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     return max(edge_cv, split_cv) / math.sqrt(x.shape[1])
 
 
-def _check_admm_args(
-    nodes, graph: Graph, c_admm: float, iters: int, budget_secs: float | None
-) -> np.ndarray:
+def _check_admm_args(nodes, graph: Graph, c_admm: float, iters: int) -> np.ndarray:
     """Reject bad arguments of both baselines; returns the start point, zeros
     of shape ``(N, n)``."""
     if len(nodes) != graph.num_nodes:
@@ -151,43 +148,7 @@ def _check_admm_args(
         raise ValueError(f"c_admm must be positive, got {c_admm}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    check_budget_secs(budget_secs)
     return np.zeros((graph.num_nodes, nodes[0].n))
-
-
-def _admm_loop(
-    trace: RunTrace,
-    ledger: CommLedger,
-    step: Callable[[], tuple[float, float, float, int]],
-    c_admm: float,
-    iters: int,
-    reference: float | None,
-    eps_opt: float,
-    eps_feas: float,
-    budget_secs: float | None,
-) -> None:
-    """Run ``step() -> (F_sum, CV, dual_norm, nested iterations)`` once per
-    iteration, recording each, until converged, out of time or out of
-    iterations."""
-    for k in range(1, iters + 1):
-        f_sum, cv, dual_norm, nested = step()
-        rel = rel_subopt(f_sum, reference)
-        converged = rel <= eps_opt and cv <= eps_feas
-        timed_out = trace.past_budget(budget_secs)
-        trace.record(
-            k=k, lam=c_admm, F_sum=f_sum, reference=reference, CV=cv,
-            ledger=ledger, dual_norm=dual_norm, inner_iters=nested,
-            stop_reason=(
-                "converged" if converged
-                else "timeout" if timed_out
-                else "iters" if k == iters
-                else "running"
-            ),
-        )
-        if converged or timed_out:
-            trace.converged = converged
-            break
-    trace.config["ledger"] = ledger.snapshot()
 
 
 def sadmm_solve(
@@ -208,7 +169,7 @@ def sadmm_solve(
     neighborhood averages and running sums.  The reported objective takes
     both primal copies at their midpoint.
     """
-    x = _check_admm_args(nodes, graph, c_admm, iters, budget_secs)
+    x = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("sadmm", config={"c_admm": c_admm})
     N = graph.num_nodes
     degrees = graph.degrees.astype(float)
@@ -223,7 +184,7 @@ def sadmm_solve(
     s_tilde = neighborhood_average(graph, state.y)
     ledger = CommLedger(N)
 
-    def sadmm_step() -> tuple[float, float, float, int]:
+    def sadmm_step(k: int) -> tuple[TraceRow, bool]:
         nonlocal s, s_tilde
         half_gap = 0.5 * (state.x - state.y)
         agg_x = laplacian_apply(graph, s + state.p)
@@ -246,17 +207,16 @@ def sadmm_solve(
         s_tilde = neighborhood_average(graph, state.y)
         state.p_tilde += s_tilde
         state.r += 0.5 * (state.x - state.y)
-        return (
-            sadmm_midpoint_objective(nodes, state.x, state.y),
-            sadmm_cv(graph, state.x, state.y),
-            float(c_admm * np.linalg.norm(state.p)),
-            nested,
+        row = trace.record(
+            k=k, lam=c_admm, F_sum=sadmm_midpoint_objective(nodes, state.x, state.y),
+            reference=reference, CV=sadmm_cv(graph, state.x, state.y), ledger=ledger,
+            dual_norm=float(c_admm * np.linalg.norm(state.p)), inner_iters=nested,
+            stop_reason="residual",
         )
+        return row, False
 
-    _admm_loop(trace, ledger, sadmm_step, c_admm, iters, reference, eps_opt,
-               eps_feas, budget_secs)
     trace.config["final_state"] = state
-    return trace
+    return trace.run(sadmm_step, iters, ledger, eps_opt, eps_feas, budget_secs)
 
 
 def admm_solve(
@@ -277,7 +237,7 @@ def admm_solve(
     the comparison.  Traffic is charged at 3 vector units per node per
     iteration.
     """
-    x = _check_admm_args(nodes, graph, c_admm, iters, budget_secs)
+    x = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("admm", config={"c_admm": c_admm})
     N = graph.num_nodes
     degrees = graph.degrees.astype(float)
@@ -289,7 +249,7 @@ def admm_solve(
     s = neighborhood_average(graph, x)
     ledger = CommLedger(N)
 
-    def admm_step() -> tuple[float, float, float, int]:
+    def admm_step(k: int) -> tuple[TraceRow, bool]:
         nonlocal s, p
         agg = laplacian_apply(graph, s + p)
         center = x - agg / coef[:, None]
@@ -302,14 +262,13 @@ def admm_solve(
             ledger.charge_send(i + 1, 3)
         s = neighborhood_average(graph, x)
         p += s
-        return (
-            objective_sum(nodes, x),
-            consensus_violation(graph, x),
-            float(c_admm * np.linalg.norm(p)),
-            nested,
+        row = trace.record(
+            k=k, lam=c_admm, F_sum=objective_sum(nodes, x), reference=reference,
+            CV=consensus_violation(graph, x), ledger=ledger,
+            dual_norm=float(c_admm * np.linalg.norm(p)), inner_iters=nested,
+            stop_reason="residual",
         )
+        return row, False
 
-    _admm_loop(trace, ledger, admm_step, c_admm, iters, reference, eps_opt,
-               eps_feas, budget_secs)
-    trace.config["final_x"] = x
-    return trace
+    trace.config["final_state"] = x
+    return trace.run(admm_step, iters, ledger, eps_opt, eps_feas, budget_secs)

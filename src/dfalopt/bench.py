@@ -176,7 +176,8 @@ def reference_solve(
     # "not >=" also rejects NaN, which would run APG to its iteration cap
     if not tolerance >= 1e-9:
         raise ValueError(f"tolerance must be at least 1e-9, got {tolerance}")
-    key = (instance.case, tolerance, instance.content_digest()) if cache else None
+    tol_key = tolerance if instance.case == 1 else None
+    key = (instance.case, tol_key, instance.content_digest()) if cache else None
     if key is not None and key in _REFERENCE_CACHE:
         return _REFERENCE_CACHE[key]
 

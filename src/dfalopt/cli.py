@@ -87,6 +87,8 @@ def _apg_trace(instance, ref) -> RunTrace:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.oracle is not None and args.alg != "afal":
+        raise ValueError(f"--oracle applies only to --alg afal, not {args.alg}")
     instance = _instance(args)
     ref = bench_mod.reference_solve(instance)
     if args.alg == "apg":
@@ -97,7 +99,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             eps_opt=args.eps_opt, eps_feas=args.eps_feas, admm_iters=args.iters,
             budget_secs=args.budget_secs,
         )
-        alg = f"afal-{args.oracle}" if args.alg == "afal" else args.alg
+        alg = f"afal-{args.oracle or 'rbcd'}" if args.alg == "afal" else args.alg
         trace = bench_mod.run_solver(alg, instance, ref, cfg)
 
     trace.write_csv(args.out)
@@ -151,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     p_solve.add_argument(
         "--alg", choices=["dfal", "afal", "admm", "sadmm", "apg"], required=True
     )
-    p_solve.add_argument("--oracle", choices=["rbcd", "arbcd"], default="rbcd")
+    p_solve.add_argument("--oracle", choices=["rbcd", "arbcd"])
     p_solve.add_argument("--c", type=float, default=0.7)
     p_solve.add_argument("--c-admm", type=float, default=1.0)
     p_solve.add_argument("--eps-opt", type=float, default=1e-3)
@@ -170,7 +172,10 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # bad input: one error line, not a traceback
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

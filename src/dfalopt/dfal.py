@@ -8,8 +8,8 @@ and evaluates the stacked subproblem gradient on the delivered snapshot, so
 node ``i``'s block reads only its own data and its neighbours' delivered
 blocks.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
 consumes seeded activation schedules, each event assembling one block from
-the node's neighbour index row, and :class:`netsim.AsyncNetwork` charges the
-activations they report.  :func:`local_gradient` is the per-node reference
+the node's neighbour index row, and :func:`netsim.charge_activations` charges
+the activations they report.  :func:`local_gradient` is the per-node reference
 for both gradients.  Dual variables are never materialized; their norms come
 from Laplacian quadratic forms of the running penalty-weighted accumulator,
 which every node can roll from the same delivered iterates.
@@ -31,7 +31,7 @@ from .graph import (
     laplacian_quadratic,
     spectral_bounds,
 )
-from .netsim import ActivationSchedule, AsyncNetwork, SyncNetwork
+from .netsim import ActivationSchedule, CommLedger, SyncNetwork, charge_activations
 from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd_chain)
     BlockObjective,
     SolveResult,
@@ -44,7 +44,7 @@ from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd
     rbcd_events,
     rbcd_run,
 )
-from .trace import RunTrace, check_budget_secs
+from .trace import RunTrace, TraceRow
 
 
 class ProtocolError(RuntimeError):
@@ -212,23 +212,20 @@ def _outer_loop(
     state: DfalState,
     num_outer: int,
     solve_subproblem: Callable[[int, float, float, float], SolveResult],
-    net: SyncNetwork | AsyncNetwork,
+    ledger: CommLedger,
     reference: float | None,
     lam_min: float = 0.0,
     budget_secs: float | None = None,
 ) -> RunTrace:
-    """The outer iterations shared by both solves.
+    """The outer step of both solves, run by :meth:`RunTrace.run`.
 
     ``solve_subproblem(k, lam, alpha, xi)`` solves subproblem ``k`` from
-    ``state`` and charges its work to ``net``; its solution becomes
-    ``x^(k)``, the accumulator rolls, and the row is recorded.  Stops when
-    both accuracy targets are met, when the penalty drops below ``lam_min``
-    (without a reference), once more than ``budget_secs`` seconds have
-    passed since the trace began (the row's stop reason is then
-    ``"timeout"``), or after ``num_outer`` iterations.
+    ``state`` and charges its work to ``ledger``; its solution becomes
+    ``x^(k)``, the accumulator rolls, and the row is recorded.  Without a
+    reference, a next penalty of at most ``lam_min`` ends the run, converged.
     """
-    check_budget_secs(budget_secs)
-    for k in range(1, num_outer + 1):
+
+    def step(k: int) -> tuple[TraceRow, bool]:
         # closed-form schedule values, so traces match the geometric law exactly
         lam, alpha, xi = params.schedule(k)
         result = solve_subproblem(k, lam, alpha, xi)
@@ -243,23 +240,17 @@ def _outer_loop(
             F_sum=objective_sum(nodes, state.x),
             reference=reference,
             CV=consensus_violation(graph, state.x),
-            ledger=net.ledger,
+            ledger=ledger,
             dual_norm=dual_norm,
             inner_iters=result.iterations,
             stop_reason=result.stop_reason,
         )
-        # without a reference the gap is NaN and never meets its target
-        reached = row.rel_subopt <= params.eps_opt and row.CV <= params.eps_feas
-        floor = reference is None and 0.0 < lam_min and lam_next <= lam_min
-        if reached or floor:
-            trace.converged = True
-            break
-        if trace.past_budget(budget_secs):
-            row.stop_reason = "timeout"
-            break
+        return row, reference is None and 0.0 < lam_min and lam_next <= lam_min
+
     trace.config["final_state"] = state
-    trace.config["ledger"] = net.ledger.snapshot()
-    return trace
+    return trace.run(
+        step, num_outer, ledger, params.eps_opt, params.eps_feas, budget_secs
+    )
 
 
 def dfal_solve(
@@ -322,7 +313,7 @@ def dfal_solve(
 
     return _outer_loop(
         trace, nodes, graph, params, state, params.outer_cap, solve_subproblem,
-        net, reference, lam_min, budget_secs,
+        net.ledger, reference, lam_min, budget_secs,
     )
 
 
@@ -418,7 +409,7 @@ def async_dfal_solve(
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
                 "budgets": [], "budget_constant": None},
     )
-    net = AsyncNetwork(graph)
+    ledger = CommLedger(N)
     rng = np.random.default_rng(seed)
 
     def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
@@ -446,13 +437,13 @@ def async_dfal_solve(
                 c_estimate=const, residual_target=target,
             )
         trace.config["budgets"].append(events)
-        net.activate(result.activations)
+        charge_activations(ledger, graph, result.activations)
         if result.stop_reason == "residual":
             # every node sends a termination notice to each neighbour
-            net.ledger.control_msgs += graph.degrees
+            ledger.control_msgs += graph.degrees
         return result
 
     return _outer_loop(
-        trace, nodes, graph, params, state, K_outer, solve_subproblem, net,
+        trace, nodes, graph, params, state, K_outer, solve_subproblem, ledger,
         reference, budget_secs=budget_secs,
     )

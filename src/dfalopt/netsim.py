@@ -6,7 +6,7 @@ blocks into one ``(N, n)`` snapshot, :attr:`SyncNetwork.delivered`, and a node
 may read only its own row and its neighbours' rows of that snapshot.  Asynchronous execution draws node
 activations from one seeded uniform stream (:class:`ActivationSchedule`); the
 randomized solvers consume it directly and report how often each node fired,
-which :meth:`AsyncNetwork.activate` charges for a whole subproblem at once.  A
+which :func:`charge_activations` charges for a whole subproblem at once.  A
 ledger counts vector transmissions and per-node proximal and gradient
 evaluations, since communication totals are the quantity the solver
 comparisons are about.  One unit of communication is one block-length vector
@@ -67,6 +67,16 @@ def charge_exchange(ledger: CommLedger, graph: Graph, counts: np.ndarray | int) 
     counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), graph.degrees.shape)
     ledger.vectors_sent += graph.degrees * counts
     ledger.vectors_received += graph.neighbor_sum(counts)
+
+
+def charge_activations(ledger: CommLedger, graph: Graph, counts: np.ndarray) -> None:
+    """Charge node ``i`` for ``counts[i - 1]`` asynchronous activations: each
+    is one gradient, one prox and a push of its block to its ``d_i``
+    neighbours.  Event order is virtual time from a seeded schedule."""
+    counts = np.asarray(counts, dtype=np.int64)
+    charge_exchange(ledger, graph, counts)
+    ledger.grad_evals += counts
+    ledger.prox_evals += counts
 
 
 class SyncNetwork:
@@ -144,24 +154,3 @@ def async_schedule(seed: int, num_events: int, num_nodes: int) -> np.ndarray:
     sched = ActivationSchedule(seed, num_nodes)
     ids = (sched.integers(num_nodes) for _ in range(num_events))
     return np.fromiter(ids, dtype=np.int64, count=num_events) + 1
-
-
-class AsyncNetwork:
-    """Asynchronous activation bookkeeping over a fixed graph.
-
-    Event order is virtual time from a seeded schedule, not wall time.  On
-    activation a node updates its own block with one gradient and one prox
-    and pushes it to its neighbors (``d_i`` vector units).
-    """
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.ledger = CommLedger(graph.num_nodes)
-
-    def activate(self, counts: np.ndarray) -> None:
-        """Charge node ``i`` for ``counts[i - 1]`` activations: it sends
-        ``d_i`` vectors and each neighbor receives one per activation."""
-        counts = np.asarray(counts, dtype=np.int64)
-        charge_exchange(self.ledger, self.graph, counts)
-        self.ledger.grad_evals += counts
-        self.ledger.prox_evals += counts

@@ -1,5 +1,6 @@
-"""Run traces shared by every solver: one row per outer iteration, CSV spill,
-and a JSON summary carrying the final metrics plus the configuration echo."""
+"""Run traces shared by every solver: the one run loop, one row per outer
+iteration, CSV spill, and a JSON summary carrying the final metrics plus the
+configuration echo."""
 
 from __future__ import annotations
 
@@ -9,12 +10,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any, Callable
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .netsim import CommLedger
+from .netsim import CommLedger
 
 
 def rel_subopt(f_sum: float, reference: float | None) -> float:
@@ -27,9 +27,7 @@ def rel_subopt(f_sum: float, reference: float | None) -> float:
 
 
 def check_budget_secs(budget_secs: float | None) -> None:
-    """Reject a wall-time budget that is set but not positive (NaN included);
-    every solve that takes ``budget_secs`` calls this before its first
-    iteration."""
+    """Reject a wall-time budget that is set but not positive (NaN included)."""
     if budget_secs is not None and not budget_secs > 0:
         raise ValueError(f"budget_secs must be positive, got {budget_secs}")
 
@@ -84,7 +82,7 @@ class RunTrace:
         F_sum: float,
         reference: float | None,
         CV: float,
-        ledger: "CommLedger",
+        ledger: CommLedger,
         dual_norm: float,
         inner_iters: int,
         stop_reason: str,
@@ -108,10 +106,33 @@ class RunTrace:
         self.wall_time = time.monotonic() - self.started
         return row
 
-    def past_budget(self, budget_secs: float | None) -> bool:
-        """Whether more than ``budget_secs`` seconds (if set) have passed
-        since the trace began."""
-        return budget_secs is not None and time.monotonic() - self.started > budget_secs
+    def run(
+        self,
+        step: Callable[[int], tuple[TraceRow, bool]],
+        iters: int,
+        ledger: CommLedger,
+        eps_opt: float,
+        eps_feas: float,
+        budget_secs: float | None = None,
+    ) -> RunTrace:
+        """The run loop of every solve: ``step(k) -> (row, done)`` does and
+        records iteration ``k``, for k = 1..``iters``.  Stops converged once a
+        row meets both targets or ``done`` is true; otherwise the row that
+        ends more than ``budget_secs`` seconds (if set) after the trace began
+        gets stop reason ``"timeout"`` and ends the run.  Keeps a snapshot of
+        ``ledger`` in ``config["ledger"]``."""
+        check_budget_secs(budget_secs)
+        for k in range(1, iters + 1):
+            row, done = step(k)
+            # without a reference the gap is NaN and never meets its target
+            if done or (row.rel_subopt <= eps_opt and row.CV <= eps_feas):
+                self.converged = True
+                break
+            if budget_secs is not None and time.monotonic() - self.started > budget_secs:
+                row.stop_reason = "timeout"
+                break
+        self.config["ledger"] = ledger.snapshot()
+        return self
 
     @property
     def final(self) -> TraceRow:

@@ -45,7 +45,9 @@ def run_with_history(solver, nodes, graph, monkeypatch, **kwargs):
 
 
 class TestArguments:
-    """Both baselines reject bad settings before any arithmetic."""
+    """Both baselines reject bad settings: the node count, penalty and
+    iteration count before any arithmetic, the time budget when the run loop
+    starts."""
 
     @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
     @pytest.mark.parametrize("iters", [0, -3])
@@ -210,7 +212,7 @@ class TestSadmmSolve:
             eps_opt=1e-3, eps_feas=1e-3,
         )
         assert trace.converged
-        assert trace.rows[-1].stop_reason == "converged"
+        assert trace.rows[-1].stop_reason == "residual"
 
 
 class _SpyReg:
@@ -384,3 +386,4 @@ class TestAdmmSolve:
             eps_opt=1e-3, eps_feas=1e-3,
         )
         assert trace.converged
+        assert trace.rows[-1].stop_reason == "residual"

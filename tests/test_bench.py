@@ -21,6 +21,7 @@ from dfalopt import (
 from dfalopt.bench import (
     DEFAULT_BENCH_CONFIG,
     _reference_case1,
+    _reference_case2,
     config_digest,
     generator_vector,
     instance_from_json,
@@ -172,6 +173,23 @@ class TestReferenceSolve:
         b = reference_solve(small_instance(seed=11))
         assert a is b
 
+    def test_case2_cache_ignores_the_tolerance(self, monkeypatch):
+        # case 2 ignores the tolerance, so a second tolerance once re-solved
+        import dfalopt.bench as bench
+
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return _reference_case2(instance)
+
+        monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(bench, "_reference_case2", counted)
+        inst = small_instance(case=2)
+        first = reference_solve(inst)
+        assert reference_solve(inst, tolerance=1e-8) is first
+        assert len(calls) == 1
+
     def test_cache_keys_on_content_not_on_names(self):
         # same (case, topology, N, n_g, K, seed), different Huber delta
         wide = reference_solve(small_instance(seed=3))
@@ -267,6 +285,19 @@ class TestRunBenchmark:
         report = run_benchmark(dict(self.SMALL_CFG, algorithms=["afal"]))
         assert report.rows[0]["error"] == "ValueError: unknown algorithm 'afal'"
 
+    @pytest.mark.parametrize(
+        "alg", ["dfal", "afal-rbcd", "afal-arbcd", "sadmm", "admm"]
+    )
+    def test_every_solver_leaves_final_state_and_ledger(self, alg):
+        # admm once kept its iterate under "final_x" and no "final_state"
+        inst = small_instance()
+        cfg = dict(DEFAULT_BENCH_CONFIG, admm_iters=3)
+        trace = run_solver(alg, inst, reference_solve(inst), cfg)
+        assert trace.config["final_state"] is not None
+        ledger = trace.config["ledger"]
+        assert int(ledger.vectors_sent.max()) == trace.final.comm_per_node_max
+        assert int(ledger.grad_evals.sum()) == trace.final.grad_count
+
     def test_failures_recorded_per_row(self):
         cfg = dict(self.SMALL_CFG, N=3)  # 2N does not divide n = 4
         report = run_benchmark(cfg)
@@ -354,16 +385,48 @@ class TestCli:
         assert "converged=True" in capsys.readouterr().out
 
     def test_async_solve_is_the_matrix_run(self, tmp_path):
-        # dfalopt solve and the matrix share one dispatch
-        out = tmp_path / "run.csv"
-        assert cli_main(["solve", "--alg", "afal", "--oracle", "arbcd", *self.ARGS,
-                         "--out", str(out)]) == 0
+        # dfalopt solve and the matrix share one dispatch; the oracle
+        # defaults to rbcd
         inst = small_instance()
-        trace = run_solver("afal-arbcd", inst, reference_solve(inst),
-                           dict(DEFAULT_BENCH_CONFIG))
-        direct = tmp_path / "direct.csv"
-        trace.write_csv(str(direct))
-        assert out.read_text() == direct.read_text()
+        for oracle_args, alg in ([], "afal-rbcd"), (["--oracle", "arbcd"], "afal-arbcd"):
+            out = tmp_path / "run.csv"
+            assert cli_main(["solve", "--alg", "afal", *oracle_args, *self.ARGS,
+                             "--out", str(out)]) == 0
+            trace = run_solver(alg, inst, reference_solve(inst),
+                               dict(DEFAULT_BENCH_CONFIG))
+            direct = tmp_path / "direct.csv"
+            trace.write_csv(str(direct))
+            assert out.read_text() == direct.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--topology", "star", "--edge-file", "edges.txt"],
+        ["ref", "--tolerance", "nan"],
+        ["gen", "--nodes", "3"],  # 2N = 6 does not divide n = 100
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        # library ValueErrors once reached the user as tracebacks
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "edges.txt").write_text("5\n1 2\n1 3\n1 4\n1 5\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--out", "out.json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if ln.startswith("dfalopt: error: ")]
+        assert len(errors) == 1
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("alg", ["dfal", "sadmm", "admm", "apg"])
+    def test_oracle_only_with_afal(self, tmp_path, capsys, alg):
+        # solve --alg dfal --oracle arbcd once ran dfal and said nothing
+        out = tmp_path / "run.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", "--alg", alg, "--oracle", "arbcd", *self.ARGS,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "dfalopt: error: --oracle applies only to --alg afal" in err
+        assert not out.exists()
 
     def test_edge_file_topology_needs_the_file(self, tmp_path):
         with pytest.raises(SystemExit):

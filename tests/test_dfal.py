@@ -15,6 +15,7 @@ from dfalopt import (
     NodeProblem,
     ProtocolError,
     SparseGroupReg,
+    admm_solve,
     apg,
     async_dfal_solve,
     build_topology,
@@ -26,6 +27,7 @@ from dfalopt import (
     laplacian_quadratic,
     local_gradient,
     objective_sum,
+    sadmm_solve,
 )
 import dfalopt.dfal as dfal
 from dfalopt.dfal import _subproblem_objective
@@ -467,10 +469,18 @@ class TestSharedSetup:
 
 
 class TestTimeBudget:
-    """``budget_secs`` bounds both solves, checked once per outer iteration."""
+    """``budget_secs`` bounds all four solves through their one run loop,
+    checked once per outer iteration."""
 
     _star5 = staticmethod(TestSharedSetup._star5)
-    _solves = staticmethod(TestSharedSetup._solves)
+
+    @staticmethod
+    def _solves(nodes, graph, params, **kwargs):
+        """Both DFAL solves and both baselines, not yet run."""
+        return TestSharedSetup._solves(nodes, graph, params, **kwargs) + [
+            partial(solve, nodes, graph, iters=3, **kwargs)
+            for solve in (sadmm_solve, admm_solve)
+        ]
 
     def test_spent_budget_stops_after_one_outer_iteration(self):
         # no reference and no penalty floor: before the budget only the outer

@@ -6,12 +6,12 @@ import pytest
 
 from dfalopt import (
     ActivationSchedule,
-    AsyncNetwork,
     CommLedger,
     Graph,
     SyncNetwork,
     async_schedule,
     build_topology,
+    charge_activations,
 )
 from conftest import random_connected_graph
 
@@ -148,45 +148,43 @@ class TestLedger:
 
 
 class TestAsyncNetwork:
+    """``charge_activations``: the ledger charge of asynchronous activations."""
+
     def test_activation_charges_degree(self):
         g = build_topology("star", 4)
-        net = AsyncNetwork(g)
-        net.activate(np.array([1, 0, 0, 0]))
-        assert net.ledger.vectors_sent.tolist() == [3, 0, 0, 0]
-        assert net.ledger.vectors_received.tolist() == [0, 1, 1, 1]
+        ledger = CommLedger(4)
+        charge_activations(ledger, g, np.array([1, 0, 0, 0]))
+        assert ledger.vectors_sent.tolist() == [3, 0, 0, 0]
+        assert ledger.vectors_received.tolist() == [0, 1, 1, 1]
 
     def test_schedule_replay_conserves_traffic(self, rng):
         g = random_connected_graph(rng, 5)
-        net = AsyncNetwork(g)
+        ledger = CommLedger(5)
         sched = async_schedule(3, 200, 5)
         for i in sched:
-            net.activate(np.eye(5, dtype=np.int64)[int(i) - 1])
+            charge_activations(ledger, g, np.eye(5, dtype=np.int64)[int(i) - 1])
         counts = np.bincount(sched, minlength=6)[1:]
-        assert np.array_equal(net.ledger.vectors_sent, counts * g.degrees)
-        assert int(net.ledger.vectors_sent.sum()) == int(
-            net.ledger.vectors_received.sum()
-        )
+        assert np.array_equal(ledger.vectors_sent, counts * g.degrees)
+        assert int(ledger.vectors_sent.sum()) == int(ledger.vectors_received.sum())
 
     def test_activation_counts_charge_one_gradient_and_one_prox_each(self):
         g = build_topology("star", 4)
-        net = AsyncNetwork(g)
+        ledger = CommLedger(4)
         counts = np.array([2, 0, 1, 3])
-        net.activate(counts)
-        net.activate(counts)
-        assert net.ledger.vectors_sent.tolist() == [12, 0, 2, 6]
-        assert net.ledger.vectors_received.tolist() == [8, 4, 4, 4]
-        assert net.ledger.grad_evals.tolist() == [4, 0, 2, 6]
-        assert net.ledger.prox_evals.tolist() == [4, 0, 2, 6]
-        assert int(net.ledger.control_msgs.sum()) == 0
+        charge_activations(ledger, g, counts)
+        charge_activations(ledger, g, counts)
+        assert ledger.vectors_sent.tolist() == [12, 0, 2, 6]
+        assert ledger.vectors_received.tolist() == [8, 4, 4, 4]
+        assert ledger.grad_evals.tolist() == [4, 0, 2, 6]
+        assert ledger.prox_evals.tolist() == [4, 0, 2, 6]
+        assert int(ledger.control_msgs.sum()) == 0
 
     def test_one_call_equals_a_replay_of_single_activations(self, rng):
         g = random_connected_graph(rng, 6)
         sched = async_schedule(11, 300, 6)
-        replay, once = AsyncNetwork(g), AsyncNetwork(g)
+        replay, once = CommLedger(6), CommLedger(6)
         for i in sched:
-            replay.activate(np.eye(6, dtype=np.int64)[int(i) - 1])
-        once.activate(np.bincount(sched, minlength=7)[1:])
+            charge_activations(replay, g, np.eye(6, dtype=np.int64)[int(i) - 1])
+        charge_activations(once, g, np.bincount(sched, minlength=7)[1:])
         for name in ("vectors_sent", "vectors_received", "grad_evals", "prox_evals"):
-            assert np.array_equal(
-                getattr(replay.ledger, name), getattr(once.ledger, name)
-            )
+            assert np.array_equal(getattr(replay, name), getattr(once, name))

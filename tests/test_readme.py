@@ -1,9 +1,12 @@
-"""The README's library example and command lines run as written."""
+"""The README's library example and command lines run as written, and it
+documents every command-line flag."""
 
 import math
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 from dfalopt.cli import main as cli_main
 
@@ -42,3 +45,16 @@ def test_command_lines_run(tmp_path, monkeypatch):
     assert [argv[1] for argv in commands][:3] == ["gen", "ref", "solve"]
     for argv in commands:
         assert cli_main(argv[1:]) == 0, argv
+
+
+@pytest.mark.parametrize("command", ["gen", "ref", "solve", "bench"])
+def test_every_cli_flag_is_documented(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags
+    section = _section("Command line")
+    # "--c" must not count as documented through "--case" or "--c-admm"
+    missing = [f for f in sorted(flags) if not re.search(rf"{f}(?![\w-])", section)]
+    assert not missing, f"{command}: {missing} not in the README's Command line section"
