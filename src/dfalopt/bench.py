@@ -169,9 +169,13 @@ def reference_solve(
     """Case 1: centralized accelerated solve with the combined closed-form
     prox (all partitions coincide, so the summed regularizer is again a
     sparse-group term with scaled weights), run until its residual is at
-    most ``tolerance``.  Case 2: best consensus point from a long-horizon
-    distributed run and a tightly solved split baseline; it ignores
-    ``tolerance``.
+    most ``tolerance``.  It is the one caller of ``apg(restart=True)``:
+    adaptive restart recovers the linear rate this problem has near its
+    optimum (661 iterations instead of 7890 on the 5-node star of seed 1)
+    and certifies the same point, while the solvers it scores keep the plain
+    momentum their complexity bounds describe.  Case 2: best consensus point
+    from a long-horizon distributed run and a tightly solved split baseline;
+    it ignores ``tolerance``.
     """
     # "not >=" also rejects NaN, which would run APG to its iteration cap
     if not tolerance >= 1e-9:
@@ -216,6 +220,7 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
         x0=np.zeros(instance.n),
         residual_target=tolerance,
         max_iter=500_000,
+        restart=True,
     )
     seconds = time.perf_counter() - started
     x_ref = res.y

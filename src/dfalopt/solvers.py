@@ -101,6 +101,7 @@ def ms_apg(
     record_values: bool = False,
     callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     strong_convexity: float = 0.0,
+    restart: bool = False,
 ) -> SolveResult:
     """Accelerated proximal gradient with per-block step sizes.
 
@@ -115,12 +116,26 @@ def ms_apg(
     every ``L_i``) the momentum is the constant
     ``(sqrt(L_i / mu) - 1) / (sqrt(L_i / mu) + 1)`` of each block (Nesterov
     2004, section 2.2) in place of FISTA's.
+
+    ``restart=True`` adds gradient-based adaptive restart (O'Donoghue and
+    Candes 2015, FoCM) to FISTA's momentum: when the prox step from ``ybar``
+    to ``y`` satisfies ``<ybar - y, y - y_prev> > 0``, ``t`` is reset to 1,
+    so the next extrapolated point is ``y`` itself.  It recovers the linear
+    rate a problem has near its solution without knowing its modulus, and
+    changes nothing else: the stopping test, the returned point and the
+    gradient and prox counts per iteration stay as they are.  Only the
+    centralized case-1 reference uses it; the synchronous DFAL inner loop
+    and the nested ADMM proxes keep plain momentum, whose iteration counts
+    the DFAL complexity bound and the frozen counters describe.  It is
+    rejected with ``strong_convexity > 0``, whose momentum is constant.
     """
     if not 0.0 <= strong_convexity <= obj.L.min():
         raise ValueError(
             f"strong_convexity must lie in [0, min(L)] = [0, {obj.L.min()}], "
             f"got {strong_convexity}"
         )
+    if restart and strong_convexity > 0.0:
+        raise ValueError("restart applies to FISTA momentum, not strong_convexity > 0")
     value = _value_of(obj, "record_values") if record_values else None
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
@@ -150,6 +165,8 @@ def ms_apg(
         if strong_convexity > 0.0:
             ybar = y + beta * (y - y_prev)
         else:
+            if restart and np.vdot(ybar - y, y - y_prev) > 0.0:
+                t = 1.0
             t_next = fista_momentum(t)
             ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
             t = t_next
@@ -166,12 +183,15 @@ def apg(
     residual_target: float | None = None,
     max_iter: int = 1000,
     strong_convexity: float = 0.0,
+    restart: bool = False,
 ) -> SolveResult:
     """Centralized accelerated proximal gradient with one combined prox.
 
     Thin single-block wrapper over :func:`ms_apg`, so the two share one
     arithmetic path exactly.  ``residual(g, x)`` is the stopping test's norm
-    at ``x`` with smooth gradient ``g``; ``strong_convexity`` is passed on.
+    at ``x`` with smooth gradient ``g``; ``strong_convexity`` and ``restart``
+    are passed on.  The case-1 reference solve sets ``restart``; ``admm``'s
+    strongly convex nested prox does not.
     """
     obj = BlockObjective(
         L=np.array([lipschitz]),
@@ -187,6 +207,7 @@ def apg(
         residual_target=residual_target,
         max_iter=max_iter,
         strong_convexity=strong_convexity,
+        restart=restart,
     )
     res.y = res.y[0]
     return res

@@ -2,6 +2,7 @@
 matrix, and the command line front end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dfalopt import (
     HuberLoss,
     NodeProblem,
     SparseGroupReg,
+    apg,
     build_topology,
     consensus_violation,
     generate_instance,
@@ -199,6 +201,46 @@ class TestReferenceSolve:
         assert narrow.f_star == pytest.approx(fresh.f_star, rel=1e-12)
         assert narrow.f_star < 0.5 < wide.f_star
         assert reference_solve(small_instance(seed=3, delta=0.05)) is narrow
+
+
+class TestReferenceRestart:
+    """The case-1 reference runs FISTA with adaptive restart; the same solve
+    with plain momentum is the oracle for its optimum and its iteration
+    count."""
+
+    @staticmethod
+    def plain_reference(instance, monkeypatch):
+        import dfalopt.bench as bench
+
+        def plain_apg(*args, **kwargs):
+            return apg(*args, **{**kwargs, "restart": False})
+
+        with monkeypatch.context() as m:
+            m.setattr(bench, "apg", plain_apg)
+            return _reference_case1(instance, 1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("topology,N,K", [("star", 3, 3), ("clique", 4, 4)])
+    def test_same_certified_optimum_in_no_more_iterations(
+        self, monkeypatch, topology, N, K, seed
+    ):
+        inst = generate_instance(1, topology, N, 4, K, seed)
+        plain = self.plain_reference(inst, monkeypatch)
+        restarted = _reference_case1(inst, 1e-9)
+        assert plain.converged and restarted.converged
+        combined = SparseGroupReg(
+            N * inst.beta1, N * inst.beta2, inst.nodes[0].reg.partition
+        )
+        grad = sum(p.loss.grad(restarted.x_ref) for p in inst.nodes)
+        assert combined.subgrad_residual(1.0, grad, restarted.x_ref) <= 1e-9
+        assert restarted.f_star == pytest.approx(plain.f_star, rel=1e-12, abs=0.0)
+        assert restarted.iterations <= plain.iterations
+
+    def test_benchmark_instance_certifies_in_under_1500_iterations(self):
+        # plain momentum needs 7890 iterations here
+        ref = _reference_case1(generate_instance(1, "star", 5, 10, 10, 1), 1e-9)
+        assert ref.converged
+        assert ref.iterations < 1500
 
 
 class TestEvaluate:
@@ -402,6 +444,8 @@ class TestCli:
         ["gen", "--topology", "star", "--edge-file", "edges.txt"],
         ["ref", "--tolerance", "nan"],
         ["gen", "--nodes", "3"],  # 2N = 6 does not divide n = 100
+        ["gen", "--topology", "file"],
+        ["solve", "--alg", "apg", "--case", "2"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
         # library ValueErrors once reached the user as tracebacks
@@ -460,12 +504,44 @@ class TestCli:
         assert int(line["prox_count"]) == iters - 1
         assert summary["wall_time"] == refs[0].seconds > 0.0
 
-    def test_apg_rejects_case2(self, tmp_path):
-        with pytest.raises(SystemExit, match="case 1"):
-            cli_main([
-                "solve", "--alg", "apg", "--case", "2", *self.ARGS,
-                "--out", str(tmp_path / "x.csv"),
-            ])
+    def test_apg_uncertified_reference_is_not_converged(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # converged once read the row's gap, which is 0 by construction
+        import dfalopt.bench as bench
+
+        def capped(instance, tolerance):
+            ref = _reference_case1(instance, tolerance)
+            return replace(ref, converged=False, iterations=500_000)
+
+        monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(bench, "_reference_case1", capped)
+        out = tmp_path / "apg.csv"
+        assert cli_main(["solve", "--alg", "apg", *self.ARGS, "--out", str(out)]) == 0
+        assert "converged=False" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "apg.csv.summary.json").read_text())
+        assert summary["converged"] is False
+        header, row = out.read_text().splitlines()
+        line = dict(zip(header.split(","), row.split(",")))
+        assert line["stop_reason"] == "cap"
+        assert int(line["grad_count"]) == int(line["prox_count"]) == 500_000
+
+    def test_apg_rejects_case2(self, tmp_path, monkeypatch, capsys):
+        # this once exited 1 without a usage line, after solving a case-2
+        # reference that it then threw away
+        import dfalopt.bench as bench
+
+        calls = []
+        monkeypatch.setattr(bench, "reference_solve", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", "--alg", "apg", "--case", "2", *self.ARGS,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "dfalopt: error: --alg apg requires --case 1" in err
+        assert calls == []
+        assert not out.exists()
 
     def test_bench_with_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

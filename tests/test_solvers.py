@@ -270,6 +270,47 @@ class TestStrongConvexity:
         assert np.max(np.abs(strong.y - fista.y)) <= 1e-8
 
 
+class TestRestart:
+    """``restart`` resets FISTA's momentum when the prox step points back
+    along the last move (O'Donoghue and Candes 2015)."""
+
+    def test_rejected_with_strong_convexity(self):
+        obj = quadratic_objective(np.ones((2, 2)), L=[2.0, 3.0])
+        with pytest.raises(ValueError, match="restart"):
+            ms_apg(obj, np.zeros((2, 2)), strong_convexity=1.0, restart=True)
+        with pytest.raises(ValueError, match="restart"):
+            apg(smooth_grad=lambda x: x, prox=lambda v, tau: v,
+                residual=lambda g, x: 0.0, lipschitz=2.0, x0=np.zeros(2),
+                strong_convexity=1.0, restart=True)
+
+    def test_reset_makes_the_next_point_the_prox_step(self, rng):
+        obj = sparse_group_objective(rng)
+        step = 1.0 / obj.L
+        points = []
+        ms_apg(obj, np.zeros((3, 5)), max_iter=200, restart=True,
+               callback=lambda ell, ybar, grad: points.append(
+                   (ybar.copy(), obj.prox_all(ybar - grad / obj.L[:, None], step))))
+        y_prev, t, resets = np.zeros((3, 5)), 1.0, 0
+        for (ybar, y), (ybar_next, _) in zip(points, points[1:]):
+            if np.vdot(ybar - y, y - y_prev) > 0.0:
+                t, resets = 1.0, resets + 1
+                assert np.array_equal(ybar_next, y)
+            t_next = fista_momentum(t)
+            assert np.array_equal(ybar_next, y + ((t - 1.0) / t_next) * (y - y_prev))
+            y_prev, t = y, t_next
+        assert resets > 0
+
+    def test_same_minimizer_in_fewer_iterations(self, rng):
+        obj = sparse_group_objective(rng)
+        y0 = np.zeros((3, 5))
+        plain = ms_apg(obj, y0, residual_target=1e-12, max_iter=20_000)
+        restarted = ms_apg(obj, y0, residual_target=1e-12, max_iter=20_000,
+                           restart=True)
+        assert plain.stop_reason == restarted.stop_reason == "residual"
+        assert restarted.iterations < plain.iterations
+        assert np.max(np.abs(restarted.y - plain.y)) <= 1e-8
+
+
 class TestMomentum:
     def test_fista_start(self):
         assert fista_momentum(1.0) == pytest.approx((1 + np.sqrt(5)) / 2)
