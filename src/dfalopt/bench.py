@@ -44,8 +44,10 @@ class ProblemInstance:
     x_gen: np.ndarray
 
     def content_digest(self) -> str:
-        """Digest of the data that fixes the optimum: every ``A_i``, ``b_i``,
-        partition, delta and beta, and the edges."""
+        """Digest of the data that fixes the reference: every ``A_i``, ``b_i``,
+        partition, delta and beta, and in case 2 the edges.  The case-1
+        optimum ignores the graph, so the star and the clique of one seed
+        share it; the case-2 reference runs over the graph."""
         h = hashlib.sha256()
 
         def add(values) -> None:
@@ -53,7 +55,8 @@ class ProblemInstance:
             h.update(f"{arr.dtype.str}{arr.shape}".encode())
             h.update(arr.tobytes())
 
-        add(np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2))
+        if self.case == 2:
+            add(np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2))
         for p in self.nodes:
             layout = p.reg.partition.layout
             add(p.loss.A)

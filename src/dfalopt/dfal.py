@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcs import NodeProblem, NodeStack, objective_sum
+from .funcs import NodeProblem, NodeStack, huber_grad, objective_sum, sparse_group_prox
 from .graph import (
     Graph,
     consensus_violation,
@@ -327,18 +327,27 @@ def _subproblem_objective(
 ) -> BlockObjective:
     """Penalized subproblem as a block objective over stacked iterates.
 
-    One event's block gradient is assembled from the node's neighbour index
-    row; the full gradient, the prox of all blocks and the residuals of the
+    One event reads data bound here once per subproblem: its block gradient
+    reads the node's ``A_i``, ``A_i^T``, ``b_i`` and ``delta_i`` and its
+    neighbour index row, and its prox the node's segment layout and weights.
+    The full gradient, the prox of all blocks and the residuals of the
     stopping test come from ``stack`` (built from ``nodes`` when not given)
-    for all blocks at once.
+    for all blocks at once; ``block_residual`` computes one of those
+    residuals bit for bit from the block's own rows of the stack.
     """
     if stack is None:
         stack = NodeStack(nodes)
-    # per-event lookups, taken once per subproblem
+    if xbar.shape != stack.shape:
+        raise ValueError(f"expected xbar of shape {stack.shape}, got {xbar.shape}")
+    # per-event data, taken once per subproblem
     ptr = graph.nbr_ptr
     rows = [graph.nbr_idx[ptr[i]:ptr[i + 1]] for i in range(graph.num_nodes)]
     xbar_rows = [xbar[r] for r in rows]
     degrees = graph.degrees.tolist()
+    # the transposed view, not a contiguous copy, keeps the event bits
+    losses = [(p.loss.A, p.loss.A.T, p.loss.b, p.loss.delta) for p in nodes]
+    regs = [(p.reg.partition.layout, p.reg.beta1, p.reg.beta2) for p in nodes]
+    first_row = np.zeros(1, dtype=np.intp)
 
     def value(Y: np.ndarray) -> float:
         return lam * objective_sum(nodes, Y) + 0.5 * laplacian_quadratic(graph, Y + xbar)
@@ -347,17 +356,32 @@ def _subproblem_objective(
         return lam * stack.loss_grad(Y) + laplacian_apply(graph, Y + xbar)
 
     def smooth_grad_block(i: int, Y: np.ndarray) -> np.ndarray:
-        q = lam * nodes[i].loss.grad(Y[i]) + degrees[i] * (Y[i] + xbar[i])
-        return q - np.add.reduce(Y[rows[i]] + xbar_rows[i])
+        y = Y[i]
+        q = lam * huber_grad(*losses[i], y) + degrees[i] * (y + xbar[i])
+        return q - np.add.reduce(Y.take(rows[i], axis=0) + xbar_rows[i])
 
     def prox(i: int, v: np.ndarray, tau: float) -> np.ndarray:
-        return nodes[i].reg.prox(v, tau * lam)
+        t = tau * lam
+        # "not > 0" also rejects NaN
+        if not t > 0:
+            raise ValueError(f"prox step must be positive, got {t}")
+        lay, b1, b2 = regs[i]
+        return lay.scatter(sparse_group_prox(lay, v[lay.perm], t * b1, t * b2))
 
     def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
         return stack.prox(V, tau * lam)
 
     def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return stack.residuals(lam, G, Y)
+
+    def block_residual(j: int, Y: np.ndarray) -> float:
+        # row j of smooth_grad: the same products, and the neighbour sum by
+        # the same reduceat as laplacian_apply's
+        y = Y[j]
+        nbrs = Y.take(rows[j], axis=0) + xbar_rows[j]
+        nbr = np.add.reduceat(nbrs, first_row, axis=0)[0]
+        g = lam * stack.loss_grad_row(j, y) + (degrees[j] * (y + xbar[j]) - nbr)
+        return stack.residual_row(j, lam, g, y)
 
     return BlockObjective(
         L=block_L,
@@ -367,6 +391,7 @@ def _subproblem_objective(
         prox_all=prox_all,
         residuals=residuals,
         value=value,
+        block_residual=block_residual,
     )
 
 

@@ -15,6 +15,7 @@ per-node weights), so nodes may each have their own partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,7 +71,7 @@ class SegmentLayout:
 
     def spread(self, per_segment: np.ndarray) -> np.ndarray:
         """Repeat one value per segment over the segment's coordinates."""
-        return np.repeat(per_segment, self.sizes)
+        return per_segment.repeat(self.sizes)
 
 
 _TINY = np.finfo(float).tiny
@@ -208,7 +209,8 @@ class SparseGroupReg:
         group-norm factor; a group whose thresholded norm is zero maps to the
         zero block.
         """
-        if t <= 0:
+        # "not > 0" also rejects NaN
+        if not t > 0:
             raise ValueError(f"prox step must be positive, got {t}")
         lay = self.partition.layout
         out = sparse_group_prox(lay, lay.gather(xbar), t * self.beta1, t * self.beta2)
@@ -235,6 +237,14 @@ class SparseGroupReg:
     ) -> float:
         """Norm of the minimum-norm composite subgradient at ``xbar``."""
         return float(np.linalg.norm(self.min_norm_subgradient(lam, grad_f, xbar)))
+
+
+def huber_grad(
+    A: np.ndarray, At: np.ndarray, b: np.ndarray, delta, x: np.ndarray
+) -> np.ndarray:
+    """Huber loss gradient ``At @ clip(A @ x - b, -delta, delta)``, with ``At``
+    the transpose of ``A``; no checks, so callers validate shapes once."""
+    return At @ _clip(A @ x - b, delta)
 
 
 def huber_scalar(r: np.ndarray, delta: float) -> np.ndarray:
@@ -274,11 +284,14 @@ class HuberLoss:
     def num_rows(self) -> int:
         return self.A.shape[0]
 
-    def _residual(self, x: np.ndarray) -> np.ndarray:
+    def _checked(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected x of shape ({self.n},), got {x.shape}")
-        return self.A @ x - self.b
+        return x
+
+    def _residual(self, x: np.ndarray) -> np.ndarray:
+        return self.A @ self._checked(x) - self.b
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         r = self._residual(x)
@@ -290,7 +303,7 @@ class HuberLoss:
         return float(huber_scalar(self._residual(x), self.delta).sum())
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.A.T @ _clip(self._residual(x), self.delta)
+        return huber_grad(self.A, self.A.T, self.b, self.delta, self._checked(x))
 
     @property
     def lipschitz(self) -> float:
@@ -364,6 +377,8 @@ class NodeStack:
         layouts = [p.reg.partition.layout for p in nodes]
         self.shape = (N, n)
         self.layout = SegmentLayout.stacked(layouts)
+        self._layouts = layouts
+        self._betas = [(p.reg.beta1, p.reg.beta2) for p in nodes]
         self._seg_node = np.repeat(np.arange(N), [lay.num_segments for lay in layouts])
         self._b1 = np.repeat([p.reg.beta1 for p in nodes], n)
         self._b2 = np.array([p.reg.beta2 for p in nodes])[self._seg_node]
@@ -375,16 +390,22 @@ class NodeStack:
             self._b[i, : p.loss.num_rows] = p.loss.b
         self._At = np.ascontiguousarray(self._A.transpose(0, 2, 1))
         self._delta = np.array([[p.loss.delta] for p in nodes])
+        self._loss_rows = list(zip(self._A, self._At, self._b, self._delta))
 
     def loss_grad(self, Y: np.ndarray) -> np.ndarray:
         """Rows ``A_i^T clip(A_i y_i - b_i, -delta_i, delta_i)``."""
         r = (self._A @ Y[:, :, None])[:, :, 0] - self._b
         return (self._At @ _clip(r, self._delta)[:, :, None])[:, :, 0]
 
+    def loss_grad_row(self, i: int, y: np.ndarray) -> np.ndarray:
+        """Row ``i`` of :meth:`loss_grad` at a ``Y`` whose row ``i`` is ``y``,
+        bit for bit (it reads the same contiguous stacks)."""
+        return huber_grad(*self._loss_rows[i], y)
+
     def prox(self, V: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Row ``i`` is ``nodes[i].reg.prox(V[i], t[i])``."""
         t = np.broadcast_to(np.asarray(t, dtype=float), self.shape[:1])
-        if np.any(t <= 0):
+        if not np.all(t > 0):
             raise ValueError("prox steps must be positive")
         lay = self.layout
         out = sparse_group_prox(
@@ -401,3 +422,11 @@ class NodeStack:
         )
         # segment order keeps each node's coordinates in its own row
         return np.sqrt(np.sum(out.reshape(self.shape) ** 2, axis=1))
+
+    def residual_row(self, i: int, lam: float, g: np.ndarray, y: np.ndarray) -> float:
+        """Entry ``i`` of :meth:`residuals` from rows ``g`` and ``y`` alone, bit
+        for bit: the node's own segments in the same order, the same weights."""
+        lay = self._layouts[i]
+        b1, b2 = self._betas[i]
+        out = sparse_group_min_norm(lay, g[lay.perm], y[lay.perm], lam * b1, lam * b2)
+        return math.sqrt(np.add.reduce(out * out))

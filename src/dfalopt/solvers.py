@@ -46,6 +46,11 @@ class BlockObjective:
         ``Y -> Phi(Y)``.  Read by ``ms_apg(record_values=True)``,
         :func:`arbcd_run` and the budget-constant pilots, which reject an
         objective without one.
+    block_residual : callable, optional
+        ``(j, Y) ->`` entry ``j`` of ``residuals(smooth_grad(Y), Y)``, bit for
+        bit, from block ``j``'s own data.  Read by :meth:`residual_reached`,
+        the randomized solvers' stopping test, which rejects an objective
+        without one.
     """
 
     L: np.ndarray
@@ -55,6 +60,9 @@ class BlockObjective:
     prox_all: Callable[[np.ndarray, np.ndarray], np.ndarray]
     residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
     value: Callable[[np.ndarray], float] | None = None
+    block_residual: Callable[[int, np.ndarray], float] | None = None
+    # the block that failed the last residual test, checked first next time
+    _failed: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.L = np.asarray(self.L, dtype=float)
@@ -69,8 +77,23 @@ class BlockObjective:
         return float(max(self.residuals(G, Y)))
 
     def residual_reached(self, Y: np.ndarray, target: float) -> bool:
-        """The per-block stopping test at ``Y`` from a full gradient."""
-        return self.max_residual(self.smooth_grad(Y), Y) <= target
+        """The per-block stopping test at ``Y``: every block's residual is at
+        most ``target``.
+
+        It decides as ``max_residual(smooth_grad(Y), Y) <= target`` does, one
+        block at a time: the block that failed last time first, then the
+        others in order, stopping at the first block over ``target`` (or
+        NaN).  Only a passing test evaluates every block.
+        """
+        block_residual = self.block_residual
+        if block_residual is None:
+            raise ValueError("the residual test needs the objective's block_residual")
+        first = self._failed
+        for j in (first, *range(first), *range(first + 1, self.num_blocks)):
+            if not block_residual(j, Y) <= target:
+                self._failed = j
+                return False
+        return True
 
 
 def _value_of(obj: BlockObjective, caller: str) -> Callable[[np.ndarray], float]:
@@ -222,19 +245,21 @@ def rbcd_run(
 ) -> SolveResult:
     """Randomized block coordinate descent: one uniform block per event.
 
-    The optional residual test (checked once per ``N`` events) evaluates the
-    full gradient and may stop early.
+    The optional residual test (:meth:`BlockObjective.residual_reached`,
+    checked once per ``N`` events) may stop early.
     ``activations`` of the result counts the events that drew each block.
     """
     y = np.array(y0, dtype=float)
     N = obj.num_blocks
+    L = obj.L.tolist()
+    step = [1.0 / L_i for L_i in L]
+    grad_block, prox, draw = obj.smooth_grad_block, obj.prox, rng.integers
     drawn = [0] * N
     result = SolveResult(y, iters, "cap")
     for ell in range(1, iters + 1):
-        i = int(rng.integers(N))
+        i = int(draw(N))
         drawn[i] += 1
-        g = obj.smooth_grad_block(i, y)
-        y[i] = obj.prox(i, y[i] - g / obj.L[i], 1.0 / obj.L[i])
+        y[i] = prox(i, y[i] - grad_block(i, y) / L[i], step[i])
         if residual_target is not None and ell % N == 0:
             if obj.residual_reached(y, residual_target):
                 result.iterations, result.stop_reason = ell, "residual"
@@ -272,23 +297,28 @@ def arbcd_chain(
     u = np.zeros_like(z)
     t = 1.0
     N = obj.num_blocks
+    L = obj.L.tolist()
+    grad_block, prox, draw = obj.smooth_grad_block, obj.prox, rng.integers
     drawn = [0] * N
     result = SolveResult(z.copy(), iters, "cap")
     for ell in range(1, iters + 1):
-        i = int(rng.integers(N))
+        i = int(draw(N))
         drawn[i] += 1
-        w = arbcd_candidate(z, u, t, N)
-        g = obj.smooth_grad_block(i, w)
-        z_new_i = obj.prox(i, z[i] - (t / obj.L[i]) * g, t / obj.L[i])
+        g = grad_block(i, arbcd_candidate(z, u, t, N))
+        step = t / L[i]
+        z_new_i = prox(i, z[i] - step * g, step)
         u[i] = u[i] + N * N * t * (1.0 - t) * (z_new_i - z[i])
         z[i] = z_new_i
-        result.y = arbcd_candidate(z, u, t, N)
-        t = arbcd_momentum(t, N)
+        t_event, t = t, arbcd_momentum(t, N)
         if residual_target is not None and ell % N == 0:
             if obj.residual_reached(z, residual_target):
                 result.iterations, result.stop_reason = ell, "residual"
                 result.y = z.copy()
                 break
+    else:
+        if iters > 0:
+            # the candidate after the last event, with that event's t
+            result.y = arbcd_candidate(z, u, t_event, N)
     result.activations = np.array(drawn, dtype=np.int64)
     return result
 

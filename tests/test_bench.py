@@ -192,6 +192,28 @@ class TestReferenceSolve:
         assert reference_solve(inst, tolerance=1e-8) is first
         assert len(calls) == 1
 
+    def test_case1_cache_ignores_the_graph(self, monkeypatch):
+        # the case-1 optimum ignores the edges, so the star and the clique of
+        # one seed share one solve; the case-2 reference runs over the graph
+        import dfalopt.bench as bench
+
+        calls = []
+
+        def counted(instance):
+            calls.append(instance.topology)
+            return bench.Reference(1.0, np.zeros(instance.n), "stub", True)
+
+        monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(bench, "_reference_case2", counted)
+        star = reference_solve(generate_instance(1, "star", 3, 4, 3, seed=2))
+        clique = reference_solve(generate_instance(1, "clique", 3, 4, 3, seed=2))
+        assert clique is star
+        assert reference_solve(generate_instance(1, "star", 3, 4, 3, seed=3)) is not star
+        star2 = reference_solve(generate_instance(2, "star", 3, 4, 3, seed=2))
+        clique2 = reference_solve(generate_instance(2, "clique", 3, 4, 3, seed=2))
+        assert clique2 is not star2
+        assert calls == ["star", "clique"]
+
     def test_cache_keys_on_content_not_on_names(self):
         # same (case, topology, N, n_g, K, seed), different Huber delta
         wide = reference_solve(small_instance(seed=3))

@@ -588,6 +588,67 @@ class TestNodeStack:
                     )
 
 
+class TestEventPath:
+    """The per-event kernels bound once per subproblem, and the early-exit
+    residual test, against the formulas they replaced, bit for bit."""
+
+    @staticmethod
+    def _subproblems(rng):
+        for case in (1, 2):
+            for topology in ("star", "clique"):
+                inst = generate_instance(case, topology, 5, 10, 10, seed=3)
+                stack = NodeStack(inst.nodes)
+                for _ in range(4):
+                    lam = float(rng.uniform(0.1, 2.0))
+                    xbar = rng.standard_normal(stack.shape)
+                    obj = _subproblem_objective(
+                        inst.nodes, inst.graph, lam, xbar, np.ones(5), stack
+                    )
+                    V = 3.0 * rng.standard_normal(stack.shape)
+                    # prox outputs carry exact zeros, whole zero groups too
+                    for Y in (V, stack.prox(V, rng.uniform(0.1, 2.0, size=5))):
+                        yield inst, lam, xbar, obj, Y
+
+    def test_residual_test_decides_as_the_stacked_one(self, rng):
+        for _, _, _, obj, Y in self._subproblems(rng):
+            stacked = obj.residuals(obj.smooth_grad(Y), Y)
+            worst = obj.max_residual(obj.smooth_grad(Y), Y)
+            for j, r in enumerate(stacked):
+                assert obj.block_residual(j, Y) == r
+                for t in (np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)):
+                    assert obj.residual_reached(Y, t) == (worst <= t)
+
+    def test_event_gradient_and_prox_match_the_per_node_formulas(self, rng):
+        for inst, lam, xbar, obj, Y in self._subproblems(rng):
+            graph = inst.graph
+            for i, node in enumerate(inst.nodes):
+                A, b, delta = node.loss.A, node.loss.b, node.loss.delta
+                nbrs = np.array(graph.neighbors(i + 1)) - 1
+                expect = lam * (A.T @ np.clip(A @ Y[i] - b, -delta, delta))
+                expect = expect + graph.degrees[i] * (Y[i] + xbar[i])
+                expect = expect - np.add.reduce(Y[nbrs] + xbar[nbrs])
+                assert np.array_equal(obj.smooth_grad_block(i, Y), expect)
+                tau = float(rng.uniform(0.1, 2.0))
+                assert np.array_equal(
+                    obj.prox(i, Y[i], tau), node.reg.prox(Y[i], tau * lam)
+                )
+
+    def test_event_prox_rejects_a_nan_step(self):
+        inst = generate_instance(1, "star", 3, 4, 3, seed=5)
+        obj = _subproblem_objective(
+            inst.nodes, inst.graph, 1.0, np.zeros((3, 12)), np.ones(3)
+        )
+        with pytest.raises(ValueError, match="prox step must be positive, got nan"):
+            obj.prox(0, np.ones(12), np.nan)
+
+    def test_xbar_shape_checked_once_per_subproblem(self):
+        inst = generate_instance(1, "star", 3, 4, 3, seed=5)
+        with pytest.raises(ValueError, match=r"expected xbar of shape \(3, 12\)"):
+            _subproblem_objective(
+                inst.nodes, inst.graph, 1.0, np.zeros((3, 11)), np.ones(3)
+            )
+
+
 # Ledger counters and inner iterations of async_dfal_solve(p=0.1, seed=7,
 # outer_iters=8) on generate_instance(case, "star", 3, 4, 3, seed=5), recorded
 # from the per-node, per-group implementation the stacked layer replaced.

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dfalopt import GroupPartition, HuberLoss, NodeProblem, SparseGroupReg
-from dfalopt.funcs import huber_scalar
-from conftest import random_partition, random_reg
+from dfalopt.funcs import NodeStack, huber_scalar
+from conftest import random_partition, random_reg, small_node
 
 
 class TestGroupPartition:
@@ -116,6 +116,18 @@ class TestProx:
         with pytest.raises(ValueError):
             reg.prox(np.zeros(2), 0.0)
 
+    def test_nan_step_rejected(self):
+        # "t <= 0" is false for NaN, which once returned an all-NaN point
+        reg = SparseGroupReg(1.0, 1.0, GroupPartition.single_group(2))
+        with pytest.raises(ValueError, match="prox step must be positive, got nan"):
+            reg.prox(np.ones(2), np.nan)
+
+    def test_stacked_nan_step_rejected(self, rng):
+        # one NaN entry of t once gave a NaN row
+        nodes = [small_node(rng, n=4) for _ in range(3)]
+        with pytest.raises(ValueError, match="prox steps must be positive"):
+            NodeStack(nodes).prox(np.ones((3, 4)), np.array([1.0, np.nan, 1.0]))
+
     def test_prox_optimality_residual(self, rng):
         # optimality: 0 in d(t*rho)(out) + (out - xbar), so the min-norm
         # subgradient with grad_f = (out - xbar)/t and lam = 1 must vanish
@@ -142,41 +154,48 @@ class TestSubgradResidual:
 
     def test_matches_projection_oracle(self, rng):
         # independent oracle: min over pi in the l1 subdifferential box and
-        # omega in the group-norm ball/singleton by projected minimization
-        for _ in range(200):
+        # omega in the group-norm ball/singleton by projected minimization,
+        # run for all cases at once, each zero-padded to 6 coordinates
+        res, b1, b2 = np.zeros(200), np.zeros(200), np.zeros(200)
+        g, x = np.zeros((200, 6)), np.zeros((200, 6))
+        for k in range(200):
             n = int(rng.integers(1, 7))
             reg = random_reg(rng, n, num_groups=1)
             lam = float(rng.uniform(0.2, 2.0))
-            x = rng.standard_normal(n)
-            x[rng.random(n) < 0.4] = 0.0
-            g = rng.standard_normal(n)
-            res = reg.subgrad_residual(lam, g, x)
-            oracle = _min_norm_oracle(reg, lam, g, x)
-            assert res <= oracle + 1e-6
-            assert oracle <= res + 1e-6
+            x[k, :n] = rng.standard_normal(n)
+            x[k, :n][rng.random(n) < 0.4] = 0.0
+            g[k, :n] = rng.standard_normal(n)
+            res[k] = reg.subgrad_residual(lam, g[k, :n], x[k, :n])
+            b1[k], b2[k] = lam * reg.beta1, lam * reg.beta2
+        oracle = _min_norm_oracle(b1, b2, g, x)
+        assert np.all(res <= oracle + 1e-6)
+        assert np.all(oracle <= res + 1e-6)
 
 
-def _min_norm_oracle(reg, lam, grad_f, x, iters=4000):
-    """Projected-gradient search for the min-norm composite subgradient."""
-    b1, b2 = lam * reg.beta1, lam * reg.beta2
+def _min_norm_oracle(b1, b2, grad_f, x, iters=4000):
+    """Projected-gradient search for the min-norm composite subgradient of
+    each row, for one group per row with weights ``b1[k]``, ``b2[k]``.  A
+    coordinate with ``x = grad_f = 0`` stays exactly 0, so zero padding
+    changes no row's result."""
+    b1, b2 = b1[:, None], b2[:, None]
     pi = np.clip(-grad_f, -b1, b1)
     omega = np.zeros_like(x)
     nz = x != 0.0
+    # with a nonzero coordinate the group part is the singleton b2 x/||x||
+    on_sphere = nz.any(axis=1, keepdims=True)
+    x_norm = np.linalg.norm(x, axis=1, keepdims=True)
+    fixed_omega = b2 * x / np.where(on_sphere, x_norm, 1.0)
     for _ in range(iters):
         v = pi + omega + grad_f
         pi = pi - 0.4 * v
         # project pi onto the l1 subdifferential at x
-        pi[nz] = b1 * np.sign(x[nz])
-        pi[~nz] = np.clip(pi[~nz], -b1, b1)
+        pi = np.where(nz, b1 * np.sign(x), np.clip(pi, -b1, b1))
         omega = omega - 0.4 * v
         # project omega onto the group-norm subdifferential (single group)
-        if np.any(nz):
-            omega = b2 * x / np.linalg.norm(x)
-        else:
-            norm = np.linalg.norm(omega)
-            if norm > b2:
-                omega *= b2 / norm
-    return float(np.linalg.norm(pi + omega + grad_f))
+        norm = np.linalg.norm(omega, axis=1, keepdims=True)
+        ball = np.where(norm > b2, omega * (b2 / np.where(norm > b2, norm, 1.0)), omega)
+        omega = np.where(on_sphere, fixed_omega, ball)
+    return np.linalg.norm(pi + omega + grad_f, axis=1)
 
 
 class TestValues:

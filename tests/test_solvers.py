@@ -103,6 +103,49 @@ class TestBlockObjective:
                 evaluate()
 
 
+class TestResidualTest:
+    """The randomized solvers' early-exit stopping test."""
+
+    @staticmethod
+    def recorded(residuals):
+        calls = []
+
+        def block_residual(j, Y):
+            calls.append(j)
+            return residuals[j]
+
+        obj = replace(
+            quadratic_objective(np.zeros((len(residuals), 1))),
+            block_residual=block_residual,
+        )
+        return obj, calls
+
+    def test_stops_at_the_first_block_over_target_and_starts_there_next(self):
+        obj, calls = self.recorded([0.1, 0.5, 0.9, 0.2])
+        assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
+        assert calls == [0, 1, 2]
+        calls.clear()
+        assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
+        assert calls == [2]
+        calls.clear()
+        # only a passing test evaluates every block
+        assert obj.residual_reached(np.zeros((4, 1)), 0.9)
+        assert calls == [2, 0, 1, 3]
+
+    def test_nan_residual_fails(self):
+        obj, _ = self.recorded([0.0, np.nan])
+        assert not obj.residual_reached(np.zeros((2, 1)), 1.0)
+
+    def test_block_residual_required_only_where_tested(self, rng):
+        obj = sparse_group_objective(rng)
+        assert obj.block_residual is None
+        y0 = np.zeros((3, 5))
+        assert rbcd_run(obj, y0, 6, np.random.default_rng(0)).iterations == 6
+        for run in (rbcd_run, arbcd_chain):
+            with pytest.raises(ValueError, match="needs the objective's block_residual"):
+                run(obj, y0, 6, np.random.default_rng(0), residual_target=1.0)
+
+
 class TestBudgetConstants:
     @pytest.mark.parametrize("which", ["rbcd", "arbcd"])
     def test_pilot_gap_and_distance(self, rng, which):
@@ -393,6 +436,26 @@ class TestArbcd:
         z0 = rng.standard_normal((3, 5))
         res = arbcd_chain(obj, z0, 0, np.random.default_rng(0))
         assert np.array_equal(res.y, z0)
+
+    def test_chain_at_cap_returns_the_last_candidate(self, rng):
+        # the candidate once formed after every event, of which the cap read
+        # the last
+        obj = sparse_group_objective(rng, N=3, n=5)
+        z0 = rng.standard_normal((3, 5))
+        for iters in (1, 7, 40):
+            z, u, t = z0.copy(), np.zeros_like(z0), 1.0
+            sched = np.random.default_rng(9)
+            for _ in range(iters):
+                i = int(sched.integers(3))
+                g = obj.smooth_grad_block(i, arbcd_candidate(z, u, t, 3))
+                z_new_i = obj.prox(i, z[i] - (t / obj.L[i]) * g, t / obj.L[i])
+                u[i] = u[i] + 3 * 3 * t * (1.0 - t) * (z_new_i - z[i])
+                z[i] = z_new_i
+                y = arbcd_candidate(z, u, t, 3)
+                t = arbcd_momentum(t, 3)
+            res = arbcd_chain(obj, z0, iters, np.random.default_rng(9))
+            assert res.stop_reason == "cap" and res.iterations == iters
+            assert np.array_equal(res.y, y)
 
     def test_restart_scheme_monte_carlo(self, rng):
         obj = sparse_group_objective(rng, N=3, n=4)
