@@ -248,11 +248,12 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
         Reference(f_dfal, x_avg, "dfal-long", trace.final.CV <= 1e-8)
     )
 
+    # certified as dfal-long is: only at a final CV of at most 1e-8
     sadmm = sadmm_solve(nodes, graph, c_admm=1.0, iters=400)
     st = sadmm.config["final_state"]
     mid = (0.5 * (st.x + st.y)).mean(axis=0)
     f_sadmm = objective_sum(nodes, np.tile(mid, (graph.num_nodes, 1)))
-    candidates.append(Reference(f_sadmm, mid, "sadmm-tight", True))
+    candidates.append(Reference(f_sadmm, mid, "sadmm-tight", sadmm.final.CV <= 1e-8))
 
     best = min(candidates, key=lambda r: r.f_star)
     return Reference(best.f_star, best.x_ref, best.method, best.converged)

@@ -368,11 +368,17 @@ def _subproblem_objective(
         lay, b1, b2 = regs[i]
         return lay.scatter(sparse_group_prox(lay, v[lay.perm], t * b1, t * b2))
 
-    def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        return stack.prox(V, tau * lam)
+    # the stacked prox's thresholds, formed once per step vector (the
+    # synchronous solve keeps one for the whole subproblem)
+    bound_steps, bound_prox = None, None
 
-    def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return stack.residuals(lam, G, Y)
+    def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        nonlocal bound_steps, bound_prox
+        tau = np.asarray(tau, dtype=float)
+        key = (tau.shape, tau.tobytes())
+        if key != bound_steps:
+            bound_prox, bound_steps = stack.prox_map(tau * lam), key
+        return bound_prox(V)
 
     def block_residual(j: int, Y: np.ndarray) -> float:
         # row j of smooth_grad: the same products, and the neighbour sum by
@@ -389,7 +395,7 @@ def _subproblem_objective(
         smooth_grad_block=smooth_grad_block,
         prox=prox,
         prox_all=prox_all,
-        residuals=residuals,
+        residuals=stack.residual_map(lam),
         value=value,
         block_residual=block_residual,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -404,27 +404,44 @@ class NodeStack:
 
     def prox(self, V: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Row ``i`` is ``nodes[i].reg.prox(V[i], t[i])``."""
+        return self.prox_map(t)(V)
+
+    def prox_map(self, t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``V -> prox(V, t)``, with the thresholds of the steps ``t`` formed
+        once for every call."""
         t = np.broadcast_to(np.asarray(t, dtype=float), self.shape[:1])
         if not np.all(t > 0):
             raise ValueError("prox steps must be positive")
-        lay = self.layout
-        out = sparse_group_prox(
-            lay, lay.gather(V), np.repeat(t, self.shape[1]) * self._b1,
-            t[self._seg_node] * self._b2,
-        )
-        return lay.scatter(out).reshape(self.shape)
+        lay, shape, perm = self.layout, self.shape, self.layout.perm
+        thr1 = np.repeat(t, shape[1]) * self._b1
+        thr2 = t[self._seg_node] * self._b2
 
-    def residuals(self, lam: float, G: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Entry ``i`` is ``nodes[i].reg.subgrad_residual(lam, G[i], Y[i])``."""
-        lay = self.layout
-        out = sparse_group_min_norm(
-            lay, lay.gather(G), lay.gather(Y), lam * self._b1, lam * self._b2
-        )
-        # segment order keeps each node's coordinates in its own row
-        return np.sqrt(np.sum(out.reshape(self.shape) ** 2, axis=1))
+        def prox(V: np.ndarray) -> np.ndarray:
+            if V.shape != shape:
+                raise ValueError(f"expected shape {shape}, got {V.shape}")
+            out = sparse_group_prox(lay, V.take(perm), thr1, thr2)
+            return lay.scatter(out).reshape(shape)
+
+        return prox
+
+    def residual_map(self, lam: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``(G, Y) ->`` the array whose entry ``i`` is
+        ``nodes[i].reg.subgrad_residual(lam, G[i], Y[i])``, with the weights
+        ``lam * beta`` formed once for every call."""
+        lay, shape, perm = self.layout, self.shape, self.layout.perm
+        lb1, lb2 = lam * self._b1, lam * self._b2
+
+        def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
+            if G.shape != shape or Y.shape != shape:
+                raise ValueError(f"expected shape {shape}, got {G.shape} and {Y.shape}")
+            out = sparse_group_min_norm(lay, G.take(perm), Y.take(perm), lb1, lb2)
+            # segment order keeps each node's coordinates in its own row
+            return np.sqrt(np.add.reduce(out.reshape(shape) ** 2, axis=1))
+
+        return residuals
 
     def residual_row(self, i: int, lam: float, g: np.ndarray, y: np.ndarray) -> float:
-        """Entry ``i`` of :meth:`residuals` from rows ``g`` and ``y`` alone, bit
+        """Entry ``i`` of :meth:`residual_map` from rows ``g`` and ``y`` alone, bit
         for bit: the node's own segments in the same order, the same weights."""
         lay = self._layouts[i]
         b1, b2 = self._betas[i]

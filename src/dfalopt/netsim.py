@@ -10,8 +10,9 @@ which :func:`charge_activations` charges for a whole subproblem at once.  A
 ledger counts vector transmissions and per-node proximal and gradient
 evaluations, since communication totals are the quantity the solver
 comparisons are about.  One unit of communication is one block-length vector
-over one directed edge; :func:`charge_exchange` charges it from the degree
-vector for both kinds of network.
+over one directed edge, charged from the degree vector: by
+:meth:`SyncNetwork.broadcast_state` for an exchange, by
+:func:`charge_activations` for a subproblem's activations.
 """
 
 from __future__ import annotations
@@ -61,20 +62,14 @@ class CommLedger:
         return copy.deepcopy(self)
 
 
-def charge_exchange(ledger: CommLedger, graph: Graph, counts: np.ndarray | int) -> None:
-    """Charge ``counts[i - 1]`` pushes of node ``i``'s block to its neighbours:
-    node ``i`` sends ``d_i * c_i`` vectors and each neighbour receives ``c_i``."""
-    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), graph.degrees.shape)
-    ledger.vectors_sent += graph.degrees * counts
-    ledger.vectors_received += graph.neighbor_sum(counts)
-
-
 def charge_activations(ledger: CommLedger, graph: Graph, counts: np.ndarray) -> None:
     """Charge node ``i`` for ``counts[i - 1]`` asynchronous activations: each
     is one gradient, one prox and a push of its block to its ``d_i``
-    neighbours.  Event order is virtual time from a seeded schedule."""
+    neighbours, so node ``i`` sends ``d_i * c_i`` vectors and each neighbour
+    receives ``c_i``.  Event order is virtual time from a seeded schedule."""
     counts = np.asarray(counts, dtype=np.int64)
-    charge_exchange(ledger, graph, counts)
+    ledger.vectors_sent += graph.degrees * counts
+    ledger.vectors_received += graph.neighbor_sum(counts)
     ledger.grad_evals += counts
     ledger.prox_evals += counts
 
@@ -113,7 +108,9 @@ class SyncNetwork:
             )
         self.delivered = blocks.copy()
         if charge:
-            charge_exchange(self.ledger, self.graph, 1)
+            # node i sends d_i vectors and receives one from each neighbour
+            self.ledger.vectors_sent += self.graph.degrees
+            self.ledger.vectors_received += self.graph.degrees
 
 
 class ActivationSchedule:

@@ -74,7 +74,10 @@ class BlockObjective:
         return self.L.size
 
     def max_residual(self, G: np.ndarray, Y: np.ndarray) -> float:
-        return float(max(self.residuals(G, Y)))
+        """The largest of ``residuals(G, Y)``, NaN when any entry is NaN."""
+        r = self.residuals(G, Y)
+        # Python's max skips a NaN that is not first; np.maximum does not
+        return float(r[0] if len(r) == 1 else np.maximum.reduce(r))
 
     def residual_reached(self, Y: np.ndarray, target: float) -> bool:
         """The per-block stopping test at ``Y``: every block's residual is at
@@ -113,7 +116,7 @@ class SolveResult:
 
 
 def fista_momentum(t: float) -> float:
-    return 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
 
 def ms_apg(
@@ -171,7 +174,7 @@ def ms_apg(
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient at inner iteration {ell}")
         if callback is not None:
             callback(ell, ybar, grad)

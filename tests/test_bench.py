@@ -169,6 +169,13 @@ class TestReferenceSolve:
         assert np.all(np.isfinite(ref.x_ref))
         assert ref.f_star > 0
 
+    def test_case2_sadmm_candidate_certified_by_its_cv(self):
+        # sadmm-tight wins here with a final CV near 2.7e-7, and was once
+        # reported converged unconditionally; dfal-long's CV is over 1e-8 too
+        ref = reference_solve(generate_instance(2, "star", 3, 4, 3, seed=2), cache=False)
+        assert ref.method == "sadmm-tight"
+        assert not ref.converged
+
     def test_cache_round_trip(self):
         inst = small_instance(seed=11)
         a = reference_solve(inst)

@@ -649,6 +649,76 @@ class TestEventPath:
             )
 
 
+class TestBoundKernels:
+    """The stacked prox and residuals with their thresholds and weights bound
+    once, against the unbound and per-node formulas, bit for bit."""
+
+    @staticmethod
+    def _stacks():
+        for case in (1, 2):
+            for topology in ("star", "clique"):
+                inst = generate_instance(case, topology, 5, 10, 10, seed=3)
+                yield inst, NodeStack(inst.nodes)
+
+    def test_bound_prox_equals_stack_and_node_prox(self, rng):
+        for inst, stack in self._stacks():
+            for _ in range(4):
+                t = rng.uniform(0.1, 2.0, size=5)
+                prox = stack.prox_map(t)
+                for _ in range(2):
+                    V = 3.0 * rng.standard_normal(stack.shape)
+                    Y = prox(V)
+                    assert np.array_equal(Y, stack.prox(V, t))
+                    for i, node in enumerate(inst.nodes):
+                        assert np.array_equal(Y[i], node.reg.prox(V[i], t[i]))
+
+    def test_bound_residuals_equal_each_nodes_residual(self, rng):
+        for inst, stack in self._stacks():
+            for _ in range(4):
+                lam = float(rng.uniform(0.1, 2.0))
+                residuals = stack.residual_map(lam)
+                G = rng.standard_normal(stack.shape)
+                V = 3.0 * rng.standard_normal(stack.shape)
+                # prox outputs carry exact zeros, whole zero groups too
+                for Y in (V, stack.prox(V, rng.uniform(0.1, 2.0, size=5))):
+                    r = residuals(G, Y)
+                    for i, node in enumerate(inst.nodes):
+                        # summed in segment order, as the stack lays it out
+                        v = node.reg.min_norm_subgradient(lam, G[i], Y[i])
+                        v = v[node.reg.partition.layout.perm]
+                        assert r[i] == math.sqrt(np.add.reduce(v * v))
+                        assert r[i] == stack.residual_row(i, lam, G[i], Y[i])
+                        # norm() takes a BLAS dot, so it may differ in the last bits
+                        assert r[i] == pytest.approx(
+                            node.reg.subgrad_residual(lam, G[i], Y[i]), rel=1e-14
+                        )
+
+    def test_bound_kernels_check_shapes(self):
+        stack = NodeStack(generate_instance(2, "star", 3, 4, 3, seed=5).nodes)
+        with pytest.raises(ValueError, match="expected shape"):
+            stack.prox_map(np.ones(3))(np.ones((3, 11)))
+        with pytest.raises(ValueError, match="expected shape"):
+            stack.residual_map(1.0)(np.ones((3, 12)), np.ones((12, 3)))
+
+    def test_prox_all_follows_each_step_vector(self, rng):
+        # the subproblem binds the thresholds of the last step vector; another
+        # step vector, or the first one again, must not reuse stale ones
+        inst = generate_instance(2, "star", 5, 10, 10, seed=3)
+        stack = NodeStack(inst.nodes)
+        lam = 0.7
+        obj = _subproblem_objective(
+            inst.nodes, inst.graph, lam, np.zeros(stack.shape), np.ones(5), stack
+        )
+        first, second = (rng.uniform(0.1, 2.0, size=5) for _ in range(2))
+        third = first.copy()
+        third[4] *= 2.0  # the first vector but for one entry
+        for tau in (first, second, first, third, third):
+            V = 3.0 * rng.standard_normal(stack.shape)
+            assert np.array_equal(obj.prox_all(V, tau), stack.prox(V, tau * lam))
+        with pytest.raises(ValueError, match="prox steps must be positive"):
+            obj.prox_all(V, np.full(5, np.nan))
+
+
 # Ledger counters and inner iterations of async_dfal_solve(p=0.1, seed=7,
 # outer_iters=8) on generate_instance(case, "star", 3, 4, 3, seed=5), recorded
 # from the per-node, per-group implementation the stacked layer replaced.
@@ -717,3 +787,28 @@ def test_sync_counters_match_the_inline_implementation(case, topology):
     assert ledger.control_msgs.tolist() == [0, 0, 0]
     assert [r.inner_iters for r in trace.rows] == expect["inner"]
     assert all(r.stop_reason == "residual" for r in trace.rows)
+
+
+# Outer and inner iterations and ledger counters of the long synchronous DFAL
+# run of the benchmark's case-2 reference: default_params(c=0.7,
+# outer_cap=40) and lam_min = lam1 * 0.7**18 on generate_instance(2, "star",
+# 5, 10, 10, 1), recorded before the stacked prox thresholds and residual
+# weights were bound once per subproblem.
+DFAL_LONG_COUNTERS = dict(
+    outer=18, inner=4141, sent=[16564, 4141, 4141, 4141, 4141],
+    recv=[16564, 4141, 4141, 4141, 4141], prox=[4123] * 5, grad=[4141] * 5,
+)
+
+
+def test_case2_reference_run_counters():
+    inst = generate_instance(2, "star", 5, 10, 10, 1)
+    params = default_params(inst.nodes, inst.graph, c=0.7, outer_cap=40)
+    trace = dfal_solve(inst.nodes, inst.graph, params, lam_min=params.lam1 * 0.7**18)
+    ledger = trace.config["ledger"]
+    expect = DFAL_LONG_COUNTERS
+    assert len(trace.rows) == expect["outer"]
+    assert sum(r.inner_iters for r in trace.rows) == expect["inner"]
+    assert ledger.vectors_sent.tolist() == expect["sent"]
+    assert ledger.vectors_received.tolist() == expect["recv"]
+    assert ledger.prox_evals.tolist() == expect["prox"]
+    assert ledger.grad_evals.tolist() == expect["grad"]

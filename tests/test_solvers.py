@@ -136,6 +136,24 @@ class TestResidualTest:
         obj, _ = self.recorded([0.0, np.nan])
         assert not obj.residual_reached(np.zeros((2, 1)), 1.0)
 
+    @pytest.mark.parametrize("residuals", [[np.nan, 0.0], [0.0, np.nan]])
+    def test_stacked_test_fails_on_nan_in_any_position(self, residuals):
+        # Python's max once skipped a NaN that was not first, so ms_apg
+        # stopped with "residual" on [0.0, nan]
+        obj = replace(
+            quadratic_objective(np.zeros((2, 1))),
+            residuals=lambda G, Y: np.array(residuals),
+        )
+        assert np.isnan(obj.max_residual(np.zeros((2, 1)), np.zeros((2, 1))))
+        res = ms_apg(obj, np.ones((2, 1)), residual_target=1.0, max_iter=3)
+        assert (res.stop_reason, res.iterations) == ("cap", 3)
+
+    def test_single_block_nan_fails(self):
+        obj = replace(
+            quadratic_objective(np.zeros((1, 1))), residuals=lambda G, Y: (np.nan,)
+        )
+        assert np.isnan(obj.max_residual(np.zeros((1, 1)), np.zeros((1, 1))))
+
     def test_block_residual_required_only_where_tested(self, rng):
         obj = sparse_group_objective(rng)
         assert obj.block_residual is None
