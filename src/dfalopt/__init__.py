@@ -37,7 +37,6 @@ from .netsim import (
     ActivationSchedule,
     CommLedger,
     SyncNetwork,
-    async_schedule,
     charge_activations,
 )
 from .trace import RunTrace, TraceRow, TRACE_COLUMNS, rel_subopt

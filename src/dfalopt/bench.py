@@ -98,6 +98,12 @@ def generate_instance(
     """
     if case not in (1, 2):
         raise ValueError("case must be 1 or 2")
+    if n_g < 1:
+        raise ValueError(f"group size n_g must be at least 1, got {n_g}")
+    if K < 1:
+        raise ValueError(f"number of groups K must be at least 1, got {K}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     graph = build_topology(topology, N, path=edge_file)
     if graph.num_nodes != N:
         raise ValueError(f"the edge file has {graph.num_nodes} nodes, not N={N}")
@@ -170,8 +176,8 @@ def reference_solve(
     instance: ProblemInstance, tolerance: float = 1e-9, cache: bool = True
 ) -> Reference:
     """Case 1: centralized accelerated solve with the combined closed-form
-    prox (all partitions coincide, so the summed regularizer is again a
-    sparse-group term with scaled weights), run until its residual is at
+    prox (the nodes must share one partition, beta1, beta2 and delta, so the
+    sum is one Huber plus sparse-group problem), run until its residual is at
     most ``tolerance``.  It is the one caller of ``apg(restart=True)``:
     adaptive restart recovers the linear rate this problem has near its
     optimum (661 iterations instead of 7890 on the 5-node star of seed 1)
@@ -199,18 +205,26 @@ def reference_solve(
 
 def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
     nodes = instance.nodes
-    N = instance.N
+
+    def shared(p: NodeProblem) -> tuple:
+        groups = sorted(g.tolist() for g in p.reg.partition.groups)
+        return p.reg.beta1, p.reg.beta2, p.loss.delta, groups
+
+    if any(shared(p) != shared(nodes[0]) for p in nodes[1:]):
+        raise ValueError(
+            "the case-1 reference needs nodes that share one partition, "
+            "beta1, beta2 and delta"
+        )
+    reg, delta, N = nodes[0].reg, nodes[0].loss.delta, len(nodes)
     combined = SparseGroupReg(
-        beta1=N * instance.beta1,
-        beta2=N * instance.beta2,
-        partition=nodes[0].reg.partition,
+        beta1=N * reg.beta1, beta2=N * reg.beta2, partition=reg.partition
     )
     # the N losses share delta, so their sum is one Huber loss on the
     # stacked rows; the step keeps the summed per-node constants
     stacked = HuberLoss(
         A=np.vstack([p.loss.A for p in nodes]),
         b=np.concatenate([p.loss.b for p in nodes]),
-        delta=instance.delta,
+        delta=delta,
     )
     lip = sum(p.loss.lipschitz for p in nodes)
 
@@ -259,6 +273,12 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
     return Reference(best.f_star, best.x_ref, best.method, best.converged)
 
 
+REPORT_NOTE = (
+    "Protocol-shape reproduction at desk scale; "
+    "full-scale iteration and CPU figures are out of scope."
+)
+
+
 @dataclass
 class BenchReport:
     """Benchmark matrix results: one row per (algorithm, topology, case, seed)
@@ -268,16 +288,12 @@ class BenchReport:
     config_digest: str
     rows: list[dict[str, Any]] = field(default_factory=list)
     means: list[dict[str, Any]] = field(default_factory=list)
-    header_note: str = (
-        "Protocol-shape reproduction at desk scale; "
-        "full-scale iteration and CPU figures are out of scope."
-    )
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(
                 {
-                    "note": self.header_note,
+                    "note": REPORT_NOTE,
                     "config": self.config,
                     "config_digest": self.config_digest,
                     "rows": self.rows,
@@ -452,6 +468,8 @@ def instance_to_json(instance: ProblemInstance, path: str) -> None:
 def instance_from_json(path: str) -> ProblemInstance:
     with open(path) as fh:
         raw = json.load(fh)
+    if len(raw["nodes"]) != raw["N"]:
+        raise ValueError(f"{path}: {len(raw['nodes'])} node entries, not N={raw['N']}")
     graph = Graph(raw["N"], tuple(tuple(e) for e in raw["edges"]))
     n = raw["K"] * raw["n_g"]
     nodes = []

@@ -293,9 +293,9 @@ def dfal_solve(
             net.ledger.grad_evals += 1
             return subproblem.smooth_grad(net.delivered)
 
-        def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        def prox_all(V: np.ndarray) -> np.ndarray:
             net.ledger.prox_evals += 1
-            return subproblem.prox_all(V, tau)
+            return subproblem.prox_all(V)
 
         def check(ell: int, ybar: np.ndarray, q: np.ndarray) -> None:
             gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
@@ -368,18 +368,6 @@ def _subproblem_objective(
         lay, b1, b2 = regs[i]
         return lay.scatter(sparse_group_prox(lay, v[lay.perm], t * b1, t * b2))
 
-    # the stacked prox's thresholds, formed once per step vector (the
-    # synchronous solve keeps one for the whole subproblem)
-    bound_steps, bound_prox = None, None
-
-    def prox_all(V: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        nonlocal bound_steps, bound_prox
-        tau = np.asarray(tau, dtype=float)
-        key = (tau.shape, tau.tobytes())
-        if key != bound_steps:
-            bound_prox, bound_steps = stack.prox_map(tau * lam), key
-        return bound_prox(V)
-
     def block_residual(j: int, Y: np.ndarray) -> float:
         # row j of smooth_grad: the same products, and the neighbour sum by
         # the same reduceat as laplacian_apply's
@@ -394,7 +382,8 @@ def _subproblem_objective(
         smooth_grad=smooth_grad,
         smooth_grad_block=smooth_grad_block,
         prox=prox,
-        prox_all=prox_all,
+        # each block at its own step 1/L_i, thresholds formed once
+        prox_all=stack.prox_map((1.0 / block_L) * lam),
         residuals=stack.residual_map(lam),
         value=value,
         block_residual=block_residual,

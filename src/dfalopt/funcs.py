@@ -157,14 +157,6 @@ class GroupPartition:
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "layout", SegmentLayout(perm, sizes))
 
-    @property
-    def num_groups(self) -> int:
-        return len(self.groups)
-
-    @classmethod
-    def single_group(cls, n: int) -> "GroupPartition":
-        return cls(n, (np.arange(n),))
-
     @classmethod
     def contiguous(cls, n: int, group_size: int) -> "GroupPartition":
         if n % group_size != 0:
@@ -402,13 +394,10 @@ class NodeStack:
         bit for bit (it reads the same contiguous stacks)."""
         return huber_grad(*self._loss_rows[i], y)
 
-    def prox(self, V: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Row ``i`` is ``nodes[i].reg.prox(V[i], t[i])``."""
-        return self.prox_map(t)(V)
-
     def prox_map(self, t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``V -> prox(V, t)``, with the thresholds of the steps ``t`` formed
-        once for every call."""
+        """``V ->`` the stacked prox whose row ``i`` is
+        ``nodes[i].reg.prox(V[i], t[i])``, with the thresholds of the steps
+        ``t`` formed once for every call."""
         t = np.broadcast_to(np.asarray(t, dtype=float), self.shape[:1])
         if not np.all(t > 0):
             raise ValueError("prox steps must be positive")

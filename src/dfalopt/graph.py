@@ -93,17 +93,10 @@ class Graph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple((self.nbr_idx[self.nbr_ptr[i - 1]:self.nbr_ptr[i]] + 1).tolist())
 
-    def degree(self, i: int) -> int:
-        return int(self.degrees[i - 1])
-
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
         """Row ``i`` sums the rows of ``x`` at the neighbours of the node at
         index ``i``."""
         return np.add.reduceat(x.take(self.nbr_idx, axis=0), self.nbr_ptr[:-1], axis=0)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
 
 def build_topology(kind: str, num_nodes: int, path: str | None = None) -> Graph:

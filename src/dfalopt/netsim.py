@@ -143,11 +143,3 @@ class ActivationSchedule:
             self._buf = iter(memoryview(draws))
             i = next(self._buf)
         return i
-
-
-def async_schedule(seed: int, num_events: int, num_nodes: int) -> np.ndarray:
-    """The first ``num_events`` activations of ``ActivationSchedule(seed,
-    num_nodes)`` as 1-based node ids."""
-    sched = ActivationSchedule(seed, num_nodes)
-    ids = (sched.integers(num_nodes) for _ in range(num_events))
-    return np.fromiter(ids, dtype=np.int64, count=num_events) + 1

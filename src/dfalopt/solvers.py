@@ -36,8 +36,8 @@ class BlockObjective:
     prox : callable
         ``(i, v, tau) -> argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2``.
     prox_all : callable
-        ``(V, tau) ->`` the stacked ``prox(i, V[i], tau[i])`` of every block
-        in one call.
+        ``V ->`` the stacked ``prox(i, V[i], 1 / L[i])`` of every block in
+        one call, each block at its own step.
     residuals : callable
         ``(G, Y) ->`` the ``N`` norms (array or sequence), entry ``i`` that
         of the minimum-norm element of ``d(rho_i)(Y_i) + G_i``; the
@@ -57,7 +57,7 @@ class BlockObjective:
     smooth_grad: Callable[[np.ndarray], np.ndarray]
     smooth_grad_block: Callable[[int, np.ndarray], np.ndarray]
     prox: Callable[[int, np.ndarray, float], np.ndarray]
-    prox_all: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    prox_all: Callable[[np.ndarray], np.ndarray]
     residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
     value: Callable[[np.ndarray], float] | None = None
     block_residual: Callable[[int, np.ndarray], float] | None = None
@@ -166,7 +166,6 @@ def ms_apg(
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
     t = 1.0
-    step = 1.0 / obj.L
     L_col = obj.L[:, None]
     if strong_convexity > 0.0:
         q = np.sqrt(L_col / strong_convexity)
@@ -182,7 +181,7 @@ def ms_apg(
             if obj.max_residual(grad, ybar) <= residual_target:
                 result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
                 return result
-        y = obj.prox_all(ybar - grad / L_col, step)
+        y = obj.prox_all(ybar - grad / L_col)
         if value is not None:
             result.values.append(value(y))
         if ell == max_iter:
@@ -219,12 +218,13 @@ def apg(
     are passed on.  The case-1 reference solve sets ``restart``; ``admm``'s
     strongly convex nested prox does not.
     """
+    step = 1.0 / np.float64(lipschitz)
     obj = BlockObjective(
         L=np.array([lipschitz]),
         smooth_grad=lambda Y: smooth_grad(Y[0])[None, :],
         smooth_grad_block=lambda i, Y: smooth_grad(Y[0]),
         prox=lambda i, v, tau: prox(v, tau),
-        prox_all=lambda V, tau: prox(V[0], tau[0])[None, :],
+        prox_all=lambda V: prox(V[0], step)[None, :],
         residuals=lambda G, Y: (residual(G[0], Y[0]),),
     )
     res = ms_apg(

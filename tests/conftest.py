@@ -6,7 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dfalopt import Graph, GroupPartition, HuberLoss, NodeProblem, SparseGroupReg
+from dfalopt import (
+    ActivationSchedule,
+    Graph,
+    GroupPartition,
+    HuberLoss,
+    NodeProblem,
+    SparseGroupReg,
+)
 
 
 def random_connected_graph(rng: np.random.Generator, num_nodes: int) -> Graph:
@@ -39,6 +46,14 @@ def random_reg(rng: np.random.Generator, n: int, num_groups: int | None = None) 
         beta2=float(rng.uniform(0.05, 2.0)),
         partition=random_partition(rng, n, num_groups),
     )
+
+
+def schedule_ids(seed: int, num_events: int, num_nodes: int) -> np.ndarray:
+    """The first ``num_events`` draws of ``ActivationSchedule(seed, num_nodes)``
+    as 1-based node ids."""
+    sched = ActivationSchedule(seed, num_nodes)
+    ids = (sched.integers(num_nodes) for _ in range(num_events))
+    return np.fromiter(ids, dtype=np.int64, count=num_events) + 1
 
 
 def small_node(rng: np.random.Generator, n: int = 6, m: int = 4) -> NodeProblem:

@@ -105,7 +105,7 @@ class TestSadmmCv:
 class TestSadmmSolve:
     def test_zero_data_fixed_point(self):
         g = Graph(2, ((1, 2),))
-        reg = SparseGroupReg(0.5, 0.5, GroupPartition.single_group(3))
+        reg = SparseGroupReg(0.5, 0.5, GroupPartition.contiguous(3, 3))
         nodes = [
             NodeProblem(reg=reg, loss=HuberLoss(A=np.eye(3), b=np.zeros(3)))
             for _ in range(2)
@@ -234,7 +234,7 @@ class _SpyReg:
 def huber_node(rng, delta, n=6, m=4, scale=1.0):
     A = rng.standard_normal((m, n))
     return NodeProblem(
-        reg=SparseGroupReg(0.5, 0.5, GroupPartition.single_group(n)),
+        reg=SparseGroupReg(0.5, 0.5, GroupPartition.contiguous(n, n)),
         loss=HuberLoss(A=A, b=scale * rng.standard_normal(m), delta=delta),
     )
 

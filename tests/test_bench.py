@@ -100,6 +100,18 @@ class TestGenerateInstance:
         with pytest.raises(ValueError, match="case"):
             generate_instance(3, "star", 2, 2, 2, seed=1)
 
+    @pytest.mark.parametrize("n_g, K, seed, message", [
+        (0, 10, 1, "group size n_g must be at least 1, got 0"),
+        (-2, -5, 1, "group size n_g must be at least 1, got -2"),
+        (10, 0, 1, "number of groups K must be at least 1, got 0"),
+        (10, 10, -1, "seed must be nonnegative, got -1"),
+    ])
+    def test_nonpositive_sizes_and_negative_seed_rejected(self, n_g, K, seed, message):
+        # K = 0 once gave an instance with n = 0; the others failed inside the
+        # partition draw or numpy's generator with messages naming neither
+        with pytest.raises(ValueError, match=message):
+            generate_instance(1, "star", 5, n_g, K, seed)
+
     def test_rhs_uses_generator_vector(self):
         inst = small_instance()
         for p in inst.nodes:
@@ -128,6 +140,25 @@ class TestReferenceSolve:
         assert combined.subgrad_residual(1.0, grad, ref.x_ref) <= 1e-9
         f_direct = sum(p.loss.value(ref.x_ref) for p in inst.nodes)
         assert ref.f_star == pytest.approx(f_direct + combined.value(ref.x_ref))
+
+    def test_case1_rejects_nodes_without_one_shared_partition(self):
+        # case-2 nodes labelled case 1 once got the optimum of node 0's
+        # partition, 1.9% below the best known value of that instance
+        inst = replace(generate_instance(2, "star", 3, 4, 3, seed=2), case=1)
+        with pytest.raises(ValueError, match="share one partition"):
+            reference_solve(inst, cache=False)
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "delta"])
+    def test_case1_rejects_nodes_with_other_weights(self, name):
+        # the weights were once read from the instance, not from the nodes
+        inst = generate_instance(1, "star", 3, 4, 3, seed=2)
+        p = inst.nodes[2]
+        if name == "delta":
+            inst.nodes[2] = NodeProblem(p.reg, HuberLoss(p.loss.A, p.loss.b, delta=2.0))
+        else:
+            inst.nodes[2] = NodeProblem(replace(p.reg, **{name: 0.5}), p.loss)
+        with pytest.raises(ValueError, match="beta1, beta2 and delta"):
+            reference_solve(inst, cache=False)
 
     def test_zero_rhs_gives_zero_optimum(self):
         inst = small_instance()
@@ -399,6 +430,16 @@ class TestInstanceJson:
             )
         assert np.array_equal(back.x_gen, inst.x_gen)
 
+    def test_node_count_must_match_N(self, tmp_path):
+        # a file holding 2 of N=3 node entries once loaded, and its case-1
+        # reference summed only those 2
+        path = tmp_path / "inst.json"
+        instance_to_json(generate_instance(1, "star", 3, 4, 3, seed=2), str(path))
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(raw, nodes=raw["nodes"][:2])))
+        with pytest.raises(ValueError, match="2 node entries, not N=3"):
+            instance_from_json(str(path))
+
 
 class TestCli:
     ARGS = ["--topology", "star", "--nodes", "2", "--ng", "2",
@@ -488,6 +529,43 @@ class TestCli:
         errors = [ln for ln in err.splitlines() if ln.startswith("dfalopt: error: ")]
         assert len(errors) == 1
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--groups", "0"], "number of groups K must be at least 1, got 0"),
+        (["--ng", "0"], "group size n_g must be at least 1, got 0"),
+        (["--ng", "-2", "--groups", "-5"], "group size n_g must be at least 1, got -2"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    ])
+    def test_gen_rejects_nonpositive_sizes_and_negative_seeds(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "inst.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["gen", *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"dfalopt: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, keep, message", [
+        (2, 3, "the case-1 reference needs nodes that share one partition"),
+        (1, 2, "2 node entries, not N=3"),
+    ])
+    def test_ref_rejects_an_inconsistent_instance_file(
+        self, tmp_path, capsys, case, keep, message
+    ):
+        # case-2 nodes labelled case 1, and a case-1 file short of one node
+        path = tmp_path / "inst.json"
+        instance_to_json(generate_instance(case, "star", 3, 4, 3, seed=2), str(path))
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(raw, case=1, nodes=raw["nodes"][:keep])))
+        out = tmp_path / "ref.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ref", "--instance", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("dfalopt: error: ")]
+        assert len(errors) == 1 and message in errors[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("alg", ["dfal", "sadmm", "admm", "apg"])
     def test_oracle_only_with_afal(self, tmp_path, capsys, alg):

@@ -53,7 +53,7 @@ def make_nodes(rng, N, n, beta1=0.5, beta2=0.5, m=4, delta=1.0, num_groups=2):
 def uniform_nodes(graph, n, lipschitz=1.0, beta1=1.0, beta2=1.0):
     """Identical unit-scale losses at every node, tunable Lipschitz constant."""
     A = math.sqrt(lipschitz) * np.eye(n)
-    reg = SparseGroupReg(beta1, beta2, GroupPartition.single_group(n))
+    reg = SparseGroupReg(beta1, beta2, GroupPartition.contiguous(n, n))
     return [
         NodeProblem(reg=reg, loss=HuberLoss(A=A, b=np.zeros(n), delta=1.0))
         for _ in range(graph.num_nodes)
@@ -151,7 +151,7 @@ class TestLocalGradient:
     def test_star_center_row(self):
         # center with degree 2: q1 = 2*1 - 2 - 3 = -3 when the loss is flat
         node = NodeProblem(
-            reg=SparseGroupReg(1.0, 0.0, GroupPartition.single_group(1)),
+            reg=SparseGroupReg(1.0, 0.0, GroupPartition.contiguous(1, 1)),
             loss=HuberLoss(A=np.zeros((1, 1)), b=np.zeros(1)),
         )
         q1 = local_gradient(
@@ -165,7 +165,7 @@ class TestLocalGradient:
 
     def test_consensus_null_space(self):
         node = NodeProblem(
-            reg=SparseGroupReg(1.0, 0.0, GroupPartition.single_group(2)),
+            reg=SparseGroupReg(1.0, 0.0, GroupPartition.contiguous(2, 2)),
             loss=HuberLoss(A=np.zeros((1, 2)), b=np.zeros(1)),
         )
         y = np.array([0.3, -0.7])
@@ -188,7 +188,7 @@ class TestLocalGradient:
             lam = float(rng.uniform(0.1, 1.0))
             q = np.stack([
                 local_gradient(
-                    nodes[i - 1], lam, g.degree(i), y[i - 1],
+                    nodes[i - 1], lam, g.degrees[i - 1], y[i - 1],
                     {j: y[j - 1] for j in g.neighbors(i)},
                     xbar[i - 1],
                     {j: xbar[j - 1] for j in g.neighbors(i)},
@@ -202,7 +202,7 @@ class TestLocalGradient:
 
     def test_missing_neighbor_block(self):
         node = NodeProblem(
-            reg=SparseGroupReg(1.0, 0.0, GroupPartition.single_group(1)),
+            reg=SparseGroupReg(1.0, 0.0, GroupPartition.contiguous(1, 1)),
             loss=HuberLoss(A=np.zeros((1, 1)), b=np.zeros(1)),
         )
         with pytest.raises(ProtocolError):
@@ -219,7 +219,7 @@ class TestDfalSolve:
         # centralized solve of the summed objective
         n = 2
         c1 = np.array([1.0, -0.5])
-        part = GroupPartition.single_group(n)
+        part = GroupPartition.contiguous(n, n)
         nodes = [
             NodeProblem(
                 reg=SparseGroupReg(0.01, 0.0, part),
@@ -511,7 +511,7 @@ class TestTimeBudget:
 def _per_node_gradient(nodes, graph, lam, Y, xbar):
     return np.stack([
         local_gradient(
-            nodes[i - 1], lam, graph.degree(i), Y[i - 1],
+            nodes[i - 1], lam, graph.degrees[i - 1], Y[i - 1],
             {j: Y[j - 1] for j in graph.neighbors(i)}, xbar[i - 1],
             {j: xbar[j - 1] for j in graph.neighbors(i)},
         )
@@ -550,7 +550,7 @@ class TestNodeStack:
                 xbar = rng.standard_normal((N, n))
                 t = rng.uniform(0.1, 2.0, size=N)
                 V = 3.0 * rng.standard_normal((N, n))
-                Y = stack.prox(V, t)  # exact zeros, whole zero groups too
+                Y = stack.prox_map(t)(V)  # exact zeros, whole zero groups too
                 for i in range(N):
                     np.testing.assert_allclose(
                         Y[i], nodes[i].reg.prox(V[i], t[i]), rtol=0, atol=1e-12
@@ -606,7 +606,7 @@ class TestEventPath:
                     )
                     V = 3.0 * rng.standard_normal(stack.shape)
                     # prox outputs carry exact zeros, whole zero groups too
-                    for Y in (V, stack.prox(V, rng.uniform(0.1, 2.0, size=5))):
+                    for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V)):
                         yield inst, lam, xbar, obj, Y
 
     def test_residual_test_decides_as_the_stacked_one(self, rng):
@@ -668,7 +668,7 @@ class TestBoundKernels:
                 for _ in range(2):
                     V = 3.0 * rng.standard_normal(stack.shape)
                     Y = prox(V)
-                    assert np.array_equal(Y, stack.prox(V, t))
+                    assert np.array_equal(Y, stack.prox_map(t)(V))
                     for i, node in enumerate(inst.nodes):
                         assert np.array_equal(Y[i], node.reg.prox(V[i], t[i]))
 
@@ -680,7 +680,7 @@ class TestBoundKernels:
                 G = rng.standard_normal(stack.shape)
                 V = 3.0 * rng.standard_normal(stack.shape)
                 # prox outputs carry exact zeros, whole zero groups too
-                for Y in (V, stack.prox(V, rng.uniform(0.1, 2.0, size=5))):
+                for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V)):
                     r = residuals(G, Y)
                     for i, node in enumerate(inst.nodes):
                         # summed in segment order, as the stack lays it out
@@ -700,23 +700,18 @@ class TestBoundKernels:
         with pytest.raises(ValueError, match="expected shape"):
             stack.residual_map(1.0)(np.ones((3, 12)), np.ones((12, 3)))
 
-    def test_prox_all_follows_each_step_vector(self, rng):
-        # the subproblem binds the thresholds of the last step vector; another
-        # step vector, or the first one again, must not reuse stale ones
+    def test_prox_all_proxes_each_block_at_its_own_step(self, rng):
+        # block i at step 1/L_i, its thresholds formed as (1 / L) * lam
         inst = generate_instance(2, "star", 5, 10, 10, seed=3)
         stack = NodeStack(inst.nodes)
         lam = 0.7
+        L = rng.uniform(0.5, 4.0, size=5)
         obj = _subproblem_objective(
-            inst.nodes, inst.graph, lam, np.zeros(stack.shape), np.ones(5), stack
+            inst.nodes, inst.graph, lam, np.zeros(stack.shape), L, stack
         )
-        first, second = (rng.uniform(0.1, 2.0, size=5) for _ in range(2))
-        third = first.copy()
-        third[4] *= 2.0  # the first vector but for one entry
-        for tau in (first, second, first, third, third):
+        for _ in range(3):
             V = 3.0 * rng.standard_normal(stack.shape)
-            assert np.array_equal(obj.prox_all(V, tau), stack.prox(V, tau * lam))
-        with pytest.raises(ValueError, match="prox steps must be positive"):
-            obj.prox_all(V, np.full(5, np.nan))
+            assert np.array_equal(obj.prox_all(V), stack.prox_map((1.0 / L) * lam)(V))
 
 
 # Ledger counters and inner iterations of async_dfal_solve(p=0.1, seed=7,

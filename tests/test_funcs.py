@@ -19,7 +19,7 @@ class TestGroupPartition:
 
     def test_contiguous(self):
         part = GroupPartition.contiguous(6, 3)
-        assert part.num_groups == 2
+        assert len(part.groups) == 2
         assert np.array_equal(part.groups[1], [3, 4, 5])
 
 
@@ -97,28 +97,28 @@ class TestLipschitz:
 
 class TestProx:
     def test_identity_when_weights_zero(self, rng):
-        reg = SparseGroupReg(0.0, 0.0, GroupPartition.single_group(4))
+        reg = SparseGroupReg(0.0, 0.0, GroupPartition.contiguous(4, 4))
         x = rng.standard_normal(4)
         assert np.allclose(reg.prox(x, 1.0), x)
 
     def test_two_entry_example(self):
-        reg = SparseGroupReg(1.0, 1.0, GroupPartition.single_group(2))
+        reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(2, 2))
         out = reg.prox(np.array([3.0, -1.0]), 1.0)
         assert np.allclose(out, [1.0, 0.0])
 
     def test_zero_block_convention(self):
-        reg = SparseGroupReg(1.0, 1.0, GroupPartition.single_group(2))
+        reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(2, 2))
         out = reg.prox(np.array([0.5, 0.5]), 1.0)
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_nonpositive_step_rejected(self):
-        reg = SparseGroupReg(1.0, 1.0, GroupPartition.single_group(2))
+        reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(2, 2))
         with pytest.raises(ValueError):
             reg.prox(np.zeros(2), 0.0)
 
     def test_nan_step_rejected(self):
         # "t <= 0" is false for NaN, which once returned an all-NaN point
-        reg = SparseGroupReg(1.0, 1.0, GroupPartition.single_group(2))
+        reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(2, 2))
         with pytest.raises(ValueError, match="prox step must be positive, got nan"):
             reg.prox(np.ones(2), np.nan)
 
@@ -126,7 +126,7 @@ class TestProx:
         # one NaN entry of t once gave a NaN row
         nodes = [small_node(rng, n=4) for _ in range(3)]
         with pytest.raises(ValueError, match="prox steps must be positive"):
-            NodeStack(nodes).prox(np.ones((3, 4)), np.array([1.0, np.nan, 1.0]))
+            NodeStack(nodes).prox_map(np.array([1.0, np.nan, 1.0]))(np.ones((3, 4)))
 
     def test_prox_optimality_residual(self, rng):
         # optimality: 0 in d(t*rho)(out) + (out - xbar), so the min-norm
@@ -143,12 +143,12 @@ class TestProx:
 
 class TestSubgradResidual:
     def test_scalar_zero_point_absorbed(self):
-        reg = SparseGroupReg(1.0, 0.5, GroupPartition.single_group(1))
+        reg = SparseGroupReg(1.0, 0.5, GroupPartition.contiguous(1, 1))
         res = reg.subgrad_residual(1.0, np.array([0.5]), np.array([0.0]))
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_nonzero_point(self):
-        reg = SparseGroupReg(1.0, 1.0, GroupPartition.single_group(1))
+        reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(1, 1))
         res = reg.subgrad_residual(1.0, np.array([0.0]), np.array([2.0]))
         assert res == pytest.approx(2.0)
 
@@ -200,11 +200,11 @@ def _min_norm_oracle(b1, b2, grad_f, x, iters=4000):
 
 class TestValues:
     def test_zero_point(self):
-        reg = SparseGroupReg(1.0, 2.0, GroupPartition.single_group(3))
+        reg = SparseGroupReg(1.0, 2.0, GroupPartition.contiguous(3, 3))
         assert reg.value(np.zeros(3)) == 0.0
 
     def test_direct_formula(self):
-        reg = SparseGroupReg(1.0, 2.0, GroupPartition.single_group(2))
+        reg = SparseGroupReg(1.0, 2.0, GroupPartition.contiguous(2, 2))
         assert reg.value(np.array([1.0, -1.0])) == pytest.approx(2 + 2 * np.sqrt(2))
 
     def test_naive_summation_oracle(self, rng):
@@ -227,7 +227,7 @@ class TestValues:
     def test_composite_value(self, rng):
         A = rng.standard_normal((3, 4))
         node = NodeProblem(
-            reg=SparseGroupReg(0.3, 0.6, GroupPartition.single_group(4)),
+            reg=SparseGroupReg(0.3, 0.6, GroupPartition.contiguous(4, 4)),
             loss=HuberLoss(A=A, b=rng.standard_normal(3)),
         )
         x = rng.standard_normal(4)
@@ -340,7 +340,7 @@ class TestVectorizedKernels:
         regs = [_edge_case_reg(rng, int(rng.integers(1, 9))) for _ in range(100)]
         assert any(r.beta1 == 0.0 for r in regs) and any(r.beta2 == 0.0 for r in regs)
         assert any(len(g) == 1 for r in regs for g in r.partition.groups)
-        assert any(r.partition.num_groups == r.n > 1 for r in regs)
+        assert any(len(r.partition.groups) == r.n > 1 for r in regs)
 
     def test_prox_satisfies_kkt_by_bisection(self):
         rng = np.random.default_rng(91)
@@ -353,7 +353,7 @@ class TestVectorizedKernels:
         assert worst <= 1e-9
 
     def test_kkt_check_rejects_a_wrong_point(self):
-        reg = SparseGroupReg(0.5, 0.5, GroupPartition.single_group(3))
+        reg = SparseGroupReg(0.5, 0.5, GroupPartition.contiguous(3, 3))
         xbar = np.array([3.0, -2.0, 0.1])
         y = reg.prox(xbar, 1.0)
         assert _prox_kkt_violation(reg, xbar, 1.0, y) <= 1e-12

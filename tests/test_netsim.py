@@ -9,11 +9,10 @@ from dfalopt import (
     CommLedger,
     Graph,
     SyncNetwork,
-    async_schedule,
     build_topology,
     charge_activations,
 )
-from conftest import random_connected_graph
+from conftest import random_connected_graph, schedule_ids
 
 
 class TestSyncRounds:
@@ -79,28 +78,28 @@ class TestBroadcastState:
 
 class TestAsyncSchedule:
     def test_deterministic(self):
-        a = async_schedule(42, 1000, 5)
-        b = async_schedule(42, 1000, 5)
+        a = schedule_ids(42, 1000, 5)
+        b = schedule_ids(42, 1000, 5)
         assert np.array_equal(a, b)
 
     def test_ids_in_range_and_uniform(self):
-        sched = async_schedule(7, 50_000, 4)
+        sched = schedule_ids(7, 50_000, 4)
         assert sched.min() >= 1 and sched.max() <= 4
         freqs = np.bincount(sched, minlength=5)[1:] / 50_000
         assert np.all(np.abs(freqs - 0.25) <= 0.02)
 
     def test_single_node(self):
-        assert np.array_equal(async_schedule(0, 10, 1), np.ones(10, dtype=int))
+        assert np.array_equal(schedule_ids(0, 10, 1), np.ones(10, dtype=int))
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
-            async_schedule(0, 10, 0)
+            schedule_ids(0, 10, 0)
 
     def test_is_the_stream_the_solvers_draw(self):
         # past the first chunk of draws, too
         sched = ActivationSchedule(42, 5)
         drawn = [sched.integers(5) + 1 for _ in range(70_000)]
-        assert async_schedule(42, 70_000, 5).tolist() == drawn
+        assert schedule_ids(42, 70_000, 5).tolist() == drawn
 
     def test_draws_only_under_its_own_bound(self):
         sched = ActivationSchedule(3, 3)
@@ -160,7 +159,7 @@ class TestAsyncNetwork:
     def test_schedule_replay_conserves_traffic(self, rng):
         g = random_connected_graph(rng, 5)
         ledger = CommLedger(5)
-        sched = async_schedule(3, 200, 5)
+        sched = schedule_ids(3, 200, 5)
         for i in sched:
             charge_activations(ledger, g, np.eye(5, dtype=np.int64)[int(i) - 1])
         counts = np.bincount(sched, minlength=6)[1:]
@@ -181,7 +180,7 @@ class TestAsyncNetwork:
 
     def test_one_call_equals_a_replay_of_single_activations(self, rng):
         g = random_connected_graph(rng, 6)
-        sched = async_schedule(11, 300, 6)
+        sched = schedule_ids(11, 300, 6)
         replay, once = CommLedger(6), CommLedger(6)
         for i in sched:
             charge_activations(replay, g, np.eye(6, dtype=np.int64)[int(i) - 1])

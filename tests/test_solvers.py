@@ -13,7 +13,6 @@ from dfalopt import (
     GroupPartition,
     SparseGroupReg,
     apg,
-    async_schedule,
     ms_apg,
     rbcd_run,
 )
@@ -26,7 +25,7 @@ from dfalopt.solvers import (
     fista_momentum,
     rbcd_budget_constant,
 )
-from conftest import random_reg
+from conftest import random_reg, schedule_ids
 
 
 def quadratic_objective(c, L=None):
@@ -39,7 +38,7 @@ def quadratic_objective(c, L=None):
         smooth_grad=lambda Y: Y - c,
         smooth_grad_block=lambda i, Y: Y[i] - c[i],
         prox=lambda i, v, tau: v,
-        prox_all=lambda V, tau: V,
+        prox_all=lambda V: V,
         residuals=lambda G, Y: np.linalg.norm(G, axis=1),
         value=lambda Y: 0.5 * float(np.sum((Y - c) ** 2)),
     )
@@ -51,6 +50,7 @@ def sparse_group_objective(rng, N=3, n=5):
     targets = rng.standard_normal((N, n))
     Q = [rng.uniform(0.5, 2.0, size=n) for _ in range(N)]
     L = np.array([q.max() for q in Q])
+    step = 1.0 / L
 
     def value(Y):
         smooth = 0.5 * sum(float(Q[i] @ (Y[i] - targets[i]) ** 2) for i in range(N))
@@ -67,8 +67,8 @@ def sparse_group_objective(rng, N=3, n=5):
         smooth_grad=smooth_grad,
         smooth_grad_block=smooth_grad_block,
         prox=lambda i, v, tau: regs[i].prox(v, tau),
-        prox_all=lambda V, tau: np.stack(
-            [regs[i].prox(V[i], tau[i]) for i in range(N)]
+        prox_all=lambda V: np.stack(
+            [regs[i].prox(V[i], step[i]) for i in range(N)]
         ),
         residuals=lambda G, Y: np.array(
             [regs[i].subgrad_residual(1.0, G[i], Y[i]) for i in range(N)]
@@ -200,7 +200,7 @@ class TestApg:
         assert res.y == pytest.approx([3.0])
 
     def test_lasso_toy(self):
-        reg = SparseGroupReg(0.5, 0.0, GroupPartition.single_group(2))
+        reg = SparseGroupReg(0.5, 0.0, GroupPartition.contiguous(2, 2))
         b = np.array([1.0, 0.0])
         res = apg(
             smooth_grad=lambda x: x - b,
@@ -230,7 +230,7 @@ class TestMsApg:
             smooth_grad=lambda Y: 2.0 * (Y - target),
             smooth_grad_block=lambda i, Y: 2.0 * (Y[0] - target),
             prox=lambda i, v, tau: reg.prox(v, tau),
-            prox_all=lambda V, tau: reg.prox(V[0], tau[0])[None, :],
+            prox_all=lambda V: reg.prox(V[0], 0.5)[None, :],  # the step 1/L
             residuals=lambda G, Y: [reg.subgrad_residual(1.0, G[0], Y[0])],
         )
         res_ms = ms_apg(obj, np.zeros((1, 5)), residual_target=None, max_iter=60)
@@ -262,7 +262,7 @@ class TestMsApg:
                 smooth_grad=lambda Y: Ld[:, None] * (Y - c),
                 smooth_grad_block=lambda i, Y: Ld[i] * (Y[i] - c[i]),
                 prox=lambda i, v, tau: v,
-                prox_all=lambda V, tau: V,
+                prox_all=lambda V: V,
                 residuals=lambda G, Y: np.linalg.norm(G, axis=1),
                 value=lambda Y: 0.5 * float(np.sum(Ld[:, None] * (Y - c) ** 2)),
             )
@@ -292,7 +292,7 @@ class TestMsApg:
             smooth_grad=lambda Y: np.full_like(Y, np.nan),
             smooth_grad_block=lambda i, Y: np.array([np.nan]),
             prox=lambda i, v, tau: v,
-            prox_all=lambda V, tau: V,
+            prox_all=lambda V: V,
             residuals=lambda G, Y: np.zeros(1),
         )
         with pytest.raises(FloatingPointError):
@@ -346,11 +346,10 @@ class TestRestart:
 
     def test_reset_makes_the_next_point_the_prox_step(self, rng):
         obj = sparse_group_objective(rng)
-        step = 1.0 / obj.L
         points = []
         ms_apg(obj, np.zeros((3, 5)), max_iter=200, restart=True,
                callback=lambda ell, ybar, grad: points.append(
-                   (ybar.copy(), obj.prox_all(ybar - grad / obj.L[:, None], step))))
+                   (ybar.copy(), obj.prox_all(ybar - grad / obj.L[:, None]))))
         y_prev, t, resets = np.zeros((3, 5)), 1.0, 0
         for (ybar, y), (ybar_next, _) in zip(points, points[1:]):
             if np.vdot(ybar - y, y - y_prev) > 0.0:
@@ -521,7 +520,7 @@ class TestActivations:
     def test_counts_follow_the_drawn_schedule(self):
         obj = quadratic_objective(np.zeros((4, 1)))
         res = rbcd_run(obj, np.zeros((4, 1)), 200, ActivationSchedule(8, 4))
-        drawn = async_schedule(8, 200, 4)
+        drawn = schedule_ids(8, 200, 4)
         assert res.activations.tolist() == np.bincount(drawn, minlength=5)[1:].tolist()
 
     def test_schedule_for_fewer_nodes_than_blocks_rejected(self):
