@@ -34,9 +34,9 @@ from .solvers import (
     rbcd_run,
 )
 from .netsim import (
-    ActivationSchedule,
     CommLedger,
     SyncNetwork,
+    activation_stream,
     charge_activations,
 )
 from .trace import RunTrace, TraceRow, TRACE_COLUMNS, rel_subopt

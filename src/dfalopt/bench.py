@@ -186,9 +186,12 @@ def reference_solve(
     from a long-horizon distributed run and a tightly solved split baseline;
     it ignores ``tolerance``.
     """
-    # "not >=" also rejects NaN, which would run APG to its iteration cap
-    if not tolerance >= 1e-9:
-        raise ValueError(f"tolerance must be at least 1e-9, got {tolerance}")
+    # "not >=" also rejects NaN, which would run APG to its iteration cap, and
+    # an infinite tolerance would certify the start point
+    if not 1e-9 <= tolerance < np.inf:
+        raise ValueError(
+            f"tolerance must be at least 1e-9 and finite, got {tolerance}"
+        )
     tol_key = tolerance if instance.case == 1 else None
     key = (instance.case, tol_key, instance.content_digest()) if cache else None
     if key is not None and key in _REFERENCE_CACHE:
@@ -251,8 +254,8 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
     nodes, graph = instance.nodes, instance.graph
     candidates: list[Reference] = []
 
-    # the penalty floor drives CV below 1e-8; the objective at the averaged
-    # consensus point is then stable to well under 1e-6 relative
+    # a fixed penalty floor, not tied to the CV it reaches: on the N=5, n=100
+    # instances CV ends below 1e-8, on some small ones above it (unconverged)
     params = default_params(nodes, graph, c=0.7, outer_cap=40)
     trace = dfal_solve(nodes, graph, params, lam_min=params.lam1 * 0.7**18)
     state = trace.config["final_state"]
@@ -269,8 +272,7 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
     f_sadmm = objective_sum(nodes, np.tile(mid, (graph.num_nodes, 1)))
     candidates.append(Reference(f_sadmm, mid, "sadmm-tight", sadmm.final.CV <= 1e-8))
 
-    best = min(candidates, key=lambda r: r.f_star)
-    return Reference(best.f_star, best.x_ref, best.method, best.converged)
+    return min(candidates, key=lambda r: r.f_star)
 
 
 REPORT_NOTE = (

@@ -7,7 +7,7 @@ Synchronously, :func:`solvers.ms_apg` runs over neighbor-exchange rounds of
 and evaluates the stacked subproblem gradient on the delivered snapshot, so
 node ``i``'s block reads only its own data and its neighbours' delivered
 blocks.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
-consumes seeded activation schedules, each event assembling one block from
+consumes seeded activation streams, each event assembling one block from
 the node's neighbour index row, and :func:`netsim.charge_activations` charges
 the activations they report.  :func:`local_gradient` is the per-node reference
 for both gradients.  Dual variables are never materialized; their norms come
@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcs import NodeProblem, NodeStack, huber_grad, objective_sum, sparse_group_prox
+from .funcs import NodeProblem, NodeStack, huber_grad, objective_sum
 from .graph import (
     Graph,
     consensus_violation,
@@ -31,7 +31,7 @@ from .graph import (
     laplacian_quadratic,
     spectral_bounds,
 )
-from .netsim import ActivationSchedule, CommLedger, SyncNetwork, charge_activations
+from .netsim import CommLedger, SyncNetwork, charge_activations
 from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd_chain)
     BlockObjective,
     SolveResult,
@@ -329,11 +329,11 @@ def _subproblem_objective(
 
     One event reads data bound here once per subproblem: its block gradient
     reads the node's ``A_i``, ``A_i^T``, ``b_i`` and ``delta_i`` and its
-    neighbour index row, and its prox the node's segment layout and weights.
-    The full gradient, the prox of all blocks and the residuals of the
-    stopping test come from ``stack`` (built from ``nodes`` when not given)
-    for all blocks at once; ``block_residual`` computes one of those
-    residuals bit for bit from the block's own rows of the stack.
+    neighbour index row; its prox is :meth:`NodeStack.prox_row`.  The full
+    gradient, the prox of all blocks and the residuals of the stopping test
+    come from ``stack`` (built from ``nodes`` when not given) for all blocks
+    at once.  ``block_residual`` is the event's own test: the residual of
+    the event's block gradient, by :meth:`NodeStack.residual_row`.
     """
     if stack is None:
         stack = NodeStack(nodes)
@@ -346,8 +346,6 @@ def _subproblem_objective(
     degrees = graph.degrees.tolist()
     # the transposed view, not a contiguous copy, keeps the event bits
     losses = [(p.loss.A, p.loss.A.T, p.loss.b, p.loss.delta) for p in nodes]
-    regs = [(p.reg.partition.layout, p.reg.beta1, p.reg.beta2) for p in nodes]
-    first_row = np.zeros(1, dtype=np.intp)
 
     def value(Y: np.ndarray) -> float:
         return lam * objective_sum(nodes, Y) + 0.5 * laplacian_quadratic(graph, Y + xbar)
@@ -360,33 +358,18 @@ def _subproblem_objective(
         q = lam * huber_grad(*losses[i], y) + degrees[i] * (y + xbar[i])
         return q - np.add.reduce(Y.take(rows[i], axis=0) + xbar_rows[i])
 
-    def prox(i: int, v: np.ndarray, tau: float) -> np.ndarray:
-        t = tau * lam
-        # "not > 0" also rejects NaN
-        if not t > 0:
-            raise ValueError(f"prox step must be positive, got {t}")
-        lay, b1, b2 = regs[i]
-        return lay.scatter(sparse_group_prox(lay, v[lay.perm], t * b1, t * b2))
-
-    def block_residual(j: int, Y: np.ndarray) -> float:
-        # row j of smooth_grad: the same products, and the neighbour sum by
-        # the same reduceat as laplacian_apply's
-        y = Y[j]
-        nbrs = Y.take(rows[j], axis=0) + xbar_rows[j]
-        nbr = np.add.reduceat(nbrs, first_row, axis=0)[0]
-        g = lam * stack.loss_grad_row(j, y) + (degrees[j] * (y + xbar[j]) - nbr)
-        return stack.residual_row(j, lam, g, y)
-
     return BlockObjective(
         L=block_L,
         smooth_grad=smooth_grad,
         smooth_grad_block=smooth_grad_block,
-        prox=prox,
+        prox=lambda i, v, tau: stack.prox_row(i, v, tau * lam),
         # each block at its own step 1/L_i, thresholds formed once
         prox_all=stack.prox_map((1.0 / block_L) * lam),
         residuals=stack.residual_map(lam),
         value=value,
-        block_residual=block_residual,
+        block_residual=lambda j, Y: stack.residual_row(
+            j, lam, smooth_grad_block(j, Y), Y[j]
+        ),
     )
 
 
@@ -409,7 +392,7 @@ def async_dfal_solve(
     theory-prescribed event budget at per-subproblem confidence
     ``(1 - p) ** (1 / outer_iters)``, with the per-block residual test still
     allowed to stop it early.  Every ``rbcd`` run and every
-    ``arbcd`` chain follows its own activation schedule seeded from ``seed``.
+    ``arbcd`` chain follows its own activation stream seeded from ``seed``.
     """
     if oracle not in ("rbcd", "arbcd"):
         raise ValueError(f"unknown oracle {oracle!r}")
@@ -441,14 +424,15 @@ def async_dfal_solve(
             estimate = (
                 rbcd_budget_constant if oracle == "rbcd" else estimate_restart_constant
             )
-            const = estimate(obj, state.x, np.random.default_rng(seed + 1))
+            const = estimate(obj, state.x, seed + 1)
             trace.config["budget_constant"] = const
         target = xi / math.sqrt(N)
 
         if oracle == "rbcd":
             events = rbcd_events(N, const, alpha, p_sub)
-            schedule = ActivationSchedule(int(rng.integers(2**31)), N)
-            result = rbcd_run(obj, state.x, events, schedule, residual_target=target)
+            result = rbcd_run(
+                obj, state.x, events, int(rng.integers(2**31)), residual_target=target
+            )
         else:
             # the budget of each restarted chain
             events = arbcd_chain_events(N, const, alpha)

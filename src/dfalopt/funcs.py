@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -255,7 +256,6 @@ class HuberLoss:
     A: np.ndarray
     b: np.ndarray
     delta: float = 1.0
-    _sigma_max: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -266,7 +266,6 @@ class HuberLoss:
             raise ValueError("delta must be positive")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_sigma_max", _sigma_max_power(A))
 
     @property
     def n(self) -> int:
@@ -297,10 +296,11 @@ class HuberLoss:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return huber_grad(self.A, self.A.T, self.b, self.delta, self._checked(x))
 
-    @property
+    @cached_property
     def lipschitz(self) -> float:
-        """Gradient Lipschitz constant ``sigma_max(A)^2``."""
-        return self._sigma_max ** 2
+        """Gradient Lipschitz constant ``sigma_max(A)^2``, by power iteration
+        on first use."""
+        return _sigma_max_power(self.A) ** 2
 
 
 def _sigma_max_power(A: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -> float:
@@ -313,17 +313,19 @@ def _sigma_max_power(A: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    w = A.T @ (A @ v)
     lam = 0.0
     for _ in range(max_iter):
-        w = A.T @ (A @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
-        w /= norm
-        lam_new = float(w @ (A.T @ (A @ w)))
+        v = w / norm
+        # the Rayleigh quotient's product is the next iterate's
+        w = A.T @ (A @ v)
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= tol * max(lam_new, 1e-30):
             return float(np.sqrt(lam_new))
-        lam, v = lam_new, w
+        lam = lam_new
     return float(np.sqrt(lam))
 
 
@@ -382,17 +384,11 @@ class NodeStack:
             self._b[i, : p.loss.num_rows] = p.loss.b
         self._At = np.ascontiguousarray(self._A.transpose(0, 2, 1))
         self._delta = np.array([[p.loss.delta] for p in nodes])
-        self._loss_rows = list(zip(self._A, self._At, self._b, self._delta))
 
     def loss_grad(self, Y: np.ndarray) -> np.ndarray:
         """Rows ``A_i^T clip(A_i y_i - b_i, -delta_i, delta_i)``."""
         r = (self._A @ Y[:, :, None])[:, :, 0] - self._b
         return (self._At @ _clip(r, self._delta)[:, :, None])[:, :, 0]
-
-    def loss_grad_row(self, i: int, y: np.ndarray) -> np.ndarray:
-        """Row ``i`` of :meth:`loss_grad` at a ``Y`` whose row ``i`` is ``y``,
-        bit for bit (it reads the same contiguous stacks)."""
-        return huber_grad(*self._loss_rows[i], y)
 
     def prox_map(self, t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``V ->`` the stacked prox whose row ``i`` is
@@ -412,6 +408,16 @@ class NodeStack:
             return lay.scatter(out).reshape(shape)
 
         return prox
+
+    def prox_row(self, i: int, v: np.ndarray, t: float) -> np.ndarray:
+        """``nodes[i].reg.prox(v, t)`` bit for bit, from the node's own segment
+        layout and weights."""
+        # "not > 0" also rejects NaN
+        if not t > 0:
+            raise ValueError(f"prox step must be positive, got {t}")
+        lay = self._layouts[i]
+        b1, b2 = self._betas[i]
+        return lay.scatter(sparse_group_prox(lay, v[lay.perm], t * b1, t * b2))
 
     def residual_map(self, lam: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``(G, Y) ->`` the array whose entry ``i`` is

@@ -4,7 +4,7 @@ A synchronous exchange (:meth:`SyncNetwork.broadcast_state`) delivers every
 node's freshly computed block to all of its neighbors: delivery copies the
 blocks into one ``(N, n)`` snapshot, :attr:`SyncNetwork.delivered`, and a node
 may read only its own row and its neighbours' rows of that snapshot.  Asynchronous execution draws node
-activations from one seeded uniform stream (:class:`ActivationSchedule`); the
+activations from one seeded uniform stream (:func:`activation_stream`); the
 randomized solvers consume it directly and report how often each node fired,
 which :func:`charge_activations` charges for a whole subproblem at once.  A
 ledger counts vector transmissions and per-node proximal and gradient
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -30,17 +31,16 @@ class CommLedger:
     """Per-node counters for vector traffic and oracle calls."""
 
     num_nodes: int
-    vectors_sent: np.ndarray = field(default=None)
-    vectors_received: np.ndarray = field(default=None)
-    prox_evals: np.ndarray = field(default=None)
-    grad_evals: np.ndarray = field(default=None)
-    control_msgs: np.ndarray = field(default=None)
+    vectors_sent: np.ndarray = field(init=False)
+    vectors_received: np.ndarray = field(init=False)
+    prox_evals: np.ndarray = field(init=False)
+    grad_evals: np.ndarray = field(init=False)
+    control_msgs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("vectors_sent", "vectors_received", "prox_evals",
                      "grad_evals", "control_msgs"):
-            if getattr(self, name) is None:
-                setattr(self, name, np.zeros(self.num_nodes, dtype=np.int64))
+            setattr(self, name, np.zeros(self.num_nodes, dtype=np.int64))
 
     def charge_send(self, node: int, count: int = 1) -> None:
         self.vectors_sent[node - 1] += count
@@ -66,7 +66,7 @@ def charge_activations(ledger: CommLedger, graph: Graph, counts: np.ndarray) -> 
     """Charge node ``i`` for ``counts[i - 1]`` asynchronous activations: each
     is one gradient, one prox and a push of its block to its ``d_i``
     neighbours, so node ``i`` sends ``d_i * c_i`` vectors and each neighbour
-    receives ``c_i``.  Event order is virtual time from a seeded schedule."""
+    receives ``c_i``.  Event order is virtual time from a seeded stream."""
     counts = np.asarray(counts, dtype=np.int64)
     ledger.vectors_sent += graph.degrees * counts
     ledger.vectors_received += graph.neighbor_sum(counts)
@@ -113,33 +113,14 @@ class SyncNetwork:
             self.ledger.vectors_received += self.graph.degrees
 
 
-class ActivationSchedule:
-    """Seeded i.i.d. uniform node activations, drawn lazily in chunks.
-
-    ``integers(num_nodes)`` returns the next 0-based node index: the one call
-    of a numpy generator the randomized solvers make, with the one bound this
-    schedule draws under.  Chunking keeps memory flat even when the nominal
-    event budget is astronomically large.
-    """
-
-    CHUNK = 1 << 16
-
-    def __init__(self, seed: int, num_nodes: int):
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        self._rng = np.random.default_rng(seed)
-        self._num_nodes = num_nodes
-        self._buf = iter(())
-
-    def integers(self, high: int) -> int:
-        if high != self._num_nodes:
-            raise ValueError(
-                f"schedule draws among {self._num_nodes} nodes, asked for {high}"
-            )
-        i = next(self._buf, None)
-        if i is None:
-            draws = self._rng.integers(0, self._num_nodes, size=self.CHUNK)
-            # a memoryview iterates as Python ints, with no per-chunk copy
-            self._buf = iter(memoryview(draws))
-            i = next(self._buf)
-        return i
+def activation_stream(seed: int, num_nodes: int) -> Iterator[int]:
+    """Seeded i.i.d. uniform node activations as 0-based indices: the ``k``-th
+    is the ``k``-th ``integers(num_nodes)`` of ``np.random.default_rng(seed)``.
+    Drawn lazily in chunks, so memory stays flat even when the nominal event
+    budget is astronomically large."""
+    if num_nodes < 1:
+        raise ValueError("need at least one node")
+    rng = np.random.default_rng(seed)
+    while True:
+        # a memoryview iterates as Python ints, with no per-chunk copy
+        yield from memoryview(rng.integers(0, num_nodes, size=1 << 16))

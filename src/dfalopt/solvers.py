@@ -4,8 +4,8 @@ All solvers operate on stacked iterates of shape ``(N, n)`` (``N`` blocks of
 length ``n``) described by a :class:`BlockObjective`.  The accelerated
 multi-step solver uses a separate step size ``1/L_i`` per block and proxes
 all blocks in one call; the randomized solvers update one uniformly drawn
-block per event, are deterministic given a seeded generator, and report how
-often each block was drawn.
+block per event, draw their blocks from a seeded activation stream, and
+report how often each block was drawn.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .netsim import ActivationSchedule
+from .netsim import activation_stream
 
 
 @dataclass
@@ -47,10 +47,10 @@ class BlockObjective:
         :func:`arbcd_run` and the budget-constant pilots, which reject an
         objective without one.
     block_residual : callable, optional
-        ``(j, Y) ->`` entry ``j`` of ``residuals(smooth_grad(Y), Y)``, bit for
-        bit, from block ``j``'s own data.  Read by :meth:`residual_reached`,
-        the randomized solvers' stopping test, which rejects an objective
-        without one.
+        ``(j, Y) ->`` entry ``j`` of ``residuals(G, Y)`` with row ``j`` of
+        ``G`` the block gradient ``smooth_grad_block(j, Y)``, from block
+        ``j``'s own data.  Read by :meth:`residual_reached`, the randomized
+        solvers' stopping test, which rejects an objective without one.
     """
 
     L: np.ndarray
@@ -83,10 +83,10 @@ class BlockObjective:
         """The per-block stopping test at ``Y``: every block's residual is at
         most ``target``.
 
-        It decides as ``max_residual(smooth_grad(Y), Y) <= target`` does, one
-        block at a time: the block that failed last time first, then the
-        others in order, stopping at the first block over ``target`` (or
-        NaN).  Only a passing test evaluates every block.
+        It decides as ``max_j block_residual(j, Y) <= target`` does, one block
+        at a time: the block that failed last time first, then the others in
+        order, stopping at the first block over ``target`` (or NaN).  Only a
+        passing test evaluates every block.
         """
         block_residual = self.block_residual
         if block_residual is None:
@@ -243,10 +243,11 @@ def rbcd_run(
     obj: BlockObjective,
     y0: np.ndarray,
     iters: int,
-    rng: np.random.Generator | ActivationSchedule,
+    seed: int,
     residual_target: float | None = None,
 ) -> SolveResult:
-    """Randomized block coordinate descent: one uniform block per event.
+    """Randomized block coordinate descent: one uniform block per event, drawn
+    from ``activation_stream(seed, N)``.
 
     The optional residual test (:meth:`BlockObjective.residual_reached`,
     checked once per ``N`` events) may stop early.
@@ -256,11 +257,12 @@ def rbcd_run(
     N = obj.num_blocks
     L = obj.L.tolist()
     step = [1.0 / L_i for L_i in L]
-    grad_block, prox, draw = obj.smooth_grad_block, obj.prox, rng.integers
+    grad_block, prox = obj.smooth_grad_block, obj.prox
+    draw = activation_stream(seed, N).__next__
     drawn = [0] * N
     result = SolveResult(y, iters, "cap")
     for ell in range(1, iters + 1):
-        i = int(draw(N))
+        i = draw()
         drawn[i] += 1
         y[i] = prox(i, y[i] - grad_block(i, y) / L[i], step[i])
         if residual_target is not None and ell % N == 0:
@@ -284,10 +286,11 @@ def arbcd_chain(
     obj: BlockObjective,
     z0: np.ndarray,
     iters: int,
-    rng: np.random.Generator | ActivationSchedule,
+    seed: int,
     residual_target: float | None = None,
 ) -> SolveResult:
-    """One accelerated randomized block coordinate descent chain.
+    """One accelerated randomized block coordinate descent chain, its blocks
+    drawn from ``activation_stream(seed, N)``.
 
     Gradients are taken at the momentum-combined point; the candidate iterate
     after each event combines the auxiliary sequence back in.  The optional
@@ -301,11 +304,12 @@ def arbcd_chain(
     t = 1.0
     N = obj.num_blocks
     L = obj.L.tolist()
-    grad_block, prox, draw = obj.smooth_grad_block, obj.prox, rng.integers
+    grad_block, prox = obj.smooth_grad_block, obj.prox
+    draw = activation_stream(seed, N).__next__
     drawn = [0] * N
     result = SolveResult(z.copy(), iters, "cap")
     for ell in range(1, iters + 1):
-        i = int(draw(N))
+        i = draw()
         drawn[i] += 1
         g = grad_block(i, arbcd_candidate(z, u, t, N))
         step = t / L[i]
@@ -330,36 +334,33 @@ def _pilot(
     obj: BlockObjective,
     y0: np.ndarray,
     run: Callable[..., SolveResult],
-    rng: np.random.Generator,
+    seed: int,
 ) -> tuple[float, float]:
     """Objective gap and ``L``-weighted squared distance from ``y0`` to the
-    better of ``y0`` and the end of a ``4N``-event pilot ``run``, which stands
-    in for the unknown optimum of the randomized solvers' constants."""
+    better of ``y0`` and the end of a ``4N``-event pilot ``run`` at activation
+    seed ``seed``, which stands in for the unknown optimum of the randomized
+    solvers' constants."""
     value = _value_of(obj, "the budget pilot")
     phi0 = value(y0)
-    pilot = run(obj, y0, 4 * obj.num_blocks, rng)
+    pilot = run(obj, y0, 4 * obj.num_blocks, seed)
     phi_best = min(phi0, value(pilot.y))
     y_best = pilot.y if phi_best < phi0 else y0
     return phi0 - phi_best, float(np.sum(obj.L * np.sum((y0 - y_best) ** 2, axis=1)))
 
 
-def estimate_restart_constant(
-    obj: BlockObjective, z0: np.ndarray, rng: np.random.Generator
-) -> float:
+def estimate_restart_constant(obj: BlockObjective, z0: np.ndarray, seed: int) -> float:
     """Upper-bound estimate of the restart constant for the accelerated chain,
     ``(1 - 1/N) gap + dist / 2`` from an :func:`arbcd_chain` pilot, with a
     safety factor of 2 that keeps it on the safe (over-budgeted) side."""
-    gap, dist = _pilot(obj, z0, arbcd_chain, rng)
+    gap, dist = _pilot(obj, z0, arbcd_chain, seed)
     return 2.0 * max((1.0 - 1.0 / obj.num_blocks) * gap + 0.5 * dist, 1e-12)
 
 
-def rbcd_budget_constant(
-    obj: BlockObjective, y0: np.ndarray, rng: np.random.Generator
-) -> float:
+def rbcd_budget_constant(obj: BlockObjective, y0: np.ndarray, seed: int) -> float:
     """Safe over-estimate of the randomized-descent complexity constant,
     ``max(gap, dist)`` from an :func:`rbcd_run` pilot, with a factor-2
     margin that keeps it an upper bound in practice."""
-    gap, dist = _pilot(obj, y0, rbcd_run, rng)
+    gap, dist = _pilot(obj, y0, rbcd_run, seed)
     return 2.0 * max(gap, dist, 1e-12)
 
 
@@ -388,7 +389,7 @@ def arbcd_run(
     Runs ``ceil(log2(1/p))`` (at least one) independent chains of
     :func:`arbcd_chain_events` events at restart constant ``c_estimate``
     (see :func:`estimate_restart_constant`), each on a fresh activation
-    schedule seeded from ``rng``, and returns the candidate (including the
+    stream seeded from ``rng``, and returns the candidate (including the
     start point) with the smallest objective; a chain whose residual test
     fires is returned at once.  ``activations`` sums the chains' block counts.
     """
@@ -403,9 +404,9 @@ def arbcd_run(
     best_phi = value(best_y)
     result = SolveResult(best_y, 0, "cap", activations=np.zeros(N, dtype=np.int64))
     for _ in range(max(1, math.ceil(math.log2(1.0 / p)))):
-        schedule = ActivationSchedule(int(rng.integers(2**31)), N)
         res = arbcd_chain(
-            obj, z0, chain_iters, schedule, residual_target=residual_target
+            obj, z0, chain_iters, int(rng.integers(2**31)),
+            residual_target=residual_target,
         )
         result.iterations += res.iterations
         result.activations += res.activations

@@ -122,6 +122,11 @@ class RunTrace:
         gets stop reason ``"timeout"`` and ends the run.  Keeps a snapshot of
         ``ledger`` in ``config["ledger"]``."""
         check_budget_secs(budget_secs)
+        # "not >= 0" also rejects NaN; a negative target no row can meet
+        if not (eps_opt >= 0 and eps_feas >= 0):
+            raise ValueError(
+                f"eps_opt and eps_feas must be nonnegative, got {eps_opt}, {eps_feas}"
+            )
         for k in range(1, iters + 1):
             row, done = step(k)
             # without a reference the gap is NaN and never meets its target

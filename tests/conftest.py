@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from dfalopt import (
-    ActivationSchedule,
     Graph,
     GroupPartition,
     HuberLoss,
     NodeProblem,
     SparseGroupReg,
+    activation_stream,
 )
 
 
@@ -49,11 +49,10 @@ def random_reg(rng: np.random.Generator, n: int, num_groups: int | None = None) 
 
 
 def schedule_ids(seed: int, num_events: int, num_nodes: int) -> np.ndarray:
-    """The first ``num_events`` draws of ``ActivationSchedule(seed, num_nodes)``
+    """The first ``num_events`` draws of ``activation_stream(seed, num_nodes)``
     as 1-based node ids."""
-    sched = ActivationSchedule(seed, num_nodes)
-    ids = (sched.integers(num_nodes) for _ in range(num_events))
-    return np.fromiter(ids, dtype=np.int64, count=num_events) + 1
+    stream = activation_stream(seed, num_nodes)
+    return np.fromiter(stream, dtype=np.int64, count=num_events) + 1
 
 
 def small_node(rng: np.random.Generator, n: int = 6, m: int = 4) -> NodeProblem:

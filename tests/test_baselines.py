@@ -46,8 +46,8 @@ def run_with_history(solver, nodes, graph, monkeypatch, **kwargs):
 
 class TestArguments:
     """Both baselines reject bad settings: the node count, penalty and
-    iteration count before any arithmetic, the time budget when the run loop
-    starts."""
+    iteration count before any arithmetic, the time budget and the targets
+    when the run loop starts."""
 
     @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
     @pytest.mark.parametrize("iters", [0, -3])
@@ -68,6 +68,16 @@ class TestArguments:
         with pytest.raises(ValueError, match="budget_secs must be positive"):
             solver(make_pair(rng), build_topology("star", 2), iters=5,
                    budget_secs=budget)
+
+    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
+    @pytest.mark.parametrize("eps", [
+        dict(eps_opt=-1.0), dict(eps_feas=-1e-9), dict(eps_opt=float("nan")),
+        dict(eps_feas=float("nan")),
+    ])
+    def test_target_no_row_can_meet_rejected(self, rng, solver, eps):
+        # eps_opt = -1 once ran every iteration and reported unconverged
+        with pytest.raises(ValueError, match="eps_opt and eps_feas must be nonneg"):
+            solver(make_pair(rng), build_topology("star", 2), iters=3, **eps)
 
     @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
     def test_one_node_problem_per_graph_node(self, rng, solver):

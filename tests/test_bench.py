@@ -128,6 +128,11 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="tolerance must be at least 1e-9"):
             reference_solve(small_instance(), tolerance=float("nan"), cache=False)
 
+    def test_infinite_tolerance_rejected(self):
+        # inf once certified the start point: x = 0, converged, F* far too high
+        with pytest.raises(ValueError, match="at least 1e-9 and finite, got inf"):
+            reference_solve(small_instance(), tolerance=float("inf"), cache=False)
+
     def test_case1_residual_certificate(self):
         inst = small_instance()
         ref = reference_solve(inst, cache=False)
@@ -516,6 +521,8 @@ class TestCli:
         ["gen", "--nodes", "3"],  # 2N = 6 does not divide n = 100
         ["gen", "--topology", "file"],
         ["solve", "--alg", "apg", "--case", "2"],
+        ["ref", "--tolerance", "inf"],
+        ["solve", "--alg", "dfal", "--eps-opt", "-1", "--budget-secs", "2"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
         # library ValueErrors once reached the user as tracebacks

@@ -508,6 +508,19 @@ class TestTimeBudget:
                 solve()
 
 
+class TestTargets:
+    @pytest.mark.parametrize("eps_opt, eps_feas", [
+        (-1.0, 1e-4), (1e-3, -1e-9), (float("nan"), 1e-4), (1e-3, float("nan")),
+    ])
+    def test_target_no_row_can_meet_rejected(self, eps_opt, eps_feas):
+        # eps_opt = -1 once ran to the budget or the cap, reported unconverged
+        nodes, graph, params = TestSharedSetup._star5()
+        params = replace(params, outer_cap=2, eps_opt=eps_opt, eps_feas=eps_feas)
+        for solve in TestSharedSetup._solves(nodes, graph, params):
+            with pytest.raises(ValueError, match="eps_opt and eps_feas must be nonneg"):
+                solve()
+
+
 def _per_node_gradient(nodes, graph, lam, Y, xbar):
     return np.stack([
         local_gradient(
@@ -589,8 +602,9 @@ class TestNodeStack:
 
 
 class TestEventPath:
-    """The per-event kernels bound once per subproblem, and the early-exit
-    residual test, against the formulas they replaced, bit for bit."""
+    """The per-event kernels bound once per subproblem against the formulas
+    they replaced, bit for bit, and the early-exit residual test against the
+    event's own block gradient."""
 
     @staticmethod
     def _subproblems(rng):
@@ -609,18 +623,24 @@ class TestEventPath:
                     for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V)):
                         yield inst, lam, xbar, obj, Y
 
-    def test_residual_test_decides_as_the_stacked_one(self, rng):
-        for _, _, _, obj, Y in self._subproblems(rng):
+    def test_residual_test_reuses_the_event_gradient(self, rng):
+        for inst, lam, _, obj, Y in self._subproblems(rng):
+            stack = NodeStack(inst.nodes)
             stacked = obj.residuals(obj.smooth_grad(Y), Y)
-            worst = obj.max_residual(obj.smooth_grad(Y), Y)
-            for j, r in enumerate(stacked):
-                assert obj.block_residual(j, Y) == r
-                for t in (np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)):
-                    assert obj.residual_reached(Y, t) == (worst <= t)
+            r = [obj.block_residual(j, Y) for j in range(5)]
+            for j in range(5):
+                g = obj.smooth_grad_block(j, Y)
+                assert r[j] == stack.residual_row(j, lam, g, Y[j])
+                # the stacked gradient sums the neighbours by reduceat, so
+                # its row may differ from the event's in the last bit
+                assert abs(r[j] - stacked[j]) <= 1e-15 * stacked[j]
+            worst = max(r)
+            for t in (np.nextafter(worst, -np.inf), worst, np.nextafter(worst, np.inf)):
+                assert obj.residual_reached(Y, t) == (worst <= t)
 
     def test_event_gradient_and_prox_match_the_per_node_formulas(self, rng):
         for inst, lam, xbar, obj, Y in self._subproblems(rng):
-            graph = inst.graph
+            graph, stack = inst.graph, NodeStack(inst.nodes)
             for i, node in enumerate(inst.nodes):
                 A, b, delta = node.loss.A, node.loss.b, node.loss.delta
                 nbrs = np.array(graph.neighbors(i + 1)) - 1
@@ -629,9 +649,9 @@ class TestEventPath:
                 expect = expect - np.add.reduce(Y[nbrs] + xbar[nbrs])
                 assert np.array_equal(obj.smooth_grad_block(i, Y), expect)
                 tau = float(rng.uniform(0.1, 2.0))
-                assert np.array_equal(
-                    obj.prox(i, Y[i], tau), node.reg.prox(Y[i], tau * lam)
-                )
+                expect = node.reg.prox(Y[i], tau * lam)
+                assert np.array_equal(obj.prox(i, Y[i], tau), expect)
+                assert np.array_equal(stack.prox_row(i, Y[i], tau * lam), expect)
 
     def test_event_prox_rejects_a_nan_step(self):
         inst = generate_instance(1, "star", 3, 4, 3, seed=5)
@@ -640,6 +660,10 @@ class TestEventPath:
         )
         with pytest.raises(ValueError, match="prox step must be positive, got nan"):
             obj.prox(0, np.ones(12), np.nan)
+        stack = NodeStack(inst.nodes)
+        for t in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="prox step must be positive"):
+                stack.prox_row(1, np.ones(12), t)
 
     def test_xbar_shape_checked_once_per_subproblem(self):
         inst = generate_instance(1, "star", 3, 4, 3, seed=5)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from dfalopt import (
-    ActivationSchedule,
     CommLedger,
     Graph,
     SyncNetwork,
+    activation_stream,
     build_topology,
     charge_activations,
 )
@@ -96,17 +96,11 @@ class TestAsyncSchedule:
             schedule_ids(0, 10, 0)
 
     def test_is_the_stream_the_solvers_draw(self):
-        # past the first chunk of draws, too
-        sched = ActivationSchedule(42, 5)
-        drawn = [sched.integers(5) + 1 for _ in range(70_000)]
-        assert schedule_ids(42, 70_000, 5).tolist() == drawn
-
-    def test_draws_only_under_its_own_bound(self):
-        sched = ActivationSchedule(3, 3)
-        for high in (2, 5):
-            with pytest.raises(ValueError, match=f"3 nodes, asked for {high}"):
-                sched.integers(high)
-        assert 0 <= sched.integers(3) < 3
+        # one generator draw per event, past the first chunk of draws too
+        rng = np.random.default_rng(42)
+        drawn = [int(rng.integers(5)) for _ in range(70_000)]
+        stream = activation_stream(42, 5)
+        assert [next(stream) for _ in range(70_000)] == drawn
 
 
 class TestLedger:
