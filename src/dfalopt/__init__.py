@@ -23,7 +23,6 @@ from .funcs import (
     NodeProblem,
     SparseGroupReg,
     huber_scalar,
-    objective_sum,
 )
 from .solvers import (
     BlockObjective,

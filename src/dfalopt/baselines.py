@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcs import NodeProblem, _clip, objective_sum
+from .funcs import NodeProblem, NodeStack, _clip
 from .graph import Graph, consensus_violation, laplacian_apply
 from .netsim import CommLedger
 from .solvers import apg
@@ -55,48 +55,76 @@ def neighborhood_average(graph: Graph, x: np.ndarray) -> np.ndarray:
 
 
 def _huber_prox(
-    node: NodeProblem, center: np.ndarray, t: float, start: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """``argmin_u t * loss(u) + 0.5 ||u - center||^2`` by semismooth Newton
-    from ``start``, to a gradient of norm at most ``NESTED_TOL``.
+    stack: NodeStack, centers: np.ndarray, t: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i`` is ``argmin_u t_i * loss_i(u) + 0.5 ||u - centers_i||^2`` by
+    semismooth Newton from ``starts[i]``, to a gradient of norm at most
+    ``NESTED_TOL``, for all nodes in one loop.
 
     With ``F`` the rows of ``A u - b`` inside the Huber threshold, the
     generalized Hessian is ``I + t A_F^T A_F``; Woodbury turns each Newton
-    system into one ``|F| x |F|`` solve.  An Armijo backtracking search on the
-    objective makes the method converge from any start.  Returns the point
-    and the number of passes, one gradient each.
+    system into one ``|F| x |F|`` solve, batched over the nodes whose ``F``
+    have one size.  An Armijo backtracking search on the objective makes the
+    method converge from any start.  Each node keeps its own test, direction,
+    step and pass count, and leaves the loop once its test holds; where the
+    nodes share one ``m`` its row is a per-node loop's bit for bit.  Returns
+    the points and the passes per node, one gradient each.
     """
-    A, b, delta = node.loss.A, node.loss.b, node.loss.delta
-    u = np.array(start, dtype=float)
-    for passes in range(1, NEWTON_CAP + 1):
-        r = A @ u - b
+    u = np.array(starts, dtype=float)
+    U, act = np.empty_like(u), np.arange(len(u))
+    passes = np.zeros(len(u), dtype=np.int64)
+    A, b, delta, C = stack._A, stack._b, stack._delta, centers
+    t = np.asarray(t, dtype=float)[:, None]
+    for k in range(1, NEWTON_CAP + 1):
+        r = (A @ u[:, :, None])[:, :, 0] - b
         w = _clip(r, delta)
-        g = t * (A.T @ w) + (u - center)
-        g_norm = float(np.linalg.norm(g))
-        if g_norm <= NESTED_TOL:
-            return u, passes
-        if not math.isfinite(g_norm):
-            raise FloatingPointError(f"non-finite Huber prox gradient at pass {passes}")
-        A_F = A[np.abs(r) < delta]
-        z = np.linalg.solve(np.eye(A_F.shape[0]) + t * (A_F @ A_F.T), A_F @ g)
-        p = t * (A_F.T @ z) - g
-        q = A @ p
-        descent = (1.0 - ARMIJO) * float(g @ p)
-        half_pp = 0.5 * float(p @ p)
-        s = 1.0
+        g = t * (A.transpose(0, 2, 1) @ w[:, :, None])[:, :, 0] + (u - C)
+        # each np.vecdot row is its ``x @ y`` bit for bit, so this norm is
+        # np.linalg.norm's
+        g_norm = np.sqrt(np.vecdot(g, g))
+        # a node that is done has a finite gradient norm
+        if not np.isfinite(g_norm).all():
+            raise FloatingPointError(f"non-finite Huber prox gradient at pass {k}")
+        done = g_norm <= NESTED_TOL
+        if done.any():
+            U[act[done]], passes[act[done]] = u[done], k
+            if done.all():
+                return U, passes
+            keep = ~done
+            act, u, r, w, g = act[keep], u[keep], r[keep], w[keep], g[keep]
+            A, b, delta, C, t = A[keep], b[keep], delta[keep], C[keep], t[keep]
+        # a padded row has threshold 0, so it is never inside
+        inside = np.abs(r) < delta
+        sizes = inside.sum(axis=1)
+        P = np.empty_like(g)
+        F_sizes = sorted(set(sizes.tolist()))
+        for f in F_sizes:
+            sel = slice(None) if len(F_sizes) == 1 else np.flatnonzero(sizes == f)
+            t_F, g_F = t[sel], g[sel]
+            A_F = A[sel][inside[sel]].reshape(len(g_F), f, A.shape[2])
+            A_Ft = A_F.transpose(0, 2, 1)
+            M = np.eye(f) + t_F[:, :, None] * (A_F @ A_Ft)
+            z = np.linalg.solve(M, A_F @ g_F[:, :, None])
+            P[sel] = t_F * (A_Ft @ z)[:, :, 0] - g_F
+        q = (A @ P[:, :, None])[:, :, 0]
+        descent = (1.0 - ARMIJO) * np.vecdot(g, P)
+        half_pp = 0.5 * np.vecdot(P, P)
+        s = np.ones(len(act))
         while True:
             # objective change at step s less ARMIJO * s * g.p, summed without
             # cancellation: with w = clip(r), each Huber term changes by
-            # w d + (w' - w)(r' - (w' + w) / 2)
-            r_s = r + s * q
+            # w d + (w' - w)(r' - (w' + w) / 2); a node passes again at its s
+            r_s = r + s[:, None] * q
             w_s = _clip(r_s, delta)
-            curvature = t * float(np.sum((w_s - w) * (r_s - 0.5 * (w_s + w))))
-            if s * descent + curvature + s * s * half_pp <= 0.0:
+            curvature = t[:, 0] * np.add.reduce(
+                (w_s - w) * (r_s - 0.5 * (w_s + w)), axis=1)
+            fail = ~(s * descent + curvature + s * s * half_pp <= 0.0)
+            if not fail.any():
                 break
-            s *= 0.5
-            if s < MIN_STEP:
+            s[fail] *= 0.5
+            if (s < MIN_STEP).any():
                 raise NestedSolveError("Huber prox line search found no decrease")
-        u += s * p
+        u = u + s[:, None] * P
     raise NestedSolveError(
         f"Huber prox gradient above {NESTED_TOL} after {NEWTON_CAP} Newton passes"
     )
@@ -128,10 +156,6 @@ def _composite_prox(
     return res.y, res.iterations
 
 
-def sadmm_midpoint_objective(nodes, x: np.ndarray, y: np.ndarray) -> float:
-    return objective_sum(nodes, 0.5 * (x + y))
-
-
 def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     """Consensus violation including the split gap, normalized by sqrt(n)."""
     edge_cv = consensus_violation(graph, x, normalize=False)
@@ -139,16 +163,19 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     return max(edge_cv, split_cv) / math.sqrt(x.shape[1])
 
 
-def _check_admm_args(nodes, graph: Graph, c_admm: float, iters: int) -> np.ndarray:
-    """Reject bad arguments of both baselines; returns the start point, zeros
-    of shape ``(N, n)``."""
+def _check_admm_args(
+    nodes, graph: Graph, c_admm: float, iters: int
+) -> tuple[np.ndarray, NodeStack, CommLedger]:
+    """Reject bad arguments of both baselines; returns the start point (zeros
+    of shape ``(N, n)``), the node stack and an empty ledger."""
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
     if not c_admm > 0:
         raise ValueError(f"c_admm must be positive, got {c_admm}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    return np.zeros((graph.num_nodes, nodes[0].n))
+    stack = NodeStack(nodes)
+    return np.zeros(stack.shape), stack, CommLedger(graph.num_nodes)
 
 
 def sadmm_solve(
@@ -163,18 +190,18 @@ def sadmm_solve(
 ) -> RunTrace:
     """Split alternating-direction baseline.
 
-    Each iteration runs, per node: a closed-form regularizer prox at the
-    coupled center, the Huber-loss prox warm-started at the node's previous
-    ``y_i`` (one gradient charged per Newton pass), then refreshes the
-    neighborhood averages and running sums.  The reported objective takes
-    both primal copies at their midpoint.
+    Each iteration runs, for all nodes at once: the closed-form regularizer
+    prox at the coupled centers, the Huber-loss prox warm-started at the
+    previous ``y`` (one gradient charged per Newton pass of each node),
+    then refreshes the neighborhood averages and running sums.  The reported
+    objective takes both primal copies at their midpoint.
     """
-    x = _check_admm_args(nodes, graph, c_admm, iters)
+    x, stack, ledger = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("sadmm", config={"c_admm": c_admm})
-    N = graph.num_nodes
     degrees = graph.degrees.astype(float)
     coef = degrees**2 + degrees + 1.0
     step = 1.0 / (c_admm * coef)
+    prox = stack.prox_map(step)
 
     state = SadmmState(
         x=x, y=x.copy(), p=np.zeros_like(x), p_tilde=np.zeros_like(x),
@@ -182,7 +209,6 @@ def sadmm_solve(
     )
     s = neighborhood_average(graph, state.x)
     s_tilde = neighborhood_average(graph, state.y)
-    ledger = CommLedger(N)
 
     def sadmm_step(k: int) -> tuple[TraceRow, bool]:
         nonlocal s, s_tilde
@@ -192,15 +218,12 @@ def sadmm_solve(
         x_center = state.x - (agg_x + state.r + half_gap) / coef[:, None]
         y_center = state.y - (agg_y - state.r - half_gap) / coef[:, None]
 
-        nested = 0
-        for i in range(N):
-            state.x[i] = nodes[i].reg.prox(x_center[i], step[i])
-            ledger.charge_prox(i + 1)
-            state.y[i], it = _huber_prox(nodes[i], y_center[i], step[i], state.y[i])
-            ledger.charge_grad(i + 1, it)
-            nested += it
-            # per-iteration traffic: both primal copies plus both sum streams
-            ledger.charge_send(i + 1, 6)
+        state.x = prox(x_center)
+        state.y, passes = _huber_prox(stack, y_center, step, state.y)
+        ledger.prox_evals += 1
+        ledger.grad_evals += passes
+        # per-iteration traffic: both primal copies plus both sum streams
+        ledger.vectors_sent += 6
 
         s = neighborhood_average(graph, state.x)
         state.p += s
@@ -208,10 +231,10 @@ def sadmm_solve(
         state.p_tilde += s_tilde
         state.r += 0.5 * (state.x - state.y)
         row = trace.record(
-            k=k, lam=c_admm, F_sum=sadmm_midpoint_objective(nodes, state.x, state.y),
+            k=k, lam=c_admm, F_sum=stack.objective(0.5 * (state.x + state.y)),
             reference=reference, CV=sadmm_cv(graph, state.x, state.y), ledger=ledger,
-            dual_norm=float(c_admm * np.linalg.norm(state.p)), inner_iters=nested,
-            stop_reason="residual",
+            dual_norm=float(c_admm * np.linalg.norm(state.p)),
+            inner_iters=int(passes.sum()), stop_reason="residual",
         )
         return row, False
 
@@ -237,7 +260,7 @@ def admm_solve(
     the comparison.  Traffic is charged at 3 vector units per node per
     iteration.
     """
-    x = _check_admm_args(nodes, graph, c_admm, iters)
+    x, stack, ledger = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("admm", config={"c_admm": c_admm})
     N = graph.num_nodes
     degrees = graph.degrees.astype(float)
@@ -247,25 +270,23 @@ def admm_solve(
 
     p = np.zeros_like(x)
     s = neighborhood_average(graph, x)
-    ledger = CommLedger(N)
 
     def admm_step(k: int) -> tuple[TraceRow, bool]:
         nonlocal s, p
         agg = laplacian_apply(graph, s + p)
         center = x - agg / coef[:, None]
-        nested = 0
+        nested = np.zeros(N, dtype=np.int64)
         for i in range(N):
-            x[i], it = _composite_prox(nodes[i], center[i], step[i], x[i])
-            ledger.charge_prox(i + 1, it)
-            ledger.charge_grad(i + 1, it)
-            nested += it
-            ledger.charge_send(i + 1, 3)
+            x[i], nested[i] = _composite_prox(nodes[i], center[i], step[i], x[i])
+        ledger.prox_evals += nested
+        ledger.grad_evals += nested
+        ledger.vectors_sent += 3
         s = neighborhood_average(graph, x)
         p += s
         row = trace.record(
-            k=k, lam=c_admm, F_sum=objective_sum(nodes, x), reference=reference,
+            k=k, lam=c_admm, F_sum=stack.objective(x), reference=reference,
             CV=consensus_violation(graph, x), ledger=ledger,
-            dual_norm=float(c_admm * np.linalg.norm(p)), inner_iters=nested,
+            dual_norm=float(c_admm * np.linalg.norm(p)), inner_iters=int(nested.sum()),
             stop_reason="residual",
         )
         return row, False

@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import admm_solve, sadmm_solve
 from .dfal import async_dfal_solve, default_params, dfal_solve
-from .funcs import GroupPartition, HuberLoss, NodeProblem, SparseGroupReg, objective_sum
+from .funcs import GroupPartition, HuberLoss, NodeProblem, NodeStack, SparseGroupReg
 from .graph import Graph, build_topology
 from .solvers import apg
 from .trace import RunTrace
@@ -42,6 +42,15 @@ class ProblemInstance:
     delta: float
     seed: int
     x_gen: np.ndarray
+
+    @classmethod
+    def of_nodes(cls, graph: Graph, topology: str, nodes: list[NodeProblem], case: int,
+                 K: int, n_g: int, seed: int, x_gen: np.ndarray) -> "ProblemInstance":
+        """The instance of ``nodes``, its sizes and weights read from node 0."""
+        p = nodes[0]
+        return cls(graph=graph, topology=topology, nodes=nodes, case=case, N=len(nodes),
+                   n=p.n, K=K, n_g=n_g, m=p.loss.num_rows, beta1=p.reg.beta1,
+                   beta2=p.reg.beta2, delta=p.loss.delta, seed=seed, x_gen=x_gen)
 
     def content_digest(self) -> str:
         """Digest of the data that fixes the reference: every ``A_i``, ``b_i``,
@@ -138,22 +147,7 @@ def generate_instance(
         )
         for i in range(N)
     ]
-    return ProblemInstance(
-        graph=graph,
-        topology=topology,
-        nodes=nodes,
-        case=case,
-        N=N,
-        n=n,
-        K=K,
-        n_g=n_g,
-        m=m,
-        beta1=beta,
-        beta2=beta,
-        delta=delta,
-        seed=seed,
-        x_gen=x_gen,
-    )
+    return ProblemInstance.of_nodes(graph, topology, nodes, case, K, n_g, seed, x_gen)
 
 
 @dataclass
@@ -178,20 +172,22 @@ def reference_solve(
     """Case 1: centralized accelerated solve with the combined closed-form
     prox (the nodes must share one partition, beta1, beta2 and delta, so the
     sum is one Huber plus sparse-group problem), run until its residual is at
-    most ``tolerance``.  It is the one caller of ``apg(restart=True)``:
-    adaptive restart recovers the linear rate this problem has near its
-    optimum (661 iterations instead of 7890 on the 5-node star of seed 1)
-    and certifies the same point, while the solvers it scores keep the plain
-    momentum their complexity bounds describe.  Case 2: best consensus point
-    from a long-horizon distributed run and a tightly solved split baseline;
-    it ignores ``tolerance``.
+    most ``tolerance`` (1e-9 to 1e-6).  It is the one caller of
+    ``apg(restart=True)``: adaptive restart recovers the linear rate this
+    problem has near its optimum (661 iterations instead of 7890 on the
+    5-node star of seed 1) and certifies the same point, while the solvers
+    it scores keep the plain momentum their complexity bounds describe.
+    Case 2: best consensus point from a long-horizon distributed run and a
+    tightly solved split baseline; it ignores ``tolerance``.
     """
-    # "not >=" also rejects NaN, which would run APG to its iteration cap, and
-    # an infinite tolerance would certify the start point
+    # "not >=" also rejects NaN, which would run APG to its iteration cap
     if not 1e-9 <= tolerance < np.inf:
         raise ValueError(
             f"tolerance must be at least 1e-9 and finite, got {tolerance}"
         )
+    # a loose one certifies the start point, whose residual already meets it
+    if tolerance > 1e-6:
+        raise ValueError(f"tolerance must be at most 1e-6, got {tolerance}")
     tol_key = tolerance if instance.case == 1 else None
     key = (instance.case, tol_key, instance.content_digest()) if cache else None
     if key is not None and key in _REFERENCE_CACHE:
@@ -252,6 +248,7 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
 
 def _reference_case2(instance: ProblemInstance) -> Reference:
     nodes, graph = instance.nodes, instance.graph
+    stack = NodeStack(nodes)
     candidates: list[Reference] = []
 
     # a fixed penalty floor, not tied to the CV it reaches: on the N=5, n=100
@@ -260,7 +257,7 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
     trace = dfal_solve(nodes, graph, params, lam_min=params.lam1 * 0.7**18)
     state = trace.config["final_state"]
     x_avg = state.x.mean(axis=0)
-    f_dfal = objective_sum(nodes, np.tile(x_avg, (graph.num_nodes, 1)))
+    f_dfal = stack.objective(np.tile(x_avg, (graph.num_nodes, 1)))
     candidates.append(
         Reference(f_dfal, x_avg, "dfal-long", trace.final.CV <= 1e-8)
     )
@@ -269,7 +266,7 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
     sadmm = sadmm_solve(nodes, graph, c_admm=1.0, iters=400)
     st = sadmm.config["final_state"]
     mid = (0.5 * (st.x + st.y)).mean(axis=0)
-    f_sadmm = objective_sum(nodes, np.tile(mid, (graph.num_nodes, 1)))
+    f_sadmm = stack.objective(np.tile(mid, (graph.num_nodes, 1)))
     candidates.append(Reference(f_sadmm, mid, "sadmm-tight", sadmm.final.CV <= 1e-8))
 
     return min(candidates, key=lambda r: r.f_star)
@@ -422,21 +419,10 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
                     cell.append(row)
                 ok = [r for r in cell if "error" not in r]
                 if ok:
-                    report.means.append(
-                        {
-                            "algorithm": alg,
-                            "topology": topology,
-                            "case": case,
-                            "rel_subopt": float(np.mean([r["rel_subopt"] for r in ok])),
-                            "CV": float(np.mean([r["CV"] for r in ok])),
-                            "wall_time": float(np.mean([r["wall_time"] for r in ok])),
-                            "iterations": float(np.mean([r["iterations"] for r in ok])),
-                            "comm_per_node": float(
-                                np.mean([r["comm_per_node"] for r in ok])
-                            ),
-                            "num_runs": len(ok),
-                        }
-                    )
+                    means = {key: float(np.mean([r[key] for r in ok])) for key in (
+                        "rel_subopt", "CV", "wall_time", "iterations", "comm_per_node")}
+                    report.means.append({"algorithm": alg, "topology": topology,
+                                         "case": case, **means, "num_runs": len(ok)})
     return report
 
 
@@ -488,19 +474,7 @@ def instance_from_json(path: str) -> ProblemInstance:
                 ),
             )
         )
-    return ProblemInstance(
-        graph=graph,
-        topology=raw["topology"],
-        nodes=nodes,
-        case=raw["case"],
-        N=raw["N"],
-        n=n,
-        K=raw["K"],
-        n_g=raw["n_g"],
-        m=nodes[0].loss.num_rows,
-        beta1=raw["beta1"],
-        beta2=raw["beta2"],
-        delta=raw["delta"],
-        seed=raw["seed"],
-        x_gen=np.asarray(raw["x_gen"]),
+    return ProblemInstance.of_nodes(
+        graph, raw["topology"], nodes, raw["case"], raw["K"], raw["n_g"], raw["seed"],
+        np.asarray(raw["x_gen"]),
     )

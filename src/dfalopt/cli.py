@@ -10,7 +10,7 @@ import sys
 from . import bench as bench_mod
 from .graph import load_edge_file
 from .netsim import CommLedger
-from .trace import RunTrace
+from .trace import RunTrace, check_budget_secs, check_targets
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -90,6 +90,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"--oracle applies only to --alg afal, not {args.alg}")
     if args.alg == "apg" and args.case != 1:
         raise ValueError("--alg apg requires --case 1 (shared partition)")
+    # before the reference solve, and for apg too, which runs no RunTrace.run
+    check_targets(args.eps_opt, args.eps_feas)
+    check_budget_secs(args.budget_secs)
     instance = _instance(args)
     ref = bench_mod.reference_solve(instance)
     if args.alg == "apg":

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcs import NodeProblem, NodeStack, huber_grad, objective_sum
+from .funcs import NodeProblem, NodeStack, huber_grad
 from .graph import (
     Graph,
     consensus_violation,
@@ -206,7 +206,7 @@ def _setup(
 
 def _outer_loop(
     trace: RunTrace,
-    nodes: Sequence[NodeProblem],
+    stack: NodeStack,
     graph: Graph,
     params: DfalParams,
     state: DfalState,
@@ -237,7 +237,7 @@ def _outer_loop(
         row = trace.record(
             k=k,
             lam=lam,
-            F_sum=objective_sum(nodes, state.x),
+            F_sum=stack.objective(state.x),
             reference=reference,
             CV=consensus_violation(graph, state.x),
             ledger=ledger,
@@ -312,7 +312,7 @@ def dfal_solve(
         return result
 
     return _outer_loop(
-        trace, nodes, graph, params, state, params.outer_cap, solve_subproblem,
+        trace, stack, graph, params, state, params.outer_cap, solve_subproblem,
         net.ledger, reference, lam_min, budget_secs,
     )
 
@@ -348,7 +348,7 @@ def _subproblem_objective(
     losses = [(p.loss.A, p.loss.A.T, p.loss.b, p.loss.delta) for p in nodes]
 
     def value(Y: np.ndarray) -> float:
-        return lam * objective_sum(nodes, Y) + 0.5 * laplacian_quadratic(graph, Y + xbar)
+        return lam * stack.objective(Y) + 0.5 * laplacian_quadratic(graph, Y + xbar)
 
     def smooth_grad(Y: np.ndarray) -> np.ndarray:
         return lam * stack.loss_grad(Y) + laplacian_apply(graph, Y + xbar)
@@ -448,6 +448,6 @@ def async_dfal_solve(
         return result
 
     return _outer_loop(
-        trace, nodes, graph, params, state, K_outer, solve_subproblem, ledger,
+        trace, stack, graph, params, state, K_outer, solve_subproblem, ledger,
         reference, budget_secs=budget_secs,
     )

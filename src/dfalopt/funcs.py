@@ -348,11 +348,6 @@ class NodeProblem:
         return self.reg.value(x) + self.loss.value(x)
 
 
-def objective_sum(nodes: Sequence[NodeProblem], x: np.ndarray) -> float:
-    """``sum_i F_i(x_i)`` over the rows of the stacked ``x``, node by node."""
-    return sum(p.value(x[i]) for i, p in enumerate(nodes))
-
-
 class NodeStack:
     """All N node problems over stacked ``(N, n)`` iterates, in one call each.
 
@@ -361,7 +356,8 @@ class NodeStack:
     l1 weight per coordinate and the group weight per segment, so each node
     keeps its own partition and weights.  The losses are an ``(N, m, n)``
     stack, zero-padded to the longest ``m``: a padded row has residual 0 and
-    adds nothing to the gradient.  Build it once per solve.
+    Huber threshold 0, so it adds nothing to the gradient or the value and
+    is never inside the threshold.  Build it once per solve.
     """
 
     def __init__(self, nodes: Sequence[NodeProblem]):
@@ -373,17 +369,35 @@ class NodeStack:
         self.layout = SegmentLayout.stacked(layouts)
         self._layouts = layouts
         self._betas = [(p.reg.beta1, p.reg.beta2) for p in nodes]
-        self._seg_node = np.repeat(np.arange(N), [lay.num_segments for lay in layouts])
+        num_segments = [lay.num_segments for lay in layouts]
+        self._seg_node = np.repeat(np.arange(N), num_segments)
+        ends = np.cumsum(num_segments).tolist()
+        self._node_segs = [slice(a, z) for a, z in zip([0] + ends, ends)]
         self._b1 = np.repeat([p.reg.beta1 for p in nodes], n)
         self._b2 = np.array([p.reg.beta2 for p in nodes])[self._seg_node]
         m = max(p.loss.num_rows for p in nodes)
         self._A = np.zeros((N, m, n))
-        self._b = np.zeros((N, m))
+        self._b, self._delta = np.zeros((N, m)), np.zeros((N, m))
         for i, p in enumerate(nodes):
             self._A[i, : p.loss.num_rows] = p.loss.A
             self._b[i, : p.loss.num_rows] = p.loss.b
+            self._delta[i, : p.loss.num_rows] = p.loss.delta
         self._At = np.ascontiguousarray(self._A.transpose(0, 2, 1))
-        self._delta = np.array([[p.loss.delta] for p in nodes])
+
+    def objective(self, X: np.ndarray) -> float:
+        """``sum_i nodes[i].value(X[i])`` in node order, each term bit for bit
+        where the nodes share one ``m``."""
+        if X.shape != self.shape:
+            raise ValueError(f"expected shape {self.shape}, got {X.shape}")
+        lay, (N, n) = self.layout, self.shape
+        xp = X.take(lay.perm)
+        l1 = np.add.reduce((self._b1 * np.abs(xp)).reshape(N, n), axis=1)
+        # np.add.reduceat would sum a node's groups in another order
+        weighted = self._b2 * lay.norms(xp)
+        group = [np.add.reduce(weighted[segs]) for segs in self._node_segs]
+        r = (self._A @ X[:, :, None])[:, :, 0] - self._b
+        loss = np.add.reduce(huber_scalar(r, self._delta), axis=1)
+        return sum((l1 + group + loss).tolist())
 
     def loss_grad(self, Y: np.ndarray) -> np.ndarray:
         """Rows ``A_i^T clip(A_i y_i - b_i, -delta_i, delta_i)``."""

@@ -32,6 +32,15 @@ def check_budget_secs(budget_secs: float | None) -> None:
         raise ValueError(f"budget_secs must be positive, got {budget_secs}")
 
 
+def check_targets(eps_opt: float, eps_feas: float) -> None:
+    """Reject a negative or NaN stopping target, which no row can meet."""
+    # "not >= 0" also rejects NaN
+    if not (eps_opt >= 0 and eps_feas >= 0):
+        raise ValueError(
+            f"eps_opt and eps_feas must be nonnegative, got {eps_opt}, {eps_feas}"
+        )
+
+
 @dataclass
 class TraceRow:
     k: int
@@ -122,11 +131,7 @@ class RunTrace:
         gets stop reason ``"timeout"`` and ends the run.  Keeps a snapshot of
         ``ledger`` in ``config["ledger"]``."""
         check_budget_secs(budget_secs)
-        # "not >= 0" also rejects NaN; a negative target no row can meet
-        if not (eps_opt >= 0 and eps_feas >= 0):
-            raise ValueError(
-                f"eps_opt and eps_feas must be nonnegative, got {eps_opt}, {eps_feas}"
-            )
+        check_targets(eps_opt, eps_feas)
         for k in range(1, iters + 1):
             row, done = step(k)
             # without a reference the gap is NaN and never meets its target

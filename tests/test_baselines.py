@@ -17,13 +17,17 @@ from dfalopt import (
     sadmm_solve,
 )
 from dfalopt.baselines import (
+    ARMIJO,
+    MIN_STEP,
+    NESTED_TOL,
+    NEWTON_CAP,
     NestedSolveError,
     _composite_prox,
     _huber_prox,
     neighborhood_average,
     sadmm_cv,
-    sadmm_midpoint_objective,
 )
+from dfalopt.funcs import NodeStack, _clip
 from conftest import small_node
 
 
@@ -154,28 +158,40 @@ class TestSadmmSolve:
             spread = np.max(np.abs(blocks - blocks[0]))
             assert spread <= 1e-10
 
-    def test_step1_prox_optimality_each_iteration(self, rng):
+    def test_step1_prox_optimality_each_iteration(self, rng, monkeypatch):
+        # every x-update is the stacked regularizer prox at the node steps
+        records, steps = [], []
+        prox_map = NodeStack.prox_map
+
+        def spy(stack, t):
+            prox = prox_map(stack, t)
+
+            def recorded(V):
+                out = prox(V)
+                records.append((V.copy(), out.copy()))
+                return out
+
+            steps.append(np.array(t, dtype=float))
+            return recorded
+
+        monkeypatch.setattr(NodeStack, "prox_map", spy)
         g = build_topology("star", 3)
-        nodes = []
-        records = []
-        for _ in range(3):
-            base = small_node(rng, n=4, m=3)
-            nodes.append(NodeProblem(reg=_SpyReg(base.reg, records),
-                                     loss=base.loss))
+        nodes = [small_node(rng, n=4, m=3) for _ in range(3)]
         sadmm_solve(nodes, g, iters=8)
-        assert len(records) == 3 * 8
-        for reg, center, t, out in records:
-            res = reg.subgrad_residual(1.0, (out - center) / t, out)
-            assert res <= 1e-8
+        assert len(steps) == 1 and len(records) == 8
+        for center, out in records:
+            for i, node in enumerate(nodes):
+                t = steps[0][i]
+                grad = (out[i] - center[i]) / t
+                assert node.reg.subgrad_residual(1.0, grad, out[i]) <= 1e-8
 
     def test_midpoint_objective_and_traffic(self, rng):
         g = Graph(2, ((1, 2),))
         nodes = make_pair(rng)
         trace = sadmm_solve(nodes, g, iters=4)
         state = trace.config["final_state"]
-        assert trace.rows[-1].F_sum == pytest.approx(
-            sadmm_midpoint_objective(nodes, state.x, state.y)
-        )
+        assert trace.rows[-1].F_sum == NodeStack(nodes).objective(
+            0.5 * (state.x + state.y))
         # 6 vector units per node per iteration
         ledger = trace.config["ledger"]
         assert ledger.vectors_sent.tolist() == [24, 24]
@@ -185,9 +201,9 @@ class TestSadmmSolve:
         # per Newton pass of the Huber prox
         passes = np.zeros(3, dtype=int)
 
-        def counting(node, center, t, start):
-            out, it = huber_prox(node, center, t, start)
-            passes[[n is node for n in nodes].index(True)] += it
+        def counting(stack, centers, t, starts):
+            out, it = huber_prox(stack, centers, t, starts)
+            passes[:] += it
             return out, it
 
         huber_prox = baselines._huber_prox
@@ -225,22 +241,6 @@ class TestSadmmSolve:
         assert trace.rows[-1].stop_reason == "residual"
 
 
-class _SpyReg:
-    """Regularizer wrapper that records every prox call."""
-
-    def __init__(self, reg, records):
-        self._reg = reg
-        self._records = records
-
-    def prox(self, v, t):
-        out = self._reg.prox(v, t)
-        self._records.append((self._reg, v.copy(), t, out.copy()))
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self._reg, name)
-
-
 def huber_node(rng, delta, n=6, m=4, scale=1.0):
     A = rng.standard_normal((m, n))
     return NodeProblem(
@@ -263,54 +263,149 @@ def long_apg_huber_prox(node, center, t):
     ).y
 
 
-class TestNestedProx:
-    def test_huber_prox_gradient_residual(self, rng):
-        node = small_node(rng, n=5, m=4)
-        center = rng.standard_normal(5)
-        t = 0.7
-        out, _ = _huber_prox(node, center, t, center)
-        grad = t * node.loss.grad(out) + (out - center)
-        assert np.linalg.norm(grad) <= 1e-9
+def per_node_huber_prox(node, center, t, start):
+    """One node's semismooth Newton loop, as it ran before the nodes shared
+    one: the reference the stacked kernel matches bit for bit."""
+    A, b, delta = node.loss.A, node.loss.b, node.loss.delta
+    u = np.array(start, dtype=float)
+    for passes in range(1, NEWTON_CAP + 1):
+        r = A @ u - b
+        w = _clip(r, delta)
+        g = t * (A.T @ w) + (u - center)
+        if float(np.linalg.norm(g)) <= NESTED_TOL:
+            return u, passes
+        A_F = A[np.abs(r) < delta]
+        z = np.linalg.solve(np.eye(A_F.shape[0]) + t * (A_F @ A_F.T), A_F @ g)
+        p = t * (A_F.T @ z) - g
+        q = A @ p
+        descent = (1.0 - ARMIJO) * float(g @ p)
+        half_pp = 0.5 * float(p @ p)
+        s = 1.0
+        while True:
+            r_s = r + s * q
+            w_s = _clip(r_s, delta)
+            curvature = t * float(np.sum((w_s - w) * (r_s - 0.5 * (w_s + w))))
+            if s * descent + curvature + s * s * half_pp <= 0.0:
+                break
+            s *= 0.5
+            assert s >= MIN_STEP
+        u += s * p
+    raise AssertionError("no convergence")
 
-    @pytest.mark.parametrize("regime", ["mixed", "all-linear", "all-quadratic"])
+
+def stacked_huber_prox(nodes, centers, t, starts):
+    return _huber_prox(
+        NodeStack(nodes), np.array(centers, dtype=float), np.array(t, dtype=float),
+        np.array(starts, dtype=float),
+    )
+
+
+REGIMES = {"mixed": (1.0, 3.0), "all-linear": (1e-3, 50.0), "all-quadratic": (1e4, 1.0)}
+
+
+def mixed_stack(rng, rows, n=40):
+    """Nodes of all three regimes, one per entry of ``rows`` (their row
+    counts), with centers and steps that make their pass counts differ."""
+    regimes = ["mixed", "all-linear", "all-quadratic"] * 3
+    nodes = [huber_node(rng, REGIMES[regime][0], n=n, m=m, scale=REGIMES[regime][1])
+             for regime, m in zip(regimes, rows)]
+    centers = [rng.standard_normal(n) * rng.choice([0.1, 1.0, 10.0]) for _ in nodes]
+    t = rng.choice([0.05, 0.5, 5.0], size=len(nodes))
+    return nodes, np.array(centers), t
+
+
+class TestNestedProx:
+    """The stacked Huber prox, each test on a one-node and a multi-node stack."""
+
+    def test_huber_prox_gradient_residual(self, rng):
+        for N in (1, 4):
+            nodes = [small_node(rng, n=5, m=4) for _ in range(N)]
+            centers = rng.standard_normal((N, 5))
+            t = rng.uniform(0.1, 2.0, size=N)
+            out, _ = stacked_huber_prox(nodes, centers, t, centers)
+            for i, node in enumerate(nodes):
+                grad = t[i] * node.loss.grad(out[i]) + (out[i] - centers[i])
+                assert np.linalg.norm(grad) <= 1e-9
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_huber_prox_matches_long_apg(self, rng, regime):
-        delta, scale = {"mixed": (1.0, 3.0), "all-linear": (1e-3, 50.0),
-                        "all-quadratic": (1e4, 1.0)}[regime]
-        for _ in range(8):
-            node = huber_node(rng, delta, scale=scale)
-            center = rng.standard_normal(node.n) * rng.choice([0.1, 1.0, 10.0])
-            t = float(rng.choice([0.05, 0.5, 5.0]))
-            out, passes = _huber_prox(node, center, t, center)
-            assert np.max(np.abs(out - long_apg_huber_prox(node, center, t))) <= 1e-8
-            inside = np.abs(node.loss.A @ out - node.loss.b) < delta
-            if regime == "all-linear":
-                assert not inside.any()
-            if regime == "all-quadratic":
-                # one Newton step solves the quadratic exactly
-                assert inside.all() and passes <= 2
+        delta, scale = REGIMES[regime]
+        for N in [1] * 8 + [8]:
+            nodes = [huber_node(rng, delta, scale=scale) for _ in range(N)]
+            centers = [rng.standard_normal(6) * rng.choice([0.1, 1.0, 10.0])
+                       for _ in nodes]
+            t = rng.choice([0.05, 0.5, 5.0], size=N)
+            out, passes = stacked_huber_prox(nodes, centers, t, centers)
+            for i, node in enumerate(nodes):
+                long = long_apg_huber_prox(node, centers[i], t[i])
+                assert np.max(np.abs(out[i] - long)) <= 1e-8
+                inside = np.abs(node.loss.A @ out[i] - node.loss.b) < delta
+                if regime == "all-linear":
+                    assert not inside.any()
+                if regime == "all-quadratic":
+                    # one Newton step solves the quadratic exactly
+                    assert inside.all() and passes[i] <= 2
 
     def test_huber_prox_warm_start_gives_the_same_point(self, rng):
-        node = huber_node(rng, 1.0, scale=3.0)
-        center = rng.standard_normal(node.n)
-        cold, cold_passes = _huber_prox(node, center, 0.5, center)
-        near = cold + 1e-3 * rng.standard_normal(node.n)
-        warm, warm_passes = _huber_prox(node, center, 0.5, near)
-        assert np.max(np.abs(warm - cold)) <= 1e-9
-        again, again_passes = _huber_prox(node, center, 0.5, cold)
-        assert np.array_equal(again, cold) and again_passes == 1
-        assert warm_passes <= cold_passes
+        for N in (1, 3):
+            nodes = [huber_node(rng, 1.0, scale=3.0) for _ in range(N)]
+            centers = rng.standard_normal((N, 6))
+            t = np.full(N, 0.5)
+            cold, cold_passes = stacked_huber_prox(nodes, centers, t, centers)
+            near = cold + 1e-3 * rng.standard_normal(cold.shape)
+            warm, warm_passes = stacked_huber_prox(nodes, centers, t, near)
+            assert np.max(np.abs(warm - cold)) <= 1e-9
+            again, again_passes = stacked_huber_prox(nodes, centers, t, cold)
+            assert np.array_equal(again, cold) and (again_passes == 1).all()
+            assert (warm_passes <= cold_passes).all()
 
     def test_huber_prox_pass_cap_raises(self, rng, monkeypatch):
-        node = huber_node(rng, 1.0, scale=3.0)
-        center = 10.0 * rng.standard_normal(node.n)
         monkeypatch.setattr(baselines, "NEWTON_CAP", 1)
-        with pytest.raises(NestedSolveError, match="1 Newton passes"):
-            _huber_prox(node, center, 5.0, center)
+        for N in (1, 3):
+            nodes = [huber_node(rng, 1.0, scale=3.0) for _ in range(N)]
+            centers = 10.0 * rng.standard_normal((N, 6))
+            with pytest.raises(NestedSolveError, match="1 Newton passes"):
+                stacked_huber_prox(nodes, centers, np.full(N, 5.0), centers)
 
     def test_huber_prox_nonfinite_center_raises(self, rng):
-        node = huber_node(rng, 1.0)
-        with pytest.raises(FloatingPointError):
-            _huber_prox(node, np.full(node.n, np.nan), 0.5, np.zeros(node.n))
+        for N in (1, 3):
+            nodes = [huber_node(rng, 1.0) for _ in range(N)]
+            centers = rng.standard_normal((N, 6))
+            centers[N - 1] = np.nan
+            with pytest.raises(FloatingPointError):
+                stacked_huber_prox(nodes, centers, np.full(N, 0.5), np.zeros((N, 6)))
+
+    def test_huber_prox_matches_the_per_node_loop_bit_for_bit(self, rng):
+        # equal row counts: the same products, dot products and LAPACK
+        # solves per node, so the same bits
+        seen_passes = set()
+        for _ in range(12):
+            nodes, centers, t = mixed_stack(rng, [12] * 7)
+            starts = centers.copy()
+            # a node that starts at its solution stops at its first pass
+            starts[6] = per_node_huber_prox(nodes[6], centers[6], t[6], centers[6])[0]
+            out, passes = stacked_huber_prox(nodes, centers, t, starts)
+            for i, node in enumerate(nodes):
+                u, it = per_node_huber_prox(node, centers[i], t[i], starts[i])
+                assert np.array_equal(out[i], u) and passes[i] == it
+            assert passes[6] == 1
+            # the all-linear nodes end with an empty F
+            for i in (1, 4):
+                r = nodes[i].loss.A @ out[i] - nodes[i].loss.b
+                assert not (np.abs(r) < nodes[i].loss.delta).any()
+            seen_passes.update(passes.tolist())
+        assert len(seen_passes) >= 3
+
+    def test_huber_prox_on_a_padded_stack(self, rng):
+        # unequal row counts pad the stack with zero rows, which never enter
+        # F; the padded sums may differ in the last bits
+        for _ in range(12):
+            nodes, centers, t = mixed_stack(rng, [2, 12, 17, 3, 1, 9])
+            out, passes = stacked_huber_prox(nodes, centers, t, centers)
+            for i, node in enumerate(nodes):
+                u, it = per_node_huber_prox(node, centers[i], t[i], centers[i])
+                assert passes[i] == it
+                assert np.max(np.abs(out[i] - u)) <= 1e-12 * max(np.max(np.abs(u)), 1.0)
 
     def test_composite_prox_warm_start_gives_the_same_point(self, rng):
         node = small_node(rng, n=4, m=3)

@@ -133,6 +133,18 @@ class TestReferenceSolve:
         with pytest.raises(ValueError, match="at least 1e-9 and finite, got inf"):
             reference_solve(small_instance(), tolerance=float("inf"), cache=False)
 
+    @pytest.mark.parametrize("tolerance", [1e3, 1e-5])
+    def test_loose_tolerance_rejected(self, tolerance):
+        # 1e3 once certified the start point of the seed-1 star: x = 0,
+        # converged, F* = 77.66 where the optimum is 13.85
+        inst = generate_instance(1, "star", 5, 10, 10, 1)
+        with pytest.raises(ValueError, match="tolerance must be at most 1e-6"):
+            reference_solve(inst, tolerance=tolerance, cache=False)
+
+    def test_loosest_tolerance_accepted(self):
+        ref = reference_solve(small_instance(), tolerance=1e-6, cache=False)
+        assert ref.converged
+
     def test_case1_residual_certificate(self):
         inst = small_instance()
         ref = reference_solve(inst, cache=False)
@@ -523,6 +535,10 @@ class TestCli:
         ["solve", "--alg", "apg", "--case", "2"],
         ["ref", "--tolerance", "inf"],
         ["solve", "--alg", "dfal", "--eps-opt", "-1", "--budget-secs", "2"],
+        # apg once ignored both and exited 0 after its reference solve
+        ["solve", "--alg", "apg", "--eps-opt", "-1", "--budget-secs", "-5"],
+        ["solve", "--alg", "apg", "--budget-secs", "0"],
+        ["ref", "--tolerance", "1e3"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
         # library ValueErrors once reached the user as tracebacks

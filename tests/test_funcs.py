@@ -285,6 +285,47 @@ class TestValues:
         )
 
 
+def _stack_nodes(rng, rows, n=24):
+    """Nodes with their own partitions (1 to 12 groups) and weights, one per
+    entry of ``rows``, with that many loss rows."""
+    return [
+        NodeProblem(
+            reg=random_reg(rng, n, int(rng.integers(1, 13))),
+            loss=HuberLoss(A=rng.standard_normal((m, n)),
+                           b=3.0 * rng.standard_normal(m),
+                           delta=float(rng.uniform(0.2, 2.0))),
+        )
+        for m in rows
+    ]
+
+
+class TestStackObjective:
+    """``NodeStack.objective`` is the one sum of the node objectives."""
+
+    def test_equal_rows_match_the_node_sum_bit_for_bit(self, rng):
+        for N in (1, 2, 5, 9):
+            nodes = _stack_nodes(rng, [10] * N)
+            stack = NodeStack(nodes)
+            for scale in (0.0, 0.1, 1.0, 10.0):
+                X = scale * rng.standard_normal(stack.shape)
+                X[rng.random(X.shape) < 0.3] = 0.0
+                assert stack.objective(X) == sum(
+                    p.value(X[i]) for i, p in enumerate(nodes))
+
+    def test_padded_rows_match_the_node_sum(self, rng):
+        nodes = _stack_nodes(rng, [3, 17, 10, 1])
+        stack = NodeStack(nodes)
+        for _ in range(20):
+            X = rng.standard_normal(stack.shape)
+            expect = sum(p.value(X[i]) for i, p in enumerate(nodes))
+            assert stack.objective(X) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+    def test_wrong_shape_rejected(self, rng):
+        stack = NodeStack(_stack_nodes(rng, [4, 4]))
+        with pytest.raises(ValueError, match="expected shape"):
+            stack.objective(np.zeros((2, 23)))
+
+
 def test_huber_scalar_piecewise():
     r = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     expect = np.array([1.5, 0.125, 0.0, 0.125, 1.5])
