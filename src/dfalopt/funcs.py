@@ -179,8 +179,8 @@ class SparseGroupReg:
     partition: GroupPartition
 
     def __post_init__(self) -> None:
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        if not (0 <= self.beta1 < math.inf and 0 <= self.beta2 < math.inf):
+            raise ValueError(f"not 0 <= beta < inf: got {self.beta1}, {self.beta2}")
 
     @property
     def n(self) -> int:
@@ -262,8 +262,8 @@ class HuberLoss:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"not 0 < delta < inf: got {self.delta}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -433,12 +433,13 @@ class NodeStack:
         b1, b2 = self._betas[i]
         return lay.scatter(sparse_group_prox(lay, v[lay.perm], t * b1, t * b2))
 
-    def residual_map(self, lam: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def residual_map(self, lam) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``(G, Y) ->`` the array whose entry ``i`` is
-        ``nodes[i].reg.subgrad_residual(lam, G[i], Y[i])``, with the weights
-        ``lam * beta`` formed once for every call."""
+        ``nodes[i].reg.subgrad_residual(lam[i], G[i], Y[i])`` (a scalar ``lam``
+        serves every node), with the weights ``lam * beta`` formed once."""
         lay, shape, perm = self.layout, self.shape, self.layout.perm
-        lb1, lb2 = lam * self._b1, lam * self._b2
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), shape[:1])
+        lb1, lb2 = np.repeat(lam, shape[1]) * self._b1, lam[self._seg_node] * self._b2
 
         def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
             if G.shape != shape or Y.shape != shape:

@@ -126,7 +126,6 @@ def ms_apg(
     max_iter: int = 1000,
     record_values: bool = False,
     callback: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-    strong_convexity: float = 0.0,
     restart: bool = False,
 ) -> SolveResult:
     """Accelerated proximal gradient with per-block step sizes.
@@ -138,11 +137,6 @@ def ms_apg(
     iteration before the prox step.  ``record_values`` keeps ``obj.value``
     of every proximal step in ``values``.
 
-    With ``strong_convexity = mu > 0`` (the smooth part's modulus, at most
-    every ``L_i``) the momentum is the constant
-    ``(sqrt(L_i / mu) - 1) / (sqrt(L_i / mu) + 1)`` of each block (Nesterov
-    2004, section 2.2) in place of FISTA's.
-
     ``restart=True`` adds gradient-based adaptive restart (O'Donoghue and
     Candes 2015, FoCM) to FISTA's momentum: when the prox step from ``ybar``
     to ``y`` satisfies ``<ybar - y, y - y_prev> > 0``, ``t`` is reset to 1,
@@ -151,25 +145,14 @@ def ms_apg(
     changes nothing else: the stopping test, the returned point and the
     gradient and prox counts per iteration stay as they are.  Only the
     centralized case-1 reference uses it; the synchronous DFAL inner loop
-    and the nested ADMM proxes keep plain momentum, whose iteration counts
-    the DFAL complexity bound and the frozen counters describe.  It is
-    rejected with ``strong_convexity > 0``, whose momentum is constant.
+    keeps plain momentum, whose iteration counts the DFAL complexity bound
+    and the frozen counters describe.
     """
-    if not 0.0 <= strong_convexity <= obj.L.min():
-        raise ValueError(
-            f"strong_convexity must lie in [0, min(L)] = [0, {obj.L.min()}], "
-            f"got {strong_convexity}"
-        )
-    if restart and strong_convexity > 0.0:
-        raise ValueError("restart applies to FISTA momentum, not strong_convexity > 0")
     value = _value_of(obj, "record_values") if record_values else None
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
     t = 1.0
     L_col = obj.L[:, None]
-    if strong_convexity > 0.0:
-        q = np.sqrt(L_col / strong_convexity)
-        beta = (q - 1.0) / (q + 1.0)
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
@@ -187,14 +170,11 @@ def ms_apg(
         if ell == max_iter:
             result.y, result.iterations, result.stop_reason = y, ell, "cap"
             return result
-        if strong_convexity > 0.0:
-            ybar = y + beta * (y - y_prev)
-        else:
-            if restart and np.vdot(ybar - y, y - y_prev) > 0.0:
-                t = 1.0
-            t_next = fista_momentum(t)
-            ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
-            t = t_next
+        if restart and np.vdot(ybar - y, y - y_prev) > 0.0:
+            t = 1.0
+        t_next = fista_momentum(t)
+        ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
+        t = t_next
         y_prev = y
     return result
 
@@ -207,16 +187,14 @@ def apg(
     x0: np.ndarray,
     residual_target: float | None = None,
     max_iter: int = 1000,
-    strong_convexity: float = 0.0,
     restart: bool = False,
 ) -> SolveResult:
     """Centralized accelerated proximal gradient with one combined prox.
 
     Thin single-block wrapper over :func:`ms_apg`, so the two share one
     arithmetic path exactly.  ``residual(g, x)`` is the stopping test's norm
-    at ``x`` with smooth gradient ``g``; ``strong_convexity`` and ``restart``
-    are passed on.  The case-1 reference solve sets ``restart``; ``admm``'s
-    strongly convex nested prox does not.
+    at ``x`` with smooth gradient ``g``; ``restart`` is passed on, and the
+    case-1 reference solve sets it.
     """
     step = 1.0 / np.float64(lipschitz)
     obj = BlockObjective(
@@ -232,7 +210,6 @@ def apg(
         np.asarray(x0, dtype=float)[None, :],
         residual_target=residual_target,
         max_iter=max_iter,
-        strong_convexity=strong_convexity,
         restart=restart,
     )
     res.y = res.y[0]

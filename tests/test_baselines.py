@@ -19,6 +19,7 @@ from dfalopt import (
 from dfalopt.baselines import (
     ARMIJO,
     MIN_STEP,
+    NESTED_CAP,
     NESTED_TOL,
     NEWTON_CAP,
     NestedSolveError,
@@ -300,6 +301,40 @@ def stacked_huber_prox(nodes, centers, t, starts):
     )
 
 
+def per_node_composite_prox(node, center, t, start):
+    """One node's nested accelerated run with the strongly convex momentum,
+    as it ran before the nodes shared one loop: the reference the stacked
+    kernel matches bit for bit."""
+    L = t * node.loss.lipschitz + 1.0
+    beta = (np.sqrt(L) - 1.0) / (np.sqrt(L) + 1.0)
+    ybar = y_prev = np.array(start, dtype=float)
+    for ell in range(1, NESTED_CAP + 1):
+        g = t * node.loss.grad(ybar) + (ybar - center)
+        if node.reg.subgrad_residual(t, g, ybar) <= NESTED_TOL:
+            return ybar, ell
+        y = node.reg.prox(ybar - g / L, (1.0 / L) * t)
+        ybar = y + beta * (y - y_prev)
+        y_prev = y
+    raise AssertionError("no convergence")
+
+
+def stacked_composite_prox(nodes, centers, t, starts):
+    return _composite_prox(
+        NodeStack(nodes), np.array(centers, dtype=float), np.array(t, dtype=float),
+        np.array(starts, dtype=float), np.array([p.loss.lipschitz for p in nodes]),
+    )
+
+
+def composite_stack(rng, rows, n=12):
+    """Nodes with their own partitions and weights, one per entry of
+    ``rows`` (their row counts), with centers and steps that make their
+    iteration counts differ."""
+    N = len(rows)
+    nodes = [small_node(rng, n=n, m=m) for m in rows]
+    centers = rng.standard_normal((N, n)) * rng.choice([0.1, 1.0, 10.0], size=(N, 1))
+    return nodes, centers, rng.choice([0.05, 0.5, 5.0], size=N)
+
+
 REGIMES = {"mixed": (1.0, 3.0), "all-linear": (1e-3, 50.0), "all-quadratic": (1e4, 1.0)}
 
 
@@ -315,7 +350,8 @@ def mixed_stack(rng, rows, n=40):
 
 
 class TestNestedProx:
-    """The stacked Huber prox, each test on a one-node and a multi-node stack."""
+    """The stacked Huber and composite proxes, each test on a one-node and a
+    multi-node stack."""
 
     def test_huber_prox_gradient_residual(self, rng):
         for N in (1, 4):
@@ -408,40 +444,90 @@ class TestNestedProx:
                 assert np.max(np.abs(out[i] - u)) <= 1e-12 * max(np.max(np.abs(u)), 1.0)
 
     def test_composite_prox_warm_start_gives_the_same_point(self, rng):
-        node = small_node(rng, n=4, m=3)
-        center = 2.0 * rng.standard_normal(4)
-        cold, _ = _composite_prox(node, center, 0.8, center)
-        warm, _ = _composite_prox(node, center, 0.8, cold + 1e-3)
-        assert np.max(np.abs(warm - cold)) <= 1e-8
+        for N in (1, 3):
+            nodes = [small_node(rng, n=4, m=3) for _ in range(N)]
+            centers = 2.0 * rng.standard_normal((N, 4))
+            t = rng.uniform(0.2, 2.0, size=N)
+            cold, _ = stacked_composite_prox(nodes, centers, t, centers)
+            warm, _ = stacked_composite_prox(nodes, centers, t, cold + 1e-3)
+            assert np.max(np.abs(warm - cold)) <= 1e-8
 
     def test_composite_prox_passes_min_norm_test(self, rng):
         # the nested solve must satisfy the composite optimality condition
         # with the quadratic anchor folded into the smooth gradient
-        for _ in range(10):
-            node = small_node(rng, n=4, m=3)
-            center = rng.standard_normal(4) * 2
-            t = float(rng.uniform(0.2, 2.0))
-            out, _ = _composite_prox(node, center, t, center)
-            grad = t * node.loss.grad(out) + (out - center)
-            assert node.reg.subgrad_residual(t, grad, out) <= 1e-8
+        for N in [1] * 5 + [4] * 5:
+            nodes = [small_node(rng, n=4, m=3) for _ in range(N)]
+            centers = 2.0 * rng.standard_normal((N, 4))
+            t = rng.uniform(0.2, 2.0, size=N)
+            out, _ = stacked_composite_prox(nodes, centers, t, centers)
+            for i, node in enumerate(nodes):
+                grad = t[i] * node.loss.grad(out[i]) + (out[i] - centers[i])
+                assert node.reg.subgrad_residual(t[i], grad, out[i]) <= 1e-8
 
     def test_composite_prox_matches_centralized_solve(self, rng):
         # a single node's prox with a free anchor is a centralized solve of
         # t * F plus the anchor; cross-check by an independent long run
-        node = small_node(rng, n=4, m=3)
-        center = rng.standard_normal(4)
-        t = 1.3
-        out, _ = _composite_prox(node, center, t, center)
-        ref = apg(
-            smooth_grad=lambda u: t * node.loss.grad(u) + (u - center),
-            prox=lambda v, tau: node.reg.prox(v, tau * t),
-            residual=lambda g, u: node.reg.subgrad_residual(t, g, u),
-            lipschitz=t * node.loss.lipschitz + 1.0,
-            x0=np.zeros(4),
-            residual_target=None,
-            max_iter=50_000,
-        )
-        assert np.max(np.abs(out - ref.y)) <= 1e-7
+        for N in (1, 3):
+            nodes = [small_node(rng, n=4, m=3) for _ in range(N)]
+            centers = rng.standard_normal((N, 4))
+            t = rng.uniform(0.5, 1.5, size=N)
+            out, _ = stacked_composite_prox(nodes, centers, t, centers)
+            for i, node in enumerate(nodes):
+                ref = apg(
+                    smooth_grad=lambda u: t[i] * node.loss.grad(u) + (u - centers[i]),
+                    prox=lambda v, tau: node.reg.prox(v, tau * t[i]),
+                    residual=lambda g, u: node.reg.subgrad_residual(t[i], g, u),
+                    lipschitz=t[i] * node.loss.lipschitz + 1.0,
+                    x0=np.zeros(4),
+                    residual_target=None,
+                    max_iter=50_000,
+                )
+                assert np.max(np.abs(out[i] - ref.y)) <= 1e-7
+
+    def test_composite_prox_iteration_cap_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(baselines, "NESTED_CAP", 3)
+        for N in (1, 3):
+            nodes = [small_node(rng, n=4, m=3) for _ in range(N)]
+            centers = 10.0 * rng.standard_normal((N, 4))
+            with pytest.raises(NestedSolveError, match="after 3 iterations"):
+                stacked_composite_prox(nodes, centers, np.full(N, 5.0), centers)
+
+    def test_composite_prox_nonfinite_center_raises(self, rng):
+        for N in (1, 3):
+            nodes = [small_node(rng, n=4, m=3) for _ in range(N)]
+            centers = rng.standard_normal((N, 4))
+            centers[N - 1] = np.nan
+            starts = np.zeros((N, 4))
+            with pytest.raises(FloatingPointError, match="at iteration 1"):
+                stacked_composite_prox(nodes, centers, np.full(N, 0.5), starts)
+
+    def test_composite_prox_matches_the_per_node_loop_bit_for_bit(self, rng):
+        # equal row counts: the same products, prox thresholds and momentum
+        # per node, so the same bits; each node stops at its own iteration
+        seen = set()
+        for _ in range(8):
+            nodes, centers, t = composite_stack(rng, [8] * 6)
+            starts = centers.copy()
+            # a node that starts at its solution stops at its first iteration
+            starts[5], _ = per_node_composite_prox(nodes[5], centers[5], t[5], starts[5])
+            out, iters = stacked_composite_prox(nodes, centers, t, starts)
+            for i, node in enumerate(nodes):
+                u, it = per_node_composite_prox(node, centers[i], t[i], starts[i])
+                assert np.array_equal(out[i], u) and iters[i] == it
+            assert iters[5] == 1 and len(set(iters[:5].tolist())) >= 3
+            seen.update(iters.tolist())
+        assert len(seen) >= 10
+
+    def test_composite_prox_on_a_padded_stack(self, rng):
+        # unequal row counts pad the loss stack with zero rows; the padded
+        # sums may differ in the last bits
+        for _ in range(8):
+            nodes, centers, t = composite_stack(rng, [2, 8, 12, 3, 1, 6])
+            out, iters = stacked_composite_prox(nodes, centers, t, centers)
+            for i, node in enumerate(nodes):
+                u, it = per_node_composite_prox(node, centers[i], t[i], centers[i])
+                assert iters[i] == it
+                assert np.max(np.abs(out[i] - u)) <= 1e-12 * max(np.max(np.abs(u)), 1.0)
 
 
 class TestAdmmSolve:

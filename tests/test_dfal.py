@@ -699,23 +699,30 @@ class TestBoundKernels:
     def test_bound_residuals_equal_each_nodes_residual(self, rng):
         for inst, stack in self._stacks():
             for _ in range(4):
+                # one weight for every node, or one per node
                 lam = float(rng.uniform(0.1, 2.0))
-                residuals = stack.residual_map(lam)
-                G = rng.standard_normal(stack.shape)
-                V = 3.0 * rng.standard_normal(stack.shape)
-                # prox outputs carry exact zeros, whole zero groups too
-                for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V)):
-                    r = residuals(G, Y)
-                    for i, node in enumerate(inst.nodes):
-                        # summed in segment order, as the stack lays it out
-                        v = node.reg.min_norm_subgradient(lam, G[i], Y[i])
-                        v = v[node.reg.partition.layout.perm]
-                        assert r[i] == math.sqrt(np.add.reduce(v * v))
-                        assert r[i] == stack.residual_row(i, lam, G[i], Y[i])
-                        # norm() takes a BLAS dot, so it may differ in the last bits
-                        assert r[i] == pytest.approx(
-                            node.reg.subgrad_residual(lam, G[i], Y[i]), rel=1e-14
-                        )
+                for lam in (lam, rng.uniform(0.1, 2.0, size=5)):
+                    self._check_residuals(rng, inst, stack, lam)
+
+    @staticmethod
+    def _check_residuals(rng, inst, stack, lam):
+        residuals = stack.residual_map(lam)
+        lams = np.broadcast_to(lam, 5)
+        G = rng.standard_normal(stack.shape)
+        V = 3.0 * rng.standard_normal(stack.shape)
+        # prox outputs carry exact zeros, whole zero groups too
+        for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V)):
+            r = residuals(G, Y)
+            for i, node in enumerate(inst.nodes):
+                # summed in segment order, as the stack lays it out
+                v = node.reg.min_norm_subgradient(lams[i], G[i], Y[i])
+                v = v[node.reg.partition.layout.perm]
+                assert r[i] == math.sqrt(np.add.reduce(v * v))
+                assert r[i] == stack.residual_row(i, lams[i], G[i], Y[i])
+                # norm() takes a BLAS dot, so it may differ in the last bits
+                assert r[i] == pytest.approx(
+                    node.reg.subgrad_residual(lams[i], G[i], Y[i]), rel=1e-14
+                )
 
     def test_bound_kernels_check_shapes(self):
         stack = NodeStack(generate_instance(2, "star", 3, 4, 3, seed=5).nodes)
@@ -827,6 +834,28 @@ def test_sadmm_counters_match_the_per_node_implementation(iters):
     assert ledger.prox_evals.tolist() == expect["prox"]
     assert ledger.vectors_sent.tolist() == expect["sent"]
     assert sum(r.inner_iters for r in trace.rows) == sum(expect["grad"])
+
+
+# Ledger counters and nested iterations of admm_solve(c_admm=1.0) on
+# generate_instance(2, "star", 5, 10, 10, 1) at the benchmark's 2 iterations
+# and at 20, recorded from the implementation with one nested APG per node.
+ADMM_COUNTERS = {
+    2: dict(grad=[108, 360, 335, 354, 342], sent=[6] * 5, inner=1499),
+    20: dict(grad=[1068, 3485, 3247, 3426, 3379], sent=[60] * 5, inner=14605),
+}
+
+
+@pytest.mark.parametrize("iters", sorted(ADMM_COUNTERS))
+def test_admm_counters_match_the_per_node_implementation(iters):
+    inst = generate_instance(2, "star", 5, 10, 10, 1)
+    trace = admm_solve(inst.nodes, inst.graph, c_admm=1.0, iters=iters)
+    ledger = trace.config["ledger"]
+    expect = ADMM_COUNTERS[iters]
+    # one gradient and one prox per nested iteration
+    assert ledger.grad_evals.tolist() == expect["grad"]
+    assert ledger.prox_evals.tolist() == expect["grad"]
+    assert ledger.vectors_sent.tolist() == expect["sent"]
+    assert sum(r.inner_iters for r in trace.rows) == expect["inner"]
 
 
 # Outer and inner iterations and ledger counters of the long synchronous DFAL

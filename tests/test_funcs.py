@@ -55,6 +55,13 @@ class TestHuber:
         with pytest.raises(ValueError):
             HuberLoss(A=np.eye(2), b=np.zeros(3))
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    def test_delta_outside_zero_to_inf_rejected(self, delta):
+        # a NaN delta was once accepted and failed only in the first solver
+        # iteration, as a non-finite gradient
+        with pytest.raises(ValueError, match="0 < delta < inf"):
+            HuberLoss(A=np.eye(2), b=np.zeros(2), delta=delta)
+
     def test_finite_differences(self, rng):
         A = rng.standard_normal((5, 4))
         loss = HuberLoss(A=A, b=rng.standard_normal(5), delta=1.0)
@@ -159,6 +166,16 @@ class TestProx:
         reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(2, 2))
         out = reg.prox(np.array([0.5, 0.5]), 1.0)
         assert np.array_equal(out, [0.0, 0.0])
+
+    @pytest.mark.parametrize("betas", [
+        (-1.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0),
+        (0.0, np.inf),
+    ])
+    def test_weights_outside_zero_to_inf_rejected(self, betas):
+        # a NaN beta1 was once accepted and surfaced from DfalParams as a
+        # nonpositive schedule start
+        with pytest.raises(ValueError, match="0 <= beta < inf"):
+            SparseGroupReg(*betas, GroupPartition.contiguous(2, 2))
 
     def test_nonpositive_step_rejected(self):
         reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(2, 2))

@@ -27,13 +27,11 @@ from dfalopt.solvers import (
 from conftest import random_reg, schedule_ids
 
 
-def quadratic_objective(c, L=None):
+def quadratic_objective(c):
     """Separable quadratic ``0.5 * sum_i ||y_i - c_i||^2`` with no rho."""
     c = np.asarray(c, dtype=float)
-    N = c.shape[0]
-    L = np.ones(N) if L is None else np.asarray(L, dtype=float)
     return BlockObjective(
-        L=L,
+        L=np.ones(c.shape[0]),
         smooth_grad=lambda Y: Y - c,
         smooth_grad_block=lambda i, Y: Y[i] - c[i],
         prox=lambda i, v, tau: v,
@@ -298,50 +296,9 @@ class TestMsApg:
             ms_apg(obj, np.zeros((1, 1)), max_iter=5)
 
 
-class TestStrongConvexity:
-    """``strong_convexity`` swaps FISTA's momentum for the constant one."""
-
-    @pytest.mark.parametrize("mu", [-1e-3, 2.5, float("nan")])
-    def test_modulus_outside_zero_to_min_L_rejected(self, mu):
-        obj = quadratic_objective(np.ones((2, 2)), L=[2.0, 3.0])
-        with pytest.raises(ValueError, match="strong_convexity must lie in"):
-            ms_apg(obj, np.zeros((2, 2)), strong_convexity=mu)
-        with pytest.raises(ValueError, match="strong_convexity must lie in"):
-            apg(smooth_grad=lambda x: x, prox=lambda v, tau: v,
-                residual=lambda g, x: 0.0, lipschitz=2.0, x0=np.zeros(2),
-                strong_convexity=mu)
-
-    def test_zero_modulus_is_bitwise_fista(self, rng):
-        obj = sparse_group_objective(rng)
-        y0 = rng.standard_normal((3, 5))
-        default = ms_apg(obj, y0, max_iter=40, record_values=True)
-        zero = ms_apg(obj, y0, max_iter=40, record_values=True, strong_convexity=0.0)
-        assert np.array_equal(default.y, zero.y)
-        assert default.values == zero.values
-
-    def test_reaches_the_fista_minimizer(self, rng):
-        # every curvature in sparse_group_objective is at least 0.5
-        obj = sparse_group_objective(rng)
-        y0 = np.zeros((3, 5))
-        fista = ms_apg(obj, y0, residual_target=1e-12, max_iter=20_000)
-        strong = ms_apg(obj, y0, residual_target=1e-12, max_iter=20_000,
-                        strong_convexity=0.5)
-        assert fista.stop_reason == strong.stop_reason == "residual"
-        assert np.max(np.abs(strong.y - fista.y)) <= 1e-8
-
-
 class TestRestart:
     """``restart`` resets FISTA's momentum when the prox step points back
     along the last move (O'Donoghue and Candes 2015)."""
-
-    def test_rejected_with_strong_convexity(self):
-        obj = quadratic_objective(np.ones((2, 2)), L=[2.0, 3.0])
-        with pytest.raises(ValueError, match="restart"):
-            ms_apg(obj, np.zeros((2, 2)), strong_convexity=1.0, restart=True)
-        with pytest.raises(ValueError, match="restart"):
-            apg(smooth_grad=lambda x: x, prox=lambda v, tau: v,
-                residual=lambda g, x: 0.0, lipschitz=2.0, x0=np.zeros(2),
-                strong_convexity=1.0, restart=True)
 
     def test_reset_makes_the_next_point_the_prox_step(self, rng):
         obj = sparse_group_objective(rng)
