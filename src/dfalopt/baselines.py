@@ -2,10 +2,10 @@
 
 Two alternating-direction baselines over the same graph Laplacian coupling:
 a direct method whose per-node subproblem is the proximal map of the full
-composite objective (accelerated proximal gradient), and a split method
-that separates the regularizer (in closed form) from the Huber loss (exact
-prox by semismooth Newton), each solving all nodes' subproblems in one
-stacked loop.  Both avoid materializing edge variables and dual
+composite objective (projected semismooth Newton on its Huber dual), and a
+split method that separates the regularizer (in closed form) from the Huber
+loss (exact prox by semismooth Newton), each solving all nodes' subproblems
+in one stacked loop.  Both avoid materializing edge variables and dual
 multipliers; running per-node sums carry the same information.
 """
 
@@ -16,16 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcs import NodeStack, _clip
+from .funcs import _TINY, NodeStack, _clip, sparse_group_min_norm
 from .graph import Graph, consensus_violation, laplacian_apply
 from .netsim import CommLedger
 from .solvers import apg  # noqa: F401  (benchmark/spans.py traces it)
 from .trace import RunTrace, TraceRow
 
 NESTED_TOL = 1e-9
-# iteration caps of the nested composite-prox APG and the Huber-prox Newton
-NESTED_CAP = 200_000
-NEWTON_CAP = 50
+# pass cap of the Huber-prox and composite-prox Newton loops
+NEWTON_CAP = 100
 # sufficient-decrease fraction and smallest step of the Newton line search
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
@@ -132,49 +131,92 @@ def _huber_prox(
 
 
 def _composite_prox(
-    stack: NodeStack, centers: np.ndarray, t: np.ndarray, starts: np.ndarray,
-    lip: np.ndarray,
+    stack: NodeStack, centers: np.ndarray, t: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row ``i`` is ``argmin_u t_i * F_i(u) + 0.5 ||u - centers_i||^2`` for the
-    full composite ``F_i``, by accelerated proximal gradient from
-    ``starts[i]``, for all nodes in one loop.
-
-    The quadratic anchor joins the smooth part, making it 1-strongly convex
-    with curvature ``L_i = t_i lip_i + 1`` (``lip`` the losses' gradient
-    Lipschitz constants), so the momentum is the constant
-    ``(sqrt(L_i) - 1) / (sqrt(L_i) + 1)`` (Nesterov 2004, section 2.2).  The
-    regularizer keeps its closed-form prox.  A node stops at the first
-    extrapolated point where the minimum-norm subgradient of its whole
-    shifted objective is at most ``NESTED_TOL``; finished rows go on being
-    computed, unread.  Returns the points and the iterations per node, one
+    full composite ``F_i``, for all nodes in one loop: projected semismooth
+    Newton (Bertsekas 1982) on the Huber dual ``w`` in ``[-delta, delta]^m``
+    from ``clip(A starts - b)``, with ``u = prox_{t rho}(c - t A^T w)``.  A
+    node stops at the first point tried that passes ``stack.residual_map(t)``
+    at ``NESTED_TOL``.  Returns the points and the points tried per node, one
     gradient and one prox each.
     """
-    t = np.asarray(t, dtype=float)
-    L = t * lip + 1.0
-    beta = ((np.sqrt(L) - 1.0) / (np.sqrt(L) + 1.0))[:, None]
-    prox, residuals = stack.prox_map((1.0 / L) * t), stack.residual_map(t)
-    # the transposed view, not the contiguous _At, keeps a node's own bits
-    A, At, b, delta = stack._A, stack._A.transpose(0, 2, 1), stack._b, stack._delta
-    t, L = t[:, None], L[:, None]
-    U, iters = np.empty_like(centers), np.zeros(len(t), dtype=np.int64)
-    ybar = y_prev = np.array(starts, dtype=float)
-    for ell in range(1, NESTED_CAP + 1):
-        r = (A @ ybar[:, :, None])[:, :, 0] - b
-        g = t * (At @ _clip(r, delta)[:, :, None])[:, :, 0] + (ybar - centers)
-        # a node still running has no iteration count yet
-        running = iters == 0
-        if not np.isfinite(g[running]).all():
-            raise FloatingPointError(f"non-finite nested gradient at iteration {ell}")
-        done = running & (residuals(g, ybar) <= NESTED_TOL)
-        if done.any():
-            U[done], iters[done] = ybar[done], ell
-            if iters.all():
-                return U, iters
-        y = prox(ybar - g / L)
-        ybar = y + beta * (y - y_prev)
-        y_prev = y
+    prox, residuals, lay = stack.prox_map(t), stack.residual_map(t), stack.layout
+    (N, n), A, At, b, delta = stack.shape, stack._A, stack._At, stack._b, stack._delta
+    t_col, tau, m = t[:, None], t[stack._seg_node] * stack._b2, b.shape[1]
+    # the loss columns in segment order, per node and side by side
+    Ap = np.take_along_axis(A, (lay.perm.reshape(N, n) % n)[:, None, :], axis=2)
+    Apt, Apm = Ap.transpose(0, 2, 1), Ap.transpose(1, 0, 2).reshape(m, N * n)
+    w = _clip((A @ starts[:, :, None])[:, :, 0] - b, delta)
+    z = centers - t_col * (At @ w[:, :, None])[:, :, 0]
+    u, U = prox(z), np.empty_like(centers)
+    tried, running = np.ones(N, dtype=np.int64), np.ones(N, dtype=bool)
+    for k in range(1, NEWTON_CAP + 1):
+        r = (A @ u[:, :, None])[:, :, 0] - b
+        g = t_col * (At @ _clip(r, delta)[:, :, None])[:, :, 0] + (u - centers)
+        res = residuals(g, u)
+        if not np.isfinite(res[running]).all():
+            raise FloatingPointError(f"non-finite composite prox residual at pass {k}")
+        done = running & (res <= NESTED_TOL)
+        U[done], running = u[done], running & ~done
+        if not running.any():
+            return U, tried
+        # phi(w) = t (0.5 ||w||^2 + b^T w) + 0.5 ||u||^2 (as rho is positively
+        # homogeneous) has gradient t (w - r) and generalized Hessian t (I + t A
+        # J A^T).  A row within eps of the bound its gradient pushes it to is
+        # bound and takes a gradient step over t; the free rows a Newton step
+        gs = w - r
+        eps = np.minimum(0.1 * delta, np.linalg.norm(w - _clip(r, delta), axis=1)[:, None])
+        free = ~(((w <= eps - delta) & (gs > 0)) | ((w >= delta - eps) & (gs < 0)))
+        # J, the prox's generalized Jacobian (Zhang, Zhang, Sun and Toh 2020), is
+        # a I + (1 - a) u_s u_s^T / ||u_s||^2 on group s's nonzeros, a = ||u_s||
+        # / (||u_s|| + tau_s): d holds a and h h^T the rest
+        up = u.take(lay.perm)
+        norms = lay.norms(up)
+        a = norms / np.maximum(norms + tau, _TINY)
+        d = lay.spread(a) * (up != 0.0)
+        h = up * lay.spread(np.sqrt(1.0 - a) / np.maximum(norms, _TINY))
+
+        def J(x: np.ndarray) -> np.ndarray:  # along the last axis, in segment order
+            group = np.add.reduceat(h * x, lay.starts, axis=-1)
+            return d * x + h * np.repeat(group, lay.sizes, axis=-1)
+
+        AJA = J(Apm).reshape(m, N, n).transpose(1, 0, 2) @ Apt
+        M = np.eye(m) + t_col[:, :, None] * (AJA * (free[:, :, None] & free[:, None, :]))
+        p = np.linalg.solve(M, -gs[:, :, None])[:, :, 0] * running[:, None]
+        slope = t * np.vecdot(gs * free, p)
+        # u(w) is rounded to about eps ||z||, so phi's change is known to about
+        # eps ||z|| ||u|| and a smaller rise counts as none.  That grows with t;
+        # once the Newton fall is below it, the primal Newton step -(J - t J A^T
+        # M^-1 A J) v from u, v the minimum-norm subgradient, is tried too
+        roundoff = np.finfo(float).eps * np.sqrt(np.vecdot(z, z) * np.vecdot(u, u))
+        polish = running & (-slope <= roundoff)
+        if polish.any():
+            v = sparse_group_min_norm(lay, g.take(lay.perm), up, t.repeat(n) * stack._b1, tau)
+            Av = (Ap @ J(v).reshape(N, n, 1)) * free[:, :, None]
+            step = J(v - (Apt @ (t_col[:, :, None] * np.linalg.solve(M, Av))).reshape(-1))
+            u_pol = u - lay.scatter(step).reshape(N, n)
+            g_pol = t_col * stack.loss_grad(u_pol) + (u_pol - centers)
+            done, tried = polish & (residuals(g_pol, u_pol) <= NESTED_TOL), tried + polish
+            U[done], running = u_pol[done], running & ~done
+        s, searching = np.ones(N), running
+        while True:
+            w_s = _clip(w + s[:, None] * p, delta)
+            z_s = centers - t_col * (At @ w_s[:, :, None])[:, :, 0]
+            u_s, tried = prox(z_s), tried + searching
+            dw, du = w_s - w, u_s - u
+            # phi(w_s) - phi(w) from the differences, which do not cancel
+            change = t * np.vecdot(dw, 0.5 * (w_s + w) + b) + np.vecdot(du, 0.5 * (u_s + u))
+            predicted = s * slope + t * np.vecdot(gs * ~free, dw)
+            searching = searching & ~(change <= ARMIJO * predicted + roundoff)
+            if not searching.any():
+                break
+            s[searching] *= 0.5
+            if (s < MIN_STEP).any():
+                raise NestedSolveError("composite prox line search found no decrease")
+        w, z, u = w_s, z_s, u_s
     raise NestedSolveError(
-        f"composite prox residual above {NESTED_TOL} after {NESTED_CAP} iterations"
+        f"composite prox residual above {NESTED_TOL} after {NEWTON_CAP} Newton passes"
     )
 
 
@@ -192,8 +234,8 @@ def _check_admm_args(
     of shape ``(N, n)``), the node stack and an empty ledger."""
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
-    if not c_admm > 0:
-        raise ValueError(f"c_admm must be positive, got {c_admm}")
+    if not 0 < c_admm < math.inf:
+        raise ValueError(f"c_admm must be positive and finite, got {c_admm}")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
     stack = NodeStack(nodes)
@@ -278,17 +320,15 @@ def admm_solve(
 
     The per-node subproblem is the proximal map of the full composite
     objective, solved to high accuracy for all nodes at once by a nested
-    accelerated run warm-started at the previous ``x`` (one gradient and one
-    prox charged per nested iteration of each node); that cost is the point
-    of the comparison.  Traffic is charged at 3 vector units per node per
-    iteration.
+    Newton run warm-started at the previous ``x`` (one gradient and one prox
+    charged per point it tries for each node); that cost is the point of the
+    comparison.  Traffic is charged at 3 vector units per node per iteration.
     """
     x, stack, ledger = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("admm", config={"c_admm": c_admm})
     degrees = graph.degrees.astype(float)
     coef = degrees**2 + degrees
     step = 1.0 / (c_admm * coef)
-    lip = np.array([node.loss.lipschitz for node in nodes])
 
     p = np.zeros_like(x)
     s = neighborhood_average(graph, x)
@@ -297,7 +337,7 @@ def admm_solve(
         nonlocal s, p
         agg = laplacian_apply(graph, s + p)
         center = x - agg / coef[:, None]
-        x[:], nested = _composite_prox(stack, center, step, x, lip)
+        x[:], nested = _composite_prox(stack, center, step, x)
         ledger.prox_evals += nested
         ledger.grad_evals += nested
         ledger.vectors_sent += 3

@@ -539,6 +539,9 @@ class TestCli:
         ["solve", "--alg", "apg", "--eps-opt", "-1", "--budget-secs", "-5"],
         ["solve", "--alg", "apg", "--budget-secs", "0"],
         ["ref", "--tolerance", "1e3"],
+        # an infinite penalty once failed on "prox steps must be positive"
+        ["solve", "--alg", "admm", "--c-admm", "inf"],
+        ["solve", "--alg", "sadmm", "--c-admm", "inf"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
         # library ValueErrors once reached the user as tracebacks

@@ -838,10 +838,13 @@ def test_sadmm_counters_match_the_per_node_implementation(iters):
 
 # Ledger counters and nested iterations of admm_solve(c_admm=1.0) on
 # generate_instance(2, "star", 5, 10, 10, 1) at the benchmark's 2 iterations
-# and at 20, recorded from the implementation with one nested APG per node.
+# and at 20, recorded from the dual projected Newton composite prox, which
+# charges one gradient and one prox per point it tries.  The nested APG it
+# replaced charged one of each per iteration: 2: [108, 360, 335, 354, 342]
+# (1499 in all), 20: [1068, 3485, 3247, 3426, 3379] (14605).
 ADMM_COUNTERS = {
-    2: dict(grad=[108, 360, 335, 354, 342], sent=[6] * 5, inner=1499),
-    20: dict(grad=[1068, 3485, 3247, 3426, 3379], sent=[60] * 5, inner=14605),
+    2: dict(grad=[9, 11, 12, 11, 12], sent=[6] * 5, inner=55),
+    20: dict(grad=[76, 88, 91, 87, 86], sent=[60] * 5, inner=428),
 }
 
 
@@ -851,7 +854,7 @@ def test_admm_counters_match_the_per_node_implementation(iters):
     trace = admm_solve(inst.nodes, inst.graph, c_admm=1.0, iters=iters)
     ledger = trace.config["ledger"]
     expect = ADMM_COUNTERS[iters]
-    # one gradient and one prox per nested iteration
+    # one gradient and one prox per point tried
     assert ledger.grad_evals.tolist() == expect["grad"]
     assert ledger.prox_evals.tolist() == expect["grad"]
     assert ledger.vectors_sent.tolist() == expect["sent"]
