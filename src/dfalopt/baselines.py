@@ -227,6 +227,14 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     return max(edge_cv, split_cv) / math.sqrt(x.shape[1])
 
 
+def check_admm_settings(c_admm: float, iters: int) -> None:
+    """Reject a penalty that is not positive and finite, or no iteration."""
+    if not 0 < c_admm < math.inf:
+        raise ValueError(f"c_admm must be positive and finite, got {c_admm}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+
+
 def _check_admm_args(
     nodes, graph: Graph, c_admm: float, iters: int
 ) -> tuple[np.ndarray, NodeStack, CommLedger]:
@@ -234,10 +242,7 @@ def _check_admm_args(
     of shape ``(N, n)``), the node stack and an empty ledger."""
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
-    if not 0 < c_admm < math.inf:
-        raise ValueError(f"c_admm must be positive and finite, got {c_admm}")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    check_admm_settings(c_admm, iters)
     stack = NodeStack(nodes)
     return np.zeros(stack.shape), stack, CommLedger(graph.num_nodes)
 

@@ -8,6 +8,8 @@ import json
 import sys
 
 from . import bench as bench_mod
+from .baselines import check_admm_settings
+from .dfal import check_shrink
 from .graph import load_edge_file
 from .netsim import CommLedger
 from .trace import RunTrace, check_budget_secs, check_targets
@@ -90,9 +92,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"--oracle applies only to --alg afal, not {args.alg}")
     if args.alg == "apg" and args.case != 1:
         raise ValueError("--alg apg requires --case 1 (shared partition)")
-    # before the reference solve, and for apg too, which runs no RunTrace.run
+    # every setting before the reference solve, for apg too, which uses none
     check_targets(args.eps_opt, args.eps_feas)
     check_budget_secs(args.budget_secs)
+    check_shrink(args.c)
+    check_admm_settings(args.c_admm, args.iters)
     instance = _instance(args)
     ref = bench_mod.reference_solve(instance)
     if args.alg == "apg":

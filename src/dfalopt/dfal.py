@@ -51,6 +51,12 @@ class ProtocolError(RuntimeError):
     """A node update referenced data it cannot have received."""
 
 
+def check_shrink(c: float) -> None:
+    """Reject a penalty shrink factor outside (0, 1), NaN included."""
+    if not 0.0 < c < 1.0:
+        raise ValueError("shrink factor must lie in (0, 1)")
+
+
 @dataclass
 class DfalParams:
     """Penalty schedule and bounds for the outer loop.
@@ -74,8 +80,7 @@ class DfalParams:
         # "not > 0" also rejects NaN
         if not (self.lam1 > 0 and self.alpha1 > 0 and self.xi1 > 0):
             raise ValueError("schedule starting values must be positive")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError("shrink factor must lie in (0, 1)")
+        check_shrink(self.c)
         if not self.bx > 0:
             raise ValueError("iterate bound must be positive")
         if self.outer_cap < 1:
@@ -290,23 +295,20 @@ def dfal_solve(
             nonlocal warm_start
             net.broadcast_state(Y, charge=not warm_start)
             warm_start = False
-            net.ledger.grad_evals += 1
             return subproblem.smooth_grad(net.delivered)
-
-        def prox_all(V: np.ndarray) -> np.ndarray:
-            net.ledger.prox_evals += 1
-            return subproblem.prox_all(V)
 
         def check(ell: int, ybar: np.ndarray, q: np.ndarray) -> None:
             gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
 
         result = ms_apg(
-            replace(subproblem, smooth_grad=smooth_grad, prox_all=prox_all),
+            replace(subproblem, smooth_grad=smooth_grad),
             state.x,
             residual_target=xi / math.sqrt(N),
             max_iter=inner_cap(params, block_L, alpha),
             callback=None if gradient_check is None else check,
         )
+        net.ledger.grad_evals += result.iterations
+        net.ledger.prox_evals += result.iterations - (result.stop_reason == "residual")
         # share the adopted iterate; every node rolls the accumulator from it
         net.broadcast_state(result.y)
         return result

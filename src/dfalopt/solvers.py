@@ -130,29 +130,29 @@ def ms_apg(
 ) -> SolveResult:
     """Accelerated proximal gradient with per-block step sizes.
 
-    Stops when the per-block minimum-norm subgradient at the extrapolated
-    point drops to ``residual_target`` (the returned iterate is then the
-    extrapolated point) or when ``max_iter`` is reached (the returned iterate
-    is the proximal step).  ``callback(ell, ybar, grad)`` fires once per
-    iteration before the prox step.  ``record_values`` keeps ``obj.value``
-    of every proximal step in ``values``.
+    Each iteration takes the prox step ``y = prox_all(ybar - grad / L)`` from
+    the extrapolated point ``ybar`` and stops when the per-block minimum-norm
+    subgradient at ``ybar`` is at most ``residual_target`` (returning
+    ``ybar``; that last prox only served the test) or at ``max_iter``
+    (returning ``y``).  The exact test runs only when no block's gradient
+    mapping ``L_i ||ybar_i - y_i||``, at most its residual when ``prox_all``
+    is the prox of the ``rho`` that ``residuals`` measures, is over the
+    target.  ``callback(ell, ybar, grad)`` fires before the prox step;
+    ``record_values`` keeps ``obj.value`` of each prox step in ``values``.
 
-    ``restart=True`` adds gradient-based adaptive restart (O'Donoghue and
-    Candes 2015, FoCM) to FISTA's momentum: when the prox step from ``ybar``
-    to ``y`` satisfies ``<ybar - y, y - y_prev> > 0``, ``t`` is reset to 1,
-    so the next extrapolated point is ``y`` itself.  It recovers the linear
-    rate a problem has near its solution without knowing its modulus, and
-    changes nothing else: the stopping test, the returned point and the
-    gradient and prox counts per iteration stay as they are.  Only the
-    centralized case-1 reference uses it; the synchronous DFAL inner loop
-    keeps plain momentum, whose iteration counts the DFAL complexity bound
-    and the frozen counters describe.
+    ``restart=True`` resets FISTA's ``t`` to 1 when ``<ybar - y, y - y_prev>
+    > 0`` (adaptive restart, O'Donoghue and Candes 2015, FoCM), which recovers
+    the linear rate near a solution; only the case-1 reference sets it.
     """
     value = _value_of(obj, "record_values") if record_values else None
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
     t = 1.0
-    L_col = obj.L[:, None]
+    L, L_col = obj.L, obj.L[:, None]
+    # L_i ||ybar_i - y_i|| <= residual_i, as ybar_i = prox(ybar_i + xi / L_i) for
+    # xi in d(rho_i)(ybar_i); rounding moves bound and residual by about 7 (n + 8) u
+    # (L_i ||ybar_i|| + ||g_i||) in all, u = eps / 2, and the slack is 16 (n + 8) u.
+    slack = 8.0 * (y_prev.shape[1] + 8) * np.finfo(float).eps
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
@@ -160,17 +160,21 @@ def ms_apg(
             raise FloatingPointError(f"non-finite gradient at inner iteration {ell}")
         if callback is not None:
             callback(ell, ybar, grad)
-        if residual_target is not None:
-            if obj.max_residual(grad, ybar) <= residual_target:
-                result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
-                return result
         y = obj.prox_all(ybar - grad / L_col)
+        step = ybar - y
+        if residual_target is not None:
+            scale = L * np.sqrt(np.vecdot(ybar, ybar)) + np.sqrt(np.vecdot(grad, grad))
+            bound = L * np.sqrt(np.vecdot(step, step)) - slack * scale
+            if not np.max(bound) > residual_target:
+                if obj.max_residual(grad, ybar) <= residual_target:
+                    result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
+                    return result
         if value is not None:
             result.values.append(value(y))
         if ell == max_iter:
             result.y, result.iterations, result.stop_reason = y, ell, "cap"
             return result
-        if restart and np.vdot(ybar - y, y - y_prev) > 0.0:
+        if restart and np.vdot(step, y - y_prev) > 0.0:
             t = 1.0
         t_next = fista_momentum(t)
         ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
@@ -192,9 +196,9 @@ def apg(
     """Centralized accelerated proximal gradient with one combined prox.
 
     Thin single-block wrapper over :func:`ms_apg`, so the two share one
-    arithmetic path exactly.  ``residual(g, x)`` is the stopping test's norm
-    at ``x`` with smooth gradient ``g``; ``restart`` is passed on, and the
-    case-1 reference solve sets it.
+    arithmetic path exactly.  ``residual(g, x)`` is the minimum-norm residual
+    of ``prox``'s regularizer at ``x`` with smooth gradient ``g``; ``restart``
+    is passed on, and the case-1 reference solve sets it.
     """
     step = 1.0 / np.float64(lipschitz)
     obj = BlockObjective(

@@ -557,6 +557,32 @@ class TestCli:
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("flags, message", [
+        (["--alg", "admm", "--c-admm", "0", "--case", "2"],
+         "c_admm must be positive and finite, got 0.0"),
+        (["--alg", "sadmm", "--iters", "0"], "iters must be at least 1, got 0"),
+        (["--alg", "dfal", "--c", "1.5"], "shrink factor must lie in (0, 1)"),
+        (["--alg", "afal", "--c", "nan"], "shrink factor must lie in (0, 1)"),
+        (["--alg", "apg", "--c-admm", "-1"],
+         "c_admm must be positive and finite, got -1.0"),
+    ])
+    def test_solve_checks_its_settings_before_the_reference(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        # these errors once came only after the reference solve
+        import dfalopt.bench as bench
+
+        def never(*args, **kwargs):
+            raise AssertionError("the reference was solved")
+
+        monkeypatch.setattr(bench, "reference_solve", never)
+        out = tmp_path / "run.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["solve", *flags, *self.ARGS, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"dfalopt: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
         (["--groups", "0"], "number of groups K must be at least 1, got 0"),
         (["--ng", "0"], "group size n_g must be at least 1, got 0"),
         (["--ng", "-2", "--groups", "-5"], "group size n_g must be at least 1, got -2"),

@@ -508,3 +508,64 @@ class TestVectorizedKernels:
         np.testing.assert_allclose(lay.norms(lay.gather(x)), [3.0, 4.0, np.sqrt(5.0)])
         with pytest.raises(ValueError):
             lay.gather(np.zeros(4))
+
+
+def _apg_slack(n, L, y, g):
+    """``ms_apg``'s rounding slack: 16 (n + 8) unit roundoffs of
+    ``L ||y|| + ||g||`` per block."""
+    scale = L * np.linalg.norm(y, axis=-1) + np.linalg.norm(g, axis=-1)
+    return 8.0 * (n + 8) * np.finfo(float).eps * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGradientMappingBound:
+    """The gradient mapping ``L ||y - prox(y - g / L)||`` is at most the
+    minimum-norm residual at ``y`` (Nesterov 2013), to within the slack that
+    lets ``ms_apg`` skip the exact residual test when it is over the target.
+    With ``beta2 = 0`` and no sign change the two are equal, and the rounded
+    bound then often exceeds the rounded residual, so a zero slack would not
+    do."""
+
+    @staticmethod
+    def gradient(rng, shape):
+        g = 10.0 ** rng.uniform(-6.0, 2.0) * rng.standard_normal(shape)
+        g[rng.random(shape) < 0.2] = 0.0
+        return g
+
+    def test_stacked_prox_and_residual(self):
+        rng = np.random.default_rng(96)
+        n, over = 12, 0
+        for _ in range(300):
+            N = int(rng.integers(1, 6))
+            loss = HuberLoss(A=np.ones((1, n)), b=np.zeros(1))
+            nodes = [NodeProblem(_edge_case_reg(rng, n), loss) for _ in range(N)]
+            stack = NodeStack(nodes)
+            lam = float(rng.uniform(0.1, 2.0))
+            L = rng.uniform(0.5, 50.0, size=N)
+            prox = stack.prox_map((1.0 / L) * lam)
+            Y = np.stack([_edge_case_point(rng, p.reg) for p in nodes])
+            if rng.random() < 0.5:
+                Y = prox(Y)  # a prox output, as the iterates of ms_apg are
+            G = self.gradient(rng, Y.shape)
+            bound = L * np.linalg.norm(Y - prox(Y - G / L[:, None]), axis=1)
+            residual = stack.residual_map(lam)(G, Y)
+            assert np.all(bound - _apg_slack(n, L, Y, G) <= residual)
+            over += int(np.sum(bound > residual))
+        assert over > 0
+
+    def test_regularizer_prox_and_residual(self):
+        # the case-1 reference's single block: SparseGroupReg at step 1/L
+        rng = np.random.default_rng(97)
+        over = 0
+        for _ in range(400):
+            reg = _edge_case_reg(rng, int(rng.integers(1, 13)))
+            L = float(rng.uniform(0.5, 50.0))
+            x = _edge_case_point(rng, reg)
+            if rng.random() < 0.5:
+                x = reg.prox(x, 1.0 / L)
+            g = self.gradient(rng, x.shape)
+            bound = L * np.linalg.norm(x - reg.prox(x - g / L, 1.0 / np.float64(L)))
+            residual = reg.subgrad_residual(1.0, g, x)
+            assert bound - _apg_slack(reg.n, L, x, g) <= residual
+            over += int(bound > residual)
+        assert over > 0

@@ -12,9 +12,13 @@ from dfalopt import (
     GroupPartition,
     SparseGroupReg,
     apg,
+    generate_instance,
     ms_apg,
     rbcd_run,
+    spectral_bounds,
 )
+from dfalopt.dfal import _subproblem_objective
+from dfalopt.funcs import NodeStack
 from dfalopt.solvers import (
     arbcd_candidate,
     arbcd_chain,
@@ -325,6 +329,108 @@ class TestRestart:
         assert plain.stop_reason == restarted.stop_reason == "residual"
         assert restarted.iterations < plain.iterations
         assert np.max(np.abs(restarted.y - plain.y)) <= 1e-8
+
+
+def exact_test_apg(obj, y0, residual_target, max_iter, restart=False):
+    """``ms_apg`` with the exact residual test at every iteration, before the
+    prox step: the loop the gradient-mapping bound must decide like."""
+    y_prev = np.array(y0, dtype=float)
+    ybar, t, values = y_prev.copy(), 1.0, []
+    for ell in range(1, max_iter + 1):
+        grad = obj.smooth_grad(ybar)
+        if residual_target is not None:
+            if obj.max_residual(grad, ybar) <= residual_target:
+                return ybar, ell, "residual", values
+        y = obj.prox_all(ybar - grad / obj.L[:, None])
+        values.append(obj.value(y))
+        if ell == max_iter:
+            return y, ell, "cap", values
+        if restart and np.vdot(ybar - y, y - y_prev) > 0.0:
+            t = 1.0
+        t_next = fista_momentum(t)
+        ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
+        t, y_prev = t_next, y
+
+
+def subproblem(lam=0.3):
+    """A DFAL subproblem of the benchmark's case-2 instance."""
+    inst = generate_instance(2, "star", 5, 10, 10, 1)
+    lip = np.array([p.loss.lipschitz for p in inst.nodes])
+    stack = NodeStack(inst.nodes)
+    xbar = 0.1 * np.random.default_rng(3).standard_normal(stack.shape)
+    block_L = lam * lip + spectral_bounds(inst.graph)[0]
+    return _subproblem_objective(inst.nodes, inst.graph, lam, xbar, block_L, stack)
+
+
+def counting_residuals(obj):
+    """``obj`` with its residual calls counted in the returned list."""
+    calls = []
+
+    def residuals(G, Y):
+        calls.append(1)
+        return obj.residuals(G, Y)
+
+    return replace(obj, residuals=residuals), calls
+
+
+class TestBoundedStoppingTest:
+    """``ms_apg`` runs the exact residual test only when no block's gradient
+    mapping is over the target, and decides as the exact test at every
+    iteration does: same iterations, stop reason, values and bits."""
+
+    @pytest.mark.parametrize("restart", [False, True])
+    @pytest.mark.parametrize("target", [1e-2, 1e-6, 1e-10])
+    def test_same_decisions_as_the_exact_test(self, rng, target, restart):
+        for obj, y0 in ((sparse_group_objective(rng), np.zeros((3, 5))),
+                        (subproblem(), np.zeros((5, 100)))):
+            res = ms_apg(obj, y0, residual_target=target, max_iter=3000,
+                         record_values=True, restart=restart)
+            y, iters, reason, values = exact_test_apg(obj, y0, target, 3000, restart)
+            assert (res.iterations, res.stop_reason) == (iters, reason)
+            assert np.array_equal(res.y, y)
+            assert res.values == values
+
+    def test_target_equal_to_a_reached_residual(self, rng):
+        # the exact test passes at equality, where the bound is tightest
+        for obj, y0 in ((sparse_group_objective(rng), np.zeros((3, 5))),
+                        (subproblem(), np.zeros((5, 100)))):
+            reached = []
+
+            def recording(G, Y, obj=obj):
+                reached.append(obj.max_residual(G, Y))
+                return obj.residuals(G, Y)
+
+            # a target below every residual: the residual of each iteration
+            exact_test_apg(replace(obj, residuals=recording), y0, -1.0, 400)
+            for k in (1, 10, 100, 399):
+                target = reached[k]
+                res = ms_apg(obj, y0, residual_target=target, max_iter=400)
+                y, iters, reason, _ = exact_test_apg(obj, y0, target, 400)
+                assert (res.iterations, res.stop_reason) == (iters, "residual")
+                assert iters <= k + 1
+                assert np.array_equal(res.y, y)
+
+    def test_nan_residual_never_stops(self, rng):
+        obj = sparse_group_objective(rng)
+
+        def residuals(G, Y):
+            r = obj.residuals(G, Y)
+            r[1] = np.nan
+            return r
+
+        nan_obj = replace(obj, residuals=residuals)
+        res = ms_apg(nan_obj, np.zeros((3, 5)), residual_target=1e3, max_iter=50)
+        y, iters, reason, _ = exact_test_apg(nan_obj, np.zeros((3, 5)), 1e3, 50)
+        assert (res.iterations, res.stop_reason) == (iters, reason) == (50, "cap")
+        assert np.array_equal(res.y, y)
+
+    @pytest.mark.parametrize("target", [1e-4, 1e-8])
+    def test_exact_test_runs_on_few_iterations(self, target):
+        # every block's bound must be within the target, not just one
+        obj, calls = counting_residuals(subproblem())
+        res = ms_apg(obj, np.zeros((5, 100)), residual_target=target, max_iter=5000)
+        assert res.stop_reason == "residual"
+        assert 0 < len(calls) <= res.iterations / 100
 
 
 class TestMomentum:
