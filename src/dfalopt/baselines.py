@@ -222,9 +222,8 @@ def _composite_prox(
 
 def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     """Consensus violation including the split gap, normalized by sqrt(n)."""
-    edge_cv = consensus_violation(graph, x, normalize=False)
-    split_cv = float(np.max(np.linalg.norm(x - y, axis=1)))
-    return max(edge_cv, split_cv) / math.sqrt(x.shape[1])
+    split_gap = float(np.max(np.linalg.norm(x - y, axis=1)))
+    return max(consensus_violation(graph, x), split_gap / math.sqrt(x.shape[1]))
 
 
 def check_admm_settings(c_admm: float, iters: int) -> None:

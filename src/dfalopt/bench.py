@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -26,37 +26,27 @@ from .trace import RunTrace
 
 @dataclass
 class ProblemInstance:
-    """One generated benchmark problem over a fixed graph."""
+    """One generated benchmark problem over a fixed graph; its nodes hold
+    every node's data, sizes and weights."""
 
     graph: Graph
     topology: str
     nodes: list[NodeProblem]
     case: int
-    N: int
-    n: int
     K: int
     n_g: int
-    m: int
-    beta1: float
-    beta2: float
-    delta: float
     seed: int
     x_gen: np.ndarray
 
-    @classmethod
-    def of_nodes(cls, graph: Graph, topology: str, nodes: list[NodeProblem], case: int,
-                 K: int, n_g: int, seed: int, x_gen: np.ndarray) -> "ProblemInstance":
-        """The instance of ``nodes``, its sizes and weights read from node 0."""
-        p = nodes[0]
-        return cls(graph=graph, topology=topology, nodes=nodes, case=case, N=len(nodes),
-                   n=p.n, K=K, n_g=n_g, m=p.loss.num_rows, beta1=p.reg.beta1,
-                   beta2=p.reg.beta2, delta=p.loss.delta, seed=seed, x_gen=x_gen)
+    @property
+    def n(self) -> int:
+        return self.nodes[0].n
 
     def content_digest(self) -> str:
-        """Digest of the data that fixes the reference: every ``A_i``, ``b_i``,
-        partition, delta and beta, and in case 2 the edges.  The case-1
-        optimum ignores the graph, so the star and the clique of one seed
-        share it; the case-2 reference runs over the graph."""
+        """Digest of the data that fixes the reference: every node record
+        (``A_i``, ``b_i``, delta, beta and groups), and in case 2 the edges.
+        The case-1 optimum ignores the graph, so the star and the clique of
+        one seed share it; the case-2 reference runs over the graph."""
         h = hashlib.sha256()
 
         def add(values) -> None:
@@ -67,13 +57,25 @@ class ProblemInstance:
         if self.case == 2:
             add(np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2))
         for p in self.nodes:
-            layout = p.reg.partition.layout
-            add(p.loss.A)
-            add(p.loss.b)
-            add(np.array([p.loss.delta, p.reg.beta1, p.reg.beta2]))
-            add(layout.perm.astype(np.int64))
-            add(layout.sizes.astype(np.int64))
+            A, b, *weights, groups = node_record(p).values()
+            sizes = [g.size for g in groups]
+            for value in (A, b, weights, np.concatenate(groups), sizes):
+                add(value)
         return h.hexdigest()
+
+
+def node_record(p: NodeProblem) -> dict[str, Any]:
+    """One node's facts, keyed as its entry in the instance file: its data
+    ``A`` and ``b``, its weights ``delta``, ``beta1`` and ``beta2``, and its
+    ``groups`` (0-based index arrays; the file writes them 1-based)."""
+    return {
+        "A": p.loss.A,
+        "b": p.loss.b,
+        "delta": p.loss.delta,
+        "beta1": p.reg.beta1,
+        "beta2": p.reg.beta2,
+        "groups": p.reg.partition.groups,
+    }
 
 
 def generator_vector(n: int, n_g: int) -> np.ndarray:
@@ -129,25 +131,16 @@ def generate_instance(
     beta = 1.0 / N
     x_gen = generator_vector(n, n_g)
 
-    losses = []
+    shared = random_partition(n, n_g, part_rng) if case == 1 else None
+    nodes = []
     for _ in range(N):
         A = data_rng.standard_normal((m, n))
-        losses.append(HuberLoss(A=A, b=A @ x_gen, delta=delta))
-
-    if case == 1:
-        shared = random_partition(n, n_g, part_rng)
-        partitions = [shared] * N
-    else:
-        partitions = [random_partition(n, n_g, part_rng) for _ in range(N)]
-
-    nodes = [
-        NodeProblem(
-            reg=SparseGroupReg(beta1=beta, beta2=beta, partition=partitions[i]),
-            loss=losses[i],
-        )
-        for i in range(N)
-    ]
-    return ProblemInstance.of_nodes(graph, topology, nodes, case, K, n_g, seed, x_gen)
+        partition = shared if case == 1 else random_partition(n, n_g, part_rng)
+        nodes.append(NodeProblem(
+            reg=SparseGroupReg(beta1=beta, beta2=beta, partition=partition),
+            loss=HuberLoss(A=A, b=A @ x_gen, delta=delta),
+        ))
+    return ProblemInstance(graph, topology, nodes, case, K, n_g, seed, x_gen)
 
 
 @dataclass
@@ -249,7 +242,6 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
 def _reference_case2(instance: ProblemInstance) -> Reference:
     nodes, graph = instance.nodes, instance.graph
     stack = NodeStack(nodes)
-    candidates: list[Reference] = []
 
     # a fixed penalty floor, not tied to the CV it reaches: on the N=5, n=100
     # instances CV ends below 1e-8, on some small ones above it (unconverged)
@@ -258,18 +250,15 @@ def _reference_case2(instance: ProblemInstance) -> Reference:
     state = trace.config["final_state"]
     x_avg = state.x.mean(axis=0)
     f_dfal = stack.objective(np.tile(x_avg, (graph.num_nodes, 1)))
-    candidates.append(
-        Reference(f_dfal, x_avg, "dfal-long", trace.final.CV <= 1e-8)
-    )
+    dfal_long = Reference(f_dfal, x_avg, "dfal-long", trace.final.CV <= 1e-8)
 
     # certified as dfal-long is: only at a final CV of at most 1e-8
     sadmm = sadmm_solve(nodes, graph, c_admm=1.0, iters=400)
     st = sadmm.config["final_state"]
     mid = (0.5 * (st.x + st.y)).mean(axis=0)
     f_sadmm = stack.objective(np.tile(mid, (graph.num_nodes, 1)))
-    candidates.append(Reference(f_sadmm, mid, "sadmm-tight", sadmm.final.CV <= 1e-8))
-
-    return min(candidates, key=lambda r: r.f_star)
+    sadmm_tight = Reference(f_sadmm, mid, "sadmm-tight", sadmm.final.CV <= 1e-8)
+    return min(dfal_long, sadmm_tight, key=lambda r: r.f_star)
 
 
 REPORT_NOTE = (
@@ -290,18 +279,7 @@ class BenchReport:
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(
-                {
-                    "note": REPORT_NOTE,
-                    "config": self.config,
-                    "config_digest": self.config_digest,
-                    "rows": self.rows,
-                    "means": self.means,
-                },
-                fh,
-                indent=2,
-                default=str,
-            )
+            json.dump({"note": REPORT_NOTE, **asdict(self)}, fh, indent=2, default=str)
 
 
 def config_digest(config: dict[str, Any]) -> str:
@@ -374,10 +352,16 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
     """Run the full (algorithm, topology, case, seed) matrix.
 
     Individual run failures are recorded in their row and do not abort the
-    rest of the matrix.
+    rest of the matrix.  ``config`` replaces keys of
+    ``DEFAULT_BENCH_CONFIG``; a key it does not have is a ``ValueError``.
     """
     cfg = dict(DEFAULT_BENCH_CONFIG)
-    if config:
+    if config is not None:
+        if not isinstance(config, dict):
+            raise ValueError("the config must be a JSON object")
+        unknown = sorted(set(config) - set(cfg))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         cfg.update(config)
     digest = config_digest(cfg)
     report = BenchReport(config=cfg, config_digest=digest)
@@ -427,54 +411,58 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
 
 
 def instance_to_json(instance: ProblemInstance, path: str) -> None:
-    """Serialize with explicit matrices so instances can be shared."""
+    """Serialize with explicit matrices so instances can be shared; each node
+    entry is the node's :func:`node_record`, its own weights included."""
     payload = {
         "case": instance.case,
         "topology": instance.topology,
-        "N": instance.N,
+        "N": len(instance.nodes),
         "n_g": instance.n_g,
         "K": instance.K,
         "seed": instance.seed,
-        "delta": instance.delta,
-        "beta1": instance.beta1,
-        "beta2": instance.beta2,
-        "edges": [list(e) for e in instance.graph.edges],
-        "x_gen": instance.x_gen.tolist(),
+        "edges": instance.graph.edges,
+        "x_gen": instance.x_gen,
         "nodes": [
-            {
-                "A": p.loss.A.tolist(),
-                "b": p.loss.b.tolist(),
-                "groups": [(g + 1).tolist() for g in p.reg.partition.groups],
-            }
-            for p in instance.nodes
+            dict(record, groups=[g + 1 for g in record["groups"]])
+            for record in map(node_record, instance.nodes)
         ],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, default=lambda a: a.tolist())
+
+
+def _entries(raw: Any, keys: str, where: str) -> list[Any]:
+    """The values of the space-separated ``keys`` of the JSON object ``raw``;
+    missing ones are a ``ValueError`` that names them."""
+    missing = [k for k in keys.split() if not isinstance(raw, dict) or k not in raw]
+    if missing:
+        raise ValueError(f"{where} lacks the key(s) {', '.join(map(repr, missing))}")
+    return [raw[key] for key in keys.split()]
 
 
 def instance_from_json(path: str) -> ProblemInstance:
+    """The instance :func:`instance_to_json` wrote.  A file whose node
+    entries lack their own ``delta``, ``beta1`` or ``beta2`` is rejected."""
     with open(path) as fh:
         raw = json.load(fh)
-    if len(raw["nodes"]) != raw["N"]:
-        raise ValueError(f"{path}: {len(raw['nodes'])} node entries, not N={raw['N']}")
-    graph = Graph(raw["N"], tuple(tuple(e) for e in raw["edges"]))
-    n = raw["K"] * raw["n_g"]
+    case, topology, N, n_g, K, seed, edges, x_gen, specs = _entries(
+        raw, "case topology N n_g K seed edges x_gen nodes", path
+    )
+    if len(specs) != N:
+        raise ValueError(f"{path}: {len(specs)} node entries, not N={N}")
     nodes = []
-    for spec in raw["nodes"]:
+    for i, spec in enumerate(specs):
+        A, b, delta, beta1, beta2, groups = _entries(
+            spec, "A b delta beta1 beta2 groups", f"{path}: node entry {i}"
+        )
         partition = GroupPartition(
-            n, tuple(np.asarray(g, dtype=int) - 1 for g in spec["groups"])
+            K * n_g, tuple(np.asarray(g, dtype=int) - 1 for g in groups)
         )
-        nodes.append(
-            NodeProblem(
-                reg=SparseGroupReg(raw["beta1"], raw["beta2"], partition),
-                loss=HuberLoss(
-                    A=np.asarray(spec["A"]), b=np.asarray(spec["b"]),
-                    delta=raw["delta"],
-                ),
-            )
-        )
-    return ProblemInstance.of_nodes(
-        graph, raw["topology"], nodes, raw["case"], raw["K"], raw["n_g"], raw["seed"],
-        np.asarray(raw["x_gen"]),
+        nodes.append(NodeProblem(
+            reg=SparseGroupReg(beta1, beta2, partition),
+            loss=HuberLoss(A=np.asarray(A), b=np.asarray(b), delta=delta),
+        ))
+    graph = Graph(N, tuple(tuple(e) for e in edges))
+    return ProblemInstance(
+        graph, topology, nodes, case, K, n_g, seed, np.asarray(x_gen)
     )

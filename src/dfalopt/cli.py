@@ -44,8 +44,8 @@ def _instance(args: argparse.Namespace) -> "bench_mod.ProblemInstance":
 def _cmd_gen(args: argparse.Namespace) -> int:
     instance = _instance(args)
     bench_mod.instance_to_json(instance, args.out)
-    print(f"wrote instance (N={instance.N}, n={instance.n}, case {instance.case}) "
-          f"to {args.out}")
+    print(f"wrote instance (N={len(instance.nodes)}, n={instance.n}, "
+          f"case {instance.case}) to {args.out}")
     return 0
 
 
@@ -182,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input: one error line, not a traceback
+    except (ValueError, OSError) as exc:  # bad input: one error line, not a traceback
         parser.error(str(exc))
 
 

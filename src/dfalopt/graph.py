@@ -214,11 +214,8 @@ def spectral_bounds(g: Graph) -> tuple[float, float]:
     return float(np.max(g.degrees[g.edge_idx].sum(axis=1))), math.nan
 
 
-def consensus_violation(g: Graph, x: np.ndarray, normalize: bool = True) -> float:
+def consensus_violation(g: Graph, x: np.ndarray) -> float:
     """Largest disagreement ``max over edges (i, j) of ||x_i - x_j||``,
-    divided by ``sqrt(n)`` when ``normalize``."""
+    divided by ``sqrt(n)``."""
     d = x[g.edge_idx[:, 0]] - x[g.edge_idx[:, 1]]
-    cv = float(np.max(np.linalg.norm(d, axis=1)))
-    if normalize:
-        cv /= math.sqrt(x.shape[1])
-    return cv
+    return float(np.max(np.linalg.norm(d, axis=1))) / math.sqrt(x.shape[1])

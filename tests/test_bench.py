@@ -59,8 +59,8 @@ class TestGenerateInstance:
     def test_desk_scale_shapes(self):
         inst = generate_instance(1, "star", 5, 10, 10, seed=7)
         assert inst.n == 100
-        assert inst.m == 10
-        assert inst.beta1 == pytest.approx(0.2)
+        assert all(p.loss.num_rows == 10 for p in inst.nodes)
+        assert all(p.reg.beta1 == pytest.approx(0.2) for p in inst.nodes)
         assert all(p.loss.A.shape == (10, 100) for p in inst.nodes)
         first = inst.nodes[0].reg.partition
         for p in inst.nodes[1:]:
@@ -149,10 +149,8 @@ class TestReferenceSolve:
         inst = small_instance()
         ref = reference_solve(inst, cache=False)
         assert ref.converged
-        N = inst.N
-        combined = SparseGroupReg(
-            N * inst.beta1, N * inst.beta2, inst.nodes[0].reg.partition
-        )
+        N, reg = len(inst.nodes), inst.nodes[0].reg
+        combined = SparseGroupReg(N * reg.beta1, N * reg.beta2, reg.partition)
         grad = sum(p.loss.grad(ref.x_ref) for p in inst.nodes)
         assert combined.subgrad_residual(1.0, grad, ref.x_ref) <= 1e-9
         f_direct = sum(p.loss.value(ref.x_ref) for p in inst.nodes)
@@ -200,7 +198,6 @@ class TestReferenceSolve:
             )
             for p in inst.nodes
         ]
-        inst.beta1 = inst.beta2 = 0.0
         ref = _reference_case1(inst, 1e-9)
         lip = sum(p.loss.lipschitz for p in inst.nodes)
         x = np.zeros(inst.n)
@@ -305,9 +302,8 @@ class TestReferenceRestart:
         plain = self.plain_reference(inst, monkeypatch)
         restarted = _reference_case1(inst, 1e-9)
         assert plain.converged and restarted.converged
-        combined = SparseGroupReg(
-            N * inst.beta1, N * inst.beta2, inst.nodes[0].reg.partition
-        )
+        reg = inst.nodes[0].reg
+        combined = SparseGroupReg(N * reg.beta1, N * reg.beta2, reg.partition)
         grad = sum(p.loss.grad(restarted.x_ref) for p in inst.nodes)
         assert combined.subgrad_residual(1.0, grad, restarted.x_ref) <= 1e-9
         assert restarted.f_star == pytest.approx(plain.f_star, rel=1e-12, abs=0.0)
@@ -424,6 +420,16 @@ class TestRunBenchmark:
         assert "error" in report.rows[0]
         assert report.means == []
 
+    @pytest.mark.parametrize("config, message", [
+        # {"seed": [1]} once ran the default seeds 1-5 without a word
+        ({"seed": [1]}, "unknown config keys: 'seed'"),
+        (dict(SMALL_CFG, sede=[1], Nodes=2), "unknown config keys: 'Nodes', 'sede'"),
+        ([["seeds", [1]]], "the config must be a JSON object"),
+    ])
+    def test_config_keys_must_be_the_defaults(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(config)
+
     def test_digest_tracks_config(self):
         assert config_digest({"a": 1}) != config_digest({"a": 2})
         assert len(config_digest({"a": 1})) == 16
@@ -435,8 +441,9 @@ class TestInstanceJson:
         path = tmp_path / "inst.json"
         instance_to_json(inst, str(path))
         back = instance_from_json(str(path))
-        for name in ("case", "topology", "N", "n_g", "K", "seed"):
+        for name in ("case", "topology", "n_g", "K", "seed"):
             assert getattr(back, name) == getattr(inst, name)
+        assert len(back.nodes) == len(inst.nodes)
         assert back.graph.edges == inst.graph.edges
         for pa, pb in zip(inst.nodes, back.nodes):
             assert np.array_equal(pa.loss.A, pb.loss.A)
@@ -458,6 +465,58 @@ class TestInstanceJson:
             instance_from_json(str(path))
 
 
+    def test_round_trip_keeps_each_nodes_weights(self, tmp_path):
+        # the file once held node 0's weights for every node, so node 2's
+        # delta = 2.0 read back as 1.0 and the content digest changed
+        inst = generate_instance(2, "star", 3, 4, 3, seed=2)
+        p, q = inst.nodes[1], inst.nodes[2]
+        inst.nodes[1] = NodeProblem(replace(p.reg, beta1=0.5, beta2=0.25), p.loss)
+        inst.nodes[2] = NodeProblem(q.reg, HuberLoss(q.loss.A, q.loss.b, delta=2.0))
+        path = tmp_path / "inst.json"
+        instance_to_json(inst, str(path))
+        back = instance_from_json(str(path))
+
+        def weights(instance):
+            return [(r.loss.delta, r.reg.beta1, r.reg.beta2) for r in instance.nodes]
+
+        assert weights(back) == weights(inst)
+        assert back.content_digest() == inst.content_digest()
+
+    def test_file_with_one_set_of_weights_rejected(self, tmp_path):
+        # the older format: delta, beta1 and beta2 once for all nodes
+        path = tmp_path / "inst.json"
+        instance_to_json(small_instance(), str(path))
+        raw = json.loads(path.read_text())
+        weights = ("delta", "beta1", "beta2")
+        nodes = [{k: v for k, v in e.items() if k not in weights} for e in raw["nodes"]]
+        shared = {k: raw["nodes"][0][k] for k in weights}
+        path.write_text(json.dumps(dict(raw, nodes=nodes, **shared)))
+        with pytest.raises(ValueError, match=(
+            r"node entry 0 lacks the key\(s\) 'delta', 'beta1', 'beta2'"
+        )):
+            instance_from_json(str(path))
+
+    @pytest.mark.parametrize("content, message", [
+        # {"N": 3} once raised KeyError: 'nodes', the others a TypeError
+        ({"N": 3}, r"inst.json lacks the key\(s\) 'case', 'topology', 'n_g'"),
+        (3, r"inst.json lacks the key\(s\) 'case'"),
+        ("nodes", r"inst.json lacks the key\(s\) 'case'"),
+    ])
+    def test_missing_key_is_named(self, tmp_path, content, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match=message):
+            instance_from_json(str(path))
+
+    def test_node_entry_must_be_an_object(self, tmp_path):
+        path = tmp_path / "inst.json"
+        instance_to_json(small_instance(), str(path))
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(raw, nodes=[1, 2])))
+        with pytest.raises(ValueError, match=r"node entry 0 lacks the key\(s\) 'A'"):
+            instance_from_json(str(path))
+
+
 class TestCli:
     ARGS = ["--topology", "star", "--nodes", "2", "--ng", "2",
             "--groups", "2", "--seed", "3"]
@@ -467,7 +526,7 @@ class TestCli:
         assert cli_main(["gen", *self.ARGS, "--out", str(out)]) == 0
         assert "n=4" in capsys.readouterr().out
         back = instance_from_json(str(out))
-        assert back.N == 2
+        assert len(back.nodes) == 2
 
     def test_ref_from_instance_file(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -507,7 +566,7 @@ class TestCli:
         inst_path = tmp_path / "inst.json"
         assert cli_main(["gen", *args, "--out", str(inst_path)]) == 0
         back = instance_from_json(str(inst_path))
-        assert back.N == 4
+        assert len(back.nodes) == 4
         assert back.graph.edges == ((1, 2), (2, 3), (3, 4))
         out = tmp_path / "run.csv"
         assert cli_main(["solve", "--alg", "dfal", *args, "--out", str(out)]) == 0
@@ -554,6 +613,30 @@ class TestCli:
         assert "Traceback" not in err
         errors = [ln for ln in err.splitlines() if ln.startswith("dfalopt: error: ")]
         assert len(errors) == 1
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--alg", "dfal", "--topology", "file", "--edge-file", "missing.txt"],
+         "No such file or directory: 'missing.txt'"),
+        (["ref", "--instance", "missing.json"], "No such file or directory"),
+        (["ref", "--instance", "."], "Is a directory"),
+        (["ref", "--instance", "partial.json"], "partial.json lacks the key(s) 'case'"),
+        (["bench", "--config", "seed.json"], "unknown config keys: 'seed'"),
+    ])
+    def test_unreadable_input_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        # a missing file and a file short of a key once gave tracebacks
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "partial.json").write_text(json.dumps({"N": 3}))
+        (tmp_path / "seed.json").write_text(json.dumps({"seed": [1]}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--out", "out.json"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if ln.startswith("dfalopt: error: ")]
+        assert len(errors) == 1 and message in errors[0]
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("flags, message", [

@@ -219,7 +219,7 @@ class TestNeighbourArrays:
                 )
             for expect in (quad, x.ravel() @ by_dense.ravel()):
                 assert abs(laplacian_quadratic(g, x) - expect) <= 1e-12
-            assert abs(consensus_violation(g, x, normalize=False) - cv) <= 1e-12
+            assert abs(consensus_violation(g, x) - cv / np.sqrt(n)) <= 1e-12
 
     def test_csr_rows_are_the_sorted_neighbours(self, rng):
         for g in self._graphs(rng):
@@ -288,7 +288,6 @@ class TestConsensusViolation:
     def test_largest_edge_disagreement(self):
         g = build_topology("star", 3)
         x = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-        assert consensus_violation(g, x, normalize=False) == 5.0
         assert consensus_violation(g, x) == 5.0 / np.sqrt(2.0)
 
     def test_zero_at_consensus(self, rng):
