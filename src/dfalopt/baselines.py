@@ -192,7 +192,8 @@ def _composite_prox(
         roundoff = np.finfo(float).eps * np.sqrt(np.vecdot(z, z) * np.vecdot(u, u))
         polish = running & (-slope <= roundoff)
         if polish.any():
-            v = sparse_group_min_norm(lay, g.take(lay.perm), up, t.repeat(n) * stack._b1, tau)
+            v = sparse_group_min_norm(lay, g.take(lay.perm), up, t.repeat(n) * stack._b1,
+                                      tau, np.maximum(tau, _TINY))
             Av = (Ap @ J(v).reshape(N, n, 1)) * free[:, :, None]
             step = J(v - (Apt @ (t_col[:, :, None] * np.linalg.solve(M, Av))).reshape(-1))
             u_pol = u - lay.scatter(step).reshape(N, n)

@@ -353,7 +353,9 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
 
     Individual run failures are recorded in their row and do not abort the
     rest of the matrix.  ``config`` replaces keys of
-    ``DEFAULT_BENCH_CONFIG``; a key it does not have is a ``ValueError``.
+    ``DEFAULT_BENCH_CONFIG``; a key it does not have, or a value that is not
+    an array where the default is one and a number elsewhere, is a
+    ``ValueError``.
     """
     cfg = dict(DEFAULT_BENCH_CONFIG)
     if config is not None:
@@ -363,6 +365,11 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         cfg.update(config)
+    for key, value in cfg.items():
+        kind = list if isinstance(DEFAULT_BENCH_CONFIG[key], list) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "a JSON array" if kind is list else "a number"
+            raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
     digest = config_digest(cfg)
     report = BenchReport(config=cfg, config_digest=digest)
 

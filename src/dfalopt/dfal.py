@@ -23,7 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .funcs import NodeProblem, NodeStack, huber_grad
+from .funcs import _TINY, NodeProblem, NodeStack, huber_grad
+from .funcs import sparse_group_min_norm, sparse_group_prox
 from .graph import (
     Graph,
     consensus_violation,
@@ -329,25 +330,18 @@ def _subproblem_objective(
 ) -> BlockObjective:
     """Penalized subproblem as a block objective over stacked iterates.
 
-    One event reads data bound here once per subproblem: its block gradient
-    reads the node's ``A_i``, ``A_i^T``, ``b_i`` and ``delta_i`` and its
-    neighbour index row; its prox is :meth:`NodeStack.prox_row`.  The full
-    gradient, the prox of all blocks and the residuals of the stopping test
-    come from ``stack`` (built from ``nodes`` when not given) for all blocks
-    at once.  ``block_residual`` is the event's own test: the residual of
-    the event's block gradient, by :meth:`NodeStack.residual_row`.
+    An event on node ``i`` runs the node's :func:`_event_kernels`, bound once
+    per subproblem: its block gradient, prox and ``block_residual`` (the
+    residual at that block gradient).  The full gradient, the prox of all
+    blocks and the stacked residuals come from ``stack`` (built from
+    ``nodes`` when not given) for all blocks at once.
     """
     if stack is None:
         stack = NodeStack(nodes)
     if xbar.shape != stack.shape:
         raise ValueError(f"expected xbar of shape {stack.shape}, got {xbar.shape}")
-    # per-event data, taken once per subproblem
-    ptr = graph.nbr_ptr
-    rows = [graph.nbr_idx[ptr[i]:ptr[i + 1]] for i in range(graph.num_nodes)]
-    xbar_rows = [xbar[r] for r in rows]
-    degrees = graph.degrees.tolist()
-    # the transposed view, not a contiguous copy, keeps the event bits
-    losses = [(p.loss.A, p.loss.A.T, p.loss.b, p.loss.delta) for p in nodes]
+    kernels = [_event_kernels(p, i, graph, lam, xbar) for i, p in enumerate(nodes)]
+    grads, proxes, tests = zip(*kernels)
 
     def value(Y: np.ndarray) -> float:
         return lam * stack.objective(Y) + 0.5 * laplacian_quadratic(graph, Y + xbar)
@@ -355,24 +349,56 @@ def _subproblem_objective(
     def smooth_grad(Y: np.ndarray) -> np.ndarray:
         return lam * stack.loss_grad(Y) + laplacian_apply(graph, Y + xbar)
 
-    def smooth_grad_block(i: int, Y: np.ndarray) -> np.ndarray:
-        y = Y[i]
-        q = lam * huber_grad(*losses[i], y) + degrees[i] * (y + xbar[i])
-        return q - np.add.reduce(Y.take(rows[i], axis=0) + xbar_rows[i])
-
     return BlockObjective(
         L=block_L,
         smooth_grad=smooth_grad,
-        smooth_grad_block=smooth_grad_block,
-        prox=lambda i, v, tau: stack.prox_row(i, v, tau * lam),
+        smooth_grad_block=lambda i, Y: grads[i](Y),
+        prox=lambda i, v, tau: proxes[i](v, tau),
         # each block at its own step 1/L_i, thresholds formed once
         prox_all=stack.prox_map((1.0 / block_L) * lam),
         residuals=stack.residual_map(lam),
         value=value,
-        block_residual=lambda j, Y: stack.residual_row(
-            j, lam, smooth_grad_block(j, Y), Y[j]
-        ),
+        block_residual=lambda j, Y: tests[j](Y),
     )
+
+
+def _event_kernels(
+    node: NodeProblem, i: int, graph: Graph, lam: float, xbar: np.ndarray
+) -> tuple[Callable, Callable, Callable]:
+    """Node ``i``'s event kernels, bound to the data they read, each bit for bit:
+    the block gradient ``Y -> lam grad_i(y_i) + d_i (y_i + xbar_i) - sum_j (y_j +
+    xbar_j)`` over the neighbours ``j``, the prox ``(v, tau) ->
+    node.reg.prox(v, tau * lam)`` and the residual test ``Y ->`` entry ``i`` of
+    ``NodeStack.residual_map(lam)`` at that block gradient."""
+    row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
+    # the transposed view, not a contiguous copy, keeps the event bits
+    A, At, b, delta = node.loss.A, node.loss.A.T, node.loss.b, node.loss.delta
+    lay, b1, b2, d = node.reg.partition.layout, node.reg.beta1, node.reg.beta2, row.size
+    perm, inverse, lb1, lb2 = lay.perm, lay.inverse, lam * b1, lam * b2
+    j = int(row[0]) if d == 1 else -1  # read only with one neighbour
+    xbar_i, xbar_j, xbar_nbrs, fl2 = xbar[i], xbar[j], xbar[row], max(lb2, _TINY)
+
+    def grad(Y: np.ndarray) -> np.ndarray:
+        y = Y[i]
+        q = lam * huber_grad(A, At, b, delta, y)
+        if d == 1:  # the reduce over one taken row is that row, and 1 * v is v
+            return q + (y + xbar_i) - (Y[j] + xbar_j)
+        return q + d * (y + xbar_i) - np.add.reduce(Y.take(row, axis=0) + xbar_nbrs)
+
+    def prox(v: np.ndarray, tau: float) -> np.ndarray:
+        t = tau * lam
+        if not t > 0:  # "not > 0" also rejects NaN
+            raise ValueError(f"prox step must be positive, got {t}")
+        thr2 = t * b2
+        out = sparse_group_prox(lay, v.take(perm), t * b1, thr2, max(thr2, _TINY))
+        return out.take(inverse)
+
+    def test(Y: np.ndarray) -> float:
+        gp, yp = grad(Y).take(perm), Y[i].take(perm)
+        out = sparse_group_min_norm(lay, gp, yp, lb1, lb2, fl2)
+        return math.sqrt(np.add.reduce(out * out))
+
+    return grad, prox, test
 
 
 def async_dfal_solve(

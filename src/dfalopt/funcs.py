@@ -27,18 +27,18 @@ class SegmentLayout:
     """Coordinates permuted so that each group is one contiguous segment.
 
     ``x[perm]`` lists segment 0's coordinates, then segment 1's, and so on;
-    segment ``s`` holds ``sizes[s]`` coordinates from ``starts[s]`` on.
-    Every segment is nonempty.
+    segment ``s`` holds ``sizes[s]`` coordinates from ``starts[s]`` on, and
+    ``xp[inverse]`` undoes the gather.  Every segment is nonempty.
     """
 
-    __slots__ = ("perm", "sizes", "starts", "_inverse")
+    __slots__ = ("perm", "sizes", "starts", "inverse")
 
     def __init__(self, perm: np.ndarray, sizes: np.ndarray):
         self.perm = np.asarray(perm, dtype=np.intp)
         self.sizes = np.asarray(sizes, dtype=np.intp)
         self.starts = np.zeros(self.sizes.size, dtype=np.intp)
         np.cumsum(self.sizes[:-1], out=self.starts[1:])
-        self._inverse = np.argsort(self.perm)
+        self.inverse = np.argsort(self.perm)
 
     @classmethod
     def stacked(cls, layouts: Sequence["SegmentLayout"]) -> "SegmentLayout":
@@ -64,7 +64,7 @@ class SegmentLayout:
 
     def scatter(self, xp: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`gather` (flat result)."""
-        return xp[self._inverse]
+        return xp[self.inverse]
 
     def norms(self, xp: np.ndarray) -> np.ndarray:
         """Euclidean norm of each segment of a permuted vector."""
@@ -75,25 +75,16 @@ class SegmentLayout:
         return per_segment.repeat(self.sizes)
 
 
-_TINY = np.finfo(float).tiny
-
-
-def _group_shrink(norms: np.ndarray, thr) -> np.ndarray:
-    """Per-segment factor ``max(1 - thr / norm, 0)``.
-
-    A segment with ``norm <= thr`` gets exactly 0 (``thr / thr == 1``); a
-    zero-norm segment with ``thr == 0`` gets 1, harmless since it scales zeros.
-    """
-    return 1.0 - thr / np.maximum(np.maximum(norms, thr), _TINY)
-
-
 def _clip(x: np.ndarray, bound) -> np.ndarray:
     """``np.clip(x, -bound, bound)`` with less call overhead."""
     return np.minimum(np.maximum(x, -bound), bound)
 
 
-# Kernels on permuted coordinates.  Weights are scalars or arrays: the
-# l1 weights per permuted coordinate, the group weights per segment.
+# Kernels on permuted coordinates, helpers written out.  Weights are scalars or
+# arrays: l1 weights per permuted coordinate, group weights ``thr`` and their
+# floors ``max(thr, _TINY)`` per segment.  The shrink ``1 - thr / max(norm,
+# floor)`` is exactly 0 where ``norm <= thr``, and 1 where ``norm == thr == 0``.
+_TINY = np.finfo(float).tiny
 
 
 def sparse_group_value(lay: SegmentLayout, xp: np.ndarray, b1, b2) -> float:
@@ -101,19 +92,21 @@ def sparse_group_value(lay: SegmentLayout, xp: np.ndarray, b1, b2) -> float:
     return float(np.sum(b1 * np.abs(xp)) + np.sum(b2 * lay.norms(xp)))
 
 
-def sparse_group_prox(lay: SegmentLayout, xp: np.ndarray, thr1, thr2) -> np.ndarray:
+def sparse_group_prox(lay: SegmentLayout, xp: np.ndarray, thr1, thr2, fl2) -> np.ndarray:
     """Prox of ``thr1 ||.||_1 + sum_s thr2_s ||._s||`` (Friedman, Hastie and
-    Tibshirani): soft-threshold at ``thr1``, then shrink each segment toward
-    zero by its norm; a segment whose thresholded norm is at most ``thr2``
-    maps to zero."""
-    eta = xp - _clip(xp, thr1)
-    return eta * lay.spread(_group_shrink(lay.norms(eta), thr2))
+    Tibshirani), ``fl2`` the floors of ``thr2``: soft-threshold at ``thr1``,
+    then shrink each segment toward zero by its norm; a segment whose
+    thresholded norm is at most ``thr2`` maps to zero."""
+    eta = xp - np.minimum(np.maximum(xp, -thr1), thr1)
+    norms = np.sqrt(np.add.reduceat(eta * eta, lay.starts))
+    return eta * (1.0 - thr2 / np.maximum(norms, fl2)).repeat(lay.sizes)
 
 
 def sparse_group_min_norm(
-    lay: SegmentLayout, gp: np.ndarray, xp: np.ndarray, lb1, lb2
+    lay: SegmentLayout, gp: np.ndarray, xp: np.ndarray, lb1, lb2, fl2
 ) -> np.ndarray:
-    """Minimum-norm element of ``d(lb1 ||.||_1 + sum_s lb2_s ||._s||)(x) + g``.
+    """Minimum-norm element of ``d(lb1 ||.||_1 + sum_s lb2_s ||._s||)(x) + g``,
+    ``fl2`` the floors of ``lb2``.
 
     The l1 part is ``lb1 sign(x_j)`` on a nonzero coordinate and the clipped
     ``-g_j`` on a zero one, which leaves ``v``.  A segment holding a nonzero
@@ -121,12 +114,13 @@ def sparse_group_min_norm(
     the group part is the point of the ``lb2``-ball nearest to ``-v``, which
     leaves ``v`` shrunk by ``lb2``.  Zero tests are exact.
     """
-    zero = xp == 0.0
-    v = gp + lb1 * np.sign(xp) - zero * _clip(gp, lb1)
-    nonzero = np.logical_or.reduceat(~zero, lay.starts)
-    x_norms = np.where(nonzero, lay.norms(xp), 1.0)
-    v_scale = np.where(nonzero, 1.0, _group_shrink(lay.norms(v), lb2))
-    return v * lay.spread(v_scale) + xp * lay.spread(lb2 / x_norms)
+    zero, starts, sizes = xp == 0.0, lay.starts, lay.sizes
+    v = gp + lb1 * np.sign(xp) - zero * np.minimum(np.maximum(gp, -lb1), lb1)
+    nonzero = np.logical_or.reduceat(~zero, starts)
+    x_norms = np.where(nonzero, np.sqrt(np.add.reduceat(xp * xp, starts)), 1.0)
+    v_norms = np.sqrt(np.add.reduceat(v * v, starts))
+    v_scale = np.where(nonzero, 1.0, 1.0 - lb2 / np.maximum(v_norms, fl2))
+    return v * v_scale.repeat(sizes) + xp * (lb2 / x_norms).repeat(sizes)
 
 
 @dataclass(frozen=True)
@@ -205,8 +199,8 @@ class SparseGroupReg:
         # "not > 0" also rejects NaN
         if not t > 0:
             raise ValueError(f"prox step must be positive, got {t}")
-        lay = self.partition.layout
-        out = sparse_group_prox(lay, lay.gather(xbar), t * self.beta1, t * self.beta2)
+        lay, thr1, thr2 = self.partition.layout, t * self.beta1, t * self.beta2
+        out = sparse_group_prox(lay, lay.gather(xbar), thr1, thr2, max(thr2, _TINY))
         return lay.scatter(out)
 
     def min_norm_subgradient(
@@ -218,10 +212,10 @@ class SparseGroupReg:
         outputs (which produce exact zeros) or extrapolated points where the
         nonzero branch is safe.
         """
-        lay = self.partition.layout
+        lay, lb2 = self.partition.layout, lam * self.beta2
         out = sparse_group_min_norm(
             lay, lay.gather(grad_f), lay.gather(xbar),
-            lam * self.beta1, lam * self.beta2,
+            lam * self.beta1, lb2, max(lb2, _TINY),
         )
         return lay.scatter(out)
 
@@ -237,7 +231,7 @@ def huber_grad(
 ) -> np.ndarray:
     """Huber loss gradient ``At @ clip(A @ x - b, -delta, delta)``, with ``At``
     the transpose of ``A``; no checks, so callers validate shapes once."""
-    return At @ _clip(A @ x - b, delta)
+    return At @ np.minimum(np.maximum(A @ x - b, -delta), delta)
 
 
 def huber_scalar(r: np.ndarray, delta: float) -> np.ndarray:
@@ -367,8 +361,6 @@ class NodeStack:
         layouts = [p.reg.partition.layout for p in nodes]
         self.shape = (N, n)
         self.layout = SegmentLayout.stacked(layouts)
-        self._layouts = layouts
-        self._betas = [(p.reg.beta1, p.reg.beta2) for p in nodes]
         num_segments = [lay.num_segments for lay in layouts]
         self._seg_node = np.repeat(np.arange(N), num_segments)
         ends = np.cumsum(num_segments).tolist()
@@ -412,26 +404,16 @@ class NodeStack:
         if not np.all(t > 0):
             raise ValueError("prox steps must be positive")
         lay, shape, perm = self.layout, self.shape, self.layout.perm
-        thr1 = np.repeat(t, shape[1]) * self._b1
-        thr2 = t[self._seg_node] * self._b2
+        thr1, thr2 = np.repeat(t, shape[1]) * self._b1, t[self._seg_node] * self._b2
+        fl2 = np.maximum(thr2, _TINY)
 
         def prox(V: np.ndarray) -> np.ndarray:
             if V.shape != shape:
                 raise ValueError(f"expected shape {shape}, got {V.shape}")
-            out = sparse_group_prox(lay, V.take(perm), thr1, thr2)
+            out = sparse_group_prox(lay, V.take(perm), thr1, thr2, fl2)
             return lay.scatter(out).reshape(shape)
 
         return prox
-
-    def prox_row(self, i: int, v: np.ndarray, t: float) -> np.ndarray:
-        """``nodes[i].reg.prox(v, t)`` bit for bit, from the node's own segment
-        layout and weights."""
-        # "not > 0" also rejects NaN
-        if not t > 0:
-            raise ValueError(f"prox step must be positive, got {t}")
-        lay = self._layouts[i]
-        b1, b2 = self._betas[i]
-        return lay.scatter(sparse_group_prox(lay, v[lay.perm], t * b1, t * b2))
 
     def residual_map(self, lam) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """``(G, Y) ->`` the array whose entry ``i`` is
@@ -440,20 +422,13 @@ class NodeStack:
         lay, shape, perm = self.layout, self.shape, self.layout.perm
         lam = np.broadcast_to(np.asarray(lam, dtype=float), shape[:1])
         lb1, lb2 = np.repeat(lam, shape[1]) * self._b1, lam[self._seg_node] * self._b2
+        fl2 = np.maximum(lb2, _TINY)
 
         def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
             if G.shape != shape or Y.shape != shape:
                 raise ValueError(f"expected shape {shape}, got {G.shape} and {Y.shape}")
-            out = sparse_group_min_norm(lay, G.take(perm), Y.take(perm), lb1, lb2)
+            out = sparse_group_min_norm(lay, G.take(perm), Y.take(perm), lb1, lb2, fl2)
             # segment order keeps each node's coordinates in its own row
             return np.sqrt(np.add.reduce(out.reshape(shape) ** 2, axis=1))
 
         return residuals
-
-    def residual_row(self, i: int, lam: float, g: np.ndarray, y: np.ndarray) -> float:
-        """Entry ``i`` of :meth:`residual_map` from rows ``g`` and ``y`` alone, bit
-        for bit: the node's own segments in the same order, the same weights."""
-        lay = self._layouts[i]
-        b1, b2 = self._betas[i]
-        out = sparse_group_min_norm(lay, g[lay.perm], y[lay.perm], lam * b1, lam * b2)
-        return math.sqrt(np.add.reduce(out * out))

@@ -430,6 +430,20 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=message):
             run_benchmark(config)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        # {"seeds": 5} once ended in a TypeError, and "star" once ran the
+        # one-letter topologies, each as an error row
+        ("seeds", 5, "a JSON array"),
+        ("topologies", "star", "a JSON array"),
+        ("cases", None, "a JSON array"),
+        ("N", "2", "a number"),
+        ("budget_secs", True, "a number"),
+        ("c", [0.7], "a number"),
+    ])
+    def test_config_values_must_be_of_the_defaults_kind(self, key, value, kind):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be {kind}, got"):
+            run_benchmark(dict(self.SMALL_CFG, **{key: value}))
+
     def test_digest_tracks_config(self):
         assert config_digest({"a": 1}) != config_digest({"a": 2})
         assert len(config_digest({"a": 1})) == 16
@@ -622,6 +636,7 @@ class TestCli:
         (["ref", "--instance", "."], "Is a directory"),
         (["ref", "--instance", "partial.json"], "partial.json lacks the key(s) 'case'"),
         (["bench", "--config", "seed.json"], "unknown config keys: 'seed'"),
+        (["bench", "--config", "seeds.json"], "config key 'seeds' must be a JSON array"),
     ])
     def test_unreadable_input_is_one_error_line(
         self, tmp_path, monkeypatch, capsys, argv, message
@@ -630,6 +645,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "partial.json").write_text(json.dumps({"N": 3}))
         (tmp_path / "seed.json").write_text(json.dumps({"seed": [1]}))
+        (tmp_path / "seeds.json").write_text(json.dumps({"seeds": 5}))
         with pytest.raises(SystemExit) as exc:
             cli_main([*argv, "--out", "out.json"])
         assert exc.value.code == 2

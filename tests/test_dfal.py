@@ -602,35 +602,71 @@ class TestNodeStack:
 
 
 class TestEventPath:
-    """The per-event kernels bound once per subproblem against the formulas
-    they replaced, bit for bit, and the early-exit residual test against the
+    """The per-event kernels bound once per subproblem against the per-node
+    formulas, bit for bit, and the early-exit residual test against the
     event's own block gradient."""
 
-    @staticmethod
-    def _subproblems(rng):
+    # a path (degree-1 ends, degree-2 middle nodes) and a ring
+    EDGE_FILES = {
+        "path": "5\n1 2\n2 3\n3 4\n4 5\n",
+        "ring": "5\n1 2\n2 3\n3 4\n4 5\n1 5\n",
+    }
+
+    @classmethod
+    def _instances(cls, tmp_path):
         for case in (1, 2):
             for topology in ("star", "clique"):
                 inst = generate_instance(case, topology, 5, 10, 10, seed=3)
-                stack = NodeStack(inst.nodes)
-                for _ in range(4):
-                    lam = float(rng.uniform(0.1, 2.0))
-                    xbar = rng.standard_normal(stack.shape)
-                    obj = _subproblem_objective(
-                        inst.nodes, inst.graph, lam, xbar, np.ones(5), stack
-                    )
-                    V = 3.0 * rng.standard_normal(stack.shape)
-                    # prox outputs carry exact zeros, whole zero groups too
-                    for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V)):
-                        yield inst, lam, xbar, obj, Y
+                yield inst.nodes, inst.graph
+        for case, name in ((1, "path"), (2, "ring")):
+            (tmp_path / name).write_text(cls.EDGE_FILES[name])
+            inst = generate_instance(case, "edge-file", 5, 10, 10, seed=3,
+                                     edge_file=str(tmp_path / name))
+            nodes = list(inst.nodes)
+            # no group weight at nodes 0 and 2: where a norm is 0 only the
+            # floor keeps the shrink finite, which node 2's huge l1 weight
+            # forces (its prox zeroes every group, and its residual clips the
+            # gradient to 0 on a zero group); no l1 weight at node 3
+            for i, b1, b2 in ((0, 0.3, 0.0), (2, 1e6, 0.0), (3, 0.0, 0.3)):
+                reg = SparseGroupReg(b1, b2, nodes[i].reg.partition)
+                nodes[i] = replace(nodes[i], reg=reg)
+            yield nodes, inst.graph
 
-    def test_residual_test_reuses_the_event_gradient(self, rng):
-        for inst, lam, _, obj, Y in self._subproblems(rng):
-            stack = NodeStack(inst.nodes)
+    @classmethod
+    def _subproblems(cls, rng, tmp_path):
+        for nodes, graph in cls._instances(tmp_path):
+            stack = NodeStack(nodes)
+            for _ in range(4):
+                lam = float(rng.uniform(0.1, 2.0))
+                xbar = rng.standard_normal(stack.shape)
+                obj = _subproblem_objective(nodes, graph, lam, xbar, np.ones(5), stack)
+                V = 3.0 * rng.standard_normal(stack.shape)
+                # a zero group per node, whose norm is 0
+                Z = V.copy()
+                for i, p in enumerate(nodes):
+                    Z[i, p.reg.partition.groups[0]] = 0.0
+                # prox outputs carry exact zeros, whole zero groups too
+                for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V), Z):
+                    yield nodes, graph, lam, xbar, obj, Y
+
+    def test_instances_cover_every_degree_and_zero_weights(self, tmp_path):
+        degrees, betas = set(), set()
+        for nodes, graph in self._instances(tmp_path):
+            degrees.update(graph.degrees.tolist())
+            betas.update((p.reg.beta1 == 0, p.reg.beta2 == 0) for p in nodes)
+        assert degrees == {1, 2, 4}
+        assert betas == {(False, False), (True, False), (False, True)}
+
+    def test_residual_test_reuses_the_event_gradient(self, rng, tmp_path):
+        for nodes, _, lam, _, obj, Y in self._subproblems(rng, tmp_path):
             stacked = obj.residuals(obj.smooth_grad(Y), Y)
             r = [obj.block_residual(j, Y) for j in range(5)]
-            for j in range(5):
+            for j, node in enumerate(nodes):
                 g = obj.smooth_grad_block(j, Y)
-                assert r[j] == stack.residual_row(j, lam, g, Y[j])
+                # summed in segment order, as the stack lays it out
+                v = node.reg.min_norm_subgradient(lam, g, Y[j])
+                v = v[node.reg.partition.layout.perm]
+                assert r[j] == math.sqrt(np.add.reduce(v * v))
                 # the stacked gradient sums the neighbours by reduceat, so
                 # its row may differ from the event's in the last bit
                 assert abs(r[j] - stacked[j]) <= 1e-15 * stacked[j]
@@ -638,10 +674,9 @@ class TestEventPath:
             for t in (np.nextafter(worst, -np.inf), worst, np.nextafter(worst, np.inf)):
                 assert obj.residual_reached(Y, t) == (worst <= t)
 
-    def test_event_gradient_and_prox_match_the_per_node_formulas(self, rng):
-        for inst, lam, xbar, obj, Y in self._subproblems(rng):
-            graph, stack = inst.graph, NodeStack(inst.nodes)
-            for i, node in enumerate(inst.nodes):
+    def test_event_gradient_and_prox_match_the_per_node_formulas(self, rng, tmp_path):
+        for nodes, graph, lam, xbar, obj, Y in self._subproblems(rng, tmp_path):
+            for i, node in enumerate(nodes):
                 A, b, delta = node.loss.A, node.loss.b, node.loss.delta
                 nbrs = np.array(graph.neighbors(i + 1)) - 1
                 expect = lam * (A.T @ np.clip(A @ Y[i] - b, -delta, delta))
@@ -651,7 +686,6 @@ class TestEventPath:
                 tau = float(rng.uniform(0.1, 2.0))
                 expect = node.reg.prox(Y[i], tau * lam)
                 assert np.array_equal(obj.prox(i, Y[i], tau), expect)
-                assert np.array_equal(stack.prox_row(i, Y[i], tau * lam), expect)
 
     def test_event_prox_rejects_a_nan_step(self):
         inst = generate_instance(1, "star", 3, 4, 3, seed=5)
@@ -660,10 +694,9 @@ class TestEventPath:
         )
         with pytest.raises(ValueError, match="prox step must be positive, got nan"):
             obj.prox(0, np.ones(12), np.nan)
-        stack = NodeStack(inst.nodes)
         for t in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="prox step must be positive"):
-                stack.prox_row(1, np.ones(12), t)
+                obj.prox(1, np.ones(12), t)
 
     def test_xbar_shape_checked_once_per_subproblem(self):
         inst = generate_instance(1, "star", 3, 4, 3, seed=5)
@@ -718,7 +751,6 @@ class TestBoundKernels:
                 v = node.reg.min_norm_subgradient(lams[i], G[i], Y[i])
                 v = v[node.reg.partition.layout.perm]
                 assert r[i] == math.sqrt(np.add.reduce(v * v))
-                assert r[i] == stack.residual_row(i, lams[i], G[i], Y[i])
                 # norm() takes a BLAS dot, so it may differ in the last bits
                 assert r[i] == pytest.approx(
                     node.reg.subgrad_residual(lams[i], G[i], Y[i]), rel=1e-14

@@ -509,6 +509,23 @@ class TestVectorizedKernels:
         with pytest.raises(ValueError):
             lay.gather(np.zeros(4))
 
+    def test_group_floor_folds_into_the_threshold(self):
+        # the kernels take the floor max(thr, tiny), formed once where the
+        # weights are bound, in place of the guard max(max(norm, thr), tiny)
+        rng = np.random.default_rng(96)
+        tiny = funcs._TINY
+        special = np.array([0.0, tiny / 8, tiny, 3 * tiny, 1e-300, 1.0, np.inf, np.nan])
+        for _ in range(300):
+            norms = rng.exponential(size=40)
+            pick = rng.random(40) < 0.5
+            norms[pick] = rng.choice(special, size=pick.sum())
+            per_segment = rng.choice(special, size=40)
+            for thr in (*special.tolist(), float(rng.exponential()), per_segment):
+                guard = np.maximum(np.maximum(norms, thr), tiny).tobytes()
+                assert np.maximum(norms, np.maximum(thr, tiny)).tobytes() == guard
+                if np.ndim(thr) == 0:
+                    assert np.maximum(norms, max(thr, tiny)).tobytes() == guard
+
 
 def _apg_slack(n, L, y, g):
     """``ms_apg``'s rounding slack: 16 (n + 8) unit roundoffs of
