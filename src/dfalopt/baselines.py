@@ -66,13 +66,13 @@ def _huber_prox(
     system into one ``|F| x |F|`` solve, batched over the nodes whose ``F``
     have one size.  An Armijo backtracking search on the objective makes the
     method converge from any start.  Each node keeps its own test, direction,
-    step and pass count, and leaves the loop once its test holds; where the
-    nodes share one ``m`` its row is a per-node loop's bit for bit.  Returns
-    the points and the passes per node, one gradient each.
+    step and pass count, and retires once its test holds (a zero direction from
+    then on); where the nodes share one ``m`` its row is a per-node loop's bit
+    for bit.  Returns the points and the passes per node, one gradient each.
     """
     u = np.array(starts, dtype=float)
-    U, act = np.empty_like(u), np.arange(len(u))
-    passes = np.zeros(len(u), dtype=np.int64)
+    U, passes = np.empty_like(u), np.zeros(len(u), dtype=np.int64)
+    running = np.ones(len(u), dtype=bool)
     A, b, delta, C = stack._A, stack._b, stack._delta, centers
     t = np.asarray(t, dtype=float)[:, None]
     for k in range(1, NEWTON_CAP + 1):
@@ -85,16 +85,17 @@ def _huber_prox(
         # a node that is done has a finite gradient norm
         if not np.isfinite(g_norm).all():
             raise FloatingPointError(f"non-finite Huber prox gradient at pass {k}")
-        done = g_norm <= NESTED_TOL
+        done = running & (g_norm <= NESTED_TOL)
         if done.any():
-            U[act[done]], passes[act[done]] = u[done], k
-            if done.all():
+            U[done], passes[done], running = u[done], k, running & ~done
+            if not running.any():
                 return U, passes
-            keep = ~done
-            act, u, r, w, g = act[keep], u[keep], r[keep], w[keep], g[keep]
-            A, b, delta, C, t = A[keep], b[keep], delta[keep], C[keep], t[keep]
-        # a padded row has threshold 0, so it is never inside
+        # a padded row has threshold 0, so it is never inside; a retired node
+        # has no row inside and a zero gradient, so its direction is zero
         inside = np.abs(r) < delta
+        if not running.all():
+            inside &= running[:, None]
+            g *= running[:, None]
         sizes = inside.sum(axis=1)
         P = np.empty_like(g)
         F_sizes = sorted(set(sizes.tolist()))
@@ -109,7 +110,7 @@ def _huber_prox(
         q = (A @ P[:, :, None])[:, :, 0]
         descent = (1.0 - ARMIJO) * np.vecdot(g, P)
         half_pp = 0.5 * np.vecdot(P, P)
-        s = np.ones(len(act))
+        s = np.ones(len(u))
         while True:
             # objective change at step s less ARMIJO * s * g.p, summed without
             # cancellation: with w = clip(r), each Huber term changes by
@@ -141,11 +142,11 @@ def _composite_prox(
     at ``NESTED_TOL``.  Returns the points and the points tried per node, one
     gradient and one prox each.
     """
-    prox, residuals, lay = stack.prox_map(t), stack.residual_map(t), stack.layout
+    prox, residuals, part = stack.prox_map(t), stack.residual_map(t), stack.partition
     (N, n), A, At, b, delta = stack.shape, stack._A, stack._At, stack._b, stack._delta
     t_col, tau, m = t[:, None], t[stack._seg_node] * stack._b2, b.shape[1]
     # the loss columns in segment order, per node and side by side
-    Ap = np.take_along_axis(A, (lay.perm.reshape(N, n) % n)[:, None, :], axis=2)
+    Ap = np.take_along_axis(A, (part.perm.reshape(N, n) % n)[:, None, :], axis=2)
     Apt, Apm = Ap.transpose(0, 2, 1), Ap.transpose(1, 0, 2).reshape(m, N * n)
     w = _clip((A @ starts[:, :, None])[:, :, 0] - b, delta)
     z = centers - t_col * (At @ w[:, :, None])[:, :, 0]
@@ -171,15 +172,15 @@ def _composite_prox(
         # J, the prox's generalized Jacobian (Zhang, Zhang, Sun and Toh 2020), is
         # a I + (1 - a) u_s u_s^T / ||u_s||^2 on group s's nonzeros, a = ||u_s||
         # / (||u_s|| + tau_s): d holds a and h h^T the rest
-        up = u.take(lay.perm)
-        norms = lay.norms(up)
+        up = u.take(part.perm)
+        norms = part.norms(up)
         a = norms / np.maximum(norms + tau, _TINY)
-        d = lay.spread(a) * (up != 0.0)
-        h = up * lay.spread(np.sqrt(1.0 - a) / np.maximum(norms, _TINY))
+        d = part.spread(a) * (up != 0.0)
+        h = up * part.spread(np.sqrt(1.0 - a) / np.maximum(norms, _TINY))
 
         def J(x: np.ndarray) -> np.ndarray:  # along the last axis, in segment order
-            group = np.add.reduceat(h * x, lay.starts, axis=-1)
-            return d * x + h * np.repeat(group, lay.sizes, axis=-1)
+            group = np.add.reduceat(h * x, part.starts, axis=-1)
+            return d * x + h * np.repeat(group, part.sizes, axis=-1)
 
         AJA = J(Apm).reshape(m, N, n).transpose(1, 0, 2) @ Apt
         M = np.eye(m) + t_col[:, :, None] * (AJA * (free[:, :, None] & free[:, None, :]))
@@ -192,11 +193,11 @@ def _composite_prox(
         roundoff = np.finfo(float).eps * np.sqrt(np.vecdot(z, z) * np.vecdot(u, u))
         polish = running & (-slope <= roundoff)
         if polish.any():
-            v = sparse_group_min_norm(lay, g.take(lay.perm), up, t.repeat(n) * stack._b1,
+            v = sparse_group_min_norm(part, g.take(part.perm), up, t.repeat(n) * stack._b1,
                                       tau, np.maximum(tau, _TINY))
             Av = (Ap @ J(v).reshape(N, n, 1)) * free[:, :, None]
             step = J(v - (Apt @ (t_col[:, :, None] * np.linalg.solve(M, Av))).reshape(-1))
-            u_pol = u - lay.scatter(step).reshape(N, n)
+            u_pol = u - part.scatter(step).reshape(N, n)
             g_pol = t_col * stack.loss_grad(u_pol) + (u_pol - centers)
             done, tried = polish & (residuals(g_pol, u_pol) <= NESTED_TOL), tried + polish
             U[done], running = u_pol[done], running & ~done

@@ -74,8 +74,8 @@ def _apg_trace(ref) -> RunTrace:
     trace = RunTrace("apg", config={})
     # a gradient per iteration; the one whose residual test stops it has no prox
     ledger = CommLedger(1)
-    ledger.charge_grad(1, ref.iterations)
-    ledger.charge_prox(1, ref.iterations - ref.converged)
+    ledger.grad_evals += ref.iterations
+    ledger.prox_evals += ref.iterations - ref.converged
     trace.record(
         k=1, lam=0.0, F_sum=ref.f_star, reference=ref.f_star, CV=0.0,
         ledger=ledger, dual_norm=0.0, inner_iters=ref.iterations,

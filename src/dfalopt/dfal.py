@@ -289,12 +289,13 @@ def dfal_solve(
         subproblem = _subproblem_objective(
             nodes, graph, lam, state.xbar, block_L, stack
         )
-        # the warm start is already delivered, so its broadcast is free
+        # the first gradient is at the warm start, which is already delivered
         warm_start = True
 
         def smooth_grad(Y: np.ndarray) -> np.ndarray:
             nonlocal warm_start
-            net.broadcast_state(Y, charge=not warm_start)
+            if not warm_start:
+                net.broadcast_state(Y)
             warm_start = False
             return subproblem.smooth_grad(net.delivered)
 
@@ -373,8 +374,8 @@ def _event_kernels(
     row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
     # the transposed view, not a contiguous copy, keeps the event bits
     A, At, b, delta = node.loss.A, node.loss.A.T, node.loss.b, node.loss.delta
-    lay, b1, b2, d = node.reg.partition.layout, node.reg.beta1, node.reg.beta2, row.size
-    perm, inverse, lb1, lb2 = lay.perm, lay.inverse, lam * b1, lam * b2
+    part, b1, b2, d = node.reg.partition, node.reg.beta1, node.reg.beta2, row.size
+    perm, inverse, lb1, lb2 = part.perm, part.inverse, lam * b1, lam * b2
     j = int(row[0]) if d == 1 else -1  # read only with one neighbour
     xbar_i, xbar_j, xbar_nbrs, fl2 = xbar[i], xbar[j], xbar[row], max(lb2, _TINY)
 
@@ -390,12 +391,12 @@ def _event_kernels(
         if not t > 0:  # "not > 0" also rejects NaN
             raise ValueError(f"prox step must be positive, got {t}")
         thr2 = t * b2
-        out = sparse_group_prox(lay, v.take(perm), t * b1, thr2, max(thr2, _TINY))
+        out = sparse_group_prox(part, v.take(perm), t * b1, thr2, max(thr2, _TINY))
         return out.take(inverse)
 
     def test(Y: np.ndarray) -> float:
         gp, yp = grad(Y).take(perm), Y[i].take(perm)
-        out = sparse_group_min_norm(lay, gp, yp, lb1, lb2, fl2)
+        out = sparse_group_min_norm(part, gp, yp, lb1, lb2, fl2)
         return math.sqrt(np.add.reduce(out * out))
 
     return grad, prox, test

@@ -2,15 +2,15 @@
 closed-form proximal maps, and the minimum-norm subgradient residual used as
 the distributed stopping test.
 
-Sparse-group kernels work on a segment layout.  A :class:`SegmentLayout`
-holds a permutation ``perm`` of the coordinates under which every group is
-one contiguous segment, plus the segment starts and sizes.  Group norms are
-then one ``np.add.reduceat`` over the permuted squares, and a per-group
-factor reaches its coordinates by ``np.repeat`` over the segment sizes.  The
-same kernels serve one regularizer (:class:`SparseGroupReg`, one node's K
-segments over ``n`` coordinates) and all nodes at once (:class:`NodeStack`,
-N*K segments over the ``N*n`` coordinates of a stacked iterate, with
-per-node weights), so nodes may each have their own partition.
+Sparse-group kernels read a :class:`GroupPartition` as a segment layout: a
+permutation ``perm`` of the coordinates under which every group is one
+contiguous segment, plus the segment starts and sizes.  Group norms are then
+one ``np.add.reduceat`` over the permuted squares, and a per-group factor
+reaches its coordinates by ``np.repeat`` over the segment sizes.  The same
+kernels serve one regularizer (:class:`SparseGroupReg`, one node's K groups
+over ``n`` coordinates) and all nodes at once (:class:`NodeStack`, the N*K
+groups of :meth:`GroupPartition.stacked` over the ``N*n`` coordinates of a
+stacked iterate, with per-node weights), so each node has its own partition.
 """
 
 from __future__ import annotations
@@ -23,43 +23,61 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-class SegmentLayout:
-    """Coordinates permuted so that each group is one contiguous segment.
+@dataclass(frozen=True)
+class GroupPartition:
+    """Disjoint cover of the coordinate indices ``[0, n)`` into K groups.
 
-    ``x[perm]`` lists segment 0's coordinates, then segment 1's, and so on;
-    segment ``s`` holds ``sizes[s]`` coordinates from ``starts[s]`` on, and
-    ``xp[inverse]`` undoes the gather.  Every segment is nonempty.
+    Groups are stored as sorted 0-based index arrays, and listed in order as
+    contiguous segments: ``x[perm]`` lists group 0's coordinates, then group
+    1's, and so on; segment ``s`` holds ``sizes[s]`` coordinates from
+    ``starts[s]`` on, and ``xp[inverse]`` undoes the gather.
     """
 
-    __slots__ = ("perm", "sizes", "starts", "inverse")
+    n: int
+    groups: tuple[np.ndarray, ...]
+    perm: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, perm: np.ndarray, sizes: np.ndarray):
-        self.perm = np.asarray(perm, dtype=np.intp)
-        self.sizes = np.asarray(sizes, dtype=np.intp)
-        self.starts = np.zeros(self.sizes.size, dtype=np.intp)
-        np.cumsum(self.sizes[:-1], out=self.starts[1:])
-        self.inverse = np.argsort(self.perm)
+    def __post_init__(self) -> None:
+        groups = tuple(np.sort(np.asarray(g, dtype=int).reshape(-1)) for g in self.groups)
+        sizes = np.array([g.size for g in groups], dtype=np.intp)
+        if np.any(sizes == 0):
+            raise ValueError("empty group")
+        perm = np.concatenate(groups) if groups else np.zeros(0, dtype=int)
+        if perm.size and (perm.min() < 0 or perm.max() >= self.n):
+            raise ValueError(f"group index out of range for n={self.n}")
+        counts = np.bincount(perm, minlength=self.n)
+        if np.any(counts > 1):
+            raise ValueError("groups overlap")
+        if not np.all(counts):
+            missing = np.flatnonzero(counts == 0)
+            raise ValueError(f"indices not covered by any group: {missing.tolist()}")
+        layout = dict(groups=groups, perm=perm, sizes=sizes,
+                      starts=np.cumsum(sizes) - sizes, inverse=np.argsort(perm))
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def stacked(cls, layouts: Sequence["SegmentLayout"]) -> "SegmentLayout":
-        """Layout of the concatenated coordinate vectors of ``layouts``."""
-        offsets = np.cumsum([0] + [lay.size for lay in layouts[:-1]])
-        perm = np.concatenate([lay.perm + off for lay, off in zip(layouts, offsets)])
-        return cls(perm, np.concatenate([lay.sizes for lay in layouts]))
+    def contiguous(cls, n: int, group_size: int) -> "GroupPartition":
+        if n % group_size != 0:
+            raise ValueError("group size must divide n")
+        return cls(n, tuple(np.arange(n).reshape(-1, group_size)))
 
-    @property
-    def size(self) -> int:
-        return self.perm.size
-
-    @property
-    def num_segments(self) -> int:
-        return self.sizes.size
+    @classmethod
+    def stacked(cls, parts: Sequence["GroupPartition"]) -> "GroupPartition":
+        """Partition of the concatenated coordinates of ``parts``: part ``i``'s
+        groups offset by the sizes of the parts before it."""
+        offsets = np.cumsum([0] + [part.n for part in parts]).tolist()
+        groups = [g + off for part, off in zip(parts, offsets) for g in part.groups]
+        return cls(offsets[-1], tuple(groups))
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Flattened ``x`` in segment order."""
         x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.size:
-            raise ValueError(f"expected {self.size} coordinates, got {x.size}")
+        if x.size != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {x.size}")
         return x[self.perm]
 
     def scatter(self, xp: np.ndarray) -> np.ndarray:
@@ -85,25 +103,21 @@ def _clip(x: np.ndarray, bound) -> np.ndarray:
 # floors ``max(thr, _TINY)`` per segment.  The shrink ``1 - thr / max(norm,
 # floor)`` is exactly 0 where ``norm <= thr``, and 1 where ``norm == thr == 0``.
 _TINY = np.finfo(float).tiny
+_SMALL_NORM = 2.0**-500
 
 
-def sparse_group_value(lay: SegmentLayout, xp: np.ndarray, b1, b2) -> float:
-    """``sum b1 |x_j| + sum_s b2_s ||x_s||``."""
-    return float(np.sum(b1 * np.abs(xp)) + np.sum(b2 * lay.norms(xp)))
-
-
-def sparse_group_prox(lay: SegmentLayout, xp: np.ndarray, thr1, thr2, fl2) -> np.ndarray:
+def sparse_group_prox(part: GroupPartition, xp: np.ndarray, thr1, thr2, fl2) -> np.ndarray:
     """Prox of ``thr1 ||.||_1 + sum_s thr2_s ||._s||`` (Friedman, Hastie and
     Tibshirani), ``fl2`` the floors of ``thr2``: soft-threshold at ``thr1``,
     then shrink each segment toward zero by its norm; a segment whose
     thresholded norm is at most ``thr2`` maps to zero."""
     eta = xp - np.minimum(np.maximum(xp, -thr1), thr1)
-    norms = np.sqrt(np.add.reduceat(eta * eta, lay.starts))
-    return eta * (1.0 - thr2 / np.maximum(norms, fl2)).repeat(lay.sizes)
+    norms = np.sqrt(np.add.reduceat(eta * eta, part.starts))
+    return eta * (1.0 - thr2 / np.maximum(norms, fl2)).repeat(part.sizes)
 
 
 def sparse_group_min_norm(
-    lay: SegmentLayout, gp: np.ndarray, xp: np.ndarray, lb1, lb2, fl2
+    part: GroupPartition, gp: np.ndarray, xp: np.ndarray, lb1, lb2, fl2
 ) -> np.ndarray:
     """Minimum-norm element of ``d(lb1 ||.||_1 + sum_s lb2_s ||._s||)(x) + g``,
     ``fl2`` the floors of ``lb2``.
@@ -112,51 +126,21 @@ def sparse_group_min_norm(
     ``-g_j`` on a zero one, which leaves ``v``.  A segment holding a nonzero
     coordinate adds ``lb2 x_s / ||x_s||`` to ``v``; on an all-zero segment
     the group part is the point of the ``lb2``-ball nearest to ``-v``, which
-    leaves ``v`` shrunk by ``lb2``.  Zero tests are exact.
+    leaves ``v`` shrunk by ``lb2``.  Zero tests are exact.  A nonzero segment
+    of norm below ``_SMALL_NORM``, whose squares may underflow, takes its
+    direction from the segment scaled by ``2**600``, which is exact.
     """
-    zero, starts, sizes = xp == 0.0, lay.starts, lay.sizes
+    zero, starts, sizes = xp == 0.0, part.starts, part.sizes
     v = gp + lb1 * np.sign(xp) - zero * np.minimum(np.maximum(gp, -lb1), lb1)
-    nonzero = np.logical_or.reduceat(~zero, starts)
-    x_norms = np.where(nonzero, np.sqrt(np.add.reduceat(xp * xp, starts)), 1.0)
+    all_zero = np.logical_and.reduceat(zero, starts)
+    x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
+    if np.minimum.reduce(x_norms, initial=np.inf) < _SMALL_NORM:
+        xp = xp * np.where(x_norms < _SMALL_NORM, 2.0**600, 1.0).repeat(sizes)
+        x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
     v_norms = np.sqrt(np.add.reduceat(v * v, starts))
-    v_scale = np.where(nonzero, 1.0, 1.0 - lb2 / np.maximum(v_norms, fl2))
+    # 1 on a segment with a nonzero coordinate, even where v is NaN
+    v_scale = 1.0 - lb2 * all_zero / np.fmax(v_norms, fl2)
     return v * v_scale.repeat(sizes) + xp * (lb2 / x_norms).repeat(sizes)
-
-
-@dataclass(frozen=True)
-class GroupPartition:
-    """Disjoint cover of the coordinate indices ``[0, n)`` into K groups.
-
-    Groups are stored as sorted 0-based index arrays.  ``layout`` lists the
-    groups in order as contiguous segments.
-    """
-
-    n: int
-    groups: tuple[np.ndarray, ...]
-    layout: SegmentLayout = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        groups = tuple(np.sort(np.asarray(g, dtype=int).reshape(-1)) for g in self.groups)
-        sizes = np.array([g.size for g in groups], dtype=np.intp)
-        if np.any(sizes == 0):
-            raise ValueError("empty group")
-        perm = np.concatenate(groups) if groups else np.zeros(0, dtype=int)
-        if perm.size and (perm.min() < 0 or perm.max() >= self.n):
-            raise ValueError(f"group index out of range for n={self.n}")
-        counts = np.bincount(perm, minlength=self.n)
-        if np.any(counts > 1):
-            raise ValueError("groups overlap")
-        if not np.all(counts):
-            missing = np.flatnonzero(counts == 0)
-            raise ValueError(f"indices not covered by any group: {missing.tolist()}")
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "layout", SegmentLayout(perm, sizes))
-
-    @classmethod
-    def contiguous(cls, n: int, group_size: int) -> "GroupPartition":
-        if n % group_size != 0:
-            raise ValueError("group size must divide n")
-        return cls(n, tuple(np.arange(n).reshape(-1, group_size)))
 
 
 @dataclass(frozen=True)
@@ -186,8 +170,9 @@ class SparseGroupReg:
         return self.beta1 + self.beta2
 
     def value(self, x: np.ndarray) -> float:
-        lay = self.partition.layout
-        return sparse_group_value(lay, lay.gather(x), self.beta1, self.beta2)
+        part = self.partition
+        xp = part.gather(x)
+        return float(np.sum(self.beta1 * np.abs(xp)) + np.sum(self.beta2 * part.norms(xp)))
 
     def prox(self, xbar: np.ndarray, t: float) -> np.ndarray:
         """Exact minimizer of ``t * value(y) + 0.5 * ||y - xbar||^2``.
@@ -199,9 +184,9 @@ class SparseGroupReg:
         # "not > 0" also rejects NaN
         if not t > 0:
             raise ValueError(f"prox step must be positive, got {t}")
-        lay, thr1, thr2 = self.partition.layout, t * self.beta1, t * self.beta2
-        out = sparse_group_prox(lay, lay.gather(xbar), thr1, thr2, max(thr2, _TINY))
-        return lay.scatter(out)
+        part, thr1, thr2 = self.partition, t * self.beta1, t * self.beta2
+        out = sparse_group_prox(part, part.gather(xbar), thr1, thr2, max(thr2, _TINY))
+        return part.scatter(out)
 
     def min_norm_subgradient(
         self, lam: float, grad_f: np.ndarray, xbar: np.ndarray
@@ -212,12 +197,12 @@ class SparseGroupReg:
         outputs (which produce exact zeros) or extrapolated points where the
         nonzero branch is safe.
         """
-        lay, lb2 = self.partition.layout, lam * self.beta2
+        part, lb2 = self.partition, lam * self.beta2
         out = sparse_group_min_norm(
-            lay, lay.gather(grad_f), lay.gather(xbar),
+            part, part.gather(grad_f), part.gather(xbar),
             lam * self.beta1, lb2, max(lb2, _TINY),
         )
-        return lay.scatter(out)
+        return part.scatter(out)
 
     def subgrad_residual(
         self, lam: float, grad_f: np.ndarray, xbar: np.ndarray
@@ -345,10 +330,10 @@ class NodeProblem:
 class NodeStack:
     """All N node problems over stacked ``(N, n)`` iterates, in one call each.
 
-    The regularizers share one segment layout over the ``N*n`` flat
-    coordinates (node ``i``'s groups are segments of its slice), with the
-    l1 weight per coordinate and the group weight per segment, so each node
-    keeps its own partition and weights.  The losses are an ``(N, m, n)``
+    The regularizers share one ``partition`` of the ``N*n`` flat coordinates
+    (node ``i``'s groups, offset into its slice), with the l1 weight per
+    coordinate and the group weight per segment, so each node keeps its own
+    partition and weights.  The losses are an ``(N, m, n)``
     stack, zero-padded to the longest ``m``: a padded row has residual 0 and
     Huber threshold 0, so it adds nothing to the gradient or the value and
     is never inside the threshold.  Build it once per solve.
@@ -358,10 +343,9 @@ class NodeStack:
         N, n = len(nodes), nodes[0].n
         if any(p.n != n for p in nodes):
             raise ValueError("node problems must share one dimension")
-        layouts = [p.reg.partition.layout for p in nodes]
         self.shape = (N, n)
-        self.layout = SegmentLayout.stacked(layouts)
-        num_segments = [lay.num_segments for lay in layouts]
+        self.partition = GroupPartition.stacked([p.reg.partition for p in nodes])
+        num_segments = [len(p.reg.partition.groups) for p in nodes]
         self._seg_node = np.repeat(np.arange(N), num_segments)
         ends = np.cumsum(num_segments).tolist()
         self._node_segs = [slice(a, z) for a, z in zip([0] + ends, ends)]
@@ -381,11 +365,11 @@ class NodeStack:
         where the nodes share one ``m``."""
         if X.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {X.shape}")
-        lay, (N, n) = self.layout, self.shape
-        xp = X.take(lay.perm)
+        part, (N, n) = self.partition, self.shape
+        xp = X.take(part.perm)
         l1 = np.add.reduce((self._b1 * np.abs(xp)).reshape(N, n), axis=1)
         # np.add.reduceat would sum a node's groups in another order
-        weighted = self._b2 * lay.norms(xp)
+        weighted = self._b2 * part.norms(xp)
         group = [np.add.reduce(weighted[segs]) for segs in self._node_segs]
         r = (self._A @ X[:, :, None])[:, :, 0] - self._b
         loss = np.add.reduce(huber_scalar(r, self._delta), axis=1)
@@ -403,15 +387,15 @@ class NodeStack:
         t = np.broadcast_to(np.asarray(t, dtype=float), self.shape[:1])
         if not np.all(t > 0):
             raise ValueError("prox steps must be positive")
-        lay, shape, perm = self.layout, self.shape, self.layout.perm
+        part, shape, perm = self.partition, self.shape, self.partition.perm
         thr1, thr2 = np.repeat(t, shape[1]) * self._b1, t[self._seg_node] * self._b2
         fl2 = np.maximum(thr2, _TINY)
 
         def prox(V: np.ndarray) -> np.ndarray:
             if V.shape != shape:
                 raise ValueError(f"expected shape {shape}, got {V.shape}")
-            out = sparse_group_prox(lay, V.take(perm), thr1, thr2, fl2)
-            return lay.scatter(out).reshape(shape)
+            out = sparse_group_prox(part, V.take(perm), thr1, thr2, fl2)
+            return part.scatter(out).reshape(shape)
 
         return prox
 
@@ -419,7 +403,7 @@ class NodeStack:
         """``(G, Y) ->`` the array whose entry ``i`` is
         ``nodes[i].reg.subgrad_residual(lam[i], G[i], Y[i])`` (a scalar ``lam``
         serves every node), with the weights ``lam * beta`` formed once."""
-        lay, shape, perm = self.layout, self.shape, self.layout.perm
+        part, shape, perm = self.partition, self.shape, self.partition.perm
         lam = np.broadcast_to(np.asarray(lam, dtype=float), shape[:1])
         lb1, lb2 = np.repeat(lam, shape[1]) * self._b1, lam[self._seg_node] * self._b2
         fl2 = np.maximum(lb2, _TINY)
@@ -427,7 +411,7 @@ class NodeStack:
         def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
             if G.shape != shape or Y.shape != shape:
                 raise ValueError(f"expected shape {shape}, got {G.shape} and {Y.shape}")
-            out = sparse_group_min_norm(lay, G.take(perm), Y.take(perm), lb1, lb2, fl2)
+            out = sparse_group_min_norm(part, G.take(perm), Y.take(perm), lb1, lb2, fl2)
             # segment order keeps each node's coordinates in its own row
             return np.sqrt(np.add.reduce(out.reshape(shape) ** 2, axis=1))
 

@@ -98,19 +98,18 @@ class SyncNetwork:
         nbrs = self.graph.neighbors(i)
         return self.delivered[i - 1], {j: self.delivered[j - 1] for j in nbrs}
 
-    def broadcast_state(self, blocks: np.ndarray, charge: bool = True) -> None:
+    def broadcast_state(self, blocks: np.ndarray) -> None:
         """Overwrite all blocks and deliver them to neighbors, charging one
-        vector per directed edge unless ``charge`` is false."""
+        vector per directed edge."""
         blocks = np.asarray(blocks, dtype=float)
         if blocks.shape != self.delivered.shape:
             raise ValueError(
                 f"block shape {blocks.shape} does not match {self.delivered.shape}"
             )
         self.delivered = blocks.copy()
-        if charge:
-            # node i sends d_i vectors and receives one from each neighbour
-            self.ledger.vectors_sent += self.graph.degrees
-            self.ledger.vectors_received += self.graph.degrees
+        # node i sends d_i vectors and receives one from each neighbour
+        self.ledger.vectors_sent += self.graph.degrees
+        self.ledger.vectors_received += self.graph.degrees
 
 
 def activation_stream(seed: int, num_nodes: int) -> Iterator[int]:

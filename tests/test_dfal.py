@@ -665,7 +665,7 @@ class TestEventPath:
                 g = obj.smooth_grad_block(j, Y)
                 # summed in segment order, as the stack lays it out
                 v = node.reg.min_norm_subgradient(lam, g, Y[j])
-                v = v[node.reg.partition.layout.perm]
+                v = v[node.reg.partition.perm]
                 assert r[j] == math.sqrt(np.add.reduce(v * v))
                 # the stacked gradient sums the neighbours by reduceat, so
                 # its row may differ from the event's in the last bit
@@ -749,7 +749,7 @@ class TestBoundKernels:
             for i, node in enumerate(inst.nodes):
                 # summed in segment order, as the stack lays it out
                 v = node.reg.min_norm_subgradient(lams[i], G[i], Y[i])
-                v = v[node.reg.partition.layout.perm]
+                v = v[node.reg.partition.perm]
                 assert r[i] == math.sqrt(np.add.reduce(v * v))
                 # norm() takes a BLAS dot, so it may differ in the last bits
                 assert r[i] == pytest.approx(

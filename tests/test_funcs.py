@@ -237,6 +237,18 @@ class TestSubgradResidual:
         assert np.all(res <= oracle + 1e-6)
         assert np.all(oracle <= res + 1e-6)
 
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-200, 1e-310])
+    def test_tiny_group_keeps_its_direction(self, tiny):
+        # the group part lb2 x_s / ||x_s|| does not change when x_s is scaled
+        # by a power of two, though the squares of the tiny x_s underflow
+        reg = SparseGroupReg(0.3, 0.5, GroupPartition.contiguous(6, 3))
+        g = np.array([0.1, -0.2, 0.05, 0.4, -0.3, 0.2])
+        x = np.array([tiny, -2 * tiny, 0.0, 0.5, 0.0, -1.0])
+        scaled = x * np.array([2.0**600] * 3 + [1.0] * 3)
+        res = reg.subgrad_residual(0.7, g, x)
+        assert res == reg.subgrad_residual(0.7, g, scaled)
+        assert np.isfinite(res)
+
 
 def _min_norm_oracle(b1, b2, grad_f, x, iters=4000):
     """Projected-gradient search for the min-norm composite subgradient of
@@ -500,14 +512,27 @@ class TestVectorizedKernels:
 
     def test_segment_layout_makes_groups_contiguous(self):
         part = GroupPartition(5, (np.array([3, 0]), np.array([4]), np.array([1, 2])))
-        lay = part.layout
-        assert lay.perm.tolist() == [0, 3, 4, 1, 2]
-        assert lay.starts.tolist() == [0, 2, 3] and lay.sizes.tolist() == [2, 1, 2]
+        assert part.perm.tolist() == [0, 3, 4, 1, 2]
+        assert part.starts.tolist() == [0, 2, 3] and part.sizes.tolist() == [2, 1, 2]
         x = np.arange(5.0)
-        assert np.array_equal(lay.scatter(lay.gather(x)), x)
-        np.testing.assert_allclose(lay.norms(lay.gather(x)), [3.0, 4.0, np.sqrt(5.0)])
+        assert np.array_equal(part.scatter(part.gather(x)), x)
+        np.testing.assert_allclose(part.norms(part.gather(x)), [3.0, 4.0, np.sqrt(5.0)])
         with pytest.raises(ValueError):
-            lay.gather(np.zeros(4))
+            part.gather(np.zeros(4))
+        # two different partitions side by side: the second's indices are
+        # offset by the first's n
+        other = GroupPartition(5, (np.array([4, 1]), np.array([0, 2, 3])))
+        both = GroupPartition.stacked([part, other])
+        assert both.n == 10
+        assert both.perm.tolist() == [0, 3, 4, 1, 2, 6, 9, 5, 7, 8]
+        assert both.starts.tolist() == [0, 2, 3, 5, 7]
+        assert both.sizes.tolist() == [2, 1, 2, 2, 3]
+        assert both.inverse.tolist() == [0, 3, 4, 1, 2, 7, 5, 8, 9, 6]
+        x = np.arange(10.0)
+        assert np.array_equal(both.gather(x), x[both.perm])
+        assert np.array_equal(both.scatter(both.gather(x)), x)
+        with pytest.raises(ValueError):
+            both.gather(np.zeros(5))
 
     def test_group_floor_folds_into_the_threshold(self):
         # the kernels take the floor max(thr, tiny), formed once where the

@@ -68,13 +68,6 @@ class TestBroadcastState:
         _, mailbox = net.node_inputs(1)
         assert sorted(mailbox) == list(g.neighbors(1))
 
-    def test_free_delivery_skips_ledger(self):
-        net = SyncNetwork(Graph(2, ((1, 2),)), np.zeros((2, 1)))
-        net.broadcast_state(np.ones((2, 1)), charge=False)
-        assert int(net.ledger.vectors_sent.sum()) == 0
-        _, mailbox = net.node_inputs(2)
-        assert mailbox[1] == pytest.approx([1.0])
-
 
 class TestAsyncSchedule:
     def test_deterministic(self):
