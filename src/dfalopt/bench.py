@@ -91,6 +91,21 @@ def random_partition(n: int, n_g: int, rng: np.random.Generator) -> GroupPartiti
     return GroupPartition(n, groups)
 
 
+def check_sizes(case: int, N: int, n_g: int, K: int, seed: int) -> None:
+    """Reject a case, size or seed that is not an integer (a bool is not), a
+    case other than 1 or 2, an ``n_g`` or ``K`` below 1 and a negative seed."""
+    for name, value in dict(case=case, N=N, n_g=n_g, K=K, seed=seed).items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if case not in (1, 2):
+        raise ValueError(f"case must be 1 or 2, got {case}")
+    for what, value in (("group size n_g", n_g), ("number of groups K", K)):
+        if value < 1:
+            raise ValueError(f"{what} must be at least 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def generate_instance(
     case: int,
     topology: str,
@@ -98,23 +113,15 @@ def generate_instance(
     n_g: int,
     K: int,
     seed: int,
-    delta: float = 1.0,
     edge_file: str | None = None,
 ) -> ProblemInstance:
     """Deterministic instance from a seed, identical data across cases.
 
     The design matrices and right-hand sides come from one random stream and
     the partitions from a second, so case 1 and case 2 at the same seed share
-    ``A_i`` and ``b_i`` exactly.
+    ``A_i`` and ``b_i`` exactly.  Every node's Huber ``delta`` is 1.
     """
-    if case not in (1, 2):
-        raise ValueError("case must be 1 or 2")
-    if n_g < 1:
-        raise ValueError(f"group size n_g must be at least 1, got {n_g}")
-    if K < 1:
-        raise ValueError(f"number of groups K must be at least 1, got {K}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    check_sizes(case, N, n_g, K, seed)
     graph = build_topology(topology, N, path=edge_file)
     if graph.num_nodes != N:
         raise ValueError(f"the edge file has {graph.num_nodes} nodes, not N={N}")
@@ -138,7 +145,7 @@ def generate_instance(
         partition = shared if case == 1 else random_partition(n, n_g, part_rng)
         nodes.append(NodeProblem(
             reg=SparseGroupReg(beta1=beta, beta2=beta, partition=partition),
-            loss=HuberLoss(A=A, b=A @ x_gen, delta=delta),
+            loss=HuberLoss(A=A, b=A @ x_gen, delta=1.0),
         ))
     return ProblemInstance(graph, topology, nodes, case, K, n_g, seed, x_gen)
 
@@ -354,8 +361,8 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
     Individual run failures are recorded in their row and do not abort the
     rest of the matrix.  ``config`` replaces keys of
     ``DEFAULT_BENCH_CONFIG``; a key it does not have, or a value that is not
-    an array where the default is one and a number elsewhere, is a
-    ``ValueError``.
+    an array where the default is one, an integer where it is one and a
+    number elsewhere, is a ``ValueError``.
     """
     cfg = dict(DEFAULT_BENCH_CONFIG)
     if config is not None:
@@ -366,10 +373,13 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
             raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         cfg.update(config)
     for key, value in cfg.items():
-        kind = list if isinstance(DEFAULT_BENCH_CONFIG[key], list) else (int, float)
+        default = DEFAULT_BENCH_CONFIG[key]
+        kind = list if isinstance(default, list) else (int, float)
         if isinstance(value, bool) or not isinstance(value, kind):
             what = "a JSON array" if kind is list else "a number"
             raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
+        if isinstance(default, int) and not isinstance(value, int):
+            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
     digest = config_digest(cfg)
     report = BenchReport(config=cfg, config_digest=digest)
 
@@ -449,12 +459,14 @@ def _entries(raw: Any, keys: str, where: str) -> list[Any]:
 
 def instance_from_json(path: str) -> ProblemInstance:
     """The instance :func:`instance_to_json` wrote.  A file whose node
-    entries lack their own ``delta``, ``beta1`` or ``beta2`` is rejected."""
+    entries lack their own ``delta``, ``beta1`` or ``beta2``, or whose case,
+    sizes or seed :func:`check_sizes` rejects, is rejected."""
     with open(path) as fh:
         raw = json.load(fh)
     case, topology, N, n_g, K, seed, edges, x_gen, specs = _entries(
         raw, "case topology N n_g K seed edges x_gen nodes", path
     )
+    check_sizes(case, N, n_g, K, seed)
     if len(specs) != N:
         raise ValueError(f"{path}: {len(specs)} node entries, not N={N}")
     nodes = []

@@ -331,18 +331,16 @@ def _subproblem_objective(
 ) -> BlockObjective:
     """Penalized subproblem as a block objective over stacked iterates.
 
-    An event on node ``i`` runs the node's :func:`_event_kernels`, bound once
-    per subproblem: its block gradient, prox and ``block_residual`` (the
-    residual at that block gradient).  The full gradient, the prox of all
-    blocks and the stacked residuals come from ``stack`` (built from
-    ``nodes`` when not given) for all blocks at once.
+    Its ``blocks`` are the nodes' :func:`_event_kernels`, bound once per
+    subproblem: an event on node ``i`` runs node ``i``'s block gradient, prox
+    and residual test.  The full gradient, the prox of all blocks and the
+    stacked residuals come from ``stack`` (built from ``nodes`` when not
+    given) for all blocks at once.
     """
     if stack is None:
         stack = NodeStack(nodes)
     if xbar.shape != stack.shape:
         raise ValueError(f"expected xbar of shape {stack.shape}, got {xbar.shape}")
-    kernels = [_event_kernels(p, i, graph, lam, xbar) for i, p in enumerate(nodes)]
-    grads, proxes, tests = zip(*kernels)
 
     def value(Y: np.ndarray) -> float:
         return lam * stack.objective(Y) + 0.5 * laplacian_quadratic(graph, Y + xbar)
@@ -353,13 +351,11 @@ def _subproblem_objective(
     return BlockObjective(
         L=block_L,
         smooth_grad=smooth_grad,
-        smooth_grad_block=lambda i, Y: grads[i](Y),
-        prox=lambda i, v, tau: proxes[i](v, tau),
         # each block at its own step 1/L_i, thresholds formed once
         prox_all=stack.prox_map((1.0 / block_L) * lam),
         residuals=stack.residual_map(lam),
         value=value,
-        block_residual=lambda j, Y: tests[j](Y),
+        blocks=[_event_kernels(p, i, graph, lam, xbar) for i, p in enumerate(nodes)],
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -30,14 +30,9 @@ class BlockObjective:
         per block, so ``len(L)`` is the number of blocks ``N``.
     smooth_grad : callable
         ``Y ->`` the full gradient (shape ``(N, n)``) of ``f``.
-    smooth_grad_block : callable
-        ``(i, Y) -> grad`` of ``f`` in block ``i`` (0-based), used by the
-        randomized solvers.
-    prox : callable
-        ``(i, v, tau) -> argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2``.
     prox_all : callable
-        ``V ->`` the stacked ``prox(i, V[i], 1 / L[i])`` of every block in
-        one call, each block at its own step.
+        ``V ->`` the stacked ``argmin_y rho_i(y) / L_i + 0.5 * ||y - V_i||^2``
+        of every block in one call, each block at its own step ``1 / L_i``.
     residuals : callable
         ``(G, Y) ->`` the ``N`` norms (array or sequence), entry ``i`` that
         of the minimum-norm element of ``d(rho_i)(Y_i) + G_i``; the
@@ -46,21 +41,20 @@ class BlockObjective:
         ``Y -> Phi(Y)``.  Read by ``ms_apg(record_values=True)``,
         :func:`arbcd_run` and the budget-constant pilots, which reject an
         objective without one.
-    block_residual : callable, optional
-        ``(j, Y) ->`` entry ``j`` of ``residuals(G, Y)`` with row ``j`` of
-        ``G`` the block gradient ``smooth_grad_block(j, Y)``, from block
-        ``j``'s own data.  Read by :meth:`residual_reached`, the randomized
-        solvers' stopping test, which rejects an objective without one.
+    blocks : sequence, optional
+        Entry ``i`` is block ``i``'s kernels ``(grad(Y), prox(v, tau),
+        residual(Y))`` from its own data: the gradient of ``f`` in block
+        ``i``, ``argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2`` and entry ``i``
+        of ``residuals`` at that block gradient.  Read by the randomized
+        solvers, which reject an objective without it.
     """
 
     L: np.ndarray
     smooth_grad: Callable[[np.ndarray], np.ndarray]
-    smooth_grad_block: Callable[[int, np.ndarray], np.ndarray]
-    prox: Callable[[int, np.ndarray, float], np.ndarray]
     prox_all: Callable[[np.ndarray], np.ndarray]
     residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
     value: Callable[[np.ndarray], float] | None = None
-    block_residual: Callable[[int, np.ndarray], float] | None = None
+    blocks: Sequence[tuple[Callable, Callable, Callable]] | None = None
     # the block that failed the last residual test, checked first next time
     _failed: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -83,26 +77,24 @@ class BlockObjective:
         """The per-block stopping test at ``Y``: every block's residual is at
         most ``target``.
 
-        It decides as ``max_j block_residual(j, Y) <= target`` does, one block
-        at a time: the block that failed last time first, then the others in
-        order, stopping at the first block over ``target`` (or NaN).  Only a
-        passing test evaluates every block.
+        It decides as ``max_j residual_j(Y) <= target`` does over the
+        ``blocks``' residuals, one block at a time: the block that failed last
+        time first, then the others in order, stopping at the first block over
+        ``target`` (or NaN).  Only a passing test evaluates every block.
         """
-        block_residual = self.block_residual
-        if block_residual is None:
-            raise ValueError("the residual test needs the objective's block_residual")
+        blocks = _required(self, "blocks", "the residual test")
         first = self._failed
         for j in (first, *range(first), *range(first + 1, self.num_blocks)):
-            if not block_residual(j, Y) <= target:
+            if not blocks[j][2](Y) <= target:
                 self._failed = j
                 return False
         return True
 
 
-def _value_of(obj: BlockObjective, caller: str) -> Callable[[np.ndarray], float]:
-    if obj.value is None:
-        raise ValueError(f"{caller} evaluates the objective, which has no value")
-    return obj.value
+def _required(obj: BlockObjective, name: str, caller: str) -> Any:
+    if getattr(obj, name) is None:
+        raise ValueError(f"{caller} reads the {name} of the objective, which has no {name}")
+    return getattr(obj, name)
 
 
 @dataclass
@@ -144,7 +136,7 @@ def ms_apg(
     > 0`` (adaptive restart, O'Donoghue and Candes 2015, FoCM), which recovers
     the linear rate near a solution; only the case-1 reference sets it.
     """
-    value = _value_of(obj, "record_values") if record_values else None
+    value = _required(obj, "value", "record_values") if record_values else None
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
     t = 1.0
@@ -204,8 +196,6 @@ def apg(
     obj = BlockObjective(
         L=np.array([lipschitz]),
         smooth_grad=lambda Y: smooth_grad(Y[0])[None, :],
-        smooth_grad_block=lambda i, Y: smooth_grad(Y[0]),
-        prox=lambda i, v, tau: prox(v, tau),
         prox_all=lambda V: prox(V[0], step)[None, :],
         residuals=lambda G, Y: (residual(G[0], Y[0]),),
     )
@@ -238,14 +228,14 @@ def rbcd_run(
     N = obj.num_blocks
     L = obj.L.tolist()
     step = [1.0 / L_i for L_i in L]
-    grad_block, prox = obj.smooth_grad_block, obj.prox
+    grad, prox, _ = zip(*_required(obj, "blocks", "rbcd_run"))
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N
     result = SolveResult(y, iters, "cap")
     for ell in range(1, iters + 1):
         i = draw()
         drawn[i] += 1
-        y[i] = prox(i, y[i] - grad_block(i, y) / L[i], step[i])
+        y[i] = prox[i](y[i] - grad[i](y) / L[i], step[i])
         if residual_target is not None and ell % N == 0:
             if obj.residual_reached(y, residual_target):
                 result.iterations, result.stop_reason = ell, "residual"
@@ -285,16 +275,16 @@ def arbcd_chain(
     t = 1.0
     N = obj.num_blocks
     L = obj.L.tolist()
-    grad_block, prox = obj.smooth_grad_block, obj.prox
+    grad, prox, _ = zip(*_required(obj, "blocks", "arbcd_chain"))
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N
     result = SolveResult(z.copy(), iters, "cap")
     for ell in range(1, iters + 1):
         i = draw()
         drawn[i] += 1
-        g = grad_block(i, arbcd_candidate(z, u, t, N))
+        g = grad[i](arbcd_candidate(z, u, t, N))
         step = t / L[i]
-        z_new_i = prox(i, z[i] - step * g, step)
+        z_new_i = prox[i](z[i] - step * g, step)
         u[i] = u[i] + N * N * t * (1.0 - t) * (z_new_i - z[i])
         z[i] = z_new_i
         t_event, t = t, arbcd_momentum(t, N)
@@ -321,7 +311,7 @@ def _pilot(
     better of ``y0`` and the end of a ``4N``-event pilot ``run`` at activation
     seed ``seed``, which stands in for the unknown optimum of the randomized
     solvers' constants."""
-    value = _value_of(obj, "the budget pilot")
+    value = _required(obj, "value", "the budget pilot")
     phi0 = value(y0)
     pilot = run(obj, y0, 4 * obj.num_blocks, seed)
     phi_best = min(phi0, value(pilot.y))
@@ -379,7 +369,7 @@ def arbcd_run(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     N = obj.num_blocks
-    value = _value_of(obj, "arbcd_run")
+    value = _required(obj, "value", "arbcd_run")
     chain_iters = arbcd_chain_events(N, c_estimate, alpha)
     best_y = np.array(z0, dtype=float)
     best_phi = value(best_y)

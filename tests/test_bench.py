@@ -268,13 +268,21 @@ class TestReferenceSolve:
 
     def test_cache_keys_on_content_not_on_names(self):
         # same (case, topology, N, n_g, K, seed), different Huber delta
+        def narrow_instance():
+            inst = small_instance(seed=3)
+            inst.nodes = [
+                replace(p, loss=HuberLoss(p.loss.A, p.loss.b, delta=0.05))
+                for p in inst.nodes
+            ]
+            return inst
+
         wide = reference_solve(small_instance(seed=3))
-        narrow = reference_solve(small_instance(seed=3, delta=0.05))
-        fresh = reference_solve(small_instance(seed=3, delta=0.05), cache=False)
+        narrow = reference_solve(narrow_instance())
+        fresh = reference_solve(narrow_instance(), cache=False)
         assert narrow is not wide
         assert narrow.f_star == pytest.approx(fresh.f_star, rel=1e-12)
         assert narrow.f_star < 0.5 < wide.f_star
-        assert reference_solve(small_instance(seed=3, delta=0.05)) is narrow
+        assert reference_solve(narrow_instance()) is narrow
 
 
 class TestReferenceRestart:
@@ -439,6 +447,11 @@ class TestRunBenchmark:
         ("N", "2", "a number"),
         ("budget_secs", True, "a number"),
         ("c", [0.7], "a number"),
+        # a float where the default is an int once passed, and every row
+        # then recorded a TypeError
+        ("N", 3.0, "an integer"),
+        ("async_outer", 2.5, "an integer"),
+        ("admm_iters", 200.0, "an integer"),
     ])
     def test_config_values_must_be_of_the_defaults_kind(self, key, value, kind):
         with pytest.raises(ValueError, match=f"config key '{key}' must be {kind}, got"):
@@ -519,6 +532,23 @@ class TestInstanceJson:
     def test_missing_key_is_named(self, tmp_path, content, message):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match=message):
+            instance_from_json(str(path))
+
+    @pytest.mark.parametrize("key, value, message", [
+        # case 3 once got the case-2 reference without a word, and a string
+        # K or a float n_g ended in a TypeError
+        ("case", 3, "case must be 1 or 2, got 3"),
+        ("K", "3", "K must be an integer, got '3'"),
+        ("n_g", 2.0, "n_g must be an integer, got 2.0"),
+        ("N", True, "N must be an integer, got True"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
+    ])
+    def test_case_sizes_and_seed_are_checked(self, tmp_path, key, value, message):
+        path = tmp_path / "inst.json"
+        instance_to_json(small_instance(), str(path))
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(raw, **{key: value})))
         with pytest.raises(ValueError, match=message):
             instance_from_json(str(path))
 
@@ -637,6 +667,10 @@ class TestCli:
         (["ref", "--instance", "partial.json"], "partial.json lacks the key(s) 'case'"),
         (["bench", "--config", "seed.json"], "unknown config keys: 'seed'"),
         (["bench", "--config", "seeds.json"], "config key 'seeds' must be a JSON array"),
+        (["ref", "--instance", "case.json"], "case must be 1 or 2, got 3"),
+        (["ref", "--instance", "K.json"], "K must be an integer, got '3'"),
+        (["ref", "--instance", "n_g.json"], "n_g must be an integer, got 2.0"),
+        (["bench", "--config", "N.json"], "config key 'N' must be an integer, got 3.0"),
     ])
     def test_unreadable_input_is_one_error_line(
         self, tmp_path, monkeypatch, capsys, argv, message
@@ -646,6 +680,11 @@ class TestCli:
         (tmp_path / "partial.json").write_text(json.dumps({"N": 3}))
         (tmp_path / "seed.json").write_text(json.dumps({"seed": [1]}))
         (tmp_path / "seeds.json").write_text(json.dumps({"seeds": 5}))
+        (tmp_path / "N.json").write_text(json.dumps({"N": 3.0}))
+        instance_to_json(small_instance(), "inst.json")
+        raw = json.loads((tmp_path / "inst.json").read_text())
+        for key, value in (("case", 3), ("K", "3"), ("n_g", 2.0)):
+            (tmp_path / f"{key}.json").write_text(json.dumps(dict(raw, **{key: value})))
         with pytest.raises(SystemExit) as exc:
             cli_main([*argv, "--out", "out.json"])
         assert exc.value.code == 2

@@ -597,7 +597,7 @@ class TestNodeStack:
                 expect = _per_node_gradient(nodes, graph, lam, Y, xbar)
                 for i in range(N):
                     np.testing.assert_allclose(
-                        obj.smooth_grad_block(i, Y), expect[i], rtol=0, atol=1e-12
+                        obj.blocks[i][0](Y), expect[i], rtol=0, atol=1e-12
                     )
 
 
@@ -660,9 +660,9 @@ class TestEventPath:
     def test_residual_test_reuses_the_event_gradient(self, rng, tmp_path):
         for nodes, _, lam, _, obj, Y in self._subproblems(rng, tmp_path):
             stacked = obj.residuals(obj.smooth_grad(Y), Y)
-            r = [obj.block_residual(j, Y) for j in range(5)]
+            r = [residual(Y) for _, _, residual in obj.blocks]
             for j, node in enumerate(nodes):
-                g = obj.smooth_grad_block(j, Y)
+                g = obj.blocks[j][0](Y)
                 # summed in segment order, as the stack lays it out
                 v = node.reg.min_norm_subgradient(lam, g, Y[j])
                 v = v[node.reg.partition.perm]
@@ -677,15 +677,16 @@ class TestEventPath:
     def test_event_gradient_and_prox_match_the_per_node_formulas(self, rng, tmp_path):
         for nodes, graph, lam, xbar, obj, Y in self._subproblems(rng, tmp_path):
             for i, node in enumerate(nodes):
+                grad, prox, _ = obj.blocks[i]
                 A, b, delta = node.loss.A, node.loss.b, node.loss.delta
                 nbrs = np.array(graph.neighbors(i + 1)) - 1
                 expect = lam * (A.T @ np.clip(A @ Y[i] - b, -delta, delta))
                 expect = expect + graph.degrees[i] * (Y[i] + xbar[i])
                 expect = expect - np.add.reduce(Y[nbrs] + xbar[nbrs])
-                assert np.array_equal(obj.smooth_grad_block(i, Y), expect)
+                assert np.array_equal(grad(Y), expect)
                 tau = float(rng.uniform(0.1, 2.0))
                 expect = node.reg.prox(Y[i], tau * lam)
-                assert np.array_equal(obj.prox(i, Y[i], tau), expect)
+                assert np.array_equal(prox(Y[i], tau), expect)
 
     def test_event_prox_rejects_a_nan_step(self):
         inst = generate_instance(1, "star", 3, 4, 3, seed=5)
@@ -693,10 +694,10 @@ class TestEventPath:
             inst.nodes, inst.graph, 1.0, np.zeros((3, 12)), np.ones(3)
         )
         with pytest.raises(ValueError, match="prox step must be positive, got nan"):
-            obj.prox(0, np.ones(12), np.nan)
+            obj.blocks[0][1](np.ones(12), np.nan)
         for t in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="prox step must be positive"):
-                obj.prox(1, np.ones(12), t)
+                obj.blocks[1][1](np.ones(12), t)
 
     def test_xbar_shape_checked_once_per_subproblem(self):
         inst = generate_instance(1, "star", 3, 4, 3, seed=5)

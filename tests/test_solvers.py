@@ -34,14 +34,20 @@ from conftest import random_reg, schedule_ids
 def quadratic_objective(c):
     """Separable quadratic ``0.5 * sum_i ||y_i - c_i||^2`` with no rho."""
     c = np.asarray(c, dtype=float)
+
+    def block(i):
+        def grad(Y):
+            return Y[i] - c[i]
+
+        return grad, lambda v, tau: v, lambda Y: float(np.linalg.norm(grad(Y)))
+
     return BlockObjective(
         L=np.ones(c.shape[0]),
         smooth_grad=lambda Y: Y - c,
-        smooth_grad_block=lambda i, Y: Y[i] - c[i],
-        prox=lambda i, v, tau: v,
         prox_all=lambda V: V,
         residuals=lambda G, Y: np.linalg.norm(G, axis=1),
         value=lambda Y: 0.5 * float(np.sum((Y - c) ** 2)),
+        blocks=[block(i) for i in range(c.shape[0])],
     )
 
 
@@ -57,17 +63,19 @@ def sparse_group_objective(rng, N=3, n=5):
         smooth = 0.5 * sum(float(Q[i] @ (Y[i] - targets[i]) ** 2) for i in range(N))
         return sum((regs[i].value(Y[i]) for i in range(N)), smooth)
 
-    def smooth_grad_block(i, Y):
-        return Q[i] * (Y[i] - targets[i])
+    def block(i):
+        def grad(Y):
+            return Q[i] * (Y[i] - targets[i])
 
-    def smooth_grad(Y):
-        return np.stack([smooth_grad_block(i, Y) for i in range(N)])
+        def residual(Y):
+            return regs[i].subgrad_residual(1.0, grad(Y), Y[i])
 
+        return grad, regs[i].prox, residual
+
+    blocks = [block(i) for i in range(N)]
     return BlockObjective(
         L=L,
-        smooth_grad=smooth_grad,
-        smooth_grad_block=smooth_grad_block,
-        prox=lambda i, v, tau: regs[i].prox(v, tau),
+        smooth_grad=lambda Y: np.stack([grad(Y) for grad, _, _ in blocks]),
         prox_all=lambda V: np.stack(
             [regs[i].prox(V[i], step[i]) for i in range(N)]
         ),
@@ -75,6 +83,7 @@ def sparse_group_objective(rng, N=3, n=5):
             [regs[i].subgrad_residual(1.0, G[i], Y[i]) for i in range(N)]
         ),
         value=value,
+        blocks=blocks,
     )
 
 
@@ -103,6 +112,17 @@ class TestBlockObjective:
             with pytest.raises(ValueError, match="which has no value"):
                 evaluate()
 
+    @pytest.mark.parametrize("run", [
+        partial(rbcd_run, iters=6, seed=0),
+        partial(arbcd_chain, iters=6, seed=0),
+        partial(rbcd_budget_constant, seed=0),
+        partial(estimate_restart_constant, seed=0),
+    ], ids=["rbcd_run", "arbcd_chain", "rbcd_pilot", "arbcd_pilot"])
+    def test_blocks_required_by_the_randomized_runs(self, rng, run):
+        obj = replace(sparse_group_objective(rng), blocks=None)
+        with pytest.raises(ValueError, match="which has no blocks"):
+            run(obj, np.zeros((3, 5)))
+
 
 class TestResidualTest:
     """The randomized solvers' early-exit stopping test."""
@@ -111,15 +131,17 @@ class TestResidualTest:
     def recorded(residuals):
         calls = []
 
-        def block_residual(j, Y):
-            calls.append(j)
-            return residuals[j]
+        def recording(j):
+            def residual(Y):
+                calls.append(j)
+                return residuals[j]
 
-        obj = replace(
-            quadratic_objective(np.zeros((len(residuals), 1))),
-            block_residual=block_residual,
-        )
-        return obj, calls
+            return residual
+
+        obj = quadratic_objective(np.zeros((len(residuals), 1)))
+        blocks = [(grad, prox, recording(j))
+                  for j, (grad, prox, _) in enumerate(obj.blocks)]
+        return replace(obj, blocks=blocks), calls
 
     def test_stops_at_the_first_block_over_target_and_starts_there_next(self):
         obj, calls = self.recorded([0.1, 0.5, 0.9, 0.2])
@@ -154,15 +176,6 @@ class TestResidualTest:
             quadratic_objective(np.zeros((1, 1))), residuals=lambda G, Y: (np.nan,)
         )
         assert np.isnan(obj.max_residual(np.zeros((1, 1)), np.zeros((1, 1))))
-
-    def test_block_residual_required_only_where_tested(self, rng):
-        obj = sparse_group_objective(rng)
-        assert obj.block_residual is None
-        y0 = np.zeros((3, 5))
-        assert rbcd_run(obj, y0, 6, 0).iterations == 6
-        for run in (rbcd_run, arbcd_chain):
-            with pytest.raises(ValueError, match="needs the objective's block_residual"):
-                run(obj, y0, 6, 0, residual_target=1.0)
 
 
 class TestBudgetConstants:
@@ -229,8 +242,6 @@ class TestMsApg:
         obj = BlockObjective(
             L=np.array([2.0]),
             smooth_grad=lambda Y: 2.0 * (Y - target),
-            smooth_grad_block=lambda i, Y: 2.0 * (Y[0] - target),
-            prox=lambda i, v, tau: reg.prox(v, tau),
             prox_all=lambda V: reg.prox(V[0], 0.5)[None, :],  # the step 1/L
             residuals=lambda G, Y: [reg.subgrad_residual(1.0, G[0], Y[0])],
         )
@@ -261,8 +272,6 @@ class TestMsApg:
             return BlockObjective(
                 L=Ld,
                 smooth_grad=lambda Y: Ld[:, None] * (Y - c),
-                smooth_grad_block=lambda i, Y: Ld[i] * (Y[i] - c[i]),
-                prox=lambda i, v, tau: v,
                 prox_all=lambda V: V,
                 residuals=lambda G, Y: np.linalg.norm(G, axis=1),
                 value=lambda Y: 0.5 * float(np.sum(Ld[:, None] * (Y - c) ** 2)),
@@ -284,15 +293,13 @@ class TestMsApg:
         res = ms_apg(obj, np.zeros((3, 5)), residual_target=1e-6, max_iter=5000)
         assert res.stop_reason == "residual"
         grad = obj.smooth_grad(res.y)
-        for block_residual in obj.residuals(grad, res.y):
-            assert block_residual <= 1e-6
+        for r in obj.residuals(grad, res.y):
+            assert r <= 1e-6
 
     def test_nonfinite_gradient_aborts(self):
         obj = BlockObjective(
             L=np.array([1.0]),
             smooth_grad=lambda Y: np.full_like(Y, np.nan),
-            smooth_grad_block=lambda i, Y: np.array([np.nan]),
-            prox=lambda i, v, tau: v,
             prox_all=lambda V: V,
             residuals=lambda G, Y: np.zeros(1),
         )
@@ -462,9 +469,10 @@ class TestRbcd:
         y = np.zeros((1, 4))
         manual = y.copy()
         res = rbcd_run(obj, y, 30, 0)
+        grad, prox, _ = obj.blocks[0]
         for _ in range(30):
-            g = obj.smooth_grad_block(0, manual)
-            manual[0] = obj.prox(0, manual[0] - g / obj.L[0], 1.0 / obj.L[0])
+            g = grad(manual)
+            manual[0] = prox(manual[0] - g / obj.L[0], 1.0 / obj.L[0])
         assert np.array_equal(res.y, manual)
 
     def test_monotone_objective(self, rng):
@@ -524,8 +532,9 @@ class TestArbcd:
             sched = np.random.default_rng(9)
             for _ in range(iters):
                 i = int(sched.integers(3))
-                g = obj.smooth_grad_block(i, arbcd_candidate(z, u, t, 3))
-                z_new_i = obj.prox(i, z[i] - (t / obj.L[i]) * g, t / obj.L[i])
+                grad, prox, _ = obj.blocks[i]
+                g = grad(arbcd_candidate(z, u, t, 3))
+                z_new_i = prox(z[i] - (t / obj.L[i]) * g, t / obj.L[i])
                 u[i] = u[i] + 3 * 3 * t * (1.0 - t) * (z_new_i - z[i])
                 z[i] = z_new_i
                 y = arbcd_candidate(z, u, t, 3)
