@@ -458,9 +458,9 @@ def _entries(raw: Any, keys: str, where: str) -> list[Any]:
 
 
 def instance_from_json(path: str) -> ProblemInstance:
-    """The instance :func:`instance_to_json` wrote.  A file whose node
-    entries lack their own ``delta``, ``beta1`` or ``beta2``, or whose case,
-    sizes or seed :func:`check_sizes` rejects, is rejected."""
+    """The instance :func:`instance_to_json` wrote.  Rejected: a node entry
+    without numeric ``delta``, ``beta1`` and ``beta2`` or with non-finite data
+    (the error names it), and a case, size or seed :func:`check_sizes` rejects."""
     with open(path) as fh:
         raw = json.load(fh)
     case, topology, N, n_g, K, seed, edges, x_gen, specs = _entries(
@@ -474,13 +474,19 @@ def instance_from_json(path: str) -> ProblemInstance:
         A, b, delta, beta1, beta2, groups = _entries(
             spec, "A b delta beta1 beta2 groups", f"{path}: node entry {i}"
         )
-        partition = GroupPartition(
-            K * n_g, tuple(np.asarray(g, dtype=int) - 1 for g in groups)
-        )
-        nodes.append(NodeProblem(
-            reg=SparseGroupReg(beta1, beta2, partition),
-            loss=HuberLoss(A=np.asarray(A), b=np.asarray(b), delta=delta),
-        ))
+        try:
+            for key, value in dict(delta=delta, beta1=beta1, beta2=beta2).items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{key} must be a number, got {value!r}")
+            partition = GroupPartition(
+                K * n_g, tuple(np.asarray(g, dtype=int) - 1 for g in groups)
+            )
+            nodes.append(NodeProblem(
+                reg=SparseGroupReg(beta1, beta2, partition),
+                loss=HuberLoss(A=np.asarray(A), b=np.asarray(b), delta=delta),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"{path}: node entry {i}: {exc}") from None
     graph = Graph(N, tuple(tuple(e) for e in edges))
     return ProblemInstance(
         graph, topology, nodes, case, K, n_g, seed, np.asarray(x_gen)

@@ -1,18 +1,18 @@
 """Distributed first-order augmented Lagrangian solver.
 
-The outer loop shrinks a penalty schedule geometrically and solves each
-penalized subproblem inexactly with an inner oracle from :mod:`solvers`.
-Synchronously, :func:`solvers.ms_apg` runs over neighbor-exchange rounds of
-:class:`netsim.SyncNetwork`: each gradient broadcasts the extrapolated point
-and evaluates the stacked subproblem gradient on the delivered snapshot, so
-node ``i``'s block reads only its own data and its neighbours' delivered
-blocks.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
-consumes seeded activation streams, each event assembling one block from
-the node's neighbour index row, and :func:`netsim.charge_activations` charges
-the activations they report.  :func:`local_gradient` is the per-node reference
-for both gradients.  Dual variables are never materialized; their norms come
-from Laplacian quadratic forms of the running penalty-weighted accumulator,
-which every node can roll from the same delivered iterates.
+One outer loop shrinks a penalty schedule geometrically and hands each
+penalized subproblem to an inner oracle from :mod:`solvers` to solve
+inexactly.  Synchronously, :func:`solvers.ms_apg` runs over neighbor-exchange
+rounds of :class:`netsim.SyncNetwork`: each gradient broadcasts its point and
+evaluates the stacked subproblem gradient on the delivered snapshot, so node
+``i``'s block reads only its own data and its neighbours' delivered blocks.
+Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run` consumes
+seeded activation streams, each event assembling one block from the node's
+neighbour index row, and :func:`netsim.charge_activations` charges the
+activations they report.  :func:`local_gradient` is the per-node reference for
+both gradients.  Dual variables are never materialized; their norms come from
+Laplacian quadratic forms of the running penalty-weighted accumulator, which
+every node can roll from the same delivered iterates.
 """
 
 from __future__ import annotations
@@ -189,15 +189,26 @@ def _psi_max(params: DfalParams, graph: Graph) -> float:
     return params.psi_max if params.psi_max > 0 else spectral_bounds(graph)[0]
 
 
-def _setup(
+def _outer_loop(
+    trace: RunTrace,
     nodes: Sequence[NodeProblem],
     graph: Graph,
     params: DfalParams,
-) -> tuple[np.ndarray, NodeStack, DfalState]:
-    """Input checks and starting point shared by both solves.
+    coupling: float | np.ndarray,
+    solve_subproblem: Callable[..., SolveResult],
+    ledger: CommLedger,
+    reference: float | None,
+    lam_min: float = 0.0,
+    budget_secs: float | None = None,
+) -> RunTrace:
+    """Both solves' checks and outer loop, from zero for up to
+    ``params.outer_cap`` iterations, run by :meth:`RunTrace.run`.
 
-    Returns the loss Lipschitz constants, the node stack and the starting
-    state at zero.
+    Subproblem ``k`` has the block constants ``lam * L_i + coupling``, from
+    the losses' ``L_i``; ``solve_subproblem(k, obj, state, alpha, xi)``
+    solves it from ``state`` and charges its work to ``ledger``.  Its solution
+    becomes ``x^(k)``, the accumulator rolls, and the row is recorded.  Without
+    a reference, a next penalty of at most ``lam_min`` ends the run, converged.
     """
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
@@ -207,34 +218,14 @@ def _setup(
     stack = NodeStack(nodes)
     loss_lip = np.array([p.loss.lipschitz for p in nodes])
     state = DfalState(x=np.zeros(stack.shape), xbar=np.zeros(stack.shape), k=0)
-    return loss_lip, stack, state
-
-
-def _outer_loop(
-    trace: RunTrace,
-    stack: NodeStack,
-    graph: Graph,
-    params: DfalParams,
-    state: DfalState,
-    num_outer: int,
-    solve_subproblem: Callable[[int, float, float, float], SolveResult],
-    ledger: CommLedger,
-    reference: float | None,
-    lam_min: float = 0.0,
-    budget_secs: float | None = None,
-) -> RunTrace:
-    """The outer step of both solves, run by :meth:`RunTrace.run`.
-
-    ``solve_subproblem(k, lam, alpha, xi)`` solves subproblem ``k`` from
-    ``state`` and charges its work to ``ledger``; its solution becomes
-    ``x^(k)``, the accumulator rolls, and the row is recorded.  Without a
-    reference, a next penalty of at most ``lam_min`` ends the run, converged.
-    """
 
     def step(k: int) -> tuple[TraceRow, bool]:
         # closed-form schedule values, so traces match the geometric law exactly
         lam, alpha, xi = params.schedule(k)
-        result = solve_subproblem(k, lam, alpha, xi)
+        obj = _subproblem_objective(
+            nodes, graph, lam, state.xbar, lam * loss_lip + coupling, stack
+        )
+        result = solve_subproblem(k, obj, state, alpha, xi)
         lam_next = params.schedule(k + 1)[0]
         state.x, state.k = result.y, k
         state.xbar = (lam_next / lam) * (state.xbar + state.x)
@@ -255,7 +246,7 @@ def _outer_loop(
 
     trace.config["final_state"] = state
     return trace.run(
-        step, num_outer, ledger, params.eps_opt, params.eps_feas, budget_secs
+        step, params.outer_cap, ledger, params.eps_opt, params.eps_feas, budget_secs
     )
 
 
@@ -269,7 +260,8 @@ def dfal_solve(
     | None = None,
     budget_secs: float | None = None,
 ) -> RunTrace:
-    """Synchronous penalized consensus solve over the message simulator.
+    """Synchronous penalized consensus solve over the message simulator: the
+    inner oracle is :func:`solvers.ms_apg`, each gradient exchanging first.
 
     Terminates when relative suboptimality (against ``reference``, if given)
     and consensus violation reach their targets, when the penalty drops below
@@ -279,44 +271,33 @@ def dfal_solve(
     with the assembled gradient blocks.
     """
     N = graph.num_nodes
-    loss_lip, stack, state = _setup(nodes, graph, params)
-    psi_max = _psi_max(params, graph)
     trace = RunTrace("dfal", config={"lam1": params.lam1, "c": params.c})
-    net = SyncNetwork(graph, state.x)
+    # every gradient exchanges first, so these blocks are never read
+    net = SyncNetwork(graph, np.zeros((N, nodes[0].n if nodes else 0)))
 
-    def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
-        block_L = lam * loss_lip + psi_max
-        subproblem = _subproblem_objective(
-            nodes, graph, lam, state.xbar, block_L, stack
-        )
-        # the first gradient is at the warm start, which is already delivered
-        warm_start = True
-
+    def solve_subproblem(
+        k: int, obj: BlockObjective, state: DfalState, alpha: float, xi: float
+    ) -> SolveResult:
         def smooth_grad(Y: np.ndarray) -> np.ndarray:
-            nonlocal warm_start
-            if not warm_start:
-                net.broadcast_state(Y)
-            warm_start = False
-            return subproblem.smooth_grad(net.delivered)
+            net.broadcast_state(Y)
+            return obj.smooth_grad(net.delivered)
 
         def check(ell: int, ybar: np.ndarray, q: np.ndarray) -> None:
             gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
 
         result = ms_apg(
-            replace(subproblem, smooth_grad=smooth_grad),
+            replace(obj, smooth_grad=smooth_grad),
             state.x,
             residual_target=xi / math.sqrt(N),
-            max_iter=inner_cap(params, block_L, alpha),
+            max_iter=inner_cap(params, obj.L, alpha),
             callback=None if gradient_check is None else check,
         )
         net.ledger.grad_evals += result.iterations
         net.ledger.prox_evals += result.iterations - (result.stop_reason == "residual")
-        # share the adopted iterate; every node rolls the accumulator from it
-        net.broadcast_state(result.y)
         return result
 
     return _outer_loop(
-        trace, stack, graph, params, state, params.outer_cap, solve_subproblem,
+        trace, nodes, graph, params, _psi_max(params, graph), solve_subproblem,
         net.ledger, reference, lam_min, budget_secs,
     )
 
@@ -428,10 +409,6 @@ def async_dfal_solve(
     if K_outer < 1:
         raise ValueError(f"outer_iters must be at least 1, got {K_outer}")
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
-    loss_lip, stack, state = _setup(nodes, graph, params)
-    # rbcd's block constants couple through psi_max, and arbcd's
-    # separable-overapproximation constants through the degrees
-    coupling = _psi_max(params, graph) if oracle == "rbcd" else graph.degrees
     trace = RunTrace(
         "afal-" + oracle,
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
@@ -440,9 +417,9 @@ def async_dfal_solve(
     ledger = CommLedger(N)
     rng = np.random.default_rng(seed)
 
-    def solve_subproblem(k: int, lam: float, alpha: float, xi: float) -> SolveResult:
-        block_L = lam * loss_lip + coupling
-        obj = _subproblem_objective(nodes, graph, lam, state.xbar, block_L, stack)
+    def solve_subproblem(
+        k: int, obj: BlockObjective, state: DfalState, alpha: float, xi: float
+    ) -> SolveResult:
         # the budget constant is estimated once, so the budgets grow geometrically
         const = trace.config["budget_constant"]
         if const is None:
@@ -472,7 +449,10 @@ def async_dfal_solve(
             ledger.control_msgs += graph.degrees
         return result
 
+    # rbcd's block constants couple through psi_max, and arbcd's
+    # separable-overapproximation constants through the degrees
+    coupling = _psi_max(params, graph) if oracle == "rbcd" else graph.degrees
     return _outer_loop(
-        trace, stack, graph, params, state, K_outer, solve_subproblem, ledger,
-        reference, budget_secs=budget_secs,
+        trace, nodes, graph, replace(params, outer_cap=K_outer), coupling,
+        solve_subproblem, ledger, reference, budget_secs=budget_secs,
     )

@@ -241,6 +241,9 @@ class HuberLoss:
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
+        for name, arr in (("A", A), ("b", b)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has a non-finite entry")
         if not 0 < self.delta < math.inf:
             raise ValueError(f"not 0 < delta < inf: got {self.delta}")
         object.__setattr__(self, "A", A)

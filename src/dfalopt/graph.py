@@ -54,6 +54,8 @@ class Graph:
         seen = set()
         for e in self.edges:
             i, j = e
+            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in e):
+                raise GraphError(f"edge {e} has a node id that is not an integer")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise GraphError(f"edge {e} references a node outside [1, {n}]")
             if i == j:

@@ -69,9 +69,8 @@ class BlockObjective:
 
     def max_residual(self, G: np.ndarray, Y: np.ndarray) -> float:
         """The largest of ``residuals(G, Y)``, NaN when any entry is NaN."""
-        r = self.residuals(G, Y)
         # Python's max skips a NaN that is not first; np.maximum does not
-        return float(r[0] if len(r) == 1 else np.maximum.reduce(r))
+        return float(np.maximum.reduce(self.residuals(G, Y)))
 
     def residual_reached(self, Y: np.ndarray, target: float) -> bool:
         """The per-block stopping test at ``Y``: every block's residual is at

@@ -552,6 +552,29 @@ class TestInstanceJson:
         with pytest.raises(ValueError, match=message):
             instance_from_json(str(path))
 
+    @pytest.mark.parametrize("key, value, message", [
+        # a NaN in b once ended in a FloatingPointError, a NaN or inf in A in
+        # "need a 1-D array of positive curvature constants", and a string
+        # delta or a null beta1 in a TypeError
+        ("b", lambda b: [float("nan")] + b[1:], "node entry 1: b has a non-finite entry"),
+        ("A", lambda A: [[float("inf")] + A[0][1:]] + A[1:],
+         "node entry 1: A has a non-finite entry"),
+        ("A", lambda A: A[:-1] + [[float("nan")] + A[-1][1:]],
+         "node entry 1: A has a non-finite entry"),
+        ("delta", "1", "node entry 1: delta must be a number, got '1'"),
+        ("beta1", None, "node entry 1: beta1 must be a number, got None"),
+        ("beta2", True, "node entry 1: beta2 must be a number, got True"),
+    ], ids=["b-nan", "A-inf", "A-nan", "delta-string", "beta1-null", "beta2-bool"])
+    def test_node_numbers_are_checked(self, tmp_path, key, value, message):
+        path = tmp_path / "inst.json"
+        instance_to_json(small_instance(), str(path))
+        raw = json.loads(path.read_text())
+        entry = raw["nodes"][1]
+        entry[key] = value(entry[key]) if callable(value) else value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=message):
+            instance_from_json(str(path))
+
     def test_node_entry_must_be_an_object(self, tmp_path):
         path = tmp_path / "inst.json"
         instance_to_json(small_instance(), str(path))
@@ -671,6 +694,14 @@ class TestCli:
         (["ref", "--instance", "K.json"], "K must be an integer, got '3'"),
         (["ref", "--instance", "n_g.json"], "n_g must be an integer, got 2.0"),
         (["bench", "--config", "N.json"], "config key 'N' must be an integer, got 3.0"),
+        # each of these once printed an F* or ended in a traceback
+        (["ref", "--instance", "edges.json"],
+         "edge (1.5, 2) has a node id that is not an integer"),
+        (["ref", "--instance", "b.json"], "node entry 0: b has a non-finite entry"),
+        (["ref", "--instance", "delta.json"],
+         "node entry 0: delta must be a number, got '1'"),
+        (["ref", "--instance", "beta1.json"],
+         "node entry 0: beta1 must be a number, got None"),
     ])
     def test_unreadable_input_is_one_error_line(
         self, tmp_path, monkeypatch, capsys, argv, message
@@ -685,6 +716,12 @@ class TestCli:
         raw = json.loads((tmp_path / "inst.json").read_text())
         for key, value in (("case", 3), ("K", "3"), ("n_g", 2.0)):
             (tmp_path / f"{key}.json").write_text(json.dumps(dict(raw, **{key: value})))
+        (tmp_path / "edges.json").write_text(json.dumps(dict(raw, edges=[[1.5, 2]])))
+        node = raw["nodes"][0]
+        for key, value in (("b", [float("nan")] + node["b"][1:]), ("delta", "1"),
+                           ("beta1", None)):
+            nodes = [dict(node, **{key: value})] + raw["nodes"][1:]
+            (tmp_path / f"{key}.json").write_text(json.dumps(dict(raw, nodes=nodes)))
         with pytest.raises(SystemExit) as exc:
             cli_main([*argv, "--out", "out.json"])
         assert exc.value.code == 2

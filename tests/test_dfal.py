@@ -440,9 +440,11 @@ class TestSharedSetup:
 
     def test_one_node_problem_per_graph_node(self):
         nodes, graph, params = self._star5()
-        for solve in self._solves(nodes[:3], graph, params):
-            with pytest.raises(ValueError, match="one node problem per graph node"):
-                solve()
+        # no nodes at all: a ValueError, not an IndexError on nodes[0]
+        for few in (nodes[:3], nodes[:0]):
+            for solve in self._solves(few, graph, params):
+                with pytest.raises(ValueError, match="one node problem per graph node"):
+                    solve()
 
     def test_inexactness_ratio_guard(self):
         nodes, graph, params = self._star5()
@@ -846,6 +848,32 @@ def test_sync_counters_match_the_inline_implementation(case, topology):
     assert ledger.control_msgs.tolist() == [0, 0, 0]
     assert [r.inner_iters for r in trace.rows] == expect["inner"]
     assert all(r.stop_reason == "residual" for r in trace.rows)
+
+
+@pytest.mark.parametrize("topology", ["star", "clique"])
+def test_sync_gradients_each_read_one_fresh_exchange(monkeypatch, topology):
+    # each gradient broadcasts its point and reads it back as delivered, so a
+    # node sends and receives its degree in vectors per gradient
+    inst = generate_instance(1, topology, 5, 5, 2, seed=1)
+    broadcast, delivered, seen = dfal.SyncNetwork.broadcast_state, [], []
+
+    def recording(net, blocks):
+        broadcast(net, blocks)
+        delivered.append(net.delivered)
+
+    def check(k, ell, ybar, xbar, q):
+        assert np.array_equal(ybar, delivered[-1])
+        seen.append(len(delivered))
+
+    monkeypatch.setattr(dfal.SyncNetwork, "broadcast_state", recording)
+    params = default_params(inst.nodes, inst.graph, outer_cap=6)
+    trace = dfal_solve(inst.nodes, inst.graph, params, gradient_check=check)
+    ledger, degrees = trace.config["ledger"], inst.graph.degrees
+    assert np.array_equal(ledger.vectors_sent, degrees * ledger.grad_evals)
+    assert np.array_equal(ledger.vectors_received, degrees * ledger.grad_evals)
+    # exactly one exchange before every gradient, and none after the last
+    assert seen == list(range(1, sum(r.inner_iters for r in trace.rows) + 1))
+    assert len(delivered) == len(seen)
 
 
 # Ledger counters of sadmm_solve(c_admm=1.0) on generate_instance(2, "star", 5,

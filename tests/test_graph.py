@@ -61,6 +61,16 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             Graph(3, ((2, 1), (2, 3)))
 
+    @pytest.mark.parametrize("edges", [((1.5, 2), (2, 3)), ((True, 2), (2, 3))])
+    def test_node_ids_must_be_integers(self, edges):
+        # 1.5 once built edge (1, 2), and True passed as node 1
+        with pytest.raises(GraphError, match="not an integer"):
+            Graph(3, edges)
+
+    def test_numpy_integer_node_ids_accepted(self):
+        g = Graph(3, ((np.int64(1), np.int32(2)), (2, 3)))
+        assert g.degrees.tolist() == [1, 2, 1]
+
 
 class TestLaplacianApply:
     def test_two_node_path(self):
