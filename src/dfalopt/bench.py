@@ -19,24 +19,20 @@ import numpy as np
 from .baselines import admm_solve, sadmm_solve
 from .dfal import async_dfal_solve, default_params, dfal_solve
 from .funcs import GroupPartition, HuberLoss, NodeProblem, NodeStack, SparseGroupReg
-from .graph import Graph, build_topology
+from .graph import Graph, build_topology, is_integer
 from .solvers import apg
-from .trace import RunTrace
+from .trace import RunTrace, write_json
 
 
 @dataclass
 class ProblemInstance:
-    """One generated benchmark problem over a fixed graph; its nodes hold
-    every node's data, sizes and weights."""
+    """One benchmark problem over a fixed graph; its nodes hold every node's
+    data, sizes and weights."""
 
     graph: Graph
-    topology: str
     nodes: list[NodeProblem]
     case: int
-    K: int
-    n_g: int
     seed: int
-    x_gen: np.ndarray
 
     @property
     def n(self) -> int:
@@ -91,17 +87,14 @@ def random_partition(n: int, n_g: int, rng: np.random.Generator) -> GroupPartiti
     return GroupPartition(n, groups)
 
 
-def check_sizes(case: int, N: int, n_g: int, K: int, seed: int) -> None:
-    """Reject a case, size or seed that is not an integer (a bool is not), a
-    case other than 1 or 2, an ``n_g`` or ``K`` below 1 and a negative seed."""
-    for name, value in dict(case=case, N=N, n_g=n_g, K=K, seed=seed).items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+def check_case_seed(case: int, seed: int, **sizes: int) -> None:
+    """Reject a case, seed or size that is not an integer (a bool is not), a
+    case other than 1 or 2 and a negative seed."""
+    for name, value in dict(case=case, seed=seed, **sizes).items():
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
-    for what, value in (("group size n_g", n_g), ("number of groups K", K)):
-        if value < 1:
-            raise ValueError(f"{what} must be at least 1, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
@@ -121,7 +114,10 @@ def generate_instance(
     the partitions from a second, so case 1 and case 2 at the same seed share
     ``A_i`` and ``b_i`` exactly.  Every node's Huber ``delta`` is 1.
     """
-    check_sizes(case, N, n_g, K, seed)
+    check_case_seed(case, seed, N=N, n_g=n_g, K=K)
+    for what, value in (("group size n_g", n_g), ("number of groups K", K)):
+        if value < 1:
+            raise ValueError(f"{what} must be at least 1, got {value}")
     graph = build_topology(topology, N, path=edge_file)
     if graph.num_nodes != N:
         raise ValueError(f"the edge file has {graph.num_nodes} nodes, not N={N}")
@@ -147,7 +143,7 @@ def generate_instance(
             reg=SparseGroupReg(beta1=beta, beta2=beta, partition=partition),
             loss=HuberLoss(A=A, b=A @ x_gen, delta=1.0),
         ))
-    return ProblemInstance(graph, topology, nodes, case, K, n_g, seed, x_gen)
+    return ProblemInstance(graph, nodes, case, seed)
 
 
 @dataclass
@@ -285,8 +281,7 @@ class BenchReport:
     means: list[dict[str, Any]] = field(default_factory=list)
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump({"note": REPORT_NOTE, **asdict(self)}, fh, indent=2, default=str)
+        write_json({"note": REPORT_NOTE, **asdict(self)}, path)
 
 
 def config_digest(config: dict[str, Any]) -> str:
@@ -428,17 +423,12 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
 
 
 def instance_to_json(instance: ProblemInstance, path: str) -> None:
-    """Serialize with explicit matrices so instances can be shared; each node
-    entry is the node's :func:`node_record`, its own weights included."""
+    """Write the ``case``, the ``seed``, the graph's ``edges`` and each node's
+    :func:`node_record`, explicit matrices and weights included."""
     payload = {
         "case": instance.case,
-        "topology": instance.topology,
-        "N": len(instance.nodes),
-        "n_g": instance.n_g,
-        "K": instance.K,
         "seed": instance.seed,
         "edges": instance.graph.edges,
-        "x_gen": instance.x_gen,
         "nodes": [
             dict(record, groups=[g + 1 for g in record["groups"]])
             for record in map(node_record, instance.nodes)
@@ -448,46 +438,36 @@ def instance_to_json(instance: ProblemInstance, path: str) -> None:
         json.dump(payload, fh, default=lambda a: a.tolist())
 
 
-def _entries(raw: Any, keys: str, where: str) -> list[Any]:
-    """The values of the space-separated ``keys`` of the JSON object ``raw``;
-    missing ones are a ``ValueError`` that names them."""
+def _entries(raw: Any, keys: str, where: str, arrays: str = "") -> list[Any]:
+    """The values of the space-separated ``keys`` of the JSON object ``raw``; a
+    missing key, or one of ``arrays`` that is not an array, is named."""
     missing = [k for k in keys.split() if not isinstance(raw, dict) or k not in raw]
     if missing:
         raise ValueError(f"{where} lacks the key(s) {', '.join(map(repr, missing))}")
+    for key in arrays.split():
+        if not isinstance(raw[key], list):
+            raise ValueError(f"{where}: {key} must be a JSON array, got {raw[key]!r}")
     return [raw[key] for key in keys.split()]
 
 
 def instance_from_json(path: str) -> ProblemInstance:
-    """The instance :func:`instance_to_json` wrote.  Rejected: a node entry
-    without numeric ``delta``, ``beta1`` and ``beta2`` or with non-finite data
-    (the error names it), and a case, size or seed :func:`check_sizes` rejects."""
+    """The instance :func:`instance_to_json` wrote; other keys are ignored.  A
+    value :func:`check_case_seed`, a constructor or :class:`Graph` rejects is a
+    ``ValueError`` naming the file, and the node entry where there is one."""
     with open(path) as fh:
         raw = json.load(fh)
-    case, topology, N, n_g, K, seed, edges, x_gen, specs = _entries(
-        raw, "case topology N n_g K seed edges x_gen nodes", path
-    )
-    check_sizes(case, N, n_g, K, seed)
-    if len(specs) != N:
-        raise ValueError(f"{path}: {len(specs)} node entries, not N={N}")
-    nodes = []
-    for i, spec in enumerate(specs):
-        A, b, delta, beta1, beta2, groups = _entries(
-            spec, "A b delta beta1 beta2 groups", f"{path}: node entry {i}"
-        )
-        try:
-            for key, value in dict(delta=delta, beta1=beta1, beta2=beta2).items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{key} must be a number, got {value!r}")
-            partition = GroupPartition(
-                K * n_g, tuple(np.asarray(g, dtype=int) - 1 for g in groups)
-            )
-            nodes.append(NodeProblem(
-                reg=SparseGroupReg(beta1, beta2, partition),
-                loss=HuberLoss(A=np.asarray(A), b=np.asarray(b), delta=delta),
-            ))
-        except ValueError as exc:
-            raise ValueError(f"{path}: node entry {i}: {exc}") from None
-    graph = Graph(N, tuple(tuple(e) for e in edges))
-    return ProblemInstance(
-        graph, topology, nodes, case, K, n_g, seed, np.asarray(x_gen)
-    )
+    case, seed, edges, specs = _entries(raw, "case seed edges nodes", path, "edges nodes")
+    entries = [_entries(spec, "A b delta beta1 beta2 groups", f"{path}: node entry {i}",
+                        "A b groups") for i, spec in enumerate(specs)]
+    nodes, where = [], path
+    try:
+        check_case_seed(case, seed)
+        graph = Graph(len(entries), tuple(map(tuple, edges)))
+        for i, (A, b, delta, beta1, beta2, groups) in enumerate(entries):
+            where = f"{path}: node entry {i}"
+            loss = HuberLoss(A=A, b=b, delta=delta)
+            partition = GroupPartition(loss.n, tuple(np.asarray(g) - 1 for g in groups))
+            nodes.append(NodeProblem(SparseGroupReg(beta1, beta2, partition), loss))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return ProblemInstance(graph, nodes, case, seed)

@@ -12,7 +12,7 @@ from .baselines import check_admm_settings
 from .dfal import check_shrink
 from .graph import load_edge_file
 from .netsim import CommLedger
-from .trace import RunTrace, check_budget_secs, check_targets
+from .trace import RunTrace, check_budget_secs, check_targets, write_json
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -55,16 +55,8 @@ def _cmd_ref(args: argparse.Namespace) -> int:
     else:
         instance = _instance(args)
     ref = bench_mod.reference_solve(instance, tolerance=args.tolerance)
-    with open(args.out, "w") as fh:
-        json.dump(
-            {
-                "F_star": ref.f_star,
-                "method": ref.method,
-                "converged": ref.converged,
-                "x_ref": ref.x_ref.tolist(),
-            },
-            fh,
-        )
+    write_json({"F_star": ref.f_star, "method": ref.method,
+                "converged": ref.converged, "x_ref": ref.x_ref}, args.out)
     print(f"reference F* = {ref.f_star:.12g} ({ref.method}) -> {args.out}")
     return 0
 

@@ -41,7 +41,11 @@ class GroupPartition:
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups = tuple(np.sort(np.asarray(g, dtype=int).reshape(-1)) for g in self.groups)
+        groups = tuple(np.asarray(g).reshape(-1) for g in self.groups)
+        # checked before the cast to int, which would read 1.5 as 1
+        if any(g.size and g.dtype.kind not in "iu" for g in groups):
+            raise ValueError("group indices must be integers")
+        groups = tuple(np.sort(g.astype(int)) for g in groups)
         sizes = np.array([g.size for g in groups], dtype=np.intp)
         if np.any(sizes == 0):
             raise ValueError("empty group")
@@ -91,6 +95,12 @@ class GroupPartition:
     def spread(self, per_segment: np.ndarray) -> np.ndarray:
         """Repeat one value per segment over the segment's coordinates."""
         return per_segment.repeat(self.sizes)
+
+
+def check_weight(name: str, value) -> None:
+    """Reject a weight that is a bool or not a real number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _clip(x: np.ndarray, bound) -> np.ndarray:
@@ -157,6 +167,8 @@ class SparseGroupReg:
     partition: GroupPartition
 
     def __post_init__(self) -> None:
+        check_weight("beta1", self.beta1)
+        check_weight("beta2", self.beta2)
         if not (0 <= self.beta1 < math.inf and 0 <= self.beta2 < math.inf):
             raise ValueError(f"not 0 <= beta < inf: got {self.beta1}, {self.beta2}")
 
@@ -239,15 +251,15 @@ class HuberLoss:
     def __post_init__(self) -> None:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if A.shape[0] != b.shape[0]:
-            raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]} entries")
+        if b.shape != A.shape[:1]:
+            raise ValueError(f"A has {A.shape[0]} rows but b has shape {b.shape}")
         for name, arr in (("A", A), ("b", b)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has a non-finite entry")
+            object.__setattr__(self, name, arr)
+        check_weight("delta", self.delta)
         if not 0 < self.delta < math.inf:
             raise ValueError(f"not 0 < delta < inf: got {self.delta}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:

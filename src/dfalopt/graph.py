@@ -21,6 +21,11 @@ class GraphError(ValueError):
     """Raised for malformed or disconnected graph inputs."""
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Connected undirected simple graph.
@@ -49,12 +54,16 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.num_nodes
+        if not is_integer(n):
+            raise GraphError(f"the node count must be an integer, got {n!r}")
         if n < 2:
             raise GraphError(f"need at least 2 nodes, got {n}")
         seen = set()
         for e in self.edges:
+            if not isinstance(e, tuple) or len(e) != 2:
+                raise GraphError(f"edge {e!r} is not a pair of node ids")
             i, j = e
-            if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in e):
+            if not (is_integer(i) and is_integer(j)):
                 raise GraphError(f"edge {e} has a node id that is not an integer")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise GraphError(f"edge {e} references a node outside [1, {n}]")

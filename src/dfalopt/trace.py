@@ -166,8 +166,7 @@ class RunTrace:
             "converged": self.converged,
             "outer_iterations": last.k,
             "F_sum": last.F_sum,
-            # NaN (no reference) is not JSON
-            "rel_subopt": None if math.isnan(last.rel_subopt) else last.rel_subopt,
+            "rel_subopt": last.rel_subopt,
             "CV": last.CV,
             "comm_per_node_max": last.comm_per_node_max,
             "dual_norm": last.dual_norm,
@@ -175,8 +174,15 @@ class RunTrace:
         }
 
     def write_summary(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, default=_jsonable)
+        write_json(self.summary(), path)
+
+
+def write_json(obj: Any, path: str) -> None:
+    """Write ``obj`` as strict JSON: a NaN or infinity, at any depth, becomes
+    ``null``, and every finite float reads back exactly."""
+    strict = json.loads(json.dumps(obj, default=_jsonable), parse_constant=lambda _: None)
+    with open(path, "w") as fh:
+        json.dump(strict, fh, indent=2, allow_nan=False)
 
 
 def _jsonable(obj: Any) -> Any:

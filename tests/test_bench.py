@@ -114,8 +114,9 @@ class TestGenerateInstance:
 
     def test_rhs_uses_generator_vector(self):
         inst = small_instance()
+        x_gen = generator_vector(inst.n, SMALL["n_g"])
         for p in inst.nodes:
-            assert np.allclose(p.loss.b, p.loss.A @ inst.x_gen)
+            assert np.array_equal(p.loss.b, p.loss.A @ x_gen)
 
 
 class TestReferenceSolve:
@@ -252,7 +253,7 @@ class TestReferenceSolve:
         calls = []
 
         def counted(instance):
-            calls.append(instance.topology)
+            calls.append(len(instance.graph.edges))
             return bench.Reference(1.0, np.zeros(instance.n), "stub", True)
 
         monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
@@ -264,7 +265,7 @@ class TestReferenceSolve:
         star2 = reference_solve(generate_instance(2, "star", 3, 4, 3, seed=2))
         clique2 = reference_solve(generate_instance(2, "clique", 3, 4, 3, seed=2))
         assert clique2 is not star2
-        assert calls == ["star", "clique"]
+        assert calls == [2, 3]  # the star's edges, then the clique's
 
     def test_cache_keys_on_content_not_on_names(self):
         # same (case, topology, N, n_g, K, seed), different Huber delta
@@ -467,9 +468,9 @@ class TestInstanceJson:
         inst = small_instance(case=2, seed=9)
         path = tmp_path / "inst.json"
         instance_to_json(inst, str(path))
+        assert list(json.loads(path.read_text())) == ["case", "seed", "edges", "nodes"]
         back = instance_from_json(str(path))
-        for name in ("case", "topology", "n_g", "K", "seed"):
-            assert getattr(back, name) == getattr(inst, name)
+        assert (back.case, back.seed) == (inst.case, inst.seed)
         assert len(back.nodes) == len(inst.nodes)
         assert back.graph.edges == inst.graph.edges
         for pa, pb in zip(inst.nodes, back.nodes):
@@ -479,16 +480,36 @@ class TestInstanceJson:
                 np.array_equal(a, b)
                 for a, b in zip(pa.reg.partition.groups, pb.reg.partition.groups)
             )
-        assert np.array_equal(back.x_gen, inst.x_gen)
+        assert back.content_digest() == inst.content_digest()
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_keys_it_does_not_read_are_ignored(self, tmp_path, case):
+        # files once also held topology, N, n_g, K and x_gen; they still load.
+        # "x_gen": "abc" and "topology": 5 once loaded and were written back,
+        # and "K": 10**20 ended in an OverflowError
+        inst = small_instance(case=case)
+        path = tmp_path / "inst.json"
+        instance_to_json(inst, str(path))
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(
+            raw, topology=5, N=2, n_g=2, K=10**20, x_gen="abc"
+        )))
+        back = instance_from_json(str(path))
+        assert back.content_digest() == inst.content_digest()
+        instance_to_json(back, str(path))
+        assert json.loads(path.read_text()) == raw
 
     def test_node_count_must_match_N(self, tmp_path):
-        # a file holding 2 of N=3 node entries once loaded, and its case-1
-        # reference summed only those 2
+        # N is the number of node entries, and the edges must fit it: a file
+        # holding 2 of 3 node entries once loaded, and its case-1 reference
+        # summed only those 2
         path = tmp_path / "inst.json"
         instance_to_json(generate_instance(1, "star", 3, 4, 3, seed=2), str(path))
         raw = json.loads(path.read_text())
         path.write_text(json.dumps(dict(raw, nodes=raw["nodes"][:2])))
-        with pytest.raises(ValueError, match="2 node entries, not N=3"):
+        with pytest.raises(ValueError, match=(
+            r"inst.json: edge \(1, 3\) references a node outside \[1, 2\]"
+        )):
             instance_from_json(str(path))
 
 
@@ -525,7 +546,7 @@ class TestInstanceJson:
 
     @pytest.mark.parametrize("content, message", [
         # {"N": 3} once raised KeyError: 'nodes', the others a TypeError
-        ({"N": 3}, r"inst.json lacks the key\(s\) 'case', 'topology', 'n_g'"),
+        ({"N": 3}, r"inst.json lacks the key\(s\) 'case', 'seed', 'edges', 'nodes'"),
         (3, r"inst.json lacks the key\(s\) 'case'"),
         ("nodes", r"inst.json lacks the key\(s\) 'case'"),
     ])
@@ -536,12 +557,8 @@ class TestInstanceJson:
             instance_from_json(str(path))
 
     @pytest.mark.parametrize("key, value, message", [
-        # case 3 once got the case-2 reference without a word, and a string
-        # K or a float n_g ended in a TypeError
+        # case 3 once got the case-2 reference without a word
         ("case", 3, "case must be 1 or 2, got 3"),
-        ("K", "3", "K must be an integer, got '3'"),
-        ("n_g", 2.0, "n_g must be an integer, got 2.0"),
-        ("N", True, "N must be an integer, got True"),
         ("seed", -1, "seed must be nonnegative, got -1"),
     ])
     def test_case_sizes_and_seed_are_checked(self, tmp_path, key, value, message):
@@ -564,7 +581,16 @@ class TestInstanceJson:
         ("delta", "1", "node entry 1: delta must be a number, got '1'"),
         ("beta1", None, "node entry 1: beta1 must be a number, got None"),
         ("beta2", True, "node entry 1: beta2 must be a number, got True"),
-    ], ids=["b-nan", "A-inf", "A-nan", "delta-string", "beta1-null", "beta2-bool"])
+        # once read as the group [1, 2]
+        ("groups", lambda g: [[1.5, 2]] + g[1:],
+         "node entry 1: group indices must be integers"),
+        # each of these once ended in a TypeError
+        ("A", None, "node entry 1: A must be a JSON array, got None"),
+        ("A", lambda A: [[{}] + A[0][1:]] + A[1:],
+         r"node entry 1: float\(\) argument must be"),
+        ("groups", lambda g: [[None]] + g[1:], "node entry 1: unsupported operand"),
+    ], ids=["b-nan", "A-inf", "A-nan", "delta-string", "beta1-null", "beta2-bool",
+            "group-float", "A-null", "A-entry-object", "group-entry-null"])
     def test_node_numbers_are_checked(self, tmp_path, key, value, message):
         path = tmp_path / "inst.json"
         instance_to_json(small_instance(), str(path))
@@ -691,8 +717,11 @@ class TestCli:
         (["bench", "--config", "seed.json"], "unknown config keys: 'seed'"),
         (["bench", "--config", "seeds.json"], "config key 'seeds' must be a JSON array"),
         (["ref", "--instance", "case.json"], "case must be 1 or 2, got 3"),
-        (["ref", "--instance", "K.json"], "K must be an integer, got '3'"),
-        (["ref", "--instance", "n_g.json"], "n_g must be an integer, got 2.0"),
+        # these three once ended in a TypeError traceback
+        (["ref", "--instance", "bad_nodes.json"],
+         "bad_nodes.json: nodes must be a JSON array, got None"),
+        (["ref", "--instance", "edges0.json"],
+         "edges0.json: edges must be a JSON array, got 0"),
         (["bench", "--config", "N.json"], "config key 'N' must be an integer, got 3.0"),
         # each of these once printed an F* or ended in a traceback
         (["ref", "--instance", "edges.json"],
@@ -702,6 +731,8 @@ class TestCli:
          "node entry 0: delta must be a number, got '1'"),
         (["ref", "--instance", "beta1.json"],
          "node entry 0: beta1 must be a number, got None"),
+        (["ref", "--instance", "groups.json"],
+         "groups.json: node entry 0: groups must be a JSON array, got None"),
     ])
     def test_unreadable_input_is_one_error_line(
         self, tmp_path, monkeypatch, capsys, argv, message
@@ -714,12 +745,13 @@ class TestCli:
         (tmp_path / "N.json").write_text(json.dumps({"N": 3.0}))
         instance_to_json(small_instance(), "inst.json")
         raw = json.loads((tmp_path / "inst.json").read_text())
-        for key, value in (("case", 3), ("K", "3"), ("n_g", 2.0)):
+        for key, value in (("case", 3), ("edges", [[1.5, 2]])):
             (tmp_path / f"{key}.json").write_text(json.dumps(dict(raw, **{key: value})))
-        (tmp_path / "edges.json").write_text(json.dumps(dict(raw, edges=[[1.5, 2]])))
+        (tmp_path / "bad_nodes.json").write_text(json.dumps(dict(raw, nodes=None)))
+        (tmp_path / "edges0.json").write_text(json.dumps(dict(raw, edges=0)))
         node = raw["nodes"][0]
         for key, value in (("b", [float("nan")] + node["b"][1:]), ("delta", "1"),
-                           ("beta1", None)):
+                           ("beta1", None), ("groups", None)):
             nodes = [dict(node, **{key: value})] + raw["nodes"][1:]
             (tmp_path / f"{key}.json").write_text(json.dumps(dict(raw, nodes=nodes)))
         with pytest.raises(SystemExit) as exc:
@@ -775,7 +807,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case, keep, message", [
         (2, 3, "the case-1 reference needs nodes that share one partition"),
-        (1, 2, "2 node entries, not N=3"),
+        (1, 2, "(1, 3) references a node outside [1, 2]"),
     ])
     def test_ref_rejects_an_inconsistent_instance_file(
         self, tmp_path, capsys, case, keep, message

@@ -20,6 +20,12 @@ class TestGroupPartition:
         with pytest.raises(ValueError, match="not covered"):
             GroupPartition(3, (np.array([0, 1]),))
 
+    @pytest.mark.parametrize("group", [[1.5, 2.0], [True, False], ["1", "2"]])
+    def test_indices_must_be_integers(self, group):
+        # [1.5, 2] was once cast to the group [1, 2]
+        with pytest.raises(ValueError, match="group indices must be integers"):
+            GroupPartition(4, (np.array([0, 3]), np.array(group)))
+
     def test_contiguous(self):
         part = GroupPartition.contiguous(6, 3)
         assert len(part.groups) == 2
@@ -55,11 +61,24 @@ class TestHuber:
         with pytest.raises(ValueError):
             HuberLoss(A=np.eye(2), b=np.zeros(3))
 
+    @pytest.mark.parametrize("b", [[[1.0, 2.0, 3.0]], [[]]])
+    def test_b_must_be_a_vector(self, b):
+        # a one-row A once took a (1, 3) or (1, 0) b, which an instance file
+        # with a nested b entry loaded
+        with pytest.raises(ValueError, match=r"A has 1 rows but b has shape \(1, [03]\)"):
+            HuberLoss(A=np.ones((1, 2)), b=b)
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
     def test_delta_outside_zero_to_inf_rejected(self, delta):
         # a NaN delta was once accepted and failed only in the first solver
         # iteration, as a non-finite gradient
         with pytest.raises(ValueError, match="0 < delta < inf"):
+            HuberLoss(A=np.eye(2), b=np.zeros(2), delta=delta)
+
+    @pytest.mark.parametrize("delta", [True, "0.5", None])
+    def test_delta_must_be_a_number(self, delta):
+        # True was once read as 1, and "0.5" ended in a TypeError
+        with pytest.raises(ValueError, match=f"delta must be a number, got {delta!r}"):
             HuberLoss(A=np.eye(2), b=np.zeros(2), delta=delta)
 
     def test_finite_differences(self, rng):
@@ -176,6 +195,19 @@ class TestProx:
         # nonpositive schedule start
         with pytest.raises(ValueError, match="0 <= beta < inf"):
             SparseGroupReg(*betas, GroupPartition.contiguous(2, 2))
+
+    @pytest.mark.parametrize("betas, name", [
+        ((True, 0.5), "beta1"), ((0.5, False), "beta2"), (("0.5", 0.5), "beta1"),
+        ((0.5, None), "beta2"),
+    ])
+    def test_weights_must_be_numbers(self, betas, name):
+        # a bool was once read as 0 or 1, and "0.5" ended in a TypeError
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            SparseGroupReg(*betas, GroupPartition.contiguous(2, 2))
+
+    def test_numpy_weights_accepted(self):
+        reg = SparseGroupReg(np.float64(0.5), np.int64(1), GroupPartition.contiguous(2, 2))
+        assert reg.coercivity == 1.5
 
     def test_nonpositive_step_rejected(self):
         reg = SparseGroupReg(1.0, 1.0, GroupPartition.contiguous(2, 2))

@@ -1,5 +1,6 @@
 """Graph construction, Laplacian products, and spectral bounds."""
 
+import re
 import time
 
 import numpy as np
@@ -66,6 +67,18 @@ class TestGraphInvariants:
         # 1.5 once built edge (1, 2), and True passed as node 1
         with pytest.raises(GraphError, match="not an integer"):
             Graph(3, edges)
+
+    @pytest.mark.parametrize("num_nodes", [3.0, "3"])
+    def test_node_count_must_be_an_integer(self, num_nodes):
+        # 3.0 once ended in a TypeError from np.bincount
+        with pytest.raises(GraphError, match=f"node count must be an integer, got {num_nodes!r}"):
+            Graph(num_nodes, ((1, 2), (2, 3)))
+
+    @pytest.mark.parametrize("edge", [(1, 2, 3), (1,), [1, 2], 2])
+    def test_edges_must_be_pairs(self, edge):
+        # (1, 2, 3) once ended in "too many values to unpack"
+        with pytest.raises(GraphError, match=rf"edge {re.escape(repr(edge))} is not a pair"):
+            Graph(3, (edge, (2, 3)))
 
     def test_numpy_integer_node_ids_accepted(self):
         g = Graph(3, ((np.int64(1), np.int32(2)), (2, 3)))

@@ -81,3 +81,28 @@ def test_summary_is_lossless_json(case2, alg, tmp_path):
     assert x.dtype == np.float64 and np.array_equal(x, state.x)
     assert summary["F_sum"] == trace.final.F_sum
     assert summary["rel_subopt"] is None  # no reference
+
+
+def test_summary_is_strict_json_with_every_finite_float_kept(tmp_path):
+    # F_sum = inf and CV = NaN were once written as Infinity and NaN, which
+    # strict JSON parsers reject
+    trace = RunTrace("x", config={
+        "scalars": [0.1, math.inf, -math.inf, math.nan, 1e-310, -0.0],
+        "nested": {"arr": np.array([[1 / 3, np.nan], [np.inf, -2.5e300]])},
+    })
+    trace.record(
+        k=1, lam=0.7, F_sum=math.inf, reference=2.0, CV=math.nan,
+        ledger=CommLedger(2), dual_norm=np.float64(2 / 7), inner_iters=3,
+        stop_reason="cap",
+    )
+    path = tmp_path / "run.summary.json"
+    trace.write_summary(str(path))
+    summary = json.loads(path.read_text(), parse_constant=_not_json)
+    assert summary["F_sum"] is None and summary["CV"] is None
+    assert summary["rel_subopt"] is None  # |inf - 2| / 2
+    assert summary["dual_norm"] == 2 / 7
+    scalars = summary["config"]["scalars"]
+    assert scalars == [0.1, None, None, None, 1e-310, 0.0]
+    assert math.copysign(1.0, scalars[-1]) == -1.0
+    arr = summary["config"]["nested"]["arr"]
+    assert arr == [[1 / 3, None], [None, -2.5e300]]
