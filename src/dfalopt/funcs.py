@@ -45,7 +45,7 @@ class GroupPartition:
         # checked before the cast to int, which would read 1.5 as 1
         if any(g.size and g.dtype.kind not in "iu" for g in groups):
             raise ValueError("group indices must be integers")
-        groups = tuple(np.sort(g.astype(int)) for g in groups)
+        groups = tuple(np.sort(g).astype(int, copy=False) for g in groups)
         sizes = np.array([g.size for g in groups], dtype=np.intp)
         if np.any(sizes == 0):
             raise ValueError("empty group")
