@@ -1,8 +1,9 @@
 #!/bin/sh
 # The command line end to end, each step its own process: gen writes an
 # instance file, ref --instance solves its reference, solve runs dfal and
-# writes a strict-JSON summary.  A malformed instance file must end in exit
-# status 2 with exactly one "dfalopt: error:" line and no traceback.
+# writes a strict-JSON summary.  A malformed instance file (null nodes, true in
+# an A, A widths that differ) must end in exit status 2 with exactly one
+# "dfalopt: error:" line and no traceback.
 # Run from the repository root: sh .github/cli_smoke.sh
 set -eu
 export PYTHONPATH=src
@@ -20,22 +21,31 @@ def reject(token):
 json.load(open(sys.argv[1]), parse_constant=reject)
 ' "$dir/run.csv.summary.json"
 
-python -c '
+# each malformed instance file: exit status 2, one error line, no traceback
+reject() {
+    python -c "
 import json, sys
 raw = json.load(open(sys.argv[1]))
-raw["nodes"] = None
-json.dump(raw, open(sys.argv[2], "w"))
-' "$dir/inst.json" "$dir/bad.json"
-status=0
-$cli ref --instance "$dir/bad.json" --out "$dir/bad_ref.json" 2> "$dir/err.txt" || status=$?
-cat "$dir/err.txt"
-if [ "$status" -ne 2 ]; then
-    echo "malformed instance file: exit status $status, not 2" >&2
-    exit 1
-fi
-if [ "$(grep -c '^dfalopt: error: ' "$dir/err.txt")" -ne 1 ] ||
-    grep -q Traceback "$dir/err.txt"; then
-    echo "malformed instance file: not exactly one error line" >&2
-    exit 1
-fi
+$2
+json.dump(raw, open(sys.argv[2], 'w'))
+" "$dir/inst.json" "$dir/bad.json"
+    status=0
+    $cli ref --instance "$dir/bad.json" --out "$dir/bad_ref.json" 2> "$dir/err.txt" || status=$?
+    cat "$dir/err.txt"
+    if [ "$status" -ne 2 ]; then
+        echo "$1: exit status $status, not 2" >&2
+        exit 1
+    fi
+    if [ "$(grep -c '^dfalopt: error: ' "$dir/err.txt")" -ne 1 ] ||
+        grep -q Traceback "$dir/err.txt"; then
+        echo "$1: not exactly one error line" >&2
+        exit 1
+    fi
+}
+reject "nodes that are null" 'raw["nodes"] = None'
+reject "true in A" 'raw["nodes"][0]["A"][0][0] = True'
+reject "A widths that differ" '
+node = raw["nodes"][1]
+node["A"] = [row + [0.5, -0.5] for row in node["A"]]
+node["groups"].append([len(node["A"][0]) - 1, len(node["A"][0])])'
 echo "command line end to end: ok"

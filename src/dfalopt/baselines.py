@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, real
 from .funcs import _TINY, NodeStack, _clip, sparse_group_min_norm
 from .graph import Graph, consensus_violation, laplacian_apply
 from .netsim import CommLedger
@@ -28,6 +29,8 @@ NEWTON_CAP = 100
 # sufficient-decrease fraction and smallest step of the Newton line search
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
+# the penalty's and the iteration count's domains; dfalopt solve reads its flags too
+PENALTY, ITERS = dict(low=0, strict=True), dict(low=1)
 
 
 class NestedSolveError(RuntimeError):
@@ -228,14 +231,6 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
     return max(consensus_violation(graph, x), split_gap / math.sqrt(x.shape[1]))
 
 
-def check_admm_settings(c_admm: float, iters: int) -> None:
-    """Reject a penalty that is not positive and finite, or no iteration."""
-    if not 0 < c_admm < math.inf:
-        raise ValueError(f"c_admm must be positive and finite, got {c_admm}")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
-
-
 def _check_admm_args(
     nodes, graph: Graph, c_admm: float, iters: int
 ) -> tuple[np.ndarray, NodeStack, CommLedger]:
@@ -243,7 +238,8 @@ def _check_admm_args(
     of shape ``(N, n)``), the node stack and an empty ledger."""
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
-    check_admm_settings(c_admm, iters)
+    real("c_admm", c_admm, **PENALTY)
+    integer("iters", iters, **ITERS)
     stack = NodeStack(nodes)
     return np.zeros(stack.shape), stack, CommLedger(graph.num_nodes)
 

@@ -17,9 +17,10 @@ from typing import Any
 import numpy as np
 
 from .baselines import admm_solve, sadmm_solve
+from .checks import indices, integer, real
 from .dfal import async_dfal_solve, default_params, dfal_solve
 from .funcs import GroupPartition, HuberLoss, NodeProblem, NodeStack, SparseGroupReg
-from .graph import Graph, build_topology, is_integer
+from .graph import Graph, build_topology
 from .solvers import apg
 from .trace import RunTrace, write_json
 
@@ -27,12 +28,17 @@ from .trace import RunTrace, write_json
 @dataclass
 class ProblemInstance:
     """One benchmark problem over a fixed graph; its nodes hold every node's
-    data, sizes and weights."""
+    data, sizes and weights.  The case is 1 or 2, the seed nonnegative."""
 
     graph: Graph
     nodes: list[NodeProblem]
     case: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if integer("case", self.case) not in (1, 2):
+            raise ValueError(f"case must be 1 or 2, got {self.case}")
+        integer("seed", self.seed, 0)
 
     @property
     def n(self) -> int:
@@ -55,7 +61,8 @@ class ProblemInstance:
         for p in self.nodes:
             A, b, *weights, groups = node_record(p).values()
             sizes = [g.size for g in groups]
-            for value in (A, b, weights, np.concatenate(groups), sizes):
+            # the weights' values as floats: an integer past int64 makes no object array
+            for value in (A, b, np.array(weights, dtype=float), np.concatenate(groups), sizes):
                 add(value)
         return h.hexdigest()
 
@@ -87,18 +94,6 @@ def random_partition(n: int, n_g: int, rng: np.random.Generator) -> GroupPartiti
     return GroupPartition(n, groups)
 
 
-def check_case_seed(case: int, seed: int, **sizes: int) -> None:
-    """Reject a case, seed or size that is not an integer (a bool is not), a
-    case other than 1 or 2 and a negative seed."""
-    for name, value in dict(case=case, seed=seed, **sizes).items():
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-
-
 def generate_instance(
     case: int,
     topology: str,
@@ -114,13 +109,10 @@ def generate_instance(
     the partitions from a second, so case 1 and case 2 at the same seed share
     ``A_i`` and ``b_i`` exactly.  Every node's Huber ``delta`` is 1.
     """
-    check_case_seed(case, seed, N=N, n_g=n_g, K=K)
-    for what, value in (("group size n_g", n_g), ("number of groups K", K)):
-        if value < 1:
-            raise ValueError(f"{what} must be at least 1, got {value}")
-    graph = build_topology(topology, N, path=edge_file)
-    if graph.num_nodes != N:
-        raise ValueError(f"the edge file has {graph.num_nodes} nodes, not N={N}")
+    # the sizes before the graph, whose cost grows with N
+    for what, value, low in (("N", N, 2), ("group size n_g", n_g, 1),
+                             ("number of groups K", K, 1)):
+        integer(what, value, low)
     n = K * n_g
     if n % (2 * N) != 0:
         raise ValueError(
@@ -128,6 +120,10 @@ def generate_instance(
             "choose K, n_g, N with 2N dividing K*n_g"
         )
     m = n // (2 * N)
+    graph = build_topology(topology, N, path=edge_file)
+    if graph.num_nodes != N:
+        raise ValueError(f"the edge file has {graph.num_nodes} nodes, not N={N}")
+    instance = ProblemInstance(graph, [], case, seed)
 
     data_rng = np.random.default_rng([seed, 0])
     part_rng = np.random.default_rng([seed, 1])
@@ -135,15 +131,14 @@ def generate_instance(
     x_gen = generator_vector(n, n_g)
 
     shared = random_partition(n, n_g, part_rng) if case == 1 else None
-    nodes = []
     for _ in range(N):
         A = data_rng.standard_normal((m, n))
         partition = shared if case == 1 else random_partition(n, n_g, part_rng)
-        nodes.append(NodeProblem(
+        instance.nodes.append(NodeProblem(
             reg=SparseGroupReg(beta1=beta, beta2=beta, partition=partition),
             loss=HuberLoss(A=A, b=A @ x_gen, delta=1.0),
         ))
-    return ProblemInstance(graph, nodes, case, seed)
+    return instance
 
 
 @dataclass
@@ -176,14 +171,8 @@ def reference_solve(
     Case 2: best consensus point from a long-horizon distributed run and a
     tightly solved split baseline; it ignores ``tolerance``.
     """
-    # "not >=" also rejects NaN, which would run APG to its iteration cap
-    if not 1e-9 <= tolerance < np.inf:
-        raise ValueError(
-            f"tolerance must be at least 1e-9 and finite, got {tolerance}"
-        )
-    # a loose one certifies the start point, whose residual already meets it
-    if tolerance > 1e-6:
-        raise ValueError(f"tolerance must be at most 1e-6, got {tolerance}")
+    # a looser one certifies the start point, whose residual already meets it
+    real("tolerance", tolerance, 1e-9, 1e-6)
     tol_key = tolerance if instance.case == 1 else None
     key = (instance.case, tol_key, instance.content_digest()) if cache else None
     if key is not None and key in _REFERENCE_CACHE:
@@ -357,7 +346,7 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
     rest of the matrix.  ``config`` replaces keys of
     ``DEFAULT_BENCH_CONFIG``; a key it does not have, or a value that is not
     an array where the default is one, an integer where it is one and a
-    number elsewhere, is a ``ValueError``.
+    finite number elsewhere, is a ``ValueError``.
     """
     cfg = dict(DEFAULT_BENCH_CONFIG)
     if config is not None:
@@ -368,13 +357,14 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
             raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         cfg.update(config)
     for key, value in cfg.items():
-        default = DEFAULT_BENCH_CONFIG[key]
-        kind = list if isinstance(default, list) else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "a JSON array" if kind is list else "a number"
-            raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
-        if isinstance(default, int) and not isinstance(value, int):
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+        name = f"config key {key!r}"
+        if isinstance(DEFAULT_BENCH_CONFIG[key], list):
+            if not isinstance(value, list):
+                raise ValueError(f"{name} must be a JSON array, got {value!r}")
+        else:  # a number, and the sizes and counts integers
+            real(name, value)
+            if key in ("N", "n_g", "K", "admm_iters", "async_outer"):
+                integer(name, value)
     digest = config_digest(cfg)
     report = BenchReport(config=cfg, config_digest=digest)
 
@@ -452,22 +442,26 @@ def _entries(raw: Any, keys: str, where: str, arrays: str = "") -> list[Any]:
 
 def instance_from_json(path: str) -> ProblemInstance:
     """The instance :func:`instance_to_json` wrote; other keys are ignored.  A
-    value :func:`check_case_seed`, a constructor or :class:`Graph` rejects is a
-    ``ValueError`` naming the file, and the node entry where there is one."""
+    value that a reader, a constructor or :class:`Graph` rejects, or an ``A``
+    whose width is not node entry 0's, is a ``ValueError`` naming the file,
+    and the node entry where there is one."""
     with open(path) as fh:
         raw = json.load(fh)
     case, seed, edges, specs = _entries(raw, "case seed edges nodes", path, "edges nodes")
     entries = [_entries(spec, "A b delta beta1 beta2 groups", f"{path}: node entry {i}",
                         "A b groups") for i, spec in enumerate(specs)]
-    nodes, where = [], path
+    where = path
     try:
-        check_case_seed(case, seed)
-        graph = Graph(len(entries), tuple(map(tuple, edges)))
+        graph = Graph(len(entries), tuple(tuple(indices("edges", e)) for e in edges))
+        instance = ProblemInstance(graph, [], case, seed)
         for i, (A, b, delta, beta1, beta2, groups) in enumerate(entries):
             where = f"{path}: node entry {i}"
             loss = HuberLoss(A=A, b=b, delta=delta)
-            partition = GroupPartition(loss.n, tuple(np.asarray(g) - 1 for g in groups))
-            nodes.append(NodeProblem(SparseGroupReg(beta1, beta2, partition), loss))
-    except (TypeError, ValueError, OverflowError) as exc:
+            if i and loss.n != instance.n:
+                raise ValueError(f"A has {loss.n} columns, node entry 0's {instance.n}")
+            partition = GroupPartition(loss.n, tuple(
+                np.asarray(indices(f"groups[{k}]", g)) - 1 for k, g in enumerate(groups)))
+            instance.nodes.append(NodeProblem(SparseGroupReg(beta1, beta2, partition), loss))
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    return ProblemInstance(graph, nodes, case, seed)
+    return instance

@@ -8,11 +8,12 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .baselines import check_admm_settings
-from .dfal import check_shrink
+from .baselines import ITERS, PENALTY
+from .checks import integer, real
+from .dfal import SHRINK
 from .graph import load_edge_file
 from .netsim import CommLedger
-from .trace import RunTrace, check_budget_secs, check_targets, write_json
+from .trace import BUDGET, TARGET, RunTrace, write_json
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -85,10 +86,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.alg == "apg" and args.case != 1:
         raise ValueError("--alg apg requires --case 1 (shared partition)")
     # every setting before the reference solve, for apg too, which uses none
-    check_targets(args.eps_opt, args.eps_feas)
-    check_budget_secs(args.budget_secs)
-    check_shrink(args.c)
-    check_admm_settings(args.c_admm, args.iters)
+    for key, value, domain in (
+        ("eps_opt", args.eps_opt, TARGET), ("eps_feas", args.eps_feas, TARGET),
+        ("shrink factor", args.c, SHRINK), ("c_admm", args.c_admm, PENALTY),
+        ("budget_secs", args.budget_secs, BUDGET),
+    ):
+        if value is not None:  # only the budget may be unset
+            real(key, value, **domain)
+    integer("iters", args.iters, **ITERS)
     instance = _instance(args)
     ref = bench_mod.reference_solve(instance)
     if args.alg == "apg":

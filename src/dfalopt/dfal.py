@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .checks import integer, real
 from .funcs import _TINY, NodeProblem, NodeStack, huber_grad
 from .funcs import sparse_group_min_norm, sparse_group_prox
 from .graph import (
@@ -52,10 +53,8 @@ class ProtocolError(RuntimeError):
     """A node update referenced data it cannot have received."""
 
 
-def check_shrink(c: float) -> None:
-    """Reject a penalty shrink factor outside (0, 1), NaN included."""
-    if not 0.0 < c < 1.0:
-        raise ValueError("shrink factor must lie in (0, 1)")
+# the penalty shrink factor's domain; dfalopt solve reads its flag too
+SHRINK = dict(low=0, high=1, strict=True)
 
 
 @dataclass
@@ -78,14 +77,11 @@ class DfalParams:
     eps_feas: float = 1e-4
 
     def __post_init__(self) -> None:
-        # "not > 0" also rejects NaN
-        if not (self.lam1 > 0 and self.alpha1 > 0 and self.xi1 > 0):
-            raise ValueError("schedule starting values must be positive")
-        check_shrink(self.c)
-        if not self.bx > 0:
-            raise ValueError("iterate bound must be positive")
-        if self.outer_cap < 1:
-            raise ValueError(f"outer_cap must be at least 1, got {self.outer_cap}")
+        for key in ("lam1", "alpha1", "xi1", "bx"):
+            real(key, getattr(self, key), 0, strict=True)
+        real("shrink factor", self.c, **SHRINK)
+        real("psi_max", self.psi_max, 0)
+        integer("outer_cap", self.outer_cap, 1)
 
     def schedule(self, k: int) -> tuple[float, float, float]:
         """Values ``(lam, alpha, xi)`` at outer iteration ``k`` (1-based)."""
@@ -212,6 +208,7 @@ def _outer_loop(
     """
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
+    real("lam_min", lam_min, 0)
     _, tau_bar = coupling_constants(nodes)
     if params.xi1 / params.lam1 >= tau_bar:
         raise ValueError("xi1 / lam1 must stay below the coercivity constant")
@@ -402,12 +399,11 @@ def async_dfal_solve(
     """
     if oracle not in ("rbcd", "arbcd"):
         raise ValueError(f"unknown oracle {oracle!r}")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    real("p", p, 0, 1, strict=True)
+    integer("seed", seed, 0)
     N = graph.num_nodes
-    K_outer = outer_iters if outer_iters is not None else params.outer_cap
-    if K_outer < 1:
-        raise ValueError(f"outer_iters must be at least 1, got {K_outer}")
+    K_outer = params.outer_cap if outer_iters is None else integer(
+        "outer_iters", outer_iters, 1)
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
     trace = RunTrace(
         "afal-" + oracle,

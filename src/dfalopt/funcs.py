@@ -15,12 +15,13 @@ stacked iterate, with per-node weights), so each node has its own partition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .checks import array, indices, integer, real
 
 
 @dataclass(frozen=True)
@@ -41,23 +42,23 @@ class GroupPartition:
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups = tuple(np.asarray(g).reshape(-1) for g in self.groups)
-        # checked before the cast to int, which would read 1.5 as 1
-        if any(g.size and g.dtype.kind not in "iu" for g in groups):
-            raise ValueError("group indices must be integers")
-        groups = tuple(np.sort(g).astype(int, copy=False) for g in groups)
+        integer("n", self.n, 1)
+        try:  # read before the cast to int, which would take 1.5 as 1
+            groups = tuple(np.sort(indices(f"groups[{k}]", g)).astype(int, copy=False)
+                           for k, g in enumerate(self.groups))
+        except TypeError:  # from groups that are no sequence
+            raise ValueError(f"groups must be a sequence, got {self.groups!r}") from None
         sizes = np.array([g.size for g in groups], dtype=np.intp)
-        if np.any(sizes == 0):
-            raise ValueError("empty group")
         perm = np.concatenate(groups) if groups else np.zeros(0, dtype=int)
         if perm.size and (perm.min() < 0 or perm.max() >= self.n):
             raise ValueError(f"group index out of range for n={self.n}")
-        counts = np.bincount(perm, minlength=self.n)
-        if np.any(counts > 1):
+        # in range and without overlap, n indices cover [0, n); a shortfall is
+        # found before counting up to n, which may not fit in memory
+        if perm.size < self.n:
+            missing = self.n - perm.size
+            raise ValueError(f"not covered by any group: {missing} of n={self.n} indices")
+        if np.any(np.bincount(perm, minlength=self.n) > 1):
             raise ValueError("groups overlap")
-        if not np.all(counts):
-            missing = np.flatnonzero(counts == 0)
-            raise ValueError(f"indices not covered by any group: {missing.tolist()}")
         layout = dict(groups=groups, perm=perm, sizes=sizes,
                       starts=np.cumsum(sizes) - sizes, inverse=np.argsort(perm))
         for name, value in layout.items():
@@ -95,12 +96,6 @@ class GroupPartition:
     def spread(self, per_segment: np.ndarray) -> np.ndarray:
         """Repeat one value per segment over the segment's coordinates."""
         return per_segment.repeat(self.sizes)
-
-
-def check_weight(name: str, value) -> None:
-    """Reject a weight that is a bool or not a real number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _clip(x: np.ndarray, bound) -> np.ndarray:
@@ -167,10 +162,10 @@ class SparseGroupReg:
     partition: GroupPartition
 
     def __post_init__(self) -> None:
-        check_weight("beta1", self.beta1)
-        check_weight("beta2", self.beta2)
-        if not (0 <= self.beta1 < math.inf and 0 <= self.beta2 < math.inf):
-            raise ValueError(f"not 0 <= beta < inf: got {self.beta1}, {self.beta2}")
+        real("beta1", self.beta1, 0)
+        real("beta2", self.beta2, 0)
+        if not isinstance(self.partition, GroupPartition):
+            raise ValueError(f"partition must be a GroupPartition, got {self.partition!r}")
 
     @property
     def n(self) -> int:
@@ -249,17 +244,13 @@ class HuberLoss:
     delta: float = 1.0
 
     def __post_init__(self) -> None:
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        A = np.asarray(array("A", self.A, 2), dtype=float)
+        b = np.asarray(array("b", self.b, 1), dtype=float)
         if b.shape != A.shape[:1]:
             raise ValueError(f"A has {A.shape[0]} rows but b has shape {b.shape}")
-        for name, arr in (("A", A), ("b", b)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has a non-finite entry")
-            object.__setattr__(self, name, arr)
-        check_weight("delta", self.delta)
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"not 0 < delta < inf: got {self.delta}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+        real("delta", self.delta, 0, strict=True)
 
     @property
     def n(self) -> int:

@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import integer
+
 
 class GraphError(ValueError):
     """Raised for malformed or disconnected graph inputs."""
-
-
-def is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,33 +50,35 @@ class Graph:
     edge_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.num_nodes
-        if not is_integer(n):
-            raise GraphError(f"the node count must be an integer, got {n!r}")
-        if n < 2:
-            raise GraphError(f"need at least 2 nodes, got {n}")
-        seen = set()
-        for e in self.edges:
-            if not isinstance(e, tuple) or len(e) != 2:
-                raise GraphError(f"edge {e!r} is not a pair of node ids")
-            i, j = e
-            if not (is_integer(i) and is_integer(j)):
-                raise GraphError(f"edge {e} has a node id that is not an integer")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise GraphError(f"edge {e} references a node outside [1, {n}]")
-            if i == j:
-                raise GraphError(f"self-loop at node {i}")
-            if i > j:
-                raise GraphError(f"edge {e} not stored with smaller id first")
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
+        n, seen = self.num_nodes, set()
+        try:  # the readers' errors are graph errors too
+            integer("the node count", n, 2)
+            for e in self.edges:
+                # a tuple, since edges are compared and hashed
+                if not isinstance(e, tuple) or len(e) != 2:
+                    raise GraphError(f"edge {e!r} is not a pair of node ids")
+                i, j = (integer(f"a node id of edge {e}", v) for v in e)
+                if not (1 <= i <= n and 1 <= j <= n):
+                    raise GraphError(f"edge {e} references a node outside [1, {n}]")
+                if i == j:
+                    raise GraphError(f"self-loop at node {i}")
+                if i > j:
+                    raise GraphError(f"edge {e} not stored with smaller id first")
+                if e in seen:
+                    raise GraphError(f"duplicate edge {e}")
+                seen.add(e)
+        except ValueError as exc:
+            raise GraphError(str(exc)) from None
+        except TypeError:  # from the loop over edges that are no sequence
+            raise GraphError(f"edges must be a tuple of pairs, got {self.edges!r}") from None
+        # checked before the arrays of n entries, which a huge n would not fit
+        if len(self.edges) < n - 1:
+            raise GraphError(f"graph is disconnected; {len(self.edges)} edges leave nodes "
+                             f"of its {n} unreachable")
         edge_idx = np.array(self.edges, dtype=np.int64).reshape(-1, 2) - 1
         src = np.concatenate([edge_idx[:, 0], edge_idx[:, 1]])
         dst = np.concatenate([edge_idx[:, 1], edge_idx[:, 0]])
         degrees = np.bincount(src, minlength=n)
-        if not degrees.all():
-            raise GraphError(f"node {int(np.argmin(degrees)) + 1} is isolated")
         nbr_ptr = np.concatenate([[0], np.cumsum(degrees)])
         nbr_idx = dst[np.lexsort((dst, src))]
         for name, arr in (("degrees", degrees), ("nbr_ptr", nbr_ptr),

@@ -16,6 +16,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .checks import real
 from .netsim import activation_stream
 
 
@@ -363,10 +364,8 @@ def arbcd_run(
     start point) with the smallest objective; a chain whose residual test
     fires is returned at once.  ``activations`` sums the chains' block counts.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    real("alpha", alpha, 0, strict=True)
+    real("p", p, 0, 1, strict=True)
     N = obj.num_blocks
     value = _required(obj, "value", "arbcd_run")
     chain_iters = arbcd_chain_events(N, c_estimate, alpha)

@@ -14,7 +14,11 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .checks import real
 from .netsim import CommLedger
+
+# the targets' and the time budget's domains; dfalopt solve reads its flags too
+TARGET, BUDGET = dict(low=0), dict(low=0, strict=True)
 
 
 def rel_subopt(f_sum: float, reference: float | None) -> float:
@@ -24,21 +28,6 @@ def rel_subopt(f_sum: float, reference: float | None) -> float:
     if reference == 0.0:
         return abs(f_sum)
     return abs(f_sum - reference) / abs(reference)
-
-
-def check_budget_secs(budget_secs: float | None) -> None:
-    """Reject a wall-time budget that is set but not positive (NaN included)."""
-    if budget_secs is not None and not budget_secs > 0:
-        raise ValueError(f"budget_secs must be positive, got {budget_secs}")
-
-
-def check_targets(eps_opt: float, eps_feas: float) -> None:
-    """Reject a negative or NaN stopping target, which no row can meet."""
-    # "not >= 0" also rejects NaN
-    if not (eps_opt >= 0 and eps_feas >= 0):
-        raise ValueError(
-            f"eps_opt and eps_feas must be nonnegative, got {eps_opt}, {eps_feas}"
-        )
 
 
 @dataclass
@@ -130,8 +119,10 @@ class RunTrace:
         ends more than ``budget_secs`` seconds (if set) after the trace began
         gets stop reason ``"timeout"`` and ends the run.  Keeps a snapshot of
         ``ledger`` in ``config["ledger"]``."""
-        check_budget_secs(budget_secs)
-        check_targets(eps_opt, eps_feas)
+        real("eps_opt", eps_opt, **TARGET)
+        real("eps_feas", eps_feas, **TARGET)
+        if budget_secs is not None:
+            real("budget_secs", budget_secs, **BUDGET)
         for k in range(1, iters + 1):
             row, done = step(k)
             # without a reference the gap is NaN and never meets its target

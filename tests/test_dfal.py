@@ -123,7 +123,7 @@ class TestParamsValidation:
         # xi1 = NaN once ran every subproblem to its inner cap
         values = dict(lam1=1.0, alpha1=1.0, xi1=1.0, bx=10.0)
         values[name] = math.nan
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=rf"{name} must be in \(0, inf\), got nan"):
             DfalParams(**values)
 
     def test_shrink_factor_range(self):
@@ -506,7 +506,7 @@ class TestTimeBudget:
     def test_nonpositive_budget_rejected(self, budget):
         nodes, graph, params = self._star5()
         for solve in self._solves(nodes, graph, params, budget_secs=budget):
-            with pytest.raises(ValueError, match="budget_secs must be positive"):
+            with pytest.raises(ValueError, match=rf"budget_secs must be in \(0, inf\), got {budget}"):
                 solve()
 
 
@@ -519,7 +519,8 @@ class TestTargets:
         nodes, graph, params = TestSharedSetup._star5()
         params = replace(params, outer_cap=2, eps_opt=eps_opt, eps_feas=eps_feas)
         for solve in TestSharedSetup._solves(nodes, graph, params):
-            with pytest.raises(ValueError, match="eps_opt and eps_feas must be nonneg"):
+            bad = ("eps_opt", eps_opt) if not eps_opt >= 0 else ("eps_feas", eps_feas)
+            with pytest.raises(ValueError, match=r"%s must be in \[0, inf\), got %s" % bad):
                 solve()
 
 

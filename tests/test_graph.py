@@ -65,7 +65,9 @@ class TestGraphInvariants:
     @pytest.mark.parametrize("edges", [((1.5, 2), (2, 3)), ((True, 2), (2, 3))])
     def test_node_ids_must_be_integers(self, edges):
         # 1.5 once built edge (1, 2), and True passed as node 1
-        with pytest.raises(GraphError, match="not an integer"):
+        edge = re.escape(str(edges[0]))
+        message = rf"a node id of edge {edge} must be an integer, got {edges[0][0]}"
+        with pytest.raises(GraphError, match=message):
             Graph(3, edges)
 
     @pytest.mark.parametrize("num_nodes", [3.0, "3"])
