@@ -1,9 +1,11 @@
 #!/bin/sh
 # The command line end to end, each step its own process: gen writes an
 # instance file, ref --instance solves its reference, solve runs dfal and
-# writes a strict-JSON summary.  A malformed instance file (null nodes, true in
-# an A, A widths that differ) must end in exit status 2 with exactly one
-# "dfalopt: error:" line and no traceback.
+# writes a strict-JSON summary, and solve --alg apg runs the case-1 reference
+# (through ms_apg) to a strict-JSON summary that says it converged.  A
+# malformed instance file (null nodes, true in an A, A widths that differ)
+# must end in exit status 2 with exactly one "dfalopt: error:" line and no
+# traceback.
 # Run from the repository root: sh .github/cli_smoke.sh
 set -eu
 export PYTHONPATH=src
@@ -14,12 +16,17 @@ cli="python -m dfalopt.cli"
 $cli gen --case 2 --seed 1 --out "$dir/inst.json"
 $cli ref --instance "$dir/inst.json" --out "$dir/ref.json"
 $cli solve --alg dfal --case 2 --seed 1 --out "$dir/run.csv"
+$cli solve --alg apg --case 1 --seed 1 --out "$dir/apg.csv"
 python -c '
 import json, sys
-def reject(token):
-    sys.exit(f"{sys.argv[1]}: {token} is not JSON")
-json.load(open(sys.argv[1]), parse_constant=reject)
-' "$dir/run.csv.summary.json"
+def load(path):
+    def reject(token):
+        sys.exit(f"{path}: {token} is not JSON")
+    return json.load(open(path), parse_constant=reject)
+load(sys.argv[1])
+if load(sys.argv[2])["converged"] is not True:
+    sys.exit(f"{sys.argv[2]}: the case-1 reference did not converge")
+' "$dir/run.csv.summary.json" "$dir/apg.csv.summary.json"
 
 # each malformed instance file: exit status 2, one error line, no traceback
 reject() {

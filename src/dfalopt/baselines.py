@@ -305,7 +305,7 @@ def sadmm_solve(
         return row, False
 
     trace.config["final_state"] = state
-    return trace.run(sadmm_step, iters, ledger, eps_opt, eps_feas, budget_secs)
+    return trace.run(sadmm_step, iters, ledger, eps_opt, eps_feas, budget_secs, reference)
 
 
 def admm_solve(
@@ -354,4 +354,4 @@ def admm_solve(
         return row, False
 
     trace.config["final_state"] = x
-    return trace.run(admm_step, iters, ledger, eps_opt, eps_feas, budget_secs)
+    return trace.run(admm_step, iters, ledger, eps_opt, eps_feas, budget_secs, reference)

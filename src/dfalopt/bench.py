@@ -16,13 +16,13 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import admm_solve, sadmm_solve
+from .baselines import ITERS, PENALTY, admm_solve, sadmm_solve
 from .checks import indices, integer, real
-from .dfal import async_dfal_solve, default_params, dfal_solve
+from .dfal import SHRINK, async_dfal_solve, default_params, dfal_solve
 from .funcs import GroupPartition, HuberLoss, NodeProblem, NodeStack, SparseGroupReg
 from .graph import Graph, build_topology
 from .solvers import apg
-from .trace import RunTrace, write_json
+from .trace import BUDGET, TARGET, RunTrace, write_json
 
 
 @dataclass
@@ -295,6 +295,12 @@ DEFAULT_BENCH_CONFIG: dict[str, Any] = {
     "async_p": 0.1,
     "async_outer": 40,
 }
+# each number's domain, and that of each entry of cases and seeds (integers)
+CONFIG_DOMAINS: dict[str, Any] = dict(
+    N=dict(low=2), n_g=dict(low=1), K=dict(low=1), c=SHRINK, c_admm=PENALTY, eps_opt=TARGET,
+    eps_feas=TARGET, budget_secs=BUDGET, admm_iters=ITERS, async_outer=dict(low=1),
+    async_p=dict(low=0, high=1, strict=True), cases=dict(low=1, high=2), seeds=dict(low=0),
+)
 
 
 def run_solver(
@@ -343,10 +349,9 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
     """Run the full (algorithm, topology, case, seed) matrix.
 
     Individual run failures are recorded in their row and do not abort the
-    rest of the matrix.  ``config`` replaces keys of
-    ``DEFAULT_BENCH_CONFIG``; a key it does not have, or a value that is not
-    an array where the default is one, an integer where it is one and a
-    finite number elsewhere, is a ``ValueError``.
+    rest of the matrix.  ``config`` replaces keys of ``DEFAULT_BENCH_CONFIG``;
+    a key it does not have, or a value of another kind than the default's or
+    outside ``CONFIG_DOMAINS``, is a ``ValueError`` before any instance is built.
     """
     cfg = dict(DEFAULT_BENCH_CONFIG)
     if config is not None:
@@ -357,12 +362,15 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
             raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         cfg.update(config)
     for key, value in cfg.items():
-        name = f"config key {key!r}"
+        name, domain = f"config key {key!r}", CONFIG_DOMAINS.get(key)
         if isinstance(DEFAULT_BENCH_CONFIG[key], list):
             if not isinstance(value, list):
                 raise ValueError(f"{name} must be a JSON array, got {value!r}")
+            for entry in value if domain else ():  # a row records a name it does not know
+                integer(f"an entry of {name}", entry)
+                real(f"an entry of {name}", entry, **domain)
         else:  # a number, and the sizes and counts integers
-            real(name, value)
+            real(name, value, **domain)
             if key in ("N", "n_g", "K", "admm_iters", "async_outer"):
                 integer(name, value)
     digest = config_digest(cfg)

@@ -243,7 +243,8 @@ def _outer_loop(
 
     trace.config["final_state"] = state
     return trace.run(
-        step, params.outer_cap, ledger, params.eps_opt, params.eps_feas, budget_secs
+        step, params.outer_cap, ledger, params.eps_opt, params.eps_feas, budget_secs,
+        reference,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .checks import real
+from .checks import integer, real
 from .netsim import activation_stream
 
 
@@ -136,6 +136,7 @@ def ms_apg(
     > 0`` (adaptive restart, O'Donoghue and Candes 2015, FoCM), which recovers
     the linear rate near a solution; only the case-1 reference sets it.
     """
+    integer("max_iter", max_iter, 1)
     value = _required(obj, "value", "record_values") if record_values else None
     y_prev = np.array(y0, dtype=float)
     ybar = y_prev.copy()
@@ -145,6 +146,8 @@ def ms_apg(
     # xi in d(rho_i)(ybar_i); rounding moves bound and residual by about 7 (n + 8) u
     # (L_i ||ybar_i|| + ||g_i||) in all, u = eps / 2, and the slack is 16 (n + 8) u.
     slack = 8.0 * (y_prev.shape[1] + 8) * np.finfo(float).eps
+    # try first row j (bit for bit the stacked bound's), the largest at the last stacked pass
+    j, L_rows = 0, L.tolist()
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
@@ -155,21 +158,27 @@ def ms_apg(
         y = obj.prox_all(ybar - grad / L_col)
         step = ybar - y
         if residual_target is not None:
-            scale = L * np.sqrt(np.vecdot(ybar, ybar)) + np.sqrt(np.vecdot(grad, grad))
-            bound = L * np.sqrt(np.vecdot(step, step)) - slack * scale
-            if not np.max(bound) > residual_target:
-                if obj.max_residual(grad, ybar) <= residual_target:
-                    result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
-                    return result
+            s, v, g, L_j = step[j], ybar[j], grad[j], L_rows[j]
+            scale_j = L_j * math.sqrt(v.dot(v)) + math.sqrt(g.dot(g))
+            over = L_j * math.sqrt(s.dot(s)) - slack * scale_j > residual_target
+            if not over and len(L_rows) > 1:
+                scale = L * np.sqrt(np.vecdot(ybar, ybar)) + np.sqrt(np.vecdot(grad, grad))
+                bound = L * np.sqrt(np.vecdot(step, step)) - slack * scale
+                j = int(bound.argmax())  # a NaN row when there is one
+                over = bound[j] > residual_target
+            if not over and obj.max_residual(grad, ybar) <= residual_target:
+                result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
+                return result
         if value is not None:
             result.values.append(value(y))
         if ell == max_iter:
             result.y, result.iterations, result.stop_reason = y, ell, "cap"
             return result
-        if restart and np.vdot(step, y - y_prev) > 0.0:
+        move = y - y_prev
+        if restart and np.vdot(step, move) > 0.0:
             t = 1.0
         t_next = fista_momentum(t)
-        ybar = y + ((t - 1.0) / t_next) * (y - y_prev)
+        ybar = y + ((t - 1.0) / t_next) * move
         t = t_next
         y_prev = y
     return result
@@ -224,6 +233,7 @@ def rbcd_run(
     checked once per ``N`` events) may stop early.
     ``activations`` of the result counts the events that drew each block.
     """
+    integer("iters", iters, 0)
     y = np.array(y0, dtype=float)
     N = obj.num_blocks
     L = obj.L.tolist()
@@ -270,6 +280,7 @@ def arbcd_chain(
     fires; otherwise the final candidate is returned at the cap.
     ``activations`` of the result counts the events that drew each block.
     """
+    integer("iters", iters, 0)
     z = np.array(z0, dtype=float)
     u = np.zeros_like(z)
     t = 1.0

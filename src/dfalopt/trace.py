@@ -112,17 +112,20 @@ class RunTrace:
         eps_opt: float,
         eps_feas: float,
         budget_secs: float | None = None,
+        reference: float | None = None,
     ) -> RunTrace:
         """The run loop of every solve: ``step(k) -> (row, done)`` does and
-        records iteration ``k``, for k = 1..``iters``.  Stops converged once a
-        row meets both targets or ``done`` is true; otherwise the row that
-        ends more than ``budget_secs`` seconds (if set) after the trace began
-        gets stop reason ``"timeout"`` and ends the run.  Keeps a snapshot of
-        ``ledger`` in ``config["ledger"]``."""
+        records iteration ``k``, for k = 1..``iters``, against ``reference`` (read
+        with the targets).  Stops converged once a row meets both targets or
+        ``done`` is true; otherwise the row that ends more than ``budget_secs``
+        seconds (if set) after the trace began gets stop reason ``"timeout"`` and
+        ends the run.  Keeps a snapshot of ``ledger`` in ``config["ledger"]``."""
         real("eps_opt", eps_opt, **TARGET)
         real("eps_feas", eps_feas, **TARGET)
         if budget_secs is not None:
             real("budget_secs", budget_secs, **BUDGET)
+        if reference is not None:
+            real("reference", reference)
         for k in range(1, iters + 1):
             row, done = step(k)
             # without a reference the gap is NaN and never meets its target

@@ -294,8 +294,10 @@ class TestSweep:
         base = dict(algorithms=["dfal"], topologies=["star"], cases=[1], N=2, n_g=2, K=2,
                     seeds=[3], c=0.7, budget_secs=60.0)
         path = tmp_path / "cfg.json"
-        for _, value, config in mutations(base):
-            changed = [k for k in base if config.get(k, DELETE) != base[k]]
+
+        def rejected(config) -> bool:
+            # by repr, since [True] == [1.0] == [1]
+            changed = [k for k in base if repr(config.get(k, DELETE)) != repr(base[k])]
             try:
                 report = run_benchmark(config)
             except ValueError as exc:
@@ -305,8 +307,15 @@ class TestSweep:
                     cli_main(["bench", "--config", str(path), "--out", str(tmp_path / "r")])
                 assert exit_.value.code == 2
                 assert len(error_lines(capsys)) == 1, config
-                continue
+                return True
             assert all(row.get("error") == "RuntimeError: not run" for row in report.rows)
+            return False
+
+        for *_, config in mutations(base):
+            rejected(config)
+        # both were once accepted, and every row recorded the same error
+        assert rejected(dict(base, c=5.0))
+        assert rejected(dict(base, seeds=[True]))
 
     CONSTRUCTORS = {
         "Graph": (Graph, dict(num_nodes=3, edges=((1, 2), (2, 3)))),
@@ -334,6 +343,7 @@ class TestSweep:
 
     # each argument's domain; a value outside it must fail before any work
     SOLVER_DOMAINS = {
+        "reference": lambda v: v is None or _real(v),
         "lam_min": lambda v: _real(v) and v >= 0,
         "budget_secs": lambda v: v is None or _real(v) and v > 0,
         "p": lambda v: _real(v) and 0 < v < 1,
@@ -359,9 +369,9 @@ class TestSweep:
         inst = generate_instance(1, "star", 2, 2, 2, seed=3)
         solves = {
             "dfal_solve": (partial(dfal_solve, nodes, graph, params),
-                           ("lam_min", "budget_secs")),
+                           ("lam_min", "budget_secs", "reference")),
             "async_dfal_solve": (partial(async_dfal_solve, nodes, graph, params, p=0.1),
-                                 ("p", "seed", "outer_iters", "budget_secs")),
+                                 ("p", "seed", "outer_iters", "budget_secs", "reference")),
             "reference_solve": (partial(reference_solve, inst, cache=False), ("tolerance",)),
             # the readers run before the objective is read
             "arbcd_run": (partial(arbcd_run, None, None, alpha=1.0, p=0.5, rng=None,
@@ -369,7 +379,7 @@ class TestSweep:
         }
         for solve in (sadmm_solve, admm_solve):
             solves[solve.__name__] = (partial(solve, nodes, graph), (
-                "c_admm", "iters", "eps_opt", "eps_feas", "budget_secs"))
+                "c_admm", "iters", "eps_opt", "eps_feas", "budget_secs", "reference"))
         rejected = 0
         for name, (solve, keys) in solves.items():
             for key in keys:

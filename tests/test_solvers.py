@@ -28,7 +28,7 @@ from dfalopt.solvers import (
     fista_momentum,
     rbcd_budget_constant,
 )
-from conftest import random_reg, schedule_ids
+from conftest import random_reg, schedule_ids, small_node
 
 
 def quadratic_objective(c):
@@ -380,6 +380,21 @@ def counting_residuals(obj):
     return replace(obj, residuals=residuals), calls
 
 
+def staggered_objective(N=4, n=3):
+    """Diagonal quadratics without ``rho``, block ``i``'s smallest curvature
+    ``10^-(i+1)``: the blocks settle one after another, so the block with the
+    largest gradient mapping changes as the iterations go on."""
+    Q = np.array([np.geomspace(1.0, 10.0 ** -(i + 1), n) for i in range(N)])
+    c = np.ones((N, n))
+    return BlockObjective(
+        L=np.ones(N),
+        smooth_grad=lambda Y: Q * (Y - c),
+        prox_all=lambda V: V,
+        residuals=lambda G, Y: np.linalg.norm(G, axis=1),
+        value=lambda Y: 0.5 * float(np.sum(Q * (Y - c) ** 2)),
+    )
+
+
 class TestBoundedStoppingTest:
     """``ms_apg`` runs the exact residual test only when no block's gradient
     mapping is over the target, and decides as the exact test at every
@@ -438,6 +453,85 @@ class TestBoundedStoppingTest:
         res = ms_apg(obj, np.zeros((5, 100)), residual_target=target, max_iter=5000)
         assert res.stop_reason == "residual"
         assert 0 < len(calls) <= res.iterations / 100
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_the_row_tried_first_moves(self, monkeypatch, restart):
+        # the row tried first is the largest of the last stacked bound, which
+        # is formed only when that row is within the target
+        obj, y0 = staggered_objective(), np.zeros((4, 3))
+        largest, stacked, vecdot = [], [], np.vecdot
+
+        def record(ell, ybar, grad):  # L = 1 and no rho: the mapping is grad
+            largest.append(int(np.argmax(np.linalg.norm(grad, axis=1))))
+
+        def counting(*args):
+            stacked.append(len(largest))
+            return vecdot(*args)
+
+        monkeypatch.setattr(np, "vecdot", counting)
+        res = ms_apg(obj, y0, residual_target=1e-6, max_iter=20_000, record_values=True,
+                     callback=record, restart=restart)
+        monkeypatch.undo()
+        y, iters, reason, values = exact_test_apg(obj, y0, 1e-6, 20_000, restart)
+        assert (res.iterations, res.stop_reason) == (iters, reason) == (iters, "residual")
+        assert np.array_equal(res.y, y)
+        assert res.values == values
+        fallbacks = sorted(set(stacked))
+        assert 3 <= len(fallbacks) < iters / 50
+        assert len({largest[ell - 1] for ell in fallbacks}) >= 2
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_one_block_through_apg(self, rng, monkeypatch, restart):
+        # one block: its row decides, with no stacked pass
+        node = small_node(rng, n=8, m=12)
+        loss, reg = node.loss, node.reg
+        step = 1.0 / np.float64(loss.lipschitz)
+        obj = BlockObjective(
+            L=np.array([loss.lipschitz]),
+            smooth_grad=lambda Y: loss.grad(Y[0])[None, :],
+            prox_all=lambda V: reg.prox(V[0], step)[None, :],
+            residuals=lambda G, Y: (reg.subgrad_residual(1.0, G[0], Y[0]),),
+            value=lambda Y: loss.value(Y[0]) + reg.value(Y[0]),
+        )
+        for target in (1e-3, 1e-7, 1e-11):
+            monkeypatch.setattr(np, "vecdot", None)
+            res = apg(loss.grad, reg.prox, lambda g, x: reg.subgrad_residual(1.0, g, x),
+                      loss.lipschitz, np.zeros(8), residual_target=target, max_iter=5000,
+                      restart=restart)
+            monkeypatch.undo()
+            y, iters, reason, _ = exact_test_apg(obj, np.zeros((1, 8)), target, 5000, restart)
+            assert (res.iterations, res.stop_reason) == (iters, reason) == (iters, "residual")
+            assert np.array_equal(res.y, y[0])
+
+
+class TestCounts:
+    """The inner solvers read their counts once, before the first iteration:
+    ``rbcd_run`` ran one event for ``True``, ``ms_apg`` ended in a TypeError
+    from ``range`` at 2.5, and a count below the least ran none."""
+
+    RUNS = {
+        "ms_apg": lambda obj, v: ms_apg(obj, np.zeros((3, 5)), max_iter=v),
+        "rbcd_run": lambda obj, v: rbcd_run(obj, np.zeros((3, 5)), v, 0),
+        "arbcd_chain": lambda obj, v: arbcd_chain(obj, np.zeros((3, 5)), v, 0),
+    }
+
+    @pytest.mark.parametrize("value", [True, 2.5, np.float64(3), "3", None])
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_counts_are_integers(self, rng, name, value):
+        key = "max_iter" if name == "ms_apg" else "iters"
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got"):
+            self.RUNS[name](sparse_group_objective(rng), value)
+
+    @pytest.mark.parametrize("name, low, message", [
+        ("ms_apg", 1, "max_iter must be at least 1, got 0"),
+        ("rbcd_run", 0, "iters must be nonnegative, got -1"),
+        ("arbcd_chain", 0, "iters must be nonnegative, got -1"),
+    ])
+    def test_least_counts(self, rng, name, low, message):
+        obj = sparse_group_objective(rng)
+        with pytest.raises(ValueError, match=message):
+            self.RUNS[name](obj, low - 1)
+        assert self.RUNS[name](obj, np.int64(low)).iterations == low
 
 
 class TestMomentum:
