@@ -29,7 +29,7 @@ NEWTON_CAP = 100
 # sufficient-decrease fraction and smallest step of the Newton line search
 ARMIJO = 1e-4
 MIN_STEP = 1e-12
-# the penalty's and the iteration count's domains; dfalopt solve reads its flags too
+# the penalty's and the iteration count's domains, also in bench.CONFIG_DOMAINS
 PENALTY, ITERS = dict(low=0, strict=True), dict(low=1)
 
 

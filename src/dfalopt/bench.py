@@ -295,14 +295,6 @@ DEFAULT_BENCH_CONFIG: dict[str, Any] = {
     "async_p": 0.1,
     "async_outer": 40,
 }
-# each number's domain, and that of each entry of cases and seeds (integers)
-CONFIG_DOMAINS: dict[str, Any] = dict(
-    N=dict(low=2), n_g=dict(low=1), K=dict(low=1), c=SHRINK, c_admm=PENALTY, eps_opt=TARGET,
-    eps_feas=TARGET, budget_secs=BUDGET, admm_iters=ITERS, async_outer=dict(low=1),
-    async_p=dict(low=0, high=1, strict=True), cases=dict(low=1, high=2), seeds=dict(low=0),
-)
-
-
 def run_solver(
     alg: str,
     instance: ProblemInstance,
@@ -345,14 +337,21 @@ def run_solver(
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
-def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
-    """Run the full (algorithm, topology, case, seed) matrix.
+# each setting's domain, that of each entry of cases and seeds, and the names
+# an entry of algorithms (those run_solver dispatches) or topologies may take
+CONFIG_DOMAINS: dict[str, Any] = dict(
+    algorithms=("dfal", "afal-rbcd", "afal-arbcd", "sadmm", "admm"),
+    topologies=("star", "clique"), cases=dict(low=1, high=2),
+    N=dict(low=2), n_g=dict(low=1), K=dict(low=1), seeds=dict(low=0), c=SHRINK,
+    c_admm=PENALTY, eps_opt=TARGET, eps_feas=TARGET, budget_secs=BUDGET,
+    admm_iters=ITERS, async_p=dict(low=0, high=1, strict=True), async_outer=dict(low=1),
+)
 
-    Individual run failures are recorded in their row and do not abort the
-    rest of the matrix.  ``config`` replaces keys of ``DEFAULT_BENCH_CONFIG``;
-    a key it does not have, or a value of another kind than the default's or
-    outside ``CONFIG_DOMAINS``, is a ``ValueError`` before any instance is built.
-    """
+
+def read_config(config: dict[str, Any] | None) -> dict[str, Any]:
+    """``DEFAULT_BENCH_CONFIG`` with the keys of ``config`` replaced.  An unknown
+    key, a value not of the default's kind, an empty list, or a value or entry
+    outside ``CONFIG_DOMAINS`` is a ``ValueError`` naming the key."""
     cfg = dict(DEFAULT_BENCH_CONFIG)
     if config is not None:
         if not isinstance(config, dict):
@@ -362,17 +361,29 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
             raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
         cfg.update(config)
     for key, value in cfg.items():
-        name, domain = f"config key {key!r}", CONFIG_DOMAINS.get(key)
-        if isinstance(DEFAULT_BENCH_CONFIG[key], list):
+        name, domain, kind = f"config key {key!r}", CONFIG_DOMAINS[key], DEFAULT_BENCH_CONFIG[key]
+        entries = (value,)
+        if isinstance(kind, list):
             if not isinstance(value, list):
                 raise ValueError(f"{name} must be a JSON array, got {value!r}")
-            for entry in value if domain else ():  # a row records a name it does not know
-                integer(f"an entry of {name}", entry)
-                real(f"an entry of {name}", entry, **domain)
-        else:  # a number, and the sizes and counts integers
-            real(name, value, **domain)
-            if key in ("N", "n_g", "K", "admm_iters", "async_outer"):
-                integer(name, value)
+            if not value:
+                raise ValueError(f"{name} must be nonempty, got []")
+            name, kind, entries = f"an entry of {name}", kind[0], value
+        for entry in entries:
+            if isinstance(domain, tuple):  # a name
+                if entry not in domain:
+                    raise ValueError(f"{name} must be one of {domain}, got {entry!r}")
+                continue
+            if isinstance(kind, int):  # a number first, so "2" is named not a number
+                integer(name, real(name, entry), domain.get("low"))
+            real(name, entry, **domain)
+    return cfg
+
+
+def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
+    """Run the (algorithm, topology, case, seed) matrix of ``read_config(config)``;
+    a failed run is recorded in its row and the rest of the matrix goes on."""
+    cfg = read_config(config)
     digest = config_digest(cfg)
     report = BenchReport(config=cfg, config_digest=digest)
 

@@ -8,12 +8,9 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .baselines import ITERS, PENALTY
-from .checks import integer, real
-from .dfal import SHRINK
 from .graph import load_edge_file
 from .netsim import CommLedger
-from .trace import BUDGET, TARGET, RunTrace, write_json
+from .trace import RunTrace, write_json
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
@@ -85,25 +82,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"--oracle applies only to --alg afal, not {args.alg}")
     if args.alg == "apg" and args.case != 1:
         raise ValueError("--alg apg requires --case 1 (shared partition)")
-    # every setting before the reference solve, for apg too, which uses none
-    for key, value, domain in (
-        ("eps_opt", args.eps_opt, TARGET), ("eps_feas", args.eps_feas, TARGET),
-        ("shrink factor", args.c, SHRINK), ("c_admm", args.c_admm, PENALTY),
-        ("budget_secs", args.budget_secs, BUDGET),
-    ):
-        if value is not None:  # only the budget may be unset
-            real(key, value, **domain)
-    integer("iters", args.iters, **ITERS)
+    # every setting before the reference solve, for apg too, which uses none;
+    # an unset flag keeps the matrix's value
+    settings = {k: v for k, v in vars(args).items() if k in bench_mod.DEFAULT_BENCH_CONFIG}
+    cfg = bench_mod.read_config(settings)
     instance = _instance(args)
     ref = bench_mod.reference_solve(instance)
     if args.alg == "apg":
         trace = _apg_trace(ref)
     else:
-        cfg = dict(
-            bench_mod.DEFAULT_BENCH_CONFIG, c=args.c, c_admm=args.c_admm,
-            eps_opt=args.eps_opt, eps_feas=args.eps_feas, admm_iters=args.iters,
-            budget_secs=args.budget_secs,
-        )
         alg = f"afal-{args.oracle or 'rbcd'}" if args.alg == "afal" else args.alg
         trace = bench_mod.run_solver(alg, instance, ref, cfg)
 
@@ -159,13 +146,12 @@ def main(argv: list[str] | None = None) -> int:
         "--alg", choices=["dfal", "afal", "admm", "sadmm", "apg"], required=True
     )
     p_solve.add_argument("--oracle", choices=["rbcd", "arbcd"])
-    p_solve.add_argument("--c", type=float, default=0.7)
-    p_solve.add_argument("--c-admm", type=float, default=1.0)
-    p_solve.add_argument("--eps-opt", type=float, default=1e-3)
-    p_solve.add_argument("--eps-feas", type=float, default=1e-4)
-    p_solve.add_argument("--iters", type=int, default=200)
+    # the matrix's settings, stored under its config keys; an unset flag stays out of args
+    for flag in ("--c", "--c-admm", "--eps-opt", "--eps-feas"):
+        p_solve.add_argument(flag, type=float, default=argparse.SUPPRESS)
+    p_solve.add_argument("--iters", type=int, dest="admm_iters", default=argparse.SUPPRESS)
     p_solve.add_argument(
-        "--budget-secs", type=float, default=None,
+        "--budget-secs", type=float, default=argparse.SUPPRESS,
         help="wall-time bound, checked once per (outer) iteration",
     )
     p_solve.add_argument("--out", required=True)

@@ -53,7 +53,7 @@ class ProtocolError(RuntimeError):
     """A node update referenced data it cannot have received."""
 
 
-# the penalty shrink factor's domain; dfalopt solve reads its flag too
+# the penalty shrink factor's domain, also in bench.CONFIG_DOMAINS
 SHRINK = dict(low=0, high=1, strict=True)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .checks import real
 from .netsim import CommLedger
 
-# the targets' and the time budget's domains; dfalopt solve reads its flags too
+# the targets' and the time budget's domains, also in bench.CONFIG_DOMAINS
 TARGET, BUDGET = dict(low=0), dict(low=0, strict=True)
 
 
@@ -159,6 +159,7 @@ class RunTrace:
             "config": self.config,
             "converged": self.converged,
             "outer_iterations": last.k,
+            "stop_reason": last.stop_reason,
             "F_sum": last.F_sum,
             "rel_subopt": last.rel_subopt,
             "CV": last.CV,

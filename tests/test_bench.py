@@ -2,6 +2,7 @@
 matrix, and the command line front end."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -404,10 +405,19 @@ class TestRunBenchmark:
         assert row["budget_exhausted"], row
         assert row["iterations"] == 1
 
-    def test_unknown_algorithm_recorded(self):
-        # "afal" is not a name of the dispatch; the oracle is part of it
-        report = run_benchmark(dict(self.SMALL_CFG, algorithms=["afal"]))
-        assert report.rows[0]["error"] == "ValueError: unknown algorithm 'afal'"
+    def test_unknown_algorithm_recorded(self, monkeypatch):
+        # "afal" is not a name of the dispatch (the oracle is part of it), and
+        # "ring" no topology of the matrix; each was once an error in every row
+        import dfalopt.bench as bench
+
+        def never(*args, **kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(bench, "generate_instance", never)
+        for key, names in ("algorithms", ["afal"]), ("topologies", ["ring"]):
+            message = f"an entry of config key '{key}' must be one of .*, got '{names[0]}'"
+            with pytest.raises(ValueError, match=message):
+                run_benchmark(dict(self.SMALL_CFG, **{key: names}))
 
     @pytest.mark.parametrize(
         "alg", ["dfal", "afal-rbcd", "afal-arbcd", "sadmm", "admm"]
@@ -453,6 +463,8 @@ class TestRunBenchmark:
         ("N", 3.0, "an integer"),
         ("async_outer", 2.5, "an integer"),
         ("admm_iters", 200.0, "an integer"),
+        # once a report of 0 runs
+        ("seeds", [], "nonempty"),
     ])
     def test_config_values_must_be_of_the_defaults_kind(self, key, value, kind):
         with pytest.raises(ValueError, match=f"config key '{key}' must be {kind}, got"):
@@ -651,6 +663,8 @@ class TestCli:
         header, *rows = out.read_text().splitlines()
         assert len(rows) == 1
         assert dict(zip(header.split(","), rows[0].split(",")))["stop_reason"] == "timeout"
+        summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+        assert summary["stop_reason"] == "timeout"
 
     def test_edge_file_topology(self, tmp_path, capsys):
         edges = tmp_path / "path4.txt"
@@ -766,13 +780,13 @@ class TestCli:
 
     @pytest.mark.parametrize("flags, message", [
         (["--alg", "admm", "--c-admm", "0", "--case", "2"],
-         "c_admm must be in (0, inf), got 0.0"),
-        (["--alg", "sadmm", "--iters", "0"], "iters must be at least 1, got 0"),
-        (["--alg", "dfal", "--c", "1.5"], "shrink factor must be in (0, 1), got 1.5"),
-        (["--alg", "afal", "--c", "nan"], "shrink factor must be in (0, 1), got nan"),
+         "config key 'c_admm' must be in (0, inf), got 0.0"),
+        (["--alg", "sadmm", "--iters", "0"], "config key 'admm_iters' must be at least 1, got 0"),
+        (["--alg", "dfal", "--c", "1.5"], "config key 'c' must be in (0, 1), got 1.5"),
+        (["--alg", "afal", "--c", "nan"], "config key 'c' must be in (0, 1), got nan"),
         (["--alg", "apg", "--c-admm", "-1"],
-         "c_admm must be in (0, inf), got -1.0"),
-    ])
+         "config key 'c_admm' must be in (0, inf), got -1.0"),
+    ], ids=["admm-c_admm-0", "sadmm-iters-0", "dfal-c-1.5", "afal-c-nan", "apg-c_admm-neg"])
     def test_solve_checks_its_settings_before_the_reference(
         self, tmp_path, monkeypatch, capsys, flags, message
     ):
@@ -789,6 +803,39 @@ class TestCli:
         assert exc.value.code == 2
         assert f"dfalopt: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--c", "c", 1.5),
+        ("--c-admm", "c_admm", 0.0),
+        ("--eps-opt", "eps_opt", -1.0),
+        ("--eps-feas", "eps_feas", math.inf),
+        ("--iters", "admm_iters", 0),
+        ("--budget-secs", "budget_secs", math.nan),
+    ])
+    def test_solve_and_bench_read_a_setting_alike(
+        self, tmp_path, monkeypatch, capsys, flag, key, value
+    ):
+        # solve once kept its own bounds and named the settings its own way
+        import dfalopt.bench as bench
+
+        def never(*args, **kwargs):
+            raise AssertionError("an instance or a reference was made")
+
+        monkeypatch.setattr(bench, "generate_instance", never)
+        monkeypatch.setattr(bench, "reference_solve", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        errors = []
+        for argv in (["solve", "--alg", "dfal", flag, str(value)],
+                     ["bench", "--config", "cfg.json"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*argv, "--out", "out"])
+            assert exc.value.code == 2
+            errors.append([ln for ln in capsys.readouterr().err.splitlines()
+                           if ln.startswith("dfalopt: error: ")])
+        assert len(errors[0]) == 1 and errors[0] == errors[1]
+        assert errors[0][0].startswith(f"dfalopt: error: config key {key!r} must be ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--groups", "0"], "number of groups K must be at least 1, got 0"),

@@ -81,6 +81,8 @@ def test_summary_is_lossless_json(case2, alg, tmp_path):
     assert x.dtype == np.float64 and np.array_equal(x, state.x)
     assert summary["F_sum"] == trace.final.F_sum
     assert summary["rel_subopt"] is None  # no reference
+    # why the run stopped: its last row's reason
+    assert summary["stop_reason"] == trace.final.stop_reason
 
 
 def test_summary_is_strict_json_with_every_finite_float_kept(tmp_path):
