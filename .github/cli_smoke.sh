@@ -1,12 +1,14 @@
 #!/bin/sh
 # The command line end to end, each step its own process: gen writes an
 # instance file, ref --instance solves its reference, solve runs dfal and
-# writes a strict-JSON summary that says why the run stopped, and solve
-# --alg apg runs the case-1 reference (through ms_apg) to a strict-JSON
-# summary that says it converged.  Bad input must end in exit status 2 with
-# exactly one "dfalopt: error:" line and no traceback: a malformed instance
-# file (null nodes, true in an A, A widths that differ), a bench config with
-# an algorithm the matrix does not know, and solve with zero ADMM iterations.
+# writes a strict-JSON summary that says it converged, solve --alg sadmm
+# --iters 5 one that says it stopped at its cap, and solve --alg apg runs the
+# case-1 reference (through ms_apg) to a strict-JSON summary that says it
+# converged.  Bad input must end in exit status 2 with exactly one
+# "dfalopt: error:" line and no traceback: a malformed instance file (null
+# nodes, true in an A, A widths that differ), a bench config with an
+# algorithm the matrix does not know or sizes whose 2N does not divide
+# n_g * K, and solve with zero ADMM iterations.
 # Run from the repository root: sh .github/cli_smoke.sh
 set -eu
 export PYTHONPATH=src
@@ -17,6 +19,7 @@ cli="python -m dfalopt.cli"
 $cli gen --case 2 --seed 1 --out "$dir/inst.json"
 $cli ref --instance "$dir/inst.json" --out "$dir/ref.json"
 $cli solve --alg dfal --case 2 --seed 1 --out "$dir/run.csv"
+$cli solve --alg sadmm --iters 5 --out "$dir/sadmm.csv"
 $cli solve --alg apg --case 1 --seed 1 --out "$dir/apg.csv"
 python -c '
 import json, sys
@@ -24,11 +27,12 @@ def load(path):
     def reject(token):
         sys.exit(f"{path}: {token} is not JSON")
     return json.load(open(path), parse_constant=reject)
-if "stop_reason" not in load(sys.argv[1]):
-    sys.exit(f"{sys.argv[1]}: the summary has no stop_reason")
-if load(sys.argv[2])["converged"] is not True:
-    sys.exit(f"{sys.argv[2]}: the case-1 reference did not converge")
-' "$dir/run.csv.summary.json" "$dir/apg.csv.summary.json"
+for path, reason in zip(sys.argv[1:], ("converged", "cap")):
+    if load(path)["stop_reason"] != reason:
+        sys.exit(f"{path}: the summary does not say {reason}")
+if load(sys.argv[3])["converged"] is not True:
+    sys.exit(f"{sys.argv[3]}: the case-1 reference did not converge")
+' "$dir/run.csv.summary.json" "$dir/sadmm.csv.summary.json" "$dir/apg.csv.summary.json"
 
 # reject WHAT ARGS...: dfalopt ARGS exits with status 2, one error line and
 # no traceback
@@ -68,5 +72,7 @@ node["A"] = [row + [0.5, -0.5] for row in node["A"]]
 node["groups"].append([len(node["A"][0]) - 1, len(node["A"][0])])'
 echo '{"algorithms": ["afal"]}' > "$dir/cfg.json"
 reject "an unknown algorithm" bench --config "$dir/cfg.json" --out "$dir/report.json"
+echo '{"N": 3}' > "$dir/cfg.json"
+reject "sizes that do not fit" bench --config "$dir/cfg.json" --out "$dir/report.json"
 reject "zero ADMM iterations" solve --alg sadmm --iters 0 --out "$dir/bad.csv"
 echo "command line end to end: ok"

@@ -233,15 +233,15 @@ def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
 
 def _check_admm_args(
     nodes, graph: Graph, c_admm: float, iters: int
-) -> tuple[np.ndarray, NodeStack, CommLedger]:
+) -> tuple[np.ndarray, NodeStack]:
     """Reject bad arguments of both baselines; returns the start point (zeros
-    of shape ``(N, n)``), the node stack and an empty ledger."""
+    of shape ``(N, n)``) and the node stack."""
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
     real("c_admm", c_admm, **PENALTY)
     integer("iters", iters, **ITERS)
     stack = NodeStack(nodes)
-    return np.zeros(stack.shape), stack, CommLedger(graph.num_nodes)
+    return np.zeros(stack.shape), stack
 
 
 def sadmm_solve(
@@ -262,8 +262,8 @@ def sadmm_solve(
     then refreshes the neighborhood averages and running sums.  The reported
     objective takes both primal copies at their midpoint.
     """
-    x, stack, ledger = _check_admm_args(nodes, graph, c_admm, iters)
-    trace = RunTrace("sadmm", config={"c_admm": c_admm})
+    x, stack = _check_admm_args(nodes, graph, c_admm, iters)
+    trace = RunTrace("sadmm", CommLedger(graph.num_nodes), reference, {"c_admm": c_admm})
     degrees = graph.degrees.astype(float)
     coef = degrees**2 + degrees + 1.0
     step = 1.0 / (c_admm * coef)
@@ -286,10 +286,10 @@ def sadmm_solve(
 
         state.x = prox(x_center)
         state.y, passes = _huber_prox(stack, y_center, step, state.y)
-        ledger.prox_evals += 1
-        ledger.grad_evals += passes
+        trace.ledger.prox_evals += 1
+        trace.ledger.grad_evals += passes
         # per-iteration traffic: both primal copies plus both sum streams
-        ledger.vectors_sent += 6
+        trace.ledger.vectors_sent += 6
 
         s = neighborhood_average(graph, state.x)
         state.p += s
@@ -298,14 +298,14 @@ def sadmm_solve(
         state.r += 0.5 * (state.x - state.y)
         row = trace.record(
             k=k, lam=c_admm, F_sum=stack.objective(0.5 * (state.x + state.y)),
-            reference=reference, CV=sadmm_cv(graph, state.x, state.y), ledger=ledger,
+            CV=sadmm_cv(graph, state.x, state.y),
             dual_norm=float(c_admm * np.linalg.norm(state.p)),
             inner_iters=int(passes.sum()), stop_reason="residual",
         )
         return row, False
 
     trace.config["final_state"] = state
-    return trace.run(sadmm_step, iters, ledger, eps_opt, eps_feas, budget_secs, reference)
+    return trace.run(sadmm_step, iters, eps_opt, eps_feas, budget_secs)
 
 
 def admm_solve(
@@ -326,8 +326,8 @@ def admm_solve(
     charged per point it tries for each node); that cost is the point of the
     comparison.  Traffic is charged at 3 vector units per node per iteration.
     """
-    x, stack, ledger = _check_admm_args(nodes, graph, c_admm, iters)
-    trace = RunTrace("admm", config={"c_admm": c_admm})
+    x, stack = _check_admm_args(nodes, graph, c_admm, iters)
+    trace = RunTrace("admm", CommLedger(graph.num_nodes), reference, {"c_admm": c_admm})
     degrees = graph.degrees.astype(float)
     coef = degrees**2 + degrees
     step = 1.0 / (c_admm * coef)
@@ -340,18 +340,17 @@ def admm_solve(
         agg = laplacian_apply(graph, s + p)
         center = x - agg / coef[:, None]
         x[:], nested = _composite_prox(stack, center, step, x)
-        ledger.prox_evals += nested
-        ledger.grad_evals += nested
-        ledger.vectors_sent += 3
+        trace.ledger.prox_evals += nested
+        trace.ledger.grad_evals += nested
+        trace.ledger.vectors_sent += 3
         s = neighborhood_average(graph, x)
         p += s
         row = trace.record(
-            k=k, lam=c_admm, F_sum=stack.objective(x), reference=reference,
-            CV=consensus_violation(graph, x), ledger=ledger,
+            k=k, lam=c_admm, F_sum=stack.objective(x), CV=consensus_violation(graph, x),
             dual_norm=float(c_admm * np.linalg.norm(p)), inner_iters=int(nested.sum()),
             stop_reason="residual",
         )
         return row, False
 
     trace.config["final_state"] = x
-    return trace.run(admm_step, iters, ledger, eps_opt, eps_feas, budget_secs, reference)
+    return trace.run(admm_step, iters, eps_opt, eps_feas, budget_secs)

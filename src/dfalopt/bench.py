@@ -94,6 +94,21 @@ def random_partition(n: int, n_g: int, rng: np.random.Generator) -> GroupPartiti
     return GroupPartition(n, groups)
 
 
+def instance_sizes(N: int, n_g: int, K: int, key: str = "{}") -> tuple[int, int]:
+    """An instance's dimension ``n = K n_g`` and rows per node ``m = n / (2N)``;
+    sizes out of range, or a ``2N`` not dividing ``n`` (an error that names size
+    ``s`` as ``key.format(s)``), are a ``ValueError``."""
+    for what, value, low in (("N", N, 2), ("group size n_g", n_g, 1),
+                             ("number of groups K", K, 1)):
+        integer(what, value, low)
+    n = K * n_g
+    if n % (2 * N) != 0:
+        names = ", ".join(key.format(size) for size in ("K", "n_g", "N"))
+        raise ValueError(f"row count n/(2N) = {n}/{2 * N} is not an integer; "
+                         f"choose {names} with 2N dividing K*n_g")
+    return n, n // (2 * N)
+
+
 def generate_instance(
     case: int,
     topology: str,
@@ -110,16 +125,7 @@ def generate_instance(
     ``A_i`` and ``b_i`` exactly.  Every node's Huber ``delta`` is 1.
     """
     # the sizes before the graph, whose cost grows with N
-    for what, value, low in (("N", N, 2), ("group size n_g", n_g, 1),
-                             ("number of groups K", K, 1)):
-        integer(what, value, low)
-    n = K * n_g
-    if n % (2 * N) != 0:
-        raise ValueError(
-            f"row count n/(2N) = {n}/{2 * N} is not an integer; "
-            "choose K, n_g, N with 2N dividing K*n_g"
-        )
-    m = n // (2 * N)
+    n, m = instance_sizes(N, n_g, K)
     graph = build_topology(topology, N, path=edge_file)
     if graph.num_nodes != N:
         raise ValueError(f"the edge file has {graph.num_nodes} nodes, not N={N}")
@@ -351,7 +357,8 @@ CONFIG_DOMAINS: dict[str, Any] = dict(
 def read_config(config: dict[str, Any] | None) -> dict[str, Any]:
     """``DEFAULT_BENCH_CONFIG`` with the keys of ``config`` replaced.  An unknown
     key, a value not of the default's kind, an empty list, or a value or entry
-    outside ``CONFIG_DOMAINS`` is a ``ValueError`` naming the key."""
+    outside ``CONFIG_DOMAINS`` is a ``ValueError`` naming the key, and sizes
+    that :func:`instance_sizes` rejects are one too."""
     cfg = dict(DEFAULT_BENCH_CONFIG)
     if config is not None:
         if not isinstance(config, dict):
@@ -377,6 +384,7 @@ def read_config(config: dict[str, Any] | None) -> dict[str, Any]:
             if isinstance(kind, int):  # a number first, so "2" is named not a number
                 integer(name, real(name, entry), domain.get("low"))
             real(name, entry, **domain)
+    instance_sizes(cfg["N"], cfg["n_g"], cfg["K"], key="config key '{}'")
     return cfg
 
 

@@ -61,18 +61,17 @@ def _cmd_ref(args: argparse.Namespace) -> int:
 
 def _apg_trace(ref) -> RunTrace:
     # the case-1 reference is itself the centralized run (shared partition)
-    trace = RunTrace("apg", config={})
+    trace = RunTrace("apg", CommLedger(1), ref.f_star, config={})
     # a gradient per iteration; the one whose residual test stops it has no prox
-    ledger = CommLedger(1)
-    ledger.grad_evals += ref.iterations
-    ledger.prox_evals += ref.iterations - ref.converged
+    trace.ledger.grad_evals += ref.iterations
+    trace.ledger.prox_evals += ref.iterations - ref.converged
     trace.record(
-        k=1, lam=0.0, F_sum=ref.f_star, reference=ref.f_star, CV=0.0,
-        ledger=ledger, dual_norm=0.0, inner_iters=ref.iterations,
-        stop_reason="residual" if ref.converged else "cap",
+        k=1, lam=0.0, F_sum=ref.f_star, CV=0.0, dual_norm=0.0,
+        inner_iters=ref.iterations, stop_reason="residual" if ref.converged else "cap",
     )
     # the row's gap is 0 by construction; only the certificate can fail
     trace.converged = ref.converged
+    trace.stop_reason = "converged" if ref.converged else "cap"
     trace.wall_time = ref.seconds
     return trace
 

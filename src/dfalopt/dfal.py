@@ -2,17 +2,18 @@
 
 One outer loop shrinks a penalty schedule geometrically and hands each
 penalized subproblem to an inner oracle from :mod:`solvers` to solve
-inexactly.  Synchronously, :func:`solvers.ms_apg` runs over neighbor-exchange
-rounds of :class:`netsim.SyncNetwork`: each gradient broadcasts its point and
-evaluates the stacked subproblem gradient on the delivered snapshot, so node
-``i``'s block reads only its own data and its neighbours' delivered blocks.
-Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run` consumes
-seeded activation streams, each event assembling one block from the node's
-neighbour index row, and :func:`netsim.charge_activations` charges the
-activations they report.  :func:`local_gradient` is the per-node reference for
-both gradients.  Dual variables are never materialized; their norms come from
-Laplacian quadratic forms of the running penalty-weighted accumulator, which
-every node can roll from the same delivered iterates.
+inexactly.  Synchronously, :func:`solvers.ms_apg` runs on the stacked
+iterates, node ``i``'s gradient block reading only its own data and its
+neighbours' blocks, and each of its iterations is one activation of every
+node.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
+consumes seeded activation streams, each event assembling one block from the
+node's neighbour index row.  Both solves charge the activations of a whole
+subproblem at once through :func:`netsim.charge_activations`: one gradient,
+one prox and one vector per directed edge each.  :func:`local_gradient` is the
+per-node reference for both gradients.  Dual variables are never
+materialized; their norms come from Laplacian quadratic forms of the running
+penalty-weighted accumulator, which every node can roll from its neighbours'
+iterates.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .graph import (
     laplacian_quadratic,
     spectral_bounds,
 )
-from .netsim import CommLedger, SyncNetwork, charge_activations
+from .netsim import CommLedger, charge_activations
 from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd_chain)
     BlockObjective,
     SolveResult,
@@ -192,8 +193,6 @@ def _outer_loop(
     params: DfalParams,
     coupling: float | np.ndarray,
     solve_subproblem: Callable[..., SolveResult],
-    ledger: CommLedger,
-    reference: float | None,
     lam_min: float = 0.0,
     budget_secs: float | None = None,
 ) -> RunTrace:
@@ -202,9 +201,10 @@ def _outer_loop(
 
     Subproblem ``k`` has the block constants ``lam * L_i + coupling``, from
     the losses' ``L_i``; ``solve_subproblem(k, obj, state, alpha, xi)``
-    solves it from ``state`` and charges its work to ``ledger``.  Its solution
-    becomes ``x^(k)``, the accumulator rolls, and the row is recorded.  Without
-    a reference, a next penalty of at most ``lam_min`` ends the run, converged.
+    solves it from ``state`` and charges its work to ``trace.ledger``.  Its
+    solution becomes ``x^(k)``, the accumulator rolls, and the row is recorded.
+    Without a reference, a next penalty of at most ``lam_min`` ends the run,
+    converged.
     """
     if len(nodes) != graph.num_nodes:
         raise ValueError("need one node problem per graph node")
@@ -232,20 +232,15 @@ def _outer_loop(
             k=k,
             lam=lam,
             F_sum=stack.objective(state.x),
-            reference=reference,
             CV=consensus_violation(graph, state.x),
-            ledger=ledger,
             dual_norm=dual_norm,
             inner_iters=result.iterations,
             stop_reason=result.stop_reason,
         )
-        return row, reference is None and 0.0 < lam_min and lam_next <= lam_min
+        return row, trace.reference is None and 0.0 < lam_min and lam_next <= lam_min
 
     trace.config["final_state"] = state
-    return trace.run(
-        step, params.outer_cap, ledger, params.eps_opt, params.eps_feas, budget_secs,
-        reference,
-    )
+    return trace.run(step, params.outer_cap, params.eps_opt, params.eps_feas, budget_secs)
 
 
 def dfal_solve(
@@ -258,8 +253,9 @@ def dfal_solve(
     | None = None,
     budget_secs: float | None = None,
 ) -> RunTrace:
-    """Synchronous penalized consensus solve over the message simulator: the
-    inner oracle is :func:`solvers.ms_apg`, each gradient exchanging first.
+    """Synchronous penalized consensus solve: the inner oracle is
+    :func:`solvers.ms_apg`, and each of its iterations is one gradient, one
+    prox and one push of every node's block to its neighbours.
 
     Terminates when relative suboptimality (against ``reference``, if given)
     and consensus violation reach their targets, when the penalty drops below
@@ -269,34 +265,29 @@ def dfal_solve(
     with the assembled gradient blocks.
     """
     N = graph.num_nodes
-    trace = RunTrace("dfal", config={"lam1": params.lam1, "c": params.c})
-    # every gradient exchanges first, so these blocks are never read
-    net = SyncNetwork(graph, np.zeros((N, nodes[0].n if nodes else 0)))
+    trace = RunTrace("dfal", CommLedger(N), reference, {"lam1": params.lam1, "c": params.c})
 
     def solve_subproblem(
         k: int, obj: BlockObjective, state: DfalState, alpha: float, xi: float
     ) -> SolveResult:
-        def smooth_grad(Y: np.ndarray) -> np.ndarray:
-            net.broadcast_state(Y)
-            return obj.smooth_grad(net.delivered)
-
         def check(ell: int, ybar: np.ndarray, q: np.ndarray) -> None:
             gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
 
         result = ms_apg(
-            replace(obj, smooth_grad=smooth_grad),
+            obj,
             state.x,
             residual_target=xi / math.sqrt(N),
             max_iter=inner_cap(params, obj.L, alpha),
             callback=None if gradient_check is None else check,
         )
-        net.ledger.grad_evals += result.iterations
-        net.ledger.prox_evals += result.iterations - (result.stop_reason == "residual")
+        charge_activations(trace.ledger, graph, np.full(N, result.iterations))
+        # the iteration whose residual test stops the subproblem takes no prox
+        trace.ledger.prox_evals -= result.stop_reason == "residual"
         return result
 
     return _outer_loop(
         trace, nodes, graph, params, _psi_max(params, graph), solve_subproblem,
-        net.ledger, reference, lam_min, budget_secs,
+        lam_min, budget_secs,
     )
 
 
@@ -407,11 +398,10 @@ def async_dfal_solve(
         "outer_iters", outer_iters, 1)
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
     trace = RunTrace(
-        "afal-" + oracle,
+        "afal-" + oracle, CommLedger(N), reference,
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
                 "budgets": [], "budget_constant": None},
     )
-    ledger = CommLedger(N)
     rng = np.random.default_rng(seed)
 
     def solve_subproblem(
@@ -440,10 +430,10 @@ def async_dfal_solve(
                 c_estimate=const, residual_target=target,
             )
         trace.config["budgets"].append(events)
-        charge_activations(ledger, graph, result.activations)
+        charge_activations(trace.ledger, graph, result.activations)
         if result.stop_reason == "residual":
             # every node sends a termination notice to each neighbour
-            ledger.control_msgs += graph.degrees
+            trace.ledger.control_msgs += graph.degrees
         return result
 
     # rbcd's block constants couple through psi_max, and arbcd's
@@ -451,5 +441,5 @@ def async_dfal_solve(
     coupling = _psi_max(params, graph) if oracle == "rbcd" else graph.degrees
     return _outer_loop(
         trace, nodes, graph, replace(params, outer_cap=K_outer), coupling,
-        solve_subproblem, ledger, reference, budget_secs=budget_secs,
+        solve_subproblem, budget_secs=budget_secs,
     )

@@ -1,18 +1,16 @@
 """Deterministic message-passing simulator.
 
-A synchronous exchange (:meth:`SyncNetwork.broadcast_state`) delivers every
-node's freshly computed block to all of its neighbors: delivery copies the
-blocks into one ``(N, n)`` snapshot, :attr:`SyncNetwork.delivered`, and a node
-may read only its own row and its neighbours' rows of that snapshot.  Asynchronous execution draws node
-activations from one seeded uniform stream (:func:`activation_stream`); the
-randomized solvers consume it directly and report how often each node fired,
-which :func:`charge_activations` charges for a whole subproblem at once.  A
-ledger counts vector transmissions and per-node proximal and gradient
+A ledger counts vector transmissions and per-node proximal and gradient
 evaluations, since communication totals are the quantity the solver
-comparisons are about.  One unit of communication is one block-length vector
-over one directed edge, charged from the degree vector: by
-:meth:`SyncNetwork.broadcast_state` for an exchange, by
-:func:`charge_activations` for a subproblem's activations.
+comparisons are about.  Both DFAL solves charge it through
+:func:`charge_activations`, once per subproblem: a synchronous inner
+iteration activates every node once, and the randomized solvers draw their
+activations from one seeded uniform stream (:func:`activation_stream`) and
+report how often each node fired.  A synchronous exchange
+(:meth:`SyncNetwork.broadcast_state`) delivers every node's block to all of
+its neighbours as one ``(N, n)`` snapshot, :attr:`SyncNetwork.delivered`, of
+which a node may read only its own row and its neighbours' rows; it is the
+per-exchange reference that the solves' charges are tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +26,10 @@ from .graph import Graph
 
 @dataclass
 class CommLedger:
-    """Per-node counters for vector traffic and oracle calls."""
+    """Per-node counters for vector traffic and oracle calls.  The DFAL solves
+    charge one block-length vector per directed edge; ``sadmm`` and ``admm`` a
+    flat 6 and 3 sent per node per iteration, whatever the degree, and none
+    received."""
 
     num_nodes: int
     vectors_sent: np.ndarray = field(init=False)

@@ -59,43 +59,48 @@ TRACE_COLUMNS = [
 
 @dataclass
 class RunTrace:
-    """Per-outer-iteration metrics for one solver run.
-
-    ``wall_time`` is the time from the trace's creation to its latest row.
-    """
+    """Per-outer-iteration metrics for one solver run, its work charged to
+    ``ledger`` and its gaps measured against ``reference``.  ``wall_time`` runs
+    from the trace's creation to its latest row; ``stop_reason`` says why
+    :meth:`run` ended: ``"converged"``, ``"timeout"`` or ``"cap"``."""
 
     algorithm: str
+    ledger: CommLedger
+    reference: float | None = None
     config: dict[str, Any] = field(default_factory=dict)
     rows: list[TraceRow] = field(default_factory=list)
     converged: bool = False
+    stop_reason: str | None = None
     wall_time: float = 0.0
     started: float = field(
         default_factory=time.monotonic, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.reference is not None:
+            real("reference", self.reference)
 
     def record(
         self,
         k: int,
         lam: float,
         F_sum: float,
-        reference: float | None,
         CV: float,
-        ledger: CommLedger,
         dual_norm: float,
         inner_iters: int,
         stop_reason: str,
     ) -> TraceRow:
         """Append the row of outer iteration ``k``, with the relative gap to
-        ``reference`` and the work counters read from ``ledger``."""
+        the reference and the work counters read from the ledger."""
         row = TraceRow(
             k=k,
             lam=lam,
             F_sum=F_sum,
-            rel_subopt=rel_subopt(F_sum, reference),
+            rel_subopt=rel_subopt(F_sum, self.reference),
             CV=CV,
-            comm_per_node_max=int(ledger.vectors_sent.max()),
-            prox_count=int(ledger.prox_evals.sum()),
-            grad_count=int(ledger.grad_evals.sum()),
+            comm_per_node_max=int(self.ledger.vectors_sent.max()),
+            prox_count=int(self.ledger.prox_evals.sum()),
+            grad_count=int(self.ledger.grad_evals.sum()),
             dual_norm=dual_norm,
             inner_iters=inner_iters,
             stop_reason=stop_reason,
@@ -108,34 +113,31 @@ class RunTrace:
         self,
         step: Callable[[int], tuple[TraceRow, bool]],
         iters: int,
-        ledger: CommLedger,
         eps_opt: float,
         eps_feas: float,
         budget_secs: float | None = None,
-        reference: float | None = None,
     ) -> RunTrace:
         """The run loop of every solve: ``step(k) -> (row, done)`` does and
-        records iteration ``k``, for k = 1..``iters``, against ``reference`` (read
-        with the targets).  Stops converged once a row meets both targets or
-        ``done`` is true; otherwise the row that ends more than ``budget_secs``
-        seconds (if set) after the trace began gets stop reason ``"timeout"`` and
-        ends the run.  Keeps a snapshot of ``ledger`` in ``config["ledger"]``."""
+        records iteration ``k``, for k = 1..``iters``.  Stops converged once a
+        row meets both targets or ``done`` is true; otherwise the row that ends
+        more than ``budget_secs`` seconds (if set) after the trace began gets
+        stop reason ``"timeout"`` and ends the run.  Keeps a snapshot of the
+        ledger in ``config["ledger"]``."""
         real("eps_opt", eps_opt, **TARGET)
         real("eps_feas", eps_feas, **TARGET)
         if budget_secs is not None:
             real("budget_secs", budget_secs, **BUDGET)
-        if reference is not None:
-            real("reference", reference)
+        self.stop_reason = "cap"
         for k in range(1, iters + 1):
             row, done = step(k)
             # without a reference the gap is NaN and never meets its target
             if done or (row.rel_subopt <= eps_opt and row.CV <= eps_feas):
-                self.converged = True
+                self.converged, self.stop_reason = True, "converged"
                 break
             if budget_secs is not None and time.monotonic() - self.started > budget_secs:
-                row.stop_reason = "timeout"
+                row.stop_reason = self.stop_reason = "timeout"
                 break
-        self.config["ledger"] = ledger.snapshot()
+        self.config["ledger"] = self.ledger.snapshot()
         return self
 
     @property
@@ -159,7 +161,7 @@ class RunTrace:
             "config": self.config,
             "converged": self.converged,
             "outer_iterations": last.k,
-            "stop_reason": last.stop_reason,
+            "stop_reason": self.stop_reason,
             "F_sum": last.F_sum,
             "rel_subopt": last.rel_subopt,
             "CV": last.CV,

@@ -14,6 +14,7 @@ from dfalopt import (
     NodeProblem,
     SparseGroupReg,
     apg,
+    bench,
     build_topology,
     consensus_violation,
     generate_instance,
@@ -332,10 +333,9 @@ class TestEvaluate:
 
     @staticmethod
     def _series(rows, f_star):
-        trace = RunTrace("dfal", config={})
+        trace = RunTrace("dfal", CommLedger(1), f_star, config={})
         for k, f, cv in rows:
-            trace.record(k=k, lam=1.0, F_sum=f, reference=f_star, CV=cv,
-                         ledger=CommLedger(1), dual_norm=0.0, inner_iters=0,
+            trace.record(k=k, lam=1.0, F_sum=f, CV=cv, dual_norm=0.0, inner_iters=0,
                          stop_reason="cap")
         return [r.rel_subopt for r in trace.rows], [r.CV for r in trace.rows]
 
@@ -432,12 +432,28 @@ class TestRunBenchmark:
         assert int(ledger.vectors_sent.max()) == trace.final.comm_per_node_max
         assert int(ledger.grad_evals.sum()) == trace.final.grad_count
 
-    def test_failures_recorded_per_row(self):
-        cfg = dict(self.SMALL_CFG, N=3)  # 2N does not divide n = 4
-        report = run_benchmark(cfg)
-        assert len(report.rows) == 1
-        assert "error" in report.rows[0]
-        assert report.means == []
+    def test_failures_recorded_per_row(self, monkeypatch):
+        generate = bench.generate_instance
+
+        def failing(case, topology, N, n_g, K, seed):
+            if seed == 4:
+                raise ValueError("no instance for seed 4")
+            return generate(case, topology, N, n_g, K, seed)
+
+        monkeypatch.setattr(bench, "generate_instance", failing)
+        report = run_benchmark(dict(self.SMALL_CFG, seeds=[4, 3]))
+        assert report.rows[0]["error"] == "ValueError: no instance for seed 4"
+        assert "error" not in report.rows[1]
+        assert report.means[0]["num_runs"] == 1
+
+    def test_sizes_that_do_not_fit_fail_before_any_instance(self, monkeypatch):
+        # N=3 once passed the config check, then failed every row
+        def unreachable(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(bench, "generate_instance", unreachable)
+        with pytest.raises(ValueError, match=r"n/\(2N\) = 4/6 is not an integer"):
+            run_benchmark(dict(self.SMALL_CFG, N=3))
 
     @pytest.mark.parametrize("config, message", [
         # {"seed": [1]} once ran the default seeds 1-5 without a word
@@ -748,6 +764,8 @@ class TestCli:
          "node entry 0: beta1 must be a number, got None"),
         (["ref", "--instance", "groups.json"],
          "groups.json: node entry 0: groups must be a JSON array, got None"),
+        # this one once wrote an error row per run and exited 0
+        (["bench", "--config", "partial.json"], "row count n/(2N) = 100/6 is not an integer"),
     ])
     def test_unreadable_input_is_one_error_line(
         self, tmp_path, monkeypatch, capsys, argv, message

@@ -15,6 +15,7 @@ from dfalopt import (
     NodeProblem,
     ProtocolError,
     SparseGroupReg,
+    SyncNetwork,
     admm_solve,
     apg,
     async_dfal_solve,
@@ -852,29 +853,34 @@ def test_sync_counters_match_the_inline_implementation(case, topology):
 
 
 @pytest.mark.parametrize("topology", ["star", "clique"])
-def test_sync_gradients_each_read_one_fresh_exchange(monkeypatch, topology):
-    # each gradient broadcasts its point and reads it back as delivered, so a
-    # node sends and receives its degree in vectors per gradient
+def test_sync_charges_match_a_replayed_exchange(topology):
+    # each inner iteration is one synchronous exchange of the point its
+    # gradient reads, replayed here through SyncNetwork
     inst = generate_instance(1, topology, 5, 5, 2, seed=1)
-    broadcast, delivered, seen = dfal.SyncNetwork.broadcast_state, [], []
-
-    def recording(net, blocks):
-        broadcast(net, blocks)
-        delivered.append(net.delivered)
+    graph, N = inst.graph, inst.graph.num_nodes
+    params = default_params(inst.nodes, graph, outer_cap=6)
+    net = SyncNetwork(graph, np.zeros((N, inst.n)))
 
     def check(k, ell, ybar, xbar, q):
-        assert np.array_equal(ybar, delivered[-1])
-        seen.append(len(delivered))
+        net.broadcast_state(ybar)
+        # every gradient block reads only what the exchange delivered
+        lam = params.schedule(k)[0]
+        for i in range(1, N + 1):
+            own, nbrs = net.node_inputs(i)
+            xbar_nbrs = {j: xbar[j - 1] for j in nbrs}
+            q_i = local_gradient(inst.nodes[i - 1], lam, graph.degrees[i - 1], own, nbrs,
+                                 xbar[i - 1], xbar_nbrs)
+            assert np.allclose(q_i, q[i - 1], rtol=1e-12, atol=1e-12)
 
-    monkeypatch.setattr(dfal.SyncNetwork, "broadcast_state", recording)
-    params = default_params(inst.nodes, inst.graph, outer_cap=6)
-    trace = dfal_solve(inst.nodes, inst.graph, params, gradient_check=check)
-    ledger, degrees = trace.config["ledger"], inst.graph.degrees
-    assert np.array_equal(ledger.vectors_sent, degrees * ledger.grad_evals)
-    assert np.array_equal(ledger.vectors_received, degrees * ledger.grad_evals)
-    # exactly one exchange before every gradient, and none after the last
-    assert seen == list(range(1, sum(r.inner_iters for r in trace.rows) + 1))
-    assert len(delivered) == len(seen)
+    trace = dfal_solve(inst.nodes, graph, params, gradient_check=check)
+    ledger = trace.config["ledger"]
+    assert np.array_equal(ledger.vectors_sent, net.ledger.vectors_sent)
+    assert np.array_equal(ledger.vectors_received, net.ledger.vectors_received)
+    inner = sum(r.inner_iters for r in trace.rows)
+    stopped = sum(r.stop_reason == "residual" for r in trace.rows)
+    assert ledger.grad_evals.tolist() == [inner] * N
+    # the iteration whose residual test stops a subproblem takes no prox
+    assert ledger.prox_evals.tolist() == [inner - stopped] * N
 
 
 # Ledger counters of sadmm_solve(c_admm=1.0) on generate_instance(2, "star", 5,

@@ -1,5 +1,5 @@
-"""Run traces: `RunTrace.record`, the relative gap, wall time, and the
-JSON summary."""
+"""Run traces: `RunTrace.record`, the relative gap, wall time, why a run
+stopped, and the JSON summary."""
 
 import json
 import math
@@ -10,6 +10,7 @@ import pytest
 from dfalopt import (
     CommLedger,
     RunTrace,
+    admm_solve,
     default_params,
     dfal_solve,
     generate_instance,
@@ -36,10 +37,10 @@ class TestRecord:
         ledger.vectors_sent[:] = [4, 9, 1]
         ledger.prox_evals[:] = [1, 2, 3]
         ledger.grad_evals[:] = [5, 5, 5]
-        trace = RunTrace("x")
+        trace = RunTrace("x", ledger, reference=1.0)
         row = trace.record(
-            k=1, lam=0.5, F_sum=2.0, reference=1.0, CV=0.1, ledger=ledger,
-            dual_norm=0.3, inner_iters=7, stop_reason="cap",
+            k=1, lam=0.5, F_sum=2.0, CV=0.1, dual_norm=0.3, inner_iters=7,
+            stop_reason="cap",
         )
         assert trace.rows == [row]
         assert (row.comm_per_node_max, row.prox_count, row.grad_count) == (9, 6, 15)
@@ -81,21 +82,35 @@ def test_summary_is_lossless_json(case2, alg, tmp_path):
     assert x.dtype == np.float64 and np.array_equal(x, state.x)
     assert summary["F_sum"] == trace.final.F_sum
     assert summary["rel_subopt"] is None  # no reference
-    # why the run stopped: its last row's reason
-    assert summary["stop_reason"] == trace.final.stop_reason
+    # why the run stopped: at its cap, without a reference to converge to
+    assert summary["stop_reason"] == trace.stop_reason == "cap"
+
+
+def test_summary_says_why_the_run_stopped(case2):
+    # sadmm's and admm's rows all say "residual", which their summaries once
+    # repeated for runs that stopped at the iteration cap
+    sadmm = sadmm_solve(case2.nodes, case2.graph, iters=20)
+    admm = admm_solve(case2.nodes, case2.graph, iters=2)
+    params = default_params(case2.nodes, case2.graph)
+    ref = dfal_solve(case2.nodes, case2.graph, params, lam_min=params.lam1 * 0.7**6)
+    dfal = dfal_solve(case2.nodes, case2.graph, params, reference=ref.final.F_sum)
+    for trace, reason in ((sadmm, "cap"), (admm, "cap"), (dfal, "converged")):
+        assert trace.converged == (reason == "converged")
+        assert trace.summary()["stop_reason"] == trace.stop_reason == reason
+    # the rows keep the inner oracles' reasons
+    assert sadmm.final.stop_reason == admm.final.stop_reason == "residual"
 
 
 def test_summary_is_strict_json_with_every_finite_float_kept(tmp_path):
     # F_sum = inf and CV = NaN were once written as Infinity and NaN, which
     # strict JSON parsers reject
-    trace = RunTrace("x", config={
+    trace = RunTrace("x", CommLedger(2), reference=2.0, config={
         "scalars": [0.1, math.inf, -math.inf, math.nan, 1e-310, -0.0],
         "nested": {"arr": np.array([[1 / 3, np.nan], [np.inf, -2.5e300]])},
     })
     trace.record(
-        k=1, lam=0.7, F_sum=math.inf, reference=2.0, CV=math.nan,
-        ledger=CommLedger(2), dual_norm=np.float64(2 / 7), inner_iters=3,
-        stop_reason="cap",
+        k=1, lam=0.7, F_sum=math.inf, CV=math.nan, dual_norm=np.float64(2 / 7),
+        inner_iters=3, stop_reason="cap",
     )
     path = tmp_path / "run.summary.json"
     trace.write_summary(str(path))
