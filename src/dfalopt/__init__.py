@@ -2,8 +2,8 @@
 
 Distributed first-order augmented Lagrangian solver with synchronous and
 asynchronous randomized-block inner oracles, consensus ADMM baselines, a
-deterministic message-passing simulator, and a sparse-group regression
-benchmark protocol.
+per-node communication ledger with a synchronous exchange reference, and a
+sparse-group regression benchmark protocol.
 """
 
 from .graph import (
@@ -27,23 +27,20 @@ from .funcs import (
 from .solvers import (
     BlockObjective,
     SolveResult,
+    activation_stream,
     apg,
     arbcd_run,
     ms_apg,
     rbcd_run,
 )
-from .netsim import (
-    CommLedger,
-    SyncNetwork,
-    activation_stream,
-    charge_activations,
-)
-from .trace import RunTrace, TraceRow, TRACE_COLUMNS, rel_subopt
+from .trace import CommLedger, RunTrace, TraceRow, TRACE_COLUMNS, rel_subopt
+from .netsim import SyncNetwork
 from .dfal import (
     DfalParams,
     DfalState,
     ProtocolError,
     async_dfal_solve,
+    charge_activations,
     coupling_constants,
     default_bx,
     default_params,

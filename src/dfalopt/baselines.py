@@ -19,9 +19,8 @@ import numpy as np
 from .checks import integer, real
 from .funcs import _TINY, NodeStack, _clip, sparse_group_min_norm
 from .graph import Graph, consensus_violation, laplacian_apply
-from .netsim import CommLedger
 from .solvers import apg  # noqa: F401  (benchmark/spans.py traces it)
-from .trace import RunTrace, TraceRow
+from .trace import CommLedger, RunTrace, TraceRow
 
 NESTED_TOL = 1e-9
 # pass cap of the Huber-prox and composite-prox Newton loops

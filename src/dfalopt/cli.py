@@ -9,8 +9,7 @@ import sys
 
 from . import bench as bench_mod
 from .graph import load_edge_file
-from .netsim import CommLedger
-from .trace import RunTrace, write_json
+from .trace import CommLedger, RunTrace, write_json
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:

@@ -8,8 +8,8 @@ neighbours' blocks, and each of its iterations is one activation of every
 node.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
 consumes seeded activation streams, each event assembling one block from the
 node's neighbour index row.  Both solves charge the activations of a whole
-subproblem at once through :func:`netsim.charge_activations`: one gradient,
-one prox and one vector per directed edge each.  :func:`local_gradient` is the
+subproblem at once through :func:`charge_activations`: one gradient, one prox
+and one vector per directed edge each.  :func:`local_gradient` is the
 per-node reference for both gradients.  Dual variables are never
 materialized; their norms come from Laplacian quadratic forms of the running
 penalty-weighted accumulator, which every node can roll from its neighbours'
@@ -34,7 +34,6 @@ from .graph import (
     laplacian_quadratic,
     spectral_bounds,
 )
-from .netsim import CommLedger, charge_activations
 from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd_chain)
     BlockObjective,
     SolveResult,
@@ -47,7 +46,7 @@ from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd
     rbcd_events,
     rbcd_run,
 )
-from .trace import RunTrace, TraceRow
+from .trace import CommLedger, RunTrace, TraceRow
 
 
 class ProtocolError(RuntimeError):
@@ -241,6 +240,18 @@ def _outer_loop(
 
     trace.config["final_state"] = state
     return trace.run(step, params.outer_cap, params.eps_opt, params.eps_feas, budget_secs)
+
+
+def charge_activations(ledger: CommLedger, graph: Graph, counts: np.ndarray) -> None:
+    """Charge node ``i`` for ``counts[i - 1]`` activations, events or
+    synchronous inner iterations alike: each is one gradient, one prox and a
+    push of its block to its ``d_i`` neighbours, so node ``i`` sends
+    ``d_i * c_i`` vectors and each neighbour receives ``c_i``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ledger.vectors_sent += graph.degrees * counts
+    ledger.vectors_received += graph.neighbor_sum(counts)
+    ledger.grad_evals += counts
+    ledger.prox_evals += counts
 
 
 def dfal_solve(

@@ -100,9 +100,6 @@ class Graph:
             missing = (np.flatnonzero(~reached) + 1).tolist()
             raise GraphError(f"graph is disconnected; unreachable nodes {missing}")
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple((self.nbr_idx[self.nbr_ptr[i - 1]:self.nbr_ptr[i]] + 1).tolist())
-
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
         """Row ``i`` sums the rows of ``x`` at the neighbours of the node at
         index ``i``."""

@@ -4,20 +4,19 @@ All solvers operate on stacked iterates of shape ``(N, n)`` (``N`` blocks of
 length ``n``) described by a :class:`BlockObjective`.  The accelerated
 multi-step solver uses a separate step size ``1/L_i`` per block and proxes
 all blocks in one call; the randomized solvers update one uniformly drawn
-block per event, draw their blocks from a seeded activation stream, and
-report how often each block was drawn.
+block per event, draw their blocks from a seeded activation stream
+(:func:`activation_stream`), and report how often each block was drawn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .checks import integer, real
-from .netsim import activation_stream
 
 
 @dataclass
@@ -217,6 +216,19 @@ def apg(
     )
     res.y = res.y[0]
     return res
+
+
+def activation_stream(seed: int, num_nodes: int) -> Iterator[int]:
+    """Seeded i.i.d. uniform node activations as 0-based indices: the ``k``-th
+    is the ``k``-th ``integers(num_nodes)`` of ``np.random.default_rng(seed)``.
+    Drawn lazily in chunks, so memory stays flat even when the nominal event
+    budget is astronomically large."""
+    if num_nodes < 1:
+        raise ValueError("need at least one node")
+    rng = np.random.default_rng(seed)
+    while True:
+        # a memoryview iterates as Python ints, with no per-chunk copy
+        yield from memoryview(rng.integers(0, num_nodes, size=1 << 16))
 
 
 def rbcd_run(

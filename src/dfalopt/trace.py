@@ -1,9 +1,10 @@
-"""Run traces shared by every solver: the one run loop, one row per outer
-iteration, CSV spill, and a JSON summary carrying the final metrics plus the
-configuration echo."""
+"""Run traces shared by every solver: the ledger each run charges, the one
+run loop, one row per outer iteration, CSV spill, and a JSON summary carrying
+the final metrics plus the configuration echo."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import json
@@ -15,7 +16,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .checks import real
-from .netsim import CommLedger
 
 # the targets' and the time budget's domains, also in bench.CONFIG_DOMAINS
 TARGET, BUDGET = dict(low=0), dict(low=0, strict=True)
@@ -28,6 +28,45 @@ def rel_subopt(f_sum: float, reference: float | None) -> float:
     if reference == 0.0:
         return abs(f_sum)
     return abs(f_sum - reference) / abs(reference)
+
+
+@dataclass
+class CommLedger:
+    """Per-node counters for vector traffic and oracle calls.  The DFAL solves
+    charge one block-length vector per directed edge; ``sadmm`` and ``admm`` a
+    flat 6 and 3 sent per node per iteration, whatever the degree, and none
+    received."""
+
+    num_nodes: int
+    vectors_sent: np.ndarray = field(init=False)
+    vectors_received: np.ndarray = field(init=False)
+    prox_evals: np.ndarray = field(init=False)
+    grad_evals: np.ndarray = field(init=False)
+    control_msgs: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name in ("vectors_sent", "vectors_received", "prox_evals",
+                     "grad_evals", "control_msgs"):
+            setattr(self, name, np.zeros(self.num_nodes, dtype=np.int64))
+
+    def charge_send(self, node: int, count: int = 1) -> None:
+        self.vectors_sent[node - 1] += count
+
+    def charge_receive(self, node: int, count: int = 1) -> None:
+        self.vectors_received[node - 1] += count
+
+    def charge_prox(self, node: int, count: int = 1) -> None:
+        self.prox_evals[node - 1] += count
+
+    def charge_grad(self, node: int, count: int = 1) -> None:
+        self.grad_evals[node - 1] += count
+
+    def charge_control(self, node: int, count: int = 1) -> None:
+        self.control_msgs[node - 1] += count
+
+    def snapshot(self) -> "CommLedger":
+        """Consistent point-in-time copy."""
+        return copy.deepcopy(self)
 
 
 @dataclass

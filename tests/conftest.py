@@ -1,7 +1,10 @@
 """Shared test helpers: random connected graphs, small problem factories,
-and dense oracles."""
+and dense oracles; and the record of the acceptance readings."""
 
 from __future__ import annotations
+
+import json
+import re
 
 import numpy as np
 import pytest
@@ -67,3 +70,51 @@ def small_node(rng: np.random.Generator, n: int = 6, m: int = 4) -> NodeProblem:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+# the pass line each test of tests/test_acceptance.py prints, and the numbers
+# in its detail (every match is a JSON number)
+_CRITERION = re.compile(r"^criterion (\d+) \((.*)\): PASS - (.*)$", re.M)
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_acceptance: list[dict] = []
+
+
+def acceptance_reading(report) -> dict | None:
+    """The record of one acceptance test from its report: the outcome and,
+    from the ``criterion N (name): PASS - detail`` line it printed, the name,
+    the detail and the numbers in it.  ``None`` for other tests, and for any
+    phase but the call unless the setup did not pass.  Under ``pytest -s``
+    nothing is captured, so only the outcome is recorded."""
+    if "test_acceptance.py::" not in report.nodeid:
+        return None
+    if report.when == "teardown" or (report.when == "setup" and report.passed):
+        return None
+    line = _CRITERION.search(report.capstdout)
+    name = detail = None
+    if line:
+        num, name, detail = line.groups()
+    else:  # a test that printed nothing is known by its class, TestCNN...
+        num = re.search(r"::TestC(\d+)", report.nodeid).group(1)
+    return {
+        "test": report.nodeid,
+        "criterion": int(num),
+        "outcome": report.outcome,
+        "name": name,
+        "detail": detail,
+        "numbers": [json.loads(t) for t in _NUMBER.findall(detail or "")],
+    }
+
+
+def pytest_runtest_logreport(report) -> None:
+    reading = acceptance_reading(report)
+    if reading is not None:
+        _acceptance.append(reading)
+
+
+def pytest_sessionfinish(session) -> None:
+    """Write the acceptance readings of this session, if it ran any, to
+    ``.bench_out/acceptance.json``."""
+    if _acceptance:
+        path = session.config.rootpath / ".bench_out" / "acceptance.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(_acceptance, indent=2) + "\n")

@@ -15,7 +15,6 @@ from dfalopt import (
     NodeProblem,
     ProtocolError,
     SparseGroupReg,
-    SyncNetwork,
     admm_solve,
     apg,
     async_dfal_solve,
@@ -186,19 +185,16 @@ class TestLocalGradient:
             y = rng.standard_normal((N, n))
             xbar = rng.standard_normal((N, n))
             lam = float(rng.uniform(0.1, 1.0))
-            q = np.stack([
-                local_gradient(
+            q = []
+            for i in range(1, N + 1):
+                nbrs = (g.nbr_idx[g.nbr_ptr[i - 1]:g.nbr_ptr[i]] + 1).tolist()
+                q.append(local_gradient(
                     nodes[i - 1], lam, g.degrees[i - 1], y[i - 1],
-                    {j: y[j - 1] for j in g.neighbors(i)},
-                    xbar[i - 1],
-                    {j: xbar[j - 1] for j in g.neighbors(i)},
-                )
-                for i in range(1, N + 1)
-            ])
-            grads = np.stack([p.loss.grad(y[i]) for i, p in enumerate(nodes)])
-            dense = np.kron(laplacian_dense(g), np.eye(n))
-            expect = lam * grads + (dense @ (y + xbar).ravel()).reshape(N, n)
-            assert np.max(np.abs(q - expect)) <= 1e-12
+                    {j: y[j - 1] for j in nbrs}, xbar[i - 1],
+                    {j: xbar[j - 1] for j in nbrs},
+                ))
+            expect = _dense_gradient(nodes, g, lam, y, xbar)
+            assert np.max(np.abs(np.stack(q) - expect)) <= 1e-12
 
     def test_missing_neighbor_block(self):
         node = NodeProblem(
@@ -525,15 +521,12 @@ class TestTargets:
                 solve()
 
 
-def _per_node_gradient(nodes, graph, lam, Y, xbar):
-    return np.stack([
-        local_gradient(
-            nodes[i - 1], lam, graph.degrees[i - 1], Y[i - 1],
-            {j: Y[j - 1] for j in graph.neighbors(i)}, xbar[i - 1],
-            {j: xbar[j - 1] for j in graph.neighbors(i)},
-        )
-        for i in range(1, graph.num_nodes + 1)
-    ])
+def _dense_gradient(nodes, graph, lam, Y, xbar):
+    """The penalized gradient ``lam * grad f(Y) + (Omega kron I)(Y + xbar)``,
+    assembled with the dense Kronecker-product Laplacian."""
+    grads = np.stack([p.loss.grad(Y[i]) for i, p in enumerate(nodes)])
+    dense = np.kron(laplacian_dense(graph), np.eye(Y.shape[1]))
+    return lam * grads + (dense @ (Y + xbar).ravel()).reshape(Y.shape)
 
 
 class TestNodeStack:
@@ -579,7 +572,7 @@ class TestNodeStack:
                 )
                 G = obj.smooth_grad(Y)
                 np.testing.assert_allclose(
-                    G, _per_node_gradient(nodes, graph, lam, Y, xbar),
+                    G, _dense_gradient(nodes, graph, lam, Y, xbar),
                     rtol=0, atol=1e-12,
                 )
                 per_node = [
@@ -598,7 +591,7 @@ class TestNodeStack:
                 xbar = rng.standard_normal((N, n))
                 Y = rng.standard_normal((N, n))
                 obj = _subproblem_objective(nodes, graph, lam, xbar, np.ones(N))
-                expect = _per_node_gradient(nodes, graph, lam, Y, xbar)
+                expect = _dense_gradient(nodes, graph, lam, Y, xbar)
                 for i in range(N):
                     np.testing.assert_allclose(
                         obj.blocks[i][0](Y), expect[i], rtol=0, atol=1e-12
@@ -683,7 +676,7 @@ class TestEventPath:
             for i, node in enumerate(nodes):
                 grad, prox, _ = obj.blocks[i]
                 A, b, delta = node.loss.A, node.loss.b, node.loss.delta
-                nbrs = np.array(graph.neighbors(i + 1)) - 1
+                nbrs = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
                 expect = lam * (A.T @ np.clip(A @ Y[i] - b, -delta, delta))
                 expect = expect + graph.degrees[i] * (Y[i] + xbar[i])
                 expect = expect - np.add.reduce(Y[nbrs] + xbar[nbrs])
@@ -855,28 +848,25 @@ def test_sync_counters_match_the_inline_implementation(case, topology):
 @pytest.mark.parametrize("topology", ["star", "clique"])
 def test_sync_charges_match_a_replayed_exchange(topology):
     # each inner iteration is one synchronous exchange of the point its
-    # gradient reads, replayed here through SyncNetwork
+    # gradient reads: every node sends its block to, and receives one from,
+    # each neighbour once per gradient
     inst = generate_instance(1, topology, 5, 5, 2, seed=1)
     graph, N = inst.graph, inst.graph.num_nodes
     params = default_params(inst.nodes, graph, outer_cap=6)
-    net = SyncNetwork(graph, np.zeros((N, inst.n)))
+    checks = [0]
 
     def check(k, ell, ybar, xbar, q):
-        net.broadcast_state(ybar)
-        # every gradient block reads only what the exchange delivered
         lam = params.schedule(k)[0]
-        for i in range(1, N + 1):
-            own, nbrs = net.node_inputs(i)
-            xbar_nbrs = {j: xbar[j - 1] for j in nbrs}
-            q_i = local_gradient(inst.nodes[i - 1], lam, graph.degrees[i - 1], own, nbrs,
-                                 xbar[i - 1], xbar_nbrs)
-            assert np.allclose(q_i, q[i - 1], rtol=1e-12, atol=1e-12)
+        expect = _dense_gradient(inst.nodes, graph, lam, ybar, xbar)
+        assert np.max(np.abs(q - expect)) <= 1e-12
+        checks[0] += 1
 
     trace = dfal_solve(inst.nodes, graph, params, gradient_check=check)
     ledger = trace.config["ledger"]
-    assert np.array_equal(ledger.vectors_sent, net.ledger.vectors_sent)
-    assert np.array_equal(ledger.vectors_received, net.ledger.vectors_received)
     inner = sum(r.inner_iters for r in trace.rows)
+    assert checks[0] == inner
+    assert np.array_equal(ledger.vectors_sent, graph.degrees * inner)
+    assert np.array_equal(ledger.vectors_received, graph.degrees * inner)
     stopped = sum(r.stop_reason == "residual" for r in trace.rows)
     assert ledger.grad_evals.tolist() == [inner] * N
     # the iteration whose residual test stops a subproblem takes no prox

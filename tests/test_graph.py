@@ -256,7 +256,6 @@ class TestNeighbourArrays:
             for i in range(1, g.num_nodes + 1):
                 row = g.nbr_idx[g.nbr_ptr[i - 1]:g.nbr_ptr[i]]
                 assert row.tolist() == sorted(j - 1 for j in adjacency[i])
-                assert g.neighbors(i) == tuple(sorted(adjacency[i]))
                 assert g.degrees[i - 1] == len(adjacency[i])
             assert g.edge_idx.tolist() == [[i - 1, j - 1] for i, j in g.edges]
 

@@ -1,9 +1,10 @@
-"""Message-passing simulator: synchronous delivery and the delivered
-snapshot, schedules, and ledgers."""
+"""Synchronous delivery and the delivered snapshot, the activation stream,
+the ledger and its activation charge, and the names they are exported as."""
 
 import numpy as np
 import pytest
 
+import dfalopt
 from dfalopt import (
     CommLedger,
     Graph,
@@ -66,7 +67,7 @@ class TestBroadcastState:
         assert np.array_equal(net.ledger.vectors_sent, 2 * g.degrees)
         assert np.array_equal(net.ledger.vectors_received, 2 * g.degrees)
         _, mailbox = net.node_inputs(1)
-        assert sorted(mailbox) == list(g.neighbors(1))
+        assert sorted(mailbox) == (g.nbr_idx[g.nbr_ptr[0]:g.nbr_ptr[1]] + 1).tolist()
 
 
 class TestAsyncSchedule:
@@ -174,3 +175,12 @@ class TestAsyncNetwork:
         charge_activations(once, g, np.bincount(sched, minlength=7)[1:])
         for name in ("vectors_sent", "vectors_received", "grad_evals", "prox_evals"):
             assert np.array_equal(getattr(replay, name), getattr(once, name))
+
+
+def test_each_export_is_the_one_the_solves_use():
+    # the tracer patches dfalopt.netsim:CommLedger's charge methods, so a
+    # stale copy there would patch a class no solve builds and read 0
+    assert dfalopt.netsim.CommLedger is dfalopt.trace.CommLedger
+    assert dfalopt.CommLedger is dfalopt.trace.CommLedger
+    assert dfalopt.activation_stream is dfalopt.solvers.activation_stream
+    assert dfalopt.charge_activations is dfalopt.dfal.charge_activations
