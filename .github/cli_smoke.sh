@@ -2,13 +2,15 @@
 # The command line end to end, each step its own process: gen writes an
 # instance file, ref --instance solves its reference, solve runs dfal and
 # writes a strict-JSON summary that says it converged, solve --alg sadmm
-# --iters 5 one that says it stopped at its cap, and solve --alg apg runs the
+# --iters 5 one that says it stopped at its cap, solve --alg apg runs the
 # case-1 reference (through ms_apg) to a strict-JSON summary that says it
-# converged.  Bad input must end in exit status 2 with exactly one
+# converged, and solve --alg afal-arbcd, under the matrix's name, one that
+# names it and says it converged.  gen reads a 4-node ring from an edge file
+# without --nodes.  Bad input must end in exit status 2 with exactly one
 # "dfalopt: error:" line and no traceback: a malformed instance file (null
 # nodes, true in an A, A widths that differ), a bench config with an
 # algorithm the matrix does not know or sizes whose 2N does not divide
-# n_g * K, and solve with zero ADMM iterations.
+# n_g * K, solve with zero ADMM iterations, and gen --case 3.
 # Run from the repository root: sh .github/cli_smoke.sh
 set -eu
 export PYTHONPATH=src
@@ -21,6 +23,7 @@ $cli ref --instance "$dir/inst.json" --out "$dir/ref.json"
 $cli solve --alg dfal --case 2 --seed 1 --out "$dir/run.csv"
 $cli solve --alg sadmm --iters 5 --out "$dir/sadmm.csv"
 $cli solve --alg apg --case 1 --seed 1 --out "$dir/apg.csv"
+$cli solve --alg afal-arbcd --seed 1 --out "$dir/arbcd.csv"
 python -c '
 import json, sys
 def load(path):
@@ -32,7 +35,18 @@ for path, reason in zip(sys.argv[1:], ("converged", "cap")):
         sys.exit(f"{path}: the summary does not say {reason}")
 if load(sys.argv[3])["converged"] is not True:
     sys.exit(f"{sys.argv[3]}: the case-1 reference did not converge")
-' "$dir/run.csv.summary.json" "$dir/sadmm.csv.summary.json" "$dir/apg.csv.summary.json"
+arbcd = load(sys.argv[4])
+if (arbcd["algorithm"], arbcd["stop_reason"]) != ("afal-arbcd", "converged"):
+    sys.exit(f"{sys.argv[4]}: not a converged afal-arbcd run")
+' "$dir/run.csv.summary.json" "$dir/sadmm.csv.summary.json" "$dir/apg.csv.summary.json" \
+    "$dir/arbcd.csv.summary.json"
+printf '4\n1 2\n2 3\n3 4\n1 4\n' > "$dir/ring.txt"
+$cli gen --topology edge-file --edge-file "$dir/ring.txt" --ng 4 --out "$dir/ring.json"
+python -c '
+import json, sys
+if len(json.load(open(sys.argv[1]))["nodes"]) != 4:
+    sys.exit(f"{sys.argv[1]}: not the 4 nodes of the edge file")
+' "$dir/ring.json"
 
 # reject WHAT ARGS...: dfalopt ARGS exits with status 2, one error line and
 # no traceback
@@ -75,4 +89,5 @@ reject "an unknown algorithm" bench --config "$dir/cfg.json" --out "$dir/report.
 echo '{"N": 3}' > "$dir/cfg.json"
 reject "sizes that do not fit" bench --config "$dir/cfg.json" --out "$dir/report.json"
 reject "zero ADMM iterations" solve --alg sadmm --iters 0 --out "$dir/bad.csv"
+reject "case 3" gen --case 3 --out "$dir/bad.json"
 echo "command line end to end: ok"

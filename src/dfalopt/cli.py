@@ -8,33 +8,32 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .graph import load_edge_file
+from .graph import build_topology
 from .trace import CommLedger, RunTrace, write_json
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", choices=["star", "clique", "file"], default="star")
+    sizes = bench_mod.DEFAULT_BENCH_CONFIG
+    p.add_argument("--topology", choices=[*bench_mod.CONFIG_DOMAINS["topologies"], "edge-file"],
+                   default="star")
     p.add_argument("--edge-file", default=None,
-                   help="edge list file (required with --topology file)")
-    p.add_argument("--case", type=int, choices=[1, 2], default=1)
+                   help="edge list file (required with --topology edge-file)")
+    p.add_argument("--case", type=int, default=1)
     p.add_argument("--nodes", type=int, default=None,
-                   help="number of nodes N (default 5, or the edge file's count)")
-    p.add_argument("--ng", type=int, default=10, help="group size n_g")
-    p.add_argument("--groups", type=int, default=10, help="number of groups K")
+                   help=f"number of nodes N (default {sizes['N']}, or the edge file's count)")
+    p.add_argument("--ng", type=int, default=sizes["n_g"], help="group size n_g")
+    p.add_argument("--groups", type=int, default=sizes["K"], help="number of groups K")
     p.add_argument("--seed", type=int, default=1)
 
 
 def _instance(args: argparse.Namespace) -> "bench_mod.ProblemInstance":
-    topology, num_nodes = args.topology, args.nodes
-    if topology == "file":
-        if args.edge_file is None:
-            raise ValueError("--topology file needs --edge-file")
-        topology = "edge-file"
-        if num_nodes is None:
-            num_nodes = load_edge_file(args.edge_file).num_nodes
+    num_nodes = args.nodes
+    if num_nodes is None:
+        num_nodes = (build_topology(args.topology, 0, args.edge_file).num_nodes
+                     if args.topology == "edge-file" else bench_mod.DEFAULT_BENCH_CONFIG["N"])
     return bench_mod.generate_instance(
-        args.case, topology, 5 if num_nodes is None else num_nodes,
-        args.ng, args.groups, args.seed, edge_file=args.edge_file,
+        args.case, args.topology, num_nodes, args.ng, args.groups, args.seed,
+        edge_file=args.edge_file,
     )
 
 
@@ -69,15 +68,12 @@ def _apg_trace(ref) -> RunTrace:
         inner_iters=ref.iterations, stop_reason="residual" if ref.converged else "cap",
     )
     # the row's gap is 0 by construction; only the certificate can fail
-    trace.converged = ref.converged
     trace.stop_reason = "converged" if ref.converged else "cap"
     trace.wall_time = ref.seconds
     return trace
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.oracle is not None and args.alg != "afal":
-        raise ValueError(f"--oracle applies only to --alg afal, not {args.alg}")
     if args.alg == "apg" and args.case != 1:
         raise ValueError("--alg apg requires --case 1 (shared partition)")
     # every setting before the reference solve, for apg too, which uses none;
@@ -89,8 +85,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.alg == "apg":
         trace = _apg_trace(ref)
     else:
-        alg = f"afal-{args.oracle or 'rbcd'}" if args.alg == "afal" else args.alg
-        trace = bench_mod.run_solver(alg, instance, ref, cfg)
+        trace = bench_mod.run_solver(args.alg, instance, ref, cfg)
 
     trace.write_csv(args.out)
     trace.write_summary(args.out + ".summary.json")
@@ -141,9 +136,8 @@ def main(argv: list[str] | None = None) -> int:
     p_solve = sub.add_parser("solve", help="run one solver, write a CSV trace")
     _add_instance_args(p_solve)
     p_solve.add_argument(
-        "--alg", choices=["dfal", "afal", "admm", "sadmm", "apg"], required=True
+        "--alg", choices=[*bench_mod.CONFIG_DOMAINS["algorithms"], "apg"], required=True
     )
-    p_solve.add_argument("--oracle", choices=["rbcd", "arbcd"])
     # the matrix's settings, stored under its config keys; an unset flag stays out of args
     for flag in ("--c", "--c-admm", "--eps-opt", "--eps-feas"):
         p_solve.add_argument(flag, type=float, default=argparse.SUPPRESS)

@@ -4,7 +4,6 @@ the final metrics plus the configuration echo."""
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import json
@@ -64,10 +63,6 @@ class CommLedger:
     def charge_control(self, node: int, count: int = 1) -> None:
         self.control_msgs[node - 1] += count
 
-    def snapshot(self) -> "CommLedger":
-        """Consistent point-in-time copy."""
-        return copy.deepcopy(self)
-
 
 @dataclass
 class TraceRow:
@@ -101,14 +96,14 @@ class RunTrace:
     """Per-outer-iteration metrics for one solver run, its work charged to
     ``ledger`` and its gaps measured against ``reference``.  ``wall_time`` runs
     from the trace's creation to its latest row; ``stop_reason`` says why
-    :meth:`run` ended: ``"converged"``, ``"timeout"`` or ``"cap"``."""
+    :meth:`run` ended: ``"converged"`` (then :attr:`converged` is true),
+    ``"timeout"`` or ``"cap"``."""
 
     algorithm: str
     ledger: CommLedger
     reference: float | None = None
     config: dict[str, Any] = field(default_factory=dict)
     rows: list[TraceRow] = field(default_factory=list)
-    converged: bool = False
     stop_reason: str | None = None
     wall_time: float = 0.0
     started: float = field(
@@ -160,8 +155,8 @@ class RunTrace:
         records iteration ``k``, for k = 1..``iters``.  Stops converged once a
         row meets both targets or ``done`` is true; otherwise the row that ends
         more than ``budget_secs`` seconds (if set) after the trace began gets
-        stop reason ``"timeout"`` and ends the run.  Keeps a snapshot of the
-        ledger in ``config["ledger"]``."""
+        stop reason ``"timeout"`` and ends the run.  Keeps the ledger in
+        ``config["ledger"]``."""
         real("eps_opt", eps_opt, **TARGET)
         real("eps_feas", eps_feas, **TARGET)
         if budget_secs is not None:
@@ -171,13 +166,17 @@ class RunTrace:
             row, done = step(k)
             # without a reference the gap is NaN and never meets its target
             if done or (row.rel_subopt <= eps_opt and row.CV <= eps_feas):
-                self.converged, self.stop_reason = True, "converged"
+                self.stop_reason = "converged"
                 break
             if budget_secs is not None and time.monotonic() - self.started > budget_secs:
                 row.stop_reason = self.stop_reason = "timeout"
                 break
-        self.config["ledger"] = self.ledger.snapshot()
+        self.config["ledger"] = self.ledger
         return self
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def final(self) -> TraceRow:

@@ -112,9 +112,12 @@ def pytest_runtest_logreport(report) -> None:
 
 
 def pytest_sessionfinish(session) -> None:
-    """Write the acceptance readings of this session, if it ran any, to
-    ``.bench_out/acceptance.json``."""
-    if _acceptance:
+    """Write the acceptance readings of this session to
+    ``.bench_out/acceptance.json`` when they are a whole record: every one of
+    criteria 1-11 read, with output captured (not under ``pytest -s``).  Any
+    other session leaves the file as it was."""
+    read = {r["criterion"] for r in _acceptance}
+    if read >= set(range(1, 12)) and session.config.getoption("capture") != "no":
         path = session.config.rootpath / ".bench_out" / "acceptance.json"
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps(_acceptance, indent=2) + "\n")

@@ -23,6 +23,7 @@ from dfalopt import (
     sadmm_solve,
 )
 from dfalopt.bench import (
+    CONFIG_DOMAINS,
     DEFAULT_BENCH_CONFIG,
     _reference_case1,
     _reference_case2,
@@ -671,7 +672,7 @@ class TestCli:
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
         assert summary["converged"]
 
-    @pytest.mark.parametrize("alg", ["dfal", "afal"])
+    @pytest.mark.parametrize("alg", ["dfal", "afal-rbcd"], ids=["dfal", "afal"])
     def test_solve_honours_the_time_budget(self, tmp_path, alg):
         out = tmp_path / "run.csv"
         assert cli_main(["solve", "--alg", alg, *self.ARGS, "--budget-secs", "1e-9",
@@ -685,7 +686,7 @@ class TestCli:
     def test_edge_file_topology(self, tmp_path, capsys):
         edges = tmp_path / "path4.txt"
         edges.write_text("4\n1 2\n2 3\n3 4\n")
-        args = ["--topology", "file", "--edge-file", str(edges),
+        args = ["--topology", "edge-file", "--edge-file", str(edges),
                 "--ng", "2", "--groups", "4", "--seed", "3"]
         inst_path = tmp_path / "inst.json"
         assert cli_main(["gen", *args, "--out", str(inst_path)]) == 0
@@ -696,25 +697,22 @@ class TestCli:
         assert cli_main(["solve", "--alg", "dfal", *args, "--out", str(out)]) == 0
         assert "converged=True" in capsys.readouterr().out
 
-    def test_async_solve_is_the_matrix_run(self, tmp_path):
-        # dfalopt solve and the matrix share one dispatch; the oracle
-        # defaults to rbcd
+    @pytest.mark.parametrize("alg", CONFIG_DOMAINS["algorithms"])
+    def test_solve_is_the_matrix_run(self, tmp_path, alg):
+        # dfalopt solve and the matrix share one dispatch and its names
         inst = small_instance()
-        for oracle_args, alg in ([], "afal-rbcd"), (["--oracle", "arbcd"], "afal-arbcd"):
-            out = tmp_path / "run.csv"
-            assert cli_main(["solve", "--alg", "afal", *oracle_args, *self.ARGS,
-                             "--out", str(out)]) == 0
-            trace = run_solver(alg, inst, reference_solve(inst),
-                               dict(DEFAULT_BENCH_CONFIG))
-            direct = tmp_path / "direct.csv"
-            trace.write_csv(str(direct))
-            assert out.read_text() == direct.read_text()
+        out = tmp_path / "run.csv"
+        assert cli_main(["solve", "--alg", alg, *self.ARGS, "--out", str(out)]) == 0
+        trace = run_solver(alg, inst, reference_solve(inst), dict(DEFAULT_BENCH_CONFIG))
+        direct = tmp_path / "direct.csv"
+        trace.write_csv(str(direct))
+        assert out.read_text() == direct.read_text()
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--topology", "star", "--edge-file", "edges.txt"],
         ["ref", "--tolerance", "nan"],
         ["gen", "--nodes", "3"],  # 2N = 6 does not divide n = 100
-        ["gen", "--topology", "file"],
+        ["gen", "--topology", "edge-file"],
         ["solve", "--alg", "apg", "--case", "2"],
         ["ref", "--tolerance", "inf"],
         ["solve", "--alg", "dfal", "--eps-opt", "-1", "--budget-secs", "2"],
@@ -725,6 +723,8 @@ class TestCli:
         # an infinite penalty once failed on "prox steps must be positive"
         ["solve", "--alg", "admm", "--c-admm", "inf"],
         ["solve", "--alg", "sadmm", "--c-admm", "inf"],
+        # argparse's choices once rejected it as "dfalopt gen: error:"
+        ["gen", "--case", "3"],
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
         # library ValueErrors once reached the user as tracebacks
@@ -740,7 +740,7 @@ class TestCli:
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["solve", "--alg", "dfal", "--topology", "file", "--edge-file", "missing.txt"],
+        (["solve", "--alg", "dfal", "--topology", "edge-file", "--edge-file", "missing.txt"],
          "No such file or directory: 'missing.txt'"),
         (["ref", "--instance", "missing.json"], "No such file or directory"),
         (["ref", "--instance", "."], "Is a directory"),
@@ -801,7 +801,7 @@ class TestCli:
          "config key 'c_admm' must be in (0, inf), got 0.0"),
         (["--alg", "sadmm", "--iters", "0"], "config key 'admm_iters' must be at least 1, got 0"),
         (["--alg", "dfal", "--c", "1.5"], "config key 'c' must be in (0, 1), got 1.5"),
-        (["--alg", "afal", "--c", "nan"], "config key 'c' must be in (0, 1), got nan"),
+        (["--alg", "afal-rbcd", "--c", "nan"], "config key 'c' must be in (0, 1), got nan"),
         (["--alg", "apg", "--c-admm", "-1"],
          "config key 'c_admm' must be in (0, inf), got -1.0"),
     ], ids=["admm-c_admm-0", "sadmm-iters-0", "dfal-c-1.5", "afal-c-nan", "apg-c_admm-neg"])
@@ -892,21 +892,10 @@ class TestCli:
         assert len(errors) == 1 and message in errors[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("alg", ["dfal", "sadmm", "admm", "apg"])
-    def test_oracle_only_with_afal(self, tmp_path, capsys, alg):
-        # solve --alg dfal --oracle arbcd once ran dfal and said nothing
-        out = tmp_path / "run.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["solve", "--alg", alg, "--oracle", "arbcd", *self.ARGS,
-                      "--out", str(out)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "dfalopt: error: --oracle applies only to --alg afal" in err
-        assert not out.exists()
-
-    def test_edge_file_topology_needs_the_file(self, tmp_path):
+    def test_edge_file_topology_needs_the_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            cli_main(["gen", "--topology", "file", "--out", str(tmp_path / "x.json")])
+            cli_main(["gen", "--topology", "edge-file", "--out", str(tmp_path / "x.json")])
+        assert "dfalopt: error: edge-file topology needs a path\n" in capsys.readouterr().err
 
     def test_apg_row_reuses_the_reference(self, tmp_path, monkeypatch):
         import dfalopt.bench as bench

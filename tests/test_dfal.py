@@ -846,7 +846,7 @@ def test_sync_counters_match_the_inline_implementation(case, topology):
 
 
 @pytest.mark.parametrize("topology", ["star", "clique"])
-def test_sync_charges_match_a_replayed_exchange(topology):
+def test_sync_gradients_are_dense_and_charges_follow_the_exchange_law(topology):
     # each inner iteration is one synchronous exchange of the point its
     # gradient reads: every node sends its block to, and receives one from,
     # each neighbour once per gradient

@@ -125,14 +125,6 @@ class TestLedger:
             net.ledger.vectors_received.sum()
         )
 
-    def test_snapshot_is_decoupled(self):
-        net = SyncNetwork(Graph(2, ((1, 2),)), np.zeros((2, 1)))
-        net.broadcast_state(np.ones((2, 1)))
-        snap = net.ledger.snapshot()
-        net.broadcast_state(np.ones((2, 1)))
-        assert snap.vectors_sent.tolist() == [1, 1]
-        assert net.ledger.vectors_sent.tolist() == [2, 2]
-
 
 class TestAsyncNetwork:
     """``charge_activations``: the ledger charge of asynchronous activations."""

@@ -76,6 +76,7 @@ def test_summary_is_lossless_json(case2, alg, tmp_path):
     trace.write_summary(str(path))
     summary = json.loads(path.read_text(), parse_constant=_not_json)
     ledger = trace.config["ledger"]
+    assert ledger is trace.ledger  # the run's own, not a copy
     state = trace.config["final_state"]
     assert summary["config"]["ledger"]["vectors_sent"] == ledger.vectors_sent.tolist()
     x = np.array(summary["config"]["final_state"]["x"])
