@@ -5,8 +5,11 @@
 # --iters 5 one that says it stopped at its cap, solve --alg apg runs the
 # case-1 reference (through ms_apg) to a strict-JSON summary that says it
 # converged, and solve --alg afal-arbcd, under the matrix's name, one that
-# names it and says it converged.  gen reads a 4-node ring from an edge file
-# without --nodes.  Bad input must end in exit status 2 with exactly one
+# names it and says it converged.  bench runs a one-row matrix to a strict-JSON
+# report whose row carries the run summary's names (stop_reason,
+# outer_iterations, comm_per_node_max, no budget_exhausted) and says it
+# converged.  gen reads a 4-node ring from an edge file without --nodes.  Bad
+# input must end in exit status 2 with exactly one
 # "dfalopt: error:" line and no traceback: a malformed instance file (null
 # nodes, true in an A, A widths that differ), a bench config with an
 # algorithm the matrix does not know or sizes whose 2N does not divide
@@ -40,6 +43,19 @@ if (arbcd["algorithm"], arbcd["stop_reason"]) != ("afal-arbcd", "converged"):
     sys.exit(f"{sys.argv[4]}: not a converged afal-arbcd run")
 ' "$dir/run.csv.summary.json" "$dir/sadmm.csv.summary.json" "$dir/apg.csv.summary.json" \
     "$dir/arbcd.csv.summary.json"
+echo '{"seeds": [1], "topologies": ["star"], "cases": [1]}' > "$dir/cfg.json"
+$cli bench --config "$dir/cfg.json" --out "$dir/report.json"
+python -c '
+import json, sys
+def reject(token):
+    sys.exit(f"{sys.argv[1]}: {token} is not JSON")
+(row,) = json.load(open(sys.argv[1]), parse_constant=reject)["rows"]
+missing = {"stop_reason", "outer_iterations", "comm_per_node_max"} - set(row)
+if missing or "budget_exhausted" in row:
+    sys.exit(f"{sys.argv[1]}: the row does not carry the summary names: {sorted(row)}")
+if row["converged"] is not True:
+    sys.exit(f"{sys.argv[1]}: the matrix row did not converge")
+' "$dir/report.json"
 printf '4\n1 2\n2 3\n3 4\n1 4\n' > "$dir/ring.txt"
 $cli gen --topology edge-file --edge-file "$dir/ring.txt" --ng 4 --out "$dir/ring.json"
 python -c '

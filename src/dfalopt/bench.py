@@ -312,27 +312,12 @@ def run_solver(
 
     ``alg`` is ``dfal``, ``afal-rbcd``, ``afal-arbcd``, ``sadmm`` or ``admm``;
     the settings come from ``cfg`` (the keys of ``DEFAULT_BENCH_CONFIG``),
-    and ``cfg["budget_secs"]`` bounds every solver.  ``dfal`` runs at the
-    outer cap of :func:`default_params`.
+    and ``cfg["budget_secs"]`` bounds every solver.  The DFAL solves share one
+    :func:`default_params`: ``dfal`` runs at its outer cap, ``afal-*`` for
+    ``cfg["async_outer"]`` outer iterations.
     """
     nodes, graph = instance.nodes, instance.graph
     budget_secs = cfg["budget_secs"]
-    if alg == "dfal":
-        params = default_params(
-            nodes, graph, c=cfg["c"], eps_opt=cfg["eps_opt"], eps_feas=cfg["eps_feas"],
-        )
-        return dfal_solve(
-            nodes, graph, params, reference=ref.f_star, budget_secs=budget_secs
-        )
-    if alg in ("afal-rbcd", "afal-arbcd"):
-        params = default_params(
-            nodes, graph, c=cfg["c"], outer_cap=cfg["async_outer"],
-            eps_opt=cfg["eps_opt"], eps_feas=cfg["eps_feas"],
-        )
-        return async_dfal_solve(
-            nodes, graph, params, p=cfg["async_p"], oracle=alg[len("afal-"):],
-            seed=instance.seed, reference=ref.f_star, budget_secs=budget_secs,
-        )
     if alg in ("sadmm", "admm"):
         solve = sadmm_solve if alg == "sadmm" else admm_solve
         return solve(
@@ -340,7 +325,18 @@ def run_solver(
             reference=ref.f_star, eps_opt=cfg["eps_opt"],
             eps_feas=cfg["eps_feas"], budget_secs=budget_secs,
         )
-    raise ValueError(f"unknown algorithm {alg!r}")
+    if alg not in ("dfal", "afal-rbcd", "afal-arbcd"):
+        raise ValueError(f"unknown algorithm {alg!r}")
+    params = default_params(
+        nodes, graph, c=cfg["c"], eps_opt=cfg["eps_opt"], eps_feas=cfg["eps_feas"]
+    )
+    if alg == "dfal":
+        return dfal_solve(nodes, graph, params, reference=ref.f_star, budget_secs=budget_secs)
+    return async_dfal_solve(
+        nodes, graph, params, p=cfg["async_p"], oracle=alg[len("afal-"):],
+        seed=instance.seed, outer_iters=cfg["async_outer"], reference=ref.f_star,
+        budget_secs=budget_secs,
+    )
 
 
 # each setting's domain, that of each entry of cases and seeds, and the names
@@ -415,17 +411,9 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
                         start = time.monotonic()
                         trace = run_solver(alg, instance, ref, cfg)
                         elapsed = time.monotonic() - start
-                        last = trace.final
-                        row.update(
-                            rel_subopt=last.rel_subopt,
-                            CV=last.CV,
-                            wall_time=elapsed,
-                            iterations=last.k,
-                            comm_per_node=last.comm_per_node_max,
-                            converged=trace.converged,
-                            budget_exhausted=last.stop_reason == "timeout",
-                            reference_method=ref.method,
-                        )
+                        summary = trace.summary()
+                        del summary["config"]
+                        row.update(summary, wall_time=elapsed, reference_method=ref.method)
                     except Exception as exc:  # keep the matrix going
                         row.update(error=f"{type(exc).__name__}: {exc}")
                     report.rows.append(row)
@@ -433,7 +421,7 @@ def run_benchmark(config: dict[str, Any] | None = None) -> BenchReport:
                 ok = [r for r in cell if "error" not in r]
                 if ok:
                     means = {key: float(np.mean([r[key] for r in ok])) for key in (
-                        "rel_subopt", "CV", "wall_time", "iterations", "comm_per_node")}
+                        "rel_subopt", "CV", "wall_time", "outer_iterations", "comm_per_node_max")}
                     report.means.append({"algorithm": alg, "topology": topology,
                                          "case": case, **means, "num_runs": len(ok)})
     return report

@@ -109,7 +109,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(
             f"  {m['algorithm']:6s} {m['topology']:6s} case {m['case']}: "
             f"rel={m['rel_subopt']:.2e} CV={m['CV']:.2e} "
-            f"iters={m['iterations']:.0f} comm/node={m['comm_per_node']:.0f}"
+            f"iters={m['outer_iterations']:.0f} comm/node={m['comm_per_node_max']:.0f}"
         )
     return 0
 

@@ -9,8 +9,10 @@ node.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
 consumes seeded activation streams, each event assembling one block from the
 node's neighbour index row.  Both solves charge the activations of a whole
 subproblem at once through :func:`charge_activations`: one gradient, one prox
-and one vector per directed edge each.  :func:`local_gradient` is the
-per-node reference for both gradients.  Dual variables are never
+and one vector per directed edge each.  The tests check both gradients
+against dense Kronecker assembly; :func:`local_gradient`, the per-node
+assembly, stays only as a span target of ``benchmark/spans.py`` until that
+tracer stops naming it (ROADMAP items 2 and 4).  Dual variables are never
 materialized; their norms come from Laplacian quadratic forms of the running
 penalty-weighted accumulator, which every node can roll from its neighbours'
 iterates.

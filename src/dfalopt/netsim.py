@@ -5,8 +5,10 @@ node's block to all of its neighbours as one ``(N, n)`` snapshot,
 :attr:`SyncNetwork.delivered`, of which a node may read only its own row and
 its neighbours' rows, and charges one vector per directed edge to its own
 :class:`trace.CommLedger`.  No solve calls it: the DFAL solves charge their
-ledgers through :func:`dfal.charge_activations`, and the exchange is the
-per-exchange reference those charges are tested against.
+ledgers through :func:`dfal.charge_activations`, and the tests check those
+charges against the exchange law (sent = received = degrees per gradient).
+The module stays only as a span target of ``benchmark/spans.py`` until that
+tracer stops naming it (ROADMAP items 2 and 4).
 """
 
 from __future__ import annotations

@@ -399,12 +399,33 @@ class TestRunBenchmark:
 
         assert strip(a.rows) == strip(b.rows)
 
+    def test_row_is_the_run_summary(self, monkeypatch):
+        # rows once had their own names: iterations, comm_per_node and
+        # budget_exhausted, for outer_iterations, comm_per_node_max and stop_reason
+        traces = []
+
+        def kept(*args):
+            traces.append(run_solver(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(bench, "run_solver", kept)
+        report = run_benchmark(self.SMALL_CFG)
+        (row,), (trace,) = report.rows, traces
+        summary = trace.summary()
+        del summary["config"]
+        assert set(row) == {*summary, "topology", "case", "seed", "config_digest",
+                            "reference_method"}
+        for key in summary.keys() - {"wall_time"}:
+            assert row[key] == summary[key], key
+        assert row["wall_time"] >= trace.wall_time
+        assert report.means[0]["outer_iterations"] == trace.final.k
+
     def test_time_budget_reaches_dfal(self):
         # the matrix once passed budget_secs to the baselines only
         report = run_benchmark(dict(self.SMALL_CFG, budget_secs=1e-9))
         row = report.rows[0]
-        assert row["budget_exhausted"], row
-        assert row["iterations"] == 1
+        assert row["stop_reason"] == "timeout", row
+        assert row["outer_iterations"] == 1
 
     def test_unknown_algorithm_recorded(self, monkeypatch):
         # "afal" is not a name of the dispatch (the oracle is part of it), and

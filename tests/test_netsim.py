@@ -1,6 +1,9 @@
 """Synchronous delivery and the delivered snapshot, the activation stream,
 the ledger and its activation charge, and the names they are exported as."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,22 @@ def test_each_export_is_the_one_the_solves_use():
     assert dfalopt.CommLedger is dfalopt.trace.CommLedger
     assert dfalopt.activation_stream is dfalopt.solvers.activation_stream
     assert dfalopt.charge_activations is dfalopt.dfal.charge_activations
+
+
+def test_no_library_module_but_the_package_imports_netsim():
+    # so that deleting netsim.py deletes nothing any solve reads
+    importers = []
+    for path in sorted(Path(dfalopt.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "netsim" for name in names):
+                importers.append(path.name)
+    assert importers == []
