@@ -105,9 +105,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = bench_mod.run_benchmark(config)
     report.to_json(args.out)
     print(f"{len(report.rows)} runs, digest {report.config_digest} -> {args.out}")
+    width = max(map(len, bench_mod.CONFIG_DOMAINS["algorithms"]))
     for m in report.means:
         print(
-            f"  {m['algorithm']:6s} {m['topology']:6s} case {m['case']}: "
+            f"  {m['algorithm']:{width}s} {m['topology']:6s} case {m['case']}: "
             f"rel={m['rel_subopt']:.2e} CV={m['CV']:.2e} "
             f"iters={m['outer_iterations']:.0f} comm/node={m['comm_per_node_max']:.0f}"
         )

@@ -348,8 +348,8 @@ def _event_kernels(
     """Node ``i``'s event kernels, bound to the data they read, each bit for bit:
     the block gradient ``Y -> lam grad_i(y_i) + d_i (y_i + xbar_i) - sum_j (y_j +
     xbar_j)`` over the neighbours ``j``, the prox ``(v, tau) ->
-    node.reg.prox(v, tau * lam)`` and the residual test ``Y ->`` entry ``i`` of
-    ``NodeStack.residual_map(lam)`` at that block gradient."""
+    node.reg.prox(v, tau * lam)`` and the residual ``(Y, g) ->`` entry ``i`` of
+    ``NodeStack.residual_map(lam)`` at the handed block gradient ``g``."""
     row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
     # the transposed view, not a contiguous copy, keeps the event bits
     A, At, b, delta = node.loss.A, node.loss.A.T, node.loss.b, node.loss.delta
@@ -373,12 +373,11 @@ def _event_kernels(
         out = sparse_group_prox(part, v.take(perm), t * b1, thr2, max(thr2, _TINY))
         return out.take(inverse)
 
-    def test(Y: np.ndarray) -> float:
-        gp, yp = grad(Y).take(perm), Y[i].take(perm)
-        out = sparse_group_min_norm(part, gp, yp, lb1, lb2, fl2)
+    def residual(Y: np.ndarray, g: np.ndarray) -> float:
+        out = sparse_group_min_norm(part, g.take(perm), Y[i].take(perm), lb1, lb2, fl2)
         return math.sqrt(np.add.reduce(out * out))
 
-    return grad, prox, test
+    return grad, prox, residual
 
 
 def async_dfal_solve(

@@ -43,10 +43,11 @@ class BlockObjective:
         objective without one.
     blocks : sequence, optional
         Entry ``i`` is block ``i``'s kernels ``(grad(Y), prox(v, tau),
-        residual(Y))`` from its own data: the gradient of ``f`` in block
+        residual(Y, g))`` from its own data: the gradient of ``f`` in block
         ``i``, ``argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2`` and entry ``i``
-        of ``residuals`` at that block gradient.  Read by the randomized
-        solvers, which reject an objective without it.
+        of ``residuals`` at block gradient ``g``; ``prox`` is the prox of the
+        ``rho_i`` that ``residual`` measures.  Read by the randomized solvers,
+        which reject an objective without it.
     """
 
     L: np.ndarray
@@ -72,22 +73,35 @@ class BlockObjective:
         # Python's max skips a NaN that is not first; np.maximum does not
         return float(np.maximum.reduce(self.residuals(G, Y)))
 
-    def residual_reached(self, Y: np.ndarray, target: float) -> bool:
-        """The per-block stopping test at ``Y``: every block's residual is at
-        most ``target``.
-
-        It decides as ``max_j residual_j(Y) <= target`` does over the
-        ``blocks``' residuals, one block at a time: the block that failed last
-        time first, then the others in order, stopping at the first block over
-        ``target`` (or NaN).  Only a passing test evaluates every block.
-        """
-        blocks = _required(self, "blocks", "the residual test")
-        first = self._failed
-        for j in (first, *range(first), *range(first + 1, self.num_blocks)):
-            if not blocks[j][2](Y) <= target:
+    def residual_reached(self, Y: np.ndarray, target: float, known: tuple | None = None) -> bool:
+        """The per-block stopping test at ``Y``: every block's residual is at most
+        ``target``, decided as the exact max would be, one block at a time (``known``'s
+        block first, then the last to fail) up to the first block over ``target`` or NaN.
+        Each block's test takes its gradient and prox step at ``1 / L_j``, handed in by
+        ``known = (i, g, step)``, and runs the exact ``residual`` only when
+        :func:`_mapping_over` does not fire."""
+        blocks, L = _required(self, "blocks", "the residual test"), self.L.tolist()
+        handed = {} if known is None else {known[0]: known[1:]}
+        for j in dict.fromkeys((*handed, self._failed, *range(self.num_blocks))):
+            grad, prox, residual = blocks[j]
+            g = handed[j][0] if j in handed else grad(Y)
+            new = handed[j][1] if j in handed else prox(Y[j] - g / L[j], 1.0 / L[j])
+            if _mapping_over(Y[j] - new, Y[j], g, L[j], target) or not residual(Y, g) <= target:
                 self._failed = j
                 return False
         return True
+
+
+_SLACK = 8.0 * float(np.finfo(float).eps)
+
+
+def _mapping_over(s: np.ndarray, y: np.ndarray, g: np.ndarray, L_j: float, target: float) -> bool:
+    """The gradient-mapping gate (Nesterov 2013) at step ``s = y - prox(y - g / L_j)``:
+    ``L_j ||s|| <= residual`` as ``y = prox(y + xi / L_j)`` for ``xi`` in ``d(rho)(y)``;
+    rounding moves both by about ``7 (n + 8) u (L_j ||y|| + ||g||)``, ``u = eps / 2``,
+    so the gate fires when the bound less ``16 (n + 8) u`` of that is over ``target``."""
+    scale = L_j * math.sqrt(y.dot(y)) + math.sqrt(g.dot(g))
+    return L_j * math.sqrt(s.dot(s)) - _SLACK * (y.size + 8) * scale > target
 
 
 def _required(obj: BlockObjective, name: str, caller: str) -> Any:
@@ -125,10 +139,9 @@ def ms_apg(
     the extrapolated point ``ybar`` and stops when the per-block minimum-norm
     subgradient at ``ybar`` is at most ``residual_target`` (returning
     ``ybar``; that last prox only served the test) or at ``max_iter``
-    (returning ``y``).  The exact test runs only when no block's gradient
-    mapping ``L_i ||ybar_i - y_i||``, at most its residual when ``prox_all``
-    is the prox of the ``rho`` that ``residuals`` measures, is over the
-    target.  ``callback(ell, ybar, grad)`` fires before the prox step;
+    (returning ``y``).  The exact test runs only when no block's
+    :func:`_mapping_over` gate fires (``prox_all`` is the prox of the ``rho``
+    that ``residuals`` measures).  ``callback(ell, ybar, grad)`` fires before the prox step;
     ``record_values`` keeps ``obj.value`` of each prox step in ``values``.
 
     ``restart=True`` resets FISTA's ``t`` to 1 when ``<ybar - y, y - y_prev>
@@ -141,10 +154,6 @@ def ms_apg(
     ybar = y_prev.copy()
     t = 1.0
     L, L_col = obj.L, obj.L[:, None]
-    # L_i ||ybar_i - y_i|| <= residual_i, as ybar_i = prox(ybar_i + xi / L_i) for
-    # xi in d(rho_i)(ybar_i); rounding moves bound and residual by about 7 (n + 8) u
-    # (L_i ||ybar_i|| + ||g_i||) in all, u = eps / 2, and the slack is 16 (n + 8) u.
-    slack = 8.0 * (y_prev.shape[1] + 8) * np.finfo(float).eps
     # try first row j (bit for bit the stacked bound's), the largest at the last stacked pass
     j, L_rows = 0, L.tolist()
     result = SolveResult(y_prev, 0, "cap")
@@ -157,12 +166,10 @@ def ms_apg(
         y = obj.prox_all(ybar - grad / L_col)
         step = ybar - y
         if residual_target is not None:
-            s, v, g, L_j = step[j], ybar[j], grad[j], L_rows[j]
-            scale_j = L_j * math.sqrt(v.dot(v)) + math.sqrt(g.dot(g))
-            over = L_j * math.sqrt(s.dot(s)) - slack * scale_j > residual_target
+            over = _mapping_over(step[j], ybar[j], grad[j], L_rows[j], residual_target)
             if not over and len(L_rows) > 1:
                 scale = L * np.sqrt(np.vecdot(ybar, ybar)) + np.sqrt(np.vecdot(grad, grad))
-                bound = L * np.sqrt(np.vecdot(step, step)) - slack * scale
+                bound = L * np.sqrt(np.vecdot(step, step)) - _SLACK * (y.shape[1] + 8) * scale
                 j = int(bound.argmax())  # a NaN row when there is one
                 over = bound[j] > residual_target
             if not over and obj.max_residual(grad, ybar) <= residual_target:
@@ -242,8 +249,9 @@ def rbcd_run(
     from ``activation_stream(seed, N)``.
 
     The optional residual test (:meth:`BlockObjective.residual_reached`,
-    checked once per ``N`` events) may stop early.
-    ``activations`` of the result counts the events that drew each block.
+    checked once per ``N`` events) may stop early; it starts with the next
+    event's block, drawn early, and hands that event its gradient and prox
+    step.  ``activations`` of the result counts the events that drew each block.
     """
     integer("iters", iters, 0)
     y = np.array(y0, dtype=float)
@@ -254,12 +262,19 @@ def rbcd_run(
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N
     result = SolveResult(y, iters, "cap")
+    known = None
     for ell in range(1, iters + 1):
-        i = draw()
+        if known is None:
+            i = draw()
+            y[i] = prox[i](y[i] - grad[i](y) / L[i], step[i])
+        else:
+            (i, _, y[i]), known = known, None
         drawn[i] += 1
-        y[i] = prox[i](y[i] - grad[i](y) / L[i], step[i])
         if residual_target is not None and ell % N == 0:
-            if obj.residual_reached(y, residual_target):
+            i = draw()
+            g = grad[i](y)
+            known = (i, g, prox[i](y[i] - g / L[i], step[i]))
+            if obj.residual_reached(y, residual_target, known):
                 result.iterations, result.stop_reason = ell, "residual"
                 break
     result.activations = np.array(drawn, dtype=np.int64)

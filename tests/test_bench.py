@@ -693,6 +693,23 @@ class TestCli:
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
         assert summary["converged"]
 
+    def test_bench_means_lines_align(self, tmp_path, capsys):
+        # afal-rbcd and afal-arbcd are the longest names, and a padding
+        # shorter than they are shifts their columns
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "algorithms": list(CONFIG_DOMAINS["algorithms"]),
+            "topologies": ["star", "clique"], "cases": [1], "N": 2, "n_g": 2,
+            "K": 2, "seeds": [3], "admm_iters": 2,
+        }))
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 2 * len(CONFIG_DOMAINS["algorithms"])
+        for column in (" case ", "rel=", "CV=", "iters="):
+            starts = {line.find(column) for line in lines if column in line}
+            assert len(starts) == 1, column
+        assert all(line.find("rel=") > 0 for line in lines)
+
     @pytest.mark.parametrize("alg", ["dfal", "afal-rbcd"], ids=["dfal", "afal"])
     def test_solve_honours_the_time_budget(self, tmp_path, alg):
         out = tmp_path / "run.csv"

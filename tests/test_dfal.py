@@ -26,11 +26,13 @@ from dfalopt import (
     laplacian_dense,
     laplacian_quadratic,
     local_gradient,
+    rbcd_run,
     sadmm_solve,
 )
 import dfalopt.dfal as dfal
 from dfalopt.dfal import _subproblem_objective
 from dfalopt.funcs import NodeStack
+from dfalopt.solvers import activation_stream
 from conftest import random_connected_graph, small_node
 
 
@@ -657,7 +659,7 @@ class TestEventPath:
     def test_residual_test_reuses_the_event_gradient(self, rng, tmp_path):
         for nodes, _, lam, _, obj, Y in self._subproblems(rng, tmp_path):
             stacked = obj.residuals(obj.smooth_grad(Y), Y)
-            r = [residual(Y) for _, _, residual in obj.blocks]
+            r = [residual(Y, grad(Y)) for grad, _, residual in obj.blocks]
             for j, node in enumerate(nodes):
                 g = obj.blocks[j][0](Y)
                 # summed in segment order, as the stack lays it out
@@ -670,6 +672,49 @@ class TestEventPath:
             worst = max(r)
             for t in (np.nextafter(worst, -np.inf), worst, np.nextafter(worst, np.inf)):
                 assert obj.residual_reached(Y, t) == (worst <= t)
+
+    @staticmethod
+    def _counted(obj):
+        """``obj`` with each block's gradient and exact residual counted."""
+        calls = {"grad": 0, "exact": 0}
+
+        def counting(kind, kernel):
+            def run(*args):
+                calls[kind] += 1
+                return kernel(*args)
+
+            return run
+
+        blocks = [(counting("grad", grad), prox, counting("exact", residual))
+                  for grad, prox, residual in obj.blocks]
+        return replace(obj, blocks=blocks), calls
+
+    def test_a_handed_step_decides_as_the_exact_max(self, rng, tmp_path):
+        for nodes, graph, lam, xbar, _, Y in self._subproblems(rng, tmp_path):
+            L = rng.uniform(0.5, 4.0, size=5)
+            obj = _subproblem_objective(nodes, graph, lam, xbar, L)
+            grads = [grad(Y) for grad, _, _ in obj.blocks]
+            r = [res(Y, g) for g, (_, _, res) in zip(grads, obj.blocks)]
+            worst = max(r)
+            for i, (g, (_, prox, _)) in enumerate(zip(grads, obj.blocks)):
+                step = prox(Y[i] - g / L[i], 1.0 / L[i])
+                for t in (np.nextafter(worst, -np.inf), worst, np.nextafter(worst, np.inf)):
+                    assert obj.residual_reached(Y, t, (i, g, step)) == (worst <= t)
+                # the gradient mapping, at most the residual, puts the block over
+                # half of it: the gate fires, and nothing is computed again
+                mapping = L[i] * np.linalg.norm(Y[i] - step)
+                if mapping > 0:
+                    counted, calls = self._counted(obj)
+                    assert not counted.residual_reached(Y, 0.5 * mapping, (i, g, step))
+                    assert calls == {"grad": 0, "exact": 0}
+                    assert mapping <= r[i] * (1 + 1e-12)
+            # a NaN block fails the test whichever block is handed in
+            Z = Y.copy()
+            Z[3, 0] = np.nan
+            for i in (0, 3):
+                g = obj.blocks[i][0](Z)
+                step = obj.blocks[i][1](Z[i] - g / L[i], 1.0 / L[i])
+                assert not obj.residual_reached(Z, np.inf, (i, g, step))
 
     def test_event_gradient_and_prox_match_the_per_node_formulas(self, rng, tmp_path):
         for nodes, graph, lam, xbar, obj, Y in self._subproblems(rng, tmp_path):
@@ -811,6 +856,59 @@ def test_async_counters_match_the_per_node_implementation(case, oracle):
     assert ledger.control_msgs.tolist() == [16, 8, 8]
     assert [r.inner_iters for r in trace.rows] == expect["inner"]
     assert all(r.stop_reason == "residual" for r in trace.rows)
+
+
+def _rbcd_drawing_at_each_event(obj, y0, iters, seed, target):
+    """``rbcd_run`` in the order it had before its residual test handed the
+    next event its step: each event draws its block and takes its own step, and
+    each test runs the exact residual of every block."""
+    y, N, L = np.array(y0, dtype=float), obj.num_blocks, obj.L.tolist()
+    draw = activation_stream(seed, N).__next__
+    drawn = np.zeros(N, dtype=np.int64)
+    for ell in range(1, iters + 1):
+        i = draw()
+        drawn[i] += 1
+        grad, prox, _ = obj.blocks[i]
+        y[i] = prox(y[i] - grad(y) / L[i], 1.0 / L[i])
+        if ell % N == 0:
+            if np.maximum.reduce([res(y, g(y)) for g, _, res in obj.blocks]) <= target:
+                return y, ell, "residual", drawn
+    return y, iters, "cap", drawn
+
+
+@pytest.mark.parametrize("topology", ["star", "clique"])
+@pytest.mark.parametrize("case", [1, 2])
+def test_rbcd_hands_each_event_its_own_step_bit_for_bit(case, topology):
+    inst = generate_instance(case, topology, 5, 10, 10, seed=3)
+    nodes, graph, lam = inst.nodes, inst.graph, 0.5
+    xbar = np.random.default_rng(case).standard_normal((5, 100))
+    L = lam * np.array([p.loss.lipschitz for p in nodes]) + graph.degrees
+    obj = _subproblem_objective(nodes, graph, lam, xbar, L)
+    y0 = np.zeros((5, 100))
+    start = max(res(y0, g(y0)) for g, _, res in obj.blocks)
+    seen = []
+
+    def counting(j, grad):
+        def run(Y):
+            seen.append((j, Y.tobytes()))
+            return grad(Y)
+
+        return run
+
+    counted = replace(obj, blocks=[(counting(j, grad), prox, res)
+                                   for j, (grad, prox, res) in enumerate(obj.blocks)])
+    for seed in (0, 1, 2):
+        for iters, target, stop in ((5000, 1e-2 * start, "residual"), (600, 0.0, "cap")):
+            y, ell, reason, drawn = _rbcd_drawing_at_each_event(obj, y0, iters, seed, target)
+            assert reason == stop
+            seen.clear()
+            res = rbcd_run(counted, y0, iters, seed, residual_target=target)
+            assert np.array_equal(res.y, y)
+            assert np.array_equal(res.iterations, ell)
+            assert np.array_equal(res.stop_reason, reason)
+            assert np.array_equal(res.activations, drawn)
+            # no block gradient is taken twice at one iterate
+            assert len(set(seen)) == len(seen) >= ell
 
 
 # Ledger counters and inner iterations of dfal_solve with

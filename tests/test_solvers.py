@@ -39,7 +39,7 @@ def quadratic_objective(c):
         def grad(Y):
             return Y[i] - c[i]
 
-        return grad, lambda v, tau: v, lambda Y: float(np.linalg.norm(grad(Y)))
+        return grad, lambda v, tau: v, lambda Y, g: float(np.linalg.norm(g))
 
     return BlockObjective(
         L=np.ones(c.shape[0]),
@@ -67,8 +67,8 @@ def sparse_group_objective(rng, N=3, n=5):
         def grad(Y):
             return Q[i] * (Y[i] - targets[i])
 
-        def residual(Y):
-            return regs[i].subgrad_residual(1.0, grad(Y), Y[i])
+        def residual(Y, g):
+            return regs[i].subgrad_residual(1.0, g, Y[i])
 
         return grad, regs[i].prox, residual
 
@@ -128,36 +128,78 @@ class TestResidualTest:
     """The randomized solvers' early-exit stopping test."""
 
     @staticmethod
-    def recorded(residuals):
+    def recorded(residuals, exact=False):
+        """Quadratic blocks at ``Y = 0`` whose residuals are ``residuals``,
+        logging each block's prox step (the gate's input) and exact test
+        apart.  By default the exact kernel returns ``residuals[j]`` and every
+        gradient is 0, so no gate fires; with ``exact=True`` the gradients are
+        ``-residuals[j]`` and the exact kernel is the objective's, so the prox
+        is the prox of the ``rho`` it measures and the gate can fire."""
         calls = []
+        c = np.array(residuals, dtype=float)[:, None] if exact else np.zeros((len(residuals), 1))
+        obj = quadratic_objective(c)
 
-        def recording(j):
-            def residual(Y):
-                calls.append(j)
-                return residuals[j]
+        def recording(j, prox, residual):
+            def gate(v, tau):
+                calls.append(("gate", j))
+                return prox(v, tau)
 
-            return residual
+            def test(Y, g):
+                calls.append(("exact", j))
+                return residual(Y, g) if exact else residuals[j]
 
-        obj = quadratic_objective(np.zeros((len(residuals), 1)))
-        blocks = [(grad, prox, recording(j))
-                  for j, (grad, prox, _) in enumerate(obj.blocks)]
+            return gate, test
+
+        blocks = [(grad, *recording(j, prox, residual))
+                  for j, (grad, prox, residual) in enumerate(obj.blocks)]
         return replace(obj, blocks=blocks), calls
+
+    @staticmethod
+    def gate_then_exact(*blocks):
+        return [(kind, j) for j in blocks for kind in ("gate", "exact")]
 
     def test_stops_at_the_first_block_over_target_and_starts_there_next(self):
         obj, calls = self.recorded([0.1, 0.5, 0.9, 0.2])
         assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
-        assert calls == [0, 1, 2]
+        assert calls == self.gate_then_exact(0, 1, 2)
         calls.clear()
         assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
-        assert calls == [2]
+        assert calls == self.gate_then_exact(2)
         calls.clear()
         # only a passing test evaluates every block
         assert obj.residual_reached(np.zeros((4, 1)), 0.9)
-        assert calls == [2, 0, 1, 3]
+        assert calls == self.gate_then_exact(2, 0, 1, 3)
+
+    def test_a_firing_gate_skips_the_exact_test(self):
+        obj, calls = self.recorded([0.1, 0.5, 0.9, 0.2], exact=True)
+        assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
+        # block 2's gradient mapping 0.9 is over 0.6: no exact test
+        assert calls == [*self.gate_then_exact(0, 1), ("gate", 2)]
+        calls.clear()
+        assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
+        assert calls == [("gate", 2)]
+        calls.clear()
+        # at the target the gate, less its slack, does not fire
+        assert obj.residual_reached(np.zeros((4, 1)), 1.0)
+        assert calls == self.gate_then_exact(2, 0, 1, 3)
+
+    def test_the_gate_leaves_room_for_rounding(self):
+        # at L = 3 the mapping L ||y - (y - g / L)|| rounds above the residual
+        # ||g||; at the target ||g|| only the slack keeps the gate from failing
+        # a block whose exact test passes
+        obj = replace(quadratic_objective([[0.1]]), L=np.array([3.0]))
+        g = 1.0 - 0.1
+        assert 3.0 * (1.0 - (1.0 - g / 3.0)) > g
+        assert obj.residual_reached(np.ones((1, 1)), g)
 
     def test_nan_residual_fails(self):
-        obj, _ = self.recorded([0.0, np.nan])
+        obj, calls = self.recorded([0.0, np.nan])
         assert not obj.residual_reached(np.zeros((2, 1)), 1.0)
+        assert calls == self.gate_then_exact(0, 1)
+        # a NaN gradient: the gate is NaN, so it does not fire, and the exact test fails
+        obj, calls = self.recorded([0.0, np.nan], exact=True)
+        assert not obj.residual_reached(np.zeros((2, 1)), 1.0)
+        assert calls == self.gate_then_exact(0, 1)
 
     @pytest.mark.parametrize("residuals", [[np.nan, 0.0], [0.0, np.nan]])
     def test_stacked_test_fails_on_nan_in_any_position(self, residuals):
