@@ -316,9 +316,9 @@ def _subproblem_objective(
 
     Its ``blocks`` are the nodes' :func:`_event_kernels`, bound once per
     subproblem: an event on node ``i`` runs node ``i``'s block gradient, prox
-    and residual test.  The full gradient, the prox of all blocks and the
-    stacked residuals come from ``stack`` (built from ``nodes`` when not
-    given) for all blocks at once.
+    and residual test, and every stopping test reads node ``i``'s residual
+    there.  The full gradient and the prox of all blocks come from ``stack``
+    (built from ``nodes`` when not given) for all blocks at once.
     """
     if stack is None:
         stack = NodeStack(nodes)
@@ -336,9 +336,8 @@ def _subproblem_objective(
         smooth_grad=smooth_grad,
         # each block at its own step 1/L_i, thresholds formed once
         prox_all=stack.prox_map((1.0 / block_L) * lam),
-        residuals=stack.residual_map(lam),
-        value=value,
         blocks=[_event_kernels(p, i, graph, lam, xbar) for i, p in enumerate(nodes)],
+        value=value,
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,29 +33,24 @@ class BlockObjective:
     prox_all : callable
         ``V ->`` the stacked ``argmin_y rho_i(y) / L_i + 0.5 * ||y - V_i||^2``
         of every block in one call, each block at its own step ``1 / L_i``.
-    residuals : callable
-        ``(G, Y) ->`` the ``N`` norms (array or sequence), entry ``i`` that
-        of the minimum-norm element of ``d(rho_i)(Y_i) + G_i``; the
-        per-block stopping test, for all blocks in one call.
+    blocks : sequence
+        Entry ``i`` is block ``i``'s kernels ``(grad(Y), prox(v, tau),
+        residual(Y, g))`` from its own data: the gradient of ``f`` in block
+        ``i``, ``argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2`` and the norm of
+        the minimum-norm element of ``d(rho_i)(Y_i) + g``, with ``prox`` the
+        prox of the ``rho_i`` that ``residual`` measures.  The randomized
+        solvers and every stopping test (:meth:`residual_reached`) run on them.
     value : callable, optional
         ``Y -> Phi(Y)``.  Read by ``ms_apg(record_values=True)``,
         :func:`arbcd_run` and the budget-constant pilots, which reject an
         objective without one.
-    blocks : sequence, optional
-        Entry ``i`` is block ``i``'s kernels ``(grad(Y), prox(v, tau),
-        residual(Y, g))`` from its own data: the gradient of ``f`` in block
-        ``i``, ``argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2`` and entry ``i``
-        of ``residuals`` at block gradient ``g``; ``prox`` is the prox of the
-        ``rho_i`` that ``residual`` measures.  Read by the randomized solvers,
-        which reject an objective without it.
     """
 
     L: np.ndarray
     smooth_grad: Callable[[np.ndarray], np.ndarray]
     prox_all: Callable[[np.ndarray], np.ndarray]
-    residuals: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    blocks: Sequence[tuple[Callable, Callable, Callable]]
     value: Callable[[np.ndarray], float] | None = None
-    blocks: Sequence[tuple[Callable, Callable, Callable]] | None = None
     # the block that failed the last residual test, checked first next time
     _failed: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -68,24 +63,18 @@ class BlockObjective:
     def num_blocks(self) -> int:
         return self.L.size
 
-    def max_residual(self, G: np.ndarray, Y: np.ndarray) -> float:
-        """The largest of ``residuals(G, Y)``, NaN when any entry is NaN."""
-        # Python's max skips a NaN that is not first; np.maximum does not
-        return float(np.maximum.reduce(self.residuals(G, Y)))
-
-    def residual_reached(self, Y: np.ndarray, target: float, known: tuple | None = None) -> bool:
+    def residual_reached(self, Y: np.ndarray, target: float, known: dict | None = None) -> bool:
         """The per-block stopping test at ``Y``: every block's residual is at most
         ``target``, decided as the exact max would be, one block at a time (``known``'s
-        block first, then the last to fail) up to the first block over ``target`` or NaN.
+        blocks first, then the last to fail) up to the first block over ``target`` or NaN.
         Each block's test takes its gradient and prox step at ``1 / L_j``, handed in by
-        ``known = (i, g, step)``, and runs the exact ``residual`` only when
+        ``known = {j: (g, step)}``, and runs the exact ``residual`` only when
         :func:`_mapping_over` does not fire."""
-        blocks, L = _required(self, "blocks", "the residual test"), self.L.tolist()
-        handed = {} if known is None else {known[0]: known[1:]}
-        for j in dict.fromkeys((*handed, self._failed, *range(self.num_blocks))):
-            grad, prox, residual = blocks[j]
-            g = handed[j][0] if j in handed else grad(Y)
-            new = handed[j][1] if j in handed else prox(Y[j] - g / L[j], 1.0 / L[j])
+        L, known = self.L.tolist(), known or {}
+        for j in dict.fromkeys((*known, self._failed, *range(self.num_blocks))):
+            grad, prox, residual = self.blocks[j]
+            g = known[j][0] if j in known else grad(Y)
+            new = known[j][1] if j in known else prox(Y[j] - g / L[j], 1.0 / L[j])
             if _mapping_over(Y[j] - new, Y[j], g, L[j], target) or not residual(Y, g) <= target:
                 self._failed = j
                 return False
@@ -104,10 +93,17 @@ def _mapping_over(s: np.ndarray, y: np.ndarray, g: np.ndarray, L_j: float, targe
     return L_j * math.sqrt(s.dot(s)) - _SLACK * (y.size + 8) * scale > target
 
 
-def _required(obj: BlockObjective, name: str, caller: str) -> Any:
-    if getattr(obj, name) is None:
-        raise ValueError(f"{caller} reads the {name} of the objective, which has no {name}")
-    return getattr(obj, name)
+def _start(obj: BlockObjective, y0: np.ndarray) -> np.ndarray:
+    y = np.array(y0, dtype=float)
+    if y.ndim != 2 or y.shape[0] != obj.num_blocks:
+        raise ValueError(f"need a start point of shape ({obj.num_blocks}, n), got {y.shape}")
+    return y
+
+
+def _value(obj: BlockObjective, caller: str) -> Callable[[np.ndarray], float]:
+    if obj.value is None:
+        raise ValueError(f"{caller} reads the value of the objective, which has no value")
+    return obj.value
 
 
 @dataclass
@@ -136,26 +132,26 @@ def ms_apg(
     """Accelerated proximal gradient with per-block step sizes.
 
     Each iteration takes the prox step ``y = prox_all(ybar - grad / L)`` from
-    the extrapolated point ``ybar`` and stops when the per-block minimum-norm
-    subgradient at ``ybar`` is at most ``residual_target`` (returning
-    ``ybar``; that last prox only served the test) or at ``max_iter``
-    (returning ``y``).  The exact test runs only when no block's
-    :func:`_mapping_over` gate fires (``prox_all`` is the prox of the ``rho``
-    that ``residuals`` measures).  ``callback(ell, ybar, grad)`` fires before the prox step;
-    ``record_values`` keeps ``obj.value`` of each prox step in ``values``.
+    the extrapolated point ``ybar`` and stops when
+    :meth:`BlockObjective.residual_reached` passes at ``ybar``, handed every
+    row's gradient and prox step (returning ``ybar``; that last prox only
+    served the test), or at ``max_iter`` (returning ``y``).  The block that
+    failed the last test decides most iterations alone, through its
+    :func:`_mapping_over` gate (``prox_all`` is the prox of the ``rho`` that
+    the blocks' ``residual`` measures).  ``callback(ell, ybar, grad)`` fires
+    before the prox step; ``record_values`` keeps ``obj.value`` of each prox
+    step in ``values``.
 
     ``restart=True`` resets FISTA's ``t`` to 1 when ``<ybar - y, y - y_prev>
     > 0`` (adaptive restart, O'Donoghue and Candes 2015, FoCM), which recovers
     the linear rate near a solution; only the case-1 reference sets it.
     """
     integer("max_iter", max_iter, 1)
-    value = _required(obj, "value", "record_values") if record_values else None
-    y_prev = np.array(y0, dtype=float)
+    value = _value(obj, "record_values") if record_values else None
+    y_prev = _start(obj, y0)
     ybar = y_prev.copy()
     t = 1.0
-    L, L_col = obj.L, obj.L[:, None]
-    # try first row j (bit for bit the stacked bound's), the largest at the last stacked pass
-    j, L_rows = 0, L.tolist()
+    L_col, L_rows = obj.L[:, None], obj.L.tolist()
     result = SolveResult(y_prev, 0, "cap")
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
@@ -166,13 +162,10 @@ def ms_apg(
         y = obj.prox_all(ybar - grad / L_col)
         step = ybar - y
         if residual_target is not None:
-            over = _mapping_over(step[j], ybar[j], grad[j], L_rows[j], residual_target)
-            if not over and len(L_rows) > 1:
-                scale = L * np.sqrt(np.vecdot(ybar, ybar)) + np.sqrt(np.vecdot(grad, grad))
-                bound = L * np.sqrt(np.vecdot(step, step)) - _SLACK * (y.shape[1] + 8) * scale
-                j = int(bound.argmax())  # a NaN row when there is one
-                over = bound[j] > residual_target
-            if not over and obj.max_residual(grad, ybar) <= residual_target:
+            f = obj._failed  # the block that failed the last test decides most tests alone
+            if not _mapping_over(step[f], ybar[f], grad[f], L_rows[f], residual_target) and (
+                obj.residual_reached(ybar, residual_target, dict(enumerate(zip(grad, y))))
+            ):
                 result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
                 return result
         if value is not None:
@@ -212,7 +205,7 @@ def apg(
         L=np.array([lipschitz]),
         smooth_grad=lambda Y: smooth_grad(Y[0])[None, :],
         prox_all=lambda V: prox(V[0], step)[None, :],
-        residuals=lambda G, Y: (residual(G[0], Y[0]),),
+        blocks=[(lambda Y: smooth_grad(Y[0]), prox, lambda Y, g: residual(g, Y[0]))],
     )
     res = ms_apg(
         obj,
@@ -254,11 +247,11 @@ def rbcd_run(
     step.  ``activations`` of the result counts the events that drew each block.
     """
     integer("iters", iters, 0)
-    y = np.array(y0, dtype=float)
+    y = _start(obj, y0)
     N = obj.num_blocks
     L = obj.L.tolist()
     step = [1.0 / L_i for L_i in L]
-    grad, prox, _ = zip(*_required(obj, "blocks", "rbcd_run"))
+    grad, prox, _ = zip(*obj.blocks)
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N
     result = SolveResult(y, iters, "cap")
@@ -274,7 +267,7 @@ def rbcd_run(
             i = draw()
             g = grad[i](y)
             known = (i, g, prox[i](y[i] - g / L[i], step[i]))
-            if obj.residual_reached(y, residual_target, known):
+            if obj.residual_reached(y, residual_target, {i: known[1:]}):
                 result.iterations, result.stop_reason = ell, "residual"
                 break
     result.activations = np.array(drawn, dtype=np.int64)
@@ -308,12 +301,12 @@ def arbcd_chain(
     ``activations`` of the result counts the events that drew each block.
     """
     integer("iters", iters, 0)
-    z = np.array(z0, dtype=float)
+    z = _start(obj, z0)
     u = np.zeros_like(z)
     t = 1.0
     N = obj.num_blocks
     L = obj.L.tolist()
-    grad, prox, _ = zip(*_required(obj, "blocks", "arbcd_chain"))
+    grad, prox, _ = zip(*obj.blocks)
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N
     result = SolveResult(z.copy(), iters, "cap")
@@ -349,7 +342,7 @@ def _pilot(
     better of ``y0`` and the end of a ``4N``-event pilot ``run`` at activation
     seed ``seed``, which stands in for the unknown optimum of the randomized
     solvers' constants."""
-    value = _required(obj, "value", "the budget pilot")
+    value = _value(obj, "the budget pilot")
     phi0 = value(y0)
     pilot = run(obj, y0, 4 * obj.num_blocks, seed)
     phi_best = min(phi0, value(pilot.y))
@@ -405,7 +398,7 @@ def arbcd_run(
     real("alpha", alpha, 0, strict=True)
     real("p", p, 0, 1, strict=True)
     N = obj.num_blocks
-    value = _required(obj, "value", "arbcd_run")
+    value = _value(obj, "arbcd_run")
     chain_iters = arbcd_chain_events(N, c_estimate, alpha)
     best_y = np.array(z0, dtype=float)
     best_phi = value(best_y)

@@ -580,10 +580,11 @@ class TestNodeStack:
                 per_node = [
                     nodes[i].reg.subgrad_residual(lam, G[i], Y[i]) for i in range(N)
                 ]
-                np.testing.assert_allclose(
-                    obj.residuals(G, Y), per_node, rtol=0, atol=1e-12
-                )
-                assert obj.max_residual(G, Y) == max(obj.residuals(G, Y))
+                stacked = stack.residual_map(lam)(G, Y)
+                np.testing.assert_allclose(stacked, per_node, rtol=0, atol=1e-12)
+                # every stopping test reads the block residual, bit for bit
+                # the stacked entry at the same gradient row
+                assert [r(Y, G[i]) for i, (_, _, r) in enumerate(obj.blocks)] == stacked.tolist()
 
     def test_event_block_gradient_matches_per_node(self, rng):
         for nodes, graph in self._problems(rng):
@@ -658,7 +659,7 @@ class TestEventPath:
 
     def test_residual_test_reuses_the_event_gradient(self, rng, tmp_path):
         for nodes, _, lam, _, obj, Y in self._subproblems(rng, tmp_path):
-            stacked = obj.residuals(obj.smooth_grad(Y), Y)
+            stacked = NodeStack(nodes).residual_map(lam)(obj.smooth_grad(Y), Y)
             r = [residual(Y, grad(Y)) for grad, _, residual in obj.blocks]
             for j, node in enumerate(nodes):
                 g = obj.blocks[j][0](Y)
@@ -695,26 +696,32 @@ class TestEventPath:
             obj = _subproblem_objective(nodes, graph, lam, xbar, L)
             grads = [grad(Y) for grad, _, _ in obj.blocks]
             r = [res(Y, g) for g, (_, _, res) in zip(grads, obj.blocks)]
-            worst = max(r)
+            worst, every = max(r), {}
             for i, (g, (_, prox, _)) in enumerate(zip(grads, obj.blocks)):
-                step = prox(Y[i] - g / L[i], 1.0 / L[i])
+                step = every[i] = prox(Y[i] - g / L[i], 1.0 / L[i])
                 for t in (np.nextafter(worst, -np.inf), worst, np.nextafter(worst, np.inf)):
-                    assert obj.residual_reached(Y, t, (i, g, step)) == (worst <= t)
+                    assert obj.residual_reached(Y, t, {i: (g, step)}) == (worst <= t)
                 # the gradient mapping, at most the residual, puts the block over
                 # half of it: the gate fires, and nothing is computed again
                 mapping = L[i] * np.linalg.norm(Y[i] - step)
                 if mapping > 0:
                     counted, calls = self._counted(obj)
-                    assert not counted.residual_reached(Y, 0.5 * mapping, (i, g, step))
+                    assert not counted.residual_reached(Y, 0.5 * mapping, {i: (g, step)})
                     assert calls == {"grad": 0, "exact": 0}
                     assert mapping <= r[i] * (1 + 1e-12)
+            # every block handed in, as ms_apg hands them: no gradient is taken
+            counted, calls = self._counted(obj)
+            every = {i: (g, every[i]) for i, g in enumerate(grads)}
+            for t in (np.nextafter(worst, -np.inf), worst, np.nextafter(worst, np.inf)):
+                assert counted.residual_reached(Y, t, every) == (worst <= t)
+            assert calls["grad"] == 0
             # a NaN block fails the test whichever block is handed in
             Z = Y.copy()
             Z[3, 0] = np.nan
             for i in (0, 3):
                 g = obj.blocks[i][0](Z)
                 step = obj.blocks[i][1](Z[i] - g / L[i], 1.0 / L[i])
-                assert not obj.residual_reached(Z, np.inf, (i, g, step))
+                assert not obj.residual_reached(Z, np.inf, {i: (g, step)})
 
     def test_event_gradient_and_prox_match_the_per_node_formulas(self, rng, tmp_path):
         for nodes, graph, lam, xbar, obj, Y in self._subproblems(rng, tmp_path):

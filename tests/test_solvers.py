@@ -45,9 +45,8 @@ def quadratic_objective(c):
         L=np.ones(c.shape[0]),
         smooth_grad=lambda Y: Y - c,
         prox_all=lambda V: V,
-        residuals=lambda G, Y: np.linalg.norm(G, axis=1),
-        value=lambda Y: 0.5 * float(np.sum((Y - c) ** 2)),
         blocks=[block(i) for i in range(c.shape[0])],
+        value=lambda Y: 0.5 * float(np.sum((Y - c) ** 2)),
     )
 
 
@@ -79,11 +78,8 @@ def sparse_group_objective(rng, N=3, n=5):
         prox_all=lambda V: np.stack(
             [regs[i].prox(V[i], step[i]) for i in range(N)]
         ),
-        residuals=lambda G, Y: np.array(
-            [regs[i].subgrad_residual(1.0, G[i], Y[i]) for i in range(N)]
-        ),
-        value=value,
         blocks=blocks,
+        value=value,
     )
 
 
@@ -112,16 +108,23 @@ class TestBlockObjective:
             with pytest.raises(ValueError, match="which has no value"):
                 evaluate()
 
+    def test_blocks_are_required(self):
+        # every solver's stopping test runs on them
+        with pytest.raises(TypeError, match="blocks"):
+            BlockObjective(L=np.ones(1), smooth_grad=lambda Y: Y, prox_all=lambda V: V)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1,), (1, 1, 1)])
     @pytest.mark.parametrize("run", [
-        partial(rbcd_run, iters=6, seed=0),
-        partial(arbcd_chain, iters=6, seed=0),
-        partial(rbcd_budget_constant, seed=0),
-        partial(estimate_restart_constant, seed=0),
-    ], ids=["rbcd_run", "arbcd_chain", "rbcd_pilot", "arbcd_pilot"])
-    def test_blocks_required_by_the_randomized_runs(self, rng, run):
-        obj = replace(sparse_group_objective(rng), blocks=None)
-        with pytest.raises(ValueError, match="which has no blocks"):
-            run(obj, np.zeros((3, 5)))
+        partial(ms_apg, residual_target=1.0, max_iter=5),
+        partial(rbcd_run, iters=5, seed=0, residual_target=1.0),
+        partial(arbcd_chain, iters=5, seed=0, residual_target=1.0),
+    ], ids=["ms_apg", "rbcd_run", "arbcd_chain"])
+    def test_start_point_has_one_row_per_block(self, run, shape):
+        # a 3-row start on a 1-block objective once ran: ms_apg stopped on
+        # row 1 alone, and rbcd_run left rows 2-3 at zero
+        obj = quadratic_objective(np.ones((1, 1)))
+        with pytest.raises(ValueError, match=r"need a start point of shape \(1, n\), got"):
+            run(obj, np.zeros(shape))
 
 
 class TestResidualTest:
@@ -205,19 +208,17 @@ class TestResidualTest:
     def test_stacked_test_fails_on_nan_in_any_position(self, residuals):
         # Python's max once skipped a NaN that was not first, so ms_apg
         # stopped with "residual" on [0.0, nan]
-        obj = replace(
-            quadratic_objective(np.zeros((2, 1))),
-            residuals=lambda G, Y: np.array(residuals),
-        )
-        assert np.isnan(obj.max_residual(np.zeros((2, 1)), np.zeros((2, 1))))
+        obj, calls = self.recorded(residuals)
+        assert not obj.residual_reached(np.zeros((2, 1)), 1.0)
+        calls.clear()
         res = ms_apg(obj, np.ones((2, 1)), residual_target=1.0, max_iter=3)
         assert (res.stop_reason, res.iterations) == ("cap", 3)
+        # ms_apg hands every row's prox step, so no block takes its own
+        assert calls and {kind for kind, _ in calls} == {"exact"}
 
     def test_single_block_nan_fails(self):
-        obj = replace(
-            quadratic_objective(np.zeros((1, 1))), residuals=lambda G, Y: (np.nan,)
-        )
-        assert np.isnan(obj.max_residual(np.zeros((1, 1)), np.zeros((1, 1))))
+        obj, _ = self.recorded([np.nan])
+        assert not obj.residual_reached(np.zeros((1, 1)), 1.0)
 
 
 class TestBudgetConstants:
@@ -285,7 +286,8 @@ class TestMsApg:
             L=np.array([2.0]),
             smooth_grad=lambda Y: 2.0 * (Y - target),
             prox_all=lambda V: reg.prox(V[0], 0.5)[None, :],  # the step 1/L
-            residuals=lambda G, Y: [reg.subgrad_residual(1.0, G[0], Y[0])],
+            blocks=[(lambda Y: 2.0 * (Y[0] - target), reg.prox,
+                     lambda Y, g: reg.subgrad_residual(1.0, g, Y[0]))],
         )
         res_ms = ms_apg(obj, np.zeros((1, 5)), residual_target=None, max_iter=60)
         res_apg = apg(
@@ -315,7 +317,7 @@ class TestMsApg:
                 L=Ld,
                 smooth_grad=lambda Y: Ld[:, None] * (Y - c),
                 prox_all=lambda V: V,
-                residuals=lambda G, Y: np.linalg.norm(G, axis=1),
+                blocks=quadratic_objective(c).blocks,  # read by no test here
                 value=lambda Y: 0.5 * float(np.sum(Ld[:, None] * (Y - c) ** 2)),
             )
 
@@ -334,16 +336,16 @@ class TestMsApg:
         obj = sparse_group_objective(rng)
         res = ms_apg(obj, np.zeros((3, 5)), residual_target=1e-6, max_iter=5000)
         assert res.stop_reason == "residual"
-        grad = obj.smooth_grad(res.y)
-        for r in obj.residuals(grad, res.y):
-            assert r <= 1e-6
+        G = obj.smooth_grad(res.y)
+        for j, (_, _, residual) in enumerate(obj.blocks):
+            assert residual(res.y, G[j]) <= 1e-6
 
     def test_nonfinite_gradient_aborts(self):
         obj = BlockObjective(
             L=np.array([1.0]),
             smooth_grad=lambda Y: np.full_like(Y, np.nan),
             prox_all=lambda V: V,
-            residuals=lambda G, Y: np.zeros(1),
+            blocks=quadratic_objective(np.zeros((1, 1))).blocks,
         )
         with pytest.raises(FloatingPointError):
             ms_apg(obj, np.zeros((1, 1)), max_iter=5)
@@ -380,6 +382,11 @@ class TestRestart:
         assert np.max(np.abs(restarted.y - plain.y)) <= 1e-8
 
 
+def exact_max(obj, G, Y):
+    """The largest block residual at the stacked gradient ``G``, NaN when one is."""
+    return np.maximum.reduce([residual(Y, G[j]) for j, (_, _, residual) in enumerate(obj.blocks)])
+
+
 def exact_test_apg(obj, y0, residual_target, max_iter, restart=False):
     """``ms_apg`` with the exact residual test at every iteration, before the
     prox step: the loop the gradient-mapping bound must decide like."""
@@ -388,7 +395,7 @@ def exact_test_apg(obj, y0, residual_target, max_iter, restart=False):
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
         if residual_target is not None:
-            if obj.max_residual(grad, ybar) <= residual_target:
+            if exact_max(obj, grad, ybar) <= residual_target:
                 return ybar, ell, "residual", values
         y = obj.prox_all(ybar - grad / obj.L[:, None])
         values.append(obj.value(y))
@@ -412,14 +419,18 @@ def subproblem(lam=0.3):
 
 
 def counting_residuals(obj):
-    """``obj`` with its residual calls counted in the returned list."""
+    """``obj`` with the iterate of each exact block residual it runs logged in
+    the returned list."""
     calls = []
 
-    def residuals(G, Y):
-        calls.append(1)
-        return obj.residuals(G, Y)
+    def counting(residual):
+        def run(Y, g):
+            calls.append(Y.tobytes())
+            return residual(Y, g)
 
-    return replace(obj, residuals=residuals), calls
+        return run
+
+    return replace(obj, blocks=[(g, p, counting(r)) for g, p, r in obj.blocks]), calls
 
 
 def staggered_objective(N=4, n=3):
@@ -428,11 +439,14 @@ def staggered_objective(N=4, n=3):
     largest gradient mapping changes as the iterations go on."""
     Q = np.array([np.geomspace(1.0, 10.0 ** -(i + 1), n) for i in range(N)])
     c = np.ones((N, n))
+    def block(i):
+        return lambda Y: Q[i] * (Y[i] - c[i]), lambda v, tau: v, lambda Y, g: np.linalg.norm(g)
+
     return BlockObjective(
         L=np.ones(N),
         smooth_grad=lambda Y: Q * (Y - c),
         prox_all=lambda V: V,
-        residuals=lambda G, Y: np.linalg.norm(G, axis=1),
+        blocks=[block(i) for i in range(N)],
         value=lambda Y: 0.5 * float(np.sum(Q * (Y - c) ** 2)),
     )
 
@@ -458,14 +472,10 @@ class TestBoundedStoppingTest:
         # the exact test passes at equality, where the bound is tightest
         for obj, y0 in ((sparse_group_objective(rng), np.zeros((3, 5))),
                         (subproblem(), np.zeros((5, 100)))):
+            # with no target, the exact max of each iteration
             reached = []
-
-            def recording(G, Y, obj=obj):
-                reached.append(obj.max_residual(G, Y))
-                return obj.residuals(G, Y)
-
-            # a target below every residual: the residual of each iteration
-            exact_test_apg(replace(obj, residuals=recording), y0, -1.0, 400)
+            ms_apg(obj, y0, max_iter=400, callback=lambda ell, ybar, grad, obj=obj:
+                   reached.append(exact_max(obj, grad, ybar)))
             for k in (1, 10, 100, 399):
                 target = reached[k]
                 res = ms_apg(obj, y0, residual_target=target, max_iter=400)
@@ -476,13 +486,9 @@ class TestBoundedStoppingTest:
 
     def test_nan_residual_never_stops(self, rng):
         obj = sparse_group_objective(rng)
-
-        def residuals(G, Y):
-            r = obj.residuals(G, Y)
-            r[1] = np.nan
-            return r
-
-        nan_obj = replace(obj, residuals=residuals)
+        grad, prox, _ = obj.blocks[1]
+        nan_obj = replace(obj, blocks=[obj.blocks[0], (grad, prox, lambda Y, g: np.nan),
+                                       obj.blocks[2]])
         res = ms_apg(nan_obj, np.zeros((3, 5)), residual_target=1e3, max_iter=50)
         y, iters, reason, _ = exact_test_apg(nan_obj, np.zeros((3, 5)), 1e3, 50)
         assert (res.iterations, res.stop_reason) == (iters, reason) == (50, "cap")
@@ -494,53 +500,48 @@ class TestBoundedStoppingTest:
         obj, calls = counting_residuals(subproblem())
         res = ms_apg(obj, np.zeros((5, 100)), residual_target=target, max_iter=5000)
         assert res.stop_reason == "residual"
-        assert 0 < len(calls) <= res.iterations / 100
+        assert 0 < len(set(calls)) <= res.iterations / 100
 
     @pytest.mark.parametrize("restart", [False, True])
     def test_the_row_tried_first_moves(self, monkeypatch, restart):
-        # the row tried first is the largest of the last stacked bound, which
-        # is formed only when that row is within the target
+        # the row tried first is the block that failed the last full test,
+        # which runs only when that row is within the target
         obj, y0 = staggered_objective(), np.zeros((4, 3))
-        largest, stacked, vecdot = [], [], np.vecdot
+        failed, tests, reached = [], [], BlockObjective.residual_reached
 
-        def record(ell, ybar, grad):  # L = 1 and no rho: the mapping is grad
-            largest.append(int(np.argmax(np.linalg.norm(grad, axis=1))))
+        def counting(self, *args, **kwargs):
+            tests.append(len(failed))
+            return reached(self, *args, **kwargs)
 
-        def counting(*args):
-            stacked.append(len(largest))
-            return vecdot(*args)
-
-        monkeypatch.setattr(np, "vecdot", counting)
+        monkeypatch.setattr(BlockObjective, "residual_reached", counting)
         res = ms_apg(obj, y0, residual_target=1e-6, max_iter=20_000, record_values=True,
-                     callback=record, restart=restart)
+                     callback=lambda ell, ybar, grad: failed.append(obj._failed),
+                     restart=restart)
         monkeypatch.undo()
         y, iters, reason, values = exact_test_apg(obj, y0, 1e-6, 20_000, restart)
         assert (res.iterations, res.stop_reason) == (iters, reason) == (iters, "residual")
         assert np.array_equal(res.y, y)
         assert res.values == values
-        fallbacks = sorted(set(stacked))
-        assert 3 <= len(fallbacks) < iters / 50
-        assert len({largest[ell - 1] for ell in fallbacks}) >= 2
+        assert 3 <= len(tests) < iters / 50
+        assert len(set(failed)) >= 2
 
     @pytest.mark.parametrize("restart", [False, True])
-    def test_one_block_through_apg(self, rng, monkeypatch, restart):
-        # one block: its row decides, with no stacked pass
+    def test_one_block_through_apg(self, rng, restart):
         node = small_node(rng, n=8, m=12)
         loss, reg = node.loss, node.reg
         step = 1.0 / np.float64(loss.lipschitz)
+        residual = lambda Y, g: reg.subgrad_residual(1.0, g, Y[0])  # noqa: E731
         obj = BlockObjective(
             L=np.array([loss.lipschitz]),
             smooth_grad=lambda Y: loss.grad(Y[0])[None, :],
             prox_all=lambda V: reg.prox(V[0], step)[None, :],
-            residuals=lambda G, Y: (reg.subgrad_residual(1.0, G[0], Y[0]),),
+            blocks=[(lambda Y: loss.grad(Y[0]), reg.prox, residual)],
             value=lambda Y: loss.value(Y[0]) + reg.value(Y[0]),
         )
         for target in (1e-3, 1e-7, 1e-11):
-            monkeypatch.setattr(np, "vecdot", None)
             res = apg(loss.grad, reg.prox, lambda g, x: reg.subgrad_residual(1.0, g, x),
                       loss.lipschitz, np.zeros(8), residual_target=target, max_iter=5000,
                       restart=restart)
-            monkeypatch.undo()
             y, iters, reason, _ = exact_test_apg(obj, np.zeros((1, 8)), target, 5000, restart)
             assert (res.iterations, res.stop_reason) == (iters, reason) == (iters, "residual")
             assert np.array_equal(res.y, y[0])
