@@ -39,7 +39,8 @@ class BlockObjective:
         ``i``, ``argmin_y tau * rho_i(y) + 0.5 * ||y - v||^2`` and the norm of
         the minimum-norm element of ``d(rho_i)(Y_i) + g``, with ``prox`` the
         prox of the ``rho_i`` that ``residual`` measures.  The randomized
-        solvers and every stopping test (:meth:`residual_reached`) run on them.
+        solvers and every stopping test (:meth:`residual_reached`) run on them,
+        so an objective without one entry per block is refused.
     value : callable, optional
         ``Y -> Phi(Y)``.  Read by ``ms_apg(record_values=True)``,
         :func:`arbcd_run` and the budget-constant pilots, which reject an
@@ -58,6 +59,11 @@ class BlockObjective:
         self.L = np.asarray(self.L, dtype=float)
         if self.L.ndim != 1 or self.L.size == 0 or not np.all(self.L > 0):
             raise ValueError("need a 1-D array of positive curvature constants")
+        count = None if self.blocks is None else len(self.blocks)
+        if count != self.L.size:
+            raise ValueError(
+                f"need one entry of blocks per curvature constant, {self.L.size}, got {count}"
+            )
 
     @property
     def num_blocks(self) -> int:

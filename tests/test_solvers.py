@@ -113,6 +113,22 @@ class TestBlockObjective:
         with pytest.raises(TypeError, match="blocks"):
             BlockObjective(L=np.ones(1), smooth_grad=lambda Y: Y, prox_all=lambda V: V)
 
+    @pytest.mark.parametrize("run", [
+        partial(rbcd_run, iters=6, seed=0),
+        partial(arbcd_chain, iters=6, seed=0),
+        partial(rbcd_budget_constant, seed=0),
+        partial(estimate_restart_constant, seed=0),
+    ], ids=["rbcd_run", "arbcd_chain", "rbcd_pilot", "arbcd_pilot"])
+    def test_blocks_required_by_the_randomized_runs(self, rng, run):
+        # the runs check no blocks of their own, so the objective refuses to be
+        # built without one (grad, prox, residual) entry per block
+        obj = sparse_group_objective(rng)
+        y0 = np.zeros((3, 5))
+        run(obj, y0)
+        for blocks in (None, obj.blocks[:2], [*obj.blocks, obj.blocks[0]]):
+            with pytest.raises(ValueError, match="need one entry of blocks per curvature"):
+                run(replace(obj, blocks=blocks), y0)
+
     @pytest.mark.parametrize("shape", [(3, 1), (1,), (1, 1, 1)])
     @pytest.mark.parametrize("run", [
         partial(ms_apg, residual_target=1.0, max_iter=5),
