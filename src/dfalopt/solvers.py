@@ -142,11 +142,11 @@ def ms_apg(
     :meth:`BlockObjective.residual_reached` passes at ``ybar``, handed every
     row's gradient and prox step (returning ``ybar``; that last prox only
     served the test), or at ``max_iter`` (returning ``y``).  The block that
-    failed the last test decides most iterations alone, through its
-    :func:`_mapping_over` gate (``prox_all`` is the prox of the ``rho`` that
-    the blocks' ``residual`` measures).  ``callback(ell, ybar, grad)`` fires
-    before the prox step; ``record_values`` keeps ``obj.value`` of each prox
-    step in ``values``.
+    failed the last test is handed first and decides most iterations alone,
+    through its :func:`_mapping_over` gate (``prox_all`` is the prox of the
+    ``rho`` that the blocks' ``residual`` measures).  ``callback(ell, ybar,
+    grad)`` fires before the prox step; ``record_values`` keeps ``obj.value``
+    of each prox step in ``values``.
 
     ``restart=True`` resets FISTA's ``t`` to 1 when ``<ybar - y, y - y_prev>
     > 0`` (adaptive restart, O'Donoghue and Candes 2015, FoCM), which recovers
@@ -170,7 +170,8 @@ def ms_apg(
         if residual_target is not None:
             f = obj._failed  # the block that failed the last test decides most tests alone
             if not _mapping_over(step[f], ybar[f], grad[f], L_rows[f], residual_target) and (
-                obj.residual_reached(ybar, residual_target, dict(enumerate(zip(grad, y))))
+                obj.residual_reached(ybar, residual_target,  # every row handed, f first
+                                     {j: (grad[j], y[j]) for j in (f, *range(len(L_rows)))})
             ):
                 result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
                 return result

@@ -120,14 +120,14 @@ class TestBlockObjective:
         partial(estimate_restart_constant, seed=0),
     ], ids=["rbcd_run", "arbcd_chain", "rbcd_pilot", "arbcd_pilot"])
     def test_blocks_required_by_the_randomized_runs(self, rng, run):
-        # the runs check no blocks of their own, so the objective refuses to be
-        # built without one (grad, prox, residual) entry per block
+        # the runs check no blocks of their own: each runs on an objective with
+        # one (grad, prox, residual) entry per block, and the objective cannot
+        # be built with None, fewer or more entries
         obj = sparse_group_objective(rng)
-        y0 = np.zeros((3, 5))
-        run(obj, y0)
+        run(obj, np.zeros((3, 5)))
         for blocks in (None, obj.blocks[:2], [*obj.blocks, obj.blocks[0]]):
             with pytest.raises(ValueError, match="need one entry of blocks per curvature"):
-                run(replace(obj, blocks=blocks), y0)
+                replace(obj, blocks=blocks)
 
     @pytest.mark.parametrize("shape", [(3, 1), (1,), (1, 1, 1)])
     @pytest.mark.parametrize("run", [

@@ -9,18 +9,16 @@ shape and bytes, so a change in the last bit of any iterate shows.
 Usage, from any directory (the script imports the ``src`` next to it)::
 
     python3 tools/digest.py                # every entry, as JSON
-    python3 tools/digest.py --set async    # one named subset
     python3 other-tree/tools/digest.py     # the same runs on another tree
 
-The output holds the digest of the chosen set, one hash per entry and per
-named subset inside it, the numpy version and ``platform.machine()``.  Float
+The output holds the digest of every entry, one hash per entry and per
+named subset, the numpy version and ``platform.machine()``.  Float
 bits may differ between numpy and BLAS builds, so compare two trees on one
 machine and one numpy.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import hashlib
@@ -234,11 +232,8 @@ def digest(set_name: str = "full") -> dict[str, Any]:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--set", default="full", choices=sorted(SUBSETS))
-    args = parser.parse_args(argv)
-    print(json.dumps(digest(args.set), indent=2))
+def main() -> int:
+    print(json.dumps(digest(), indent=2))
     return 0
 
 
