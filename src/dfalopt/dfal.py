@@ -7,15 +7,15 @@ iterates, node ``i``'s gradient block reading only its own data and its
 neighbours' blocks, and each of its iterations is one activation of every
 node.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
 consumes seeded activation streams, each event assembling one block from the
-node's neighbour index row.  Both solves charge the activations of a whole
-subproblem at once through :func:`charge_activations`: one gradient, one prox
-and one vector per directed edge each.  The tests check both gradients
-against dense Kronecker assembly; :func:`local_gradient`, the per-node
-assembly, stays only as a span target of ``benchmark/spans.py`` until that
-tracer stops naming it (ROADMAP items 2 and 4).  Dual variables are never
-materialized; their norms come from Laplacian quadratic forms of the running
-penalty-weighted accumulator, which every node can roll from its neighbours'
-iterates.
+node's neighbour index row.  The outer loop charges the activations an oracle
+returns for a whole subproblem at once, through :func:`charge_activations`:
+one gradient, one prox and one vector per directed edge each.  The tests
+check both gradients against dense Kronecker assembly; :func:`local_gradient`,
+the per-node assembly, stays only as a span target of ``benchmark/spans.py``
+until that tracer stops naming it (ROADMAP items 2 and 4).  Dual variables
+are never materialized; their norms come from Laplacian quadratic forms of the
+running penalty-weighted accumulator, which every node can roll from its
+neighbours' iterates.
 """
 
 from __future__ import annotations
@@ -201,9 +201,11 @@ def _outer_loop(
     ``params.outer_cap`` iterations, run by :meth:`RunTrace.run`.
 
     Subproblem ``k`` has the block constants ``lam * L_i + coupling``, from
-    the losses' ``L_i``; ``solve_subproblem(k, obj, state, alpha, xi)``
-    solves it from ``state`` and charges its work to ``trace.ledger``.  Its
-    solution becomes ``x^(k)``, the accumulator rolls, and the row is recorded.
+    the losses' ``L_i``; ``solve_subproblem(k, obj, state, alpha, xi /
+    sqrt(N))`` solves it from ``state`` to every node's residual at most that
+    target, and the loop charges the ``activations`` it returns to
+    ``trace.ledger``.  Its solution becomes ``x^(k)``, the accumulator rolls,
+    and the row is recorded.
     Without a reference, a next penalty of at most ``lam_min`` ends the run,
     converged.
     """
@@ -223,7 +225,8 @@ def _outer_loop(
         obj = _subproblem_objective(
             nodes, graph, lam, state.xbar, lam * loss_lip + coupling, stack
         )
-        result = solve_subproblem(k, obj, state, alpha, xi)
+        result = solve_subproblem(k, obj, state, alpha, xi / math.sqrt(graph.num_nodes))
+        charge_activations(trace.ledger, graph, result.activations)
         lam_next = params.schedule(k + 1)[0]
         state.x, state.k = result.y, k
         state.xbar = (lam_next / lam) * (state.xbar + state.x)
@@ -268,7 +271,8 @@ def dfal_solve(
 ) -> RunTrace:
     """Synchronous penalized consensus solve: the inner oracle is
     :func:`solvers.ms_apg`, and each of its iterations is one gradient, one
-    prox and one push of every node's block to its neighbours.
+    prox and one push of every node's block to its neighbours.  It refunds
+    the prox of the iteration whose residual test stops a subproblem.
 
     Terminates when relative suboptimality (against ``reference``, if given)
     and consensus violation reach their targets, when the penalty drops below
@@ -281,7 +285,7 @@ def dfal_solve(
     trace = RunTrace("dfal", CommLedger(N), reference, {"lam1": params.lam1, "c": params.c})
 
     def solve_subproblem(
-        k: int, obj: BlockObjective, state: DfalState, alpha: float, xi: float
+        k: int, obj: BlockObjective, state: DfalState, alpha: float, target: float
     ) -> SolveResult:
         def check(ell: int, ybar: np.ndarray, q: np.ndarray) -> None:
             gradient_check(k, ell, ybar.copy(), state.xbar.copy(), q.copy())
@@ -289,11 +293,10 @@ def dfal_solve(
         result = ms_apg(
             obj,
             state.x,
-            residual_target=xi / math.sqrt(N),
+            residual_target=target,
             max_iter=inner_cap(params, obj.L, alpha),
             callback=None if gradient_check is None else check,
         )
-        charge_activations(trace.ledger, graph, np.full(N, result.iterations))
         # the iteration whose residual test stops the subproblem takes no prox
         trace.ledger.prox_evals -= result.stop_reason == "residual"
         return result
@@ -399,9 +402,9 @@ def async_dfal_solve(
     ``(1 - p) ** (1 / outer_iters)``, with the per-block residual test still
     allowed to stop it early.  Every ``rbcd`` run and every
     ``arbcd`` chain follows its own activation stream seeded from ``seed``.
+    It keeps the budgets, the budget constant (one pilot, so the budgets grow
+    geometrically) and the termination notices of residual stops.
     """
-    if oracle not in ("rbcd", "arbcd"):
-        raise ValueError(f"unknown oracle {oracle!r}")
     real("p", p, 0, 1, strict=True)
     integer("seed", seed, 0)
     N = graph.num_nodes
@@ -413,43 +416,37 @@ def async_dfal_solve(
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
                 "budgets": [], "budget_constant": None},
     )
+    # rbcd's block constants couple through psi_max, and arbcd's
+    # separable-overapproximation constants through the degrees
+    if oracle == "rbcd":
+        pilot, coupling = rbcd_budget_constant, _psi_max(params, graph)
+    elif oracle == "arbcd":
+        pilot, coupling = estimate_restart_constant, graph.degrees
+    else:
+        raise ValueError(f"unknown oracle {oracle!r}")
     rng = np.random.default_rng(seed)
 
     def solve_subproblem(
-        k: int, obj: BlockObjective, state: DfalState, alpha: float, xi: float
+        k: int, obj: BlockObjective, state: DfalState, alpha: float, target: float
     ) -> SolveResult:
-        # the budget constant is estimated once, so the budgets grow geometrically
         const = trace.config["budget_constant"]
         if const is None:
-            estimate = (
-                rbcd_budget_constant if oracle == "rbcd" else estimate_restart_constant
-            )
-            const = estimate(obj, state.x, seed + 1)
-            trace.config["budget_constant"] = const
-        target = xi / math.sqrt(N)
-
+            const = trace.config["budget_constant"] = pilot(obj, state.x, seed + 1)
         if oracle == "rbcd":
             events = rbcd_events(N, const, alpha, p_sub)
-            result = rbcd_run(
-                obj, state.x, events, int(rng.integers(2**31)), residual_target=target
-            )
+            result = rbcd_run(obj, state.x, events, int(rng.integers(2**31)),
+                              residual_target=target)
         else:
             # the budget of each restarted chain
             events = arbcd_chain_events(N, const, alpha)
-            result = arbcd_run(
-                obj, state.x, alpha, p_sub, rng,
-                c_estimate=const, residual_target=target,
-            )
+            result = arbcd_run(obj, state.x, alpha, p_sub, rng, c_estimate=const,
+                               residual_target=target)
         trace.config["budgets"].append(events)
-        charge_activations(trace.ledger, graph, result.activations)
         if result.stop_reason == "residual":
             # every node sends a termination notice to each neighbour
             trace.ledger.control_msgs += graph.degrees
         return result
 
-    # rbcd's block constants couple through psi_max, and arbcd's
-    # separable-overapproximation constants through the degrees
-    coupling = _psi_max(params, graph) if oracle == "rbcd" else graph.degrees
     return _outer_loop(
         trace, nodes, graph, replace(params, outer_cap=K_outer), coupling,
         solve_subproblem, budget_secs=budget_secs,

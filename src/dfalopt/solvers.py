@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -99,7 +100,10 @@ def _mapping_over(s: np.ndarray, y: np.ndarray, g: np.ndarray, L_j: float, targe
     return L_j * math.sqrt(s.dot(s)) - _SLACK * (y.size + 8) * scale > target
 
 
-def _start(obj: BlockObjective, y0: np.ndarray) -> np.ndarray:
+def _start(obj: BlockObjective, y0: np.ndarray, residual_target: float | None) -> np.ndarray:
+    """``y0`` as a float copy with one row per block, once a set target is checked."""
+    if residual_target is not None:
+        real("residual_target", residual_target, 0)
     y = np.array(y0, dtype=float)
     if y.ndim != 2 or y.shape[0] != obj.num_blocks:
         raise ValueError(f"need a start point of shape ({obj.num_blocks}, n), got {y.shape}")
@@ -114,12 +118,14 @@ def _value(obj: BlockObjective, caller: str) -> Callable[[np.ndarray], float]:
 
 @dataclass
 class SolveResult:
+    """An inner solve's point, iterations or events, and stop reason; how many
+    of them updated each block (``activations``); ``ms_apg``'s recorded values."""
+
     y: np.ndarray
     iterations: int
     stop_reason: str
+    activations: np.ndarray
     values: list[float] = field(default_factory=list)
-    # randomized solvers: how many events drew each block
-    activations: np.ndarray | None = None
 
 
 def fista_momentum(t: float) -> float:
@@ -146,7 +152,8 @@ def ms_apg(
     through its :func:`_mapping_over` gate (``prox_all`` is the prox of the
     ``rho`` that the blocks' ``residual`` measures).  ``callback(ell, ybar,
     grad)`` fires before the prox step; ``record_values`` keeps ``obj.value``
-    of each prox step in ``values``.
+    of each prox step in ``values``.  Each iteration updates every block, so
+    ``activations`` is ``iterations`` for each block.
 
     ``restart=True`` resets FISTA's ``t`` to 1 when ``<ybar - y, y - y_prev>
     > 0`` (adaptive restart, O'Donoghue and Candes 2015, FoCM), which recovers
@@ -154,11 +161,11 @@ def ms_apg(
     """
     integer("max_iter", max_iter, 1)
     value = _value(obj, "record_values") if record_values else None
-    y_prev = _start(obj, y0)
+    y_prev = _start(obj, y0, residual_target)
     ybar = y_prev.copy()
     t = 1.0
     L_col, L_rows = obj.L[:, None], obj.L.tolist()
-    result = SolveResult(y_prev, 0, "cap")
+    values: list[float] = []
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
         if not np.isfinite(grad).all():
@@ -173,13 +180,11 @@ def ms_apg(
                 obj.residual_reached(ybar, residual_target,  # every row handed, f first
                                      {j: (grad[j], y[j]) for j in (f, *range(len(L_rows)))})
             ):
-                result.y, result.iterations, result.stop_reason = ybar, ell, "residual"
-                return result
+                return SolveResult(ybar, ell, "residual", np.full(len(L_rows), ell), values)
         if value is not None:
-            result.values.append(value(y))
+            values.append(value(y))
         if ell == max_iter:
-            result.y, result.iterations, result.stop_reason = y, ell, "cap"
-            return result
+            return SolveResult(y, ell, "cap", np.full(len(L_rows), ell), values)
         move = y - y_prev
         if restart and np.vdot(step, move) > 0.0:
             t = 1.0
@@ -187,7 +192,6 @@ def ms_apg(
         ybar = y + ((t - 1.0) / t_next) * move
         t = t_next
         y_prev = y
-    return result
 
 
 def apg(
@@ -229,13 +233,13 @@ def activation_stream(seed: int, num_nodes: int) -> Iterator[int]:
     """Seeded i.i.d. uniform node activations as 0-based indices: the ``k``-th
     is the ``k``-th ``integers(num_nodes)`` of ``np.random.default_rng(seed)``.
     Drawn lazily in chunks, so memory stays flat even when the nominal event
-    budget is astronomically large."""
-    if num_nodes < 1:
-        raise ValueError("need at least one node")
+    budget is astronomically large; both arguments are checked at the call."""
+    integer("seed", seed, 0)
+    integer("num_nodes", num_nodes, 1)
     rng = np.random.default_rng(seed)
-    while True:
-        # a memoryview iterates as Python ints, with no per-chunk copy
-        yield from memoryview(rng.integers(0, num_nodes, size=1 << 16))
+    # a memoryview iterates as Python ints, with no per-chunk copy
+    return chain.from_iterable(
+        memoryview(rng.integers(0, num_nodes, size=1 << 16)) for _ in count())
 
 
 def rbcd_run(
@@ -254,15 +258,14 @@ def rbcd_run(
     step.  ``activations`` of the result counts the events that drew each block.
     """
     integer("iters", iters, 0)
-    y = _start(obj, y0)
+    y = _start(obj, y0, residual_target)
     N = obj.num_blocks
     L = obj.L.tolist()
     step = [1.0 / L_i for L_i in L]
     grad, prox, _ = zip(*obj.blocks)
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N
-    result = SolveResult(y, iters, "cap")
-    known = None
+    stop, known = "cap", None
     for ell in range(1, iters + 1):
         if known is None:
             i = draw()
@@ -275,10 +278,9 @@ def rbcd_run(
             g = grad[i](y)
             known = (i, g, prox[i](y[i] - g / L[i], step[i]))
             if obj.residual_reached(y, residual_target, {i: known[1:]}):
-                result.iterations, result.stop_reason = ell, "residual"
+                iters, stop = ell, "residual"
                 break
-    result.activations = np.array(drawn, dtype=np.int64)
-    return result
+    return SolveResult(y, iters, stop, np.array(drawn, dtype=np.int64))
 
 
 def arbcd_momentum(t: float, num_blocks: int) -> float:
@@ -308,7 +310,7 @@ def arbcd_chain(
     ``activations`` of the result counts the events that drew each block.
     """
     integer("iters", iters, 0)
-    z = _start(obj, z0)
+    z = _start(obj, z0, residual_target)
     u = np.zeros_like(z)
     t = 1.0
     N = obj.num_blocks
@@ -316,7 +318,7 @@ def arbcd_chain(
     grad, prox, _ = zip(*obj.blocks)
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N
-    result = SolveResult(z.copy(), iters, "cap")
+    y, stop = z.copy(), "cap"
     for ell in range(1, iters + 1):
         i = draw()
         drawn[i] += 1
@@ -328,15 +330,13 @@ def arbcd_chain(
         t_event, t = t, arbcd_momentum(t, N)
         if residual_target is not None and ell % N == 0:
             if obj.residual_reached(z, residual_target):
-                result.iterations, result.stop_reason = ell, "residual"
-                result.y = z.copy()
+                y, iters, stop = z.copy(), ell, "residual"
                 break
     else:
         if iters > 0:
             # the candidate after the last event, with that event's t
-            result.y = arbcd_candidate(z, u, t_event, N)
-    result.activations = np.array(drawn, dtype=np.int64)
-    return result
+            y = arbcd_candidate(z, u, t_event, N)
+    return SolveResult(y, iters, stop, np.array(drawn, dtype=np.int64))
 
 
 def _pilot(
@@ -409,7 +409,7 @@ def arbcd_run(
     chain_iters = arbcd_chain_events(N, c_estimate, alpha)
     best_y = np.array(z0, dtype=float)
     best_phi = value(best_y)
-    result = SolveResult(best_y, 0, "cap", activations=np.zeros(N, dtype=np.int64))
+    result = SolveResult(best_y, 0, "cap", np.zeros(N, dtype=np.int64))
     for _ in range(max(1, math.ceil(math.log2(1.0 / p)))):
         res = arbcd_chain(
             obj, z0, chain_iters, int(rng.integers(2**31)),

@@ -21,7 +21,9 @@ from dfalopt import (
 from dfalopt.bench import instance_from_json, instance_to_json
 from dfalopt.checks import array, indices, integer, real
 from dfalopt.cli import main as cli_main
-from dfalopt.solvers import arbcd_run
+from dfalopt.solvers import (
+    BlockObjective, activation_stream, arbcd_chain, arbcd_run, ms_apg, rbcd_run,
+)
 from dfalopt.trace import RunTrace
 from conftest import small_node
 
@@ -355,6 +357,8 @@ class TestSweep:
         "eps_feas": lambda v: _real(v) and v >= 0,
         "tolerance": lambda v: _real(v) and 1e-9 <= v <= 1e-6,
         "alpha": lambda v: _real(v) and v > 0,
+        "residual_target": lambda v: v is None or _real(v) and v >= 0,
+        "num_nodes": lambda v: _integer(v) and v >= 1,
     }
 
     def test_solver_arguments(self, rng, monkeypatch):
@@ -376,7 +380,17 @@ class TestSweep:
             # the readers run before the objective is read
             "arbcd_run": (partial(arbcd_run, None, None, alpha=1.0, p=0.5, rng=None,
                                   c_estimate=1.0), ("alpha", "p")),
+            # a bad seed or target once ran: numpy refused the seed at the first
+            # draw, and a negative or NaN target ran the solver to its cap
+            "activation_stream": (partial(activation_stream, seed=0, num_nodes=2),
+                                  ("seed", "num_nodes")),
         }
+        # an objective whose every kernel fails the test when an inner solver runs
+        unrun = BlockObjective(np.ones(2), no_work, no_work, [(no_work,) * 3] * 2, no_work)
+        y0, seeded = np.zeros((2, 3)), ("seed", "residual_target")
+        solves["ms_apg"] = (partial(ms_apg, unrun, y0), ("residual_target",))
+        solves["rbcd_run"] = (partial(rbcd_run, unrun, y0, 5, seed=0), seeded)
+        solves["arbcd_chain"] = (partial(arbcd_chain, unrun, y0, 5, seed=0), seeded)
         for solve in (sadmm_solve, admm_solve):
             solves[solve.__name__] = (partial(solve, nodes, graph), (
                 "c_admm", "iters", "eps_opt", "eps_feas", "budget_secs", "reference"))

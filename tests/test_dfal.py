@@ -978,6 +978,40 @@ def test_sync_gradients_are_dense_and_charges_follow_the_exchange_law(topology):
     assert ledger.prox_evals.tolist() == [inner - stopped] * N
 
 
+@pytest.mark.parametrize("oracle", ["ms_apg", "rbcd_run", "arbcd_run"])
+def test_outer_loop_hands_the_target_and_charges_what_the_oracle_returns(
+    monkeypatch, oracle
+):
+    # the outer loop alone forms xi / sqrt(N) and charges the ledger, once per
+    # outer iteration, with the activations its oracle returned
+    inst = generate_instance(2, "star", 3, 4, 3, seed=5)
+    params = default_params(inst.nodes, inst.graph, outer_cap=8)
+    run, charge = getattr(dfal, oracle), dfal.charge_activations
+    targets, returned, charged = [], [], []
+
+    def spy(*args, residual_target, **kwargs):
+        targets.append(residual_target)
+        returned.append(run(*args, residual_target=residual_target, **kwargs))
+        return returned[-1]
+
+    def charge_spy(ledger, graph, counts):
+        charged.append(counts)
+        charge(ledger, graph, counts)
+
+    monkeypatch.setattr(dfal, oracle, spy)
+    monkeypatch.setattr(dfal, "charge_activations", charge_spy)
+    if oracle == "ms_apg":
+        trace = dfal_solve(inst.nodes, inst.graph, params)
+    else:
+        trace = async_dfal_solve(inst.nodes, inst.graph, params, p=0.1,
+                                 oracle=oracle.removesuffix("_run"), seed=7, outer_iters=8)
+    K = len(trace.rows)
+    assert K > 1 and len(returned) == len(charged) == K
+    assert all(c is r.activations for c, r in zip(charged, returned))
+    sqrt_n = math.sqrt(inst.graph.num_nodes)
+    assert targets == [params.schedule(k)[2] / sqrt_n for k in range(1, K + 1)]
+
+
 # Ledger counters of sadmm_solve(c_admm=1.0) on generate_instance(2, "star", 5,
 # 10, 10, 1) at the benchmark's 200 iterations and the case-2 reference's 400,
 # recorded from the implementation with one Newton loop per node.

@@ -726,6 +726,13 @@ class TestArbcd:
 
 
 class TestActivations:
+    def test_ms_apg_activates_every_block_each_iteration(self, rng):
+        obj = sparse_group_objective(rng, N=3, n=4)
+        for target, stop in ((1e-6, "residual"), (None, "cap")):
+            res = ms_apg(obj, np.zeros((3, 4)), residual_target=target, max_iter=300)
+            assert res.stop_reason == stop
+            assert np.array_equal(res.activations, np.full(3, res.iterations))
+
     def test_counts_cover_every_event(self, rng):
         obj = sparse_group_objective(rng, N=3, n=4)
         y0 = np.zeros((3, 4))
