@@ -7,9 +7,10 @@ iterates, node ``i``'s gradient block reading only its own data and its
 neighbours' blocks, and each of its iterations is one activation of every
 node.  Asynchronously, :func:`solvers.rbcd_run` or :func:`solvers.arbcd_run`
 consumes seeded activation streams, each event assembling one block from the
-node's neighbour index row.  The outer loop charges the activations an oracle
-returns for a whole subproblem at once, through :func:`charge_activations`:
-one gradient, one prox and one vector per directed edge each.  The tests
+node's neighbour index row and taking the node's own ``SparseGroupReg.prox``.
+The outer loop charges the activations an oracle returns for a whole
+subproblem at once, through :func:`charge_activations`: one gradient, one
+prox and one vector per directed edge each.  The tests
 check both gradients against dense Kronecker assembly; :func:`local_gradient`,
 the per-node assembly, stays only as a span target of ``benchmark/spans.py``
 until that tracer stops naming it (ROADMAP items 2 and 4).  Dual variables
@@ -27,8 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .checks import integer, real
-from .funcs import _TINY, NodeProblem, NodeStack, huber_grad
-from .funcs import sparse_group_min_norm, sparse_group_prox
+from .funcs import _TINY, NodeProblem, NodeStack, huber_grad, sparse_group_min_norm
 from .graph import (
     Graph,
     consensus_violation,
@@ -347,16 +347,17 @@ def _subproblem_objective(
 def _event_kernels(
     node: NodeProblem, i: int, graph: Graph, lam: float, xbar: np.ndarray
 ) -> tuple[Callable, Callable, Callable]:
-    """Node ``i``'s event kernels, bound to the data they read, each bit for bit:
-    the block gradient ``Y -> lam grad_i(y_i) + d_i (y_i + xbar_i) - sum_j (y_j +
-    xbar_j)`` over the neighbours ``j``, the prox ``(v, tau) ->
+    """Node ``i``'s event kernels, bound to the data they read: the block gradient
+    ``Y -> lam grad_i(y_i) + d_i (y_i + xbar_i) - sum_j (y_j + xbar_j)`` over the
+    neighbours ``j`` (calling ``huber_grad``), the node's own prox ``(v, tau) ->
     node.reg.prox(v, tau * lam)`` and the residual ``(Y, g) ->`` entry ``i`` of
-    ``NodeStack.residual_map(lam)`` at the handed block gradient ``g``."""
+    ``NodeStack.residual_map(lam)`` at the handed block gradient ``g``, bit for
+    bit (calling ``sparse_group_min_norm``), each kernel by its name in ``dfal``."""
     row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
     # the transposed view, not a contiguous copy, keeps the event bits
     A, At, b, delta = node.loss.A, node.loss.A.T, node.loss.b, node.loss.delta
-    part, b1, b2, d = node.reg.partition, node.reg.beta1, node.reg.beta2, row.size
-    perm, inverse, lb1, lb2 = part.perm, part.inverse, lam * b1, lam * b2
+    part, d = node.reg.partition, row.size
+    perm, lb1, lb2 = part.perm, lam * node.reg.beta1, lam * node.reg.beta2
     j = int(row[0]) if d == 1 else -1  # read only with one neighbour
     xbar_i, xbar_j, xbar_nbrs, fl2 = xbar[i], xbar[j], xbar[row], max(lb2, _TINY)
 
@@ -368,12 +369,7 @@ def _event_kernels(
         return q + d * (y + xbar_i) - np.add.reduce(Y.take(row, axis=0) + xbar_nbrs)
 
     def prox(v: np.ndarray, tau: float) -> np.ndarray:
-        t = tau * lam
-        if not t > 0:  # "not > 0" also rejects NaN
-            raise ValueError(f"prox step must be positive, got {t}")
-        thr2 = t * b2
-        out = sparse_group_prox(part, v.take(perm), t * b1, thr2, max(thr2, _TINY))
-        return out.take(inverse)
+        return node.reg.prox(v, tau * lam)
 
     def residual(Y: np.ndarray, g: np.ndarray) -> float:
         out = sparse_group_min_norm(part, g.take(perm), Y[i].take(perm), lb1, lb2, fl2)
@@ -411,6 +407,8 @@ def async_dfal_solve(
     K_outer = params.outer_cap if outer_iters is None else integer(
         "outer_iters", outer_iters, 1)
     p_sub = 1.0 - (1.0 - p) ** (1.0 / K_outer)
+    if not p_sub > 0:
+        raise ValueError(f"p={p!r} over {K_outer} outer iterations rounds each subproblem's p to 0")
     trace = RunTrace(
         "afal-" + oracle, CommLedger(N), reference,
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,

@@ -404,6 +404,7 @@ def arbcd_run(
     """
     real("alpha", alpha, 0, strict=True)
     real("p", p, 0, 1, strict=True)
+    real("c_estimate", c_estimate, 0, strict=True)
     N = obj.num_blocks
     value = _value(obj, "arbcd_run")
     chain_iters = arbcd_chain_events(N, c_estimate, alpha)

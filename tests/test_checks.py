@@ -200,6 +200,15 @@ class TestSolverEscapes:
         with pytest.raises(ValueError, match=message):
             async_dfal_solve(nodes, graph, params, p=0.1, **kwargs)
 
+    @pytest.mark.parametrize("oracle", ["rbcd", "arbcd"])
+    def test_a_p_that_rounds_away_is_named(self, star2, oracle):
+        # 1 - (1 - p) ** (1 / K) rounded to 0.0 and reached the oracle: rbcd
+        # divided by zero, and arbcd blamed a p of 0.0 the caller never passed
+        nodes, graph, params = star2
+        for p, K in ((1e-15, 40), (1e-17, 1)):
+            with pytest.raises(ValueError, match=rf"p={p!r} over {K} outer iterations"):
+                async_dfal_solve(nodes, graph, params, p=p, oracle=oracle, outer_iters=K)
+
     def test_reference_tolerance_is_a_number(self):
         inst = generate_instance(1, "star", 2, 2, 2, seed=3)
         with pytest.raises(ValueError, match="tolerance must be a number, got '1e-9'"):
@@ -357,6 +366,7 @@ class TestSweep:
         "eps_feas": lambda v: _real(v) and v >= 0,
         "tolerance": lambda v: _real(v) and 1e-9 <= v <= 1e-6,
         "alpha": lambda v: _real(v) and v > 0,
+        "c_estimate": lambda v: _real(v) and v > 0,
         "residual_target": lambda v: v is None or _real(v) and v >= 0,
         "num_nodes": lambda v: _integer(v) and v >= 1,
     }
@@ -379,7 +389,7 @@ class TestSweep:
             "reference_solve": (partial(reference_solve, inst, cache=False), ("tolerance",)),
             # the readers run before the objective is read
             "arbcd_run": (partial(arbcd_run, None, None, alpha=1.0, p=0.5, rng=None,
-                                  c_estimate=1.0), ("alpha", "p")),
+                                  c_estimate=1.0), ("alpha", "p", "c_estimate")),
             # a bad seed or target once ran: numpy refused the seed at the first
             # draw, and a negative or NaN target ran the solver to its cap
             "activation_stream": (partial(activation_stream, seed=0, num_nodes=2),

@@ -32,7 +32,7 @@ from dfalopt import (
 import dfalopt.dfal as dfal
 from dfalopt.dfal import _subproblem_objective
 from dfalopt.funcs import NodeStack
-from dfalopt.solvers import activation_stream
+from dfalopt.solvers import activation_stream, arbcd_chain
 from conftest import random_connected_graph, small_node
 
 
@@ -736,6 +736,28 @@ class TestEventPath:
                 tau = float(rng.uniform(0.1, 2.0))
                 expect = node.reg.prox(Y[i], tau * lam)
                 assert np.array_equal(prox(Y[i], tau), expect)
+
+    @pytest.mark.parametrize("run", [rbcd_run, arbcd_chain])
+    def test_each_event_calls_the_nodes_own_prox(self, run, monkeypatch):
+        # the event prox is SparseGroupReg.prox itself, looked up at call
+        # time: a spy on the class sees one call per event, at step tau * lam
+        inst = generate_instance(1, "star", 3, 4, 3, seed=5)
+        lam, L = 0.7, np.array([1.5, 2.0, 3.0])
+        obj = _subproblem_objective(inst.nodes, inst.graph, lam, np.zeros((3, 12)), L)
+        calls, own = [], SparseGroupReg.prox
+
+        def spy(reg, v, t):
+            calls.append((reg, t))
+            return own(reg, v, t)
+
+        monkeypatch.setattr(SparseGroupReg, "prox", spy)
+        result = run(obj, np.zeros((3, 12)), 60, seed=4)
+        assert len(calls) == result.iterations == result.activations.sum() == 60
+        # each event on node i proxes with node i's own regularizer
+        regs = [node.reg for node in inst.nodes]
+        assert [sum(reg is r for reg, _ in calls) for r in regs] == result.activations.tolist()
+        if run is rbcd_run:
+            assert {t for _, t in calls} <= {(1.0 / L_i) * lam for L_i in L}
 
     def test_event_prox_rejects_a_nan_step(self):
         inst = generate_instance(1, "star", 3, 4, 3, seed=5)
