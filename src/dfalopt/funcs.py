@@ -66,7 +66,7 @@ class GroupPartition:
 
     @classmethod
     def contiguous(cls, n: int, group_size: int) -> "GroupPartition":
-        if n % group_size != 0:
+        if n % integer("group_size", group_size, 1) != 0:
             raise ValueError("group size must divide n")
         return cls(n, tuple(np.arange(n).reshape(-1, group_size)))
 
@@ -283,35 +283,9 @@ class HuberLoss:
 
     @cached_property
     def lipschitz(self) -> float:
-        """Gradient Lipschitz constant ``sigma_max(A)^2``, by power iteration
-        on first use."""
-        return _sigma_max_power(self.A) ** 2
-
-
-def _sigma_max_power(A: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest singular value by power iteration on ``A^T A``."""
-    n = A.shape[1]
-    if A.size == 0:
-        return 0.0
-    # a seeded random start is almost surely not orthogonal to the top
-    # singular vector, and repeats exactly
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    w = A.T @ (A @ v)
-    lam = 0.0
-    for _ in range(max_iter):
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        # the Rayleigh quotient's product is the next iterate's
-        w = A.T @ (A @ v)
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) <= tol * max(lam_new, 1e-30):
-            return float(np.sqrt(lam_new))
-        lam = lam_new
-    return float(np.sqrt(lam))
+        """Gradient Lipschitz constant ``sigma_max(A)^2``, the top eigenvalue
+        of ``A A^T``, on first use."""
+        return float(np.linalg.eigvalsh(self.A @ self.A.T)[-1])
 
 
 @dataclass(frozen=True)

@@ -224,5 +224,6 @@ def spectral_bounds(g: Graph) -> tuple[float, float]:
 def consensus_violation(g: Graph, x: np.ndarray) -> float:
     """Largest disagreement ``max over edges (i, j) of ||x_i - x_j||``,
     divided by ``sqrt(n)``."""
+    x = _check_stacked(g, x)
     d = x[g.edge_idx[:, 0]] - x[g.edge_idx[:, 1]]
     return float(np.max(np.linalg.norm(d, axis=1))) / math.sqrt(x.shape[1])

@@ -148,6 +148,13 @@ class TestConstructorEscapes:
         with pytest.raises(ValueError, match=f"n must be an integer, got {re.escape(repr(n))}"):
             GroupPartition(n, (np.array([0, 1]), np.array([2])))
 
+    @pytest.mark.parametrize("group_size", [0, -3])
+    def test_contiguous_group_size_is_at_least_one(self, group_size):
+        # a ZeroDivisionError, or numpy's "can only specify one unknown dimension"
+        message = f"group_size must be at least 1, got {group_size}"
+        with pytest.raises(ValueError, match=message):
+            GroupPartition.contiguous(6, group_size)
+
     def test_loss_matrix_is_two_dimensional(self):
         # loaded as a 3-D A
         with pytest.raises(ValueError, match=r"A must be a nonempty 2-D array of numbers, got \[\[\[1.0\]\]\]"):

@@ -318,3 +318,11 @@ class TestConsensusViolation:
         g = random_connected_graph(rng, 6)
         x = np.tile(rng.standard_normal(3), (6, 1))
         assert consensus_violation(g, x) == 0.0
+
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 4), (4,)])
+    def test_one_block_per_node_required(self, shape):
+        # (6, 4) once returned 0.0, (3, 4) raised an IndexError and a vector
+        # numpy's AxisError
+        g = build_topology("star", 5)
+        with pytest.raises(ValueError, match=r"expected stacked vector of 5 blocks"):
+            consensus_violation(g, np.zeros(shape))
