@@ -2,10 +2,11 @@
 # The command line end to end, each step its own process: gen writes an
 # instance file, ref --instance solves its reference, solve runs dfal and
 # writes a strict-JSON summary that says it converged, solve --alg sadmm
-# --iters 5 one that says it stopped at its cap, solve --alg apg runs the
-# case-1 reference (through ms_apg) to a strict-JSON summary that says it
-# converged, and solve --alg afal-arbcd, under the matrix's name, one that
-# names it and says it converged.  bench runs a one-row matrix to a strict-JSON
+# --iters 5 and solve --alg admm --iters 2 ones that say they stopped at
+# their caps, solve --alg apg runs the case-1 reference (through ms_apg) to a
+# strict-JSON summary that says it converged, and solve --alg afal-arbcd and
+# --alg afal-rbcd, under the matrix's names, ones that name them and say
+# they converged.  bench runs a one-row matrix to a strict-JSON
 # report whose row carries the run summary's names (stop_reason,
 # outer_iterations, comm_per_node_max, no budget_exhausted) and says it
 # converged.  gen reads a 4-node ring from an edge file without --nodes.  Bad
@@ -27,22 +28,26 @@ $cli solve --alg dfal --case 2 --seed 1 --out "$dir/run.csv"
 $cli solve --alg sadmm --iters 5 --out "$dir/sadmm.csv"
 $cli solve --alg apg --case 1 --seed 1 --out "$dir/apg.csv"
 $cli solve --alg afal-arbcd --seed 1 --out "$dir/arbcd.csv"
+$cli solve --alg admm --iters 2 --out "$dir/admm.csv"
+$cli solve --alg afal-rbcd --out "$dir/rbcd.csv"
 python -c '
 import json, sys
 def load(path):
     def reject(token):
         sys.exit(f"{path}: {token} is not JSON")
     return json.load(open(path), parse_constant=reject)
-for path, reason in zip(sys.argv[1:], ("converged", "cap")):
+run, sadmm, apg, arbcd, admm, rbcd = (f"{sys.argv[1]}/{name}.csv.summary.json" for name in
+                                      ("run", "sadmm", "apg", "arbcd", "admm", "rbcd"))
+for path, reason in ((run, "converged"), (sadmm, "cap"), (admm, "cap")):
     if load(path)["stop_reason"] != reason:
         sys.exit(f"{path}: the summary does not say {reason}")
-if load(sys.argv[3])["converged"] is not True:
-    sys.exit(f"{sys.argv[3]}: the case-1 reference did not converge")
-arbcd = load(sys.argv[4])
-if (arbcd["algorithm"], arbcd["stop_reason"]) != ("afal-arbcd", "converged"):
-    sys.exit(f"{sys.argv[4]}: not a converged afal-arbcd run")
-' "$dir/run.csv.summary.json" "$dir/sadmm.csv.summary.json" "$dir/apg.csv.summary.json" \
-    "$dir/arbcd.csv.summary.json"
+if load(apg)["converged"] is not True:
+    sys.exit(f"{apg}: the case-1 reference did not converge")
+for path, name in ((arbcd, "afal-arbcd"), (rbcd, "afal-rbcd")):
+    summary = load(path)
+    if (summary["algorithm"], summary["stop_reason"]) != (name, "converged"):
+        sys.exit(f"{path}: not a converged {name} run")
+' "$dir"
 echo '{"seeds": [1], "topologies": ["star"], "cases": [1]}' > "$dir/cfg.json"
 $cli bench --config "$dir/cfg.json" --out "$dir/report.json"
 python -c '

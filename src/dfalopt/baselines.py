@@ -140,13 +140,21 @@ def _composite_prox(
     full composite ``F_i``, for all nodes in one loop: projected semismooth
     Newton (Bertsekas 1982) on the Huber dual ``w`` in ``[-delta, delta]^m``
     from ``clip(A starts - b)``, with ``u = prox_{t rho}(c - t A^T w)``.  A
-    node stops at the first point tried that passes ``stack.residual_map(t)``
-    at ``NESTED_TOL``.  Returns the points and the points tried per node, one
+    node stops at the first point tried whose residual, its node's
+    ``subgrad_residual`` at ``t_i`` summed in segment order, is at most
+    ``NESTED_TOL``.  Returns the points and the points tried per node, one
     gradient and one prox each.
     """
-    prox, residuals, part = stack.prox_map(t), stack.residual_map(t), stack.partition
+    prox, part = stack.prox_map(t), stack.partition
     (N, n), A, At, b, delta = stack.shape, stack._A, stack._At, stack._b, stack._delta
     t_col, tau, m = t[:, None], t[stack._seg_node] * stack._b2, b.shape[1]
+    lb1, fl2 = t.repeat(n) * stack._b1, np.maximum(tau, _TINY)
+
+    def min_norm(g: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The minimum-norm element at ``up``, in segment order, and its row norms."""
+        v = sparse_group_min_norm(part, g.take(part.perm), up, lb1, tau, fl2)
+        return v, np.sqrt(np.add.reduce(v.reshape(N, n) ** 2, axis=1))
+
     # the loss columns in segment order, per node and side by side
     Ap = np.take_along_axis(A, (part.perm.reshape(N, n) % n)[:, None, :], axis=2)
     Apt, Apm = Ap.transpose(0, 2, 1), Ap.transpose(1, 0, 2).reshape(m, N * n)
@@ -157,7 +165,8 @@ def _composite_prox(
     for k in range(1, NEWTON_CAP + 1):
         r = (A @ u[:, :, None])[:, :, 0] - b
         g = t_col * (At @ _clip(r, delta)[:, :, None])[:, :, 0] + (u - centers)
-        res = residuals(g, u)
+        up = u.take(part.perm)
+        v, res = min_norm(g, up)
         if not np.isfinite(res[running]).all():
             raise FloatingPointError(f"non-finite composite prox residual at pass {k}")
         done = running & (res <= NESTED_TOL)
@@ -174,7 +183,6 @@ def _composite_prox(
         # J, the prox's generalized Jacobian (Zhang, Zhang, Sun and Toh 2020), is
         # a I + (1 - a) u_s u_s^T / ||u_s||^2 on group s's nonzeros, a = ||u_s||
         # / (||u_s|| + tau_s): d holds a and h h^T the rest
-        up = u.take(part.perm)
         norms = part.norms(up)
         a = norms / np.maximum(norms + tau, _TINY)
         d = part.spread(a) * (up != 0.0)
@@ -191,17 +199,16 @@ def _composite_prox(
         # u(w) is rounded to about eps ||z||, so phi's change is known to about
         # eps ||z|| ||u|| and a smaller rise counts as none.  That grows with t;
         # once the Newton fall is below it, the primal Newton step -(J - t J A^T
-        # M^-1 A J) v from u, v the minimum-norm subgradient, is tried too
+        # M^-1 A J) v from u, v the pass's minimum-norm subgradient, is tried too
         roundoff = np.finfo(float).eps * np.sqrt(np.vecdot(z, z) * np.vecdot(u, u))
         polish = running & (-slope <= roundoff)
         if polish.any():
-            v = sparse_group_min_norm(part, g.take(part.perm), up, t.repeat(n) * stack._b1,
-                                      tau, np.maximum(tau, _TINY))
             Av = (Ap @ J(v).reshape(N, n, 1)) * free[:, :, None]
             step = J(v - (Apt @ (t_col[:, :, None] * np.linalg.solve(M, Av))).reshape(-1))
             u_pol = u - part.scatter(step).reshape(N, n)
             g_pol = t_col * stack.loss_grad(u_pol) + (u_pol - centers)
-            done, tried = polish & (residuals(g_pol, u_pol) <= NESTED_TOL), tried + polish
+            res_pol = min_norm(g_pol, u_pol.take(part.perm))[1]
+            done, tried = polish & (res_pol <= NESTED_TOL), tried + polish
             U[done], running = u_pol[done], running & ~done
         s, searching = np.ones(N), running
         while True:

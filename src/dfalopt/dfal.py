@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .checks import integer, real
-from .funcs import _TINY, NodeProblem, NodeStack, huber_grad, sparse_group_min_norm
+from .funcs import NodeProblem, NodeStack, huber_grad
 from .graph import (
     Graph,
     consensus_violation,
@@ -349,17 +349,16 @@ def _event_kernels(
 ) -> tuple[Callable, Callable, Callable]:
     """Node ``i``'s event kernels, bound to the data they read: the block gradient
     ``Y -> lam grad_i(y_i) + d_i (y_i + xbar_i) - sum_j (y_j + xbar_j)`` over the
-    neighbours ``j`` (calling ``huber_grad``), the node's own prox ``(v, tau) ->
-    node.reg.prox(v, tau * lam)`` and the residual ``(Y, g) ->`` entry ``i`` of
-    ``NodeStack.residual_map(lam)`` at the handed block gradient ``g``, bit for
-    bit (calling ``sparse_group_min_norm``), each kernel by its name in ``dfal``."""
+    neighbours ``j`` (calling ``huber_grad`` by its name in ``dfal``), the node's
+    own prox ``(v, tau) -> node.reg.prox(v, tau * lam)`` and its own residual
+    ``(Y, g) -> node.reg.subgrad_residual(lam, g, Y[i])`` at the handed block
+    gradient ``g``."""
     row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
     # the transposed view, not a contiguous copy, keeps the event bits
     A, At, b, delta = node.loss.A, node.loss.A.T, node.loss.b, node.loss.delta
-    part, d = node.reg.partition, row.size
-    perm, lb1, lb2 = part.perm, lam * node.reg.beta1, lam * node.reg.beta2
+    d = row.size
     j = int(row[0]) if d == 1 else -1  # read only with one neighbour
-    xbar_i, xbar_j, xbar_nbrs, fl2 = xbar[i], xbar[j], xbar[row], max(lb2, _TINY)
+    xbar_i, xbar_j, xbar_nbrs = xbar[i], xbar[j], xbar[row]
 
     def grad(Y: np.ndarray) -> np.ndarray:
         y = Y[i]
@@ -372,8 +371,7 @@ def _event_kernels(
         return node.reg.prox(v, tau * lam)
 
     def residual(Y: np.ndarray, g: np.ndarray) -> float:
-        out = sparse_group_min_norm(part, g.take(perm), Y[i].take(perm), lb1, lb2, fl2)
-        return math.sqrt(np.add.reduce(out * out))
+        return node.reg.subgrad_residual(lam, g, Y[i])
 
     return grad, prox, residual
 

@@ -15,6 +15,7 @@ stacked iterate, with per-node weights), so each node has its own partition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -204,18 +205,18 @@ class SparseGroupReg:
         outputs (which produce exact zeros) or extrapolated points where the
         nonzero branch is safe.
         """
-        part, lb2 = self.partition, lam * self.beta2
+        part, lb2 = self.partition, real("lam", lam, 0) * self.beta2
         out = sparse_group_min_norm(
             part, part.gather(grad_f), part.gather(xbar),
             lam * self.beta1, lb2, max(lb2, _TINY),
         )
         return part.scatter(out)
 
-    def subgrad_residual(
-        self, lam: float, grad_f: np.ndarray, xbar: np.ndarray
-    ) -> float:
-        """Norm of the minimum-norm composite subgradient at ``xbar``."""
-        return float(np.linalg.norm(self.min_norm_subgradient(lam, grad_f, xbar)))
+    def subgrad_residual(self, lam: float, grad_f: np.ndarray, xbar: np.ndarray) -> float:
+        """Norm of the minimum-norm composite subgradient at ``xbar``, summed in
+        coordinate order."""
+        v = self.min_norm_subgradient(lam, grad_f, xbar)
+        return math.sqrt(np.add.reduce(v * v))
 
 
 def huber_grad(
@@ -378,21 +379,3 @@ class NodeStack:
             return part.scatter(out).reshape(shape)
 
         return prox
-
-    def residual_map(self, lam) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """``(G, Y) ->`` the array whose entry ``i`` is
-        ``nodes[i].reg.subgrad_residual(lam[i], G[i], Y[i])`` (a scalar ``lam``
-        serves every node), with the weights ``lam * beta`` formed once."""
-        part, shape, perm = self.partition, self.shape, self.partition.perm
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), shape[:1])
-        lb1, lb2 = np.repeat(lam, shape[1]) * self._b1, lam[self._seg_node] * self._b2
-        fl2 = np.maximum(lb2, _TINY)
-
-        def residuals(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
-            if G.shape != shape or Y.shape != shape:
-                raise ValueError(f"expected shape {shape}, got {G.shape} and {Y.shape}")
-            out = sparse_group_min_norm(part, G.take(perm), Y.take(perm), lb1, lb2, fl2)
-            # segment order keeps each node's coordinates in its own row
-            return np.sqrt(np.add.reduce(out.reshape(shape) ** 2, axis=1))
-
-        return residuals

@@ -334,21 +334,20 @@ def stacked_composite_prox(nodes, centers, t, starts):
     )
 
 
-def composite_residuals(stack, centers, t, U):
-    """``stack.residual_map(t)`` at ``U``: the kernel's stopping test."""
-    G = t[:, None] * stack.loss_grad(U) + (U - centers)
-    return stack.residual_map(t)(G, U)
+def composite_residuals(nodes, centers, t, U):
+    """Each node's ``subgrad_residual`` at ``U``: the kernel's stopping test."""
+    G = t[:, None] * NodeStack(nodes).loss_grad(U) + (U - centers)
+    return np.array([p.reg.subgrad_residual(t[i], G[i], U[i]) for i, p in enumerate(nodes)])
 
 
 def check_against_per_node_loop(nodes, centers, t, starts):
     """Every row of the kernel is within 1e-8 of the per-node reference and
     passes the stopping test; returns the points tried per node."""
-    stack = NodeStack(nodes)
     out, tried = stacked_composite_prox(nodes, centers, t, starts)
     for i, node in enumerate(nodes):
         u, _ = per_node_composite_prox(node, centers[i], t[i], starts[i])
         assert np.max(np.abs(out[i] - u)) <= 1e-8
-    assert (composite_residuals(stack, centers, t, out) <= NESTED_TOL).all()
+    assert (composite_residuals(nodes, centers, t, out) <= NESTED_TOL).all()
     return tried
 
 
@@ -570,7 +569,7 @@ class TestAdmmSolve:
 
         def checked(stack, centers, t, starts):
             out, tried = _composite_prox(stack, centers, t, starts)
-            worst.append(composite_residuals(stack, centers, t, out).max())
+            worst.append(composite_residuals(inst.nodes, centers, t, out).max())
             return out, tried
 
         monkeypatch.setattr(baselines, "_composite_prox", checked)

@@ -376,6 +376,7 @@ class TestSweep:
         "c_estimate": lambda v: _real(v) and v > 0,
         "residual_target": lambda v: v is None or _real(v) and v >= 0,
         "num_nodes": lambda v: _integer(v) and v >= 1,
+        "lam": lambda v: _real(v) and v >= 0,
     }
 
     def test_solver_arguments(self, rng, monkeypatch):
@@ -411,6 +412,11 @@ class TestSweep:
         for solve in (sadmm_solve, admm_solve):
             solves[solve.__name__] = (partial(solve, nodes, graph), (
                 "c_admm", "iters", "eps_opt", "eps_feas", "budget_secs", "reference"))
+        # a negative lam once gave a residual, a NaN or an infinite one NaN
+        reg = SparseGroupReg(0.5, 0.5, GroupPartition.contiguous(4, 2))
+        g, x = np.array([0.3, -1.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.0, 0.0])
+        for method in (reg.min_norm_subgradient, reg.subgrad_residual):
+            solves[method.__name__] = (partial(method, grad_f=g, xbar=x), ("lam",))
         rejected = 0
         for name, (solve, keys) in solves.items():
             for key in keys:

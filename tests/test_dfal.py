@@ -580,11 +580,9 @@ class TestNodeStack:
                 per_node = [
                     nodes[i].reg.subgrad_residual(lam, G[i], Y[i]) for i in range(N)
                 ]
-                stacked = stack.residual_map(lam)(G, Y)
-                np.testing.assert_allclose(stacked, per_node, rtol=0, atol=1e-12)
-                # every stopping test reads the block residual, bit for bit
-                # the stacked entry at the same gradient row
-                assert [r(Y, G[i]) for i, (_, _, r) in enumerate(obj.blocks)] == stacked.tolist()
+                # every stopping test reads the block residual, which is the
+                # node's own residual at the same gradient row
+                assert [r(Y, G[i]) for i, (_, _, r) in enumerate(obj.blocks)] == per_node
 
     def test_event_block_gradient_matches_per_node(self, rng):
         for nodes, graph in self._problems(rng):
@@ -659,17 +657,15 @@ class TestEventPath:
 
     def test_residual_test_reuses_the_event_gradient(self, rng, tmp_path):
         for nodes, _, lam, _, obj, Y in self._subproblems(rng, tmp_path):
-            stacked = NodeStack(nodes).residual_map(lam)(obj.smooth_grad(Y), Y)
+            G = obj.smooth_grad(Y)
             r = [residual(Y, grad(Y)) for grad, _, residual in obj.blocks]
             for j, node in enumerate(nodes):
                 g = obj.blocks[j][0](Y)
-                # summed in segment order, as the stack lays it out
-                v = node.reg.min_norm_subgradient(lam, g, Y[j])
-                v = v[node.reg.partition.perm]
-                assert r[j] == math.sqrt(np.add.reduce(v * v))
+                assert r[j] == node.reg.subgrad_residual(lam, g, Y[j])
                 # the stacked gradient sums the neighbours by reduceat, so
                 # its row may differ from the event's in the last bit
-                assert abs(r[j] - stacked[j]) <= 1e-15 * stacked[j]
+                stacked = node.reg.subgrad_residual(lam, G[j], Y[j])
+                assert abs(r[j] - stacked) <= 1e-15 * stacked
             worst = max(r)
             for t in (np.nextafter(worst, -np.inf), worst, np.nextafter(worst, np.inf)):
                 assert obj.residual_reached(Y, t) == (worst <= t)
@@ -811,29 +807,25 @@ class TestBoundKernels:
 
     @staticmethod
     def _check_residuals(rng, inst, stack, lam):
-        residuals = stack.residual_map(lam)
         lams = np.broadcast_to(lam, 5)
         G = rng.standard_normal(stack.shape)
         V = 3.0 * rng.standard_normal(stack.shape)
         # prox outputs carry exact zeros, whole zero groups too
         for Y in (V, stack.prox_map(rng.uniform(0.1, 2.0, size=5))(V)):
-            r = residuals(G, Y)
             for i, node in enumerate(inst.nodes):
-                # summed in segment order, as the stack lays it out
+                r = node.reg.subgrad_residual(lams[i], G[i], Y[i])
+                # summed in segment order, as admm's composite prox sums each
+                # node's row of the stacked kernel
                 v = node.reg.min_norm_subgradient(lams[i], G[i], Y[i])
                 v = v[node.reg.partition.perm]
-                assert r[i] == math.sqrt(np.add.reduce(v * v))
-                # norm() takes a BLAS dot, so it may differ in the last bits
-                assert r[i] == pytest.approx(
-                    node.reg.subgrad_residual(lams[i], G[i], Y[i]), rel=1e-14
-                )
+                # the residual sums in coordinate order, so it may differ in
+                # the last bits
+                assert math.sqrt(np.add.reduce(v * v)) == pytest.approx(r, rel=1e-14)
 
     def test_bound_kernels_check_shapes(self):
         stack = NodeStack(generate_instance(2, "star", 3, 4, 3, seed=5).nodes)
         with pytest.raises(ValueError, match="expected shape"):
             stack.prox_map(np.ones(3))(np.ones((3, 11)))
-        with pytest.raises(ValueError, match="expected shape"):
-            stack.residual_map(1.0)(np.ones((3, 12)), np.ones((12, 3)))
 
     def test_prox_all_proxes_each_block_at_its_own_step(self, rng):
         # block i at step 1/L_i, its thresholds formed as (1 / L) * lam

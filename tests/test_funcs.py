@@ -601,7 +601,7 @@ class TestGradientMappingBound:
                 Y = prox(Y)  # a prox output, as the iterates of ms_apg are
             G = self.gradient(rng, Y.shape)
             bound = L * np.linalg.norm(Y - prox(Y - G / L[:, None]), axis=1)
-            residual = stack.residual_map(lam)(G, Y)
+            residual = [p.reg.subgrad_residual(lam, G[i], Y[i]) for i, p in enumerate(nodes)]
             assert np.all(bound - _apg_slack(n, L, Y, G) <= residual)
             over += int(np.sum(bound > residual))
         assert over > 0
