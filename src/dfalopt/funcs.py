@@ -5,12 +5,14 @@ the distributed stopping test.
 Sparse-group kernels read a :class:`GroupPartition` as a segment layout: a
 permutation ``perm`` of the coordinates under which every group is one
 contiguous segment, plus the segment starts and sizes.  Group norms are then
-one ``np.add.reduceat`` over the permuted squares, and a per-group factor
-reaches its coordinates by ``np.repeat`` over the segment sizes.  The same
-kernels serve one regularizer (:class:`SparseGroupReg`, one node's K groups
-over ``n`` coordinates) and all nodes at once (:class:`NodeStack`, the N*K
-groups of :meth:`GroupPartition.stacked` over the ``N*n`` coordinates of a
-stacked iterate, with per-node weights), so each node has its own partition.
+one ``np.add.reduceat`` over the permuted squares.  The prox works in
+coordinate order, a per-group factor reaching each coordinate through its
+segment index ``segment``; the minimum-norm kernel works in segment order.
+The same kernels serve one regularizer (:class:`SparseGroupReg`, one node's
+K groups over ``n`` coordinates) and all nodes at once (:class:`NodeStack`,
+the N*K groups of :meth:`GroupPartition.stacked` over the ``N*n``
+coordinates of a stacked iterate, with per-node weights), so each node has
+its own partition.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ class GroupPartition:
     Groups are stored as sorted 0-based index arrays, and listed in order as
     contiguous segments: ``x[perm]`` lists group 0's coordinates, then group
     1's, and so on; segment ``s`` holds ``sizes[s]`` coordinates from
-    ``starts[s]`` on, and ``xp[inverse]`` undoes the gather.
+    ``starts[s]`` on, ``xp[inverse]`` undoes the gather, and coordinate ``j``
+    lies in segment ``segment[j]``.
     """
 
     n: int
@@ -41,6 +44,7 @@ class GroupPartition:
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    segment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         integer("n", self.n, 1)
@@ -60,8 +64,9 @@ class GroupPartition:
             raise ValueError(f"not covered by any group: {missing} of n={self.n} indices")
         if np.any(np.bincount(perm, minlength=self.n) > 1):
             raise ValueError("groups overlap")
-        layout = dict(groups=groups, perm=perm, sizes=sizes,
-                      starts=np.cumsum(sizes) - sizes, inverse=np.argsort(perm))
+        inverse = np.argsort(perm)
+        layout = dict(groups=groups, perm=perm, sizes=sizes, starts=np.cumsum(sizes) - sizes,
+                      inverse=inverse, segment=np.arange(sizes.size).repeat(sizes)[inverse])
         for name, value in layout.items():
             object.__setattr__(self, name, value)
 
@@ -80,11 +85,8 @@ class GroupPartition:
         return cls(offsets[-1], tuple(groups))
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """Flattened ``x`` in segment order."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {x.size}")
-        return x[self.perm]
+        """``x``, of shape ``(n,)``, in segment order."""
+        return _vector(x, self.n)[self.perm]
 
     def scatter(self, xp: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`gather` (flat result)."""
@@ -99,27 +101,37 @@ class GroupPartition:
         return per_segment.repeat(self.sizes)
 
 
+def _vector(x: np.ndarray, n: int) -> np.ndarray:
+    """``x`` as a float array, which must have shape ``(n,)``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"expected shape ({n},), got {x.shape}")
+    return x
+
+
 def _clip(x: np.ndarray, bound) -> np.ndarray:
     """``np.clip(x, -bound, bound)`` with less call overhead."""
     return np.minimum(np.maximum(x, -bound), bound)
 
 
-# Kernels on permuted coordinates, helpers written out.  Weights are scalars or
-# arrays: l1 weights per permuted coordinate, group weights ``thr`` and their
+# Kernels with their helpers written out.  Weights are scalars or arrays: l1
+# weights per coordinate of the kernel's order, group weights ``thr`` and their
 # floors ``max(thr, _TINY)`` per segment.  The shrink ``1 - thr / max(norm,
 # floor)`` is exactly 0 where ``norm <= thr``, and 1 where ``norm == thr == 0``.
 _TINY = np.finfo(float).tiny
 _SMALL_NORM = 2.0**-500
 
 
-def sparse_group_prox(part: GroupPartition, xp: np.ndarray, thr1, thr2, fl2) -> np.ndarray:
+def sparse_group_prox(part: GroupPartition, x: np.ndarray, thr1, thr2, fl2) -> np.ndarray:
     """Prox of ``thr1 ||.||_1 + sum_s thr2_s ||._s||`` (Friedman, Hastie and
-    Tibshirani), ``fl2`` the floors of ``thr2``: soft-threshold at ``thr1``,
-    then shrink each segment toward zero by its norm; a segment whose
-    thresholded norm is at most ``thr2`` maps to zero."""
-    eta = xp - np.minimum(np.maximum(xp, -thr1), thr1)
-    norms = np.sqrt(np.add.reduceat(eta * eta, part.starts))
-    return eta * (1.0 - thr2 / np.maximum(norms, fl2)).repeat(part.sizes)
+    Tibshirani), ``fl2`` the floors of ``thr2``, in coordinate order:
+    soft-threshold ``x`` at ``thr1``, then shrink each segment toward zero by
+    its norm, the factor reaching each coordinate through ``part.segment``; a
+    segment whose thresholded norm is at most ``thr2`` maps to zero.  The
+    norms sum the squares in segment order."""
+    eta = x - np.minimum(np.maximum(x, -thr1), thr1)
+    norms = np.sqrt(np.add.reduceat((eta * eta)[part.perm], part.starts))
+    return eta * (1.0 - thr2 / np.maximum(norms, fl2))[part.segment]
 
 
 def sparse_group_min_norm(
@@ -193,8 +205,7 @@ class SparseGroupReg:
         if not t > 0:
             raise ValueError(f"prox step must be positive, got {t}")
         part, thr1, thr2 = self.partition, t * self.beta1, t * self.beta2
-        out = sparse_group_prox(part, part.gather(xbar), thr1, thr2, max(thr2, _TINY))
-        return part.scatter(out)
+        return sparse_group_prox(part, _vector(xbar, part.n), thr1, thr2, max(thr2, _TINY))
 
     def min_norm_subgradient(
         self, lam: float, grad_f: np.ndarray, xbar: np.ndarray
@@ -223,8 +234,9 @@ def huber_grad(
     A: np.ndarray, At: np.ndarray, b: np.ndarray, delta, x: np.ndarray
 ) -> np.ndarray:
     """Huber loss gradient ``At @ clip(A @ x - b, -delta, delta)``, with ``At``
-    the transpose of ``A``; no checks, so callers validate shapes once."""
-    return At @ np.minimum(np.maximum(A @ x - b, -delta), delta)
+    the transpose of ``A``; no checks, so callers validate shapes once.  The
+    matvecs call ``ndarray.dot``, the BLAS gemv of ``@`` with less overhead."""
+    return At.dot(np.minimum(np.maximum(A.dot(x) - b, -delta), delta))
 
 
 def huber_scalar(r: np.ndarray, delta: float) -> np.ndarray:
@@ -261,14 +273,8 @@ class HuberLoss:
     def num_rows(self) -> int:
         return self.A.shape[0]
 
-    def _checked(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected x of shape ({self.n},), got {x.shape}")
-        return x
-
     def _residual(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ self._checked(x) - self.b
+        return self.A.dot(_vector(x, self.n)) - self.b
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         r = self._residual(x)
@@ -280,7 +286,7 @@ class HuberLoss:
         return float(huber_scalar(self._residual(x), self.delta).sum())
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return huber_grad(self.A, self.A.T, self.b, self.delta, self._checked(x))
+        return huber_grad(self.A, self.A.T, self.b, self.delta, _vector(x, self.n))
 
     @cached_property
     def lipschitz(self) -> float:
@@ -368,14 +374,13 @@ class NodeStack:
         t = np.broadcast_to(np.asarray(t, dtype=float), self.shape[:1])
         if not np.all(t > 0):
             raise ValueError("prox steps must be positive")
-        part, shape, perm = self.partition, self.shape, self.partition.perm
+        part, shape = self.partition, self.shape
         thr1, thr2 = np.repeat(t, shape[1]) * self._b1, t[self._seg_node] * self._b2
         fl2 = np.maximum(thr2, _TINY)
 
         def prox(V: np.ndarray) -> np.ndarray:
             if V.shape != shape:
                 raise ValueError(f"expected shape {shape}, got {V.shape}")
-            out = sparse_group_prox(part, V.take(perm), thr1, thr2, fl2)
-            return part.scatter(out).reshape(shape)
+            return sparse_group_prox(part, V.reshape(-1), thr1, thr2, fl2).reshape(shape)
 
         return prox

@@ -285,7 +285,7 @@ def rbcd_run(
 
 def arbcd_momentum(t: float, num_blocks: int) -> float:
     n2 = 2.0 * num_blocks
-    return (1.0 + np.sqrt(1.0 + (n2 * t) ** 2)) / n2
+    return (1.0 + math.sqrt(1.0 + (n2 * t) ** 2)) / n2
 
 
 def arbcd_candidate(z: np.ndarray, u: np.ndarray, t: float, num_blocks: int) -> np.ndarray:

@@ -428,6 +428,30 @@ class TestSweep:
                     rejected += 1
         assert rejected > 150
 
+    def test_vector_arguments_must_have_shape_n(self):
+        # prox once returned a flat result for a (2, 2) array, and value and
+        # the residuals read any array of n entries
+        reg = SparseGroupReg(0.5, 0.5, GroupPartition.contiguous(4, 2))
+        loss = HuberLoss(A=np.ones((2, 4)), b=np.zeros(2))
+        v = np.array([0.3, -1.0, 0.0, 2.0])
+        calls = {
+            "value": reg.value,
+            "prox": lambda x: reg.prox(x, 0.5),
+            "min_norm_subgradient grad_f": lambda x: reg.min_norm_subgradient(1.0, x, v),
+            "min_norm_subgradient xbar": lambda x: reg.min_norm_subgradient(1.0, v, x),
+            "subgrad_residual grad_f": lambda x: reg.subgrad_residual(1.0, x, v),
+            "subgrad_residual xbar": lambda x: reg.subgrad_residual(1.0, v, x),
+            "HuberLoss.value": loss.value,
+            "HuberLoss.grad": loss.grad,
+            "HuberLoss.value_grad": loss.value_grad,
+        }
+        for call in calls.values():
+            call(v)
+            call(v.tolist())
+            for shape in [(2, 2), (4, 1), (1, 4), (3,), (5,), (), (0,)]:
+                with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+                    call(np.zeros(shape))
+
 
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)

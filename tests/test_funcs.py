@@ -525,6 +525,7 @@ class TestVectorizedKernels:
         part = GroupPartition(5, (np.array([3, 0]), np.array([4]), np.array([1, 2])))
         assert part.perm.tolist() == [0, 3, 4, 1, 2]
         assert part.starts.tolist() == [0, 2, 3] and part.sizes.tolist() == [2, 1, 2]
+        assert part.segment.tolist() == [0, 2, 2, 0, 1]
         x = np.arange(5.0)
         assert np.array_equal(part.scatter(part.gather(x)), x)
         np.testing.assert_allclose(part.norms(part.gather(x)), [3.0, 4.0, np.sqrt(5.0)])
@@ -539,6 +540,7 @@ class TestVectorizedKernels:
         assert both.starts.tolist() == [0, 2, 3, 5, 7]
         assert both.sizes.tolist() == [2, 1, 2, 2, 3]
         assert both.inverse.tolist() == [0, 3, 4, 1, 2, 7, 5, 8, 9, 6]
+        assert both.segment.tolist() == [0, 2, 2, 0, 1, 4, 3, 4, 4, 3]
         x = np.arange(10.0)
         assert np.array_equal(both.gather(x), x[both.perm])
         assert np.array_equal(both.scatter(both.gather(x)), x)
@@ -561,6 +563,71 @@ class TestVectorizedKernels:
                 assert np.maximum(norms, np.maximum(thr, tiny)).tobytes() == guard
                 if np.ndim(thr) == 0:
                     assert np.maximum(norms, max(thr, tiny)).tobytes() == guard
+
+
+def _segment_order_prox(part, x, thr1, thr2, fl2):
+    """The prox in segment order: gather, threshold, shrink each segment by
+    its factor repeated over its size, scatter."""
+    xp = x[part.perm]
+    eta = xp - np.minimum(np.maximum(xp, -thr1), thr1)
+    norms = np.sqrt(np.add.reduceat(eta * eta, part.starts))
+    return (eta * (1.0 - thr2 / np.maximum(norms, fl2)).repeat(part.sizes))[part.inverse]
+
+
+def _pin_point(rng, reg, thr1):
+    """An edge-case point that also holds -0.0 and entries exactly at +-thr1."""
+    x, pick = _edge_case_point(rng, reg), rng.random(reg.n)
+    x[pick < 0.15] = -0.0
+    return np.where(pick > 0.85, thr1 * np.sign(pick - 0.925), x)
+
+
+class TestBytePins:
+    """The coordinate-order prox and the ``dot`` matvecs against the forms
+    they replaced, byte for byte, so that a flipped sign of zero shows."""
+
+    def test_prox_equals_the_segment_order_form(self):
+        rng = np.random.default_rng(98)
+        signed_zeros = 0
+        for _ in range(400):
+            reg = _edge_case_reg(rng, int(rng.integers(1, 13)))
+            t = float(rng.uniform(0.05, 3.0))
+            thr1, thr2 = t * reg.beta1, t * reg.beta2
+            x = _pin_point(rng, reg, thr1)
+            y = reg.prox(x, t)
+            old = _segment_order_prox(reg.partition, x, thr1, thr2, max(thr2, funcs._TINY))
+            assert y.tobytes() == old.tobytes()
+            signed_zeros += int(np.sum(np.signbit(y) & (y == 0.0)))
+        assert signed_zeros > 0
+
+    def test_stacked_prox_equals_the_segment_order_form(self):
+        rng = np.random.default_rng(99)
+        n, loss = 12, HuberLoss(A=np.ones((1, 12)), b=np.zeros(1))
+        for _ in range(200):
+            regs = [_edge_case_reg(rng, n) for _ in range(int(rng.integers(1, 6)))]
+            stack = NodeStack([NodeProblem(reg, loss) for reg in regs])
+            t = rng.uniform(0.05, 3.0, size=len(regs))
+            thr1 = np.repeat([ti * reg.beta1 for ti, reg in zip(t, regs)], n)
+            thr2 = np.concatenate([[ti * reg.beta2] * len(reg.partition.groups)
+                                   for ti, reg in zip(t, regs)])
+            V = np.stack([_pin_point(rng, reg, ti * reg.beta1) for ti, reg in zip(t, regs)])
+            old = _segment_order_prox(
+                stack.partition, V.reshape(-1), thr1, thr2, np.maximum(thr2, funcs._TINY))
+            assert stack.prox_map(t)(V).tobytes() == old.tobytes()
+
+    def test_huber_matvecs_equal_the_matmul_form(self):
+        # A C-contiguous, At its transposed view, x a row of a stacked iterate
+        rng = np.random.default_rng(100)
+        for _ in range(300):
+            m, n = int(rng.integers(1, 30)), int(rng.integers(1, 150))
+            A, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+            delta = float(rng.uniform(0.1, 2.0))
+            Y = rng.standard_normal((int(rng.integers(1, 6)), n))
+            x = Y[-1]
+            old = A.T @ np.minimum(np.maximum(A @ x - b, -delta), delta)
+            assert funcs.huber_grad(A, A.T, b, delta, x).tobytes() == old.tobytes()
+            loss = HuberLoss(A, b, delta)
+            assert loss.grad(x).tobytes() == old.tobytes()
+            assert loss.value(x) == float(huber_scalar(A @ x - b, delta).sum())
 
 
 def _apg_slack(n, L, y, g):

@@ -606,6 +606,15 @@ class TestMomentum:
     def test_arbcd_single_block_start(self):
         assert arbcd_momentum(1.0, 1) == pytest.approx((1 + np.sqrt(5)) / 2)
 
+    def test_arbcd_momentum_is_the_numpy_value_as_a_float(self):
+        for N in (1, 2, 5, 20):
+            t, n2 = 1.0, 2.0 * N
+            for _ in range(300):
+                t_next = arbcd_momentum(t, N)
+                assert type(t_next) is float
+                assert t_next == (1.0 + np.sqrt(1.0 + (n2 * t) ** 2)) / n2
+                t = t_next
+
     def test_arbcd_momentum_increasing_and_linear(self):
         N = 4
         t = 1.0
