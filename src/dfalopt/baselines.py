@@ -148,11 +148,12 @@ def _composite_prox(
     prox, part = stack.prox_map(t), stack.partition
     (N, n), A, At, b, delta = stack.shape, stack._A, stack._At, stack._b, stack._delta
     t_col, tau, m = t[:, None], t[stack._seg_node] * stack._b2, b.shape[1]
-    lb1, fl2 = t.repeat(n) * stack._b1, np.maximum(tau, _TINY)
+    lb1 = t.repeat(n) * stack._b1
+    weights = -lb1, lb1, tau, np.maximum(tau, _TINY)
 
     def min_norm(g: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The minimum-norm element at ``up``, in segment order, and its row norms."""
-        v = sparse_group_min_norm(part, g.take(part.perm), up, lb1, tau, fl2)
+        v = sparse_group_min_norm(part, g.take(part.perm), up, *weights)
         return v, np.sqrt(np.add.reduce(v.reshape(N, n) ** 2, axis=1))
 
     # the loss columns in segment order, per node and side by side

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .checks import integer, real
-from .funcs import NodeProblem, NodeStack, huber_grad
+from .funcs import NodeProblem, NodeStack, _consts, huber_grad
 from .graph import (
     Graph,
     consensus_violation,
@@ -352,20 +352,22 @@ def _event_kernels(
     neighbours ``j`` (calling ``huber_grad`` by its name in ``dfal``), the node's
     own prox ``(v, tau) -> node.reg.prox(v, tau * lam)`` and its own residual
     ``(Y, g) -> node.reg.subgrad_residual(lam, g, Y[i])`` at the handed block
-    gradient ``g``."""
+    gradient ``g``.  The gradient binds ``lam``, ``d_i`` and ``-+delta`` as 0-d arrays
+    (``funcs._consts``); the prox and residual pass the float ``lam``, the memos' key."""
     row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
     # the transposed view, not a contiguous copy, keeps the event bits
     A, At, b, delta = node.loss.A, node.loss.A.T, node.loss.b, node.loss.delta
     d = row.size
+    lam_0d, d_0d, lo, hi = _consts(lam, d, -delta, delta)
     j = int(row[0]) if d == 1 else -1  # read only with one neighbour
     xbar_i, xbar_j, xbar_nbrs = xbar[i], xbar[j], xbar[row]
 
     def grad(Y: np.ndarray) -> np.ndarray:
         y = Y[i]
-        q = lam * huber_grad(A, At, b, delta, y)
+        q = lam_0d * huber_grad(A, At, b, lo, hi, y)
         if d == 1:  # the reduce over one taken row is that row, and 1 * v is v
             return q + (y + xbar_i) - (Y[j] + xbar_j)
-        return q + d * (y + xbar_i) - np.add.reduce(Y.take(row, axis=0) + xbar_nbrs)
+        return q + d_0d * (y + xbar_i) - np.add.reduce(Y.take(row, axis=0) + xbar_nbrs)
 
     def prox(v: np.ndarray, tau: float) -> np.ndarray:
         return node.reg.prox(v, tau * lam)

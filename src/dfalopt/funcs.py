@@ -18,6 +18,7 @@ its own partition.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -109,36 +110,44 @@ def _vector(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
+def _consts(a, b, c, d) -> tuple[np.ndarray, ...]:
+    """The numbers as read-only 0-d float64 arrays, views of their packed bytes: a ufunc reads
+    them as is, but converts a Python float each call (0.60 vs 0.39 us, 100 entries); same bits."""
+    w = np.frombuffer(struct.pack("4d", a, b, c, d))
+    return w[0, ...], w[1, ...], w[2, ...], w[3, ...]
+
+
 def _clip(x: np.ndarray, bound) -> np.ndarray:
     """``np.clip(x, -bound, bound)`` with less call overhead."""
     return np.minimum(np.maximum(x, -bound), bound)
 
 
 # Kernels with their helpers written out.  Weights are scalars or arrays: l1
-# weights per coordinate of the kernel's order, group weights ``thr`` and their
-# floors ``max(thr, _TINY)`` per segment.  The shrink ``1 - thr / max(norm,
-# floor)`` is exactly 0 where ``norm <= thr``, and 1 where ``norm == thr == 0``.
+# weights, negated and plain, per coordinate of the kernel's order, group weights
+# ``thr`` and their floors ``max(thr, _TINY)`` per segment.  The shrink ``1 - thr
+# / max(norm, floor)`` is exactly 0 where ``norm <= thr``, 1 where ``norm == thr == 0``.
 _TINY = np.finfo(float).tiny
 _SMALL_NORM = 2.0**-500
+_ONE = _consts(1.0, 1.0, 1.0, 1.0)[0]
 
 
-def sparse_group_prox(part: GroupPartition, x: np.ndarray, thr1, thr2, fl2) -> np.ndarray:
-    """Prox of ``thr1 ||.||_1 + sum_s thr2_s ||._s||`` (Friedman, Hastie and
-    Tibshirani), ``fl2`` the floors of ``thr2``, in coordinate order:
-    soft-threshold ``x`` at ``thr1``, then shrink each segment toward zero by
-    its norm, the factor reaching each coordinate through ``part.segment``; a
-    segment whose thresholded norm is at most ``thr2`` maps to zero.  The
-    norms sum the squares in segment order."""
-    eta = x - np.minimum(np.maximum(x, -thr1), thr1)
+def sparse_group_prox(part: GroupPartition, x: np.ndarray, nthr1, thr1, thr2, fl2) -> np.ndarray:
+    """Prox of ``thr1 ||.||_1 + sum_s thr2_s ||._s||`` (Friedman, Hastie and Tibshirani),
+    ``nthr1 = -thr1`` and ``fl2`` the floors of ``thr2``, in coordinate order:
+    soft-threshold ``x`` at ``thr1``, then shrink each segment toward zero by its norm, the
+    factor reaching each coordinate through ``part.segment``; a segment whose thresholded
+    norm is at most ``thr2`` maps to zero.  The norms sum the squares in segment order.  The
+    caller forms the weights once per step, :meth:`SparseGroupReg.prox` as 0-d arrays."""
+    eta = x - np.minimum(np.maximum(x, nthr1), thr1)
     norms = np.sqrt(np.add.reduceat((eta * eta)[part.perm], part.starts))
-    return eta * (1.0 - thr2 / np.maximum(norms, fl2))[part.segment]
+    return eta * (_ONE - thr2 / np.maximum(norms, fl2))[part.segment]
 
 
 def sparse_group_min_norm(
-    part: GroupPartition, gp: np.ndarray, xp: np.ndarray, lb1, lb2, fl2
+    part: GroupPartition, gp: np.ndarray, xp: np.ndarray, nlb1, lb1, lb2, fl2
 ) -> np.ndarray:
-    """Minimum-norm element of ``d(lb1 ||.||_1 + sum_s lb2_s ||._s||)(x) + g``,
-    ``fl2`` the floors of ``lb2``.
+    """Minimum-norm element of ``d(lb1 ||.||_1 + sum_s lb2_s ||._s||)(x) + g``, ``nlb1 =
+    -lb1`` and ``fl2`` the floors of ``lb2`` (0-d arrays from ``min_norm_subgradient``).
 
     The l1 part is ``lb1 sign(x_j)`` on a nonzero coordinate and the clipped
     ``-g_j`` on a zero one, which leaves ``v``.  A segment holding a nonzero
@@ -149,7 +158,7 @@ def sparse_group_min_norm(
     direction from the segment scaled by ``2**600``, which is exact.
     """
     zero, starts, sizes = xp == 0.0, part.starts, part.sizes
-    v = gp + lb1 * np.sign(xp) - zero * np.minimum(np.maximum(gp, -lb1), lb1)
+    v = gp + lb1 * np.sign(xp) - zero * np.minimum(np.maximum(gp, nlb1), lb1)
     all_zero = np.logical_and.reduceat(zero, starts)
     x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
     if np.minimum.reduce(x_norms, initial=np.inf) < _SMALL_NORM:
@@ -157,7 +166,7 @@ def sparse_group_min_norm(
         x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
     v_norms = np.sqrt(np.add.reduceat(v * v, starts))
     # 1 on a segment with a nonzero coordinate, even where v is NaN
-    v_scale = 1.0 - lb2 * all_zero / np.fmax(v_norms, fl2)
+    v_scale = _ONE - lb2 * all_zero / np.fmax(v_norms, fl2)
     return v * v_scale.repeat(sizes) + xp * (lb2 / x_norms).repeat(sizes)
 
 
@@ -173,6 +182,8 @@ class SparseGroupReg:
     beta1: float
     beta2: float
     partition: GroupPartition
+    # the last (prox step or lam, weights): derived, no fields; a NaN key matches nothing
+    _step_memo = _lam_memo = (math.nan, ())
 
     def __post_init__(self) -> None:
         real("beta1", self.beta1, 0)
@@ -197,15 +208,21 @@ class SparseGroupReg:
     def prox(self, xbar: np.ndarray, t: float) -> np.ndarray:
         """Exact minimizer of ``t * value(y) + 0.5 * ||y - xbar||^2``.
 
-        Soft-threshold at ``t*b1``, then shrink each group toward zero by the
-        group-norm factor; a group whose thresholded norm is zero maps to the
-        zero block.
+        Soft-threshold at ``t*b1``, then shrink each group toward zero by the group-norm
+        factor; a group whose thresholded norm is zero maps to the zero block.  The weights
+        ``t (-b1, b1, b2)`` and ``max(t b2, tiny)`` are 0-d arrays (:func:`_consts`) formed,
+        and ``t`` checked to be a positive finite number, only for a ``t`` of another type
+        or value than the last: an ``rbcd`` subproblem reuses them, with unchanged bits.
         """
-        # "not > 0" also rejects NaN
-        if not t > 0:
-            raise ValueError(f"prox step must be positive, got {t}")
-        part, thr1, thr2 = self.partition, t * self.beta1, t * self.beta2
-        return sparse_group_prox(part, _vector(xbar, part.n), thr1, thr2, max(thr2, _TINY))
+        step, weights = self._step_memo
+        if t.__class__ is not step.__class__ or t != step:
+            # "not > 0" also rejects NaN; real refuses bools, arrays and inf
+            if isinstance(t, (int, float, np.integer, np.floating)) and not t > 0:
+                raise ValueError(f"prox step must be positive, got {t}")
+            thr1, thr2 = real("prox step", t, 0, strict=True) * self.beta1, t * self.beta2
+            weights = _consts(-thr1, thr1, thr2, max(thr2, _TINY))
+            object.__setattr__(self, "_step_memo", (t, weights))
+        return sparse_group_prox(self.partition, _vector(xbar, self.n), *weights)
 
     def min_norm_subgradient(
         self, lam: float, grad_f: np.ndarray, xbar: np.ndarray
@@ -214,13 +231,15 @@ class SparseGroupReg:
 
         The zero/nonzero case split is on exact zeros; callers pass prox
         outputs (which produce exact zeros) or extrapolated points where the
-        nonzero branch is safe.
+        nonzero branch is safe.  The weights ``lam (-b1, b1, b2)`` and ``max(lam
+        b2, tiny)`` are 0-d arrays, formed and ``lam`` checked as :meth:`prox` does.
         """
-        part, lb2 = self.partition, real("lam", lam, 0) * self.beta2
-        out = sparse_group_min_norm(
-            part, part.gather(grad_f), part.gather(xbar),
-            lam * self.beta1, lb2, max(lb2, _TINY),
-        )
+        part, (key, weights) = self.partition, self._lam_memo
+        if lam.__class__ is not key.__class__ or lam != key:
+            lb1, lb2 = real("lam", lam, 0) * self.beta1, lam * self.beta2
+            weights = _consts(-lb1, lb1, lb2, max(lb2, _TINY))
+            object.__setattr__(self, "_lam_memo", (lam, weights))
+        out = sparse_group_min_norm(part, part.gather(grad_f), part.gather(xbar), *weights)
         return part.scatter(out)
 
     def subgrad_residual(self, lam: float, grad_f: np.ndarray, xbar: np.ndarray) -> float:
@@ -231,12 +250,12 @@ class SparseGroupReg:
 
 
 def huber_grad(
-    A: np.ndarray, At: np.ndarray, b: np.ndarray, delta, x: np.ndarray
+    A: np.ndarray, At: np.ndarray, b: np.ndarray, lo, hi, x: np.ndarray
 ) -> np.ndarray:
-    """Huber loss gradient ``At @ clip(A @ x - b, -delta, delta)``, with ``At``
-    the transpose of ``A``; no checks, so callers validate shapes once.  The
-    matvecs call ``ndarray.dot``, the BLAS gemv of ``@`` with less overhead."""
-    return At.dot(np.minimum(np.maximum(A.dot(x) - b, -delta), delta))
+    """Huber loss gradient ``At @ clip(A @ x - b, lo, hi)`` at ``(lo, hi) = (-delta, delta)``
+    (0-d arrays from :func:`dfal._event_kernels`), ``At`` the transpose of ``A``; no checks,
+    so callers validate shapes once.  ``ndarray.dot`` runs ``@``'s BLAS gemv with less overhead."""
+    return At.dot(np.minimum(np.maximum(A.dot(x) - b, lo), hi))
 
 
 def huber_scalar(r: np.ndarray, delta: float) -> np.ndarray:
@@ -286,7 +305,7 @@ class HuberLoss:
         return float(huber_scalar(self._residual(x), self.delta).sum())
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return huber_grad(self.A, self.A.T, self.b, self.delta, _vector(x, self.n))
+        return huber_grad(self.A, self.A.T, self.b, -self.delta, self.delta, _vector(x, self.n))
 
     @cached_property
     def lipschitz(self) -> float:
@@ -372,15 +391,15 @@ class NodeStack:
         ``nodes[i].reg.prox(V[i], t[i])``, with the thresholds of the steps
         ``t`` formed once for every call."""
         t = np.broadcast_to(np.asarray(t, dtype=float), self.shape[:1])
-        if not np.all(t > 0):
-            raise ValueError("prox steps must be positive")
+        if not np.all((0 < t) & (t < math.inf)):
+            raise ValueError(f"prox steps must be positive and finite, got {t}")
         part, shape = self.partition, self.shape
         thr1, thr2 = np.repeat(t, shape[1]) * self._b1, t[self._seg_node] * self._b2
-        fl2 = np.maximum(thr2, _TINY)
+        weights = -thr1, thr1, thr2, np.maximum(thr2, _TINY)
 
         def prox(V: np.ndarray) -> np.ndarray:
             if V.shape != shape:
                 raise ValueError(f"expected shape {shape}, got {V.shape}")
-            return sparse_group_prox(part, V.reshape(-1), thr1, thr2, fl2).reshape(shape)
+            return sparse_group_prox(part, V.reshape(-1), *weights).reshape(shape)
 
         return prox

@@ -256,12 +256,14 @@ def rbcd_run(
     checked once per ``N`` events) may stop early; it starts with the next
     event's block, drawn early, and hands that event its gradient and prox
     step.  ``activations`` of the result counts the events that drew each block.
+    Gradients are divided by ``L_i`` as 0-d arrays (no per-event conversion, same bits); the
+    prox steps ``1 / L_i`` are floats, as :meth:`BlockObjective.residual_reached` passes them.
     """
     integer("iters", iters, 0)
     y = _start(obj, y0, residual_target)
     N = obj.num_blocks
-    L = obj.L.tolist()
-    step = [1.0 / L_i for L_i in L]
+    L = [obj.L[k, ...] for k in range(N)]
+    step = [1.0 / L_i for L_i in obj.L.tolist()]
     grad, prox, _ = zip(*obj.blocks)
     draw = activation_stream(seed, N).__next__
     drawn = [0] * N

@@ -21,6 +21,7 @@ from dfalopt import (
 from dfalopt.bench import instance_from_json, instance_to_json
 from dfalopt.checks import array, indices, integer, real
 from dfalopt.cli import main as cli_main
+from dfalopt.funcs import NodeStack
 from dfalopt.solvers import (
     BlockObjective, activation_stream, arbcd_chain, arbcd_run, ms_apg, rbcd_run,
 )
@@ -345,7 +346,7 @@ class TestSweep:
                                          psi_max=0.0, outer_cap=3)),
     }
     # the names the errors use for these arguments
-    ALIASES = {"num_nodes": "node", "c": "shrink factor"}
+    ALIASES = {"num_nodes": "node", "c": "shrink factor", "t": "prox step"}
 
     @pytest.mark.parametrize("name", list(CONSTRUCTORS))
     def test_constructor_arguments(self, name):
@@ -377,6 +378,7 @@ class TestSweep:
         "residual_target": lambda v: v is None or _real(v) and v >= 0,
         "num_nodes": lambda v: _integer(v) and v >= 1,
         "lam": lambda v: _real(v) and v >= 0,
+        "t": lambda v: _real(v) and v > 0,
     }
 
     def test_solver_arguments(self, rng, monkeypatch):
@@ -417,13 +419,26 @@ class TestSweep:
         g, x = np.array([0.3, -1.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.0, 0.0])
         for method in (reg.min_norm_subgradient, reg.subgrad_residual):
             solves[method.__name__] = (partial(method, grad_f=g, xbar=x), ("lam",))
+
+        # a step or lam equal in value to the last one (True == 1.0) must not
+        # reuse its checked weights; an infinite step once gave a NaN point,
+        # and True a point
+        def after_one(method, key, **kwargs):
+            def call(**value):
+                method(**{key: 1.0}, **kwargs)
+                return method(**value, **kwargs)
+            return call
+
+        solves["prox"] = (after_one(reg.prox, "t", xbar=x), ("t",))
+        solves["lam after 1.0"] = (after_one(reg.min_norm_subgradient, "lam", grad_f=g, xbar=x),
+                                   ("lam",))
         rejected = 0
         for name, (solve, keys) in solves.items():
             for key in keys:
                 for value in VALUES:
                     if self.SOLVER_DOMAINS[key](value):
                         continue
-                    with pytest.raises(ValueError, match=re.escape(key)):
+                    with pytest.raises(ValueError, match=re.escape(self.ALIASES.get(key, key))):
                         solve(**{key: value})
                     rejected += 1
         assert rejected > 150
@@ -451,6 +466,13 @@ class TestSweep:
             for shape in [(2, 2), (4, 1), (1, 4), (3,), (5,), (), (0,)]:
                 with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
                     call(np.zeros(shape))
+
+    def test_stacked_prox_steps_must_be_positive_and_finite(self, rng):
+        # an infinite step once gave a NaN row
+        stack = NodeStack([small_node(rng, n=4) for _ in range(2)])
+        for t in (math.inf, [1.0, math.inf], [math.nan, 1.0], [0.0, 1.0], -1.0):
+            with pytest.raises(ValueError, match="prox steps must be positive and finite"):
+                stack.prox_map(t)
 
 
 def _integer(v) -> bool:

@@ -1,5 +1,6 @@
 """Function library: Huber losses, sparse-group prox, min-norm subgradients."""
 
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 
 import dfalopt.funcs as funcs
 from dfalopt import GroupPartition, HuberLoss, NodeProblem, SparseGroupReg
+from dfalopt.bench import generate_instance
+from dfalopt.dfal import _subproblem_objective
 from dfalopt.funcs import NodeStack, huber_scalar
+from dfalopt.solvers import arbcd_momentum
 from conftest import random_partition, random_reg, small_node
 
 
@@ -581,9 +585,47 @@ def _pin_point(rng, reg, thr1):
     return np.where(pick > 0.85, thr1 * np.sign(pick - 0.925), x)
 
 
+def _scalar_prox(reg, x, t):
+    """The prox with Python-float weights, formed on every call."""
+    part, thr1, thr2 = reg.partition, t * reg.beta1, t * reg.beta2
+    eta = x - np.minimum(np.maximum(x, -thr1), thr1)
+    norms = np.sqrt(np.add.reduceat((eta * eta)[part.perm], part.starts))
+    return eta * (1.0 - thr2 / np.maximum(norms, max(thr2, funcs._TINY)))[part.segment]
+
+
+def _scalar_min_norm(reg, lam, g, x):
+    """The minimum-norm element with Python-float weights, in segment order,
+    scattered back."""
+    part, lb1, lb2 = reg.partition, lam * reg.beta1, lam * reg.beta2
+    gp, xp, starts, sizes = g[part.perm], x[part.perm], part.starts, part.sizes
+    zero = xp == 0.0
+    v = gp + lb1 * np.sign(xp) - zero * np.minimum(np.maximum(gp, -lb1), lb1)
+    all_zero = np.logical_and.reduceat(zero, starts)
+    x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
+    if np.minimum.reduce(x_norms, initial=np.inf) < funcs._SMALL_NORM:
+        xp = xp * np.where(x_norms < funcs._SMALL_NORM, 2.0**600, 1.0).repeat(sizes)
+        x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
+    v_norms = np.sqrt(np.add.reduceat(v * v, starts))
+    v_scale = 1.0 - lb2 * all_zero / np.fmax(v_norms, max(lb2, funcs._TINY))
+    out = v * v_scale.repeat(sizes) + xp * (lb2 / x_norms).repeat(sizes)
+    return out[part.inverse]
+
+
+def _alternating(rng, first):
+    """``first`` four times, an arbcd-like run of steps ``t / L`` with ``t``
+    from :func:`arbcd_momentum`, then ``first`` again, and a numpy copy of it."""
+    L, t, out = float(rng.uniform(0.5, 50.0)), 1.0, [first] * 4
+    for _ in range(6):
+        out.append(t / L)
+        t = arbcd_momentum(t, 5)
+    return out + [first] * 3 + [np.float64(first)]
+
+
 class TestBytePins:
-    """The coordinate-order prox and the ``dot`` matvecs against the forms
-    they replaced, byte for byte, so that a flipped sign of zero shows."""
+    """The coordinate-order prox, the ``dot`` matvecs and the kernels whose
+    scalar weights are 0-d arrays formed once per step, lam or subproblem
+    against the forms they replaced, byte for byte, so that a flipped sign of
+    zero shows; the step and lam alternate as the solvers' do."""
 
     def test_prox_equals_the_segment_order_form(self):
         rng = np.random.default_rng(98)
@@ -624,10 +666,59 @@ class TestBytePins:
             Y = rng.standard_normal((int(rng.integers(1, 6)), n))
             x = Y[-1]
             old = A.T @ np.minimum(np.maximum(A @ x - b, -delta), delta)
-            assert funcs.huber_grad(A, A.T, b, delta, x).tobytes() == old.tobytes()
+            assert funcs.huber_grad(A, A.T, b, -delta, delta, x).tobytes() == old.tobytes()
+            # the event gradient's bounds, 0-d arrays
+            lo, hi, _, _ = funcs._consts(-delta, delta, 0.0, 0.0)
+            assert funcs.huber_grad(A, A.T, b, lo, hi, x).tobytes() == old.tobytes()
             loss = HuberLoss(A, b, delta)
             assert loss.grad(x).tobytes() == old.tobytes()
             assert loss.value(x) == float(huber_scalar(A @ x - b, delta).sum())
+
+    def test_prox_and_min_norm_over_alternating_steps(self):
+        rng = np.random.default_rng(101)
+        for _ in range(100):
+            reg = _edge_case_reg(rng, int(rng.integers(1, 13)))
+            # the event step of rbcd, (1 / L_i) * lam, and lam itself
+            step, lam = float(1.0 / rng.uniform(0.5, 50.0)) * 0.7, float(rng.uniform(0.1, 2.0))
+            for t, lam_k in zip(_alternating(rng, step), _alternating(rng, lam)):
+                x = _pin_point(rng, reg, t * reg.beta1)
+                assert reg.prox(x, t).tobytes() == _scalar_prox(reg, x, t).tobytes()
+                g = TestGradientMappingBound.gradient(rng, x.shape)
+                expected = _scalar_min_norm(reg, lam_k, g, x).tobytes()
+                assert reg.min_norm_subgradient(lam_k, g, x).tobytes() == expected
+            # a bad value after a cached one of equal value is still refused
+            reg.prox(x, 1.0)
+            reg.min_norm_subgradient(1.0, g, x)
+            for bad in (True, np.array([1.0]), np.nan, 0.0, math.inf):
+                with pytest.raises(ValueError, match="prox step must"):
+                    reg.prox(x, bad)
+                if bad != 0.0:  # lam = 0 is allowed
+                    with pytest.raises(ValueError, match="lam must"):
+                        reg.min_norm_subgradient(bad, g, x)
+
+    @pytest.mark.parametrize("topology, N, i, degree", [
+        ("star", 5, 0, 4), ("star", 5, 3, 1), ("clique", 4, 2, 3)])
+    def test_event_gradient(self, topology, N, i, degree):
+        # a star's hub and a leaf, whose kernel skips the reduce, and a clique node
+        rng = np.random.default_rng(103)
+        inst = generate_instance(1, topology, N, 4, N, seed=7)
+        graph, node = inst.graph, inst.nodes[i]
+        row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
+        assert row.size == degree
+        A, b, delta = node.loss.A, node.loss.b, node.loss.delta
+        for lam in (1.0, 0.7, 0.49, 0.7):
+            xbar = rng.standard_normal((N, 4 * N))
+            grad = _subproblem_objective(inst.nodes, graph, lam, xbar, np.ones(N)).blocks[i][0]
+            for _ in range(5):
+                Y = rng.standard_normal((N, 4 * N))
+                y = Y[i]
+                q = lam * A.T.dot(np.minimum(np.maximum(A.dot(y) - b, -delta), delta))
+                if degree == 1:
+                    old = q + (y + xbar[i]) - (Y[row[0]] + xbar[row[0]])
+                else:
+                    old = q + degree * (y + xbar[i]) - np.add.reduce(Y.take(row, axis=0)
+                                                                     + xbar[row])
+                assert grad(Y).tobytes() == old.tobytes()
 
 
 def _apg_slack(n, L, y, g):
