@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .checks import integer, real
-from .funcs import NodeProblem, NodeStack, _consts, huber_grad
+from .funcs import NodeProblem, NodeStack, huber_grad
 from .graph import (
     Graph,
     consensus_violation,
@@ -352,13 +352,13 @@ def _event_kernels(
     neighbours ``j`` (calling ``huber_grad`` by its name in ``dfal``), the node's
     own prox ``(v, tau) -> node.reg.prox(v, tau * lam)`` and its own residual
     ``(Y, g) -> node.reg.subgrad_residual(lam, g, Y[i])`` at the handed block
-    gradient ``g``.  The gradient binds ``lam``, ``d_i`` and ``-+delta`` as 0-d arrays
-    (``funcs._consts``); the prox and residual pass the float ``lam``, the memos' key."""
+    gradient ``g``.  The gradient binds ``lam``, ``d_i`` and ``-+delta`` as 0-d arrays,
+    once per subproblem; the prox and residual pass ``lam`` itself, the memos' key."""
     row = graph.nbr_idx[graph.nbr_ptr[i]:graph.nbr_ptr[i + 1]]
     # the transposed view, not a contiguous copy, keeps the event bits
     A, At, b, delta = node.loss.A, node.loss.A.T, node.loss.b, node.loss.delta
     d = row.size
-    lam_0d, d_0d, lo, hi = _consts(lam, d, -delta, delta)
+    lam_0d, d_0d, lo, hi = map(np.array, (lam, float(d), -delta, delta))
     j = int(row[0]) if d == 1 else -1  # read only with one neighbour
     xbar_i, xbar_j, xbar_nbrs = xbar[i], xbar[j], xbar[row]
 

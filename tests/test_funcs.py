@@ -668,7 +668,7 @@ class TestBytePins:
             old = A.T @ np.minimum(np.maximum(A @ x - b, -delta), delta)
             assert funcs.huber_grad(A, A.T, b, -delta, delta, x).tobytes() == old.tobytes()
             # the event gradient's bounds, 0-d arrays
-            lo, hi, _, _ = funcs._consts(-delta, delta, 0.0, 0.0)
+            lo, hi = np.array(-delta), np.array(delta)
             assert funcs.huber_grad(A, A.T, b, lo, hi, x).tobytes() == old.tobytes()
             loss = HuberLoss(A, b, delta)
             assert loss.grad(x).tobytes() == old.tobytes()
@@ -684,6 +684,14 @@ class TestBytePins:
                 x = _pin_point(rng, reg, t * reg.beta1)
                 assert reg.prox(x, t).tobytes() == _scalar_prox(reg, x, t).tobytes()
                 g = TestGradientMappingBound.gradient(rng, x.shape)
+                expected = _scalar_min_norm(reg, lam_k, g, x).tobytes()
+                assert reg.min_norm_subgradient(lam_k, g, x).tobytes() == expected
+            # lam = 0.0 and -0.0 are equal, but the signs of their weights' zeros
+            # differ, and show where g is -0.0 at a nonzero coordinate
+            x = _edge_case_point(rng, reg)
+            g = TestGradientMappingBound.gradient(rng, x.shape)
+            g[rng.random(x.shape) < 0.5] = -0.0
+            for lam_k in (0.0, -0.0, lam, 0.0, -0.0, -0.0, 0.0):
                 expected = _scalar_min_norm(reg, lam_k, g, x).tobytes()
                 assert reg.min_norm_subgradient(lam_k, g, x).tobytes() == expected
             # a bad value after a cached one of equal value is still refused
