@@ -140,20 +140,18 @@ def _composite_prox(
     full composite ``F_i``, for all nodes in one loop: projected semismooth
     Newton (Bertsekas 1982) on the Huber dual ``w`` in ``[-delta, delta]^m``
     from ``clip(A starts - b)``, with ``u = prox_{t rho}(c - t A^T w)``.  A
-    node stops at the first point tried whose residual, its node's
-    ``subgrad_residual`` at ``t_i`` summed in segment order, is at most
-    ``NESTED_TOL``.  Returns the points and the points tried per node, one
-    gradient and one prox each.
+    node stops at the first point tried whose residual, its node's own
+    ``subgrad_residual`` at ``t_i``, is at most ``NESTED_TOL``.  Returns the
+    points and the points tried per node, one gradient and one prox each.
     """
-    prox, part = stack.prox_map(t), stack.partition
+    prox, part, weights = stack.prox_map(t), stack.partition, stack.weights(t)
     (N, n), A, At, b, delta = stack.shape, stack._A, stack._At, stack._b, stack._delta
-    t_col, tau, m = t[:, None], t[stack._seg_node] * stack._b2, b.shape[1]
-    lb1 = t.repeat(n) * stack._b1
-    weights = -lb1, lb1, tau, np.maximum(tau, _TINY)
+    t_col, tau, m = t[:, None], weights[2], b.shape[1]
 
-    def min_norm(g: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The minimum-norm element at ``up``, in segment order, and its row norms."""
-        v = sparse_group_min_norm(part, g.take(part.perm), up, *weights)
+    def min_norm(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The minimum-norm element at ``u`` and its row norms, row ``i`` node ``i``'s
+        ``min_norm_subgradient`` and ``subgrad_residual`` at ``t_i``."""
+        v = sparse_group_min_norm(part, g.reshape(-1), u.reshape(-1), *weights)
         return v, np.sqrt(np.add.reduce(v.reshape(N, n) ** 2, axis=1))
 
     # the loss columns in segment order, per node and side by side
@@ -166,8 +164,7 @@ def _composite_prox(
     for k in range(1, NEWTON_CAP + 1):
         r = (A @ u[:, :, None])[:, :, 0] - b
         g = t_col * (At @ _clip(r, delta)[:, :, None])[:, :, 0] + (u - centers)
-        up = u.take(part.perm)
-        v, res = min_norm(g, up)
+        v, res = min_norm(g, u)
         if not np.isfinite(res[running]).all():
             raise FloatingPointError(f"non-finite composite prox residual at pass {k}")
         done = running & (res <= NESTED_TOL)
@@ -183,11 +180,12 @@ def _composite_prox(
         free = ~(((w <= eps - delta) & (gs > 0)) | ((w >= delta - eps) & (gs < 0)))
         # J, the prox's generalized Jacobian (Zhang, Zhang, Sun and Toh 2020), is
         # a I + (1 - a) u_s u_s^T / ||u_s||^2 on group s's nonzeros, a = ||u_s||
-        # / (||u_s|| + tau_s): d holds a and h h^T the rest
+        # / (||u_s|| + tau_s): d holds a and h h^T the rest, in segment order
+        up = u.take(part.perm)
         norms = part.norms(up)
         a = norms / np.maximum(norms + tau, _TINY)
-        d = part.spread(a) * (up != 0.0)
-        h = up * part.spread(np.sqrt(1.0 - a) / np.maximum(norms, _TINY))
+        d = a.repeat(part.sizes) * (up != 0.0)
+        h = up * (np.sqrt(1.0 - a) / np.maximum(norms, _TINY)).repeat(part.sizes)
 
         def J(x: np.ndarray) -> np.ndarray:  # along the last axis, in segment order
             group = np.add.reduceat(h * x, part.starts, axis=-1)
@@ -204,11 +202,12 @@ def _composite_prox(
         roundoff = np.finfo(float).eps * np.sqrt(np.vecdot(z, z) * np.vecdot(u, u))
         polish = running & (-slope <= roundoff)
         if polish.any():
-            Av = (Ap @ J(v).reshape(N, n, 1)) * free[:, :, None]
-            step = J(v - (Apt @ (t_col[:, :, None] * np.linalg.solve(M, Av))).reshape(-1))
-            u_pol = u - part.scatter(step).reshape(N, n)
+            vp = v.take(part.perm)
+            Av = (Ap @ J(vp).reshape(N, n, 1)) * free[:, :, None]
+            step = J(vp - (Apt @ (t_col[:, :, None] * np.linalg.solve(M, Av))).reshape(-1))
+            u_pol = u - step[part.inverse].reshape(N, n)
             g_pol = t_col * stack.loss_grad(u_pol) + (u_pol - centers)
-            res_pol = min_norm(g_pol, u_pol.take(part.perm))[1]
+            res_pol = min_norm(g_pol, u_pol)[1]
             done, tried = polish & (res_pol <= NESTED_TOL), tried + polish
             U[done], running = u_pol[done], running & ~done
         s, searching = np.ones(N), running

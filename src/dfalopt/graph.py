@@ -166,7 +166,7 @@ def load_edge_file(path: str) -> Graph:
 
 def _check_stacked(g: Graph, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != g.num_nodes:
+    if x.ndim != 2 or x.shape[0] != g.num_nodes or x.shape[1] == 0:
         raise ValueError(
             f"expected stacked vector of {g.num_nodes} blocks, got shape {x.shape}"
         )

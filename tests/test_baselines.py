@@ -28,7 +28,7 @@ from dfalopt.baselines import (
     neighborhood_average,
     sadmm_cv,
 )
-from dfalopt.funcs import NodeStack, _clip
+from dfalopt.funcs import NodeStack, _clip, sparse_group_min_norm
 from conftest import small_node
 
 
@@ -97,6 +97,10 @@ class TestArguments:
         # two problems on a three-node star once died with an IndexError
         with pytest.raises(ValueError, match="one node problem per graph node"):
             solver(make_pair(rng), build_topology("star", 3), iters=1)
+        # one node problem per node, but of widths 4 and 6
+        nodes = [small_node(rng, n=4, m=3), small_node(rng, n=6, m=3)]
+        with pytest.raises(ValueError, match="node problems must share one dimension"):
+            solver(nodes, build_topology("star", 2), iters=1)
 
 
 class TestNeighborhoodAverage:
@@ -550,6 +554,36 @@ class TestNestedProx:
             seen.update(tried.tolist())
             group_counts.add(len({len(p.reg.partition.groups) for p in nodes}))
         assert len(seen) >= 4 and max(group_counts) >= 2
+
+    def test_composite_prox_residual_is_each_nodes_own(self, rng, monkeypatch):
+        # every row of every minimum-norm element the kernel forms, the
+        # polish's included, is its node's own, and so is the row's norm
+        calls, polished, loss_grad = [], [], NodeStack.loss_grad
+
+        def recording(part, g, x, *weights):
+            v = sparse_group_min_norm(part, g, x, *weights)
+            calls.append((g, x, v))
+            return v
+
+        def polishing(stack, Y):  # the polish's gradient
+            polished.append(Y)
+            return loss_grad(stack, Y)
+
+        monkeypatch.setattr(baselines, "sparse_group_min_norm", recording)
+        monkeypatch.setattr(NodeStack, "loss_grad", polishing)
+        rows = 0
+        for _ in range(6):
+            nodes, centers, t = composite_stack(rng, [8, 3, 8, 12, 8])
+            _composite_prox(NodeStack(nodes), centers, t, centers)
+            for g, x, v in calls:
+                G, U, V = (a.reshape(len(nodes), -1) for a in (g, x, v))
+                res = np.sqrt(np.add.reduce(V**2, axis=1))
+                for i, p in enumerate(nodes):
+                    assert V[i].tobytes() == p.reg.min_norm_subgradient(t[i], G[i], U[i]).tobytes()
+                    assert res[i] == p.reg.subgrad_residual(t[i], G[i], U[i])
+                    rows += 1
+            calls.clear()
+        assert rows >= 200 and polished
 
     def test_composite_prox_on_a_padded_stack(self, rng):
         # unequal row counts pad the loss stack with zero rows, which stay

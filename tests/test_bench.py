@@ -435,11 +435,15 @@ class TestRunBenchmark:
         def never(*args, **kwargs):
             raise AssertionError("an instance was built")
 
+        inst = small_instance()
         monkeypatch.setattr(bench, "generate_instance", never)
         for key, names in ("algorithms", ["afal"]), ("topologies", ["ring"]):
             message = f"an entry of config key '{key}' must be one of .*, got '{names[0]}'"
             with pytest.raises(ValueError, match=message):
                 run_benchmark(dict(self.SMALL_CFG, **{key: names}))
+        # "apg" is a command of dfalopt solve, not of the dispatch
+        with pytest.raises(ValueError, match="unknown algorithm 'apg'"):
+            run_solver("apg", inst, None, dict(DEFAULT_BENCH_CONFIG))
 
     @pytest.mark.parametrize(
         "alg", ["dfal", "afal-rbcd", "afal-arbcd", "sadmm", "admm"]
@@ -734,6 +738,10 @@ class TestCli:
         out = tmp_path / "run.csv"
         assert cli_main(["solve", "--alg", "dfal", *args, "--out", str(out)]) == 0
         assert "converged=True" in capsys.readouterr().out
+        ring = tmp_path / "ring4.txt"
+        ring.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
+        with pytest.raises(ValueError, match="the edge file has 4 nodes, not N=5"):
+            generate_instance(1, "edge-file", 5, 4, 5, 1, edge_file=str(ring))
 
     @pytest.mark.parametrize("alg", CONFIG_DOMAINS["algorithms"])
     def test_solve_is_the_matrix_run(self, tmp_path, alg):

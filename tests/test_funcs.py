@@ -36,6 +36,8 @@ class TestGroupPartition:
         part = GroupPartition.contiguous(6, 3)
         assert len(part.groups) == 2
         assert np.array_equal(part.groups[1], [3, 4, 5])
+        with pytest.raises(ValueError, match="group size must divide n"):
+            GroupPartition.contiguous(10, 3)
 
 
 class TestHuber:
@@ -327,6 +329,8 @@ class TestValues:
         assert node.value(x) == pytest.approx(
             node.reg.value(x) + node.loss.value(x)
         )
+        with pytest.raises(ValueError, match="regularizer and loss dimensions disagree"):
+            NodeProblem(reg=node.reg, loss=HuberLoss(A=np.ones((3, 5)), b=np.zeros(3)))
 
 
 def _stack_nodes(rng, rows, n=24):
@@ -531,10 +535,7 @@ class TestVectorizedKernels:
         assert part.starts.tolist() == [0, 2, 3] and part.sizes.tolist() == [2, 1, 2]
         assert part.segment.tolist() == [0, 2, 2, 0, 1]
         x = np.arange(5.0)
-        assert np.array_equal(part.scatter(part.gather(x)), x)
-        np.testing.assert_allclose(part.norms(part.gather(x)), [3.0, 4.0, np.sqrt(5.0)])
-        with pytest.raises(ValueError):
-            part.gather(np.zeros(4))
+        np.testing.assert_allclose(part.norms(x[part.perm]), [3.0, 4.0, np.sqrt(5.0)])
         # two different partitions side by side: the second's indices are
         # offset by the first's n
         other = GroupPartition(5, (np.array([4, 1]), np.array([0, 2, 3])))
@@ -546,10 +547,7 @@ class TestVectorizedKernels:
         assert both.inverse.tolist() == [0, 3, 4, 1, 2, 7, 5, 8, 9, 6]
         assert both.segment.tolist() == [0, 2, 2, 0, 1, 4, 3, 4, 4, 3]
         x = np.arange(10.0)
-        assert np.array_equal(both.gather(x), x[both.perm])
-        assert np.array_equal(both.scatter(both.gather(x)), x)
-        with pytest.raises(ValueError):
-            both.gather(np.zeros(5))
+        assert np.array_equal(x[both.perm][both.inverse], x)
 
     def test_group_floor_folds_into_the_threshold(self):
         # the kernels take the floor max(thr, tiny), formed once where the
@@ -611,6 +609,24 @@ def _scalar_min_norm(reg, lam, g, x):
     return out[part.inverse]
 
 
+def _segment_order_min_norm(part, g, x, lb1, lb2, fl2):
+    """The minimum-norm element with per-coordinate ``lb1`` and per-segment
+    ``lb2`` and ``fl2``, in segment order, scattered back."""
+    gp, xp, lb1 = g[part.perm], x[part.perm], lb1[part.perm]
+    starts, sizes = part.starts, part.sizes
+    zero = xp == 0.0
+    v = gp + lb1 * np.sign(xp) - zero * np.minimum(np.maximum(gp, -lb1), lb1)
+    all_zero = np.logical_and.reduceat(zero, starts)
+    x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
+    if np.minimum.reduce(x_norms, initial=np.inf) < funcs._SMALL_NORM:
+        xp = xp * np.where(x_norms < funcs._SMALL_NORM, 2.0**600, 1.0).repeat(sizes)
+        x_norms = np.maximum(np.sqrt(np.add.reduceat(xp * xp, starts)), all_zero)
+    v_norms = np.sqrt(np.add.reduceat(v * v, starts))
+    v_scale = 1.0 - lb2 * all_zero / np.fmax(v_norms, fl2)
+    out = v * v_scale.repeat(sizes) + xp * (lb2 / x_norms).repeat(sizes)
+    return out[part.inverse]
+
+
 def _alternating(rng, first):
     """``first`` four times, an arbcd-like run of steps ``t / L`` with ``t``
     from :func:`arbcd_momentum`, then ``first`` again, and a numpy copy of it."""
@@ -655,6 +671,35 @@ class TestBytePins:
             old = _segment_order_prox(
                 stack.partition, V.reshape(-1), thr1, thr2, np.maximum(thr2, funcs._TINY))
             assert stack.prox_map(t)(V).tobytes() == old.tobytes()
+
+    def test_stacked_min_norm_equals_the_segment_order_form(self):
+        rng = np.random.default_rng(102)
+        n, loss = 12, HuberLoss(A=np.ones((1, 12)), b=np.zeros(1))
+        signed_zeros = small = 0
+        for k in range(200):
+            regs = [_edge_case_reg(rng, n) for _ in range(int(rng.integers(1, 6)))]
+            stack = NodeStack([NodeProblem(reg, loss) for reg in regs])
+            t = rng.uniform(0.05, 3.0, size=len(regs))
+            lb1 = np.repeat([ti * reg.beta1 for ti, reg in zip(t, regs)], n)
+            lb2 = np.concatenate([[ti * reg.beta2] * len(reg.partition.groups)
+                                  for ti, reg in zip(t, regs)])
+            X = np.stack([_pin_point(rng, reg, ti * reg.beta1) for ti, reg in zip(t, regs)])
+            G = TestGradientMappingBound.gradient(rng, X.shape)
+            pick = rng.random(G.shape)
+            G[pick < 0.1] = -0.0
+            G[pick > 0.9] = (lb1 * np.sign(pick - 0.95).reshape(-1)).reshape(G.shape)[pick > 0.9]
+            if k % 2:  # one nonzero segment whose squares underflow
+                group = regs[-1].partition.groups[0]
+                X[-1, group] = 1e-200 * (1.0 + rng.random(group.size))
+                small += 1
+            out = funcs.sparse_group_min_norm(
+                stack.partition, G.reshape(-1), X.reshape(-1), *stack.weights(t))
+            old = _segment_order_min_norm(
+                stack.partition, G.reshape(-1), X.reshape(-1), lb1, lb2,
+                np.maximum(lb2, funcs._TINY))
+            assert out.tobytes() == old.tobytes()
+            signed_zeros += int(np.sum(np.signbit(out) & (out == 0.0)))
+        assert signed_zeros > 0 and small == 100
 
     def test_huber_matvecs_equal_the_matmul_form(self):
         # A C-contiguous, At its transposed view, x a row of a stacked iterate

@@ -57,6 +57,9 @@ class TestGraphInvariants:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError, match="unreachable"):
             Graph(4, ((1, 2), (3, 4)))
+        # N - 1 edges or more, so the search, not the edge count, finds node 4
+        with pytest.raises(GraphError, match=r"unreachable nodes \[4\]"):
+            Graph(4, ((1, 2), (1, 3), (2, 3)))
 
     def test_wrong_order_rejected(self):
         with pytest.raises(GraphError):
@@ -280,6 +283,12 @@ class TestEdgeFile:
         path.write_text("3\n1 2 3\n")
         with pytest.raises(GraphError, match="malformed"):
             load_edge_file(str(path))
+        path.write_text("# a comment\n\n  # and another\n")
+        with pytest.raises(GraphError, match=r"bad\.txt: empty edge file"):
+            load_edge_file(str(path))
+        path.write_text("four\n1 2\n")
+        with pytest.raises(GraphError, match=r"bad\.txt: first line must be the node count"):
+            load_edge_file(str(path))
 
     def test_non_integer_token_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -319,10 +328,10 @@ class TestConsensusViolation:
         x = np.tile(rng.standard_normal(3), (6, 1))
         assert consensus_violation(g, x) == 0.0
 
-    @pytest.mark.parametrize("shape", [(6, 4), (3, 4), (4,)])
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 4), (4,), (5, 0)])
     def test_one_block_per_node_required(self, shape):
-        # (6, 4) once returned 0.0, (3, 4) raised an IndexError and a vector
-        # numpy's AxisError
+        # (6, 4) once returned 0.0, (3, 4) raised an IndexError, a vector
+        # numpy's AxisError and zero-width blocks a ZeroDivisionError
         g = build_topology("star", 5)
         with pytest.raises(ValueError, match=r"expected stacked vector of 5 blocks"):
             consensus_violation(g, np.zeros(shape))

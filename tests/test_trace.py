@@ -17,6 +17,7 @@ from dfalopt import (
     rel_subopt,
     sadmm_solve,
 )
+from dfalopt.trace import write_json
 
 
 class TestRelSubopt:
@@ -38,6 +39,8 @@ class TestRecord:
         ledger.prox_evals[:] = [1, 2, 3]
         ledger.grad_evals[:] = [5, 5, 5]
         trace = RunTrace("x", ledger, reference=1.0)
+        with pytest.raises(ValueError, match="empty trace"):
+            trace.final
         row = trace.record(
             k=1, lam=0.5, F_sum=2.0, CV=0.1, dual_norm=0.3, inner_iters=7,
             stop_reason="cap",
@@ -124,3 +127,5 @@ def test_summary_is_strict_json_with_every_finite_float_kept(tmp_path):
     assert math.copysign(1.0, scalars[-1]) == -1.0
     arr = summary["config"]["nested"]["arr"]
     assert arr == [[1 / 3, None], [None, -2.5e300]]
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        write_json({"a": object()}, str(tmp_path / "bad.json"))
