@@ -393,10 +393,13 @@ def async_dfal_solve(
 
     Runs ``outer_iters`` outer iterations (defaults to the outer cap), fewer
     when the targets are met or an outer iteration ends past ``budget_secs``
-    seconds (stop reason ``"timeout"``); each subproblem gets its
-    theory-prescribed event budget at per-subproblem confidence
+    seconds (stop reason ``"timeout"``); each subproblem gets the event
+    budget of the theory's formula at per-subproblem confidence
     ``(1 - p) ** (1 / outer_iters)``, with the per-block residual test still
-    allowed to stop it early.  Every ``rbcd`` run and every
+    allowed to stop it early.  The formula's constant is a pilot estimate,
+    not a certified bound (:func:`solvers.rbcd_budget_constant` and
+    :func:`solvers.estimate_restart_constant`), so the budgets are not the
+    theory's guarantee.  Every ``rbcd`` run and every
     ``arbcd`` chain follows its own activation stream seeded from ``seed``.
     It keeps the budgets, the budget constant (one pilot, so the budgets grow
     geometrically) and the termination notices of residual stops.

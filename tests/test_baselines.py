@@ -433,6 +433,16 @@ class TestNestedProx:
             with pytest.raises(NestedSolveError, match="1 Newton passes"):
                 stacked_huber_prox(nodes, centers, np.full(N, 5.0), centers)
 
+    def test_huber_prox_line_search_failure_raises(self, monkeypatch):
+        # from a zero start far from the centers the full Newton step fails
+        # the Armijo test, and with the smallest step at 0.9 the first halving
+        # is already below it
+        monkeypatch.setattr(baselines, "MIN_STEP", 0.9)
+        nodes = generate_instance(2, "star", 5, 10, 10, 1).nodes
+        centers = 5.0 * np.random.default_rng(0).standard_normal((5, 100))
+        with pytest.raises(NestedSolveError, match="Huber prox line search found no decrease"):
+            stacked_huber_prox(nodes, centers, np.full(5, 10.0), np.zeros((5, 100)))
+
     def test_huber_prox_nonfinite_center_raises(self, rng):
         for N in (1, 3):
             nodes = [huber_node(rng, 1.0) for _ in range(N)]

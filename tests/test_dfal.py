@@ -27,6 +27,7 @@ from dfalopt import (
     laplacian_quadratic,
     local_gradient,
     rbcd_run,
+    reference_solve,
     sadmm_solve,
 )
 import dfalopt.dfal as dfal
@@ -877,6 +878,40 @@ def test_async_counters_match_the_per_node_implementation(case, oracle):
     assert ledger.control_msgs.tolist() == [16, 8, 8]
     assert [r.inner_iters for r in trace.rows] == expect["inner"]
     assert all(r.stop_reason == "residual" for r in trace.rows)
+
+
+# block gradients (events and stopping tests) and exact residuals of each
+# oracle's async-star5 solve at activation seed 4001: every failing test fails
+# at a gate, so the exact residuals are those of the 5 passing tests; running
+# each block's exact residual as soon as its gate passes takes 1253 (rbcd) and
+# 68 (arbcd), with the same gradients
+STOPPING_TEST_WORK = {"rbcd": (18848, 25), "arbcd": (2867, 25)}
+
+
+@pytest.mark.parametrize("oracle", sorted(STOPPING_TEST_WORK))
+def test_a_failing_stopping_test_runs_no_exact_residual(monkeypatch, oracle):
+    inst = generate_instance(1, "star", 5, 10, 10, 1)
+    params = default_params(inst.nodes, inst.graph, outer_cap=40, eps_opt=1e-3, eps_feas=1e-4)
+    f_star = reference_solve(inst).f_star
+    counts = {"grad": 0, "residual": 0}
+    bind = dfal._event_kernels
+
+    def counting(*args):
+        grad, prox, residual = bind(*args)
+
+        def counted(name, kernel):
+            def call(*a):
+                counts[name] += 1
+                return kernel(*a)
+            return call
+
+        return counted("grad", grad), prox, counted("residual", residual)
+
+    monkeypatch.setattr(dfal, "_event_kernels", counting)
+    trace = async_dfal_solve(inst.nodes, inst.graph, params, p=0.1, oracle=oracle,
+                             seed=4001, outer_iters=40, reference=f_star)
+    assert trace.converged
+    assert (counts["grad"], counts["residual"]) == STOPPING_TEST_WORK[oracle]
 
 
 def _rbcd_drawing_at_each_event(obj, y0, iters, seed, target):

@@ -1,6 +1,7 @@
 """Block solvers: accelerated proximal gradient, randomized descent, and the
 accelerated randomized chain with restarts."""
 
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -147,15 +148,19 @@ class TestResidualTest:
     """The randomized solvers' early-exit stopping test."""
 
     @staticmethod
-    def recorded(residuals, exact=False):
+    def recorded(residuals, exact=False, mapped=None):
         """Quadratic blocks at ``Y = 0`` whose residuals are ``residuals``,
         logging each block's prox step (the gate's input) and exact test
         apart.  By default the exact kernel returns ``residuals[j]`` and every
-        gradient is 0, so no gate fires; with ``exact=True`` the gradients are
-        ``-residuals[j]`` and the exact kernel is the objective's, so the prox
-        is the prox of the ``rho`` it measures and the gate can fire."""
+        gradient is 0, so no gate fires; ``mapped`` sets the gradients to
+        ``-mapped[j]``, so block ``j``'s gradient mapping is ``mapped[j]``; with
+        ``exact=True`` the gradients are ``-residuals[j]`` and the exact kernel
+        is the objective's, so the prox is the prox of the ``rho`` it measures
+        and the gate can fire."""
         calls = []
-        c = np.array(residuals, dtype=float)[:, None] if exact else np.zeros((len(residuals), 1))
+        if mapped is None:
+            mapped = residuals if exact else np.zeros(len(residuals))
+        c = np.array(mapped, dtype=float)[:, None]
         obj = quadratic_objective(c)
 
         def recording(j, prox, residual):
@@ -174,33 +179,72 @@ class TestResidualTest:
         return replace(obj, blocks=blocks), calls
 
     @staticmethod
-    def gate_then_exact(*blocks):
-        return [(kind, j) for j in blocks for kind in ("gate", "exact")]
+    def gates_then_exact(gates, exact=()):
+        return [("gate", j) for j in gates] + [("exact", j) for j in exact]
+
+    @staticmethod
+    def counting_gradients(obj):
+        """``obj`` with each block gradient logging its block in ``taken``."""
+        taken = []
+
+        def counting(j, grad):
+            return lambda Y: taken.append(j) or grad(Y)
+
+        blocks = [(counting(j, grad), prox, residual)
+                  for j, (grad, prox, residual) in enumerate(obj.blocks)]
+        return replace(obj, blocks=blocks), taken
 
     def test_stops_at_the_first_block_over_target_and_starts_there_next(self):
         obj, calls = self.recorded([0.1, 0.5, 0.9, 0.2])
         assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
-        assert calls == self.gate_then_exact(0, 1, 2)
+        # every gate passes, so the exact tests run, in the same order
+        assert calls == self.gates_then_exact((0, 1, 2, 3), (0, 1, 2))
         calls.clear()
         assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
-        assert calls == self.gate_then_exact(2)
+        assert calls == self.gates_then_exact((2, 0, 1, 3), (2,))
         calls.clear()
-        # only a passing test evaluates every block
+        # only a passing test runs every exact test
         assert obj.residual_reached(np.zeros((4, 1)), 0.9)
-        assert calls == self.gate_then_exact(2, 0, 1, 3)
+        assert calls == self.gates_then_exact((2, 0, 1, 3), (2, 0, 1, 3))
 
     def test_a_firing_gate_skips_the_exact_test(self):
         obj, calls = self.recorded([0.1, 0.5, 0.9, 0.2], exact=True)
         assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
-        # block 2's gradient mapping 0.9 is over 0.6: no exact test
-        assert calls == [*self.gate_then_exact(0, 1), ("gate", 2)]
+        # block 2's gradient mapping 0.9 is over 0.6: no exact test at all
+        assert calls == self.gates_then_exact((0, 1, 2))
         calls.clear()
         assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
         assert calls == [("gate", 2)]
         calls.clear()
         # at the target the gate, less its slack, does not fire
         assert obj.residual_reached(np.zeros((4, 1)), 1.0)
-        assert calls == self.gate_then_exact(2, 0, 1, 3)
+        assert calls == self.gates_then_exact((2, 0, 1, 3), (2, 0, 1, 3))
+
+    def test_a_gate_after_a_failing_exact_block_decides_alone(self):
+        # block 0's gate passes but its exact residual 0.9 is over 0.6; block
+        # 1's gradient mapping 0.9 fires its gate, so no exact test runs
+        obj, calls = self.recorded([0.9, 0.9], mapped=[0.0, 0.9])
+        assert not obj.residual_reached(np.zeros((2, 1)), 0.6)
+        assert calls == self.gates_then_exact((0, 1))
+        assert obj._failed == 1
+
+    def test_an_early_exact_failure_takes_no_more_gradients_than_a_pass(self):
+        obj, calls = self.recorded([0.9, 0.1, 0.1, 0.1])
+        obj, taken = self.counting_gradients(obj)
+        assert not obj.residual_reached(np.zeros((4, 1)), 0.6)
+        assert calls == self.gates_then_exact((0, 1, 2, 3), (0,))
+        failing = len(taken)
+        taken.clear()
+        assert obj.residual_reached(np.zeros((4, 1)), 1.0)
+        assert failing == len(taken) == 4
+        # a handed block takes no gradient of its own, failing or passing
+        taken.clear()
+        known = {2: (np.zeros(1), np.zeros(1))}
+        assert not obj.residual_reached(np.zeros((4, 1)), 0.6, known)
+        failing = len(taken)
+        taken.clear()
+        assert obj.residual_reached(np.zeros((4, 1)), 1.0, known)
+        assert failing == len(taken) == 3
 
     def test_the_gate_leaves_room_for_rounding(self):
         # at L = 3 the mapping L ||y - (y - g / L)|| rounds above the residual
@@ -214,11 +258,28 @@ class TestResidualTest:
     def test_nan_residual_fails(self):
         obj, calls = self.recorded([0.0, np.nan])
         assert not obj.residual_reached(np.zeros((2, 1)), 1.0)
-        assert calls == self.gate_then_exact(0, 1)
+        assert calls == self.gates_then_exact((0, 1), (0, 1))
         # a NaN gradient: the gate is NaN, so it does not fire, and the exact test fails
         obj, calls = self.recorded([0.0, np.nan], exact=True)
         assert not obj.residual_reached(np.zeros((2, 1)), 1.0)
-        assert calls == self.gate_then_exact(0, 1)
+        assert calls == self.gates_then_exact((0, 1), (0, 1))
+
+    def test_a_nan_block_ahead_of_a_firing_gate_runs_no_exact_test(self):
+        # block 0's NaN gradient leaves its gate quiet and block 1's gate
+        # fires; block 0's exact kernel, which warns on NaN as numpy's
+        # reductions can, never runs, so no RuntimeWarning is raised
+        obj, calls = self.recorded([np.nan, 0.9], exact=True)
+        grad, prox, residual = obj.blocks[0]
+
+        def warning(Y, g):
+            warnings.warn("invalid value encountered", RuntimeWarning)
+            return residual(Y, g)
+
+        obj = replace(obj, blocks=[(grad, prox, warning), obj.blocks[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not obj.residual_reached(np.zeros((2, 1)), 0.6)
+        assert calls == self.gates_then_exact((0, 1))
 
     @pytest.mark.parametrize("residuals", [[np.nan, 0.0], [0.0, np.nan]])
     def test_stacked_test_fails_on_nan_in_any_position(self, residuals):
