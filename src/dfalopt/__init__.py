@@ -42,7 +42,6 @@ from .dfal import (
     async_dfal_solve,
     charge_activations,
     coupling_constants,
-    default_bx,
     default_params,
     dfal_solve,
     inner_cap,

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .checks import integer, real
-from .funcs import NodeProblem, NodeStack, huber_grad
+from .funcs import _TINY, NodeProblem, NodeStack, huber_grad
 from .graph import (
     Graph,
     consensus_violation,
@@ -42,9 +42,8 @@ from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd
     arbcd_chain,
     arbcd_chain_events,
     arbcd_run,
-    estimate_restart_constant,
+    level_set_constants,
     ms_apg,
-    rbcd_budget_constant,
     rbcd_events,
     rbcd_run,
 )
@@ -107,14 +106,6 @@ def coupling_constants(nodes: Sequence[NodeProblem]) -> tuple[float, float]:
     return l_bar, tau_bar
 
 
-def default_bx(nodes: Sequence[NodeProblem]) -> float:
-    data = sum(
-        float(np.linalg.norm(p.loss.b)) / math.sqrt(max(p.loss.num_rows, 1))
-        for p in nodes
-    )
-    return 10.0 * (1.0 + data)
-
-
 def default_params(
     nodes: Sequence[NodeProblem],
     graph: Graph,
@@ -128,6 +119,8 @@ def default_params(
     ``lam1 = min(1, psi_max / max_i L_i)``; the accuracy sequences start at
     ``alpha1 = (lam1 * tau)^2 / (4N)`` and ``xi1 = lam1 * tau / 2``, which
     keeps ``xi1 / lam1 = tau / 2`` strictly below the coercivity constant.
+    ``bx = F(0) / sum_i tau_i`` (at least the smallest normal float) bounds
+    ``||x*||``, as ``sum_i tau_i ||x*|| <= F(x*) <= F(0)``.
     """
     l_bar, tau_bar = coupling_constants(nodes)
     if tau_bar <= 0:
@@ -140,12 +133,13 @@ def default_params(
     n_nodes = graph.num_nodes
     alpha1 = (lam1 * tau_bar) ** 2 / (4.0 * n_nodes)
     xi1 = 0.5 * lam1 * tau_bar
+    f_zero = sum(p.value(np.zeros(p.n)) for p in nodes)
     return DfalParams(
         lam1=lam1,
         alpha1=alpha1,
         xi1=xi1,
         c=c,
-        bx=default_bx(nodes),
+        bx=max(f_zero / sum(p.reg.coercivity for p in nodes), float(_TINY)),
         psi_max=psi_max,
         outer_cap=outer_cap,
         eps_opt=eps_opt,
@@ -396,13 +390,13 @@ def async_dfal_solve(
     seconds (stop reason ``"timeout"``); each subproblem gets the event
     budget of the theory's formula at per-subproblem confidence
     ``(1 - p) ** (1 / outer_iters)``, with the per-block residual test still
-    allowed to stop it early.  The formula's constant is a pilot estimate,
-    not a certified bound (:func:`solvers.rbcd_budget_constant` and
-    :func:`solvers.estimate_restart_constant`), so the budgets are not the
-    theory's guarantee.  Every ``rbcd`` run and every
-    ``arbcd`` chain follows its own activation stream seeded from ``seed``.
-    It keeps the budgets, the budget constant (one pilot, so the budgets grow
-    geometrically) and the termination notices of residual stops.
+    allowed to stop it early.  The formula's constant is certified: it comes
+    from :func:`solvers.level_set_constants` at the subproblem's own start,
+    penalty and coercivities ``lam * tau_i``, at the cost of one objective
+    value.  Every ``rbcd`` run and every ``arbcd`` chain follows its own
+    activation stream seeded from ``seed``.  It keeps the budgets, their
+    constants (``budget_constants``, one per subproblem) and the termination
+    notices of residual stops.
     """
     real("p", p, 0, 1, strict=True)
     integer("seed", seed, 0)
@@ -415,34 +409,34 @@ def async_dfal_solve(
     trace = RunTrace(
         "afal-" + oracle, CommLedger(N), reference,
         config={"p": p, "p_sub": p_sub, "seed": seed, "oracle": oracle,
-                "budgets": [], "budget_constant": None},
+                "budgets": [], "budget_constants": []},
     )
     # rbcd's block constants couple through psi_max, and arbcd's
     # separable-overapproximation constants through the degrees
     if oracle == "rbcd":
-        pilot, coupling = rbcd_budget_constant, _psi_max(params, graph)
+        coupling = _psi_max(params, graph)
     elif oracle == "arbcd":
-        pilot, coupling = estimate_restart_constant, graph.degrees
+        coupling = graph.degrees
     else:
         raise ValueError(f"unknown oracle {oracle!r}")
+    tau = np.array([node.reg.coercivity for node in nodes])
     rng = np.random.default_rng(seed)
 
     def solve_subproblem(
         k: int, obj: BlockObjective, state: DfalState, alpha: float, target: float
     ) -> SolveResult:
-        const = trace.config["budget_constant"]
-        if const is None:
-            const = trace.config["budget_constant"] = pilot(obj, state.x, seed + 1)
+        rbcd_const, arbcd_const = level_set_constants(obj, state.x, params.schedule(k)[0] * tau)
         if oracle == "rbcd":
-            events = rbcd_events(N, const, alpha, p_sub)
+            const, events = rbcd_const, rbcd_events(N, rbcd_const, alpha, p_sub)
             result = rbcd_run(obj, state.x, events, int(rng.integers(2**31)),
                               residual_target=target)
         else:
             # the budget of each restarted chain
-            events = arbcd_chain_events(N, const, alpha)
+            const, events = arbcd_const, arbcd_chain_events(N, arbcd_const, alpha)
             result = arbcd_run(obj, state.x, alpha, p_sub, rng, c_estimate=const,
                                residual_target=target)
         trace.config["budgets"].append(events)
+        trace.config["budget_constants"].append(const)
         if result.stop_reason == "residual":
             # every node sends a termination notice to each neighbour
             trace.ledger.control_msgs += graph.degrees

@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .checks import integer, real
+from .funcs import _TINY
 
 
 @dataclass
@@ -44,7 +45,7 @@ class BlockObjective:
         so an objective without one entry per block is refused.
     value : callable, optional
         ``Y -> Phi(Y)``.  Read by ``ms_apg(record_values=True)``,
-        :func:`arbcd_run` and the budget-constant pilots, which reject an
+        :func:`arbcd_run` and :func:`level_set_constants`, which reject an
         objective without one.
     """
 
@@ -352,44 +353,6 @@ def arbcd_chain(
     return SolveResult(y, iters, stop, np.array(drawn, dtype=np.int64))
 
 
-def _pilot(
-    obj: BlockObjective,
-    y0: np.ndarray,
-    run: Callable[..., SolveResult],
-    seed: int,
-) -> tuple[float, float]:
-    """Objective gap and ``L``-weighted squared distance from ``y0`` to the
-    better of ``y0`` and the end of a ``4N``-event pilot ``run`` at activation
-    seed ``seed``, which stands in for the unknown optimum of the randomized
-    solvers' constants."""
-    value = _value(obj, "the budget pilot")
-    phi0 = value(y0)
-    pilot = run(obj, y0, 4 * obj.num_blocks, seed)
-    phi_best = min(phi0, value(pilot.y))
-    y_best = pilot.y if phi_best < phi0 else y0
-    return phi0 - phi_best, float(np.sum(obj.L * np.sum((y0 - y_best) ** 2, axis=1)))
-
-
-def estimate_restart_constant(obj: BlockObjective, z0: np.ndarray, seed: int) -> float:
-    """Pilot estimate of the restart constant for the accelerated chain,
-    ``(1 - 1/N) gap + dist / 2`` from an :func:`arbcd_chain` pilot, times 2.
-    Not a certified bound: the pilot's end point stands in for the optimum,
-    and on the first subproblem of star-5 instances the estimate was
-    0.06-0.17 of the exact constant."""
-    gap, dist = _pilot(obj, z0, arbcd_chain, seed)
-    return 2.0 * max((1.0 - 1.0 / obj.num_blocks) * gap + 0.5 * dist, 1e-12)
-
-
-def rbcd_budget_constant(obj: BlockObjective, y0: np.ndarray, seed: int) -> float:
-    """Pilot estimate of the randomized-descent complexity constant,
-    ``max(gap, dist)`` from an :func:`rbcd_run` pilot, times 2.  Not a
-    certified bound: the pilot's end point stands in for the optimum, and on
-    the first subproblem of star-5 instances the estimate was 0.027-0.048 of
-    the exact constant."""
-    gap, dist = _pilot(obj, y0, rbcd_run, seed)
-    return 2.0 * max(gap, dist, 1e-12)
-
-
 def rbcd_events(num_blocks: int, c_estimate: float, alpha: float, p: float) -> int:
     """Events of one randomized descent run at confidence ``1 - p``:
     ``ceil(2N C / alpha * (1 + log(1/p)))``."""
@@ -399,6 +362,25 @@ def rbcd_events(num_blocks: int, c_estimate: float, alpha: float, p: float) -> i
 def arbcd_chain_events(num_blocks: int, c_estimate: float, alpha: float) -> int:
     """Events of one accelerated chain: ``ceil(2N sqrt(2C/alpha))``."""
     return math.ceil(2.0 * num_blocks * math.sqrt(2.0 * c_estimate / alpha))
+
+
+def level_set_constants(
+    obj: BlockObjective, y0: np.ndarray, kappa: np.ndarray
+) -> tuple[float, float]:
+    """The constants of :func:`rbcd_events` and :func:`arbcd_chain_events` from ``y0``,
+    for ``Phi >= 0`` with ``Phi(Y) >= sum_i kappa_i ||Y_i||``: every point of the level
+    set ``{Phi <= Phi(y0)}``, the optimum too, has blocks ``||y_i|| <= R_i = Phi(y0) /
+    kappa_i``, and the gap is at most ``Phi(y0)``.  So ``max(Phi(y0), sum_i L_i (2 R_i)^2)``
+    bounds the level-set radius of randomized descent (Richtarik and Takac 2014), and
+    ``(1 - 1/N) Phi(y0) + sum_i L_i (||y0_i|| + R_i)^2 / 2`` the restart constant of the
+    accelerated chain (Fercoq and Richtarik 2015).  Each is at least the smallest
+    normal float, so an optimal start (``Phi(y0) = 0``) gets one event per run or chain."""
+    phi0 = _value(obj, "level_set_constants")(y0)
+    R = phi0 / np.asarray(kappa, dtype=float)
+    start = np.sqrt(np.sum(y0 * y0, axis=1))
+    rbcd = max(phi0, float(np.sum(obj.L * (2.0 * R) ** 2)))
+    arbcd = (1.0 - 1.0 / obj.num_blocks) * phi0 + 0.5 * float(np.sum(obj.L * (start + R) ** 2))
+    return tuple(np.maximum([rbcd, arbcd], _TINY).tolist())
 
 
 def arbcd_run(
@@ -414,7 +396,7 @@ def arbcd_run(
 
     Runs ``ceil(log2(1/p))`` (at least one) independent chains of
     :func:`arbcd_chain_events` events at restart constant ``c_estimate``
-    (see :func:`estimate_restart_constant`), each on a fresh activation
+    (see :func:`level_set_constants`), each on a fresh activation
     stream seeded from ``rng``, and returns the candidate (including the
     start point) with the smallest objective; a chain whose residual test
     fires is returned at once.  ``activations`` sums the chains' block counts.

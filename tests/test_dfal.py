@@ -26,6 +26,7 @@ from dfalopt import (
     laplacian_dense,
     laplacian_quadratic,
     local_gradient,
+    ms_apg,
     rbcd_run,
     reference_solve,
     sadmm_solve,
@@ -114,6 +115,8 @@ class TestDefaultParams:
             )
             assert params.xi1 / params.lam1 == pytest.approx(tau / 2)
             assert params.xi1 / params.lam1 < tau
+            f_zero = sum(p.loss.value(np.zeros(4)) for p in nodes)
+            assert params.bx == f_zero / sum(p.reg.coercivity for p in nodes)
 
 
 class TestParamsValidation:
@@ -359,12 +362,11 @@ class TestAsyncSolve:
         trace = async_dfal_solve(
             nodes, graph, params, p=0.1, oracle="rbcd", seed=3, outer_iters=K
         )
-        const = trace.config["budget_constant"]
         p_sub = trace.config["p_sub"]
         assert p_sub == pytest.approx(1.0 - 0.9 ** (1.0 / K))
-        budgets = trace.config["budgets"]
-        assert len(budgets) == K
-        for k, events in enumerate(budgets, start=1):
+        budgets, constants = trace.config["budgets"], trace.config["budget_constants"]
+        assert len(budgets) == len(constants) == K
+        for k, (events, const) in enumerate(zip(budgets, constants), start=1):
             alpha_k = params.schedule(k)[1]
             expect = math.ceil(
                 2.0 * 3 * const / alpha_k * (1.0 + math.log(1.0 / p_sub))
@@ -379,8 +381,9 @@ class TestAsyncSolve:
         trace = async_dfal_solve(
             nodes, graph, params, p=0.2, oracle="arbcd", seed=4, outer_iters=K
         )
-        const = trace.config["budget_constant"]
-        for k, events in enumerate(trace.config["budgets"], start=1):
+        budgets, constants = trace.config["budgets"], trace.config["budget_constants"]
+        assert len(budgets) == len(constants) == K
+        for k, (events, const) in enumerate(zip(budgets, constants), start=1):
             alpha_k = params.schedule(k)[1]
             assert events == math.ceil(2.0 * 3 * math.sqrt(2.0 * const / alpha_k))
 
@@ -885,7 +888,7 @@ def test_async_counters_match_the_per_node_implementation(case, oracle):
 # at a gate, so the exact residuals are those of the 5 passing tests; running
 # each block's exact residual as soon as its gate passes takes 1253 (rbcd) and
 # 68 (arbcd), with the same gradients
-STOPPING_TEST_WORK = {"rbcd": (18848, 25), "arbcd": (2867, 25)}
+STOPPING_TEST_WORK = {"rbcd": (18828, 25), "arbcd": (2847, 25)}
 
 
 @pytest.mark.parametrize("oracle", sorted(STOPPING_TEST_WORK))
@@ -912,6 +915,59 @@ def test_a_failing_stopping_test_runs_no_exact_residual(monkeypatch, oracle):
                              seed=4001, outer_iters=40, reference=f_star)
     assert trace.converged
     assert (counts["grad"], counts["residual"]) == STOPPING_TEST_WORK[oracle]
+
+
+@pytest.mark.parametrize("topology", ["star", "clique"])
+@pytest.mark.parametrize("case", [1, 2])
+def test_level_set_constants_bound_the_exact_ones(monkeypatch, case, topology):
+    # the first two subproblems of each oracle, against their optimum: each
+    # block of y* lies in the radius R_i = Phi(y0) / (lam tau_i), and each
+    # budget constant is at least its exact counterpart at y*
+    inst = generate_instance(case, topology, 5, 10, 10, 1)
+    params = default_params(inst.nodes, inst.graph)
+    seen, bound = [], dfal.level_set_constants
+
+    def recording(obj, y0, kappa):
+        constants = bound(obj, y0, kappa)
+        seen.append((obj, y0.copy(), kappa, constants))
+        return constants
+
+    monkeypatch.setattr(dfal, "level_set_constants", recording)
+    for oracle in ("rbcd", "arbcd"):
+        async_dfal_solve(inst.nodes, inst.graph, params, p=0.1, oracle=oracle, seed=1000,
+                         outer_iters=2)
+    assert len(seen) == 4
+    for obj, y0, kappa, (c_rbcd, c_arbcd) in seen:
+        star = ms_apg(obj, y0, residual_target=1e-10, max_iter=50_000, restart=True)
+        assert star.stop_reason == "residual"
+        phi0 = obj.value(y0)
+        radius = phi0 / kappa
+        assert np.all(np.linalg.norm(star.y, axis=1) <= radius)
+        assert c_rbcd == max(phi0, float(np.sum(obj.L * (2.0 * radius) ** 2)))
+        start = np.linalg.norm(y0, axis=1)
+        assert c_arbcd == pytest.approx(
+            (1.0 - 1.0 / 5) * phi0 + 0.5 * float(np.sum(obj.L * (start + radius) ** 2)),
+            rel=1e-14)
+        gap = phi0 - obj.value(star.y)
+        dist = float(np.sum(obj.L * np.sum((y0 - star.y) ** 2, axis=1)))
+        assert c_rbcd >= max(gap, dist)
+        assert c_arbcd >= (1.0 - 1.0 / 5) * gap + 0.5 * dist
+
+
+def test_an_optimal_start_gets_the_floor_budget_and_stays():
+    # with b = 0 everywhere the optimum is 0, and every subproblem starts there:
+    # Phi(y0) = 0, so the constants and bx are the floor and each run one event
+    graph = build_topology("star", 3)
+    nodes = uniform_nodes(graph, 4)
+    params = default_params(nodes, graph)
+    tiny = float(np.finfo(float).tiny)
+    assert params.bx == tiny
+    for oracle in ("rbcd", "arbcd"):
+        trace = async_dfal_solve(nodes, graph, params, p=0.1, oracle=oracle, seed=1,
+                                 outer_iters=3)
+        assert trace.config["budget_constants"] == [tiny] * 3
+        assert trace.config["budgets"] == [1] * 3
+        assert not np.any(trace.config["final_state"].x)
 
 
 def _rbcd_drawing_at_each_event(obj, y0, iters, seed, target):

@@ -4,6 +4,7 @@ process, and its serialization tells apart what a changed run would change."""
 import dataclasses
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ def digest():
     return module
 
 
-def feed(digest, value):
+def feed(digest, value, run=False):
     h = hashlib.sha256()
-    digest._feed(h, value)
+    digest._feed(h, value, run)
     return h.hexdigest()
 
 
@@ -35,6 +36,7 @@ def test_reduced_set_repeats_in_one_process(digest):
         "small-1-star-dfal", "small-1-star-rbcd", "small-1-star-arbcd", "admm-2",
     ]
     assert first["subsets"] == {"reduced": first["digest"]}
+    assert list(first["runs"]) == list(first["entries"])
     assert len(first["digest"]) == 64 and first["numpy"] == np.__version__
 
 
@@ -64,3 +66,46 @@ def test_last_bits_types_and_shapes_change_the_hash(digest):
     assert feed(digest, x) == feed(digest, x.copy())
     with pytest.raises(TypeError, match="no serialization"):
         feed(digest, {1: 2})
+
+
+def test_run_hash_leaves_out_the_budgets_alone(digest):
+    # a budget hashes as its value in the entry hash, so entry hashes stay as
+    # they were before the run hash; only the run hash leaves it out
+    row = TraceRow(1, 0.5, 1.0, 0.1, 0.01, 4, 3, 3, 0.2, 7, "residual")
+    record = [[row], digest.Budget([10, 20]), digest.Budget([1.5, 2.5]), "converged"]
+    plain = [[row], [10, 20], [1.5, 2.5], "converged"]
+    assert feed(digest, record) == feed(digest, plain)
+    moved = [[row], digest.Budget([10, 21]), digest.Budget([1.5, 2.5]), "converged"]
+    assert feed(digest, moved) != feed(digest, record)
+    assert feed(digest, moved, run=True) == feed(digest, record, run=True)
+    for other in ([[dataclasses.replace(row, inner_iters=5)], *record[1:]],
+                  [*record[:3], "cap"]):
+        assert feed(digest, other, run=True) != feed(digest, record, run=True)
+
+
+def test_compare_counts_the_entries_that_keep_their_run(digest):
+    base = {"digest": "a" * 64, "entries": dict(same="1", budgets="2", rows="3", gone="4"),
+            "runs": dict(same="r1", budgets="r2", rows="r3", gone="r4")}
+    change = {"digest": "b" * 64, "entries": dict(same="1", budgets="5", rows="6", new="7"),
+              "runs": dict(same="r1", budgets="r2", rows="r6", new="r7")}
+    lines = digest.compare(base, change)
+    assert lines[1:4] == ["1 entries equal, 2 differ, 2 on one side only.",
+                          "1 of the 2 differing entries keep their run hash.",
+                          "Equal: `same`."]
+    assert lines[4:] == ["- `budgets` differs (run equal): `2…` -> `5…`",
+                         "- `gone`: only in the base", "- `new`: only in the change",
+                         "- `rows` differs: `3…` -> `6…`"]
+    del base["runs"]
+    assert digest.compare(base, change)[2] == (
+        "0 of the 2 differing entries keep their run hash (a side prints no run hashes).")
+    assert len(digest.compare(change, change)) == 3  # no entry differs
+
+
+def test_compare_reads_two_printed_digests(digest, tmp_path, capsys):
+    paths = []
+    for name, value in (("base", "a"), ("change", "b")):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"digest": value * 64, "entries": {"x": value}}))
+    assert digest.main(["--compare", *map(str, paths)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("Full digest differs") and out[-1] == "- `x` differs: `a…` -> `b…`"

@@ -37,7 +37,7 @@ GLOBAL_OPERATIONS = {
     ("solvers", "fista_momentum"): "FISTA's scalar momentum: a function of the iteration count",
     ("solvers", "arbcd_momentum"): "arbcd's scalar momentum: a function of the event count",
     ("graph", "spectral_bounds"): "the Laplacian's spectrum, once at set-up",
-    ("solvers", "_pilot"): "the budget pilot's objective values: a sum over the nodes",
+    ("solvers", "level_set_constants"): "the budget constants' start value: a sum over the nodes",
     ("solvers", "arbcd_run"): "the restarted chains' objective values: a sum over the nodes",
 }
 

@@ -36,3 +36,17 @@ def test_a_gen_call_marks_the_generator_and_no_ledger_charge(reach, tmp_path, ca
     assert {line for p, line in seen if p == path} & lines
     path, lines = body(reach, CommLedger.charge_send)
     assert lines and not {line for p, line in seen if p == path} & lines
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["--all"], 2), (["x"], 2)])
+def test_arguments_are_read_before_anything_runs(reach, monkeypatch, capsys, argv, status):
+    # --help once ran the whole report
+    def ran():
+        raise AssertionError("the report ran")
+
+    monkeypatch.setattr(reach, "traffic", ran)
+    with pytest.raises(SystemExit) as stop:
+        reach.main(argv)
+    assert stop.value.code == status
+    out, err = capsys.readouterr()
+    assert (out if status == 0 else err).startswith("usage: ")

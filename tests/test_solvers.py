@@ -25,9 +25,8 @@ from dfalopt.solvers import (
     arbcd_chain,
     arbcd_momentum,
     arbcd_run,
-    estimate_restart_constant,
     fista_momentum,
-    rbcd_budget_constant,
+    level_set_constants,
 )
 from conftest import random_reg, schedule_ids, small_node
 
@@ -51,9 +50,10 @@ def quadratic_objective(c):
     )
 
 
-def sparse_group_objective(rng, N=3, n=5):
-    """Random strongly convex composite with per-block sparse-group terms."""
-    regs = [random_reg(rng, n) for _ in range(N)]
+def sparse_group_objective(rng, N=3, n=5, regs=None):
+    """Random strongly convex composite with per-block sparse-group terms,
+    ``regs`` if given (``N`` fresh ones from ``rng`` if not)."""
+    regs = [random_reg(rng, n) for _ in range(N)] if regs is None else regs
     targets = rng.standard_normal((N, n))
     Q = [rng.uniform(0.5, 2.0, size=n) for _ in range(N)]
     L = np.array([q.max() for q in Q])
@@ -103,8 +103,7 @@ class TestBlockObjective:
         for evaluate in (
             partial(ms_apg, obj, y0, max_iter=3, record_values=True),
             partial(arbcd_run, obj, y0, 0.5, 0.25, np.random.default_rng(0), 1.0),
-            partial(estimate_restart_constant, obj, y0, 0),
-            partial(rbcd_budget_constant, obj, y0, 0),
+            partial(level_set_constants, obj, y0, np.ones(3)),
         ):
             with pytest.raises(ValueError, match="which has no value"):
                 evaluate()
@@ -117,9 +116,7 @@ class TestBlockObjective:
     @pytest.mark.parametrize("run", [
         partial(rbcd_run, iters=6, seed=0),
         partial(arbcd_chain, iters=6, seed=0),
-        partial(rbcd_budget_constant, seed=0),
-        partial(estimate_restart_constant, seed=0),
-    ], ids=["rbcd_run", "arbcd_chain", "rbcd_pilot", "arbcd_pilot"])
+    ], ids=["rbcd_run", "arbcd_chain"])
     def test_blocks_required_by_the_randomized_runs(self, rng, run):
         # the runs check no blocks of their own: each runs on an objective with
         # one (grad, prox, residual) entry per block, and the objective cannot
@@ -296,26 +293,6 @@ class TestResidualTest:
     def test_single_block_nan_fails(self):
         obj, _ = self.recorded([np.nan])
         assert not obj.residual_reached(np.zeros((1, 1)), 1.0)
-
-
-class TestBudgetConstants:
-    @pytest.mark.parametrize("which", ["rbcd", "arbcd"])
-    def test_pilot_gap_and_distance(self, rng, which):
-        # a 4N-event pilot from y0 supplies the gap and the L-weighted distance
-        obj = sparse_group_objective(rng, N=2, n=3)
-        y0 = np.zeros((2, 3))
-        run, estimate = {
-            "rbcd": (rbcd_run, rbcd_budget_constant),
-            "arbcd": (arbcd_chain, estimate_restart_constant),
-        }[which]
-        end = run(obj, y0, 8, 4).y
-        phi0, phi_end = obj.value(y0), obj.value(end)
-        best = end if phi_end < phi0 else y0
-        gap = phi0 - min(phi0, phi_end)
-        dist = float(np.sum(obj.L * np.sum((y0 - best) ** 2, axis=1)))
-        expect = max(gap, dist) if which == "rbcd" else 0.5 * gap + 0.5 * dist
-        assert gap > 0
-        assert estimate(obj, y0, 4) == 2.0 * expect
 
 
 class TestApg:
@@ -767,14 +744,15 @@ class TestArbcd:
             assert np.array_equal(res.y, y)
 
     def test_restart_scheme_monte_carlo(self, rng):
-        obj = sparse_group_objective(rng, N=3, n=4)
+        regs = [random_reg(rng, 4) for _ in range(3)]
+        obj = sparse_group_objective(rng, N=3, n=4, regs=regs)
         z0 = np.zeros((3, 4))
         ref = ms_apg(obj, z0, residual_target=None, max_iter=20_000)
         phi_star = obj.value(ref.y)
         alpha, p = 0.05, 0.25
         wins = 0
+        C = level_set_constants(obj, z0, [reg.coercivity for reg in regs])[1]
         for seed in range(20):
-            C = estimate_restart_constant(obj, z0, seed)
             chains = np.random.default_rng(seed)
             res = arbcd_run(obj, z0, alpha, p, chains, c_estimate=C)
             if obj.value(res.y) - phi_star <= alpha:
@@ -782,9 +760,10 @@ class TestArbcd:
         assert wins >= int((1 - p) * 20) - 2
 
     def test_restart_counts(self, rng):
-        obj = sparse_group_objective(rng, N=2, n=3)
+        regs = [random_reg(rng, 3) for _ in range(2)]
+        obj = sparse_group_objective(rng, N=2, n=3, regs=regs)
         z0 = np.zeros((2, 3))
-        C = estimate_restart_constant(obj, z0, 1)
+        C = level_set_constants(obj, z0, [reg.coercivity for reg in regs])[1]
         assert C > 0
         res = arbcd_run(
             obj, z0, alpha=0.5, p=0.25, rng=np.random.default_rng(2),

@@ -1,24 +1,28 @@
 """One sha256 over the library's outputs on a fixed set of seeded runs.
 
 Two source trees print the same digest when every run below gives the same
-bits: each ``TraceRow`` field, the five ledger arrays, the budgets and the
-budget constant, every field of the final state and the run's
-``stop_reason``.  Floats are hashed as float64 bytes and arrays as dtype,
-shape and bytes, so a change in the last bit of any iterate shows.
+bits: each ``TraceRow`` field, the five ledger arrays, the budgets and their
+constants, every field of the final state and the run's ``stop_reason``.
+Floats are hashed as float64 bytes and arrays as dtype, shape and bytes, so
+a change in the last bit of any iterate shows.  Each entry also has a
+``run`` hash of the same record without the budgets and their constants, so
+a change to the budgets alone keeps it.
 
 Usage, from any directory (the script imports the ``src`` next to it)::
 
     python3 tools/digest.py                # every entry, as JSON
     python3 other-tree/tools/digest.py     # the same runs on another tree
+    python3 tools/digest.py --compare BASE.json CHANGE.json   # a Markdown report
 
 The output holds the digest of every entry, one hash per entry and per
-named subset, the numpy version and ``platform.machine()``.  Float
-bits may differ between numpy and BLAS builds, so compare two trees on one
-machine and one numpy.
+named subset, the run hash of every entry, the numpy version and
+``platform.machine()``.  Float bits may differ between numpy and BLAS
+builds, so compare two trees on one machine and one numpy.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import functools
 import hashlib
@@ -49,9 +53,21 @@ LEDGER = ("vectors_sent", "vectors_received", "prox_evals", "grad_evals", "contr
 SMALL = ((1, "star"), (2, "star"), (2, "clique"), (1, "clique"))
 
 
-def _feed(h: Any, value: Any) -> None:
-    """Hash ``value`` with a type tag, so no two values share their bytes."""
-    if isinstance(value, np.ndarray):
+class Budget:
+    """A run's budgets or their constants: fed to its entry hash, and left out
+    of its run hash."""
+
+    def __init__(self, value: Any):
+        self.value = value
+
+
+def _feed(h: Any, value: Any, run: bool = False) -> None:
+    """Hash ``value`` with a type tag, so no two values share their bytes;
+    with ``run``, each :class:`Budget` in it adds nothing."""
+    if isinstance(value, Budget):
+        if not run:
+            _feed(h, value.value)
+    elif isinstance(value, np.ndarray):
         h.update(b"a" + f"{value.dtype.str}{value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, (bool, np.bool_)):
@@ -68,25 +84,25 @@ def _feed(h: Any, value: Any) -> None:
     elif isinstance(value, (list, tuple)):
         h.update(b"l" + str(len(value)).encode() + b"[")
         for item in value:
-            _feed(h, item)
+            _feed(h, item, run)
     elif dataclasses.is_dataclass(value):
         h.update(b"d" + type(value).__name__.encode() + b"{")
         for f in dataclasses.fields(value):
             _feed(h, f.name)
-            _feed(h, getattr(value, f.name))
+            _feed(h, getattr(value, f.name), run)
     else:
         raise TypeError(f"no serialization for {type(value).__name__}")
 
 
 def trace_record(trace: Any) -> list:
-    """What a run contributes: its rows, ledger arrays, budgets, budget
-    constant, final state and stop reason."""
+    """What a run contributes: its rows, ledger arrays, budgets, their
+    constants, final state and stop reason."""
     config = trace.config
     return [
         trace.rows,
         [getattr(trace.ledger, name) for name in LEDGER],
-        config.get("budgets"),
-        config.get("budget_constant"),
+        Budget(config.get("budgets")),
+        Budget(config.get("budget_constants")),
         config.get("final_state"),
         trace.stop_reason,
     ]
@@ -202,10 +218,13 @@ SUBSETS = {
 }
 
 
-def entry_hash(name: str) -> str:
-    h = hashlib.sha256()
-    _feed(h, ENTRIES[name]())
-    return h.hexdigest()
+def entry_hashes(name: str) -> tuple[str, str]:
+    """The entry hash and the run hash of one run."""
+    record = ENTRIES[name]()
+    entry, run = hashlib.sha256(), hashlib.sha256()
+    _feed(entry, record)
+    _feed(run, record, run=True)
+    return entry.hexdigest(), run.hexdigest()
 
 
 def combine(hashes: dict[str, str], names: list[str]) -> str:
@@ -217,23 +236,66 @@ def combine(hashes: dict[str, str], names: list[str]) -> str:
 
 
 def digest(set_name: str = "full") -> dict[str, Any]:
-    """The digest of one named set, with its entry hashes and the digest of
-    every named subset it contains."""
+    """The digest of one named set, with its entry hashes, the digest of
+    every named subset it contains and its run hashes."""
     names = SUBSETS[set_name]
-    hashes = {name: entry_hash(name) for name in names}
+    both = {name: entry_hashes(name) for name in names}
+    hashes = {name: entry for name, (entry, _) in both.items()}
     return {
         "set": set_name,
         "digest": combine(hashes, names),
         "subsets": {s: combine(hashes, members) for s, members in SUBSETS.items()
                     if set(members) <= set(names)},
         "entries": hashes,
+        "runs": {name: run for name, (_, run) in both.items()},
         "numpy": np.__version__,
         "machine": platform.machine(),
     }
 
 
-def main() -> int:
-    print(json.dumps(digest(), indent=2))
+def compare(base: dict[str, Any], change: dict[str, Any]) -> list[str]:
+    """The Markdown lines that compare two printed digests: whether the full digest
+    is equal, how many entries are equal and how many differ, how many of the
+    differing ones keep their run hash (so only their budgets differ), the equal
+    ones by name, and each entry that differs or that only one side has."""
+    same = base["digest"] == change["digest"]
+    lines = [f"Full digest {'equal' if same else 'differs'}: base `{base['digest'][:16]}…`, "
+             f"change `{change['digest'][:16]}…`."]
+    old, new = base["entries"], change["entries"]
+    both = old.keys() & new.keys()
+    equal = sorted(name for name in both if old[name] == new[name])
+    one_side = len(old.keys() ^ new.keys())
+    lines.append(f"{len(equal)} entries equal, {len(both) - len(equal)} differ"
+                 + (f", {one_side} on one side only." if one_side else "."))
+    runs_old, runs_new = base.get("runs", {}), change.get("runs", {})
+    differ = both - set(equal)
+    kept = {name for name in differ if name in runs_old and runs_old[name] == runs_new.get(name)}
+    if differ:
+        lines.append(f"{len(kept)} of the {len(differ)} differing entries keep their run hash"
+                     + ("" if runs_old and runs_new else " (a side prints no run hashes)") + ".")
+    if equal:
+        lines.append("Equal: " + ", ".join(f"`{name}`" for name in equal) + ".")
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            lines.append(f"- `{name}`: only in the base")
+        elif name not in old:
+            lines.append(f"- `{name}`: only in the change")
+        elif old[name] != new[name]:
+            run = " (run equal)" if name in kept else ""
+            lines.append(f"- `{name}` differs{run}: `{old[name][:16]}…` -> `{new[name][:16]}…`")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "CHANGE"),
+                        help="two printed digests, compared in Markdown instead of a run")
+    args = parser.parse_args(argv)
+    if args.compare:
+        base, change = (json.loads(Path(path).read_text()) for path in args.compare)
+        print("\n".join(compare(base, change)))
+    else:
+        print(json.dumps(digest(), indent=2))
     return 0
 
 

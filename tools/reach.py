@@ -24,6 +24,7 @@ Usage, from any directory; it takes a few minutes::
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib.util
 import os
@@ -149,7 +150,10 @@ def report(by_traffic: Lines, by_tests: Lines) -> None:
     print("\n".join(unreached) or "(none)")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    # no options: --help prints the usage and an unknown argument exits 2, both
+    # before anything runs
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     with tracing() as by_traffic:
         traffic()
     with tracing() as by_tests:
