@@ -2,8 +2,8 @@
 
 Distributed first-order augmented Lagrangian solver with synchronous and
 asynchronous randomized-block inner oracles, consensus ADMM baselines, a
-per-node communication ledger with a synchronous exchange reference, and a
-sparse-group regression benchmark protocol.
+per-node communication ledger and a sparse-group regression benchmark
+protocol.
 """
 
 from .graph import (
@@ -34,18 +34,15 @@ from .solvers import (
     rbcd_run,
 )
 from .trace import CommLedger, RunTrace, TraceRow, TRACE_COLUMNS, rel_subopt
-from .netsim import SyncNetwork
 from .dfal import (
     DfalParams,
     DfalState,
-    ProtocolError,
     async_dfal_solve,
     charge_activations,
     coupling_constants,
     default_params,
     dfal_solve,
     inner_cap,
-    local_gradient,
 )
 from .baselines import SadmmState, admm_solve, sadmm_solve
 from .bench import (

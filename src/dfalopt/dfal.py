@@ -12,11 +12,11 @@ The outer loop charges the activations an oracle returns for a whole
 subproblem at once, through :func:`charge_activations`: one gradient, one
 prox and one vector per directed edge each.  The tests
 check both gradients against dense Kronecker assembly; :func:`local_gradient`,
-the per-node assembly, stays only as a span target of ``benchmark/spans.py``
-until that tracer stops naming it (ROADMAP items 2 and 4).  Dual variables
-are never materialized; their norms come from Laplacian quadratic forms of the
-running penalty-weighted accumulator, which every node can roll from its
-neighbours' iterates.
+the per-node assembly, is not exported by the package and stays only as a
+span target of ``benchmark/spans.py`` until that tracer stops naming it.
+Dual variables are never materialized; their norms come from Laplacian
+quadratic forms of the running penalty-weighted accumulator, which every
+node can roll from its neighbours' iterates.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ from .solvers import (  # noqa: F401  (arbcd_chain stays reachable as dfal.arbcd
     rbcd_run,
 )
 from .trace import CommLedger, RunTrace, TraceRow
-
-
-class ProtocolError(RuntimeError):
-    """A node update referenced data it cannot have received."""
 
 
 # the penalty shrink factor's domain, also in bench.CONFIG_DOMAINS
@@ -163,7 +159,7 @@ def local_gradient(
     penalized gradient.
     """
     if set(neighbor_y) != set(neighbor_xbar) or len(neighbor_y) != degree:
-        raise ProtocolError(
+        raise ValueError(
             f"expected blocks for {degree} neighbors, got {sorted(neighbor_y)}"
         )
     q = lam * node.loss.grad(own_y) + degree * (own_y + own_xbar)

@@ -286,10 +286,7 @@ class HuberLoss:
         return self.A.dot(_vector(x, self.n)) - self.b
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = self._residual(x)
-        value = float(huber_scalar(r, self.delta).sum())
-        grad = self.A.T @ np.clip(r, -self.delta, self.delta)
-        return value, grad
+        return self.value(x), self.grad(x)
 
     def value(self, x: np.ndarray) -> float:
         return float(huber_scalar(self._residual(x), self.delta).sum())

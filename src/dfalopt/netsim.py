@@ -7,8 +7,8 @@ its neighbours' rows, and charges one vector per directed edge to its own
 :class:`trace.CommLedger`.  No solve calls it: the DFAL solves charge their
 ledgers through :func:`dfal.charge_activations`, and the tests check those
 charges against the exchange law (sent = received = degrees per gradient).
-The module stays only as a span target of ``benchmark/spans.py`` until that
-tracer stops naming it (ROADMAP items 2 and 4).
+No module of the package imports it; it stays only as a span target of
+``benchmark/spans.py``, which imports it, until that tracer stops naming it.
 """
 
 from __future__ import annotations

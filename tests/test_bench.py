@@ -3,6 +3,8 @@ matrix, and the command line front end."""
 
 import json
 import math
+import runpy
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -675,6 +677,16 @@ class TestCli:
         assert "n=4" in capsys.readouterr().out
         back = instance_from_json(str(out))
         assert len(back.nodes) == 2
+
+    def test_module_entry_point_exits_with_the_status_of_main(self, tmp_path, monkeypatch):
+        # runpy warns when the module it runs as __main__ is already imported
+        monkeypatch.delitem(sys.modules, "dfalopt.cli")
+        out = tmp_path / "inst.json"
+        monkeypatch.setattr(sys, "argv", ["dfalopt", "gen", *self.ARGS, "--out", str(out)])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("dfalopt.cli", run_name="__main__")
+        assert stop.value.code == 0
+        assert len(instance_from_json(str(out)).nodes) == 2
 
     def test_ref_from_instance_file(self, tmp_path):
         inst_path = tmp_path / "inst.json"

@@ -13,7 +13,6 @@ from dfalopt import (
     GroupPartition,
     HuberLoss,
     NodeProblem,
-    ProtocolError,
     SparseGroupReg,
     admm_solve,
     apg,
@@ -25,7 +24,6 @@ from dfalopt import (
     generate_instance,
     laplacian_dense,
     laplacian_quadratic,
-    local_gradient,
     ms_apg,
     rbcd_run,
     reference_solve,
@@ -159,7 +157,7 @@ class TestLocalGradient:
             reg=SparseGroupReg(1.0, 0.0, GroupPartition.contiguous(1, 1)),
             loss=HuberLoss(A=np.zeros((1, 1)), b=np.zeros(1)),
         )
-        q1 = local_gradient(
+        q1 = dfal.local_gradient(
             node, 1.0, 2,
             own_y=np.array([1.0]),
             neighbor_y={2: np.array([2.0]), 3: np.array([3.0])},
@@ -174,7 +172,7 @@ class TestLocalGradient:
             loss=HuberLoss(A=np.zeros((1, 2)), b=np.zeros(1)),
         )
         y = np.array([0.3, -0.7])
-        q = local_gradient(
+        q = dfal.local_gradient(
             node, 1.0, 2,
             own_y=y, neighbor_y={2: y.copy(), 3: y.copy()},
             own_xbar=np.zeros(2), neighbor_xbar={2: np.zeros(2), 3: np.zeros(2)},
@@ -194,7 +192,7 @@ class TestLocalGradient:
             q = []
             for i in range(1, N + 1):
                 nbrs = (g.nbr_idx[g.nbr_ptr[i - 1]:g.nbr_ptr[i]] + 1).tolist()
-                q.append(local_gradient(
+                q.append(dfal.local_gradient(
                     nodes[i - 1], lam, g.degrees[i - 1], y[i - 1],
                     {j: y[j - 1] for j in nbrs}, xbar[i - 1],
                     {j: xbar[j - 1] for j in nbrs},
@@ -207,8 +205,8 @@ class TestLocalGradient:
             reg=SparseGroupReg(1.0, 0.0, GroupPartition.contiguous(1, 1)),
             loss=HuberLoss(A=np.zeros((1, 1)), b=np.zeros(1)),
         )
-        with pytest.raises(ProtocolError):
-            local_gradient(
+        with pytest.raises(ValueError, match="expected blocks for 2 neighbors"):
+            dfal.local_gradient(
                 node, 1.0, 2,
                 own_y=np.zeros(1), neighbor_y={2: np.zeros(1)},
                 own_xbar=np.zeros(1), neighbor_xbar={2: np.zeros(1)},

@@ -109,3 +109,20 @@ def test_compare_reads_two_printed_digests(digest, tmp_path, capsys):
     assert digest.main(["--compare", *map(str, paths)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("Full digest differs") and out[-1] == "- `x` differs: `a…` -> `b…`"
+
+
+def test_compare_names_a_file_it_cannot_read(digest, tmp_path, capsys):
+    # a missing file once ended in a FileNotFoundError traceback
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"digest": "a" * 64, "entries": {}}))
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    for name in ("missing.json", "text.json", "list.json"):
+        bad = str(tmp_path / name)
+        for pair in ([str(good), bad], [bad, str(good)]):
+            assert digest.main(["--compare", *pair]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("digest.py: error: ")
+            assert bad in lines[0]

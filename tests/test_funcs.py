@@ -43,13 +43,13 @@ class TestGroupPartition:
 class TestHuber:
     def test_quadratic_branch(self):
         loss = HuberLoss(A=np.array([[1.0]]), b=np.array([0.0]), delta=1.0)
-        value, grad = loss.value_grad(np.array([0.5]))
+        value, grad = loss.value(np.array([0.5])), loss.grad(np.array([0.5]))
         assert value == pytest.approx(0.125)
         assert grad == pytest.approx([0.5])
 
     def test_linear_branch_clamps(self):
         loss = HuberLoss(A=np.array([[1.0]]), b=np.array([0.0]), delta=1.0)
-        value, grad = loss.value_grad(np.array([2.0]))
+        value, grad = loss.value(np.array([2.0])), loss.grad(np.array([2.0]))
         assert value == pytest.approx(1.5)
         assert grad == pytest.approx([1.0])
 
@@ -63,7 +63,9 @@ class TestHuber:
     def test_dimension_mismatch(self):
         loss = HuberLoss(A=np.eye(2), b=np.zeros(2))
         with pytest.raises(ValueError):
-            loss.value_grad(np.zeros(3))
+            loss.value(np.zeros(3))
+        with pytest.raises(ValueError):
+            loss.grad(np.zeros(3))
 
     def test_rows_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -105,6 +107,14 @@ class TestHuber:
             denom = max(np.linalg.norm(grad), 1.0)
             assert np.linalg.norm(fd - grad) / denom <= 1e-6
 
+    def test_value_grad_is_value_and_grad(self, rng):
+        # value_grad is kept only for benchmark/spans.py, on the live kernels
+        loss = HuberLoss(A=rng.standard_normal((5, 4)), b=rng.standard_normal(5), delta=0.7)
+        x = rng.standard_normal(4) * 2
+        value, grad = loss.value_grad(x)
+        assert value == loss.value(x)
+        assert np.array_equal(grad, loss.grad(x))
+
     def test_descent_lemma(self, rng):
         A = rng.standard_normal((5, 4))
         loss = HuberLoss(A=A, b=rng.standard_normal(5), delta=1.0)
@@ -112,7 +122,7 @@ class TestHuber:
         for _ in range(1000):
             x = rng.standard_normal(4) * 3
             y = rng.standard_normal(4) * 3
-            fx, gx = loss.value_grad(x)
+            fx, gx = loss.value(x), loss.grad(x)
             bound = fx + gx @ (y - x) + 0.5 * L * np.sum((y - x) ** 2)
             assert loss.value(y) <= bound + 1e-9
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dfalopt import CommLedger, generate_instance
+from dfalopt import dfal_solve, generate_instance
 from dfalopt.cli import main as cli_main
 
 PATH = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
@@ -26,7 +26,7 @@ def body(reach, func):
     return code.co_filename, reach.code_lines(code) - {code.co_firstlineno}
 
 
-def test_a_gen_call_marks_the_generator_and_no_ledger_charge(reach, tmp_path, capsys):
+def test_a_gen_call_marks_the_generator_and_not_the_solver(reach, tmp_path, capsys):
     with reach.tracing() as seen:
         assert cli_main(["gen", "--case", "1", "--seed", "1",
                          "--out", str(tmp_path / "inst.json")]) == 0
@@ -34,7 +34,7 @@ def test_a_gen_call_marks_the_generator_and_no_ledger_charge(reach, tmp_path, ca
     assert all(path.startswith(str(reach.SRC)) for path, _ in seen)
     path, lines = body(reach, generate_instance)
     assert {line for p, line in seen if p == path} & lines
-    path, lines = body(reach, CommLedger.charge_send)
+    path, lines = body(reach, dfal_solve)
     assert lines and not {line for p, line in seen if p == path} & lines
 
 

@@ -6,11 +6,15 @@ from the data maps exactly:
 - (X), coordinate scale: A, beta1 and beta2 times 1/s.  The minimizer scales
   by s, as long as ``lam1 = min(1, psi_max / L)`` does not clamp at 1.
 
-With s a power of two every product is exact, so ``default_params``' ``bx``
-and the async budget constants and budgets map bit for bit.  The instance is
-star-3 with n = 120 and 20 rows per node, whose ``L / psi_max`` of 77 keeps
-``lam1`` below its clamp at every scale here; on star-5 with n = 100 (34), (O)
-at s = 1/8 clamps it."""
+With s a power of two every product is exact, so ``default_params``' ``bx``,
+the async budget constants and budgets, and every row, ledger and final
+iterate of the synchronous and both asynchronous solves map bit for bit.
+The instance is star-3 with n = 120 and 20 rows per node, whose
+``L / psi_max`` of 77 keeps ``lam1`` below its clamp at every scale here; on
+star-5 with n = 100 (34), (O) at s = 1/8 clamps it."""
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from dfalopt import (
     SparseGroupReg,
     async_dfal_solve,
     default_params,
+    dfal_solve,
     generate_instance,
 )
 
@@ -62,3 +67,47 @@ def test_bx_and_budgets_map_exactly(symmetry, s, oracle):
     assert constants_s == [c * const for const in constants]
     assert events_s == events and min(events) > 1
     assert np.array_equal(y_s, x * y)
+
+
+LEDGER = ("vectors_sent", "vectors_received", "grad_evals", "prox_evals", "control_msgs")
+
+
+@functools.cache
+def solved(solve, symmetry="O", s=1.0):
+    """A 4-subproblem ``solve`` (``"dfal"``, ``"rbcd"`` or ``"arbcd"``) of the
+    rescaled star-3 instance, against a reference F* of 1 in unscaled units,
+    far from the final value, so no run stops on its targets."""
+    inst = generate_instance(1, "star", 3, 12, 10, 1)
+    nodes = rescaled(inst.nodes, symmetry, s)
+    params = default_params(nodes, inst.graph, outer_cap=4)
+    reference = s * s if symmetry == "O" else 1.0
+    if solve == "dfal":
+        return dfal_solve(nodes, inst.graph, params, reference=reference)
+    return async_dfal_solve(nodes, inst.graph, params, p=0.1, oracle=solve, seed=1000,
+                            reference=reference)
+
+
+@pytest.mark.parametrize("solve", ["dfal", "rbcd", "arbcd"])
+@pytest.mark.parametrize("symmetry, s", [("O", 2.0**-3), ("O", 2.0**3),
+                                         ("X", 2.0**-3), ("X", 2.0**2)])
+def test_rows_ledgers_and_final_iterate_map_exactly(symmetry, s, solve):
+    # an absolute constant anywhere in the solve, the row or its multipliers
+    # shows as a broken bit at one of these scales
+    base, scaled = solved(solve), solved(solve, symmetry, s)
+    # the factors of F_sum, lam, CV, dual_norm and the final iterate
+    if symmetry == "O":
+        f, lam, cv, dual, x = s * s, 1 / (s * s), 1.0, s * s, 1.0
+    else:
+        f, lam, cv, dual, x = 1.0, s * s, s, 1 / s, s
+    assert len(scaled.rows) == len(base.rows) == 4
+    for row, row_s in zip(base.rows, scaled.rows):
+        assert (row_s.F_sum, row_s.lam, row_s.CV, row_s.dual_norm) == (
+            f * row.F_sum, lam * row.lam, cv * row.CV, dual * row.dual_norm)
+        assert row_s.rel_subopt == row.rel_subopt and not math.isnan(row.rel_subopt)
+        for field in ("k", "comm_per_node_max", "prox_count", "grad_count", "inner_iters",
+                      "stop_reason"):
+            assert getattr(row_s, field) == getattr(row, field), field
+    ledger, ledger_s = base.config["ledger"], scaled.config["ledger"]
+    for name in LEDGER:
+        assert np.array_equal(getattr(ledger_s, name), getattr(ledger, name)), name
+    assert np.array_equal(scaled.config["final_state"].x, x * base.config["final_state"].x)

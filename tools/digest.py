@@ -286,13 +286,28 @@ def compare(base: dict[str, Any], change: dict[str, Any]) -> list[str]:
     return lines
 
 
+def read_printed(path: str) -> dict[str, Any]:
+    """The digest printed to ``path``; OSError or ValueError when there is none."""
+    try:
+        printed = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    if not (isinstance(printed, dict) and {"digest", "entries"} <= printed.keys()):
+        raise ValueError(f"{path} holds no printed digest")
+    return printed
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "CHANGE"),
                         help="two printed digests, compared in Markdown instead of a run")
     args = parser.parse_args(argv)
     if args.compare:
-        base, change = (json.loads(Path(path).read_text()) for path in args.compare)
+        try:
+            base, change = map(read_printed, args.compare)
+        except (OSError, ValueError) as exc:  # one error line, not a traceback
+            print(f"digest.py: error: {exc}", file=sys.stderr)
+            return 2
         print("\n".join(compare(base, change)))
     else:
         print(json.dumps(digest(), indent=2))
