@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -61,76 +62,103 @@ def _huber_prox(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row ``i`` is ``argmin_u t_i * loss_i(u) + 0.5 ||u - centers_i||^2`` by
     semismooth Newton from ``starts[i]``, to a gradient of norm at most
-    ``NESTED_TOL``, for all nodes in one loop.
+    ``NESTED_TOL``, for all nodes in one loop (one call of a fresh
+    :func:`_huber_prox_map`).  With ``F`` the rows of ``A u - b`` inside the
+    Huber threshold, Woodbury turns each Newton system ``I + t A_F^T A_F``
+    into one ``|F| x |F|`` solve, batched over the nodes whose ``F`` have one
+    size; an Armijo backtracking search makes the method converge from any
+    start.  Each node keeps its own test, direction, step and pass count, and
+    retires once its test holds (a zero direction from then on); where the
+    nodes share one ``m`` its row is a per-node loop's bit for bit.  Returns
+    the points and the passes per node, one gradient each.
 
-    With ``F`` the rows of ``A u - b`` inside the Huber threshold, the
-    generalized Hessian is ``I + t A_F^T A_F``; Woodbury turns each Newton
-    system into one ``|F| x |F|`` solve, batched over the nodes whose ``F``
-    have one size.  An Armijo backtracking search on the objective makes the
-    method converge from any start.  Each node keeps its own test, direction,
-    step and pass count, and retires once its test holds (a zero direction from
-    then on); where the nodes share one ``m`` its row is a per-node loop's bit
-    for bit.  Returns the points and the passes per node, one gradient each.
+    A map keeps each size group's ``A_F`` and ``I + t A_F A_F^T``, keyed on the
+    bytes of ``inside`` (retired nodes included), and ``A u - b``, its clip and
+    ``t A^T w`` at the points it returned, for a first pass whose ``starts``
+    are those points bit for bit: the same operations on the same operands, so
+    no bit moves, and a carried pass still counts as a gradient.
     """
-    u = np.array(starts, dtype=float)
-    U, passes = np.empty_like(u), np.zeros(len(u), dtype=np.int64)
-    running = np.ones(len(u), dtype=bool)
-    A, b, delta, C = stack._A, stack._b, stack._delta, centers
-    t = np.asarray(t, dtype=float)[:, None]
-    for k in range(1, NEWTON_CAP + 1):
-        r = (A @ u[:, :, None])[:, :, 0] - b
-        w = _clip(r, delta)
-        g = t * (A.transpose(0, 2, 1) @ w[:, :, None])[:, :, 0] + (u - C)
-        # each np.vecdot row is its ``x @ y`` bit for bit, so this norm is
-        # np.linalg.norm's
-        g_norm = np.sqrt(np.vecdot(g, g))
-        # a node that is done has a finite gradient norm
-        if not np.isfinite(g_norm).all():
-            raise FloatingPointError(f"non-finite Huber prox gradient at pass {k}")
-        done = running & (g_norm <= NESTED_TOL)
-        if done.any():
-            U[done], passes[done], running = u[done], k, running & ~done
-            if not running.any():
-                return U, passes
-        # a padded row has threshold 0, so it is never inside; a retired node
-        # has no row inside and a zero gradient, so its direction is zero
-        inside = np.abs(r) < delta
-        if not running.all():
-            inside &= running[:, None]
-            g *= running[:, None]
-        sizes = inside.sum(axis=1)
-        P = np.empty_like(g)
-        F_sizes = sorted(set(sizes.tolist()))
-        for f in F_sizes:
-            sel = slice(None) if len(F_sizes) == 1 else np.flatnonzero(sizes == f)
-            t_F, g_F = t[sel], g[sel]
-            A_F = A[sel][inside[sel]].reshape(len(g_F), f, A.shape[2])
-            A_Ft = A_F.transpose(0, 2, 1)
-            M = np.eye(f) + t_F[:, :, None] * (A_F @ A_Ft)
-            z = np.linalg.solve(M, A_F @ g_F[:, :, None])
-            P[sel] = t_F * (A_Ft @ z)[:, :, 0] - g_F
-        q = (A @ P[:, :, None])[:, :, 0]
-        descent = (1.0 - ARMIJO) * np.vecdot(g, P)
-        half_pp = 0.5 * np.vecdot(P, P)
-        s = np.ones(len(u))
-        while True:
-            # objective change at step s less ARMIJO * s * g.p, summed without
-            # cancellation: with w = clip(r), each Huber term changes by
-            # w d + (w' - w)(r' - (w' + w) / 2); a node passes again at its s
-            r_s = r + s[:, None] * q
-            w_s = _clip(r_s, delta)
-            curvature = t[:, 0] * np.add.reduce(
-                (w_s - w) * (r_s - 0.5 * (w_s + w)), axis=1)
-            fail = ~(s * descent + curvature + s * s * half_pp <= 0.0)
-            if not fail.any():
-                break
-            s[fail] *= 0.5
-            if (s < MIN_STEP).any():
-                raise NestedSolveError("Huber prox line search found no decrease")
-        u = u + s[:, None] * P
-    raise NestedSolveError(
-        f"Huber prox gradient above {NESTED_TOL} after {NEWTON_CAP} Newton passes"
-    )
+    return _huber_prox_map(stack, t)(centers, starts)
+
+
+def _huber_prox_map(stack: NodeStack, t: np.ndarray) -> Callable:
+    """``(centers, starts) ->`` :func:`_huber_prox` at the steps ``t``, bound once per solve."""
+    A, b, delta = stack._A, stack._b, stack._delta
+    At, t = A.transpose(0, 2, 1), np.asarray(t, dtype=float)[:, None]
+    newton, last, ones, everyone = (b"", []), (None,), np.ones(len(t)), np.ones(len(t), dtype=bool)
+
+    def huber_prox(centers: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal newton, last
+        (at, *carry), last = last, (None,)  # a call that raises leaves no last pass
+        u, passes, running = np.array(starts, dtype=float), np.zeros(len(t), np.int64), everyone
+        for k in range(1, NEWTON_CAP + 1):
+            if k == 1 and u.tobytes() == at:
+                r, w, tw = carry
+            else:
+                r = (A @ u[:, :, None])[:, :, 0] - b
+                w = _clip(r, delta)
+                tw = t * (At @ w[:, :, None])[:, :, 0]
+            g = tw + (u - centers)
+            # each np.vecdot row is its ``x @ y`` bit for bit, so this norm is
+            # np.linalg.norm's
+            g_norm = np.sqrt(np.vecdot(g, g))
+            # a node that is done has a finite gradient norm
+            if not np.isfinite(g_norm).all():
+                raise FloatingPointError(f"non-finite Huber prox gradient at pass {k}")
+            done = running & (g_norm <= NESTED_TOL)
+            if done.any():
+                if running.all():  # later passes fill the running rows
+                    U, R, W, TW = u, r, w, tw
+                else:
+                    U[done], R[done], W[done], TW[done] = u[done], r[done], w[done], tw[done]
+                passes[done], running = k, running & ~done
+                if not running.any():
+                    last = (U.tobytes(), R, W, TW)
+                    return U, passes
+            # a padded row has threshold 0, so it is never inside; a retired node
+            # has no row inside and a zero gradient, so its direction is zero
+            inside = np.abs(r) < delta
+            if not running.all():
+                inside &= running[:, None]
+                g *= running[:, None]
+            if (key := inside.tobytes()) != newton[0]:
+                sizes, groups = inside.sum(axis=1), []
+                F_sizes = sorted(set(sizes.tolist()))
+                for f in F_sizes:
+                    sel = slice(None) if len(F_sizes) == 1 else np.flatnonzero(sizes == f)
+                    A_F = A[sel][inside[sel]].reshape(len(t[sel]), f, A.shape[2])
+                    M = np.eye(f) + t[sel][:, :, None] * (A_F @ A_F.transpose(0, 2, 1))
+                    groups.append((sel, t[sel], A_F, M))
+                newton = (key, groups)
+            P = np.empty_like(g)
+            for sel, t_F, A_F, M in newton[1]:
+                g_F = g[sel]
+                z = np.linalg.solve(M, A_F @ g_F[:, :, None])
+                P[sel] = t_F * (A_F.transpose(0, 2, 1) @ z)[:, :, 0] - g_F
+            q = (A @ P[:, :, None])[:, :, 0]
+            descent = (1.0 - ARMIJO) * np.vecdot(g, P)
+            half_pp = 0.5 * np.vecdot(P, P)
+            s = ones.copy()
+            while True:
+                # objective change at step s less ARMIJO * s * g.p, summed without
+                # cancellation: with w = clip(r), each Huber term changes by
+                # w d + (w' - w)(r' - (w' + w) / 2); a node passes again at its s
+                r_s = r + s[:, None] * q
+                w_s = _clip(r_s, delta)
+                curvature = t[:, 0] * np.add.reduce(
+                    (w_s - w) * (r_s - 0.5 * (w_s + w)), axis=1)
+                fail = ~(s * descent + curvature + s * s * half_pp <= 0.0)
+                if not fail.any():
+                    break
+                s[fail] *= 0.5
+                if (s < MIN_STEP).any():
+                    raise NestedSolveError("Huber prox line search found no decrease")
+            u = u + s[:, None] * P
+        raise NestedSolveError(
+            f"Huber prox gradient above {NESTED_TOL} after {NEWTON_CAP} Newton passes"
+        )
+
+    return huber_prox
 
 
 def _composite_prox(
@@ -264,34 +292,35 @@ def sadmm_solve(
 
     Each iteration runs, for all nodes at once: the closed-form regularizer
     prox at the coupled centers, the Huber-loss prox warm-started at the
-    previous ``y`` (one gradient charged per Newton pass of each node),
-    then refreshes the neighborhood averages and running sums.  The reported
-    objective takes both primal copies at their midpoint.
+    previous ``y`` by one :func:`_huber_prox_map`, which reuses the Newton
+    matrices of a repeated ``inside`` mask and the last pass at a repeated
+    start, bit for bit (one gradient still charged per Newton pass of each
+    node), then refreshes the neighborhood averages and running sums.  The
+    reported objective takes both primal copies at their midpoint.
     """
     x, stack = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("sadmm", CommLedger(graph.num_nodes), reference, {"c_admm": c_admm})
     degrees = graph.degrees.astype(float)
     coef = degrees**2 + degrees + 1.0
     step = 1.0 / (c_admm * coef)
-    prox = stack.prox_map(step)
+    prox, huber_prox, coef = stack.prox_map(step), _huber_prox_map(stack, step), coef[:, None]
 
     state = SadmmState(
         x=x, y=x.copy(), p=np.zeros_like(x), p_tilde=np.zeros_like(x),
         r=np.zeros_like(x),
     )
     s = neighborhood_average(graph, state.x)
-    s_tilde = neighborhood_average(graph, state.y)
+    s_tilde, half_gap = neighborhood_average(graph, state.y), np.zeros_like(x)
 
     def sadmm_step(k: int) -> tuple[TraceRow, bool]:
-        nonlocal s, s_tilde
-        half_gap = 0.5 * (state.x - state.y)
+        nonlocal s, s_tilde, half_gap
         agg_x = laplacian_apply(graph, s + state.p)
         agg_y = laplacian_apply(graph, s_tilde + state.p_tilde)
-        x_center = state.x - (agg_x + state.r + half_gap) / coef[:, None]
-        y_center = state.y - (agg_y - state.r - half_gap) / coef[:, None]
+        x_center = state.x - (agg_x + state.r + half_gap) / coef
+        y_center = state.y - (agg_y - state.r - half_gap) / coef
 
         state.x = prox(x_center)
-        state.y, passes = _huber_prox(stack, y_center, step, state.y)
+        state.y, passes = huber_prox(y_center, state.y)
         trace.ledger.prox_evals += 1
         trace.ledger.grad_evals += passes
         # per-iteration traffic: both primal copies plus both sum streams
@@ -301,7 +330,8 @@ def sadmm_solve(
         state.p += s
         s_tilde = neighborhood_average(graph, state.y)
         state.p_tilde += s_tilde
-        state.r += 0.5 * (state.x - state.y)
+        half_gap = 0.5 * (state.x - state.y)  # the next iteration's too
+        state.r += half_gap
         row = trace.record(
             k=k, lam=c_admm, F_sum=stack.objective(0.5 * (state.x + state.y)),
             CV=sadmm_cv(graph, state.x, state.y),

@@ -214,13 +214,18 @@ class TestSadmmSolve:
         # per Newton pass of the Huber prox
         passes = np.zeros(3, dtype=int)
 
-        def counting(stack, centers, t, starts):
-            out, it = huber_prox(stack, centers, t, starts)
-            passes[:] += it
-            return out, it
+        def counting(stack, t):
+            huber_prox = huber_prox_map(stack, t)
 
-        huber_prox = baselines._huber_prox
-        monkeypatch.setattr(baselines, "_huber_prox", counting)
+            def call(centers, starts):
+                out, it = huber_prox(centers, starts)
+                passes[:] += it
+                return out, it
+
+            return call
+
+        huber_prox_map = baselines._huber_prox_map
+        monkeypatch.setattr(baselines, "_huber_prox_map", counting)
         g = build_topology("star", 3)
         nodes = [small_node(rng, n=4, m=3) for _ in range(3)]
         trace = sadmm_solve(nodes, g, iters=7)
@@ -601,6 +606,113 @@ class TestNestedProx:
         for _ in range(8):
             nodes, centers, t = composite_stack(rng, [2, 8, 12, 3, 1, 6])
             check_against_per_node_loop(nodes, centers, t, centers)
+
+
+def map_cells(huber_prox):
+    """The closure cells of a bound Huber prox map, by name."""
+    return dict(zip(huber_prox.__code__.co_freevars, huber_prox.__closure__))
+
+
+def sadmm_bits(trace):
+    """Every row, final ``SadmmState`` array and ledger array of a run, as bits."""
+    state, ledger = trace.config["final_state"], trace.config["ledger"]
+    arrays = [getattr(state, name) for name in ("x", "y", "p", "p_tilde", "r")]
+    arrays += [getattr(ledger, name) for name in (
+        "vectors_sent", "vectors_received", "prox_evals", "grad_evals", "control_msgs")]
+    return [row.as_list() for row in trace.rows], [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestHuberProxMap:
+    """One map per ``sadmm_solve`` keeps its Newton matrices and its last pass
+    between calls; every bit equals a fresh map's for each call."""
+
+    @pytest.mark.parametrize("rows", [[2, 12, 17, 3, 1, 9], [12] * 6],
+                             ids=["padded", "three-regimes"])
+    @pytest.mark.parametrize("c_admm", [0.1, 1.0, 10.0])
+    def test_sadmm_matches_a_fresh_map_per_call(self, rng, monkeypatch, rows, c_admm):
+        nodes = mixed_stack(rng, rows)[0]
+        graph = build_topology("star", len(nodes))
+        bind, calls = baselines._huber_prox_map, []
+
+        def recording(stack, t):
+            huber_prox = bind(stack, t)
+            cells = map_cells(huber_prox)
+
+            def call(centers, starts):
+                carried = cells["last"].cell_contents[0] == starts.tobytes()
+                out, passes = huber_prox(centers, starts)
+                calls.append((passes, cells["newton"].cell_contents[0], carried))
+                return out, passes
+
+            return call
+
+        with monkeypatch.context() as patch:
+            patch.setattr(baselines, "_huber_prox_map", recording)
+            shared = sadmm_solve(nodes, graph, c_admm=c_admm, iters=40)
+        monkeypatch.setattr(baselines, "_huber_prox_map",
+                            lambda stack, t: lambda c, u: bind(stack, t)(c, u))
+        assert sadmm_bits(shared) == sadmm_bits(sadmm_solve(nodes, graph, c_admm=c_admm,
+                                                            iters=40))
+        # the run has what the reuse must get right: nodes that retire at
+        # different passes, inside masks that change between calls and stay
+        # across others, and a carried first pass at every call but the first
+        passes, keys, carried = zip(*calls)
+        assert any(len(set(p.tolist())) > 1 for p in passes)
+        assert len(set(keys)) > 1 and any(a == b for a, b in zip(keys, keys[1:]))
+        assert carried == (False,) + (True,) * (len(calls) - 1)
+
+    def test_newton_matrices_follow_the_inside_rows_not_their_count(self):
+        # r = u here, so the start picks the inside row: row 0, then row 1
+        node = NodeProblem(reg=SparseGroupReg(0.5, 0.5, GroupPartition.contiguous(2, 2)),
+                           loss=HuberLoss(A=np.eye(2), b=np.zeros(2), delta=1.0))
+        stack, t = NodeStack([node]), np.ones(1)
+        huber_prox = baselines._huber_prox_map(stack, t)
+        for point, solution in (([0.5, 3.0], [0.25, 2.0]), ([3.0, 0.5], [2.0, 0.25])):
+            centers = np.array([point])
+            out, passes = huber_prox(centers, centers)
+            fresh, fresh_passes = _huber_prox(stack, centers, t, centers)
+            assert out.tobytes() == fresh.tobytes() and np.array_equal(passes, fresh_passes)
+            assert passes[0] > 1 and np.allclose(out, [solution], rtol=0, atol=1e-12)
+
+    def test_only_the_last_point_bit_for_bit_takes_the_last_pass(self, rng):
+        nodes, centers, t = mixed_stack(rng, [2, 12, 17, 3, 1, 9])
+        stack = NodeStack(nodes)
+        huber_prox = baselines._huber_prox_map(stack, t)
+        last = map_cells(huber_prox)["last"]
+
+        def poison():
+            # a first pass that takes the kept pass now fails at once
+            key, R, W, TW = last.cell_contents
+            last.cell_contents = (key, R, W, np.full_like(TW, np.nan))
+
+        U, _ = huber_prox(centers, centers)
+        poison()
+        near = U.copy()
+        near[2, 5] = np.nextafter(near[2, 5], np.inf)
+        out, passes = huber_prox(centers, near)
+        fresh, fresh_passes = _huber_prox(stack, centers, t, near)
+        assert out.tobytes() == fresh.tobytes() and np.array_equal(passes, fresh_passes)
+        poison()
+        with pytest.raises(FloatingPointError, match="at pass 1"):
+            huber_prox(centers, out.copy())
+
+    def test_a_nan_center_fails_a_carried_first_pass(self, rng):
+        nodes, centers, t = mixed_stack(rng, [12] * 6)
+        stack = NodeStack(nodes)
+        huber_prox = baselines._huber_prox_map(stack, t)
+        U, _ = huber_prox(centers, centers)
+        assert map_cells(huber_prox)["last"].cell_contents[0] == U.tobytes()
+        bad = centers.copy()
+        bad[3, 0] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match="non-finite Huber prox gradient at pass 1"):
+            huber_prox(bad, U)
+        # a call that raises keeps no last pass, and the map goes on as a
+        # fresh one would
+        assert map_cells(huber_prox)["last"].cell_contents == (None,)
+        out, passes = huber_prox(centers, U)
+        fresh, fresh_passes = _huber_prox(stack, centers, t, U)
+        assert out.tobytes() == fresh.tobytes() and np.array_equal(passes, fresh_passes)
 
 
 class TestAdmmSolve:

@@ -14,7 +14,7 @@ ROWS = (
     "sparse_group_prox", "sparse_group_min_norm", "block_gradient", "stacked_prox",
     "stacked_loss_gradient", "laplacian_apply", "charge_activations", "sync_iteration",
     "rbcd_event", "arbcd_event", "rbcd_tested_event", "residual_reached_gate",
-    "residual_reached_exact",
+    "residual_reached_exact", "huber_prox", "sadmm_iteration",
 )
 
 
@@ -57,6 +57,24 @@ def test_counts_next_to_the_times(table):
     assert exact["passed"] is True and exact["target"] > 0
     assert exact["work_per_call"] == {"block_gradients": 5.0, "proxes": 5.0,
                                       "exact_residuals": 5.0}
+
+
+def test_newton_work_of_the_split_admm(table):
+    rows = table["shapes"]["star-5"]["rows"]
+    warm, iteration = rows["huber_prox"], rows["sadmm_iteration"]
+    # 20 iterations make 20 calls, the first of which primes the warm ones
+    assert (warm["calls"], iteration["calls"]) == (19, 20)
+    passes, builds = {}, {}
+    for name, row in (("warm", warm), ("all", iteration)):
+        assert set(row["work_per_call"]) == {"newton_passes", "newton_builds"}
+        passes[name] = row["work_per_call"]["newton_passes"] * row["calls"]
+        builds[name] = row["work_per_call"]["newton_builds"] * row["calls"]
+    # each of the 5 nodes makes a pass or more per call, and the cold first
+    # call's passes and builds come on top of the warm calls'
+    assert 5 * 19 <= round(passes["warm"]) < round(passes["all"])
+    assert round(builds["warm"]) < round(builds["all"])
+    # a warm call mostly solves with the Newton matrices of the call before
+    assert warm["work_per_call"]["newton_builds"] < 1
 
 
 def test_rejects_a_repeat_count_below_one():

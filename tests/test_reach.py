@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dfalopt import dfal_solve, generate_instance
+from dfalopt import build_topology, dfal_solve, generate_instance
 from dfalopt.cli import main as cli_main
 
 PATH = Path(__file__).resolve().parents[1] / "tools" / "reach.py"
@@ -50,3 +50,19 @@ def test_arguments_are_read_before_anything_runs(reach, monkeypatch, capsys, arg
     assert stop.value.code == status
     out, err = capsys.readouterr()
     assert (out if status == 0 else err).startswith("usage: ")
+
+
+def test_a_file_that_fails_to_import_costs_only_its_own_tests(reach, tmp_path, capsys):
+    # one such file once stopped the whole run, and the report then gave no
+    # line to the tests alone
+    (tmp_path / "test_reach_probe_broken.py").write_text("import dfalopt_has_no_such_module\n")
+    (tmp_path / "test_reach_probe_star.py").write_text(
+        "from dfalopt import build_topology\n\n\n"
+        "def test_star():\n    assert build_topology('star', 3).num_nodes == 3\n")
+    with reach.tracing() as seen:
+        status, errors = reach.tests((str(tmp_path),))
+    out = capsys.readouterr().out
+    assert errors == 1 and status != 0
+    assert "1 passed" in out and "1 error" in out
+    path, lines = body(reach, build_topology)
+    assert {line for p, line in seen if p == path} & lines

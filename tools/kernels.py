@@ -25,7 +25,14 @@ counted through wrappers in a separate untimed run):
 - ``residual_reached_gate``: the stopping test at ``Y`` and that target,
   where a gradient-mapping gate fires;
 - ``residual_reached_exact``: the test at ``Y`` and a target equal to the
-  exact max residual there, where every gate and every exact residual passes.
+  exact max residual there, where every gate and every exact residual passes;
+- ``huber_prox``: one warm-started call of the split ADMM's Huber prox map,
+  as ``sadmm_step`` makes it: the calls of ``sadmm_solve`` for
+  ``SADMM_ITERS`` iterations from zero, replayed on a map that the first
+  call primed before the clock starts; its work is Newton passes (summed
+  over the nodes) and Newton matrices built per call;
+- ``sadmm_iteration``: one ``sadmm_solve`` iteration, row included, over a
+  run of ``SADMM_ITERS`` iterations from zero, with the same work.
 
 Usage, from any directory (the script imports the ``src`` next to it)::
 
@@ -39,6 +46,7 @@ one machine; the counts are the same on every machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -59,6 +67,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+import dfalopt.baselines as baselines  # noqa: E402
 import dfalopt.solvers as solvers  # noqa: E402
 from dfalopt import (  # noqa: E402
     CommLedger,
@@ -84,6 +93,11 @@ SYNC_ITERS = 20
 TESTED_EVENTS = 100
 # each timed loop of a per-call kernel makes at least this many calls
 MIN_CALLS = 200
+# the sadmm runs' iterations
+SADMM_ITERS = 20
+# the work of one call: DFAL oracle calls, or the Huber prox's Newton work
+ORACLE_WORK = ("block_gradients", "proxes", "exact_residuals")
+NEWTON_WORK = ("newton_passes", "newton_builds")
 
 
 def _instance(topology: str, N: int, n_g: int, K: int) -> Any:
@@ -128,20 +142,100 @@ class _premade_stream:
         solvers.activation_stream = self.saved
 
 
+class _counted_eye:
+    """Within the block, ``np.eye`` counts its calls in ``counts``: the Huber
+    prox map forms one identity for each Newton matrix it builds."""
+
+    def __init__(self, counts: dict[str, int]) -> None:
+        self.counts = counts
+
+    def __enter__(self) -> None:
+        self.saved = eye = np.eye
+
+        def counted(*args: Any, **kwargs: Any) -> np.ndarray:
+            self.counts["newton_builds"] += 1
+            return eye(*args, **kwargs)
+
+        np.eye = counted
+
+    def __exit__(self, *exc: Any) -> None:
+        np.eye = self.saved
+
+
+def _sadmm_calls(nodes: Any, graph: Any) -> tuple[Any, np.ndarray, list]:
+    """The stack and steps that ``sadmm_solve`` binds its Huber prox map to,
+    and the ``(centers, starts)`` of each call of that map in ``SADMM_ITERS``
+    iterations from zero."""
+    bind, calls, bound = baselines._huber_prox_map, [], []
+
+    def recording(stack: Any, t: np.ndarray) -> Callable:
+        huber_prox = bind(stack, t)
+        bound.extend((stack, t))
+
+        def call(centers: np.ndarray, starts: np.ndarray) -> Any:
+            calls.append((centers.copy(), starts.copy()))
+            return huber_prox(centers, starts)
+
+        return call
+
+    baselines._huber_prox_map = recording
+    try:
+        baselines.sadmm_solve(nodes, graph, iters=SADMM_ITERS)
+    finally:
+        baselines._huber_prox_map = bind
+    return *bound, calls
+
+
+def _newton_rows(nodes: Any, graph: Any, repeats: int) -> dict[str, Any]:
+    """The ``huber_prox`` and ``sadmm_iteration`` rows."""
+    stack, step, calls = _sadmm_calls(nodes, graph)
+    maps: list[Callable] = []
+
+    def prime() -> None:
+        maps.append(baselines._huber_prox_map(stack, step))
+        maps[-1](*calls[0])
+
+    def warm_calls(counts: dict[str, int] | None = None) -> None:
+        huber_prox = maps.pop()
+        with contextlib.nullcontext() if counts is None else _counted_eye(counts):
+            for centers, starts in calls[1:]:
+                passes = huber_prox(centers, starts)[1]
+                if counts is not None:
+                    counts["newton_passes"] += int(passes.sum())
+
+    def iterations(counts: dict[str, int] | None = None) -> None:
+        with contextlib.nullcontext() if counts is None else _counted_eye(counts):
+            trace = baselines.sadmm_solve(nodes, graph, iters=SADMM_ITERS)
+        if counts is not None:
+            counts["newton_passes"] += sum(row.inner_iters for row in trace.rows)
+
+    return {
+        "huber_prox": _row(warm_calls, len(calls) - 1, repeats, warm_calls, NEWTON_WORK,
+                           prime),
+        "sadmm_iteration": _row(iterations, SADMM_ITERS, repeats, iterations, NEWTON_WORK),
+    }
+
+
 def _row(run: Callable[[], Any], calls: int, repeats: int,
-         counted: Callable[[dict[str, int]], Any] | None = None) -> dict[str, Any]:
+         counted: Callable[[dict[str, int]], Any] | None = None,
+         work: tuple[str, ...] = ORACLE_WORK,
+         setup: Callable[[], None] = lambda: None) -> dict[str, Any]:
     """Minimum and median microseconds per call of ``run``, which makes
-    ``calls`` calls, and the work ``counted(counts)`` fills in for one call."""
+    ``calls`` calls, and the ``work`` that ``counted(counts)`` fills in for
+    one call; ``setup()`` runs off the clock before each of them."""
+    setup()
     run()  # warm the memos and caches
     times = []
     for _ in range(repeats):
+        setup()
         start = time.perf_counter()
         run()
         times.append((time.perf_counter() - start) / calls * 1e6)
     row: dict[str, Any] = {"min_us": min(times), "median_us": statistics.median(times),
                            "calls": calls}
     if counted is not None:
-        counts = {"block_gradients": 0, "proxes": 0, "exact_residuals": 0}
+        counts = dict.fromkeys(work, 0)
+        setup()
         counted(counts)
         row["work_per_call"] = {k: v / calls for k, v in counts.items()}
     return row
@@ -225,6 +319,7 @@ def shape_table(name: str, repeats: int) -> dict[str, Any]:
     }
     for key, at in (("residual_reached_gate", target), ("residual_reached_exact", exact_max)):
         rows[key].update(target=at, passed=obj.residual_reached(Y, at))
+    rows.update(_newton_rows(nodes, graph, repeats))
     return {
         "instance": {"case": 1, "topology": topology, "N": N, "n_g": n_g, "K": K,
                      "seed": INSTANCE_SEED, "n": stack.shape[1],

@@ -9,8 +9,9 @@ line run by, in this order (``dfalopt`` is first imported under the hook):
    - ``tools/digest.py``'s ``digest()``;
    - one reference and every solve of each benchmark workload, through
      ``benchmark/worker.py``'s ``setup`` and ``solve`` at seed 4501;
-2. ``pytest tests benchmark/tests``, in this process (the lines of child
-   processes are not seen).
+2. ``pytest tests benchmark/tests --continue-on-collection-errors``, as
+   tier-1 runs it, in this process (the lines of child processes are not
+   seen): a test file that fails to import costs its own tests only.
 
 The executable lines of a file are the lines its code objects map
 instructions to.  The report gives per file the
@@ -123,15 +124,28 @@ def traffic() -> None:
             worker.solve(kind, inst, params, f_star, 4501)
 
 
-def tests() -> int:
+class _CollectionErrors:
+    """A pytest plugin that counts the files and directories that fail to collect."""
+
+    count = 0
+
+    def pytest_collectreport(self, report) -> None:
+        self.count += report.failed
+
+
+def tests(paths: tuple[str, ...] = ("tests", "benchmark/tests")) -> tuple[int, int]:
+    """Runs pytest on ``paths`` from the repository root; returns its exit
+    status and the number of collection errors."""
     import pytest
 
-    cwd = os.getcwd()
+    errors, cwd = _CollectionErrors(), os.getcwd()
     os.chdir(ROOT)
     try:
-        return pytest.main(["-q", "-p", "no:cacheprovider", "tests", "benchmark/tests"])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                              *paths], plugins=[errors])
     finally:
         os.chdir(cwd)
+    return status, errors.count
 
 
 def report(by_traffic: Lines, by_tests: Lines) -> None:
@@ -157,10 +171,11 @@ def main(argv: list[str] | None = None) -> int:
     with tracing() as by_traffic:
         traffic()
     with tracing() as by_tests:
-        status = tests()
+        status, errors = tests()
     report(by_traffic, by_tests)
-    if status != 0:
-        print(f"\npytest exited with status {status}", file=sys.stderr)
+    if status != 0 or errors:
+        print(f"\npytest exited with status {status}, {errors} collection errors",
+              file=sys.stderr)
     return 0
 
 
