@@ -19,7 +19,7 @@ import numpy as np
 
 from .checks import integer, real
 from .funcs import _TINY, NodeStack, _clip, sparse_group_min_norm
-from .graph import Graph, consensus_violation, laplacian_apply
+from .graph import Graph, _check_stacked, consensus_violation, laplacian_apply
 from .solvers import apg  # noqa: F401  (benchmark/spans.py traces it)
 from .trace import CommLedger, RunTrace, TraceRow
 
@@ -54,7 +54,7 @@ class SadmmState:
 
 def neighborhood_average(graph: Graph, x: np.ndarray) -> np.ndarray:
     """Per-node ``s_i = (d_i x_i - sum_{j ~ i} x_j) / (d_i + 1)``."""
-    return laplacian_apply(graph, x) / (graph.degrees[:, None] + 1.0)
+    return laplacian_apply(graph, x) / graph.degree_col1
 
 
 def _huber_prox(
@@ -203,8 +203,8 @@ def _composite_prox(
         # homogeneous) has gradient t (w - r) and generalized Hessian t (I + t A
         # J A^T).  A row within eps of the bound its gradient pushes it to is
         # bound and takes a gradient step over t; the free rows a Newton step
-        gs = w - r
-        eps = np.minimum(0.1 * delta, np.linalg.norm(w - _clip(r, delta), axis=1)[:, None])
+        gs, e = w - r, w - _clip(r, delta)
+        eps = np.minimum(0.1 * delta, np.sqrt(np.add.reduce(e * e, axis=1))[:, None])
         free = ~(((w <= eps - delta) & (gs > 0)) | ((w >= delta - eps) & (gs < 0)))
         # J, the prox's generalized Jacobian (Zhang, Zhang, Sun and Toh 2020), is
         # a I + (1 - a) u_s u_s^T / ||u_s||^2 on group s's nonzeros, a = ||u_s||
@@ -260,9 +260,20 @@ def _composite_prox(
 
 
 def sadmm_cv(graph: Graph, x: np.ndarray, y: np.ndarray) -> float:
-    """Consensus violation including the split gap, normalized by sqrt(n)."""
-    split_gap = float(np.max(np.linalg.norm(x - y, axis=1)))
-    return max(consensus_violation(graph, x), split_gap / math.sqrt(x.shape[1]))
+    """Consensus violation including the split gaps ``||x_i - y_i||``, normalized by sqrt(n);
+    a NaN in either makes it NaN (``np.maximum`` propagates it, Python's ``max`` may not)."""
+    x = _check_stacked(graph, x)
+    if np.shape(y) != x.shape:
+        raise ValueError(f"expected y of shape {x.shape}, got {np.shape(y)}")
+    gap = x - y
+    gap *= gap
+    split = np.maximum.reduce(np.sqrt(np.add.reduce(gap, axis=1))) / math.sqrt(x.shape[1])
+    return float(np.maximum(consensus_violation(graph, x), split))
+
+
+def _dual_norm(c_admm: float, p: np.ndarray) -> float:
+    """``c_admm * np.linalg.norm(p)`` by norm's own path: ``sqrt(v . v)``, ``v`` raveled."""
+    return float(c_admm * math.sqrt((v := p.ravel("K")).dot(v)))
 
 
 def _check_admm_args(
@@ -300,15 +311,12 @@ def sadmm_solve(
     """
     x, stack = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("sadmm", CommLedger(graph.num_nodes), reference, {"c_admm": c_admm})
-    degrees = graph.degrees.astype(float)
-    coef = degrees**2 + degrees + 1.0
-    step = 1.0 / (c_admm * coef)
-    prox, huber_prox, coef = stack.prox_map(step), _huber_prox_map(stack, step), coef[:, None]
+    coef = graph.degree_col**2 + graph.degree_col + 1.0
+    step = 1.0 / (c_admm * coef[:, 0])
+    prox, huber_prox = stack.prox_map(step), _huber_prox_map(stack, step)
 
-    state = SadmmState(
-        x=x, y=x.copy(), p=np.zeros_like(x), p_tilde=np.zeros_like(x),
-        r=np.zeros_like(x),
-    )
+    state = SadmmState(x=x, y=x.copy(), p=np.zeros_like(x), p_tilde=np.zeros_like(x),
+                       r=np.zeros_like(x))
     s = neighborhood_average(graph, state.x)
     s_tilde, half_gap = neighborhood_average(graph, state.y), np.zeros_like(x)
 
@@ -335,7 +343,7 @@ def sadmm_solve(
         row = trace.record(
             k=k, lam=c_admm, F_sum=stack.objective(0.5 * (state.x + state.y)),
             CV=sadmm_cv(graph, state.x, state.y),
-            dual_norm=float(c_admm * np.linalg.norm(state.p)),
+            dual_norm=_dual_norm(c_admm, state.p),
             inner_iters=int(passes.sum()), stop_reason="residual",
         )
         return row, False
@@ -364,9 +372,8 @@ def admm_solve(
     """
     x, stack = _check_admm_args(nodes, graph, c_admm, iters)
     trace = RunTrace("admm", CommLedger(graph.num_nodes), reference, {"c_admm": c_admm})
-    degrees = graph.degrees.astype(float)
-    coef = degrees**2 + degrees
-    step = 1.0 / (c_admm * coef)
+    coef = graph.degree_col**2 + graph.degree_col
+    step = 1.0 / (c_admm * coef[:, 0])
 
     p = np.zeros_like(x)
     s = neighborhood_average(graph, x)
@@ -374,7 +381,7 @@ def admm_solve(
     def admm_step(k: int) -> tuple[TraceRow, bool]:
         nonlocal s, p
         agg = laplacian_apply(graph, s + p)
-        center = x - agg / coef[:, None]
+        center = x - agg / coef
         x[:], nested = _composite_prox(stack, center, step, x)
         trace.ledger.prox_evals += nested
         trace.ledger.grad_evals += nested
@@ -383,8 +390,8 @@ def admm_solve(
         p += s
         row = trace.record(
             k=k, lam=c_admm, F_sum=stack.objective(x), CV=consensus_violation(graph, x),
-            dual_norm=float(c_admm * np.linalg.norm(p)), inner_iters=int(nested.sum()),
-            stop_reason="residual",
+            dual_norm=_dual_norm(c_admm, p),
+            inner_iters=int(nested.sum()), stop_reason="residual",
         )
         return row, False
 

@@ -248,10 +248,11 @@ def huber_grad(
     return At.dot(np.minimum(np.maximum(A.dot(x) - b, lo), hi))
 
 
-def huber_scalar(r: np.ndarray, delta: float) -> np.ndarray:
-    """Huber penalty: quadratic within ``delta`` of zero, linear beyond."""
-    a = np.abs(r)
-    return np.where(a <= delta, 0.5 * r * r, delta * a - 0.5 * delta * delta)
+def huber_scalar(r: np.ndarray, delta: float, half_dd: np.ndarray | None = None) -> np.ndarray:
+    """Huber penalty: quadratic within ``delta`` of zero, linear beyond;
+    ``half_dd``, if given, is ``0.5 * delta * delta`` formed once."""
+    a, half_dd = np.abs(r), (0.5 * delta * delta if half_dd is None else half_dd)
+    return np.where(a <= delta, 0.5 * r * r, delta * a - half_dd)
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,8 @@ class NodeStack:
         num_segments = [len(p.reg.partition.groups) for p in nodes]
         self._seg_node = np.repeat(np.arange(N), num_segments)
         ends = np.cumsum(num_segments).tolist()
-        self._node_segs = [slice(a, z) for a, z in zip([0] + ends, ends)]
+        self._node_segs = None if len(set(num_segments)) == 1 else [
+            slice(a, z) for a, z in zip([0] + ends, ends)]
         self._b1 = np.repeat([p.reg.beta1 for p in nodes], n)
         self._b2 = np.array([p.reg.beta2 for p in nodes])[self._seg_node]
         m = max(p.loss.num_rows for p in nodes)
@@ -352,6 +354,7 @@ class NodeStack:
             self._b[i, : p.loss.num_rows] = p.loss.b
             self._delta[i, : p.loss.num_rows] = p.loss.delta
         self._At = np.ascontiguousarray(self._A.transpose(0, 2, 1))
+        self._half_dd = 0.5 * self._delta * self._delta
 
     def objective(self, X: np.ndarray) -> float:
         """``sum_i nodes[i].value(X[i])`` in node order, each term bit for bit
@@ -361,11 +364,12 @@ class NodeStack:
         part, (N, n) = self.partition, self.shape
         xp = X.take(part.perm)
         l1 = np.add.reduce((self._b1 * np.abs(xp)).reshape(N, n), axis=1)
-        # np.add.reduceat would sum a node's groups in another order
+        # np.add.reduceat would sum a node's groups in another order; a reshape does not
         weighted = self._b2 * part.norms(xp)
-        group = [np.add.reduce(weighted[segs]) for segs in self._node_segs]
+        group = (np.add.reduce(weighted.reshape(N, -1), axis=1) if self._node_segs is None
+                 else [np.add.reduce(weighted[segs]) for segs in self._node_segs])
         r = (self._A @ X[:, :, None])[:, :, 0] - self._b
-        loss = np.add.reduce(huber_scalar(r, self._delta), axis=1)
+        loss = np.add.reduce(huber_scalar(r, self._delta, self._half_dd), axis=1)
         return sum((l1 + group + loss).tolist())
 
     def loss_grad(self, Y: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ class Graph:
         Number of nodes ``N >= 2``.
     edges : tuple of (int, int)
         Unordered edges, each stored with the smaller node id first.
-    degrees : ndarray
-        Read-only degree of each node, index 0 holding node 1.
+    degrees, degree_col, degree_col1 : ndarray
+        Read-only degree of each node (index 0 is node 1), as ints, a float column and that + 1.
     nbr_ptr, nbr_idx : ndarray
         Read-only CSR neighbour lists: the 0-based neighbours of the node at
         index ``i`` are ``nbr_idx[nbr_ptr[i]:nbr_ptr[i + 1]]``, sorted.
@@ -45,6 +45,8 @@ class Graph:
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    degree_col: np.ndarray = field(init=False, repr=False, compare=False)
+    degree_col1: np.ndarray = field(init=False, repr=False, compare=False)
     nbr_ptr: np.ndarray = field(init=False, repr=False, compare=False)
     nbr_idx: np.ndarray = field(init=False, repr=False, compare=False)
     edge_idx: np.ndarray = field(init=False, repr=False, compare=False)
@@ -81,8 +83,9 @@ class Graph:
         degrees = np.bincount(src, minlength=n)
         nbr_ptr = np.concatenate([[0], np.cumsum(degrees)])
         nbr_idx = dst[np.lexsort((dst, src))]
-        for name, arr in (("degrees", degrees), ("nbr_ptr", nbr_ptr),
-                          ("nbr_idx", nbr_idx), ("edge_idx", edge_idx)):
+        col = degrees[:, None].astype(float)
+        for name, arr in (("degrees", degrees), ("degree_col", col), ("degree_col1", col + 1.0),
+                          ("nbr_ptr", nbr_ptr), ("nbr_idx", nbr_idx), ("edge_idx", edge_idx)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         # depth-first search from node 1, linear in the edge count
@@ -179,7 +182,7 @@ def laplacian_apply(g: Graph, x: np.ndarray) -> np.ndarray:
     equals the dense Kronecker-product Laplacian acting on the concatenation.
     """
     x = _check_stacked(g, x)
-    out = g.degrees[:, None] * x
+    out = g.degree_col * x
     out -= g.neighbor_sum(x)
     return out
 
@@ -222,8 +225,9 @@ def spectral_bounds(g: Graph) -> tuple[float, float]:
 
 
 def consensus_violation(g: Graph, x: np.ndarray) -> float:
-    """Largest disagreement ``max over edges (i, j) of ||x_i - x_j||``,
-    divided by ``sqrt(n)``."""
+    """Largest disagreement ``max over edges (i, j) of ||x_i - x_j||`` over
+    ``sqrt(n)``: ``np.linalg.norm``'s row norms and ``np.max``, without their dispatch."""
     x = _check_stacked(g, x)
-    d = x[g.edge_idx[:, 0]] - x[g.edge_idx[:, 1]]
-    return float(np.max(np.linalg.norm(d, axis=1))) / math.sqrt(x.shape[1])
+    d = x.take(g.edge_idx[:, 0], axis=0) - x.take(g.edge_idx[:, 1], axis=0)
+    d *= d
+    return float(np.maximum.reduce(np.sqrt(np.add.reduce(d, axis=1)))) / math.sqrt(x.shape[1])

@@ -16,6 +16,7 @@ from dfalopt import (
     NodeProblem,
     SparseGroupReg,
     activation_stream,
+    build_topology,
 )
 
 
@@ -65,6 +66,38 @@ def small_node(rng: np.random.Generator, n: int = 6, m: int = 4) -> NodeProblem:
         reg=random_reg(rng, n),
         loss=HuberLoss(A=A, b=A @ x_true, delta=1.0),
     )
+
+
+# the scales of the bit-for-bit pins' stacks, far into both ends of the
+# exponent range but with squares and their sums still finite and nonzero
+PIN_SCALES = (1e-150, 1e-75, 1e-5, 1.0, 1e5, 1e75, 1e150)
+
+
+def pin_graphs() -> list[Graph]:
+    """The pins' graphs: a star of 5, a clique of 12 and a ring of 8."""
+    ring = tuple((i, i + 1) for i in range(1, 8)) + ((1, 8),)
+    return [build_topology("star", 5), build_topology("clique", 12), Graph(8, ring)]
+
+
+def pin_stacks(rng: np.random.Generator, N: int, n: int, per_scale: int = 3):
+    """Random ``(N, n)`` stacks at each of ``PIN_SCALES``: normal entries of
+    which about a quarter are exact +0 and a sixth exact -0, and one row
+    (or, in the last stack of a scale, every row) of zeros of both signs."""
+    for scale in PIN_SCALES:
+        for k in range(per_scale):
+            x = scale * rng.standard_normal((N, n))
+            x[rng.random((N, n)) < 0.25] = 0.0
+            x[rng.random((N, n)) < 0.17] = -0.0
+            rows = slice(None) if k == per_scale - 1 else int(rng.integers(N))
+            x[rows] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+            yield x
+
+
+def bits(a) -> tuple:
+    """The shape and float64 bytes of ``a``, so ``==`` on two of them tells
+    -0 from +0 and compares NaN by its bits."""
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
 
 
 @pytest.fixture

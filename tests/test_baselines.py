@@ -1,6 +1,8 @@
 """Alternating-direction baselines: split-method updates, running sums, and
 nested proximal subproblems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dfalopt import (
     apg,
     build_topology,
     generate_instance,
+    laplacian_apply,
     sadmm_solve,
 )
 from dfalopt.baselines import (
@@ -29,7 +32,7 @@ from dfalopt.baselines import (
     sadmm_cv,
 )
 from dfalopt.funcs import NodeStack, _clip, sparse_group_min_norm
-from conftest import small_node
+from conftest import bits, pin_graphs, pin_stacks, small_node
 
 
 def make_pair(rng, n=4, m=3):
@@ -114,6 +117,12 @@ class TestNeighborhoodAverage:
         x = np.tile(rng.standard_normal(3), (4, 1))
         assert np.allclose(neighborhood_average(g, x), 0.0, atol=1e-14)
 
+    def test_bit_for_bit_the_degree_plus_one_form(self, rng):
+        for g in pin_graphs():
+            for x in pin_stacks(rng, g.num_nodes, 5):
+                old = laplacian_apply(g, x) / (g.degrees[:, None] + 1.0)
+                assert bits(neighborhood_average(g, x)) == bits(old)
+
 
 class TestSadmmCv:
     def test_split_term_dominates(self):
@@ -127,6 +136,61 @@ class TestSadmmCv:
         g = Graph(2, ((1, 2),))
         x = np.array([[2.0, 0.0], [0.0, 0.0]])
         assert sadmm_cv(g, x, x.copy()) == pytest.approx(2.0 / np.sqrt(2.0))
+
+    def test_nan_split_gap_propagates(self):
+        # Python's max(1.0, nan) is 1.0, which once hid this gap
+        g = Graph(2, ((1, 2),))
+        assert math.isnan(sadmm_cv(g, [[1.0], [0.0]], [[np.nan], [0.0]]))
+        assert math.isnan(sadmm_cv(g, [[np.nan], [0.0]], [[1.0], [0.0]]))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), (2,), (2, 2), (3, 1)])
+    def test_y_of_another_shape_than_x_rejected(self, shape):
+        # (1,) and (1, 1) once broadcast against x and returned a number
+        g = Graph(2, ((1, 2),))
+        with pytest.raises(ValueError, match=r"expected y of shape \(2, 1\)"):
+            sadmm_cv(g, np.zeros((2, 1)), np.zeros(shape))
+
+    def test_x_still_checked(self):
+        with pytest.raises(ValueError, match="expected stacked vector of 2 blocks"):
+            sadmm_cv(Graph(2, ((1, 2),)), np.zeros((3, 1)), np.zeros((3, 1)))
+
+    def test_bit_for_bit_the_linalg_norm_form(self, rng):
+        # the edge term and the split term, each through np.linalg.norm, and the
+        # larger of the two by Python's max, which on finite terms gives the bits
+        # of np.maximum
+        for g in pin_graphs():
+            i, j = g.edge_idx.T
+            for n in (1, 2, 7):
+                zs = pin_stacks(rng, g.num_nodes, n)
+                for x, z in zip(pin_stacks(rng, g.num_nodes, n), zs):
+                    for y in (z, x + z, x):
+                        edge = float(np.max(np.linalg.norm(x[i] - x[j], axis=1)))
+                        gap = float(np.max(np.linalg.norm(x - y, axis=1)))
+                        old = max(edge / math.sqrt(n), gap / math.sqrt(n))
+                        assert bits(sadmm_cv(g, x, y)) == bits(old)
+
+
+class TestDualNorm:
+    """Both baselines report ``c_admm ||p||`` as ``np.linalg.norm`` forms it."""
+
+    def test_bit_for_bit_linalg_norm(self, rng):
+        for x in pin_stacks(rng, 7, 5):
+            for p in (x, x.T, x[:, ::2], np.asfortranarray(x)):
+                for c_admm in (1e-3, 1.0, 3.7, 1e3):
+                    assert bits(baselines._dual_norm(c_admm, p)) == bits(
+                        float(c_admm * np.linalg.norm(p)))
+
+    @pytest.mark.parametrize("solver", [sadmm_solve, admm_solve])
+    def test_every_row_bit_for_bit_from_the_running_sum(self, rng, monkeypatch, solver):
+        g = build_topology("star", 3)
+        nodes = [small_node(rng, n=4, m=3) for _ in range(3)]
+        trace, calls = run_with_history(solver, nodes, g, monkeypatch, iters=6, c_admm=0.7)
+        # the x blocks after each iteration: sadmm averages (x, y) pairs
+        xs = calls[2::2] if solver is sadmm_solve else calls[1:]
+        p = np.zeros_like(xs[0])
+        for row, x in zip(trace.rows, xs, strict=True):
+            p += neighborhood_average(g, x)
+            assert bits(row.dual_norm) == bits(float(0.7 * np.linalg.norm(p)))
 
 
 class TestSadmmSolve:

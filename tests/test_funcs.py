@@ -370,6 +370,34 @@ class TestStackObjective:
                 assert stack.objective(X) == sum(
                     p.value(X[i]) for i, p in enumerate(nodes))
 
+    def test_shared_group_count_matches_the_node_sum_bit_for_bit(self, rng):
+        # one group count K on every node, each with its own groups and weights:
+        # the group norms are summed as rows of an (N, K) reshape
+        for N in (2, 5, 9):
+            for K in (1, 5, 9, 24):
+                nodes = [NodeProblem(reg=random_reg(rng, 24, K),
+                                     loss=HuberLoss(A=rng.standard_normal((10, 24)),
+                                                    b=3.0 * rng.standard_normal(10),
+                                                    delta=float(rng.uniform(0.2, 2.0))))
+                         for _ in range(N)]
+                stack = NodeStack(nodes)
+                assert stack._node_segs is None
+                for scale in (0.0, 1e-100, 0.1, 1.0, 10.0, 1e100):
+                    X = scale * rng.standard_normal(stack.shape)
+                    X[rng.random(X.shape) < 0.3] = 0.0
+                    assert stack.objective(X) == sum(
+                        p.value(X[i]) for i, p in enumerate(nodes))
+
+    def test_mixed_group_counts_sum_per_node(self, rng):
+        nodes = _stack_nodes(rng, [10] * 4)
+        nodes[0] = NodeProblem(reg=random_reg(rng, 24, 3), loss=nodes[0].loss)
+        nodes[1] = NodeProblem(reg=random_reg(rng, 24, 7), loss=nodes[1].loss)
+        stack = NodeStack(nodes)
+        assert stack._node_segs is not None
+        for _ in range(10):
+            X = rng.standard_normal(stack.shape)
+            assert stack.objective(X) == sum(p.value(X[i]) for i, p in enumerate(nodes))
+
     def test_padded_rows_match_the_node_sum(self, rng):
         nodes = _stack_nodes(rng, [3, 17, 10, 1])
         stack = NodeStack(nodes)
@@ -388,6 +416,13 @@ def test_huber_scalar_piecewise():
     r = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     expect = np.array([1.5, 0.125, 0.0, 0.125, 1.5])
     assert np.allclose(huber_scalar(r, 1.0), expect)
+
+
+def test_huber_scalar_takes_its_constant_formed_once(rng):
+    r = rng.standard_normal((4, 30)) * 10.0 ** rng.integers(-3, 4, (4, 30))
+    delta = rng.uniform(0.1, 3.0, (4, 30))
+    once = huber_scalar(r, delta, 0.5 * delta * delta)
+    assert once.tobytes() == huber_scalar(r, delta).tobytes()
 
 
 def _loop_value(reg, x):

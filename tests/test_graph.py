@@ -1,5 +1,6 @@
 """Graph construction, Laplacian products, and spectral bounds."""
 
+import math
 import re
 import time
 
@@ -17,7 +18,7 @@ from dfalopt import (
     load_edge_file,
     spectral_bounds,
 )
-from conftest import random_connected_graph
+from conftest import bits, pin_graphs, pin_stacks, random_connected_graph
 
 
 class TestBuildTopology:
@@ -111,6 +112,15 @@ class TestLaplacianApply:
         with pytest.raises(ValueError):
             laplacian_apply(g, np.zeros((3, 2)))
 
+    def test_bit_for_bit_the_integer_degree_form(self, rng):
+        # laplacian_apply reads the float column; the form it replaced converted
+        # the integer degrees on every call
+        for g in pin_graphs():
+            for x in pin_stacks(rng, g.num_nodes, 5):
+                old = g.degrees[:, None] * x
+                old -= g.neighbor_sum(x)
+                assert bits(laplacian_apply(g, x)) == bits(old)
+
     def test_matches_dense_kronecker(self, rng):
         for _ in range(100):
             N = int(rng.integers(2, 9))
@@ -200,6 +210,15 @@ class TestDegrees:
         assert not g.degrees.flags.writeable
         with pytest.raises(ValueError):
             g.degrees[0] = 0
+
+    def test_float_degree_columns_are_built_once_and_read_only(self):
+        for g in pin_graphs():
+            assert bits(g.degree_col) == bits(g.degrees[:, None].astype(float))
+            assert bits(g.degree_col1) == bits(g.degrees[:, None] + 1.0)
+            assert g.degree_col is g.degree_col and g.degree_col1 is g.degree_col1
+            for col in (g.degree_col, g.degree_col1):
+                with pytest.raises(ValueError):
+                    col[0, 0] = 0.0
 
     def test_graphs_still_compare_by_edges(self):
         assert build_topology("star", 4) == build_topology("star", 4)
@@ -327,6 +346,19 @@ class TestConsensusViolation:
         g = random_connected_graph(rng, 6)
         x = np.tile(rng.standard_normal(3), (6, 1))
         assert consensus_violation(g, x) == 0.0
+
+    def test_bit_for_bit_the_linalg_norm_form(self, rng):
+        for g in pin_graphs():
+            i, j = g.edge_idx.T
+            for n in (1, 2, 7):
+                for x in pin_stacks(rng, g.num_nodes, n):
+                    old = float(np.max(np.linalg.norm(x[i] - x[j], axis=1))) / math.sqrt(n)
+                    assert bits(consensus_violation(g, x)) == bits(old)
+
+    def test_nan_propagates(self):
+        g = build_topology("star", 3)
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [np.nan, 0.0]])
+        assert math.isnan(consensus_violation(g, x))
 
     @pytest.mark.parametrize("shape", [(6, 4), (3, 4), (4,), (5, 0)])
     def test_one_block_per_node_required(self, shape):

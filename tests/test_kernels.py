@@ -12,7 +12,8 @@ import pytest
 PATH = Path(__file__).resolve().parents[1] / "tools" / "kernels.py"
 ROWS = (
     "sparse_group_prox", "sparse_group_min_norm", "block_gradient", "stacked_prox",
-    "stacked_loss_gradient", "laplacian_apply", "charge_activations", "sync_iteration",
+    "stacked_loss_gradient", "laplacian_apply", "stack_objective", "consensus_violation",
+    "sadmm_cv", "charge_activations", "sync_iteration",
     "rbcd_event", "arbcd_event", "rbcd_tested_event", "residual_reached_gate",
     "residual_reached_exact", "huber_prox", "sadmm_iteration",
 )

@@ -15,6 +15,10 @@ counted through wrappers in a separate untimed run):
 - ``block_gradient``: each node's event gradient with its neighbour sum;
 - ``stacked_prox`` and ``stacked_loss_gradient``: one call over all nodes;
 - ``laplacian_apply`` and ``charge_activations`` (one activation per node);
+- ``stack_objective``, ``consensus_violation`` and ``sadmm_cv``: the row
+  metrics ``NodeStack.objective`` and ``consensus_violation`` at ``Y``, and
+  the split ADMM's ``sadmm_cv`` with ``x = Y`` and ``y`` the gradient step
+  ``Y - grad / L`` of ``stacked_prox``;
 - ``sync_iteration``: ``ms_apg`` for 20 iterations from zero, no target;
 - ``rbcd_event`` and ``arbcd_event``: ``rbcd_run`` and ``arbcd_chain`` for
   ``20 N`` events from zero at activation seed 1, no residual test, the
@@ -72,6 +76,7 @@ import dfalopt.solvers as solvers  # noqa: E402
 from dfalopt import (  # noqa: E402
     CommLedger,
     charge_activations,
+    consensus_violation,
     default_params,
     generate_instance,
     laplacian_apply,
@@ -305,6 +310,10 @@ def shape_table(name: str, repeats: int) -> dict[str, Any]:
         "stacked_prox": _row(looped(lambda: obj.prox_all(V_all)), loops, repeats),
         "stacked_loss_gradient": _row(looped(lambda: stack.loss_grad(Y)), loops, repeats),
         "laplacian_apply": _row(looped(lambda: laplacian_apply(graph, Y)), loops, repeats),
+        "stack_objective": _row(looped(lambda: stack.objective(Y)), loops, repeats),
+        "consensus_violation": _row(looped(lambda: consensus_violation(graph, Y)), loops,
+                                    repeats),
+        "sadmm_cv": _row(looped(lambda: baselines.sadmm_cv(graph, Y, V_all)), loops, repeats),
         "charge_activations": _row(looped(lambda: charge_activations(ledger, graph, ones)),
                                    loops, repeats),
         "sync_iteration": _row(lambda: solvers.ms_apg(obj, zero, max_iter=SYNC_ITERS),
