@@ -19,7 +19,8 @@ import numpy as np
 from .baselines import ITERS, PENALTY, admm_solve, sadmm_solve
 from .checks import indices, integer, real
 from .dfal import SHRINK, async_dfal_solve, default_params, dfal_solve
-from .funcs import GroupPartition, HuberLoss, NodeProblem, NodeStack, SparseGroupReg
+from .funcs import (GroupPartition, HuberLoss, NodeProblem, NodeStack, SparseGroupReg,
+                    huber_grad, sparse_group_prox)
 from .graph import Graph, build_topology
 from .solvers import apg
 from .trace import BUDGET, TARGET, RunTrace, write_json
@@ -194,6 +195,10 @@ def reference_solve(
 
 
 def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
+    """``apg`` with restart on the summed problem, on kernels bound once, as
+    ``dfal._event_kernels`` binds the event gradient: ``huber_grad`` on the stacked rows
+    with 0-d ``-+delta``, and ``sparse_group_prox`` at the weights of apg's one step
+    ``1 / lip``, formed and checked once; the bits of ``HuberLoss.grad`` and ``.prox``."""
     nodes = instance.nodes
 
     def shared(p: NodeProblem) -> tuple:
@@ -217,11 +222,13 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
         delta=delta,
     )
     lip = sum(p.loss.lipschitz for p in nodes)
+    A, At, b, lo, hi = stacked.A, stacked.A.T, stacked.b, np.array(-delta), np.array(delta)
+    weights = combined._weights("_step_memo", "prox step", 1.0 / np.float64(lip), True)
 
     started = time.perf_counter()
     res = apg(
-        smooth_grad=stacked.grad,
-        prox=combined.prox,
+        smooth_grad=lambda x: huber_grad(A, At, b, lo, hi, x),
+        prox=lambda v, step: sparse_group_prox(combined.partition, v, *weights),
         residual=lambda g, x: combined.subgrad_residual(1.0, g, x),
         lipschitz=lip,
         x0=np.zeros(instance.n),

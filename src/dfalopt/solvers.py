@@ -170,6 +170,12 @@ def ms_apg(
     ``restart=True`` resets FISTA's ``t`` to 1 when ``<ybar - y, y - y_prev>
     > 0`` (adaptive restart, O'Donoghue and Candes 2015, FoCM), which recovers
     the linear rate near a solution; only the case-1 reference sets it.
+
+    A gradient with a NaN or infinite entry raises ``FloatingPointError``.  The
+    test is exact: the squares in ``np.vdot(grad, grad)`` are at least 0, so no
+    ``inf - inf`` arises and such an entry makes the sum NaN or ``+inf``; only a
+    sum that is not finite (entries over about ``1e154`` overflow it too) is
+    checked entry by entry.  Unlike ``ndarray.dot``, ``np.vdot`` warns on no overflow.
     """
     integer("max_iter", max_iter, 1)
     value = _value(obj, "record_values") if record_values else None
@@ -180,7 +186,7 @@ def ms_apg(
     values: list[float] = []
     for ell in range(1, max_iter + 1):
         grad = obj.smooth_grad(ybar)
-        if not np.isfinite(grad).all():
+        if not math.isfinite(np.vdot(grad, grad)) and not np.isfinite(grad).all():
             raise FloatingPointError(f"non-finite gradient at inner iteration {ell}")
         if callback is not None:
             callback(ell, ybar, grad)

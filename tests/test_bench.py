@@ -330,6 +330,35 @@ class TestReferenceRestart:
         assert ref.iterations < 1500
 
 
+class TestReferenceKernels:
+    """The case-1 reference runs ``apg`` on kernels bound once; byte for byte,
+    it is the run of ``apg`` on the checked public ``HuberLoss.grad`` and
+    ``SparseGroupReg.prox``."""
+
+    @pytest.mark.parametrize("args,iterations", [
+        ((1, "star", 5, 10, 10, 1), 661), ((1, "clique", 4, 4, 4, 1), None),
+    ], ids=["star-5", "clique-4"])
+    def test_bound_kernels_equal_the_checked_path(self, args, iterations):
+        inst = generate_instance(*args)
+        nodes, N = inst.nodes, len(inst.nodes)
+        reg = nodes[0].reg
+        combined = SparseGroupReg(N * reg.beta1, N * reg.beta2, reg.partition)
+        stacked = HuberLoss(np.vstack([p.loss.A for p in nodes]),
+                            np.concatenate([p.loss.b for p in nodes]), nodes[0].loss.delta)
+        checked = apg(stacked.grad, combined.prox,
+                      lambda g, x: combined.subgrad_residual(1.0, g, x),
+                      sum(p.loss.lipschitz for p in nodes), np.zeros(inst.n),
+                      residual_target=1e-9, max_iter=500_000, restart=True)
+        ref = _reference_case1(inst, 1e-9)
+        f_star = stacked.value(checked.y) + combined.value(checked.y)
+        assert np.float64(ref.f_star).tobytes() == np.float64(f_star).tobytes()
+        assert ref.x_ref.tobytes() == checked.y.tobytes()
+        assert ref.iterations == checked.iterations
+        assert ref.converged and checked.stop_reason == "residual"
+        if iterations is not None:
+            assert ref.iterations == iterations
+
+
 class TestEvaluate:
     """Trace rows measured against a reference, as ``RunTrace.record``
     writes them."""

@@ -13,7 +13,7 @@ PATH = Path(__file__).resolve().parents[1] / "tools" / "kernels.py"
 ROWS = (
     "sparse_group_prox", "sparse_group_min_norm", "block_gradient", "stacked_prox",
     "stacked_loss_gradient", "laplacian_apply", "stack_objective", "consensus_violation",
-    "sadmm_cv", "charge_activations", "sync_iteration",
+    "sadmm_cv", "charge_activations", "sync_iteration", "reference_iteration",
     "rbcd_event", "arbcd_event", "rbcd_tested_event", "residual_reached_gate",
     "residual_reached_exact", "huber_prox", "sadmm_iteration",
 )
@@ -52,6 +52,10 @@ def test_counts_next_to_the_times(table):
     assert tested["calls"] == 500
     assert tested["work_per_call"] == {"block_gradients": 501 / 500, "proxes": 501 / 500,
                                        "exact_residuals": 0.0}
+    # the row's calls are the case-1 reference's APG iterations
+    reference = rows["reference_iteration"]
+    assert reference["calls"] == reference["iterations"] == 454
+    assert reference["tolerance"] == 1e-6
     gate, exact = rows["residual_reached_gate"], rows["residual_reached_exact"]
     assert gate["passed"] is False
     assert gate["work_per_call"] == one_event

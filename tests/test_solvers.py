@@ -1,6 +1,7 @@
 """Block solvers: accelerated proximal gradient, randomized descent, and the
 accelerated randomized chain with restarts."""
 
+import itertools
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -403,6 +404,47 @@ class TestMsApg:
         )
         with pytest.raises(FloatingPointError):
             ms_apg(obj, np.zeros((1, 1)), max_iter=5)
+
+
+class TestFiniteGradient:
+    """``ms_apg``'s finiteness test, one self-dot: a single NaN or infinite
+    entry anywhere raises at its iteration; the largest finite entries, whose
+    squares overflow the self-dot, and the smallest nonzero ones do not."""
+
+    @staticmethod
+    def objective(gradient):
+        """3 blocks of 4 whose ``ell``-th gradient call returns ``gradient(ell)``,
+        with a prox to zero, so no iterate overflows."""
+        calls = itertools.count(1)
+        return BlockObjective(
+            L=np.ones(3),
+            smooth_grad=lambda Y: gradient(next(calls)),
+            prox_all=np.zeros_like,
+            blocks=quadratic_objective(np.zeros((3, 4))).blocks,
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_nonfinite_entry_raises_at_its_iteration(self, bad):
+        for row, col in itertools.product(range(3), range(4)):
+            def gradient(ell):
+                g = np.full((3, 4), 0.5)
+                if ell == 3:
+                    g[row, col] = bad
+                return g
+
+            with pytest.raises(FloatingPointError, match=r"at inner iteration 3$"):
+                ms_apg(self.objective(gradient), np.zeros((3, 4)), max_iter=10)
+
+    @pytest.mark.parametrize("value", [
+        np.finfo(float).max, -np.finfo(float).max,
+        np.finfo(float).smallest_subnormal, -np.finfo(float).smallest_subnormal,
+    ])
+    def test_extreme_finite_entries_pass(self, value):
+        mixed = np.array([np.finfo(float).max, -np.finfo(float).max,
+                          np.finfo(float).smallest_subnormal, 0.0] * 3).reshape(3, 4)
+        for g in (np.full((3, 4), value), mixed):
+            res = ms_apg(self.objective(lambda ell: g.copy()), np.zeros((3, 4)), max_iter=5)
+            assert (res.iterations, res.stop_reason) == (5, "cap")
 
 
 class TestRestart:

@@ -20,6 +20,9 @@ counted through wrappers in a separate untimed run):
   the split ADMM's ``sadmm_cv`` with ``x = Y`` and ``y`` the gradient step
   ``Y - grad / L`` of ``stacked_prox``;
 - ``sync_iteration``: ``ms_apg`` for 20 iterations from zero, no target;
+- ``reference_iteration``: one APG iteration of the case-1 reference of the
+  shape's instance (``reference_solve`` at tolerance ``REFERENCE_TOL``,
+  uncached), its ``iterations`` the calls of the row;
 - ``rbcd_event`` and ``arbcd_event``: ``rbcd_run`` and ``arbcd_chain`` for
   ``20 N`` events from zero at activation seed 1, no residual test, the
   activation stream drawn before the clock starts;
@@ -44,13 +47,18 @@ Usage, from any directory (the script imports the ``src`` next to it)::
     python3 tools/kernels.py --shapes star-5 --repeats 3  # the smallest
 
 It prints one JSON object.  Compare times only between runs made together on
-one machine; the counts are the same on every machine.
+one machine; the counts are the same on every machine.  A run of all four
+shapes peaks at about 200 MB of RSS (``resource.getrusage`` over a full
+``--repeats 5`` run): each ``sadmm_solve`` on the n = 2000 shape builds a
+``NodeStack`` that holds both ``_A`` and a contiguous ``_At``, 16 MB each, and
+its Huber prox map copies ``A`` once more.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -80,6 +88,7 @@ from dfalopt import (  # noqa: E402
     default_params,
     generate_instance,
     laplacian_apply,
+    reference_solve,
 )
 from dfalopt.dfal import _psi_max, _subproblem_objective  # noqa: E402
 from dfalopt.funcs import NodeStack  # noqa: E402
@@ -94,6 +103,8 @@ SHAPES = {
 INSTANCE_SEED = 1
 ACTIVATION_SEED = 1
 SYNC_ITERS = 20
+# the case-1 reference's tolerance: the loosest reference_solve takes
+REFERENCE_TOL = 1e-6
 # the tested rbcd run's cap, in events per node
 TESTED_EVENTS = 100
 # each timed loop of a per-call kernel makes at least this many calls
@@ -300,6 +311,8 @@ def shape_table(name: str, repeats: int) -> dict[str, Any]:
     stream = _premade_stream(ACTIVATION_SEED, N, 2 * TESTED_EVENTS * N)
     tested = events_of(solvers.rbcd_run, obj, TESTED_EVENTS * N, target)
     ledger, ones = CommLedger(N), np.ones(N, dtype=np.int64)
+    reference = functools.partial(reference_solve, inst, REFERENCE_TOL, cache=False)
+    reference_iters = reference().iterations
     V_all = Y - obj.smooth_grad(Y) / obj.L[:, None]
     rows = {
         "sparse_group_prox": _row(per_node(lambda i: obj.blocks[i][1](V[i], step[i])),
@@ -318,6 +331,7 @@ def shape_table(name: str, repeats: int) -> dict[str, Any]:
                                    loops, repeats),
         "sync_iteration": _row(lambda: solvers.ms_apg(obj, zero, max_iter=SYNC_ITERS),
                                SYNC_ITERS, repeats),
+        "reference_iteration": _row(reference, reference_iters, repeats),
         "rbcd_event": _row(events_of(solvers.rbcd_run, obj, events), events, repeats,
                            events_of(solvers.rbcd_run, obj, events)),
         "arbcd_event": _row(events_of(solvers.arbcd_chain, obj_arbcd, events), events,
@@ -328,6 +342,7 @@ def shape_table(name: str, repeats: int) -> dict[str, Any]:
     }
     for key, at in (("residual_reached_gate", target), ("residual_reached_exact", exact_max)):
         rows[key].update(target=at, passed=obj.residual_reached(Y, at))
+    rows["reference_iteration"].update(tolerance=REFERENCE_TOL, iterations=reference_iters)
     rows.update(_newton_rows(nodes, graph, repeats))
     return {
         "instance": {"case": 1, "topology": topology, "N": N, "n_g": n_g, "K": K,
