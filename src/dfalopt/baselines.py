@@ -57,32 +57,27 @@ def neighborhood_average(graph: Graph, x: np.ndarray) -> np.ndarray:
     return laplacian_apply(graph, x) / graph.degree_col1
 
 
-def _huber_prox(
-    stack: NodeStack, centers: np.ndarray, t: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``i`` is ``argmin_u t_i * loss_i(u) + 0.5 ||u - centers_i||^2`` by
-    semismooth Newton from ``starts[i]``, to a gradient of norm at most
-    ``NESTED_TOL``, for all nodes in one loop (one call of a fresh
-    :func:`_huber_prox_map`).  With ``F`` the rows of ``A u - b`` inside the
-    Huber threshold, Woodbury turns each Newton system ``I + t A_F^T A_F``
-    into one ``|F| x |F|`` solve, batched over the nodes whose ``F`` have one
-    size; an Armijo backtracking search makes the method converge from any
-    start.  Each node keeps its own test, direction, step and pass count, and
-    retires once its test holds (a zero direction from then on); where the
-    nodes share one ``m`` its row is a per-node loop's bit for bit.  Returns
-    the points and the passes per node, one gradient each.
-
-    A map keeps each size group's ``A_F`` and ``I + t A_F A_F^T``, keyed on the
-    bytes of ``inside`` (retired nodes included), and ``A u - b``, its clip and
-    ``t A^T w`` at the points it returned, for a first pass whose ``starts``
-    are those points bit for bit: the same operations on the same operands, so
-    no bit moves, and a carried pass still counts as a gradient.
-    """
-    return _huber_prox_map(stack, t)(centers, starts)
-
-
 def _huber_prox_map(stack: NodeStack, t: np.ndarray) -> Callable:
-    """``(centers, starts) ->`` :func:`_huber_prox` at the steps ``t``, bound once per solve."""
+    """``(centers, starts) ->`` the Huber prox at the steps ``t``, bound once per solve.
+
+    Row ``i`` of a call's points is ``argmin_u t_i * loss_i(u) + 0.5 ||u -
+    centers_i||^2`` by semismooth Newton from ``starts[i]``, to a gradient of
+    norm at most ``NESTED_TOL``, for all nodes in one loop.  With ``F`` the
+    rows of ``A u - b`` inside the Huber threshold, Woodbury turns each Newton
+    system ``I + t A_F^T A_F`` into one ``|F| x |F|`` solve, batched over the
+    nodes whose ``F`` have one size; an Armijo backtracking search makes the
+    method converge from any start.  Each node keeps its own test, direction,
+    step and pass count, and retires once its test holds (a zero direction
+    from then on); where the nodes share one ``m`` its row is a per-node
+    loop's bit for bit.  A call returns the points and the passes per node,
+    one gradient each.
+
+    The map keeps each size group's ``A_F`` and ``I + t A_F A_F^T``, keyed on
+    the bytes of ``inside`` (retired nodes included), and ``A u - b``, its clip
+    and ``t A^T w`` at the points it returned, for a first pass whose
+    ``starts`` are those points bit for bit: the same operations on the same
+    operands, so no bit moves, and a carried pass still counts as a gradient.
+    """
     A, b, delta = stack._A, stack._b, stack._delta
     At, t = A.transpose(0, 2, 1), np.asarray(t, dtype=float)[:, None]
     newton, last, ones, everyone = (b"", []), (None,), np.ones(len(t)), np.ones(len(t), dtype=bool)

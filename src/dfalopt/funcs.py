@@ -90,8 +90,9 @@ class GroupPartition:
 
 
 def _vector(x: np.ndarray, n: int) -> np.ndarray:
-    """``x`` as a float array, which must have shape ``(n,)``."""
-    x = np.asarray(x, dtype=float)
+    """``x`` as a contiguous float array, which must have shape ``(n,)``: a strided view
+    is copied, since BLAS sums ``A.dot(x)`` in another order when its stride is not 1."""
+    x = np.asarray(x, dtype=float, order="C")
     if x.shape != (n,):
         raise ValueError(f"expected shape ({n},), got {x.shape}")
     return x

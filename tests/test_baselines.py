@@ -27,7 +27,7 @@ from dfalopt.baselines import (
     NEWTON_CAP,
     NestedSolveError,
     _composite_prox,
-    _huber_prox,
+    _huber_prox_map,
     neighborhood_average,
     sadmm_cv,
 )
@@ -376,10 +376,8 @@ def per_node_huber_prox(node, center, t, start):
 
 
 def stacked_huber_prox(nodes, centers, t, starts):
-    return _huber_prox(
-        NodeStack(nodes), np.array(centers, dtype=float), np.array(t, dtype=float),
-        np.array(starts, dtype=float),
-    )
+    return _huber_prox_map(NodeStack(nodes), np.array(t, dtype=float))(
+        np.array(centers, dtype=float), np.array(starts, dtype=float))
 
 
 def per_node_composite_prox(node, center, t, start):
@@ -734,7 +732,7 @@ class TestHuberProxMap:
         for point, solution in (([0.5, 3.0], [0.25, 2.0]), ([3.0, 0.5], [2.0, 0.25])):
             centers = np.array([point])
             out, passes = huber_prox(centers, centers)
-            fresh, fresh_passes = _huber_prox(stack, centers, t, centers)
+            fresh, fresh_passes = _huber_prox_map(stack, t)(centers, centers)
             assert out.tobytes() == fresh.tobytes() and np.array_equal(passes, fresh_passes)
             assert passes[0] > 1 and np.allclose(out, [solution], rtol=0, atol=1e-12)
 
@@ -754,7 +752,7 @@ class TestHuberProxMap:
         near = U.copy()
         near[2, 5] = np.nextafter(near[2, 5], np.inf)
         out, passes = huber_prox(centers, near)
-        fresh, fresh_passes = _huber_prox(stack, centers, t, near)
+        fresh, fresh_passes = _huber_prox_map(stack, t)(centers, near)
         assert out.tobytes() == fresh.tobytes() and np.array_equal(passes, fresh_passes)
         poison()
         with pytest.raises(FloatingPointError, match="at pass 1"):
@@ -775,7 +773,7 @@ class TestHuberProxMap:
         # fresh one would
         assert map_cells(huber_prox)["last"].cell_contents == (None,)
         out, passes = huber_prox(centers, U)
-        fresh, fresh_passes = _huber_prox(stack, centers, t, U)
+        fresh, fresh_passes = _huber_prox_map(stack, t)(centers, U)
         assert out.tobytes() == fresh.tobytes() and np.array_equal(passes, fresh_passes)
 
 

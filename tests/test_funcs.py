@@ -67,6 +67,19 @@ class TestHuber:
         with pytest.raises(ValueError):
             loss.grad(np.zeros(3))
 
+    def test_bits_do_not_depend_on_the_memory_layout(self):
+        # BLAS sums A.dot(x) in another order when x's stride is not 1: on
+        # this seeded case the column view once gave other last bits than
+        # its copy, in both the value and the gradient
+        rng = np.random.default_rng(9)
+        loss = HuberLoss(A=rng.standard_normal((1, 20)), b=np.zeros(1), delta=1.0)
+        column = rng.standard_normal((20, 2))[:, -1]
+        assert not column.flags.c_contiguous
+        assert loss.value(column) == loss.value(column.copy())
+        assert loss.grad(column).tobytes() == loss.grad(column.copy()).tobytes()
+        with pytest.raises(ValueError, match=r"expected shape \(20,\), got \(\)"):
+            loss.grad(np.float64(1.0))
+
     def test_rows_mismatch_rejected(self):
         with pytest.raises(ValueError):
             HuberLoss(A=np.eye(2), b=np.zeros(3))

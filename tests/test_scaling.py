@@ -9,10 +9,13 @@ from the data maps exactly:
 With s a power of two every product is exact, so ``default_params``' ``bx``,
 the async budget constants and budgets, and every row, ledger and final
 iterate of the synchronous and both asynchronous solves map bit for bit.
-The instance is star-3 with n = 120 and 20 rows per node, whose
-``L / psi_max`` of 77 keeps ``lam1`` below its clamp at every scale here; on
-star-5 with n = 100 (34), (O) at s = 1/8 clamps it."""
+The two ADMM baselines map too, with their penalty ``c_admm`` times s^2
+under (O) and 1/s^2 under (X), except where the absolute ``NESTED_TOL`` of
+their nested solves breaks a bit.  The instance is star-3 with n = 120 and
+20 rows per node, whose ``L / psi_max`` of 77 keeps ``lam1`` below its clamp
+at every scale here; on star-5 with n = 100 (34), (O) at s = 1/8 clamps it."""
 
+import dataclasses
 import functools
 import math
 
@@ -23,10 +26,12 @@ from dfalopt import (
     HuberLoss,
     NodeProblem,
     SparseGroupReg,
+    admm_solve,
     async_dfal_solve,
     default_params,
     dfal_solve,
     generate_instance,
+    sadmm_solve,
 )
 
 
@@ -100,7 +105,14 @@ def test_rows_ledgers_and_final_iterate_map_exactly(symmetry, s, solve):
     else:
         f, lam, cv, dual, x = 1.0, s * s, s, 1 / s, s
     assert len(scaled.rows) == len(base.rows) == 4
-    for row, row_s in zip(base.rows, scaled.rows):
+    assert_rows_and_ledgers_map(base, scaled, f, lam, cv, dual)
+    assert np.array_equal(scaled.config["final_state"].x, x * base.config["final_state"].x)
+
+
+def assert_rows_and_ledgers_map(base, scaled, f, lam, cv, dual):
+    """Each row of ``scaled`` is ``base``'s with F_sum, lam, CV and dual_norm
+    times the factors and every other field equal, and the ledgers are equal."""
+    for row, row_s in zip(base.rows, scaled.rows, strict=True):
         assert (row_s.F_sum, row_s.lam, row_s.CV, row_s.dual_norm) == (
             f * row.F_sum, lam * row.lam, cv * row.CV, dual * row.dual_norm)
         assert row_s.rel_subopt == row.rel_subopt and not math.isnan(row.rel_subopt)
@@ -110,4 +122,49 @@ def test_rows_ledgers_and_final_iterate_map_exactly(symmetry, s, solve):
     ledger, ledger_s = base.config["ledger"], scaled.config["ledger"]
     for name in LEDGER:
         assert np.array_equal(getattr(ledger_s, name), getattr(ledger, name)), name
-    assert np.array_equal(scaled.config["final_state"].x, x * base.config["final_state"].x)
+
+
+BASELINES = {"sadmm": (sadmm_solve, 30), "admm": (admm_solve, 3)}
+
+
+@functools.cache
+def baseline(solve, case, symmetry="O", s=1.0):
+    """``solve`` (``"sadmm"`` or ``"admm"``) of the rescaled star-3 instance of
+    ``case``, its penalty ``c_admm`` rescaled with the data (times s^2 under
+    (O), where F scales by s^2; 1/s^2 under (X), where the coordinates scale
+    by s), against a reference F* of 1 in unscaled units."""
+    inst = generate_instance(case, "star", 3, 12, 10, 1)
+    run, iters = BASELINES[solve]
+    c_admm, reference = (s * s, s * s) if symmetry == "O" else (1 / (s * s), 1.0)
+    return run(rescaled(inst.nodes, symmetry, s), inst.graph, c_admm=c_admm, iters=iters,
+               reference=reference)
+
+
+def final_arrays(trace):
+    """The final state's arrays: ``admm``'s ``x``, or ``sadmm``'s ``x``, ``y`` and sums."""
+    state = trace.config["final_state"]
+    return [state] if isinstance(state, np.ndarray) else list(dataclasses.astuple(state))
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("solve", ["sadmm", "admm"])
+@pytest.mark.parametrize("symmetry, s", [
+    ("O", 2.0**-3), ("O", 2.0**3), ("X", 2.0**-3), ("X", 2.0**2)])
+def test_baselines_map_exactly(symmetry, s, solve, case, request):
+    if (symmetry, s, solve, case) == ("X", 4.0, "admm", 1):
+        request.applymarker(pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "baselines.NESTED_TOL is absolute: under (X) the composite prox's "
+            "residual scales by s, so at s = 4 the second iteration's nested "
+            "solve tries 17 points against 16; with NESTED_TOL times s the run "
+            "maps exactly")))
+    base, scaled = baseline(solve, case), baseline(solve, case, symmetry, s)
+    # the factors of F_sum, lam (the penalty), CV, dual_norm (penalty times the
+    # summed averages) and the final arrays
+    if symmetry == "O":
+        f, lam, cv, dual, x = s * s, s * s, 1.0, s * s, 1.0
+    else:
+        f, lam, cv, dual, x = 1.0, 1 / (s * s), s, 1 / s, s
+    assert len(scaled.rows) == len(base.rows) == BASELINES[solve][1]
+    assert_rows_and_ledgers_map(base, scaled, f, lam, cv, dual)
+    for a, a_s in zip(final_arrays(base), final_arrays(scaled), strict=True):
+        assert np.array_equal(a_s, x * a)
