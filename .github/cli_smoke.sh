@@ -1,6 +1,8 @@
 #!/bin/sh
 # The command line end to end, each step its own process: gen writes an
-# instance file, ref --instance solves its reference, solve runs dfal and
+# instance file, ref --instance solves its case-2 reference to a strict-JSON
+# ref.json whose method is "primal-dual", converged true and certified gap at
+# most 1e-9, solve runs dfal and
 # writes a strict-JSON summary that says it converged, solve --alg sadmm
 # --iters 5 and solve --alg admm --iters 2 ones that say they stopped at
 # their caps, solve --alg apg runs the case-1 reference (through ms_apg) to a
@@ -38,6 +40,9 @@ def load(path):
     return json.load(open(path), parse_constant=reject)
 run, sadmm, apg, arbcd, admm, rbcd = (f"{sys.argv[1]}/{name}.csv.summary.json" for name in
                                       ("run", "sadmm", "apg", "arbcd", "admm", "rbcd"))
+ref = load(f"{sys.argv[1]}/ref.json")
+if (ref["method"], ref["converged"]) != ("primal-dual", True) or not ref["gap"] <= 1e-9:
+    sys.exit(f"{sys.argv[1]}/ref.json: not a certified primal-dual reference")
 for path, reason in ((run, "converged"), (sadmm, "cap"), (admm, "cap")):
     if load(path)["stop_reason"] != reason:
         sys.exit(f"{path}: the summary does not say {reason}")

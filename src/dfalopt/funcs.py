@@ -128,6 +128,29 @@ def sparse_group_prox(part: GroupPartition, x: np.ndarray, nthr1, thr1, thr2, fl
     return eta * (_ONE - thr2 / np.maximum(norms, fl2))[part.segment]
 
 
+def sparse_group_gauge(part: GroupPartition, z: np.ndarray, b1, b2) -> np.ndarray:
+    """Per segment, in segment order, the least ``t >= 0`` with ``||soft(z_s, t b1)|| <= t
+    b2``: the gauge of the sparse-group dual ball ``{z : ||soft(z_s, b1)|| <= b2 for all s}``
+    (Ndiaye, Fercoq, Gramfort and Salmon 2016), ``b1`` and ``b2`` scalars or per segment.
+    On each segment's magnitudes, scaled by their largest and sorted (one zero-padded row),
+    ``||soft||^2 = (t b2)^2`` is a quadratic in t on the piece where the k largest exceed
+    ``t b1``; the root's piece holds the ``a_j`` with ``b1^2 sum_{i<j} (a_i - a_j)^2 < (b2
+    a_j)^2``.  A zero segment's gauge is 0, a nonzero one's with ``b1 = b2 = 0`` inf."""
+    P = np.zeros((part.sizes.size, part.sizes.max()))
+    P[part.segment, part.inverse - part.starts[part.segment]] = np.abs(z)
+    top = np.maximum.reduce(P, axis=1)
+    P = -np.sort(P / -np.where(top > 0, top, 1.0)[:, None], axis=1)
+    S1, S2 = np.cumsum(P, axis=1), np.cumsum(P * P, axis=1)
+    b1, b2, j = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float), np.arange(P.shape[1])
+    inside = b1[..., None] ** 2 * (S2 - 2 * P * S1 + (j + 1) * P * P) < (b2[..., None] * P) ** 2
+    k = np.maximum(np.add.reduce(inside, axis=1), 1)
+    s1, s2 = S1[np.arange(k.size), k - 1], S2[np.arange(k.size), k - 1]
+    den = b1 * s1 + np.sqrt(np.maximum((b1 * s1) ** 2 - (k * b1 * b1 - b2 * b2) * s2, 0.0))
+    # den is 0 only on a zero segment, or at b1 = b2 = 0
+    t = np.divide(s2, den, out=np.full(top.shape, np.inf), where=den > 0)
+    return np.where(top > 0, t, 0.0) * top
+
+
 def sparse_group_min_norm(
     part: GroupPartition, g: np.ndarray, x: np.ndarray, nlb1, lb1, lb2, fl2
 ) -> np.ndarray:

@@ -37,7 +37,7 @@ ROWS = tuple("""sparse_group_prox sparse_group_min_norm block_gradient stacked_p
     stacked_loss_gradient laplacian_apply stack_objective consensus_violation sadmm_cv
     charge_activations sync_iteration reference_iteration rbcd_event arbcd_event
     rbcd_tested_event residual_reached_gate residual_reached_exact huber_prox
-    sadmm_iteration""".split())
+    sadmm_iteration gauge""".split())
 
 
 @needs_git

@@ -36,6 +36,7 @@ from dfalopt.bench import (
     run_solver,
 )
 from dfalopt.baselines import sadmm_cv
+from dfalopt.funcs import NodeStack
 from dfalopt.cli import main as cli_main
 from dfalopt.trace import RunTrace
 
@@ -216,16 +217,18 @@ class TestReferenceSolve:
     def test_case2_reference_is_consensus_feasible(self):
         inst = small_instance(case=2)
         ref = reference_solve(inst, cache=False)
-        assert ref.method in ("dfal-long", "sadmm-tight")
+        assert ref.method == "primal-dual"
+        assert ref.converged and ref.gap <= 1e-9
         assert np.all(np.isfinite(ref.x_ref))
         assert ref.f_star > 0
 
-    def test_case2_sadmm_candidate_certified_by_its_cv(self):
-        # sadmm-tight wins here with a final CV near 2.7e-7, and was once
-        # reported converged unconditionally; dfal-long's CV is over 1e-8 too
+    def test_case2_small_instance_certified_by_its_gap(self):
+        # the old reference ended here at a consensus violation near 2.7e-7 from a
+        # fixed penalty floor and was reported unconverged; the primal-dual solve
+        # certifies its gap
         ref = reference_solve(generate_instance(2, "star", 3, 4, 3, seed=2), cache=False)
-        assert ref.method == "sadmm-tight"
-        assert not ref.converged
+        assert ref.method == "primal-dual"
+        assert ref.converged and 0 <= ref.gap <= 1e-9
 
     def test_cache_round_trip(self):
         inst = small_instance(seed=11)
@@ -233,22 +236,25 @@ class TestReferenceSolve:
         b = reference_solve(small_instance(seed=11))
         assert a is b
 
-    def test_case2_cache_ignores_the_tolerance(self, monkeypatch):
-        # case 2 ignores the tolerance, so a second tolerance once re-solved
+    def test_case2_cache_keys_on_the_tolerance(self, monkeypatch):
+        # case 2 stops at the tolerance, so a second tolerance solves again and
+        # a repeated one reuses its solve
         import dfalopt.bench as bench
 
         calls = []
 
-        def counted(instance):
-            calls.append(instance)
-            return _reference_case2(instance)
+        def counted(instance, tolerance):
+            calls.append(tolerance)
+            return _reference_case2(instance, tolerance)
 
         monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
         monkeypatch.setattr(bench, "_reference_case2", counted)
         inst = small_instance(case=2)
         first = reference_solve(inst)
-        assert reference_solve(inst, tolerance=1e-8) is first
-        assert len(calls) == 1
+        loose = reference_solve(inst, tolerance=1e-6)
+        assert loose is not first and reference_solve(inst) is first
+        assert calls == [1e-9, 1e-6]
+        assert first.gap <= 1e-9 and loose.gap <= 1e-6
 
     def test_case1_cache_ignores_the_graph(self, monkeypatch):
         # the case-1 optimum ignores the edges, so the star and the clique of
@@ -257,7 +263,7 @@ class TestReferenceSolve:
 
         calls = []
 
-        def counted(instance):
+        def counted(instance, tolerance):
             calls.append(len(instance.graph.edges))
             return bench.Reference(1.0, np.zeros(instance.n), "stub", True)
 
@@ -289,6 +295,97 @@ class TestReferenceSolve:
         assert narrow.f_star == pytest.approx(fresh.f_star, rel=1e-12)
         assert narrow.f_star < 0.5 < wide.f_star
         assert reference_solve(narrow_instance()) is narrow
+
+
+def _weak_dual_bound(inst, ref):
+    """The reference's ``D = F - gap |F|``, and ``F`` at its point summed node by node."""
+    f = sum(p.value(ref.x_ref) for p in inst.nodes)
+    return ref.f_star - ref.gap * abs(ref.f_star), f
+
+
+def _scaled_leaf(s):
+    """Star-5 case 2 at seed 1, with node 2's ``A`` and ``b`` times ``s``."""
+    inst = generate_instance(2, "star", 5, 10, 10, 1)
+    p = inst.nodes[2]
+    inst.nodes[2] = NodeProblem(p.reg, HuberLoss(p.loss.A * s, p.loss.b * s, p.loss.delta))
+    return inst
+
+
+class TestCertifiedReference:
+    """Every reference carries a relative gap to a weak-duality bound ``D <= F*``;
+    case 2 stops on it."""
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_weak_duality_on_the_cross_solver_instances(self, case):
+        for topology in ("star", "clique"):
+            for seed in range(1, 6):
+                inst = generate_instance(case, topology, 5, 10, 10, seed)
+                ref = reference_solve(inst)
+                bound, f = _weak_dual_bound(inst, ref)
+                assert f == pytest.approx(ref.f_star, rel=1e-13)
+                assert 0 < ref.gap <= 1e-9 and bound <= ref.f_star
+                assert ref.converged and ref.method == ("apg" if case == 1 else "primal-dual")
+
+    def test_weak_duality_holds_at_any_point(self):
+        # D bounds F* from below however far the point is from the optimum
+        inst = generate_instance(2, "star", 3, 4, 3, seed=2)
+        stack = NodeStack(inst.nodes)
+        part, A, b = stack.partition, stack._A.reshape(-1, inst.n), stack._b.ravel()
+        weights = stack._b1[part.perm[part.starts]], stack._b2
+        f_star = reference_solve(inst).f_star
+        rng = np.random.default_rng(5)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            x, Z = scale * rng.standard_normal(inst.n), scale * rng.standard_normal(stack.shape)
+            f = stack.objective(np.tile(x, (3, 1)))
+            gap = bench._relative_gap(f, A, b, stack._delta.ravel(), x, Z, part, *weights)
+            assert f - gap * abs(f) <= f_star <= f
+
+    @pytest.mark.parametrize("args", [
+        (2, "star", 2, 2, 2, 3), (2, "star", 2, 2, 2, 1), (2, "star", 3, 4, 3, 2),
+        (2, "clique", 3, 4, 3, 2), (2, "star", 3, 4, 3, 5), (2, "clique", 4, 4, 4, 1),
+    ])
+    def test_small_case2_instances_certify(self, args):
+        # the old reference reported four of these unconverged
+        ref = reference_solve(generate_instance(*args), cache=False)
+        assert ref.converged and 0 <= ref.gap <= 1e-9
+        assert ref.iterations % bench.GAP_EVERY == 0
+
+    def test_graphs_agree_within_their_gaps(self, tmp_path):
+        # star, clique and ring share A, b and the partitions, so one consensus
+        # optimum: each interval [D, F] holds it
+        path = tmp_path / "ring-6.edges"
+        path.write_text("6\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 6)) + "1 6\n")
+        refs = [reference_solve(generate_instance(2, topology, 6, 10, 12, 1, edge_file=edges),
+                                cache=False)
+                for topology, edges in (("star", None), ("clique", None),
+                                        ("edge-file", str(path)))]
+        bounds = [ref.f_star - ref.gap * abs(ref.f_star) for ref in refs]
+        assert all(ref.converged for ref in refs)
+        assert max(bounds) <= min(ref.f_star for ref in refs)
+
+    def test_scaled_leaf_certifies_at_8(self):
+        ref = reference_solve(_scaled_leaf(8.0), cache=False)
+        assert ref.converged and ref.gap <= 1e-9
+        assert ref.iterations < bench.PD_CAP
+
+    def test_cap_stops_uncertified_with_its_gap(self, monkeypatch):
+        monkeypatch.setattr(bench, "PD_CAP", 2000)
+        ref = reference_solve(_scaled_leaf(128.0), cache=False)
+        assert (ref.converged, ref.iterations) == (False, 2000)
+        assert 1e-9 < ref.gap < math.inf
+        bound, f = _weak_dual_bound(_scaled_leaf(128.0), ref)
+        assert f == pytest.approx(ref.f_star, rel=1e-13) and bound < ref.f_star
+
+    def test_case1_gap_keeps_the_apg_bits(self, monkeypatch):
+        # the certificate is computed after the APG, on its final point
+        inst = generate_instance(1, "star", 5, 10, 10, 1)
+        ref = _reference_case1(inst, 1e-9)
+        with monkeypatch.context() as m:
+            m.setattr(bench, "_relative_gap", lambda *args: math.nan)
+            bare = _reference_case1(inst, 1e-9)
+        assert ref.x_ref.tobytes() == bare.x_ref.tobytes() and ref.f_star == bare.f_star
+        assert (ref.iterations, ref.converged) == (bare.iterations, bare.converged) == (661, True)
+        assert 0 < ref.gap <= 1e-9 and math.isnan(bare.gap)
 
 
 class TestReferenceRestart:
@@ -1003,7 +1100,13 @@ class TestCli:
         assert summary["converged"]
         header, row = out.read_text().splitlines()
         line = dict(zip(header.split(","), row.split(",")))
-        assert float(line["rel_subopt"]) == 0.0
+        # scored against the dual bound D = F* - gap |F*|, so the row's gap is the
+        # certificate's (F* - D) / |D|
+        f_star, gap = refs[0].f_star, refs[0].gap
+        bound = f_star - gap * abs(f_star)
+        assert 0 <= gap <= 1e-9
+        assert float(line["rel_subopt"]) == pytest.approx((f_star - bound) / bound, rel=1e-6,
+                                                          abs=1e-16)
         assert line["stop_reason"] == "residual"
         # the row reports the reference's own APG run
         iters = int(line["inner_iters"])

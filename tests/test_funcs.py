@@ -891,3 +891,157 @@ class TestGradientMappingBound:
             assert bound - _apg_slack(reg.n, L, x, g) <= residual
             over += int(bound > residual)
         assert over > 0
+
+
+def _bisection_gauge(part, z, b1, b2, steps=200):
+    """The gauge by bisection on every segment at once: ``||soft(z_s, t b1_s)||
+    - t b2_s`` falls in t, from ``||z_s||`` at 0 to at most 0 at ``min(max |z_s| /
+    b1_s, ||z_s|| / b2_s)``; the segments are scaled by their largest magnitude
+    first, as the gauge is positively homogeneous."""
+    b1, b2 = (np.broadcast_to(np.asarray(b, dtype=float), part.sizes.shape) for b in (b1, b2))
+    seg = np.arange(part.sizes.size).repeat(part.sizes)
+    a = np.abs(z)[part.perm]
+    top = np.maximum.reduceat(a, part.starts)
+    a = a / np.where(top > 0, top, 1.0)[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only on a zero segment
+        hi = np.fmin(1.0 / b1, np.sqrt(np.add.reduceat(a * a, part.starts)) / b2)
+    lo, hi = np.zeros_like(hi), np.where(top > 0, hi, 0.0)
+    finite = np.isfinite(hi)
+    hi_f = np.where(finite, hi, 0.0)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi_f)
+        soft = np.maximum(a - (mid * b1)[seg], 0.0)
+        over = np.sqrt(np.add.reduceat(soft * soft, part.starts)) > mid * b2
+        lo, hi_f = np.where(over, mid, lo), np.where(over, hi_f, mid)
+    return np.where(finite, hi_f, np.inf) * top
+
+
+def _piecewise_gauge(z, b1, b2):
+    """One group's gauge, by trying every piece: for each k, the least positive root of
+    ``sum_{j <= k} (a_j - t b1)^2 = (t b2)^2`` over the k largest magnitudes ``a``, kept
+    if the soft-threshold norm at it matches ``t b2`` best (Python floats, no sorting
+    shortcut beyond the magnitudes' order)."""
+    a = sorted((abs(float(v)) for v in z), reverse=True)
+    if a[0] == 0.0:
+        return 0.0
+    if b1 == b2 == 0.0:
+        return math.inf
+    top = a[0]
+    a = [v / top for v in a]
+    best, miss = math.inf, math.inf
+    for k in range(1, len(a) + 1):
+        s1, s2 = sum(a[:k]), sum(v * v for v in a[:k])
+        qa, qb = k * b1 * b1 - b2 * b2, -2.0 * b1 * s1
+        if qa == 0.0:
+            roots = [-s2 / qb]
+        else:
+            disc = qb * qb - 4.0 * qa * s2
+            if disc < 0.0:
+                continue
+            roots = [(-qb - math.sqrt(disc)) / (2 * qa), (-qb + math.sqrt(disc)) / (2 * qa)]
+        for t in roots:
+            if t >= 0.0:
+                soft = math.sqrt(sum(max(v - t * b1, 0.0) ** 2 for v in a))
+                if abs(soft - t * b2) < miss:
+                    best, miss = t, abs(soft - t * b2)
+    return best * top
+
+
+def _gauge_case(rng):
+    """A random partition (mixed sizes, singletons included), weights (either may be
+    0, or per segment) and a point with zero entries and zero segments, sometimes
+    rounded to integers for ties."""
+    reg = _edge_case_reg(rng, int(rng.integers(1, 13)))
+    part, K = reg.partition, len(reg.partition.groups)
+    b1, b2 = reg.beta1, reg.beta2
+    if rng.random() < 0.25:
+        b1, b2 = rng.uniform(0.05, 2.0, K), rng.uniform(0.05, 2.0, K)
+    z = _edge_case_point(rng, reg)
+    if rng.random() < 0.3:
+        z = np.round(z)
+    return part, z, b1, b2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSparseGroupGauge:
+    """``sparse_group_gauge`` against a vectorized bisection and a per-group root."""
+
+    def test_matches_the_bisection(self):
+        rng = np.random.default_rng(110)
+        for _ in range(400):
+            part, z, b1, b2 = _gauge_case(rng)
+            expected = _bisection_gauge(part, z, b1, b2)
+            got = funcs.sparse_group_gauge(part, z, b1, b2)
+            assert np.array_equal(np.isinf(got), np.isinf(expected))
+            finite = np.isfinite(expected)
+            np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-13, atol=0)
+
+    def test_matches_a_per_group_root(self):
+        rng = np.random.default_rng(111)
+        for _ in range(300):
+            part, z, b1, b2 = _gauge_case(rng)
+            got = funcs.sparse_group_gauge(part, z, b1, b2)
+            w1, w2 = (np.broadcast_to(b, part.sizes.shape) for b in (b1, b2))
+            for s, g in enumerate(part.groups):
+                expected = _piecewise_gauge(z[g], float(w1[s]), float(w2[s]))
+                assert got[s] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_closed_forms_at_zero_weights(self):
+        part = GroupPartition(6, (np.array([0, 3]), np.array([1]), np.array([2, 4, 5])))
+        z = np.array([3.0, -1.0, 0.0, -4.0, 0.0, 0.0])
+        # only the l1 part: the largest magnitude over b1
+        assert funcs.sparse_group_gauge(part, z, 0.5, 0.0).tolist() == [8.0, 2.0, 0.0]
+        # only the group part: the segment norm over b2
+        assert funcs.sparse_group_gauge(part, z, 0.0, 0.5).tolist() == [10.0, 2.0, 0.0]
+        assert funcs.sparse_group_gauge(part, z, 0.0, 0.0).tolist() == [math.inf, math.inf, 0.0]
+        # a size-1 group: |z| = t b1 + t b2
+        assert funcs.sparse_group_gauge(part, z, 0.25, 0.25)[1] == 2.0
+
+    def test_ties_and_the_boundary(self):
+        # four equal magnitudes: soft norm 2 (1 - t b1) = t b2 gives t = 2 / (2 b1 + b2)
+        part = GroupPartition(4, (np.arange(4),))
+        got = funcs.sparse_group_gauge(part, np.array([1.0, -1.0, 1.0, -1.0]), 0.5, 1.0)
+        assert got[0] == pytest.approx(1.0, rel=1e-15)
+        # z / gauge lies on the ball's boundary, and a slightly smaller t leaves it
+        rng = np.random.default_rng(112)
+        for _ in range(200):
+            part, z, b1, b2 = _gauge_case(rng)
+            if not (np.all(np.asarray(b1) > 0) and np.all(np.asarray(b2) > 0)):
+                continue
+            gauge = funcs.sparse_group_gauge(part, z, b1, b2)
+            w1, w2 = (np.broadcast_to(b, part.sizes.shape) for b in (b1, b2))
+            for s, g in enumerate(part.groups):
+                if gauge[s] > 0:
+                    soft = np.maximum(np.abs(z[g]) / gauge[s] - w1[s], 0.0)
+                    assert np.linalg.norm(soft) == pytest.approx(w2[s], rel=1e-12)
+
+    def test_subnormal_and_huge_entries_scale_exactly(self):
+        rng = np.random.default_rng(113)
+        for _ in range(100):
+            part, z, b1, b2 = _gauge_case(rng)
+            base = funcs.sparse_group_gauge(part, z, b1, b2)
+            huge = funcs.sparse_group_gauge(part, z * 2.0**1000, b1, b2)
+            np.testing.assert_allclose(huge, base * 2.0**1000, rtol=1e-15)
+            # subnormal entries keep about 20 bits; scaled back up they are normal
+            tiny = z * 2.0**-1050
+            normal = tiny * 2.0**525 * 2.0**525  # exact: 2**1050 itself overflows
+            expected = funcs.sparse_group_gauge(part, normal, b1, b2) * 2.0**-1050
+            got = funcs.sparse_group_gauge(part, tiny, b1, b2)
+            finite = np.isfinite(expected)
+            assert np.array_equal(np.isinf(got), ~finite)
+            assert np.all(np.abs(got[finite] - expected[finite]) <= 2.0**-1070)
+
+    def test_stacked_weights_per_segment(self):
+        # the stacked partition with each node's weights on its segments is each
+        # node's own gauge
+        rng = np.random.default_rng(114)
+        nodes = [small_node(rng, 9, int(rng.integers(2, 5))) for _ in range(3)]
+        stack = NodeStack(nodes)
+        part = stack.partition
+        Z = rng.standard_normal(stack.shape)
+        got = funcs.sparse_group_gauge(part, Z.reshape(-1), stack._b1[part.perm[part.starts]],
+                                       stack._b2)
+        own = np.concatenate([funcs.sparse_group_gauge(p.reg.partition, Z[i], p.reg.beta1,
+                                                       p.reg.beta2)
+                              for i, p in enumerate(nodes)])
+        assert np.array_equal(got, own)

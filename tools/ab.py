@@ -21,7 +21,7 @@ benchmark's workloads (instance seed 1, star, N = 5, n_g = K = 10):
 - ``ref-case1`` and ``ref-case2``: ``reference_solve(cache=False)`` of each
   case.
 
-The kernel operations ``SHAPE:ROW`` time 19 hot kernels (``ROWS``) on four
+The kernel operations ``SHAPE:ROW`` time 20 hot kernels (``ROWS``) on four
 shapes (``SHAPES``); a shape name given to ``--ops`` selects its rows.  A shape
 is a case-1 instance at seed 1 and its first DFAL subproblem (``k = 1``,
 ``xbar = 0``) with the block constants ``lam L_i + psi_max`` of ``dfal`` and
@@ -30,8 +30,10 @@ reaches in ``20 N`` events from zero at activation seed 1.  A row's call is a
 node's event prox, residual or gradient (``sparse_group_prox``,
 ``sparse_group_min_norm``, ``block_gradient``, the nodes in turn); one
 all-node call (``stacked_prox``, ``stacked_loss_gradient``, ``laplacian_apply``,
-``charge_activations``, and the row metrics ``stack_objective``,
-``consensus_violation`` and ``sadmm_cv`` with ``y = Y - grad / L``); an
+``charge_activations``, the row metrics ``stack_objective``,
+``consensus_violation`` and ``sadmm_cv`` with ``y = Y - grad / L``, and
+``gauge``, ``sparse_group_gauge`` on the stacked partition at ``Y`` with each
+node's weights, the references' certificate kernel); an
 iteration of ``ms_apg`` (20 from zero) or of the shape's case-1 reference at
 tolerance ``REFERENCE_TOL``; an event of ``rbcd_run`` or ``arbcd_chain``
 (``20 N`` from zero, the activations drawn off the clock), or of ``rbcd_run``
@@ -70,6 +72,9 @@ Usage, from any directory of the repository::
     python3 tools/ab.py HEAD~1                              # the end-to-end operations
     python3 tools/ab.py HEAD~1 --ops ref-case1 --rounds 40  # one, longer
     python3 tools/ab.py HEAD --ops star-5 --rounds 3        # star-5's kernel rows, A/A
+
+A kernel row that one side's tree does not have (``gauge`` on a base older than
+its kernel) prints only its ``op``, ``rounds`` 0 and an ``error`` naming the side.
 
 Compare ratios only against the A/A band of the same run.  On a 2-core VM at
 the default 20 rounds, ``--ops star-5`` takes about 13 s, and all four shapes
@@ -195,7 +200,7 @@ ROWS = tuple("""sparse_group_prox sparse_group_min_norm block_gradient stacked_p
     stacked_loss_gradient laplacian_apply stack_objective consensus_violation sadmm_cv
     charge_activations sync_iteration reference_iteration rbcd_event arbcd_event
     rbcd_tested_event residual_reached_gate residual_reached_exact huber_prox
-    sadmm_iteration""".split())
+    sadmm_iteration gauge""".split())
 KERNEL_SEED = 1  # the shapes' instance and activation seed
 SYNC_ITERS = 20
 # the case-1 reference's tolerance: the loosest reference_solve takes
@@ -261,8 +266,9 @@ def _kernel(run: Callable[..., Any], calls: int, work: tuple[str, ...] = (),
     return op
 
 
-def _kernel_rows(pkg: ModuleType, shape: str) -> dict[str, Callable[[], Op]]:
-    """Each row of ``shape`` on ``pkg``: a function that builds its :class:`Op`."""
+def _kernel_rows(pkg: ModuleType, shape: str) -> dict[str, Callable[[], Op | None]]:
+    """Each row of ``shape`` on ``pkg``: a function that builds its :class:`Op`, or
+    returns None where ``pkg`` lacks the row's kernel."""
     topology, N, n_g, K = SHAPES[shape]
     with tempfile.TemporaryDirectory() as tmp:  # a ring comes from an edge file
         path = Path(tmp) / "ring"
@@ -363,6 +369,13 @@ def _kernel_rows(pkg: ModuleType, shape: str) -> dict[str, Callable[[], Op]]:
             return out
         return _kernel(run, len(calls) - 1, NEWTON_WORK, prime)
 
+    def gauge() -> Op | None:
+        kernel, part = getattr(pkg.funcs, "sparse_group_gauge", None), stack.partition
+        if kernel is None:  # a tree older than the kernel
+            return None
+        return looped(functools.partial(kernel, part, Y.reshape(-1),
+                                        stack._b1[part.perm[part.starts]], stack._b2))()
+
     def sadmm(counts: dict[str, int] | None = None) -> list:
         with _counted_eye(counts):
             trace = baselines.sadmm_solve(nodes, graph, iters=SADMM_ITERS)
@@ -393,10 +406,11 @@ def _kernel_rows(pkg: ModuleType, shape: str) -> dict[str, Callable[[], Op]]:
         "residual_reached_exact": test(exact_max),
         "huber_prox": huber_prox,
         "sadmm_iteration": lambda: _kernel(sadmm, SADMM_ITERS, NEWTON_WORK),
+        "gauge": gauge,
     }
 
 
-def _build(pkg: ModuleType, shape: str | None, ops: list[str]) -> dict[str, Op]:
+def _build(pkg: ModuleType, shape: str | None, ops: list[str]) -> dict[str, Op | None]:
     """The operations ``ops`` on ``pkg``: end-to-end ones, or ``shape``'s rows."""
     if shape is None:
         return {op: Op(OPS[op](pkg)) for op in ops}
@@ -452,6 +466,10 @@ def measure(packages: dict[str, ModuleType], ops: list[str],
         built = {side: _build(pkg, shape, group) for side, pkg in packages.items()}
         for op in group:
             sides = {side: built[side][op] for side in SIDES}
+            missing = [side for side, built_op in sides.items() if built_op is None]
+            if missing:
+                yield {"op": op, "rounds": 0, "error": f"no such kernel on {', '.join(missing)}"}
+                continue
             times, hashes = {side: [] for side in SIDES}, {side: set() for side in SIDES}
             for r in range(-1, rounds):  # round -1 is untimed
                 for side in ORDERS[r % len(ORDERS)]:
