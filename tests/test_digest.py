@@ -1,14 +1,16 @@
 """The output digest of ``tools/digest.py``: its runs repeat bit for bit in one
-process, and its serialization tells apart what a changed run would change."""
+process, its serialization tells apart what a changed run would change, and a
+commit compares with this tree in one process."""
 
 import dataclasses
-import hashlib
 import importlib.util
-import json
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_ab import needs_git
 
 from dfalopt import TraceRow
 
@@ -24,9 +26,7 @@ def digest():
 
 
 def feed(digest, value, run=False):
-    h = hashlib.sha256()
-    digest._feed(h, value, run)
-    return h.hexdigest()
+    return digest.sha256(value, run)
 
 
 def test_reduced_set_repeats_in_one_process(digest):
@@ -101,28 +101,25 @@ def test_compare_counts_the_entries_that_keep_their_run(digest):
     assert len(digest.compare(change, change)) == 3  # no entry differs
 
 
-def test_compare_reads_two_printed_digests(digest, tmp_path, capsys):
-    paths = []
-    for name, value in (("base", "a"), ("change", "b")):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps({"digest": value * 64, "entries": {"x": value}}))
-    assert digest.main(["--compare", *map(str, paths)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("Full digest differs") and out[-1] == "- `x` differs: `a…` -> `b…`"
+def test_a_reference_record_hashes_its_gap(digest):
+    ref = SimpleNamespace(f_star=1.5, x_ref=np.ones(3), method="primal-dual", converged=True,
+                          iterations=9, gap=6e-10)
+    moved = SimpleNamespace(**{**vars(ref), "gap": np.nextafter(6e-10, 1.0)})
+    records = [digest.reference_record(r) for r in (ref, moved)]
+    assert feed(digest, records[0]) != feed(digest, records[1])
 
 
-def test_compare_names_a_file_it_cannot_read(digest, tmp_path, capsys):
-    # a missing file once ended in a FileNotFoundError traceback
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"digest": "a" * 64, "entries": {}}))
-    (tmp_path / "text.json").write_text("not json")
-    (tmp_path / "list.json").write_text("[1, 2]")
-    for name in ("missing.json", "text.json", "list.json"):
-        bad = str(tmp_path / name)
-        for pair in ([str(good), bad], [bad, str(good)]):
-            assert digest.main(["--compare", *pair]) == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            lines = err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("digest.py: error: ")
-            assert bad in lines[0]
+@needs_git
+def test_head_against_this_tree_in_one_process(digest):
+    start = time.perf_counter()
+    lines = digest.against("HEAD", "reduced")
+    assert lines[0].startswith("### Digest against the base (`")
+    assert lines[1].startswith("Full digest equal") and lines[2] == "4 entries equal, 0 differ."
+    assert len(lines) == 4 and time.perf_counter() - start < 5
+
+
+def test_a_base_git_cannot_archive_is_one_error_line(digest, capsys):
+    assert digest.main(["no-such-commit"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("digest.py: error: no src/dfalopt at 'no-such-commit'")

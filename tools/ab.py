@@ -2,24 +2,21 @@
 
 The package ``src/dfalopt`` of the commit BASE, taken out with ``git archive``
 into a temporary directory, and the one of this tree are imported into one
-process as two packages (``src/dfalopt`` imports its own modules by relative
-imports only), under one BLAS thread.  This tree is imported a second time, as
-a control: the change against a copy of itself (an A/A run) shows how far two
-equal trees read apart in this session.
+process as two packages (``tools/digest.py``'s ``base_tree``), under one BLAS
+thread.  This tree is imported a second time, as a control: the change against
+a copy of itself (an A/A run) shows how far two equal trees read apart in this
+session.
 
 Each operation is one call of a package, on instances made before the clock
-starts.  The six end-to-end operations (the default ``--ops``) run on the
-benchmark's workloads (instance seed 1, star, N = 5, n_g = K = 10):
-
-- ``async-rbcd`` and ``async-arbcd``: ``async_dfal_solve`` on the
-  ``async-star5`` instance, 40 outer iterations at p = 0.1, activation seed
-  4001, scored against the case-1 reference;
-- ``sadmm-admm``: ``sadmm_solve(iters=200)`` then ``admm_solve(iters=2)`` on
-  the case-2 instance, as ``baselines-case2`` solves it;
-- ``dfal-case2``: ``dfal_solve`` on the case-2 instance at ``default_params``,
-  scored against the case-2 reference;
-- ``ref-case1`` and ``ref-case2``: ``reference_solve(cache=False)`` of each
-  case.
+starts.  The six end-to-end operations (the default ``--ops``) are entries of
+``tools/digest.py`` on the benchmark's workloads (instance seed 1, star,
+N = 5, n_g = K = 10), timed as the solve and its record (the untimed round
+fills the digest's caches of instances, parameters and optima):
+``async-rbcd`` and ``async-arbcd`` are ``async-star5-rbcd-4001`` and
+``async-star5-arbcd-4001``, ``sadmm-admm`` is ``sadmm-200`` then ``admm-2``,
+as ``baselines-case2`` solves them, ``dfal-case2`` is ``dfal-case2``, and
+``ref-case1`` and ``ref-case2`` are ``reference-case1`` and
+``reference-case2``, an uncached ``reference_solve`` each.
 
 The kernel operations ``SHAPE:ROW`` time 20 hot kernels (``ROWS``) on four
 shapes (``SHAPES``); a shape name given to ``--ops`` selects its rows.  A shape
@@ -89,14 +86,11 @@ import contextlib
 import dataclasses
 import functools
 import gc
-import hashlib
-import importlib.util
 import itertools
 import json
 import math
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -111,23 +105,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import digest  # noqa: E402
+
 SIDES = ("base", "change", "control")
 ORDERS = list(itertools.permutations(SIDES))
-ACTIVATION_SEED = 4001
-
-
-def _load(name: str, path: Path) -> ModuleType:
-    """The module or package at ``path`` (a package's directory), imported as ``name``."""
-    init = path / "__init__.py" if path.is_dir() else path
-    spec = importlib.util.spec_from_file_location(
-        name, init, submodule_search_locations=[str(path)] if path.is_dir() else None)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-digest = _load("ab_digest", ROOT / "tools" / "digest.py")
 
 
 @dataclasses.dataclass
@@ -142,51 +125,14 @@ class Op:
     extras: dict[str, Any] = dataclasses.field(default_factory=dict)
 
 
-def _async(oracle: str) -> Callable[[ModuleType], Callable[[], Any]]:
-    def make(pkg: ModuleType) -> Callable[[], Any]:
-        inst = pkg.generate_instance(1, "star", 5, 10, 10, 1)
-        params = pkg.default_params(inst.nodes, inst.graph, outer_cap=40, eps_opt=1e-3,
-                                    eps_feas=1e-4)
-        f_star = pkg.reference_solve(inst, cache=False).f_star
-        return lambda: digest.trace_record(pkg.async_dfal_solve(
-            inst.nodes, inst.graph, params, p=0.1, oracle=oracle, seed=ACTIVATION_SEED,
-            outer_iters=40, reference=f_star))
-    return make
-
-
-def _baselines(pkg: ModuleType) -> Callable[[], Any]:
-    inst = pkg.generate_instance(2, "star", 5, 10, 10, 1)
-    return lambda: [digest.trace_record(solve(inst.nodes, inst.graph, iters=iters))
-                    for solve, iters in ((pkg.sadmm_solve, 200), (pkg.admm_solve, 2))]
-
-
-def _dfal_case2(pkg: ModuleType) -> Callable[[], Any]:
-    inst = pkg.generate_instance(2, "star", 5, 10, 10, 1)
-    params = pkg.default_params(inst.nodes, inst.graph)
-    f_star = pkg.reference_solve(inst, cache=False).f_star
-    return lambda: digest.trace_record(pkg.dfal_solve(inst.nodes, inst.graph, params,
-                                                      reference=f_star))
-
-
-def _reference_record(ref: Any) -> list:
-    return [ref.f_star, ref.x_ref, ref.method, ref.converged, ref.iterations]
-
-
-def _reference(case: int) -> Callable[[ModuleType], Callable[[], Any]]:
-    def make(pkg: ModuleType) -> Callable[[], Any]:
-        inst = pkg.generate_instance(case, "star", 5, 10, 10, 1)
-        return lambda: _reference_record(pkg.reference_solve(inst, cache=False))
-    return make
-
-
-# name -> (package -> its timed call)
+# name -> the digest entries its timed call runs
 OPS = {
-    "async-rbcd": _async("rbcd"),
-    "async-arbcd": _async("arbcd"),
-    "sadmm-admm": _baselines,
-    "dfal-case2": _dfal_case2,
-    "ref-case1": _reference(1),
-    "ref-case2": _reference(2),
+    "async-rbcd": ("async-star5-rbcd-4001",),
+    "async-arbcd": ("async-star5-arbcd-4001",),
+    "sadmm-admm": ("sadmm-200", "admm-2"),
+    "dfal-case2": ("dfal-case2",),
+    "ref-case1": ("reference-case1",),
+    "ref-case2": ("reference-case2",),
 }
 
 # the kernel shapes: name -> (topology, N, n_g, K); n = K n_g and m = n / (2N)
@@ -335,9 +281,10 @@ def _kernel_rows(pkg: ModuleType, shape: str) -> dict[str, Callable[[], Op | Non
                                passed=obj.residual_reached(Y, at))
 
     def reference() -> Op:
-        run = lambda: _reference_record(pkg.reference_solve(inst, REFERENCE_TOL, cache=False))
-        iterations = run()[-1]
-        return _kernel(run, iterations, tolerance=REFERENCE_TOL, iterations=iterations)
+        solve = functools.partial(pkg.reference_solve, inst, REFERENCE_TOL, cache=False)
+        iterations = solve().iterations
+        return _kernel(lambda: digest.reference_record(solve()), iterations,
+                       tolerance=REFERENCE_TOL, iterations=iterations)
 
     def huber_prox() -> Op:
         # the steps and (centers, starts) of each Huber prox call of a sadmm run
@@ -413,15 +360,10 @@ def _kernel_rows(pkg: ModuleType, shape: str) -> dict[str, Callable[[], Op | Non
 def _build(pkg: ModuleType, shape: str | None, ops: list[str]) -> dict[str, Op | None]:
     """The operations ``ops`` on ``pkg``: end-to-end ones, or ``shape``'s rows."""
     if shape is None:
-        return {op: Op(OPS[op](pkg)) for op in ops}
+        return {op: Op(lambda names=OPS[op]: [digest.ENTRIES[name](pkg) for name in names])
+                for op in ops}
     rows = _kernel_rows(pkg, shape)
     return {op: rows[op.partition(":")[2]]() for op in ops}
-
-
-def _hash(record: Any) -> str:
-    h = hashlib.sha256()
-    digest._feed(h, record)
-    return h.hexdigest()
 
 
 def _ratios(num: list[float], den: list[float]) -> dict[str, float]:
@@ -478,7 +420,7 @@ def measure(packages: dict[str, ModuleType], ops: list[str],
                     start = time.perf_counter()
                     record = sides[side].run()
                     elapsed = time.perf_counter() - start
-                    hashes[side].add(_hash(record))
+                    hashes[side].add(digest.sha256(record))
                     if r >= 0:
                         times[side].append(elapsed)
             yield _summary(op, rounds, sides, times, hashes)
@@ -499,21 +441,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 2")
     ops = list(dict.fromkeys(op for name in args.ops for op in (
         [f"{name}:{row}" for row in ROWS] if name in SHAPES else [name])))
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.base, "src/dfalopt"],
-                             capture_output=True)
-    if archive.returncode != 0:  # one error line, not a traceback
-        print(f"ab.py: error: no src/dfalopt at {args.base!r}: "
-              f"{archive.stderr.decode().strip()}", file=sys.stderr)
+    try:
+        with digest.base_tree(args.base, "ab_base") as (base, base_pkg):
+            packages = {"base": base_pkg}
+            for side in SIDES[1:]:
+                packages[side] = digest.load(f"ab_{side}", ROOT / "src" / "dfalopt")
+            for summary in measure(packages, ops, args.rounds):
+                print(json.dumps({"base": base, **summary}), flush=True)
+    except digest.NoBase as exc:  # one error line, not a traceback
+        print(f"ab.py: error: {exc}", file=sys.stderr)
         return 2
-    base = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
-                          capture_output=True, text=True).stdout.strip()
-    with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        packages = {"base": _load("ab_base", Path(tmp) / "src" / "dfalopt")}
-        for side in SIDES[1:]:
-            packages[side] = _load(f"ab_{side}", ROOT / "src" / "dfalopt")
-        for summary in measure(packages, ops, args.rounds):
-            print(json.dumps({"base": base, **summary}), flush=True)
     return 0
 
 
