@@ -179,20 +179,22 @@ def reference_solve(
     ``gap`` is computed once at that point (1.3e-10 there).
 
     Case 2: Condat-Vu splitting (Condat 2013; Vu 2013) of ``min_x f(x) + sum_i
-    rho_i(x)``, ``f`` the Huber sum of all rows: ``x+ = x - tau (grad f(x) + sum_i
-    z_i)``, ``Z <- V - sigma prox(V / sigma)`` at ``V = Z + sigma (2 x+ - x)`` with the
-    nodes' prox at step ``1 / sigma`` bound once, ``sigma = PD_SIGMA L_f / (2N)`` and
-    ``tau = 0.99 / (L_f / 2 + sigma N)``.  Every ``GAP_EVERY`` iterations it takes its
-    gap on its own duals and stops, ``converged``, at a gap of at most ``tolerance``,
-    or uncertified at ``PD_CAP``.  It starts from 3 outer iterations of ``dfal_solve``
-    (``c = 0.7``): ``x`` is their nodes' mean and ``z_i = -grad f_i(x_i) - (Omega
-    xbar)_i / lam_next``, in ``d rho_i(x_i)`` by the subproblem's optimality.  That
-    start saves a tenth of the iterations at the same total time; it stays because the
+    rho_i(x)``, ``f`` the Huber sum of all rows, in the metric ``M = (sigma N I + A^T A /
+    2) / 0.99`` (inverted once): ``x+ = x - M^-1 (grad f(x) + sum_i z_i)``, ``Z <- V -
+    sigma prox(V / sigma)`` at ``V = Z + sigma (2 x+ - x)`` with the nodes' prox at step
+    ``1 / sigma`` bound once and ``sigma = PD_SIGMA median_i L_i / (2N)``.  As ``grad f``
+    is ``A^T A``-cocoercive, ``M - sigma N I > A^T A / 2`` keeps the step valid at any
+    data scale.  Every ``GAP_EVERY`` iterations it takes its gap on its own duals, and its
+    ``F*`` free of each node's group order, and stops, ``converged``, at a gap of at most
+    ``tolerance``, or uncertified at ``PD_CAP``.  It starts from 3 outer iterations of
+    ``dfal_solve`` (``c = 0.7``): ``x`` is their nodes' mean and ``z_i = -grad f_i(x_i) -
+    (Omega xbar)_i / lam_next``, in ``d rho_i(x_i)``; the start stays because the
     benchmark times the synchronous DFAL only through it, and it ties the reference to
-    the graph.  On star-5 case 2 at seed 1 (2-core VM) it certifies 8.5e-10 in 1250
-    iterations (0.05 s); with node 2's ``A`` and ``b`` times s = 8, in 37750 (1.2 s;
-    ``PD_SIGMA`` 1 took 68650, 0.03 took 35350 but 3x more on small instances), and
-    at s = 32 and 128 it stops at its cap (3.2 and 4.2 s, gaps 2e-4 and 3e-3).
+    the graph.  On star-5 case 2 at seed 1 (2-core VM) it certifies 6.8e-10 in 200
+    iterations (0.02 s, half of it the start), where the scalar step ``0.99 / (L_f / 2 +
+    sigma N)`` took 1250; with node 2's ``A`` and ``b`` times s = 8, 32 and 128, in 650,
+    750 and 800 (0.1, 0.3-0.5 and 1.2-2.4 s, most of it the start at s = 32 and 128),
+    where it took 37750 at 8 and stopped at its cap at 32 and 128.
     """
     # a looser one certifies the start point, whose residual already meets it
     real("tolerance", tolerance, 1e-9, 1e-6)
@@ -262,8 +264,8 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
                      seconds, gap)
 
 
-# Condat-Vu's dual step in units of L_f / (2N) and its cap, measured as reference_solve says
-PD_SIGMA, PD_CAP, GAP_EVERY = 0.1, 100_000, 50
+# the dual step in units of median_i L_i / (2N) and the cap, measured as reference_solve says
+PD_SIGMA, PD_CAP, GAP_EVERY = 0.3, 100_000, 50
 
 
 def _reference_case2(instance: ProblemInstance, tolerance: float) -> Reference:
@@ -276,15 +278,18 @@ def _reference_case2(instance: ProblemInstance, tolerance: float) -> Reference:
     part = stack.partition
     weights = stack._b1[part.perm[part.starts]], stack._b2
     A, b, delta = stack._A.reshape(-1, instance.n), stack._b.ravel(), stack._delta.ravel()
-    lip = float(np.linalg.eigvalsh(A @ A.T)[-1])
-    sigma = PD_SIGMA * lip / (2 * N)
-    tau, prox = 0.99 / (0.5 * lip + sigma * N), stack.prox_map(1.0 / sigma)
+    lips = sorted(p.loss.lipschitz for p in nodes)  # np.median's first call costs 0.6 MB
+    sigma = PD_SIGMA * ((lips[(N - 1) // 2] + lips[N // 2]) / 2) / (2 * N)
+    metric = (sigma * N * np.eye(instance.n) + 0.5 * A.T @ A) / 0.99
+    step, prox = np.linalg.inv(metric), stack.prox_map(1.0 / sigma)
     for it in range(1, PD_CAP + 1):
-        x_next = x - tau * (A.T.dot(_clip(A.dot(x) - b, delta)) + np.add.reduce(Z))
+        x_next = x - step.dot(A.T.dot(_clip(A.dot(x) - b, delta)) + np.add.reduce(Z))
         V = Z + sigma * (2.0 * x_next - x)
         Z, x = V - sigma * prox(V / sigma), x_next
         if it % GAP_EVERY == 0 or it == PD_CAP:
-            f = stack.objective(np.tile(x, (N, 1)))
+            f = float(sum(p.reg.beta1 * np.add.reduce(np.abs(x)) + p.loss.value(x) + p.reg.beta2
+                          * np.add.reduce(np.sort(p.reg.partition.norms(x[p.reg.partition.perm])))
+                          for p in nodes))
             gap = _relative_gap(f, A, b, delta, x, Z, part, *weights)
             if gap <= tolerance:
                 break

@@ -3,12 +3,16 @@ JSON line per operation with the ratio, the A/A band, a verdict and whether
 the outputs hash alike; on the star-5 kernel rows, each call's work next to
 its time."""
 
+import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -66,6 +70,29 @@ def test_a_base_without_the_package_is_one_error_line():
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("ab.py: error: no src/dfalopt at 'no-such-commit'")
     assert len(out.stderr.strip().splitlines()) == 1
+
+
+def test_an_operation_that_raises_on_a_side_is_one_error_line(monkeypatch):
+    spec = importlib.util.spec_from_file_location("ab_tool", PATH)
+    ab = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "ab_tool", ab)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with mock.patch.dict(os.environ):  # ab.py pins BLAS threads as it loads
+        spec.loader.exec_module(ab)
+
+    def value(pkg):
+        if pkg.broken:
+            raise ValueError("no such field\nsecond line")
+        return 1.0
+
+    monkeypatch.setattr(ab, "OPS", {"raising": ("value",), "fine": ("one",)})
+    monkeypatch.setattr(ab.digest, "ENTRIES", {"value": value, "one": lambda pkg: 1.0})
+    packages = {side: SimpleNamespace(broken=side == "base") for side in ab.SIDES}
+    raising, fine = ab.measure(packages, ["raising", "fine"], rounds=2)
+    assert raising == {"op": "raising", "rounds": 0,
+                       "error": "base: ValueError: no such field"}
+    # the run goes on to the next operation
+    assert (fine["op"], fine["rounds"], fine["outputs_equal"]) == ("fine", 2, True)
 
 
 def test_rejects_fewer_than_two_rounds():

@@ -363,17 +363,21 @@ class TestCertifiedReference:
         assert all(ref.converged for ref in refs)
         assert max(bounds) <= min(ref.f_star for ref in refs)
 
-    def test_scaled_leaf_certifies_at_8(self):
-        ref = reference_solve(_scaled_leaf(8.0), cache=False)
+    @pytest.mark.parametrize("s", [8, 32, 128])
+    def test_scaled_leaf_certifies(self, s):
+        # the metric step moves each direction at its own scale; the scalar
+        # step it replaced stopped at its cap at s = 32 and 128
+        ref = reference_solve(_scaled_leaf(float(s)), cache=False)
         assert ref.converged and ref.gap <= 1e-9
         assert ref.iterations < bench.PD_CAP
 
     def test_cap_stops_uncertified_with_its_gap(self, monkeypatch):
-        monkeypatch.setattr(bench, "PD_CAP", 2000)
-        ref = reference_solve(_scaled_leaf(128.0), cache=False)
-        assert (ref.converged, ref.iterations) == (False, 2000)
+        # the s = 8 leaf certifies in 650 iterations
+        monkeypatch.setattr(bench, "PD_CAP", 200)
+        ref = reference_solve(_scaled_leaf(8.0), cache=False)
+        assert (ref.converged, ref.iterations) == (False, 200)
         assert 1e-9 < ref.gap < math.inf
-        bound, f = _weak_dual_bound(_scaled_leaf(128.0), ref)
+        bound, f = _weak_dual_bound(_scaled_leaf(8.0), ref)
         assert f == pytest.approx(ref.f_star, rel=1e-13) and bound < ref.f_star
 
     def test_case1_gap_keeps_the_apg_bits(self, monkeypatch):

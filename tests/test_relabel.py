@@ -269,6 +269,22 @@ def test_renamed_coordinates_and_reversed_groups_keep_the_reference(case, tmp_pa
     assert (reversed_.f_star, reversed_.x_ref.tolist()) == (old.f_star, old.x_ref.tolist())
 
 
+def test_shuffled_groups_keep_every_bit_of_the_case2_reference():
+    # F* sums each node's group norms sorted, so no group order moves a bit; on
+    # the smaller instance above reversing the groups left an unsorted sum unchanged
+    inst = generate_instance(2, "star", 5, 10, 10, seed=1)
+    rng = np.random.default_rng(4)
+
+    def shuffle(node: NodeProblem) -> NodeProblem:
+        groups = node.reg.partition.groups
+        part = GroupPartition(node.n, tuple(groups[i] for i in rng.permutation(len(groups))))
+        return replace(node, reg=replace(node.reg, partition=part))
+
+    old, new = (reference_solve(i, cache=False) for i in (inst, with_nodes(inst, shuffle)))
+    assert (new.f_star, new.gap, new.iterations) == (old.f_star, old.gap, old.iterations)
+    assert new.x_ref.tobytes() == old.x_ref.tobytes()
+
+
 @pytest.mark.parametrize("name", list(GRAPHS))
 def test_renamed_coordinates_and_reversed_groups_keep_each_event_kernel(name, tmp_path):
     inst = make_instance(2, name, tmp_path)

@@ -11,7 +11,9 @@ the async budget constants and budgets, and every row, ledger and final
 iterate of the synchronous and both asynchronous solves map bit for bit.
 The two ADMM baselines map too, with their penalty ``c_admm`` times s^2
 under (O) and 1/s^2 under (X), except where the absolute ``NESTED_TOL`` of
-their nested solves breaks a bit.  The instance is star-3 with n = 120 and
+their nested solves breaks a bit.  The case-2 reference maps too: its
+certificate is a relative gap and its dual step comes from the median
+``L_i``.  The instance is star-3 with n = 120 and
 20 rows per node, whose ``L / psi_max`` of 77 keeps ``lam1`` below its clamp
 at every scale here; on star-5 with n = 100 (34), (O) at s = 1/8 clamps it."""
 
@@ -31,6 +33,7 @@ from dfalopt import (
     default_params,
     dfal_solve,
     generate_instance,
+    reference_solve,
     sadmm_solve,
 )
 
@@ -168,3 +171,16 @@ def test_baselines_map_exactly(symmetry, s, solve, case, request):
     assert_rows_and_ledgers_map(base, scaled, f, lam, cv, dual)
     for a, a_s in zip(final_arrays(base), final_arrays(scaled), strict=True):
         assert np.array_equal(a_s, x * a)
+
+
+@pytest.mark.parametrize("symmetry, s", [
+    ("O", 2.0**-3), ("O", 2.0**3), ("X", 2.0**-3), ("X", 2.0**2)])
+def test_case2_reference_maps_exactly(symmetry, s):
+    inst = generate_instance(2, "star", 3, 12, 10, 1)
+    base = reference_solve(inst, cache=False)
+    scaled = reference_solve(dataclasses.replace(inst, nodes=rescaled(inst.nodes, symmetry, s)),
+                             cache=False)
+    f, x = (s * s, 1.0) if symmetry == "O" else (1.0, s)
+    assert base.converged and (scaled.converged, scaled.iterations) == (True, base.iterations)
+    assert scaled.f_star == f * base.f_star and scaled.gap == base.gap
+    assert np.array_equal(scaled.x_ref, x * base.x_ref)

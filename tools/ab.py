@@ -72,6 +72,9 @@ Usage, from any directory of the repository::
 
 A kernel row that one side's tree does not have (``gauge`` on a base older than
 its kernel) prints only its ``op``, ``rounds`` 0 and an ``error`` naming the side.
+So does an operation that raises on a side (``ref-case1`` on a base whose
+``Reference`` has no ``gap``): its ``error`` is the side and the exception's first
+line, and the run goes on to the next operation.
 
 Compare ratios only against the A/A band of the same run.  On a 2-core VM at
 the default 20 rounds, ``--ops star-5`` takes about 13 s, and all four shapes
@@ -94,6 +97,7 @@ import statistics
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, Iterator
@@ -358,12 +362,25 @@ def _kernel_rows(pkg: ModuleType, shape: str) -> dict[str, Callable[[], Op | Non
 
 
 def _build(pkg: ModuleType, shape: str | None, ops: list[str]) -> dict[str, Op | None]:
-    """The operations ``ops`` on ``pkg``: end-to-end ones, or ``shape``'s rows."""
+    """The operations ``ops`` on ``pkg``: end-to-end ones, or ``shape``'s rows; where
+    building the rows raises, each operation raises the same when it runs."""
     if shape is None:
         return {op: Op(lambda names=OPS[op]: [digest.ENTRIES[name](pkg) for name in names])
                 for op in ops}
-    rows = _kernel_rows(pkg, shape)
-    return {op: rows[op.partition(":")[2]]() for op in ops}
+    try:
+        rows = _kernel_rows(pkg, shape)
+        return {op: rows[op.partition(":")[2]]() for op in ops}
+    except Exception as exc:
+        return dict.fromkeys(ops, Op(functools.partial(_reraise, exc)))
+
+
+def _reraise(exc: Exception) -> None:
+    raise exc
+
+
+def _first_line(exc: Exception) -> str:
+    """The first line of ``exc`` as a traceback ends with it: ``Type: message``."""
+    return traceback.format_exception_only(exc)[0].splitlines()[0]
 
 
 def _ratios(num: list[float], den: list[float]) -> dict[str, float]:
@@ -413,16 +430,20 @@ def measure(packages: dict[str, ModuleType], ops: list[str],
                 yield {"op": op, "rounds": 0, "error": f"no such kernel on {', '.join(missing)}"}
                 continue
             times, hashes = {side: [] for side in SIDES}, {side: set() for side in SIDES}
-            for r in range(-1, rounds):  # round -1 is untimed
-                for side in ORDERS[r % len(ORDERS)]:
-                    sides[side].setup()
-                    gc.collect()
-                    start = time.perf_counter()
-                    record = sides[side].run()
-                    elapsed = time.perf_counter() - start
-                    hashes[side].add(digest.sha256(record))
-                    if r >= 0:
-                        times[side].append(elapsed)
+            try:
+                for r in range(-1, rounds):  # round -1 is untimed
+                    for side in ORDERS[r % len(ORDERS)]:
+                        sides[side].setup()
+                        gc.collect()
+                        start = time.perf_counter()
+                        record = sides[side].run()
+                        elapsed = time.perf_counter() - start
+                        hashes[side].add(digest.sha256(record))
+                        if r >= 0:
+                            times[side].append(elapsed)
+            except Exception as exc:  # one error line for the side that raised, and go on
+                yield {"op": op, "rounds": 0, "error": f"{side}: {_first_line(exc)}"}
+                continue
             yield _summary(op, rounds, sides, times, hashes)
         del built, sides
 

@@ -288,12 +288,10 @@ def compare(base: dict[str, Any], change: dict[str, Any]) -> list[str]:
     one_side = len(old.keys() ^ new.keys())
     lines.append(f"{len(equal)} entries equal, {len(both) - len(equal)} differ"
                  + (f", {one_side} on one side only." if one_side else "."))
-    runs_old, runs_new = base.get("runs", {}), change.get("runs", {})
     differ = both - set(equal)
-    kept = {name for name in differ if name in runs_old and runs_old[name] == runs_new.get(name)}
+    kept = {name for name in differ if base["runs"][name] == change["runs"][name]}
     if differ:
-        lines.append(f"{len(kept)} of the {len(differ)} differing entries keep their run hash"
-                     + ("" if runs_old and runs_new else " (a side prints no run hashes)") + ".")
+        lines.append(f"{len(kept)} of the {len(differ)} differing entries keep their run hash.")
     if equal:
         lines.append("Equal: " + ", ".join(f"`{name}`" for name in equal) + ".")
     for name in sorted(old.keys() | new.keys()):
