@@ -1,8 +1,8 @@
 #!/bin/sh
-# The command line end to end, each step its own process: gen writes an
-# instance file, ref --instance solves its case-2 reference to a strict-JSON
-# ref.json whose method is "primal-dual", converged true and certified gap at
-# most 1e-9, solve runs dfal and
+# The command line end to end, each step its own process: gen writes a
+# case-2 and a case-1 instance file, ref --instance solves their references to
+# strict-JSON files whose methods are "primal-dual" and "apg", each converged
+# true with a certified gap of at most 1e-9, solve runs dfal and
 # writes a strict-JSON summary that says it converged, solve --alg sadmm
 # --iters 5 and solve --alg admm --iters 2 ones that say they stopped at
 # their caps, solve --alg apg runs the case-1 reference (through ms_apg) to a
@@ -26,6 +26,8 @@ cli="python -m dfalopt.cli"
 
 $cli gen --case 2 --seed 1 --out "$dir/inst.json"
 $cli ref --instance "$dir/inst.json" --out "$dir/ref.json"
+$cli gen --case 1 --seed 1 --out "$dir/inst1.json"
+$cli ref --instance "$dir/inst1.json" --out "$dir/ref1.json"
 $cli solve --alg dfal --case 2 --seed 1 --out "$dir/run.csv"
 $cli solve --alg sadmm --iters 5 --out "$dir/sadmm.csv"
 $cli solve --alg apg --case 1 --seed 1 --out "$dir/apg.csv"
@@ -40,9 +42,10 @@ def load(path):
     return json.load(open(path), parse_constant=reject)
 run, sadmm, apg, arbcd, admm, rbcd = (f"{sys.argv[1]}/{name}.csv.summary.json" for name in
                                       ("run", "sadmm", "apg", "arbcd", "admm", "rbcd"))
-ref = load(f"{sys.argv[1]}/ref.json")
-if (ref["method"], ref["converged"]) != ("primal-dual", True) or not ref["gap"] <= 1e-9:
-    sys.exit(f"{sys.argv[1]}/ref.json: not a certified primal-dual reference")
+for name, method in (("ref", "primal-dual"), ("ref1", "apg")):
+    ref = load(f"{sys.argv[1]}/{name}.json")
+    if (ref["method"], ref["converged"]) != (method, True) or not ref["gap"] <= 1e-9:
+        sys.exit(f"{sys.argv[1]}/{name}.json: not a certified {method} reference")
 for path, reason in ((run, "converged"), (sadmm, "cap"), (admm, "cap")):
     if load(path)["stop_reason"] != reason:
         sys.exit(f"{path}: the summary does not say {reason}")

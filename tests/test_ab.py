@@ -136,7 +136,7 @@ def test_counts_next_to_the_times(star5):
                                          "exact_residuals": 0.0}
     # the row's calls are the case-1 reference's APG iterations
     reference = rows["reference_iteration"]
-    assert reference["calls"] == reference["iterations"] == 454
+    assert reference["calls"] == reference["iterations"] == 262
     assert reference["tolerance"] == 1e-6
     gate, exact = rows["residual_reached_gate"], rows["residual_reached_exact"]
     assert gate["passed"] is False and work["residual_reached_gate"] == one_event

@@ -388,7 +388,7 @@ class TestCertifiedReference:
             m.setattr(bench, "_relative_gap", lambda *args: math.nan)
             bare = _reference_case1(inst, 1e-9)
         assert ref.x_ref.tobytes() == bare.x_ref.tobytes() and ref.f_star == bare.f_star
-        assert (ref.iterations, ref.converged) == (bare.iterations, bare.converged) == (661, True)
+        assert (ref.iterations, ref.converged) == (bare.iterations, bare.converged) == (378, True)
         assert 0 < ref.gap <= 1e-9 and math.isnan(bare.gap)
 
 
@@ -431,13 +431,47 @@ class TestReferenceRestart:
         assert ref.iterations < 1500
 
 
+class TestReferenceStep:
+    """The case-1 reference steps at ``1 / L`` with ``L = sigma_max(A)^2`` of its stacked
+    rows; the summed per-node constants ``sum_i L_i``, an upper bound on ``L`` and its
+    earlier step, are the oracle for its optimum and its iteration count."""
+
+    @staticmethod
+    def summed_reference(instance, monkeypatch):
+        summed = sum(p.loss.lipschitz for p in instance.nodes)
+
+        def stacked_loss(*args):
+            loss = HuberLoss(*args)
+            loss.__dict__["lipschitz"] = summed  # where the cached property keeps it
+            return loss
+
+        with monkeypatch.context() as m:
+            m.setattr(bench, "HuberLoss", stacked_loss)
+            return _reference_case1(instance, 1e-9)
+
+    @pytest.mark.parametrize("args", [
+        *((1, topology, N, 4, K, seed) for topology, N, K in (("star", 3, 3), ("clique", 4, 4))
+          for seed in range(1, 6)),
+        (1, "star", 5, 10, 10, 1),
+    ])
+    def test_same_certified_optimum_in_fewer_iterations(self, monkeypatch, args):
+        inst = generate_instance(*args)
+        summed = self.summed_reference(inst, monkeypatch)
+        ref = _reference_case1(inst, 1e-9)
+        assert summed.converged and ref.converged
+        assert ref.f_star == pytest.approx(summed.f_star, rel=1e-12, abs=0.0)
+        assert 0 < ref.gap <= 1e-9
+        # strictly fewer on each of these, so the oracle's shorter step did run
+        assert ref.iterations < summed.iterations
+
+
 class TestReferenceKernels:
     """The case-1 reference runs ``apg`` on kernels bound once; byte for byte,
     it is the run of ``apg`` on the checked public ``HuberLoss.grad`` and
     ``SparseGroupReg.prox``."""
 
     @pytest.mark.parametrize("args,iterations", [
-        ((1, "star", 5, 10, 10, 1), 661), ((1, "clique", 4, 4, 4, 1), None),
+        ((1, "star", 5, 10, 10, 1), 378), ((1, "clique", 4, 4, 4, 1), None),
     ], ids=["star-5", "clique-4"])
     def test_bound_kernels_equal_the_checked_path(self, args, iterations):
         inst = generate_instance(*args)
@@ -448,7 +482,7 @@ class TestReferenceKernels:
                             np.concatenate([p.loss.b for p in nodes]), nodes[0].loss.delta)
         checked = apg(stacked.grad, combined.prox,
                       lambda g, x: combined.subgrad_residual(1.0, g, x),
-                      sum(p.loss.lipschitz for p in nodes), np.zeros(inst.n),
+                      stacked.lipschitz, np.zeros(inst.n),
                       residual_target=1e-9, max_iter=500_000, restart=True)
         ref = _reference_case1(inst, 1e-9)
         f_star = stacked.value(checked.y) + combined.value(checked.y)

@@ -4,9 +4,13 @@ commit compares with this tree in one process."""
 
 import dataclasses
 import importlib.util
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +25,8 @@ PATH = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 def digest():
     spec = importlib.util.spec_from_file_location("digest_tool", PATH)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with mock.patch.dict(os.environ):  # digest.py pins BLAS threads as it loads
+        spec.loader.exec_module(module)
     return module
 
 
@@ -120,3 +125,20 @@ def test_a_base_git_cannot_archive_is_one_error_line(digest, capsys):
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("digest.py: error: no src/dfalopt at 'no-such-commit'")
+
+
+def test_the_case2_reference_hashes_alike_on_one_and_two_blas_threads():
+    # the entry whose bits moved with the thread count; digest.py sets one
+    # thread before numpy loads, whatever the caller's environment says
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import digest; "
+            "print(digest.entry_hashes('reference-case2')[0])")
+    hashes = []
+    start = time.perf_counter()
+    for threads in ("1", "2"):
+        env = {**os.environ, **{var: threads for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        out = subprocess.run([sys.executable, "-c", code, str(PATH.parent)], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        hashes.append(out.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
+    assert time.perf_counter() - start < 5

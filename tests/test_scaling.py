@@ -13,7 +13,9 @@ The two ADMM baselines map too, with their penalty ``c_admm`` times s^2
 under (O) and 1/s^2 under (X), except where the absolute ``NESTED_TOL`` of
 their nested solves breaks a bit.  The case-2 reference maps too: its
 certificate is a relative gap and its dual step comes from the median
-``L_i``.  The instance is star-3 with n = 120 and
+``L_i``.  So does the case-1 reference, with its absolute residual tolerance
+times s^2 under (O) and 1/s under (X), as the residual scales.  The instance
+is star-3 with n = 120 and
 20 rows per node, whose ``L / psi_max`` of 77 keeps ``lam1`` below its clamp
 at every scale here; on star-5 with n = 100 (34), (O) at s = 1/8 clamps it."""
 
@@ -173,14 +175,28 @@ def test_baselines_map_exactly(symmetry, s, solve, case, request):
         assert np.array_equal(a_s, x * a)
 
 
-@pytest.mark.parametrize("symmetry, s", [
-    ("O", 2.0**-3), ("O", 2.0**3), ("X", 2.0**-3), ("X", 2.0**2)])
-def test_case2_reference_maps_exactly(symmetry, s):
-    inst = generate_instance(2, "star", 3, 12, 10, 1)
+def assert_reference_maps(case, symmetry, s, tolerance=1e-9):
+    """The reference of the rescaled instance, at ``tolerance``, maps its ``F*``,
+    point, gap and iteration count bit for bit."""
+    inst = generate_instance(case, "star", 3, 12, 10, 1)
     base = reference_solve(inst, cache=False)
     scaled = reference_solve(dataclasses.replace(inst, nodes=rescaled(inst.nodes, symmetry, s)),
-                             cache=False)
+                             tolerance, cache=False)
     f, x = (s * s, 1.0) if symmetry == "O" else (1.0, s)
     assert base.converged and (scaled.converged, scaled.iterations) == (True, base.iterations)
     assert scaled.f_star == f * base.f_star and scaled.gap == base.gap
     assert np.array_equal(scaled.x_ref, x * base.x_ref)
+
+
+@pytest.mark.parametrize("symmetry, s", [
+    ("O", 2.0**-3), ("O", 2.0**3), ("X", 2.0**-3), ("X", 2.0**2)])
+def test_case2_reference_maps_exactly(symmetry, s):
+    assert_reference_maps(2, symmetry, s)
+
+
+@pytest.mark.parametrize("symmetry, s", [
+    ("O", 2.0), ("O", 2.0**3), ("X", 2.0**-1), ("X", 2.0**-3)])
+def test_case1_reference_maps_exactly(symmetry, s):
+    # the subgradient residual scales by s^2 under (O) and 1/s under (X); these
+    # scales keep its tolerance in [1e-9, 1e-6]
+    assert_reference_maps(1, symmetry, s, 1e-9 * s * s if symmetry == "O" else 1e-9 / s)

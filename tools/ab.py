@@ -92,7 +92,6 @@ import gc
 import itertools
 import json
 import math
-import os
 import statistics
 import sys
 import tempfile
@@ -102,16 +101,11 @@ from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, Iterator
 
-# one BLAS thread, set before numpy loads its BLAS
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import numpy as np  # noqa: E402
-
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-import digest  # noqa: E402
+import digest  # noqa: E402  (first: it sets one BLAS thread before numpy loads)
+import numpy as np  # noqa: E402
 
 SIDES = ("base", "change", "control")
 ORDERS = list(itertools.permutations(SIDES))

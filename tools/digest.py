@@ -18,6 +18,8 @@ subset, the run hash of every entry, the numpy version and
 ``platform.machine()``.  With a commit BASE, its ``src/dfalopt`` (taken out
 with ``git archive``) and this tree's run this tree's entries in one process,
 so one numpy and one BLAS make both sides' bits; the report is :func:`compare`'s.
+BLAS runs on one thread, set before numpy loads it (a threaded BLAS sums in
+another order: the case-2 reference's bits moved with the thread count).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import os
 import platform
 import struct
 import subprocess
@@ -40,6 +43,9 @@ from typing import Any, Callable, Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+# one BLAS thread, set before numpy loads its BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
 
@@ -307,10 +313,13 @@ def compare(base: dict[str, Any], change: dict[str, Any]) -> list[str]:
 
 
 def load(name: str, path: Path) -> ModuleType:
-    """The package in the directory ``path``, imported as ``name`` (``dfalopt``
-    imports its own modules by relative imports only, so copies load side by side)."""
-    spec = importlib.util.spec_from_file_location(name, path / "__init__.py",
-                                                  submodule_search_locations=[str(path)])
+    """The package in the directory ``path``, or the module in the file ``path``,
+    imported as ``name`` (``dfalopt`` imports its own modules by relative imports
+    only, so copies load side by side)."""
+    package = path.is_dir()
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)

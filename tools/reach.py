@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import os
 import shlex
 import sys
@@ -79,13 +78,6 @@ def tracing() -> Iterator[Lines]:
         sys.settrace(previous)
 
 
-def _load(path: Path, name: str) -> types.ModuleType:
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def smoke_commands(workdir: str) -> Iterator[Callable[[], None]]:
     """The top-level lines of ``.github/cli_smoke.sh`` that run ``$cli`` or
     write a file with ``echo`` or ``printf``, in order, ``$dir`` read as
@@ -112,9 +104,11 @@ def traffic() -> None:
     with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(None):
         for command in smoke_commands(workdir):
             command()
-    _load(ROOT / "tools" / "digest.py", "digest_tool").digest()
-    sys.path.insert(0, str(ROOT / "benchmark"))
-    worker = _load(ROOT / "benchmark" / "worker.py", "bench_worker")
+    sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "benchmark")]
+    import digest
+
+    digest.digest()
+    worker = digest.load("bench_worker", ROOT / "benchmark" / "worker.py")
     from dfalopt import bench
 
     for w in worker.WORKLOADS.values():
