@@ -2,7 +2,8 @@
 # The command line end to end, each step its own process: gen writes a
 # case-2 and a case-1 instance file, ref --instance solves their references to
 # strict-JSON files whose methods are "primal-dual" and "apg", each converged
-# true with a certified gap of at most 1e-9, solve runs dfal and
+# true with a certified gap of at most 1e-9 and the iterations and seconds of
+# its solve, solve runs dfal and
 # writes a strict-JSON summary that says it converged, solve --alg sadmm
 # --iters 5 and solve --alg admm --iters 2 ones that say they stopped at
 # their caps, solve --alg apg runs the case-1 reference (through ms_apg) to a
@@ -46,6 +47,8 @@ for name, method in (("ref", "primal-dual"), ("ref1", "apg")):
     ref = load(f"{sys.argv[1]}/{name}.json")
     if (ref["method"], ref["converged"]) != (method, True) or not ref["gap"] <= 1e-9:
         sys.exit(f"{sys.argv[1]}/{name}.json: not a certified {method} reference")
+    if not (isinstance(ref["iterations"], int) and ref["iterations"] > 0 < ref["seconds"]):
+        sys.exit(f"{sys.argv[1]}/{name}.json: no iterations and seconds of its solve")
 for path, reason in ((run, "converged"), (sadmm, "cap"), (admm, "cap")):
     if load(path)["stop_reason"] != reason:
         sys.exit(f"{path}: the summary does not say {reason}")

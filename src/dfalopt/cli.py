@@ -52,8 +52,10 @@ def _cmd_ref(args: argparse.Namespace) -> int:
         instance = _instance(args)
     ref = bench_mod.reference_solve(instance, tolerance=args.tolerance)
     write_json({"F_star": ref.f_star, "method": ref.method, "converged": ref.converged,
-                "gap": ref.gap, "x_ref": ref.x_ref}, args.out)
-    print(f"reference F* = {ref.f_star:.12g} ({ref.method}, gap {ref.gap:.2e}) -> {args.out}")
+                "gap": ref.gap, "iterations": ref.iterations, "seconds": ref.seconds,
+                "x_ref": ref.x_ref}, args.out)
+    print(f"reference F* = {ref.f_star:.12g} ({ref.method}, gap {ref.gap:.2e}, "
+          f"{ref.iterations} iterations, {ref.seconds:.3g} s) -> {args.out}")
     return 0
 
 
@@ -61,9 +63,10 @@ def _apg_trace(ref) -> RunTrace:
     # the case-1 reference is itself the centralized run (shared partition), scored
     # against its dual bound D = F* - gap |F*|, so the row's gap is its certificate
     trace = RunTrace("apg", CommLedger(1), ref.f_star - ref.gap * (abs(ref.f_star) or 1), {})
-    # a gradient per iteration; the one whose residual test stops it has no prox
+    # a gradient per APG iteration and Newton step, a prox per APG iteration but the
+    # last of a converged reference, whose prox only served its test
     trace.ledger.grad_evals += ref.iterations
-    trace.ledger.prox_evals += ref.iterations - ref.converged
+    trace.ledger.prox_evals += ref.iterations - ref.newton - ref.converged
     trace.record(
         k=1, lam=0.0, F_sum=ref.f_star, CV=0.0, dual_norm=0.0,
         inner_iters=ref.iterations, stop_reason="residual" if ref.converged else "cap",

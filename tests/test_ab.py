@@ -59,6 +59,12 @@ def test_one_operation_against_head_in_under_5_s():
         assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
         assert 0 <= ratio["wins"] <= 3
     assert summary["verdict"] in ("faster", "slower", "within the A/A band")
+    # each side's round times, whose medians are the line's
+    times = summary["times_ms"]
+    assert sorted(times) == ["base", "change", "control"]
+    assert all(len(t) == 3 and min(t) > 0 for t in times.values())
+    assert (summary["base_ms"], summary["change_ms"]) == (
+        sorted(times["base"])[1], sorted(times["change"])[1])
     # the control is this tree a second time, so its outputs are the change's
     assert summary["aa_outputs_equal"] is True
     assert isinstance(summary["outputs_equal"], bool)
@@ -134,9 +140,10 @@ def test_counts_next_to_the_times(star5):
     assert rows["rbcd_tested_event"]["calls"] == 500
     assert work["rbcd_tested_event"] == {"block_gradients": 501 / 500, "proxes": 501 / 500,
                                          "exact_residuals": 0.0}
-    # the row's calls are the case-1 reference's APG iterations
+    # the row's calls are the case-1 reference's iterations: 117 APG iterations to
+    # the hand-off residual and 2 Newton steps
     reference = rows["reference_iteration"]
-    assert reference["calls"] == reference["iterations"] == 262
+    assert reference["calls"] == reference["iterations"] == 119
     assert reference["tolerance"] == 1e-6
     gate, exact = rows["residual_reached_gate"], rows["residual_reached_exact"]
     assert gate["passed"] is False and work["residual_reached_gate"] == one_event

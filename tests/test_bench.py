@@ -303,9 +303,9 @@ def _weak_dual_bound(inst, ref):
     return ref.f_star - ref.gap * abs(ref.f_star), f
 
 
-def _scaled_leaf(s):
-    """Star-5 case 2 at seed 1, with node 2's ``A`` and ``b`` times ``s``."""
-    inst = generate_instance(2, "star", 5, 10, 10, 1)
+def _scaled_leaf(s, case=2):
+    """Star-5 of ``case`` at seed 1, with node 2's ``A`` and ``b`` times ``s``."""
+    inst = generate_instance(case, "star", 5, 10, 10, 1)
     p = inst.nodes[2]
     inst.nodes[2] = NodeProblem(p.reg, HuberLoss(p.loss.A * s, p.loss.b * s, p.loss.delta))
     return inst
@@ -371,6 +371,14 @@ class TestCertifiedReference:
         assert ref.converged and ref.gap <= 1e-9
         assert ref.iterations < bench.PD_CAP
 
+    @pytest.mark.parametrize("s", [8, 32, 128])
+    def test_case1_scaled_leaf_certifies(self, s):
+        # the APG's tail grows with the leaf's sigma_max(A)^2; the Newton steps
+        # cut it off at the hand-off residual
+        ref = reference_solve(_scaled_leaf(float(s), case=1), cache=False)
+        assert ref.converged and ref.method == "apg" and 0 <= ref.gap <= 1e-9
+        assert 1 <= ref.newton <= bench.NEWTON_CAP
+
     def test_cap_stops_uncertified_with_its_gap(self, monkeypatch):
         # the s = 8 leaf certifies in 650 iterations
         monkeypatch.setattr(bench, "PD_CAP", 200)
@@ -380,6 +388,20 @@ class TestCertifiedReference:
         bound, f = _weak_dual_bound(_scaled_leaf(8.0), ref)
         assert f == pytest.approx(ref.f_star, rel=1e-13) and bound < ref.f_star
 
+    def test_a_gap_below_zero_reads_zero_and_nan_stays_nan(self):
+        # weak duality makes the gap at least 0; at an optimum rounding can read
+        # below it (-4e-16 on this instance at its APG point)
+        inst = generate_instance(1, "star", 2, 2, 2, 5)
+        ref = reference_solve(inst, cache=False)
+        A = np.vstack([p.loss.A for p in inst.nodes])
+        b = np.concatenate([p.loss.b for p in inst.nodes])
+        reg = inst.nodes[0].reg
+        args = (A, b, 1.0, ref.x_ref, np.zeros((1, inst.n)), reg.partition, 2 * reg.beta1,
+                2 * reg.beta2)
+        assert bench._relative_gap(ref.f_star, *args) == ref.gap >= 0.0
+        assert bench._relative_gap(ref.f_star * (1 - 1e-12), *args) == 0.0
+        assert math.isnan(bench._relative_gap(math.nan, *args))
+
     def test_case1_gap_keeps_the_apg_bits(self, monkeypatch):
         # the certificate is computed after the APG, on its final point
         inst = generate_instance(1, "star", 5, 10, 10, 1)
@@ -388,7 +410,8 @@ class TestCertifiedReference:
             m.setattr(bench, "_relative_gap", lambda *args: math.nan)
             bare = _reference_case1(inst, 1e-9)
         assert ref.x_ref.tobytes() == bare.x_ref.tobytes() and ref.f_star == bare.f_star
-        assert (ref.iterations, ref.converged) == (bare.iterations, bare.converged) == (378, True)
+        # 233 APG iterations to the hand-off residual, then one Newton step
+        assert (ref.iterations, ref.converged) == (bare.iterations, bare.converged) == (234, True)
         assert 0 < ref.gap <= 1e-9 and math.isnan(bare.gap)
 
 
@@ -468,12 +491,12 @@ class TestReferenceStep:
 class TestReferenceKernels:
     """The case-1 reference runs ``apg`` on kernels bound once; byte for byte,
     it is the run of ``apg`` on the checked public ``HuberLoss.grad`` and
-    ``SparseGroupReg.prox``."""
+    ``SparseGroupReg.prox`` to the hand-off residual ``HANDOFF * tolerance``."""
 
     @pytest.mark.parametrize("args,iterations", [
-        ((1, "star", 5, 10, 10, 1), 378), ((1, "clique", 4, 4, 4, 1), None),
+        ((1, "star", 5, 10, 10, 1), (233, 1)), ((1, "clique", 4, 4, 4, 1), None),
     ], ids=["star-5", "clique-4"])
-    def test_bound_kernels_equal_the_checked_path(self, args, iterations):
+    def test_bound_kernels_equal_the_checked_path(self, monkeypatch, args, iterations):
         inst = generate_instance(*args)
         nodes, N = inst.nodes, len(inst.nodes)
         reg = nodes[0].reg
@@ -483,15 +506,60 @@ class TestReferenceKernels:
         checked = apg(stacked.grad, combined.prox,
                       lambda g, x: combined.subgrad_residual(1.0, g, x),
                       stacked.lipschitz, np.zeros(inst.n),
-                      residual_target=1e-9, max_iter=500_000, restart=True)
+                      residual_target=bench.HANDOFF * 1e-9, max_iter=500_000, restart=True)
+        runs = []
+        monkeypatch.setattr(bench, "apg", lambda *a, **k: runs.append(apg(*a, **k)) or runs[-1])
         ref = _reference_case1(inst, 1e-9)
-        f_star = stacked.value(checked.y) + combined.value(checked.y)
+        (run,) = runs  # the Newton steps certify, so apg runs once
+        assert run.y.tobytes() == checked.y.tobytes()
+        assert run.iterations == checked.iterations
+        assert run.stop_reason == checked.stop_reason == "residual"
+        f_star = stacked.value(ref.x_ref) + combined.value(ref.x_ref)
         assert np.float64(ref.f_star).tobytes() == np.float64(f_star).tobytes()
-        assert ref.x_ref.tobytes() == checked.y.tobytes()
-        assert ref.iterations == checked.iterations
-        assert ref.converged and checked.stop_reason == "residual"
+        assert ref.converged and ref.iterations == checked.iterations + ref.newton
         if iterations is not None:
-            assert ref.iterations == iterations
+            assert (checked.iterations, ref.newton) == iterations
+
+
+class TestReferenceNewton:
+    """From the APG point at the hand-off residual, the case-1 reference takes at most
+    ``NEWTON_CAP`` Newton steps on its support and accepts the first point whose exact
+    residual meets the tolerance; failing that, it resumes ``apg`` to the tolerance."""
+
+    @pytest.mark.parametrize("args", [
+        (1, "star", 5, 10, 10, 1), (1, "star", 3, 4, 3, 2), (1, "clique", 4, 4, 4, 5),
+        (1, "star", 5, 10, 200, 1),
+    ], ids=["star-5", "star-3", "clique-4", "star-5-n2000"])
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-6])
+    @pytest.mark.parametrize("failure", ["no steps", "singular"])
+    def test_failed_newton_steps_certify_through_apg(self, monkeypatch, args, tolerance,
+                                                     failure):
+        inst = generate_instance(*args)
+        ref = _reference_case1(inst, tolerance)
+        runs = []
+
+        def singular(*_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        with monkeypatch.context() as m:
+            if failure == "no steps":
+                m.setattr(bench, "NEWTON_CAP", 0)
+            else:
+                m.setattr(bench.np.linalg, "solve", singular)
+            m.setattr(bench, "apg", lambda *a, **k: runs.append(apg(*a, **k)) or runs[-1])
+            fallback = _reference_case1(inst, tolerance)
+        assert ref.converged and 1 <= ref.newton <= bench.NEWTON_CAP
+        # the hand-off point did not meet the tolerance, so apg resumed from it
+        assert fallback.converged and fallback.newton == 0 and len(runs) == 2
+        assert runs[1].stop_reason == "residual"
+        assert fallback.iterations == runs[0].iterations + runs[1].iterations
+        assert fallback.f_star == pytest.approx(ref.f_star, rel=1e-12, abs=0.0)
+        assert 0 <= ref.gap <= tolerance and 0 <= fallback.gap <= tolerance
+        N, reg = len(inst.nodes), inst.nodes[0].reg
+        combined = SparseGroupReg(N * reg.beta1, N * reg.beta2, reg.partition)
+        for point in (ref.x_ref, fallback.x_ref):
+            grad = sum(p.loss.grad(point) for p in inst.nodes)
+            assert combined.subgrad_residual(1.0, grad, point) <= tolerance
 
 
 class TestEvaluate:
@@ -852,7 +920,7 @@ class TestCli:
         assert stop.value.code == 0
         assert len(instance_from_json(str(out)).nodes) == 2
 
-    def test_ref_from_instance_file(self, tmp_path):
+    def test_ref_from_instance_file(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         cli_main(["gen", *self.ARGS, "--out", str(inst_path)])
         out = tmp_path / "ref.json"
@@ -862,6 +930,11 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["method"] == "apg"
         assert payload["converged"]
+        # the file and the line carry the solve's iterations and seconds
+        ref = reference_solve(instance_from_json(str(inst_path)))
+        assert (payload["iterations"], payload["seconds"]) == (ref.iterations, ref.seconds)
+        assert ref.iterations > 0 < ref.seconds
+        assert f"{ref.iterations} iterations, {ref.seconds:.3g} s)" in capsys.readouterr().out
 
     def test_solve_writes_trace_and_summary(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -1150,7 +1223,8 @@ class TestCli:
         iters = int(line["inner_iters"])
         assert iters == refs[0].iterations > 0
         assert int(line["grad_count"]) == iters
-        assert int(line["prox_count"]) == iters - 1
+        # a prox per APG iteration but the last, none per Newton step
+        assert int(line["prox_count"]) == iters - refs[0].newton - 1
         assert summary["wall_time"] == refs[0].seconds > 0.0
 
     def test_apg_uncertified_reference_is_not_converged(
@@ -1161,7 +1235,7 @@ class TestCli:
 
         def capped(instance, tolerance):
             ref = _reference_case1(instance, tolerance)
-            return replace(ref, converged=False, iterations=500_000)
+            return replace(ref, converged=False, iterations=500_000, newton=0)
 
         monkeypatch.setattr(bench, "_REFERENCE_CACHE", {})
         monkeypatch.setattr(bench, "_reference_case1", capped)

@@ -38,6 +38,7 @@ from dfalopt import (
     reference_solve,
     sadmm_solve,
 )
+from dfalopt.dfal import _event_kernels
 
 
 def rescaled(nodes, symmetry, s):
@@ -127,6 +128,38 @@ def assert_rows_and_ledgers_map(base, scaled, f, lam, cv, dual):
     ledger, ledger_s = base.config["ledger"], scaled.config["ledger"]
     for name in LEDGER:
         assert np.array_equal(getattr(ledger_s, name), getattr(ledger, name)), name
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("symmetry, s", [("O", 2.0**-3), ("O", 2.0**3),
+                                         ("X", 2.0**-3), ("X", 2.0**2)])
+def test_event_kernels_map_exactly(symmetry, s, case):
+    # each node's event gradient, prox and residual (dfal._event_kernels) at the first
+    # subproblem's lam and step 1 / (lam L_i + psi_max) of each side, at points times
+    # 1 under (O) and s under (X): the outputs scale as the points, the residuals as
+    # the gradients (1 and s)
+    inst = generate_instance(case, "star", 3, 12, 10, 1)
+    nodes_s = rescaled(inst.nodes, symmetry, s)
+    rng = np.random.default_rng(3)
+    V, xbar = rng.standard_normal((2, 3, inst.n))
+    x, lam_factor = (1.0, 1 / (s * s)) if symmetry == "O" else (s, s * s)
+    params, params_s = (default_params(nodes, inst.graph) for nodes in (inst.nodes, nodes_s))
+    lam, lam_s = params.schedule(1)[0], params_s.schedule(1)[0]
+    assert lam_s == lam_factor * lam
+    for i, (p, p_s) in enumerate(zip(inst.nodes, nodes_s)):
+        tau = 1.0 / (lam * p.loss.lipschitz + params.psi_max)
+        assert 1.0 / (lam_s * p_s.loss.lipschitz + params_s.psi_max) == tau
+        grad, prox, residual = _event_kernels(p, i, inst.graph, lam, xbar)
+        grad_s, prox_s, residual_s = _event_kernels(p_s, i, inst.graph, lam_s, x * xbar)
+        # about the soft threshold tau lam beta1, so the prox leaves exact zeros for
+        # the residual's zero branch
+        v, Y = V[i] * (tau * lam * p.reg.beta1), V.copy()
+        Y[i] = prox(v, tau)
+        assert (Y[i] == 0).any() and (Y[i] != 0).any()
+        assert np.array_equal(prox_s(x * v, tau), x * Y[i])
+        g = grad(Y)
+        assert np.array_equal(grad_s(x * Y), x * g)
+        assert residual_s(x * Y, x * g) == x * residual(Y, g) > 0
 
 
 BASELINES = {"sadmm": (sadmm_solve, 30), "admm": (admm_solve, 3)}

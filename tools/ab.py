@@ -30,9 +30,9 @@ all-node call (``stacked_prox``, ``stacked_loss_gradient``, ``laplacian_apply``,
 ``charge_activations``, the row metrics ``stack_objective``,
 ``consensus_violation`` and ``sadmm_cv`` with ``y = Y - grad / L``, and
 ``gauge``, ``sparse_group_gauge`` on the stacked partition at ``Y`` with each
-node's weights, the references' certificate kernel); an
-iteration of ``ms_apg`` (20 from zero) or of the shape's case-1 reference at
-tolerance ``REFERENCE_TOL``; an event of ``rbcd_run`` or ``arbcd_chain``
+node's weights, the references' certificate kernel); an iteration of ``ms_apg``
+(20 from zero) or of the shape's case-1 reference at tolerance ``REFERENCE_TOL``
+(an APG iteration or a Newton step); an event of ``rbcd_run`` or ``arbcd_chain``
 (``20 N`` from zero, the activations drawn off the clock), or of ``rbcd_run``
 tested at the target ``xi / sqrt(N)`` every ``N`` events
 (``rbcd_tested_event``, up to ``100 N``); a stopping test at ``Y`` that fails
@@ -54,6 +54,8 @@ the script prints one JSON object:
 - ``verdict``: ``faster`` when the ratio's upper quartile lies below the A/A
   band's lower one, ``slower`` when its lower quartile lies above the band's
   upper one, else ``within the A/A band``;
+- ``times_ms``: each side's time of each round, in round order, from which any
+  verdict rule can be re-derived offline;
 - ``outputs_equal`` and ``aa_outputs_equal``: whether the two sides' outputs
   hash alike in every round, as ``tools/digest.py`` hashes them (rows, ledger
   arrays, budgets, final state and stop reason; a reference's optimum, point,
@@ -397,6 +399,7 @@ def _summary(op: str, rounds: int, sides: dict[str, Op], times: dict[str, list[f
         "ratio": ratio, "aa": aa, "verdict": verdict,
         "outputs_equal": len(hashes["base"]) == 1 and hashes["base"] == hashes["change"],
         "aa_outputs_equal": len(hashes["change"]) == 1 and hashes["change"] == hashes["control"],
+        "times_ms": {side: [t * 1e3 for t in times[side]] for side in SIDES},
     }
     change = sides["change"]
     if change.calls is not None:
