@@ -20,7 +20,7 @@ from .baselines import ITERS, PENALTY, admm_solve, sadmm_solve
 from .checks import indices, integer, real
 from .dfal import SHRINK, async_dfal_solve, default_params, dfal_solve
 from .funcs import (GroupPartition, HuberLoss, NodeProblem, NodeStack, SparseGroupReg, _clip,
-                    huber_grad, sparse_group_gauge, sparse_group_prox)
+                    huber_grad, sparse_group_prox)
 from .graph import Graph, build_topology, laplacian_apply
 from .solvers import apg
 from .trace import BUDGET, TARGET, RunTrace, write_json
@@ -151,7 +151,7 @@ def generate_instance(
 @dataclass
 class Reference:
     """High-accuracy optimum used for relative-suboptimality metrics, with its certified
-    ``gap`` (:func:`_relative_gap`) and the ``iterations`` and ``seconds`` of its solve."""
+    ``gap`` (``NodeStack.relative_gap``) and the ``iterations`` and ``seconds`` of its solve."""
 
     f_star: float
     x_ref: np.ndarray
@@ -179,11 +179,9 @@ def reference_solve(
     describe.  On the support that point has found the problem is smooth, so at most
     ``NEWTON_CAP`` Newton steps on it (as Zhang, Zhang, Sun and Toh 2020 take for
     sparse-group lasso) certify the first point whose residual is at most
-    ``tolerance``; failing that, ``apg`` resumes from the APG point.  On the 5-node
-    star of seed 1 (one BLAS thread) that is 233 APG iterations and one Newton step,
-    4.9 ms, where ``apg`` alone took 378 iterations and 7.4 ms (7890 with plain
-    momentum) to an ``F*`` one ulp away.  ``iterations`` counts both, ``newton`` the
-    Newton steps.  The ``gap`` is computed once at the final point (8.3e-13 there).
+    ``tolerance``; failing that, ``apg`` resumes from the APG point.  On the 5-node star of
+    seed 1 (one BLAS thread): 233 APG iterations and a Newton step, 4.9 ms.  ``iterations``
+    counts both, ``newton`` the Newton steps.
 
     Case 2: Condat-Vu splitting (Condat 2013; Vu 2013) of ``min_x f(x) + sum_i
     rho_i(x)``, ``f`` the Huber sum of all rows, in the metric ``M = (sigma N I + A^T A /
@@ -191,17 +189,15 @@ def reference_solve(
     sigma prox(V / sigma)`` at ``V = Z + sigma (2 x+ - x)`` with the nodes' prox at step
     ``1 / sigma`` bound once and ``sigma = PD_SIGMA median_i L_i / (2N)``.  As ``grad f``
     is ``A^T A``-cocoercive, ``M - sigma N I > A^T A / 2`` keeps the step valid at any
-    data scale.  Every ``GAP_EVERY`` iterations it takes its gap on its own duals, and its
-    ``F*`` free of each node's group order, and stops, ``converged``, at a gap of at most
-    ``tolerance``, or uncertified at ``PD_CAP``.  It starts from 3 outer iterations of
-    ``dfal_solve`` (``c = 0.7``): ``x`` is their nodes' mean and ``z_i = -grad f_i(x_i) -
-    (Omega xbar)_i / lam_next``, in ``d rho_i(x_i)``; the start stays because the
-    benchmark times the synchronous DFAL only through it, and it ties the reference to
-    the graph.  On star-5 case 2 at seed 1 (2-core VM) it certifies 6.8e-10 in 200
-    iterations (0.02 s, half of it the start), where the scalar step ``0.99 / (L_f / 2 +
-    sigma N)`` took 1250; with node 2's ``A`` and ``b`` times s = 8, 32 and 128, in 650,
-    750 and 800 (0.1, 0.3-0.5 and 1.2-2.4 s, most of it the start at s = 32 and 128),
-    where it took 37750 at 8 and stopped at its cap at 32 and 128.
+    data scale.  Every ``GAP_EVERY`` iterations it takes its gap on its own duals and stops,
+    ``converged``, at a gap of at most ``tolerance``, or uncertified at ``PD_CAP``.  It
+    starts from 3 outer iterations of ``dfal_solve`` (``c = 0.7``): ``x`` is their nodes'
+    mean and ``z_i = -grad f_i(x_i) - (Omega xbar)_i / lam_next``, in ``d rho_i(x_i)``;
+    the start stays because the benchmark times the synchronous DFAL only through it, and
+    it ties the reference to the graph.  On star-5 case 2 at seed 1 (2-core VM) it
+    certifies 6.8e-10 in 200 iterations (0.02 s, half of it the start).  Both take ``F*``
+    and the gap from ``NodeStack.value`` and ``.relative_gap``, case 1 once on a stack of one,
+    its summed problem (8.3e-13 on the star); ``F*`` sums group norms sorted, free of their order.
     """
     # a looser one certifies the start point, whose residual already meets it
     real("tolerance", tolerance, 1e-9, 1e-6)
@@ -214,19 +210,6 @@ def reference_solve(
     if key is not None:
         _REFERENCE_CACHE[key] = ref
     return ref
-
-
-def _relative_gap(f: float, A, b, delta, x, Z, part, b1, b2) -> float:
-    """``(F - D) / |F|`` (absolute where ``F = 0``) at ``x`` of value ``F``, for the weak
-    duality bound ``D = -(theta^2 w.w / 2 + theta b.w) <= F*`` of the rows ``(A, b, delta)``
-    and the terms of ``part`` (weights per segment): ``w = clip(A x - b, delta)`` and ``Z``
-    shifted to sum to ``-A^T w``, scaled by ``theta = 1 / max(1, max gauge)`` into its balls.
-    Weak duality makes it at least 0, so a reading below 0 (-4e-16 at an optimum) is rounding
-    and reads 0; NaN stays NaN."""
-    w = _clip(A.dot(x) - b, delta)
-    Z = Z - (np.add.reduce(Z) + A.T.dot(w)) / len(Z)
-    theta = 1.0 / max(1.0, float(np.max(sparse_group_gauge(part, Z.reshape(-1), b1, b2))))
-    return max((f + theta * float(0.5 * theta * w.dot(w) + b.dot(w))) / (abs(f) or 1.0), 0.0)
 
 
 def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
@@ -289,11 +272,10 @@ def _reference_case1(instance: ProblemInstance, tolerance: float) -> Reference:
         x, iterations = res.y, iterations + res.iterations
         break
     seconds = time.perf_counter() - started
-    f_star = stacked.value(x) + combined.value(x)
-    gap = _relative_gap(f_star, A, b, hi, x, np.zeros((1, instance.n)), reg.partition,
-                        combined.beta1, combined.beta2)
+    one = NodeStack([NodeProblem(combined, stacked)])  # the summed problem, a stack of one
+    f_star = one.value(x)
     return Reference(f_star, x, "apg", res.stop_reason == "residual", iterations + newton,
-                     seconds, gap, newton)
+                     seconds, one.relative_gap(f_star, x, np.zeros((1, instance.n))), newton)
 
 
 # the dual step in units of median_i L_i / (2N) and the cap, measured as reference_solve says
@@ -311,8 +293,6 @@ def _reference_case2(instance: ProblemInstance, tolerance: float) -> Reference:
     state = dfal_solve(nodes, graph, params).config["final_state"]
     lam_next, x = params.schedule(state.k + 1)[0], state.x.mean(axis=0)
     Z = -stack.loss_grad(state.x) - laplacian_apply(graph, state.xbar) / lam_next
-    part = stack.partition
-    weights = stack._b1[part.perm[part.starts]], stack._b2
     A, b, delta = stack._A.reshape(-1, instance.n), stack._b.ravel(), stack._delta.ravel()
     lips = sorted(p.loss.lipschitz for p in nodes)  # np.median's first call costs 0.6 MB
     sigma = PD_SIGMA * ((lips[(N - 1) // 2] + lips[N // 2]) / 2) / (2 * N)
@@ -323,11 +303,8 @@ def _reference_case2(instance: ProblemInstance, tolerance: float) -> Reference:
         V = Z + sigma * (2.0 * x_next - x)
         Z, x = V - sigma * prox(V / sigma), x_next
         if it % GAP_EVERY == 0 or it == PD_CAP:
-            f = float(sum(p.reg.beta1 * np.add.reduce(np.abs(x)) + p.loss.value(x) + p.reg.beta2
-                          * np.add.reduce(np.sort(p.reg.partition.norms(x[p.reg.partition.perm])))
-                          for p in nodes))
-            gap = _relative_gap(f, A, b, delta, x, Z, part, *weights)
-            if gap <= tolerance:
+            f = stack.value(x)
+            if (gap := stack.relative_gap(f, x, Z)) <= tolerance:
                 break
     seconds = time.perf_counter() - started
     return Reference(f, x, "primal-dual", gap <= tolerance, it, seconds, gap)

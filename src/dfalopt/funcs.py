@@ -79,7 +79,9 @@ class GroupPartition:
     @classmethod
     def stacked(cls, parts: Sequence["GroupPartition"]) -> "GroupPartition":
         """Partition of the concatenated coordinates of ``parts``: part ``i``'s
-        groups offset by the sizes of the parts before it."""
+        groups offset by the sizes of the parts before it; a lone part is its own."""
+        if len(parts) == 1:
+            return parts[0]
         offsets = np.cumsum([0] + [part.n for part in parts]).tolist()
         groups = [g + off for part, off in zip(parts, offsets) for g in part.groups]
         return cls(offsets[-1], tuple(groups))
@@ -348,20 +350,20 @@ class NodeProblem:
 class NodeStack:
     """All N node problems over stacked ``(N, n)`` iterates, in one call each.
 
-    The regularizers share one ``partition`` of the ``N*n`` flat coordinates
-    (node ``i``'s groups, offset into its slice), with the l1 weight per
-    coordinate and the group weight per segment, so each node keeps its own
-    partition and weights.  The losses are an ``(N, m, n)``
-    stack, zero-padded to the longest ``m``: a padded row has residual 0 and
-    Huber threshold 0, so it adds nothing to the gradient or the value and
-    is never inside the threshold.  Build it once per solve.
+    The regularizers share one ``partition`` of the ``N*n`` flat coordinates (node ``i``'s
+    groups, offset into its slice), with the l1 weight per coordinate and the group weight
+    per segment, so each node keeps its own partition and weights.  The losses are an ``(N,
+    m, n)`` stack, zero-padded to the longest ``m``: a padded row has residual 0 and Huber
+    threshold 0, so it adds nothing to the gradient or the value and is never inside the
+    threshold.  Build it once per solve.  At a shared ``x`` it is the consensus problem
+    ``min_x sum_i F_i(x)``, with its :meth:`value` and :meth:`relative_gap`.
     """
 
     def __init__(self, nodes: Sequence[NodeProblem]):
         N, n = len(nodes), nodes[0].n
         if any(p.n != n for p in nodes):
             raise ValueError("node problems must share one dimension")
-        self.shape = (N, n)
+        self.shape, self._nodes = (N, n), tuple(nodes)
         self.partition = GroupPartition.stacked([p.reg.partition for p in nodes])
         num_segments = [len(p.reg.partition.groups) for p in nodes]
         self._seg_node = np.repeat(np.arange(N), num_segments)
@@ -395,6 +397,27 @@ class NodeStack:
         r = (self._A @ X[:, :, None])[:, :, 0] - self._b
         loss = np.add.reduce(huber_scalar(r, self._delta, self._half_dd), axis=1)
         return sum((l1 + group + loss).tolist())
+
+    def value(self, x: np.ndarray) -> float:
+        """``sum_i F_i(x)`` at a shared ``x`` in node order, free of the group order: ``beta1
+        sum |x|`` in coordinate order, plus the Huber value, plus ``beta2`` sum(sorted norms)."""
+        return float(sum(p.reg.beta1 * np.add.reduce(np.abs(x)) + p.loss.value(x) + p.reg.beta2
+                         * np.add.reduce(np.sort(p.reg.partition.norms(x[p.reg.partition.perm])))
+                         for p in self._nodes))
+
+    def relative_gap(self, f: float, x: np.ndarray, Z: np.ndarray) -> float:
+        """``(F - D) / |F|`` (absolute where ``F = 0``) at ``x`` of value ``f``, for the weak
+        duality bound ``D = -(theta^2 w.w / 2 + theta b.w) <= F*`` of the stacked rows: ``w =
+        clip(A x - b, delta)``, the duals ``Z`` (a row per node) shifted to sum to ``-A^T w``,
+        both scaled by ``theta = 1 / max(1, max gauge)`` into the nodes' balls.  Below 0 (-4e-16
+        at an optimum) is rounding and reads 0; NaN stays NaN.  At ``beta1 = beta2 = 0`` the
+        ball is {0}, so ``theta = D = 0``, true as ``F >= 0`` but vacuous: the gap reads 1."""
+        part, A, b = self.partition, self._A.reshape(-1, self.shape[1]), self._b.ravel()
+        w = _clip(A.dot(x) - b, self._delta.ravel())
+        Z = Z - (np.add.reduce(Z) + A.T.dot(w)) / len(Z)
+        gauge = sparse_group_gauge(part, Z.reshape(-1), self._b1[part.perm[part.starts]], self._b2)
+        theta = 1.0 / max(1.0, float(np.max(gauge)))
+        return max((f + theta * float(0.5 * theta * w.dot(w) + b.dot(w))) / (abs(f) or 1.0), 0.0)
 
     def loss_grad(self, Y: np.ndarray) -> np.ndarray:
         """Rows ``A_i^T clip(A_i y_i - b_i, -delta_i, delta_i)``."""

@@ -36,7 +36,7 @@ from dfalopt.bench import (
     run_solver,
 )
 from dfalopt.baselines import sadmm_cv
-from dfalopt.funcs import NodeStack
+from dfalopt.funcs import GroupPartition, NodeStack
 from dfalopt.cli import main as cli_main
 from dfalopt.trace import RunTrace
 
@@ -213,6 +213,9 @@ class TestReferenceSolve:
             x -= g / lip
         f_gd = sum(p.loss.value(x) for p in inst.nodes)
         assert abs(ref.f_star - f_gd) <= 1e-8
+        # the zero regularizer's dual ball is {0}: theta = 0 gives the vacuous D = 0, so
+        # the gap reads 1 and only the residual certifies this reference
+        assert ref.converged and ref.gap == 1.0
 
     def test_case2_reference_is_consensus_feasible(self):
         inst = small_instance(case=2)
@@ -303,6 +306,16 @@ def _weak_dual_bound(inst, ref):
     return ref.f_star - ref.gap * abs(ref.f_star), f
 
 
+def _summed(inst):
+    """A case-1 instance's summed problem as a stack of one: the rows of every node, the
+    weights times N."""
+    N, p = len(inst.nodes), inst.nodes[0]
+    loss = HuberLoss(np.vstack([q.loss.A for q in inst.nodes]),
+                     np.concatenate([q.loss.b for q in inst.nodes]), p.loss.delta)
+    reg = SparseGroupReg(N * p.reg.beta1, N * p.reg.beta2, p.reg.partition)
+    return NodeStack([NodeProblem(reg, loss)])
+
+
 def _scaled_leaf(s, case=2):
     """Star-5 of ``case`` at seed 1, with node 2's ``A`` and ``b`` times ``s``."""
     inst = generate_instance(case, "star", 5, 10, 10, 1)
@@ -330,14 +343,12 @@ class TestCertifiedReference:
         # D bounds F* from below however far the point is from the optimum
         inst = generate_instance(2, "star", 3, 4, 3, seed=2)
         stack = NodeStack(inst.nodes)
-        part, A, b = stack.partition, stack._A.reshape(-1, inst.n), stack._b.ravel()
-        weights = stack._b1[part.perm[part.starts]], stack._b2
         f_star = reference_solve(inst).f_star
         rng = np.random.default_rng(5)
         for scale in (0.0, 0.1, 1.0, 10.0):
             x, Z = scale * rng.standard_normal(inst.n), scale * rng.standard_normal(stack.shape)
             f = stack.objective(np.tile(x, (3, 1)))
-            gap = bench._relative_gap(f, A, b, stack._delta.ravel(), x, Z, part, *weights)
+            gap = stack.relative_gap(f, x, Z)
             assert f - gap * abs(f) <= f_star <= f
 
     @pytest.mark.parametrize("args", [
@@ -393,21 +404,31 @@ class TestCertifiedReference:
         # below it (-4e-16 on this instance at its APG point)
         inst = generate_instance(1, "star", 2, 2, 2, 5)
         ref = reference_solve(inst, cache=False)
-        A = np.vstack([p.loss.A for p in inst.nodes])
-        b = np.concatenate([p.loss.b for p in inst.nodes])
-        reg = inst.nodes[0].reg
-        args = (A, b, 1.0, ref.x_ref, np.zeros((1, inst.n)), reg.partition, 2 * reg.beta1,
-                2 * reg.beta2)
-        assert bench._relative_gap(ref.f_star, *args) == ref.gap >= 0.0
-        assert bench._relative_gap(ref.f_star * (1 - 1e-12), *args) == 0.0
-        assert math.isnan(bench._relative_gap(math.nan, *args))
+        one, args = _summed(inst), (ref.x_ref, np.zeros((1, inst.n)))
+        assert one.relative_gap(ref.f_star, *args) == ref.gap >= 0.0
+        assert one.relative_gap(ref.f_star * (1 - 1e-12), *args) == 0.0
+        assert math.isnan(one.relative_gap(math.nan, *args))
+
+    def test_a_single_composite_problem_is_a_stack_of_one(self):
+        # the case-1 reference certifies its summed problem as a one-node stack; at zero
+        # duals that stack and the instance's N-node stack give one bound D on F*
+        part = GroupPartition.contiguous(6, 2)
+        assert GroupPartition.stacked([part]) is part
+        for topology in ("star", "clique"):
+            for seed in range(1, 6):
+                inst = generate_instance(1, topology, 5, 10, 10, seed)
+                x, one, stack = reference_solve(inst).x_ref, _summed(inst), NodeStack(inst.nodes)
+                f = one.value(x)
+                assert stack.value(x) == pytest.approx(f, rel=1e-13)
+                gaps = [s.relative_gap(f, x, np.zeros(s.shape)) for s in (one, stack)]
+                assert 0 < gaps[0] <= 1e-9 and abs(gaps[0] - gaps[1]) <= 1e-15, (topology, seed)
 
     def test_case1_gap_keeps_the_apg_bits(self, monkeypatch):
         # the certificate is computed after the APG, on its final point
         inst = generate_instance(1, "star", 5, 10, 10, 1)
         ref = _reference_case1(inst, 1e-9)
         with monkeypatch.context() as m:
-            m.setattr(bench, "_relative_gap", lambda *args: math.nan)
+            m.setattr(NodeStack, "relative_gap", lambda *args: math.nan)
             bare = _reference_case1(inst, 1e-9)
         assert ref.x_ref.tobytes() == bare.x_ref.tobytes() and ref.f_star == bare.f_star
         # 233 APG iterations to the hand-off residual, then one Newton step
